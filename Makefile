@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet skywayvet vet-taint sarif lint-fixtures race race-parallel verify chaos cluster-test arena-test fuzz-smoke check check-parallel bench-json bench-cmp speed-json speed-cmp
+.PHONY: build test vet fmt-check skywayvet vet-taint sarif lint-fixtures race race-parallel verify chaos cluster-test arena-test fuzz-smoke check check-parallel bench-json bench-cmp speed-json speed-cmp benchmark benchmark-quick
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing the files, when any .go file is not gofmt-clean.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 skywayvet:
 	$(GO) run ./cmd/skywayvet ./...
@@ -104,6 +108,15 @@ speed-json:
 speed-cmp:
 	$(GO) run ./cmd/benchcmp -tol 0.20 BENCH_speed.json $(BENCH_DIR)/BENCH_speed.json
 
-check: build vet skywayvet race
+# The repository benchmark (benchmark/README.md, BENCHMARK.json): five
+# workloads over real loopback sockets, untraced then traced, about 3.5
+# minutes. benchmark-quick is its smoke test: every workload at tiny sizes.
+benchmark:
+	$(GO) run ./benchmark
 
-check-parallel: build vet skywayvet race-parallel
+benchmark-quick:
+	$(GO) test ./benchmark
+
+check: build vet fmt-check skywayvet race
+
+check-parallel: build vet fmt-check skywayvet race-parallel

@@ -81,7 +81,7 @@ func RunFixture(t *testing.T, a *Analyzer, importPath string) {
 }
 
 // parseWant extracts the quoted pattern from a `// want "..."` or
-// `// want `+"`...`"+`` comment.
+// `// want `+"`...`"+“ comment.
 func parseWant(comment string) (string, bool) {
 	text := strings.TrimSpace(strings.TrimPrefix(comment, "//"))
 	if !strings.HasPrefix(text, "want ") {

@@ -161,7 +161,7 @@ func (d divergent) Equal(o State) bool { return false }
 
 type divergentProblem struct{}
 
-func (divergentProblem) Entry() State                       { return divergent(0) }
+func (divergentProblem) Entry() State                        { return divergent(0) }
 func (divergentProblem) Transfer(n *CFGNode, in State) State { return in.(divergent) + 1 }
 
 // TestSolveForwardWideningGuard: with a never-converging lattice on a loop,

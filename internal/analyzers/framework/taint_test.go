@@ -109,14 +109,14 @@ func TestTaintSummaries(t *testing.T) {
 		fn   string
 		want Origins
 	}{
-		{"helper", OriginSource},              // wire read escapes through the return
-		{"add1", paramBit(0)},                 // pure passthrough
-		{"thru", OriginSource},                // source -> helper -> add1 -> return
-		{"clamp", 0},                          // full-width bounds check sanitizes
-		{"second", paramBit(1)},               // flow from the second parameter only
-		{"tuple", OriginSource},               // tuple assignment from a source
-		{"loopFlow", OriginSource},            // taint around the loop back edge
-		{"wireRead", 0},                       // the source body itself returns a constant
+		{"helper", OriginSource},   // wire read escapes through the return
+		{"add1", paramBit(0)},      // pure passthrough
+		{"thru", OriginSource},     // source -> helper -> add1 -> return
+		{"clamp", 0},               // full-width bounds check sanitizes
+		{"second", paramBit(1)},    // flow from the second parameter only
+		{"tuple", OriginSource},    // tuple assignment from a source
+		{"loopFlow", OriginSource}, // taint around the loop back edge
+		{"wireRead", 0},            // the source body itself returns a constant
 	}
 	for _, c := range cases {
 		sum, ok := eng.Summary(lookupFunc(t, pkg, c.fn))

@@ -6,9 +6,9 @@ package atomicbaddr
 import "skyway/internal/heap"
 
 func bad(h *heap.Heap, a heap.Addr) uint64 {
-	h.SetBaddr(a, 1)        // want `non-atomic baddr access`
-	read := h.Baddr         // want `non-atomic baddr access`
-	return h.Baddr(a) +     // want `non-atomic baddr access`
+	h.SetBaddr(a, 1)    // want `non-atomic baddr access`
+	read := h.Baddr     // want `non-atomic baddr access`
+	return h.Baddr(a) + // want `non-atomic baddr access`
 		read(a)
 }
 

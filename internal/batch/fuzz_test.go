@@ -58,9 +58,9 @@ func FuzzTupleCodec(f *testing.F) {
 	name.Release()
 	rh.Release()
 	f.Add(seed.Bytes())
-	f.Add(seed.Bytes()[:seed.Len()/2])                            // truncated record
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFE})                        // absurd string length in a string slot
-	f.Add(bytes.Repeat([]byte{0x41}, 64))                        // schema-width garbage
+	f.Add(seed.Bytes()[:seed.Len()/2])    // truncated record
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFE}) // absurd string length in a string slot
+	f.Add(bytes.Repeat([]byte{0x41}, 64)) // schema-width garbage
 
 	lazy := NewTupleCodec(CustomerClass, []string{"custkey", "name"})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -228,6 +228,122 @@ func TestArenaDecodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// --- per-root allocation gates -------------------------------------------------
+
+// recordCorpus pins n small root graphs on rt in the shape of a shuffle's
+// records: two in three are ref-free Year4D instances, the third a Date
+// pointing at one of a few shared Year4Ds, so back-references occur.
+func recordCorpus(t testing.TB, rt *vm.Runtime, n int) []heap.Addr {
+	t.Helper()
+	yk := rt.MustLoad("Year4D")
+	var shared [16]heap.Addr
+	for i := range shared {
+		y := rt.MustNew(yk)
+		rt.SetInt(y, yk.FieldByName("value"), int64(1990+i))
+		h := rt.Pin(y)
+		t.Cleanup(h.Release)
+		shared[i] = h.Addr()
+	}
+	dk := rt.MustLoad("Date")
+	roots := make([]heap.Addr, 0, n)
+	for i := 0; i < n; i++ {
+		var o heap.Addr
+		if i%3 == 2 {
+			o = rt.MustNew(dk)
+			rt.SetRef(o, dk.FieldByName("year"), shared[i%len(shared)])
+			rt.SetInt(o, dk.FieldByName("day"), int64(i%28))
+		} else {
+			o = rt.MustNew(yk)
+			rt.SetInt(o, yk.FieldByName("value"), int64(i))
+		}
+		h := rt.Pin(o)
+		t.Cleanup(h.Release)
+		roots = append(roots, h.Addr())
+	}
+	return roots
+}
+
+// encodeRecords writes roots as one stream in a fresh shuffle phase.
+func encodeRecords(t testing.TB, sky *Skyway, roots []heap.Addr, dst io.Writer, opts ...WriterOption) {
+	t.Helper()
+	sky.ShuffleStart()
+	w := sky.NewWriter(dst, opts...)
+	for _, a := range roots {
+		if err := w.WriteObject(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// allocsPerRoot reports how many Go allocations a whole stream of n roots
+// costs beyond a stream of n/2: the per-stream fixed cost (the Writer or
+// Reader, its tables, their growth) cancels, what is left is per root.
+func allocsPerRoot(n int, pass func(roots int)) float64 {
+	full := testing.AllocsPerRun(5, func() { pass(n) })
+	half := testing.AllocsPerRun(5, func() { pass(n / 2) })
+	return (full - half) / float64(n-n/2)
+}
+
+// TestRecordEncodeAllocsPerRoot: the sender's per-root path — claim, clone,
+// header patch, queued top mark — allocates nothing.
+func TestRecordEncodeAllocsPerRoot(t *testing.T) {
+	skipIfInstrumented(t)
+	snd, _, sky := testCluster(t)
+	const n = 20000
+	roots := recordCorpus(t, snd, n)
+	var buf bytes.Buffer
+	pass := func(k int) {
+		buf.Reset()
+		encodeRecords(t, sky, roots[:k], &buf)
+	}
+	pass(n) // warm the pools and size buf
+	if got := allocsPerRoot(n, pass); got > 0.001 {
+		t.Errorf("record encode allocates %.4f times per root, want 0", got)
+	}
+}
+
+// TestRecordDecodeAllocsPerRoot: the receiver's per-root path — top-mark
+// parse, walker, root translation — allocates nothing, eager or arena. (The
+// top mark's read buffer used to escape: one 8-byte allocation per root.)
+func TestRecordDecodeAllocsPerRoot(t *testing.T) {
+	skipIfInstrumented(t)
+	snd, rcv, sky := testCluster(t)
+	const n = 20000
+	roots := recordCorpus(t, snd, n)
+	var full, half bytes.Buffer
+	encodeRecords(t, sky, roots, &full)
+	encodeRecords(t, sky, roots[:n/2], &half)
+
+	for _, mode := range []struct {
+		name string
+		opts []ReaderOption
+	}{{"eager", nil}, {"arena", []ReaderOption{WithArena()}}} {
+		t.Run(mode.name, func(t *testing.T) {
+			pass := func(k int) {
+				wire := full.Bytes()
+				if k != n {
+					wire = half.Bytes()
+				}
+				r := NewReader(rcv, bytes.NewReader(wire), mode.opts...)
+				got, err := r.ReadAll()
+				if err != nil || len(got) != k {
+					t.Fatalf("decoded %d of %d roots: %v", len(got), k, err)
+				}
+				r.Free()
+			}
+			pass(n) // warm the pools
+			// ReadAll's result slice grows by doubling; its handful of
+			// reallocations is the whole tolerance.
+			if got := allocsPerRoot(n, pass); got > 0.001 {
+				t.Errorf("record decode allocates %.4f times per root, want 0", got)
+			}
+		})
+	}
+}
+
 // TestFullGCScanIndependentOfArenaBytes pins the tentpole's GC payoff: a
 // full collection's root-scan work must not grow with resident arena bytes.
 // Eagerly decoded streams park their objects in pinned chunks the collector

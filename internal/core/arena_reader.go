@@ -1,14 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
-	"fmt"
-	"sort"
-
 	"skyway/internal/arena"
 	"skyway/internal/fault"
 	"skyway/internal/heap"
-	"skyway/internal/klass"
 	"skyway/internal/vm"
 )
 
@@ -97,7 +92,7 @@ func (rd *Reader) readCompactSegmentArena(phys []byte, decoded uint32) error {
 	if err != nil {
 		return rd.decodeWrap(DecodeResource, uint64(decoded), err)
 	}
-	if err := rd.decodeCompactSegmentBytes(phys, seg); err != nil {
+	if err := rd.decodeCompactSegment(phys, seg, decoded); err != nil {
 		reg.Discard(seg)
 		return err
 	}
@@ -106,130 +101,19 @@ func (rd *Reader) readCompactSegmentArena(phys []byte, decoded uint32) error {
 }
 
 // commitArena publishes a validated staged segment: region table first,
-// then the reader's chunk table (same startRel bookkeeping as the eager
-// path, with base left Null — arena chunks have no heap address).
+// then the reader's chunk table (same bookkeeping as the eager path, with
+// base left Null — arena chunks have no heap address).
 func (rd *Reader) commitArena(reg *arena.Region, seg []byte, n uint32) {
-	startRel := rd.received()
-	reg.Commit(startRel, seg)
-	rd.chunks = append(rd.chunks, chunk{startRel: startRel, size: n, seg: seg})
-	rd.Bytes += uint64(n)
-	ctrChunks.Inc()
-	ctrBytesRecv.Add(int64(n))
+	reg.Commit(rd.received(), seg)
+	rd.addChunk(heap.Null, n, seg)
 }
 
-// decodeCompactSegmentBytes is decodeCompactSegment retargeted at a raw
-// little-endian segment image: identical record grammar, identical
-// validation and error text, but the inflated standard image is written
-// with heap.StoreBytes instead of heap stores.
-func (rd *Reader) decodeCompactSegmentBytes(phys, seg []byte) error {
-	rt := rd.rt
-	layout := rt.Heap.Layout()
-	decoded := uint32(len(seg))
-	pos := 0
-	a := uint32(0)
-
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(phys[pos:])
-		if n <= 0 {
-			return 0, rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (uvarint)")
-		}
-		pos += n
-		return v, nil
-	}
-
-	for pos < len(phys) {
-		if a >= decoded {
-			return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment inflates past its declared size")
-		}
-		tid64, err := readUvarint()
-		if err != nil {
-			return err
-		}
-		k, err := rt.KlassByTID(int32(uint32(tid64)))
-		if err == nil {
-			err = checkKlassKinds(k)
-		}
-		if err != nil {
-			return rd.decodeWrap(DecodeType, uint64(pos), err)
-		}
-		if pos >= len(phys) {
-			return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (flags)")
-		}
-		flags := phys[pos]
-		pos++
-		var hash uint32
-		hashed := flags&compactFlagHashed != 0
-		if hashed {
-			if pos+4 > len(phys) {
-				return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (hash)")
-			}
-			hash = binary.LittleEndian.Uint32(phys[pos:])
-			pos += 4
-		}
-		isArray := flags&compactFlagArray != 0
-		if isArray != k.IsArray {
-			return rd.decodeErrf(DecodeType, uint64(pos), "compact record array flag disagrees with class %s", k.Name)
-		}
-
-		size := k.Size
-		payloadOff := layout.HeaderSize()
-		arrayLen := uint64(0)
-		if isArray {
-			arrayLen, err = readUvarint()
-			if err != nil {
-				return err
-			}
-			if arrayLen > uint64(decoded) {
-				return rd.decodeErrf(DecodeLength, uint64(pos), "compact record array length %d implausible", arrayLen)
-			}
-			// Widen before multiplying (cf. vm.NewArray): InstanceBytes
-			// computes in uint32, so arrayLen near 2^32/ElemSize would wrap
-			// to a tiny size that passes the overrun check below and plants
-			// an oversized array-length header in the chunk. arrayLen <=
-			// decoded above bounds the uint64 product.
-			if uint64(k.Size)+arrayLen*uint64(k.ElemSize()) > uint64(decoded-a) {
-				return rd.decodeErrf(DecodeLength, uint64(pos), "compact record array length %d overruns its chunk", arrayLen)
-			}
-			size = k.InstanceBytes(int(arrayLen))
-			payloadOff = layout.ArrayHeaderSize()
-		}
-		if uint64(a)+uint64(size) > uint64(decoded) {
-			return rd.decodeErrf(DecodeLength, uint64(pos), "compact record overruns its chunk")
-		}
-		payload := size - payloadOff
-		if pos+int(payload) > len(phys) {
-			return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (payload)")
-		}
-
-		// Re-inflate the standard wire image in place.
-		heap.StoreBytes(seg, a+klass.OffMark, klass.Int64, composeMark(hash, hashed))
-		heap.StoreBytes(seg, a+klass.OffKlass, klass.Int64, tid64)
-		if layout.Baddr {
-			heap.StoreBytes(seg, a+uint32(layout.OffBaddr()), klass.Int64, 0)
-		}
-		if isArray {
-			heap.StoreBytes(seg, a+layout.OffArrayLen(), klass.Int64, arrayLen)
-		}
-		if payload > 0 {
-			copy(seg[a+payloadOff:a+size], phys[pos:pos+int(payload)])
-		}
-		pos += int(payload)
-		a += size
-	}
-	if a != decoded {
-		return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment inflated to %d bytes, expected %d", a, decoded)
-	}
-	return nil
-}
-
-// validateArena is the arena-mode counterpart of absolutize: the same
-// linear scan with the same validation order and the same forward-reference
-// deferral, but the only bytes it writes are registered §3.3 field updates
-// (and the injected post-checksum corruption the scan exists to catch).
-// Type IDs stay global, references stay relative — resolution is the
-// accessor layer's job, object by object, on demand.
-func (rd *Reader) validateArena() error {
-	rt := rd.rt
+// checkRegion is the liveness gate an arena reader passes at every top mark:
+// the walker commits nothing for it — klass words keep their global type
+// IDs, reference slots their relative addresses, resolution is the accessor
+// layer's job, object by object, on demand — so the region the roots will be
+// read through has to still be there.
+func (rd *Reader) checkRegion() error {
 	// Failpoint: the region is reclaimed out from under the live stream —
 	// a lifecycle bug (or this injection) that the retired-region guard
 	// must turn into a structured error.
@@ -239,131 +123,6 @@ func (rd *Reader) validateArena() error {
 	if len(rd.chunks) == 0 {
 		return nil
 	}
-	reg, err := rd.arenaRegion()
-	if err != nil {
-		return err
-	}
-	limit := rd.received()
-	objects0 := rd.Objects
-	defer func() { ctrObjectsRecv.Add(int64(rd.Objects - objects0)) }()
-	for ; rd.parsed < len(rd.chunks); rd.parsed++ {
-		c := &rd.chunks[rd.parsed]
-		seg := c.seg
-		off := c.done
-		for off < c.size {
-			relOff := c.startRel + uint64(off)
-			tid := int32(uint32(heap.LoadBytes(seg, off+klass.OffKlass, klass.Int64)))
-			k := rd.lastKlass
-			if k == nil || tid != rd.lastTID {
-				var err error
-				k, err = rt.KlassByTID(tid)
-				if err == nil {
-					err = checkKlassKinds(k)
-				}
-				if err != nil {
-					return rd.decodeWrap(DecodeType, relOff, err)
-				}
-				rd.lastTID, rd.lastKlass = tid, k
-			}
-			size := k.Size
-			if k.IsArray {
-				n := int(int64(heap.LoadBytes(seg, off+rt.Heap.Layout().OffArrayLen(), klass.Int64)))
-				// Widen before multiplying — same wrap hazard as the eager
-				// scan (see Reader.absolutize): n is a wire-supplied length.
-				if n < 0 || uint64(n) > uint64(c.size) ||
-					uint64(k.Size)+uint64(n)*uint64(k.ElemSize()) > uint64(c.size-off) {
-					return rd.decodeErrf(DecodeLength, relOff, "array length %d of %s exceeds its chunk", n, k.Name)
-				}
-				size = k.InstanceBytes(n)
-			}
-			if uint64(off)+uint64(size) > uint64(c.size) {
-				return rd.decodeErrf(DecodeLength, relOff, "%d-byte %s overruns its chunk", size, k.Name)
-			}
-
-			// Collect the object's reference slot offsets.
-			var refBase uint32
-			var refCount int
-			var refOffsets []uint32
-			if k.IsArray {
-				if k.Elem == klass.Ref {
-					refBase = rt.Heap.Layout().ArrayHeaderSize()
-					refCount = int(int64(heap.LoadBytes(seg, off+rt.Heap.Layout().OffArrayLen(), klass.Int64)))
-				}
-			} else {
-				refOffsets = k.RefOffsets
-				refCount = len(refOffsets)
-			}
-			slotOff := func(i int) uint32 {
-				if refOffsets != nil {
-					return refOffsets[i]
-				}
-				return refBase + uint32(i)*8
-			}
-
-			// Failpoint: stomp a real reference slot with an unaligned,
-			// out-of-space relative pointer — post-checksum corruption the
-			// CRC cannot see, which the bounds check below must reject.
-			if refCount > 0 && fault.Eval(fault.CoreChunkBadPtr) {
-				heap.StoreBytes(seg, off+slotOff(0), klass.Ref, 0xDEADBEEF)
-			}
-
-			// Verify every reference is well formed and resolvable; a
-			// well-formed forward reference beyond the received data defers
-			// the rest of the scan, exactly as in the eager path.
-			for i := 0; i < refCount; i++ {
-				rel := heap.LoadBytes(seg, off+slotOff(i), klass.Ref)
-				if rel == 0 {
-					continue
-				}
-				if rel < relBias || rel%klass.WordSize != 0 || rel > heap.BaddrRelMask {
-					return rd.decodeErrf(DecodePointer, relOff,
-						"reference slot %d of %s holds malformed relative address %#x", i, k.Name, rel)
-				}
-				if rel >= limit {
-					c.done = off
-					return nil
-				}
-			}
-
-			// No commit: the image stays relativized. Registered field
-			// updates are the one exception — they must be applied exactly
-			// once, at receive time, on both paths, so the update function
-			// sees the object through its tagged handle.
-			if !k.IsArray {
-				for _, u := range rt.UpdatesFor(k) {
-					v := u.Fn(rt, heap.ComposeArenaAddr(reg.ID(), relOff))
-					heap.StoreBytes(seg, off+u.Field.Offset, u.Field.Kind, v)
-				}
-			}
-			rd.Objects++
-			off += size
-			c.done = off
-		}
-	}
-	return nil
-}
-
-// verifyTopArena is the SKYWAY_VERIFY top-mark audit for arena streams: all
-// chunks validated, and the named root resolving to an object whose global
-// type ID is loadable.
-func (rd *Reader) verifyTopArena(rel uint64) error {
-	if rd.parsed < len(rd.chunks) {
-		c := &rd.chunks[rd.parsed]
-		return fmt.Errorf("skyway: verify: top mark %#x arrived with arena chunk %d validated only to %d/%d bytes",
-			rel, rd.parsed, c.done, c.size)
-	}
-	if rel != 0 {
-		a, err := rd.translate(rel)
-		if err != nil {
-			return fmt.Errorf("skyway: verify: top mark: %w", err)
-		}
-		i := sort.Search(len(rd.chunks), func(i int) bool { return rd.chunks[i].startRel > rel }) - 1
-		c := &rd.chunks[i]
-		tid := int32(uint32(heap.LoadBytes(c.seg, uint32(rel-c.startRel)+klass.OffKlass, klass.Int64)))
-		if _, err := rd.rt.KlassByTID(tid); err != nil {
-			return fmt.Errorf("skyway: verify: top mark %#x names %#x whose type ID %d is not loadable: %v",
-				rel, uint64(a), tid, err)
-		}
-	}
-	return nil
+	_, err := rd.arenaRegion()
+	return err
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 
-	"skyway/internal/heap"
 	"skyway/internal/klass"
 )
 
@@ -79,17 +78,16 @@ func composeMark(hash uint32, hashed bool) uint64 {
 	return uint64(hash)<<8 | 1<<3
 }
 
-// decodeCompactSegment inflates a compact segment (phys bytes) into the
-// freshly allocated chunk at base spanning decoded bytes, leaving objects in
-// exactly the state a standard segment would: klass word holding the global
-// type ID, baddr zero, references still relative.
-func (rd *Reader) decodeCompactSegment(phys []byte, base heap.Addr, decoded uint32) error {
+// decodeCompactSegment inflates a compact segment (phys bytes) into img, the
+// byte image of the chunk that will hold it — a pinned range of buffer space
+// or an arena mapping — which spans decoded bytes, leaving objects in exactly
+// the state a standard segment would: klass word holding the global type ID,
+// baddr zero, references still relative.
+func (rd *Reader) decodeCompactSegment(phys, img []byte, decoded uint32) error {
 	rt := rd.rt
-	h := rt.Heap
-	layout := h.Layout()
+	layout := rt.Heap.Layout()
 	pos := 0
-	a := base
-	end := base + heap.Addr(decoded)
+	a := uint32(0)
 
 	readUvarint := func() (uint64, error) {
 		v, n := binary.Uvarint(phys[pos:])
@@ -101,7 +99,7 @@ func (rd *Reader) decodeCompactSegment(phys []byte, base heap.Addr, decoded uint
 	}
 
 	for pos < len(phys) {
-		if a >= end {
+		if a >= decoded {
 			return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment inflates past its declared size")
 		}
 		tid64, err := readUvarint()
@@ -150,13 +148,16 @@ func (rd *Reader) decodeCompactSegment(phys []byte, base heap.Addr, decoded uint
 			// to a tiny size that passes the overrun check below and plants
 			// an oversized array-length header in the chunk. arrayLen <=
 			// decoded above bounds the uint64 product.
-			if uint64(k.Size)+arrayLen*uint64(k.ElemSize()) > uint64(end-a) {
+			if uint64(k.Size)+arrayLen*uint64(k.ElemSize()) > uint64(decoded-a) {
 				return rd.decodeErrf(DecodeLength, uint64(pos), "compact record array length %d overruns its chunk", arrayLen)
 			}
 			size = k.InstanceBytes(int(arrayLen))
 			payloadOff = layout.ArrayHeaderSize()
 		}
-		if uint64(a)+uint64(size) > uint64(end) {
+		// The image is as long as the chunk was declared unless the chunk
+		// table entry was fabricated; bounding by both keeps every store
+		// below inside it.
+		if end := uint64(a) + uint64(size); end > uint64(decoded) || end > uint64(len(img)) {
 			return rd.decodeErrf(DecodeLength, uint64(pos), "compact record overruns its chunk")
 		}
 		payload := size - payloadOff
@@ -164,23 +165,22 @@ func (rd *Reader) decodeCompactSegment(phys []byte, base heap.Addr, decoded uint
 			return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (payload)")
 		}
 
-		// Re-inflate the standard image.
-		h.SetMark(a, composeMark(hash, hashed))
-		h.SetKlassWord(a, tid64)
+		// Re-inflate the standard wire image in place.
+		obj := img[a : a+size]
+		binary.LittleEndian.PutUint64(obj[klass.OffMark:], composeMark(hash, hashed))
+		binary.LittleEndian.PutUint64(obj[klass.OffKlass:], tid64)
 		if layout.Baddr {
-			h.AtomicSetBaddr(a, 0)
+			binary.LittleEndian.PutUint64(obj[layout.OffBaddr():], 0)
 		}
 		if isArray {
-			h.SetArrayLen(a, int(arrayLen))
+			binary.LittleEndian.PutUint64(obj[layout.OffArrayLen():], arrayLen)
 		}
-		if payload > 0 {
-			h.CopyIn(a+heap.Addr(payloadOff), payload, phys[pos:])
-		}
+		copy(obj[payloadOff:], phys[pos:pos+int(payload)])
 		pos += int(payload)
-		a += heap.Addr(size)
+		a += size
 	}
-	if a != end {
-		return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment inflated to %d bytes, expected %d", uint64(a-base), decoded)
+	if a != decoded {
+		return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment inflated to %d bytes, expected %d", a, decoded)
 	}
 	return nil
 }

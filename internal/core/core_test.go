@@ -16,7 +16,7 @@ import (
 
 // testCluster builds two runtimes (sender, receiver) sharing a classpath
 // and an in-process registry — the minimal two-node cluster.
-func testCluster(t *testing.T) (*vm.Runtime, *vm.Runtime, *Skyway) {
+func testCluster(t testing.TB) (*vm.Runtime, *vm.Runtime, *Skyway) {
 	t.Helper()
 	cp := klass.NewPath()
 	cp.MustDefine(
@@ -49,7 +49,7 @@ func testCluster(t *testing.T) (*vm.Runtime, *vm.Runtime, *Skyway) {
 	return sender, receiver, New(sender)
 }
 
-func newDate(t *testing.T, rt *vm.Runtime, y, m, d int) heap.Addr {
+func newDate(t testing.TB, rt *vm.Runtime, y, m, d int) heap.Addr {
 	t.Helper()
 	dk := rt.MustLoad("Date")
 	yk := rt.MustLoad("Year4D")

@@ -294,7 +294,7 @@ func TestBufferSpaceRecycledAcrossTransfers(t *testing.T) {
 	}
 }
 
-// TestHugeArrayLengthRejected pins the widened size check in absolutize:
+// TestHugeArrayLengthRejected pins the widened size check in the segment walker:
 // InstanceBytes computes Pad(Size + n*ElemSize) in uint32, so a wire-supplied
 // ref-array length of 2^29 (8-byte elements) wraps to a tiny size that passes
 // the per-object overrun check while refCount=n would drive slot reads and
@@ -318,10 +318,10 @@ func TestHugeArrayLengthRejected(t *testing.T) {
 
 	rd := NewReader(rcv, bytes.NewReader(nil))
 	rd.chunks = append(rd.chunks, chunk{startRel: relBias, base: base, size: 1 << 30})
-	err := rd.absolutize()
+	err := rd.walk()
 	de, ok := AsDecodeError(err)
 	if !ok {
-		t.Fatalf("absolutize = %v, want DecodeError", err)
+		t.Fatalf("walk = %v, want DecodeError", err)
 	}
 	if de.Kind != DecodeLength {
 		t.Errorf("DecodeError kind = %s, want %s", de.Kind, DecodeLength)
@@ -349,7 +349,11 @@ func TestCompactHugeArrayLengthRejected(t *testing.T) {
 	phys = append(phys, tmp[:binary.PutUvarint(tmp[:], 1<<29)]...)
 
 	rd := NewReader(rcv, bytes.NewReader(nil))
-	err := rd.decodeCompactSegment(phys, base, 1<<30)
+	img, staged := rd.heapImage(base, 1<<30)
+	if staged {
+		t.Fatal("test assumes a byte view of the chunk")
+	}
+	err := rd.decodeCompactSegment(phys, img, 1<<30)
 	de, ok := AsDecodeError(err)
 	if !ok {
 		t.Fatalf("decodeCompactSegment = %v, want DecodeError", err)

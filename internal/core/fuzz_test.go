@@ -93,11 +93,11 @@ func FuzzReaderDecode(f *testing.F) {
 	}
 	// Handcrafted near-valid frames (more live in testdata/fuzz/).
 	hdr := []byte("SKYW\x02\x01\x00\x00")
-	f.Add([]byte("SKYJ\x02\x01\x00\x00"))                            // bad magic
-	f.Add([]byte("SKYW\x09\x01\x00\x00"))                            // unknown version
+	f.Add([]byte("SKYJ\x02\x01\x00\x00"))                                // bad magic
+	f.Add([]byte("SKYW\x09\x01\x00\x00"))                                // unknown version
 	f.Add(append(append([]byte{}, hdr...), 'S', 0xFF, 0xFF, 0xFF, 0xFF)) // absurd segment length
-	f.Add(append(append([]byte{}, hdr...), 'T', 0, 0))               // truncated top mark
-	f.Add(append(append([]byte{}, hdr...), 'Z'))                     // unknown tag
+	f.Add(append(append([]byte{}, hdr...), 'T', 0, 0))                   // truncated top mark
+	f.Add(append(append([]byte{}, hdr...), 'Z'))                         // unknown tag
 	f.Add(append(append([]byte{}, hdr...), 'T', 0, 0, 0, 0, 0, 0, 0, 9)) // top into no chunks
 
 	f.Fuzz(func(t *testing.T, data []byte) {

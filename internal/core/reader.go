@@ -51,8 +51,21 @@ type Reader struct {
 	compact     bool
 	checksummed bool // wire v2: per-segment CRC-32C
 
-	chunks []chunk // ascending startRel; the relative→absolute table
+	// tops is the window of top marks peeked but not yet returned, all
+	// topsPeeked bytes of which are still to be discarded (see peekTops).
+	tops       []byte
+	topsPeeked int
+
+	chunks []chunk // ascending startRel, back to back from relBias
 	parsed int     // chunks[:parsed] are absolutized (or arena-validated)
+
+	// runs is the relative→absolute table: the chunks, with every stretch
+	// that lies in the heap in stream order merged into one entry. Buffer
+	// space hands out neighbours until its free list interferes, and arena
+	// chunks have no base at all, so it is usually a single run; run0 backs
+	// it until a second one appears.
+	runs []run
+	run0 [1]run
 
 	pins []*gc.PinnedRange
 
@@ -62,10 +75,16 @@ type Reader struct {
 	arena  bool
 	region *arena.Region
 
-	// One-entry klass cache: shuffle streams carry long runs of one
-	// record class, so the TID→klass map lookup usually short-circuits.
-	lastTID   int32
-	lastKlass *klass.Klass
+	// klasses is a direct-mapped TID→klass cache in front of the runtime's
+	// map: shuffle streams interleave a handful of record classes. Every
+	// entry has passed checkKlassKinds.
+	klasses [8]tidEntry
+
+	// rootHint and refHint name the run the last top mark and the last
+	// reference slot resolved into. Both kinds of address move through the
+	// table in long same-run stretches, each at its own place, so translate
+	// tries the hint before it searches.
+	rootHint, refHint int
 
 	// verify enables the SKYWAY_VERIFY debug assertions on top-mark
 	// framing and chunk relativization.
@@ -80,6 +99,18 @@ type Reader struct {
 	// ReadObject is called again after end-of-stream.
 	openedAt time.Time
 	eofSeen  bool
+}
+
+type tidEntry struct {
+	tid int32
+	k   *klass.Klass
+}
+
+// run is one entry of the relative→absolute table.
+type run struct {
+	startRel uint64
+	size     uint64
+	base     heap.Addr // Null in arena mode
 }
 
 type chunk struct {
@@ -105,6 +136,7 @@ func NewReader(rt *vm.Runtime, r io.Reader, opts ...ReaderOption) *Reader {
 		br = bufio.NewReaderSize(r, 16<<10)
 	}
 	rd := &Reader{rt: rt, r: br, verify: verify.Enabled()}
+	rd.runs = rd.run0[:0]
 	for _, opt := range opts {
 		opt(rd)
 	}
@@ -143,6 +175,13 @@ func (rd *Reader) readObject() (heap.Addr, error) {
 		rd.headerRead = true
 	}
 	for {
+		if len(rd.tops) > 0 {
+			rel := binary.BigEndian.Uint64(rd.tops[1:topFrameLen])
+			if rd.tops = rd.tops[topFrameLen:]; len(rd.tops) == 0 {
+				rd.r.Discard(rd.topsPeeked) // cannot fail: these bytes were peeked
+			}
+			return rd.root(rel)
+		}
 		tag, err := rd.r.ReadByte()
 		if err != nil {
 			return heap.Null, rd.decodeWrap(DecodeFrame, 0, noEOF(err))
@@ -157,38 +196,10 @@ func (rd *Reader) readObject() (heap.Addr, error) {
 				return heap.Null, err
 			}
 		case frameTop:
-			var b [8]byte
-			if _, err := io.ReadFull(rd.r, b[:]); err != nil {
-				return heap.Null, rd.decodeWrap(DecodeFrame, 0, noEOF(err))
-			}
-			if rd.arena {
-				err = rd.validateArena()
-			} else {
-				err = rd.absolutize()
-			}
-			if err != nil {
+			rd.r.UnreadByte() // cannot fail: the tag was just read
+			if err := rd.peekTops(); err != nil {
 				return heap.Null, err
 			}
-			rel := binary.BigEndian.Uint64(b[:])
-			// Chunks may legitimately remain unabsolutized here: with
-			// shared-chain concurrent senders a root can reference claimed
-			// objects whose bytes arrive in a later segment, the §4.3
-			// "block the computation on buffers into which data is being
-			// streamed" case. The frameEnd check below catches references
-			// that never resolve.
-			if rd.verify {
-				vt := rd.verifyTop
-				if rd.arena {
-					vt = rd.verifyTopArena
-				}
-				if err := vt(rel); err != nil {
-					return heap.Null, err
-				}
-			}
-			if rel == 0 {
-				return heap.Null, nil
-			}
-			return rd.translate(rel)
 		case frameEnd:
 			// §4.3 framing invariant at its sound enforcement point: a
 			// forward reference may defer absolutization mid-stream (data
@@ -216,6 +227,59 @@ func (rd *Reader) readObject() (heap.Addr, error) {
 			return heap.Null, rd.decodeErrf(DecodeFrame, 0, "unknown frame tag %#x", tag)
 		}
 	}
+}
+
+// peekTops opens the window of top marks at the head of the stream: the one
+// whose tag was just seen, and every whole one already buffered behind it. A
+// sender queues a segment's top marks back to back, so taking them off one
+// Peek costs a root a slice operation instead of three bufio calls and an
+// escaping read buffer. The window is bufio's own buffer; it stays valid
+// because the Reader reads nothing else until the last mark in it has been
+// taken, and only then discards them all.
+func (rd *Reader) peekTops() error {
+	if _, err := rd.r.Peek(topFrameLen); err != nil {
+		return rd.decodeWrap(DecodeFrame, 0, noEOF(err))
+	}
+	b, _ := rd.r.Peek(rd.r.Buffered())
+	n := topFrameLen
+	for n+topFrameLen <= len(b) && b[n] == frameTop {
+		n += topFrameLen
+	}
+	rd.tops, rd.topsPeeked = b[:n], n
+	return nil
+}
+
+// root resolves a top mark: it walks whatever arrived since the last one and
+// returns the root's address.
+func (rd *Reader) root(rel uint64) (heap.Addr, error) {
+	if rd.arena {
+		if err := rd.checkRegion(); err != nil {
+			return heap.Null, err
+		}
+	}
+	if rd.parsed < len(rd.chunks) {
+		if err := rd.walk(); err != nil {
+			return heap.Null, err
+		}
+	}
+	// Chunks may legitimately remain unabsolutized here: with
+	// shared-chain concurrent senders a root can reference claimed
+	// objects whose bytes arrive in a later segment, the §4.3
+	// "block the computation on buffers into which data is being
+	// streamed" case. The frameEnd check catches references that
+	// never resolve.
+	if rel%klass.WordSize != 0 {
+		return heap.Null, rd.decodeErrf(DecodePointer, rel, "top mark holds unaligned relative address")
+	}
+	if rd.verify {
+		if err := rd.verifyTop(rel); err != nil {
+			return heap.Null, err
+		}
+	}
+	if rel == 0 {
+		return heap.Null, nil
+	}
+	return rd.translate(rel, &rd.rootHint)
 }
 
 // ReadAll reads every remaining root in the stream.
@@ -351,16 +415,8 @@ func (rd *Reader) readSegment() error {
 		}
 	}
 
-	startRel := uint64(relBias)
-	if len(rd.chunks) > 0 {
-		last := rd.chunks[len(rd.chunks)-1]
-		startRel = last.startRel + uint64(last.size)
-	}
-	rd.chunks = append(rd.chunks, chunk{startRel: startRel, base: base, size: n})
+	rd.addChunk(base, n, nil)
 	rd.pins = append(rd.pins, rd.rt.GC.Pin(base, n))
-	rd.Bytes += uint64(n)
-	ctrChunks.Inc()
-	ctrBytesRecv.Add(int64(n))
 	return nil
 }
 
@@ -408,20 +464,18 @@ func (rd *Reader) readCompactSegment() error {
 	// Pin before decoding so a decode error cannot leave an unaccounted
 	// raw range in buffer space.
 	pin := rd.rt.GC.Pin(base, decoded)
-	if err := rd.decodeCompactSegment(buf, base, decoded); err != nil {
+	img, staged := rd.heapImage(base, decoded)
+	err = rd.decodeCompactSegment(buf, img, decoded)
+	if staged {
+		rd.rt.Heap.CopyIn(base, uint32(len(img)), img)
+		putBuf(img)
+	}
+	if err != nil {
 		rd.rt.GC.Unpin(pin)
 		return err
 	}
-	startRel := uint64(relBias)
-	if len(rd.chunks) > 0 {
-		last := rd.chunks[len(rd.chunks)-1]
-		startRel = last.startRel + uint64(last.size)
-	}
-	rd.chunks = append(rd.chunks, chunk{startRel: startRel, base: base, size: decoded})
+	rd.addChunk(base, decoded, nil)
 	rd.pins = append(rd.pins, pin)
-	rd.Bytes += uint64(decoded)
-	ctrChunks.Inc()
-	ctrBytesRecv.Add(int64(decoded))
 	return nil
 }
 
@@ -445,12 +499,45 @@ func checkKlassKinds(k *klass.Klass) error {
 	return nil
 }
 
+// addChunk lists a received chunk — a pinned range at base, or the arena
+// segment seg — at the end of the received relative address space.
+func (rd *Reader) addChunk(base heap.Addr, size uint32, seg []byte) {
+	startRel := rd.received()
+	rd.chunks = append(rd.chunks, chunk{startRel: startRel, base: base, size: size, seg: seg})
+	if last := len(rd.runs) - 1; last >= 0 && (rd.arena || rd.runs[last].base+heap.Addr(rd.runs[last].size) == base) {
+		rd.runs[last].size += uint64(size)
+	} else {
+		rd.runs = append(rd.runs, run{startRel: startRel, size: uint64(size), base: base})
+	}
+	rd.Bytes += uint64(size)
+	ctrChunks.Inc()
+	ctrBytesRecv.Add(int64(size))
+}
+
+// runOf returns the run that holds the (biased) relative address rel, or nil
+// when nothing received does. *hint is the run the caller's previous address
+// resolved into; only a miss pays for the binary search.
+func (rd *Reader) runOf(rel uint64, hint *int) *run {
+	if i := *hint; i < len(rd.runs) {
+		// Unsigned: an address below the run wraps far past its size.
+		if r := &rd.runs[i]; rel-r.startRel < r.size {
+			return r
+		}
+	}
+	i := sort.Search(len(rd.runs), func(i int) bool { return rd.runs[i].startRel > rel }) - 1
+	if i < 0 || rel-rd.runs[i].startRel >= rd.runs[i].size {
+		return nil
+	}
+	*hint = i
+	return &rd.runs[i]
+}
+
 // translate maps a (biased) relative address to its heap address using the
-// chunk table — the paper's two-step translation for buffers that span
+// run table — the paper's two-step translation for buffers that span
 // multiple, possibly underfilled chunks.
-func (rd *Reader) translate(rel uint64) (heap.Addr, error) {
-	i := sort.Search(len(rd.chunks), func(i int) bool { return rd.chunks[i].startRel > rel }) - 1
-	if i < 0 || rel-rd.chunks[i].startRel >= uint64(rd.chunks[i].size) {
+func (rd *Reader) translate(rel uint64, hint *int) (heap.Addr, error) {
+	r := rd.runOf(rel, hint)
+	if r == nil {
 		return heap.Null, rd.decodeErrf(DecodePointer, rel, "relative address outside received chunks")
 	}
 	if rd.arena {
@@ -458,7 +545,7 @@ func (rd *Reader) translate(rel uint64) (heap.Addr, error) {
 		// relative address, resolved per access by the vm layer.
 		return heap.ComposeArenaAddr(rd.region.ID(), rel), nil
 	}
-	return rd.chunks[i].base + heap.Addr(rel-rd.chunks[i].startRel), nil
+	return r.base + heap.Addr(rel-r.startRel), nil
 }
 
 // received returns the end of the received relative address space.
@@ -470,166 +557,267 @@ func (rd *Reader) received() uint64 {
 	return last.startRel + uint64(last.size)
 }
 
-// absolutize performs the linear scan over the not-yet-parsed chunk suffix:
-// resolve each object's global type ID to a local klass (loading the class
-// on demand), rewrite the klass word, absolutize every reference slot,
-// apply registered field updates, and dirty the card table so the collector
-// sees pointers out of the buffer (§4.3). The scan stops at the first
-// object with a reference into data not yet received (an in-flight graph)
-// and resumes from there on the next call.
+// walk performs the linear scan over the not-yet-parsed chunk suffix, one
+// chunk image at a time. It is the only scan: an eager reader walks each
+// pinned chunk through its byte view and commits every object as it passes
+// — local klass word, absolute references, and once the chunk is done, a
+// parsed pin and dirty cards so the collector sees pointers out of the
+// buffer (§4.3) — while an arena reader walks the region segment and commits
+// nothing. The scan stops at the first object with a reference into data not
+// yet received (an in-flight graph) and resumes from there on the next call.
+func (rd *Reader) walk() error {
+	h := rd.rt.Heap
+	limit := rd.received()
+	objects0 := rd.Objects
+	var err error
+	for rd.parsed < len(rd.chunks) {
+		c := &rd.chunks[rd.parsed]
+		img, staged := rd.image(c)
+		var done bool
+		done, err = rd.walkChunk(c, img, limit, staged)
+		if staged {
+			h.CopyIn(c.base, uint32(len(img)), img)
+			putBuf(img)
+		}
+		if err != nil || !done {
+			break
+		}
+		if !rd.arena {
+			// The chunk is now walkable; tell the collector and dirty its
+			// cards so the next scavenge scans it for young pointers.
+			rd.pins[rd.parsed].Parsed = true
+			h.DirtyRange(c.base, c.size)
+		}
+		rd.parsed++
+	}
+	ctrObjectsRecv.Add(int64(rd.Objects - objects0))
+	return err
+}
+
+// image returns the byte image of chunk c for the walker: an arena chunk's
+// segment, an eager chunk's heap image.
+func (rd *Reader) image(c *chunk) (img []byte, staged bool) {
+	if rd.arena {
+		return c.seg, false
+	}
+	return rd.heapImage(c.base, c.size)
+}
+
+// heapImage returns the byte image of the size bytes of buffer space at base:
+// viewed in place where the host allows, elsewhere staged — copied out into
+// a pooled buffer that the caller copies back in and recycles. A chunk can
+// overstate its extent only when its table entry was fabricated (the
+// huge-length regression tests do), and then the image stops at the end of
+// the slab: whoever scans it bounds every object by the image as well.
+func (rd *Reader) heapImage(base heap.Addr, size uint32) (img []byte, staged bool) {
+	h := rd.rt.Heap
+	if room := h.TotalBytes() - uint64(base); uint64(size) > room {
+		size = uint32(room)
+	}
+	if img = h.ByteView(base, size); img != nil {
+		return img, false
+	}
+	img = getBuf(int(size))[:size]
+	h.CopyOut(base, size, img)
+	return img, true
+}
+
+// resolveKlass resolves a global type ID to a local klass (loading the class
+// on demand) whose field kinds all have a size, and caches it.
+func (rd *Reader) resolveKlass(tid int32) (*klass.Klass, error) {
+	k, err := rd.rt.KlassByTID(tid)
+	if err == nil {
+		err = checkKlassKinds(k)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if tid >= 0 {
+		rd.klasses[uint32(tid)%uint32(len(rd.klasses))] = tidEntry{tid, k}
+	}
+	return k, nil
+}
+
+// walkChunk scans img, the image of chunk c, from c.done: for each object it
+// resolves the global type ID, bounds the object by its chunk, and checks
+// every reference slot, and reports whether it reached the end of the chunk
+// (false, nil: an object references data not yet received, all of which lies
+// below limit).
 //
 // Validation order is the §4.3 hardening contract: an object's class, its
 // size against its chunk, and every one of its reference slots are checked
-// before the first mutation of the object — absolutization commits per
-// object, never partially.
-func (rd *Reader) absolutize() error {
+// before the first mutation of the object — an eager reader's commit is per
+// object, never partial. Registered field updates apply on both paths, once,
+// at receive time.
+func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64, staged bool) (bool, error) {
 	rt := rd.rt
-	h := rt.Heap
-	limit := rd.received()
-	objects0 := rd.Objects
-	defer func() { ctrObjectsRecv.Add(int64(rd.Objects - objects0)) }()
-	for ; rd.parsed < len(rd.chunks); rd.parsed++ {
-		c := &rd.chunks[rd.parsed]
-		a := c.base + heap.Addr(c.done)
-		end := c.base + heap.Addr(c.size)
-		for a < end {
-			relOff := c.startRel + uint64(a-c.base)
-			tid := int32(uint32(h.KlassWord(a)))
-			k := rd.lastKlass
-			if k == nil || tid != rd.lastTID {
-				var err error
-				k, err = rt.KlassByTID(tid)
-				if err == nil {
-					err = checkKlassKinds(k)
-				}
-				if err != nil {
-					return rd.decodeWrap(DecodeType, relOff, err)
-				}
-				rd.lastTID, rd.lastKlass = tid, k
-			}
-			size := k.Size
-			if k.IsArray {
-				n := h.ArrayLen(a)
-				// Widen before multiplying (cf. vm.NewArray): InstanceBytes
-				// computes in uint32, so a wire-supplied length near
-				// 2^32/ElemSize would wrap to a tiny size that passes the
-				// overrun check below while refCount=n drives slot reads and
-				// absolutization writes far past the chunk. The n<=c.size
-				// pre-check bounds n so the uint64 product cannot itself
-				// overflow.
-				if n < 0 || uint64(n) > uint64(c.size) ||
-					uint64(k.Size)+uint64(n)*uint64(k.ElemSize()) > uint64(end-a) {
-					return rd.decodeErrf(DecodeLength, relOff, "array length %d of %s exceeds its chunk", n, k.Name)
-				}
-				size = k.InstanceBytes(n)
-			}
-			if uint64(a)+uint64(size) > uint64(end) {
-				return rd.decodeErrf(DecodeLength, relOff, "%d-byte %s overruns its chunk", size, k.Name)
-			}
-
-			// Collect the object's reference slot offsets.
-			var refBase uint32
-			var refCount int
-			var refOffsets []uint32
-			if k.IsArray {
-				if k.Elem == klass.Ref {
-					refBase = h.Layout().ArrayHeaderSize()
-					refCount = h.ArrayLen(a)
-				}
-			} else {
-				refOffsets = k.RefOffsets
-				refCount = len(refOffsets)
-			}
-			slotOff := func(i int) uint32 {
-				if refOffsets != nil {
-					return refOffsets[i]
-				}
-				return refBase + uint32(i)*8
-			}
-
-			// Failpoint: stomp a real reference slot with an unaligned,
-			// out-of-space relative pointer — post-checksum corruption the
-			// CRC cannot see, which the bounds check below must reject.
-			if refCount > 0 && fault.Eval(fault.CoreChunkBadPtr) {
-				h.Store(a, slotOff(0), klass.Ref, 0xDEADBEEF)
-			}
-
-			// First pass: verify every reference is well formed and
-			// resolvable. A malformed pointer (below the bias, unaligned,
-			// or outside the 40-bit stream space) is corruption and fails
-			// now; a well-formed forward reference beyond the received data
-			// defers the rest of the scan (nothing mutated yet).
-			for i := 0; i < refCount; i++ {
-				rel := h.Load(a, slotOff(i), klass.Ref)
-				if rel == 0 {
-					continue
-				}
-				if rel < relBias || rel%klass.WordSize != 0 || rel > heap.BaddrRelMask {
-					return rd.decodeErrf(DecodePointer, relOff,
-						"reference slot %d of %s holds malformed relative address %#x", i, k.Name, rel)
-				}
-				if rel >= limit {
-					c.done = uint32(a - c.base)
-					return nil
-				}
-			}
-
-			// Commit: install the klass word, absolutize references,
-			// apply field updates.
-			h.SetKlassWord(a, uint64(k.LID))
-			for i := 0; i < refCount; i++ {
-				off := slotOff(i)
-				rel := h.Load(a, off, klass.Ref)
-				if rel == 0 {
-					continue
-				}
-				abs, err := rd.translate(rel)
-				if err != nil {
-					return err
-				}
-				h.Store(a, off, klass.Ref, uint64(abs))
-			}
-			if !k.IsArray {
-				for _, u := range rt.UpdatesFor(k) {
-					//skyway:allow staleaddr — a walks a chunk in pinned buffer space, which never moves (§4.3)
-					h.Store(a, u.Field.Offset, u.Field.Kind, u.Fn(rt, a))
-				}
-			}
-			rd.Objects++
-			a += heap.Addr(size)
-			c.done = uint32(a - c.base)
+	layout := rt.Heap.Layout()
+	offLen, arrayBase := layout.OffArrayLen(), layout.ArrayHeaderSize()
+	off := c.done
+	for off < c.size {
+		relOff := c.startRel + uint64(off)
+		if uint64(off)+klass.OffKlass+klass.WordSize > uint64(len(img)) {
+			return false, rd.decodeErrf(DecodeLength, relOff, "%d-byte tail of the chunk is too short for an object header", c.size-off)
 		}
-		// The chunk is now walkable; tell the collector and dirty its
-		// cards so the next scavenge scans it for young pointers.
-		rd.pins[rd.parsed].Parsed = true
-		h.DirtyRange(c.base, c.size)
+		tid := int32(uint32(binary.LittleEndian.Uint64(img[off+klass.OffKlass:])))
+		var k *klass.Klass
+		if tid >= 0 { // a negative ID resolves to nothing, and must not index
+			if e := &rd.klasses[uint32(tid)%uint32(len(rd.klasses))]; e.tid == tid {
+				k = e.k
+			}
+		}
+		if k == nil {
+			var err error
+			if k, err = rd.resolveKlass(tid); err != nil {
+				return false, rd.decodeWrap(DecodeType, relOff, err)
+			}
+		}
+		size, nrefs := k.Size, len(k.RefOffsets)
+		if k.IsArray && uint64(off)+uint64(size) <= uint64(len(img)) {
+			n := int(binary.LittleEndian.Uint64(img[off+offLen:]))
+			// Widen before multiplying (cf. vm.NewArray): InstanceBytes
+			// computes in uint32, so a wire-supplied length near
+			// 2^32/ElemSize would wrap to a tiny size that passes the
+			// overrun check below while nrefs=n drives slot reads and
+			// absolutization writes far past the chunk. The n<=c.size
+			// pre-check bounds n so the uint64 product cannot itself
+			// overflow.
+			if n < 0 || uint64(n) > uint64(c.size) ||
+				uint64(k.Size)+uint64(n)*uint64(k.ElemSize()) > uint64(c.size-off) {
+				return false, rd.decodeErrf(DecodeLength, relOff, "array length %d of %s exceeds its chunk", n, k.Name)
+			}
+			size = k.InstanceBytes(n)
+			if k.Elem == klass.Ref {
+				nrefs = n
+			}
+		}
+		if uint64(off)+uint64(size) > uint64(len(img)) {
+			return false, rd.decodeErrf(DecodeLength, relOff, "%d-byte %s overruns its chunk", size, k.Name)
+		}
+		obj := img[off : off+size]
+
+		// Failpoint: stomp a real reference slot with an unaligned,
+		// out-of-space relative pointer — post-checksum corruption the
+		// CRC cannot see, which the bounds check below must reject.
+		if nrefs > 0 && fault.Eval(fault.CoreChunkBadPtr) {
+			binary.LittleEndian.PutUint64(obj[refSlot(k, arrayBase, 0):], 0xDEADBEEF)
+		}
+
+		// First pass: verify every reference is well formed and
+		// resolvable. A malformed pointer (below the bias, unaligned,
+		// or outside the 40-bit stream space) is corruption and fails
+		// now; a well-formed forward reference beyond the received data
+		// defers the rest of the scan (nothing mutated yet).
+		for i := 0; i < nrefs; i++ {
+			rel := binary.LittleEndian.Uint64(obj[refSlot(k, arrayBase, i):])
+			if rel == 0 {
+				continue
+			}
+			if rel < relBias || rel%klass.WordSize != 0 || rel > heap.BaddrRelMask {
+				return false, rd.decodeErrf(DecodePointer, relOff,
+					"reference slot %d of %s holds malformed relative address %#x", i, k.Name, rel)
+			}
+			if rel >= limit {
+				c.done = off
+				return false, nil
+			}
+		}
+
+		if !rd.arena {
+			// Commit: install the klass word, absolutize references.
+			binary.LittleEndian.PutUint64(obj[klass.OffKlass:], uint64(k.LID))
+			for i := 0; i < nrefs; i++ {
+				slot := obj[refSlot(k, arrayBase, i):]
+				rel := binary.LittleEndian.Uint64(slot)
+				if rel == 0 {
+					continue
+				}
+				abs, err := rd.translate(rel, &rd.refHint)
+				if err != nil {
+					return false, err
+				}
+				binary.LittleEndian.PutUint64(slot, uint64(abs))
+			}
+		}
+		if !k.IsArray {
+			if ups := rt.UpdatesFor(k); len(ups) > 0 {
+				rd.applyUpdates(ups, c, off, obj, staged)
+			}
+		}
+		rd.Objects++
+		off += size
+		c.done = off
 	}
-	return nil
+	return true, nil
 }
 
-// verifyTop checks the §4.3 framing invariant under SKYWAY_VERIFY: by the
-// time a top mark arrives the sender has flushed every byte of the graph it
-// names, so absolutize must have consumed every received chunk, and the
-// named root must resolve to a live object. When a chunk is left behind,
-// the chunk-level relativization audit explains why.
-func (rd *Reader) verifyTop(rel uint64) error {
-	for i := rd.parsed; i < len(rd.chunks); i++ {
-		c := &rd.chunks[i]
-		vs := verify.CheckChunk(rd.rt.Heap, rd.rt, verify.Chunk{
-			Base: c.base, Size: c.size, Done: c.done, Limit: rd.received(),
-		})
-		return fmt.Errorf("skyway: verify: top mark %#x arrived with chunk %d absolutized only to %d/%d bytes; audit: %v",
-			rel, i, c.done, c.size, vs)
+// refSlot returns the offset of the i-th reference slot of an instance of k:
+// an entry of the klass's ref-slot table, or an element of a reference array.
+func refSlot(k *klass.Klass, arrayBase uint32, i int) uint32 {
+	if k.IsArray {
+		return arrayBase + uint32(i)*klass.WordSize
 	}
-	if rel != 0 {
-		a, err := rd.translate(rel)
-		if err != nil {
-			return fmt.Errorf("skyway: verify: top mark: %w", err)
+	return k.RefOffsets[i]
+}
+
+// applyUpdates runs the registered §3.3 field updates on the object whose
+// image obj sits at off in chunk c. The update function sees the object the
+// way the application will — by heap address, or through a tagged handle —
+// so a staged image, which walk copies back only at the end, is copied in
+// before each one runs.
+func (rd *Reader) applyUpdates(ups []vm.FieldUpdate, c *chunk, off uint32, obj []byte, staged bool) {
+	for _, u := range ups {
+		a := c.base + heap.Addr(off)
+		if rd.arena {
+			a = heap.ComposeArenaAddr(rd.region.ID(), c.startRel+uint64(off))
+		} else if staged {
+			rd.rt.Heap.CopyIn(a, uint32(len(obj)), obj)
 		}
-		if !rd.rt.ValidKlassWord(rd.rt.Heap.KlassWord(a)) {
-			return fmt.Errorf("skyway: verify: top mark %#x names %#x whose klass word %#x is not a loaded class",
-				rel, uint64(a), rd.rt.Heap.KlassWord(a))
+		heap.StoreBytes(obj, u.Field.Offset, u.Field.Kind, u.Fn(rd.rt, a))
+	}
+}
+
+// verifyTop checks the §4.3 framing invariant under SKYWAY_VERIFY: a top
+// mark reaches the wire only after every byte of the graph it names, so the
+// walker must already be past the root — it may be waiting, further on, for
+// a later root's in-flight graph — and the root must resolve to an object of
+// a loadable class. When the walker stopped short in an eager chunk, the
+// chunk-level relativization audit explains why.
+func (rd *Reader) verifyTop(rel uint64) error {
+	if rd.parsed < len(rd.chunks) {
+		c := &rd.chunks[rd.parsed]
+		if rel >= c.startRel+uint64(c.done) {
+			var audit []verify.Violation
+			if !rd.arena {
+				audit = verify.CheckChunk(rd.rt.Heap, rd.rt, verify.Chunk{
+					Base: c.base, Size: c.size, Done: c.done, Limit: rd.received(),
+				})
+			}
+			return fmt.Errorf("skyway: verify: top mark %#x arrived with chunk %d walked only to %d/%d bytes; audit: %v",
+				rel, rd.parsed, c.done, c.size, audit)
 		}
+	}
+	if rel == 0 {
+		return nil
+	}
+	a, err := rd.translate(rel, &rd.rootHint)
+	if err != nil {
+		return fmt.Errorf("skyway: verify: top mark: %w", err)
+	}
+	if rd.arena {
+		c := &rd.chunks[sort.Search(len(rd.chunks), func(i int) bool { return rd.chunks[i].startRel > rel })-1]
+		off := rel - c.startRel + klass.OffKlass
+		if off+klass.WordSize > uint64(len(c.seg)) {
+			return fmt.Errorf("skyway: verify: top mark %#x names the last bytes of its chunk, not an object", rel)
+		}
+		tid := int32(uint32(binary.LittleEndian.Uint64(c.seg[off:])))
+		if _, err := rd.rt.KlassByTID(tid); err != nil {
+			return fmt.Errorf("skyway: verify: top mark %#x names %#x whose type ID %d is not loadable: %v",
+				rel, uint64(a), tid, err)
+		}
+	} else if !rd.rt.ValidKlassWord(rd.rt.Heap.KlassWord(a)) {
+		return fmt.Errorf("skyway: verify: top mark %#x names %#x whose klass word %#x is not a loaded class",
+			rel, uint64(a), rd.rt.Heap.KlassWord(a))
 	}
 	return nil
 }
@@ -647,5 +835,6 @@ func (rd *Reader) Free() {
 		rd.region = nil
 	}
 	rd.chunks = nil
+	rd.runs = rd.run0[:0]
 	rd.parsed = 0
 }

@@ -47,6 +47,9 @@ const (
 	frameTop     = 'T'
 	frameEnd     = 'E'
 
+	// topFrameLen is the wire size of a top mark: the tag and the address.
+	topFrameLen = 9
+
 	flagBaddr   = 1 << 0
 	flagCompact = 1 << 1
 )

@@ -57,20 +57,24 @@ type Writer struct {
 	allocable uint64 // ob.allocableAddr (biased)
 
 	// hdr and vec are reusable frame-write scratch: the segment header and
-	// the two-element vector handed to net.Buffers, so a flush allocates
-	// nothing and reaches a net.Conn destination as one writev.
-	hdr [13]byte
-	vec net.Buffers
+	// the vector handed to net.Buffers, re-sliced from vecArr on every
+	// flush, so a flush allocates nothing and reaches a net.Conn
+	// destination as one writev.
+	hdr    [13]byte
+	vec    net.Buffers
+	vecArr [3][]byte
 
-	// pendingTops queues top marks until the next segment flush so that
-	// one root per WriteObject does not force one segment per root; the
-	// paper writes top marks into the buffer for the same reason.
-	pendingTops []uint64
+	// tops queues top marks, already framed, until the next segment flush
+	// so that one root per WriteObject forces neither one segment nor one
+	// write per root; the paper writes top marks into the buffer for the
+	// same reason.
+	tops []byte
 
 	// Local stat accumulators, folded into the shared service stats on
-	// Flush/Close (hot-loop atomics are expensive).
+	// Flush/Close (hot-loop atomics are expensive). foldedObjects and
+	// foldedBytes are how much of Objects and Bytes has been folded.
 	headerB, padB, ptrB, overflowHits uint64
-	statObjects, statBytes            uint64
+	foldedObjects, foldedBytes        uint64
 
 	// Per-writer cumulative composition totals (never reset), reported on
 	// the stream's transfer span at Close.
@@ -79,10 +83,6 @@ type Writer struct {
 	// openedAt anchors the stream's transfer span; zero when tracing was
 	// disabled at open time.
 	openedAt time.Time
-
-	// payloadB caches per-klass unpadded payload sizes for the byte-
-	// composition accounting.
-	payloadB map[int32]uint64
 
 	// overflow is the thread-local visited table used when an object's
 	// baddr word is owned by another stream this phase, or when the heap
@@ -109,11 +109,14 @@ type Writer struct {
 	Bytes   uint64
 }
 
+// grayRec is one claimed object awaiting its clone: where it lives, where
+// its image goes, and its klass under the sender's layout (k) and the
+// stream's (tk — the same klass unless the layouts differ).
 type grayRec struct {
-	obj  heap.Addr
-	rel  uint64
-	k    *klass.Klass
-	size uint32
+	obj   heap.Addr
+	rel   uint64
+	k, tk *klass.Klass
+	size  uint32
 }
 
 // WriterOption configures a Writer.
@@ -173,14 +176,6 @@ func (s *Skyway) NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 	return wr
 }
 
-// visitedOverflow returns the lazily built hash-table fallback.
-func (w *Writer) visitedOverflow() map[heap.Addr]uint64 {
-	if w.overflow == nil {
-		w.overflow = make(map[heap.Addr]uint64)
-	}
-	return w.overflow
-}
-
 // WriteObject transfers the object graph reachable from root. If root was
 // already copied in the current shuffle phase (by this writer), only a
 // backward reference (top mark) is emitted. A Null root writes a null top
@@ -205,115 +200,106 @@ func (w *Writer) WriteObject(root heap.Addr) error {
 		w.headerWritten = true
 	}
 	if root == heap.Null {
-		return w.writeTop(0)
+		w.queueTop(0)
+		return nil
 	}
-	rel, visited, err := w.visit(root)
-	if err != nil {
-		return err
-	}
-	if visited {
-		// WRITEBACKWARDREFERENCE: the graph is already in the buffer.
-		return w.writeTop(rel)
-	}
-	for w.grayHead < len(w.gray) {
-		rec := w.gray[w.grayHead]
-		w.grayHead++
-		if err := w.cloneInBuffer(&rec); err != nil {
+	rel, visited := w.visit(root)
+	if !visited {
+		// The gray queue is empty between roots, so the root's image is
+		// next in the buffer: it is cloned straight from its claim, and
+		// only what it references goes through the queue. A ref-free
+		// record never touches the queue at all.
+		var first grayRec
+		if err := w.reserve(root, &first); err != nil {
 			return err
 		}
+		// rec may point into the queue, which cloneInBuffer grows: its
+		// fields are read out as arguments before the call.
+		for rec := &first; ; w.grayHead++ {
+			if err := w.cloneInBuffer(rec.obj, rec.rel, rec.k, rec.tk, rec.size); err != nil {
+				return err
+			}
+			if w.grayHead == len(w.gray) {
+				break
+			}
+			rec = &w.gray[w.grayHead]
+		}
+		w.gray = w.gray[:0]
+		w.grayHead = 0
 	}
-	w.gray = w.gray[:0]
-	w.grayHead = 0
-	return w.writeTop(rel)
+	// Otherwise WRITEBACKWARDREFERENCE: the graph is already in the buffer.
+	w.queueTop(rel)
+	return nil
 }
 
-// visit returns the relative buffer address of obj, recording it as visited
-// and queueing it for cloning when seen for the first time this phase.
-func (w *Writer) visit(obj heap.Addr) (rel uint64, already bool, err error) {
+// visit returns the relative buffer address of obj and whether it was already
+// visited this phase. A first visit claims the address at w.allocable; the
+// caller must reserve the clone's space there before it visits anything else.
+func (w *Writer) visit(obj heap.Addr) (rel uint64, already bool) {
 	h := w.sky.rt.Heap
 	sid := w.sid
 	if !h.Layout().Baddr {
 		// No baddr header word on this heap (vanilla layout): every
 		// visit goes through the hash table — the design the baddr
 		// field exists to avoid (ablation: AblationBaddr).
-		if rel, ok := w.visitedOverflow()[obj]; ok {
-			return rel, true, nil
-		}
-		rel = w.allocable
-		w.overflow[obj] = rel
-		if err := w.enqueue(obj, rel); err != nil {
-			return 0, false, err
-		}
-		return rel, false, nil
+		return w.visitOverflow(obj)
 	}
 	for {
 		v := h.AtomicBaddr(obj)
 		if heap.BaddrPhase(v) == sid {
 			if heap.BaddrStream(v) == w.streamID {
-				return heap.BaddrRel(v), true, nil
+				return heap.BaddrRel(v), true
 			}
 			// Claimed by another stream this phase: fall back to
 			// the thread-local table (§4.2 Support for Threads).
 			w.overflowHits++
-			if rel, ok := w.visitedOverflow()[obj]; ok {
-				return rel, true, nil
-			}
-			rel = w.allocable
-			w.overflow[obj] = rel
-			if err := w.enqueue(obj, rel); err != nil {
-				return 0, false, err
-			}
-			return rel, false, nil
+			return w.visitOverflow(obj)
 		}
 		// Stale phase: try to claim the baddr word.
 		rel = w.allocable
 		if h.CasBaddr(obj, v, heap.ComposeBaddr(sid, w.streamID, rel)) {
-			if err := w.enqueue(obj, rel); err != nil {
-				return 0, false, err
-			}
-			return rel, false, nil
+			return rel, false
 		}
 		// Lost the race; retry the load.
 	}
 }
 
-func (w *Writer) enqueue(obj heap.Addr, rel uint64) error {
-	rt := w.sky.rt
-	k := rt.KlassOf(obj)
-	size, err := w.targetSize(obj, k)
-	if err != nil {
-		return err
+// visitOverflow is visit through the thread-local hash table.
+func (w *Writer) visitOverflow(obj heap.Addr) (rel uint64, already bool) {
+	if w.overflow == nil {
+		w.overflow = make(map[heap.Addr]uint64)
 	}
-	if rel != w.allocable {
-		panic("skyway: gray queue out of order")
+	if rel, ok := w.overflow[obj]; ok {
+		return rel, true
 	}
+	w.overflow[obj] = w.allocable
+	return w.allocable, false
+}
+
+// reserve allocates the relative address space of obj's clone at w.allocable
+// — the address visit just claimed for it — and fills in its gray record.
+// (In place, and read back field by field: a record written as words and
+// then copied as a whole stalls on store forwarding, once per object.)
+func (w *Writer) reserve(obj heap.Addr, rec *grayRec) error {
+	k := w.sky.rt.KlassOf(obj)
+	tk := k
+	if w.targetKlass != nil {
+		var err error
+		if tk, err = w.targetKlassOf(k); err != nil {
+			return err
+		}
+	}
+	size := tk.Size
+	if tk.IsArray {
+		//skyway:allow wiretaint — encode path: obj lives in the local heap, so its length header was written by this process's allocator, not read off the wire
+		size = tk.InstanceBytes(w.sky.rt.Heap.ArrayLen(obj))
+	}
+	rec.obj, rec.rel, rec.k, rec.tk, rec.size = obj, w.allocable, k, tk, size
 	w.allocable += uint64(size)
 	if w.allocable-relBias > heap.BaddrRelMask {
 		return fmt.Errorf("skyway: stream exceeded 1 TiB relative address space")
 	}
-	w.gray = append(w.gray, grayRec{obj: obj, rel: rel, k: k, size: size})
 	return nil
-}
-
-// targetSize returns the clone's size under the target layout.
-func (w *Writer) targetSize(obj heap.Addr, k *klass.Klass) (uint32, error) {
-	rt := w.sky.rt
-	if w.targetKlass == nil {
-		if !k.IsArray {
-			return k.Size, nil
-		}
-		//skyway:allow wiretaint — encode path: obj lives in the local heap, so its length header was written by this process's allocator, not read off the wire
-		return k.InstanceBytes(rt.Heap.ArrayLen(obj)), nil
-	}
-	tk, err := w.targetKlassOf(k)
-	if err != nil {
-		return 0, err
-	}
-	if tk.IsArray {
-		//skyway:allow wiretaint — encode path: obj lives in the local heap, so its length header was written by this process's allocator, not read off the wire
-		return tk.InstanceBytes(rt.Heap.ArrayLen(obj)), nil
-	}
-	return tk.Size, nil
 }
 
 func (w *Writer) targetKlassOf(k *klass.Klass) (*klass.Klass, error) {
@@ -351,15 +337,15 @@ func (w *Writer) targetKlassOf(k *klass.Klass) (*klass.Klass, error) {
 	return tk, nil
 }
 
-// cloneInBuffer copies the gray record's object into the output buffer at
-// its relative address (CLONEINBUFFER + header update + reference
-// relativization, Algorithm 2 lines 10-27).
-func (w *Writer) cloneInBuffer(rec *grayRec) error {
-	rt := w.sky.rt
-	h := rt.Heap
-	obj, k, size := rec.obj, rec.k, rec.size
+// cloneInBuffer copies a reserved object into the output buffer at its
+// relative address (CLONEINBUFFER + header update + reference
+// relativization, Algorithm 2 lines 10-27). Everything that depends only on
+// the klass — sizes, byte composition, ref-slot tables — was fixed when the
+// klass was resolved.
+func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k, tk *klass.Klass, size uint32) error {
+	h := w.sky.rt.Heap
 	if k.TID < 0 {
-		return fmt.Errorf("skyway: class %s has no global type ID (runtime %s is not attached to a registry)", k.Name, rt.Name)
+		return fmt.Errorf("skyway: class %s has no global type ID (runtime %s is not attached to a registry)", k.Name, w.sky.rt.Name)
 	}
 
 	// need over-estimates the physical bytes this object adds to the
@@ -370,25 +356,8 @@ func (w *Writer) cloneInBuffer(rec *grayRec) error {
 		need += 16
 	}
 	if len(w.buf)+need > w.limit {
-		if w.growBuf && w.limit < DefaultBufferSize {
-			// Grow the logical capacity instead of flushing a tiny segment.
-			next := w.limit * 2
-			for next < len(w.buf)+need {
-				next *= 2
-			}
-			if next > DefaultBufferSize && len(w.buf)+need <= DefaultBufferSize {
-				next = DefaultBufferSize
-			}
-			w.limit = next
-		}
-		if len(w.buf)+need > w.limit {
-			if err := w.flushSegment(); err != nil {
-				return err
-			}
-			if need > w.limit {
-				// Oversized object: give it a dedicated segment.
-				w.limit = need
-			}
+		if err := w.makeRoom(need); err != nil {
+			return err
 		}
 	}
 	w.ensureCap(len(w.buf) + need)
@@ -403,7 +372,7 @@ func (w *Writer) cloneInBuffer(rec *grayRec) error {
 		}
 		img = w.scratch[:size]
 	} else {
-		if rec.rel-w.flushed != uint64(len(w.buf)) {
+		if rel-w.flushed != uint64(len(w.buf)) {
 			panic("skyway: buffer position diverged from relative address")
 		}
 		pos := len(w.buf)
@@ -411,16 +380,17 @@ func (w *Writer) cloneInBuffer(rec *grayRec) error {
 		img = w.buf[pos : pos+int(size)]
 	}
 
-	srcL := h.Layout()
-	if w.targetKlass == nil {
-		// Same layout: whole-object copy, then patch the header and
-		// reference slots in place. This is Skyway's fast path — no
-		// per-field access for primitive data.
-		h.CopyOut(obj, size, img)
+	if tk == k {
+		// Same layout: one copy of everything behind the header, then
+		// patch the reference slots in place. This is Skyway's fast path
+		// — no per-field access for primitive data. The header is written
+		// below, not copied: all of its words are replaced anyway, and
+		// copying the baddr word would be a plain read racing the claims
+		// of concurrent senders that share the object.
+		hdr := w.target.HeaderSize()
+		h.CopyOut(obj.Add(hdr), size-hdr, img[hdr:])
 	} else {
-		if err := w.cloneCrossLayout(obj, k, img); err != nil {
-			return err
-		}
+		w.cloneCrossLayout(obj, k, tk, img)
 	}
 
 	// Header update: reset GC/lock/age bits preserving the hashcode,
@@ -431,28 +401,26 @@ func (w *Writer) cloneInBuffer(rec *grayRec) error {
 		binary.LittleEndian.PutUint64(img[w.target.OffBaddr():], 0)
 	}
 
-	// Relativize references.
-	var ptrSlots uint64
+	// Relativize references. payload is the unpadded field data, for the
+	// byte-composition accounting below.
+	var ptrSlots int
+	payload := tk.PayloadBytes
 	if k.IsArray {
+		n := h.ArrayLen(obj)
+		payload = uint32(n) * k.ElemSize()
 		if k.Elem == klass.Ref {
-			n := h.ArrayLen(obj)
-			srcBase := srcL.ArrayHeaderSize()
-			dstBase := w.target.ArrayHeaderSize()
-			ptrSlots = uint64(n)
+			ptrSlots = n
+			srcBase, dstBase := k.HeaderBytes, tk.HeaderBytes
 			for i := 0; i < n; i++ {
 				if err := w.relativize(img, obj, srcBase+uint32(i)*8, dstBase+uint32(i)*8); err != nil {
 					return err
 				}
 			}
 		}
-	} else if len(k.RefOffsets) > 0 {
-		dstK := k
-		if w.targetKlass != nil {
-			dstK, _ = w.targetKlassOf(k)
-		}
-		ptrSlots = uint64(len(k.RefOffsets))
+	} else {
+		ptrSlots = len(k.RefOffsets)
 		for i, srcOff := range k.RefOffsets {
-			if err := w.relativize(img, obj, srcOff, dstK.RefOffsets[i]); err != nil {
+			if err := w.relativize(img, obj, srcOff, tk.RefOffsets[i]); err != nil {
 				return err
 			}
 		}
@@ -466,15 +434,36 @@ func (w *Writer) cloneInBuffer(rec *grayRec) error {
 	// Accounting for the byte-composition analysis (§5.2).
 	w.Objects++
 	w.Bytes += uint64(size)
-	hdr := uint64(w.target.HeaderSize())
-	if k.IsArray {
-		hdr = uint64(w.target.ArrayHeaderSize())
+	w.headerB += uint64(tk.HeaderBytes)
+	w.ptrB += uint64(ptrSlots) * 8
+	w.padB += uint64(size - tk.HeaderBytes - payload)
+	return nil
+}
+
+// makeRoom makes the output buffer take need more bytes: it grows the
+// logical capacity while that is still allowed, and otherwise flushes the
+// buffer as a segment.
+func (w *Writer) makeRoom(need int) error {
+	if w.growBuf && w.limit < DefaultBufferSize {
+		// Grow the logical capacity instead of flushing a tiny segment.
+		next := w.limit * 2
+		for next < len(w.buf)+need {
+			next *= 2
+		}
+		if next > DefaultBufferSize && len(w.buf)+need <= DefaultBufferSize {
+			next = DefaultBufferSize
+		}
+		w.limit = next
 	}
-	w.statObjects++
-	w.statBytes += uint64(size)
-	w.headerB += hdr
-	w.ptrB += ptrSlots * 8
-	w.padB += uint64(size) - hdr - w.payloadBytes(k, obj)
+	if len(w.buf)+need > w.limit {
+		if err := w.flushSegment(); err != nil {
+			return err
+		}
+		if need > w.limit {
+			// Oversized object: give it a dedicated segment.
+			w.limit = need
+		}
+	}
 	return nil
 }
 
@@ -502,9 +491,13 @@ func (w *Writer) relativize(img []byte, obj heap.Addr, srcOff, dstOff uint32) er
 		binary.LittleEndian.PutUint64(img[dstOff:], 0)
 		return nil
 	}
-	childRel, _, err := w.visit(o)
-	if err != nil {
-		return err
+	childRel, visited := w.visit(o)
+	if !visited {
+		w.gray = append(w.gray, grayRec{})
+		if err := w.reserve(o, &w.gray[len(w.gray)-1]); err != nil {
+			w.gray = w.gray[:len(w.gray)-1]
+			return err
+		}
 	}
 	if w.verify && (childRel < relBias || childRel >= w.allocable) {
 		// §4.2 invariant: a relativized pointer always lands inside the
@@ -518,57 +511,34 @@ func (w *Writer) relativize(img []byte, obj heap.Addr, srcOff, dstOff uint32) er
 	return nil
 }
 
-// payloadBytes returns the unpadded payload size (field data incl. pointer
-// slots) of obj, used to attribute the remainder to padding.
-func (w *Writer) payloadBytes(k *klass.Klass, obj heap.Addr) uint64 {
-	if k.IsArray {
-		return uint64(uint32(w.sky.rt.Heap.ArrayLen(obj)) * k.ElemSize())
-	}
-	if w.payloadB == nil {
-		w.payloadB = make(map[int32]uint64)
-	}
-	if n, ok := w.payloadB[k.LID]; ok {
-		return n
-	}
-	var n uint64
-	for _, f := range k.Fields {
-		n += uint64(f.Kind.Size())
-	}
-	w.payloadB[k.LID] = n
-	return n
-}
-
 // foldStats publishes the writer's local accumulators into the shared
 // service stats.
 func (w *Writer) foldStats() {
-	if w.statObjects == 0 && w.overflowHits == 0 {
+	objects, bytes := w.Objects-w.foldedObjects, w.Bytes-w.foldedBytes
+	if objects == 0 && w.overflowHits == 0 {
 		return
 	}
-	atomic.AddUint64(&w.sky.stats.ObjectsSent, w.statObjects)
-	atomic.AddUint64(&w.sky.stats.BytesSent, w.statBytes)
+	atomic.AddUint64(&w.sky.stats.ObjectsSent, objects)
+	atomic.AddUint64(&w.sky.stats.BytesSent, bytes)
 	atomic.AddUint64(&w.sky.stats.HeaderBytes, w.headerB)
 	atomic.AddUint64(&w.sky.stats.PointerBytes, w.ptrB)
 	atomic.AddUint64(&w.sky.stats.PaddingBytes, w.padB)
 	atomic.AddUint64(&w.sky.stats.OverflowHits, w.overflowHits)
-	ctrObjectsSent.Add(int64(w.statObjects))
-	ctrBytesSent.Add(int64(w.statBytes))
+	ctrObjectsSent.Add(int64(objects))
+	ctrBytesSent.Add(int64(bytes))
 	ctrOverflowHits.Add(int64(w.overflowHits))
 	w.totHeaderB += w.headerB
 	w.totPtrB += w.ptrB
 	w.totPadB += w.padB
 	w.totOverflow += w.overflowHits
-	w.statObjects, w.statBytes, w.headerB, w.ptrB, w.padB, w.overflowHits = 0, 0, 0, 0, 0, 0
+	w.foldedObjects, w.foldedBytes = w.Objects, w.Bytes
+	w.headerB, w.ptrB, w.padB, w.overflowHits = 0, 0, 0, 0
 }
 
 // cloneCrossLayout builds obj's image field by field under the target
 // layout (heterogeneous clusters, §3.1).
-func (w *Writer) cloneCrossLayout(obj heap.Addr, k *klass.Klass, img []byte) error {
-	rt := w.sky.rt
-	h := rt.Heap
-	tk, err := w.targetKlassOf(k)
-	if err != nil {
-		return err
-	}
+func (w *Writer) cloneCrossLayout(obj heap.Addr, k, tk *klass.Klass, img []byte) {
+	h := w.sky.rt.Heap
 	clear(img)
 	if k.IsArray {
 		n := h.ArrayLen(obj)
@@ -581,8 +551,7 @@ func (w *Writer) cloneCrossLayout(obj heap.Addr, k *klass.Klass, img []byte) err
 			// return.
 			panic(fmt.Sprintf("skyway: array class %s has element kind of undefined size", k.Name))
 		}
-		srcBase := h.Layout().ArrayHeaderSize()
-		dstBase := w.target.ArrayHeaderSize()
+		srcBase, dstBase := k.HeaderBytes, tk.HeaderBytes
 		// Source and target element layouts always agree for primitive and
 		// reference payloads (same kind, little-endian in either header
 		// geometry), so the payload moves as one bulk copy instead of a
@@ -599,14 +568,13 @@ func (w *Writer) cloneCrossLayout(obj heap.Addr, k *klass.Klass, img []byte) err
 			v := h.Load(obj, srcBase+uint32(i)*es, k.Elem)
 			putKind(img[dstBase+uint32(i)*es:], k.Elem, v)
 		}
-		return nil
+		return
 	}
 	for i := range k.Fields {
 		src := &k.Fields[i]
 		dst := &tk.Fields[i]
 		putKind(img[dst.Offset:], src.Kind, h.Load(obj, src.Offset, src.Kind))
 	}
-	return nil
 }
 
 // putKind stores v into b with the kind's width. A kind whose size is not
@@ -631,14 +599,20 @@ func putKind(b []byte, k klass.Kind, v uint64) {
 }
 
 // flushSegment streams the current buffer out as one segment/chunk — with
-// its CRC-32C, so the receiver rejects torn or bit-flipped transfers — then
-// emits any queued top marks (whose objects are now fully on the wire).
+// its CRC-32C, so the receiver rejects torn or bit-flipped transfers —
+// followed by the queued top marks (whose objects are then fully on the
+// wire), all in one vectored write: a single writev syscall when the
+// destination is a net.Conn (net.Buffers fast path), a plain sequence of
+// writes — byte-identical on the wire — for buffered and in-memory
+// destinations.
 func (w *Writer) flushSegment() error {
 	// Failpoint: the transport fails mid-flush (a severed connection, a
 	// full pipe). Surfaces to the caller exactly like a Write error.
 	if err := fault.Inject(fault.CoreWriteFail); err != nil {
 		return err
 	}
+	w.vec = w.vecArr[:0]
+	flushed := w.flushed
 	if len(w.buf) > 0 {
 		crc := crc32.Checksum(w.buf, crcTable)
 		hn := 9
@@ -648,56 +622,53 @@ func (w *Writer) flushSegment() error {
 			binary.BigEndian.PutUint32(w.hdr[5:], w.decodedInBuf)
 			binary.BigEndian.PutUint32(w.hdr[9:], crc)
 			hn = 13
+			flushed += uint64(w.decodedInBuf)
 		} else {
 			w.hdr[0] = frameSegment
 			binary.BigEndian.PutUint32(w.hdr[1:], uint32(len(w.buf)))
 			binary.BigEndian.PutUint32(w.hdr[5:], crc)
+			flushed += uint64(len(w.buf))
 		}
-		if err := w.writeVec(w.hdr[:hn], w.buf); err != nil {
-			return err
-		}
-		if w.compact {
-			w.flushed += uint64(w.decodedInBuf)
-			w.decodedInBuf = 0
-		} else {
-			w.flushed += uint64(len(w.buf))
-		}
-		w.buf = w.buf[:0]
+		w.vec = append(w.vec, w.hdr[:hn], w.buf)
 	}
-	for _, rel := range w.pendingTops {
-		if w.verify && rel != 0 && (rel < relBias || rel >= w.flushed) {
-			// Framing invariant: a top mark reaches the wire only after
-			// every byte of the graph it names has been flushed.
+	if len(w.tops) > 0 {
+		if w.verify {
+			if err := w.verifyTops(flushed); err != nil {
+				return err
+			}
+		}
+		w.vec = append(w.vec, w.tops)
+	}
+	if len(w.vec) == 0 {
+		return nil
+	}
+	if _, err := w.vec.WriteTo(w.w); err != nil {
+		return err
+	}
+	w.flushed, w.decodedInBuf = flushed, 0
+	w.buf = w.buf[:0]
+	w.tops = w.tops[:0]
+	return nil
+}
+
+// verifyTops checks the framing invariant on the queued top marks: a top
+// mark reaches the wire only after every byte of the graph it names has
+// been flushed.
+func (w *Writer) verifyTops(flushed uint64) error {
+	for i := 0; i < len(w.tops); i += topFrameLen {
+		rel := binary.BigEndian.Uint64(w.tops[i+1:])
+		if rel != 0 && (rel < relBias || rel >= flushed) {
 			return fmt.Errorf("skyway: verify: top mark %#x outside flushed relative space [%#x, %#x)",
-				rel, uint64(relBias), w.flushed)
-		}
-		w.hdr[0] = frameTop
-		binary.BigEndian.PutUint64(w.hdr[1:], rel)
-		if _, err := w.w.Write(w.hdr[:9]); err != nil {
-			return err
+				rel, uint64(relBias), flushed)
 		}
 	}
-	w.pendingTops = w.pendingTops[:0]
 	return nil
 }
 
-// writeVec writes a header+payload pair as one vectored write: a single
-// writev syscall when the destination is a net.Conn (net.Buffers fast path),
-// a plain sequential pair of writes — byte-identical on the wire — for
-// buffered and in-memory destinations. The two-element vector is reused
-// across flushes, so this allocates nothing.
-func (w *Writer) writeVec(hdr, payload []byte) error {
-	w.vec = append(w.vec[:0], hdr, payload)
-	_, err := w.vec.WriteTo(w.w)
-	w.vec = w.vec[:0]
-	return err
-}
-
-// writeTop queues a top mark; it reaches the wire with the next segment
+// queueTop queues a top mark; it reaches the wire with the next segment
 // flush, after the bytes of every object it refers to.
-func (w *Writer) writeTop(rel uint64) error {
-	w.pendingTops = append(w.pendingTops, rel)
-	return nil
+func (w *Writer) queueTop(rel uint64) {
+	w.tops = binary.BigEndian.AppendUint64(append(w.tops, frameTop), rel)
 }
 
 // Flush forces any buffered segment and queued top marks onto the

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"skyway/internal/core"
-	"skyway/internal/datagen"
 	"skyway/internal/dataflow"
+	"skyway/internal/datagen"
 	"skyway/internal/experiments"
 	"skyway/internal/fault"
 	"skyway/internal/verify"

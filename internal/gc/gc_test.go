@@ -101,7 +101,12 @@ func TestFallbackPauseAccountingDisjoint(t *testing.T) {
 		rt.Heap.SetKlassWord(a, uint64(k.LID))
 		rt.Heap.SetArrayLen(a, (4096-int(rt.Heap.Layout().ArrayHeaderSize()))/8)
 	}
-	rt.Heap.AllocYoung(8192)
+	// One array filling eden, with a walkable header: under SKYWAY_VERIFY
+	// the collector's hooks walk every region before the collection.
+	young := rt.Heap.AllocYoung(8192)
+	rt.Heap.ZeroWords(young, 8192)
+	rt.Heap.SetKlassWord(young, uint64(k.LID))
+	rt.Heap.SetArrayLen(young, (8192-int(rt.Heap.Layout().ArrayHeaderSize()))/8)
 
 	before := rt.GC.Stats()
 	// The vm allocation slow path: scavenge refuses, full GC runs.

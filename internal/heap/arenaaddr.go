@@ -26,7 +26,7 @@ const (
 	// ArenaTag marks a tagged arena address.
 	ArenaTag = uint64(1) << 63
 	// ArenaRegionMask masks the region-ID field (after shifting).
-	ArenaRegionMask = (uint64(1) << 23) - 1
+	ArenaRegionMask  = (uint64(1) << 23) - 1
 	arenaRegionShift = 40
 )
 

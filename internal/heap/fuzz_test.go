@@ -10,8 +10,8 @@ func FuzzBaddrRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint16(0), uint64(0))
 	f.Add(uint8(1), uint16(1), uint64(RelBias))
 	f.Add(uint8(255), uint16(65535), BaddrRelMask)
-	f.Add(uint8(3), uint16(9), uint64(1)<<40)     // rel overflowing its field
-	f.Add(uint8(7), uint16(512), ^uint64(0))      // all bits set
+	f.Add(uint8(3), uint16(9), uint64(1)<<40) // rel overflowing its field
+	f.Add(uint8(7), uint16(512), ^uint64(0))  // all bits set
 	f.Fuzz(func(t *testing.T, sid uint8, stream uint16, rel uint64) {
 		v := ComposeBaddr(sid, stream, rel)
 		if got := BaddrPhase(v); got != sid {

@@ -248,7 +248,7 @@ func (h *Heap) CopyOut(a Addr, n uint32, dst []byte) {
 		panic("heap: CopyOut destination too small")
 	}
 	if src := h.ByteView(a, n); src != nil {
-		copy(dst, src)
+		copyAligned(dst, src)
 		return
 	}
 	wi := uint64(a) >> 3

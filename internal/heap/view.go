@@ -61,3 +61,19 @@ func (h *Heap) ByteView(a Addr, n uint32) []byte {
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&h.words[i])), n)
 }
+
+// copyAligned is copy(dst, src) for the bulk transfers out of the slab. The
+// runtime's memmove moves a very large block at about half speed when the
+// destination is not cache-line aligned (measured 12 vs 19 GB/s at 512 KiB
+// and 15 vs 39 GB/s at 1 MiB; no difference up to 256 KiB), and an object
+// image lands wherever the output buffer happens to stand, so a large copy
+// first brings its destination up to a line boundary.
+func copyAligned(dst, src []byte) {
+	const line, large = 64, 256 << 10
+	if len(dst) >= large && len(src) >= len(dst) {
+		head := int(-uintptr(unsafe.Pointer(&dst[0])) & (line - 1))
+		copy(dst[:head], src[:head])
+		dst, src = dst[head:], src[head:]
+	}
+	copy(dst, src)
+}

@@ -79,6 +79,13 @@ type Klass struct {
 	// For array klasses it is the array header size; element storage is
 	// added per instance.
 	Size uint32
+	// HeaderBytes and PayloadBytes are the transfer plan's per-klass byte
+	// composition, fixed at resolve time so the Skyway writer never
+	// recomputes them per object: the header size (including the length word
+	// of an array) and the unpadded field data of one instance. An array's
+	// payload depends on its length and is left 0.
+	HeaderBytes  uint32
+	PayloadBytes uint32
 
 	IsArray   bool
 	Elem      Kind   // element kind, for array klasses
@@ -173,6 +180,7 @@ func ResolveLayout(def *ClassDef, super *Klass, l Layout) (*Klass, error) {
 		next = off + sz
 	}
 	k.Size = Pad(next)
+	k.HeaderBytes = l.HeaderSize()
 
 	k.fieldsByName = make(map[string]*Field, len(k.Fields))
 	for i := range k.Fields {
@@ -180,6 +188,7 @@ func ResolveLayout(def *ClassDef, super *Klass, l Layout) (*Klass, error) {
 		// Subclass fields shadow superclass fields of the same name,
 		// matching Java's innermost-wins resolution.
 		k.fieldsByName[f.Name] = f
+		k.PayloadBytes += f.Kind.Size()
 		if f.Kind == Ref {
 			k.RefOffsets = append(k.RefOffsets, f.Offset)
 		}
@@ -199,7 +208,9 @@ func ResolveArray(name string, l Layout) (*Klass, error) {
 		Elem:      elem,
 		ElemClass: elemClass,
 		Size:      l.ArrayHeaderSize(),
-		TID:       -1,
+
+		HeaderBytes: l.ArrayHeaderSize(),
+		TID:         -1,
 	}, nil
 }
 

@@ -136,3 +136,49 @@ func diffBytes(want, got []byte) string {
 	}
 	return fmt.Sprintf("lengths differ: got %d bytes, golden has %d", len(got), len(want))
 }
+
+// writeCounter collects a stream and counts the Write calls that carried it.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// A Skyway stream reaches its destination in a number of writes fixed by its
+// segments, not its roots: the golden graph — one segment, three roots — is
+// the stream header, the segment's header and payload, its three top marks as
+// one write, and the end frame. Batching the top marks moved no byte: the
+// concatenation is still the golden vector.
+func TestGoldenSkywayStreamWrites(t *testing.T) {
+	for _, name := range []string{"skyway", "skyway-compact"} {
+		t.Run(name, func(t *testing.T) {
+			snd, rcv := testPair(t)
+			c := NewSkywayCodec(snd, rcv)
+			c.Compact = name == "skyway-compact"
+			var sink writeCounter
+			enc := c.NewEncoder(snd, &sink)
+			for _, root := range goldenGraph(t, snd) {
+				if err := enc.Write(root); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sink.Bytes(), want) {
+				t.Fatalf("%s encoding drifted from golden vector: %s", name, diffBytes(want, sink.Bytes()))
+			}
+			if sink.writes != 5 {
+				t.Errorf("%s stream took %d writes, want 5", name, sink.writes)
+			}
+		})
+	}
+}

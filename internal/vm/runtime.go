@@ -52,9 +52,10 @@ type Runtime struct {
 
 	hashState uint64
 
-	// fieldUpdates holds the §3.3 post-transfer field update hooks,
-	// keyed by class name.
-	fieldUpdates map[string][]FieldUpdate
+	// fieldUpdates holds the §3.3 post-transfer field update hooks, indexed
+	// by klass LID (shorter than the klass table until a class past its end
+	// registers one): the Skyway reader asks once per received object.
+	fieldUpdates [][]FieldUpdate
 
 	// ClassesLoaded counts classloading events, for registry statistics.
 	ClassesLoaded int
@@ -86,14 +87,13 @@ func NewRuntime(cp *klass.Path, opts Options) (*Runtime, error) {
 		opts.Heap = heap.DefaultConfig()
 	}
 	rt := &Runtime{
-		Name:         opts.Name,
-		Heap:         heap.New(opts.Heap),
-		Arena:        arena.NewSpace(),
-		cp:           cp,
-		byName:       make(map[string]*klass.Klass),
-		byTID:        make(map[int32]*klass.Klass),
-		hashState:    0x9E3779B97F4A7C15,
-		fieldUpdates: make(map[string][]FieldUpdate),
+		Name:      opts.Name,
+		Heap:      heap.New(opts.Heap),
+		Arena:     arena.NewSpace(),
+		cp:        cp,
+		byName:    make(map[string]*klass.Klass),
+		byTID:     make(map[int32]*klass.Klass),
+		hashState: 0x9E3779B97F4A7C15,
 	}
 	rt.Trace = obs.NewTracer(opts.Name)
 	rt.GC = gc.New(rt.Heap, rt)
@@ -403,9 +403,17 @@ func (rt *Runtime) RegisterUpdate(className, field string, fn func(rt *Runtime, 
 	if f == nil {
 		return fmt.Errorf("vm: %s has no field %q", className, field)
 	}
-	rt.fieldUpdates[className] = append(rt.fieldUpdates[className], FieldUpdate{Field: f, Fn: fn})
+	for int(k.LID) >= len(rt.fieldUpdates) {
+		rt.fieldUpdates = append(rt.fieldUpdates, nil)
+	}
+	rt.fieldUpdates[k.LID] = append(rt.fieldUpdates[k.LID], FieldUpdate{Field: f, Fn: fn})
 	return nil
 }
 
 // UpdatesFor returns the registered field updates for klass k, or nil.
-func (rt *Runtime) UpdatesFor(k *klass.Klass) []FieldUpdate { return rt.fieldUpdates[k.Name] }
+func (rt *Runtime) UpdatesFor(k *klass.Klass) []FieldUpdate {
+	if int(k.LID) < len(rt.fieldUpdates) {
+		return rt.fieldUpdates[k.LID]
+	}
+	return nil
+}

@@ -68,27 +68,23 @@ func (r *FileReader) Close() error { return r.f.Close() }
 type SocketWriter struct {
 	*Writer
 	conn net.Conn
-	bw   *bufio.Writer
 }
 
 // DialWriter connects to addr and opens a Skyway object output stream over
-// the connection.
+// the connection. The Writer gets the connection itself, not a buffered
+// wrapper: it already hands over a whole segment and its top marks at a
+// time, which reach a net.Conn as one writev.
 func DialWriter(svc *Service, addr string, opts ...core.WriterOption) (*SocketWriter, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("skyway: %w", err)
 	}
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	return &SocketWriter{Writer: svc.NewWriter(bw, opts...), conn: conn, bw: bw}, nil
+	return &SocketWriter{Writer: svc.NewWriter(conn, opts...), conn: conn}, nil
 }
 
 // Close finishes the stream and closes the connection.
 func (w *SocketWriter) Close() error {
 	if err := w.Writer.Close(); err != nil {
-		w.conn.Close()
-		return err
-	}
-	if err := w.bw.Flush(); err != nil {
 		w.conn.Close()
 		return err
 	}
