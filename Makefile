@@ -48,19 +48,22 @@ verify:
 
 # Chaos suite under the race detector: the failpoint matrix
 # (internal/fault), the shuffle degradation-ladder tests, and the registry
-# replay/drop/delay tests, with the heap invariant verifier armed.
+# replay/drop/delay tests plus the framed layer's deadline/redial tests, with
+# the heap invariant verifier armed.
 chaos:
 	SKYWAY_VERIFY=1 $(GO) test -race -run 'Chaos|Fault|Torn|TaskDie|FetchSlow|Exchange|Dial' \
-		./internal/fault/ ./internal/dataflow/ ./internal/registry/ ./internal/core/
+		./internal/fault/ ./internal/dataflow/ ./internal/registry/ ./internal/framed/ ./internal/core/
 
 # Real multi-process cluster over loopback TCP: the test binary is the
 # driver (registry daemon included) and spawns executor block-server
 # processes via its re-exec trampoline; every shuffle block crosses real
-# sockets twice. Includes the transport conformance suite and the TCP
-# chaos matrix.
+# sockets twice. Includes the transport conformance suite, the TCP chaos
+# matrix, and the framed-connection and registry-protocol tests both
+# conversations run on.
 cluster-test:
 	$(GO) test -race -run 'TestClusterWordCountOverTCPProcesses|TestTCPChaosMatrix|TestConformance|TestTornStream|TestSlowPeer|TestDialFailpoint|TestPooled' \
 		./internal/dataflow/ ./internal/transport/ ./internal/transport/tcp/
+	$(GO) test -race ./internal/framed/ ./internal/registry/
 
 # The arena suite: lazy-decode equivalence (eager vs. arena bit-identity,
 # promotion-heavy variants), handle bounds/lifecycle unit tests, the
@@ -80,6 +83,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzArenaHandle -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzTupleCodec -fuzztime $(FUZZTIME) ./internal/batch/
 	$(GO) test -run '^$$' -fuzz FuzzBaddrRoundTrip -fuzztime $(FUZZTIME) ./internal/heap/
+	$(GO) test -run '^$$' -fuzz FuzzFrameRead -fuzztime $(FUZZTIME) ./internal/framed/
+	$(GO) test -run '^$$' -fuzz FuzzRegistryPayload -fuzztime $(FUZZTIME) ./internal/registry/
 
 # Benchmark trajectory: regenerate BENCH_spark.json / BENCH_flink.json at the
 # canonical smoke scale. Override BENCH_SCALE / BENCH_SF for bigger runs and

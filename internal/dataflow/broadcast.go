@@ -7,6 +7,7 @@ import (
 
 	"skyway/internal/heap"
 	"skyway/internal/metrics"
+	"skyway/internal/netsim"
 )
 
 // Broadcast ships an object graph from the driver to every executor — the
@@ -44,7 +45,7 @@ func (c *Cluster) Broadcast(root heap.Addr) ([]heap.Addr, metrics.Breakdown, err
 	if err != nil {
 		return nil, bd, fmt.Errorf("dataflow: broadcast publish: %w", err)
 	}
-	bd.WriteIO = c.Transport.WriteCost(0, pubTime)
+	bd.WriteIO = c.ioCharge(pubTime, func(m netsim.CostModel) time.Duration { return m.WriteTime(0) })
 
 	// Every worker decodes its own copy — concurrently when the cluster is
 	// parallel (each writes only its own out slot and its own runtime).
@@ -62,8 +63,9 @@ func (c *Cluster) Broadcast(root heap.Addr) ([]heap.Addr, metrics.Breakdown, err
 			return res, fmt.Errorf("deserialize: %w", err)
 		}
 		res.bd.Deser = time.Since(start)
-		res.bd.ReadIO = c.Transport.BroadcastCost(int64(len(copyB)), fetchTime)
 		out[ex.ID] = got
+		// Modelled, a broadcast receive is one network transfer per executor.
+		res.bd.ReadIO = c.ioCharge(fetchTime, func(m netsim.CostModel) time.Duration { return m.NetTime(int64(len(copyB))) })
 		res.wall = res.bd.Deser + res.bd.ReadIO
 		c.sampleHeap(ex)
 		return res, nil

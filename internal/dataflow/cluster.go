@@ -43,16 +43,11 @@ type Config struct {
 	Heap heap.Config
 	// Model prices disk and network I/O; zero value uses Paper1GbE.
 	Model netsim.CostModel
-	// SpillDir, when set, makes shuffles write real block files there and
-	// read them back, replacing the modelled disk times with measured
-	// ones (network stays modelled — the cluster is one process). Useful
-	// for validating the cost model against a real filesystem.
-	SpillDir string
 	// Transport, when set, replaces the default in-process block exchange
-	// (netsim.NewLocalTransport over Model and SpillDir) — e.g. a
+	// (netsim.NewLocalTransport, priced by Model) — e.g. a
 	// transport/tcp.Transport moving blocks through executor server
-	// processes over real sockets. When set, Model and SpillDir only
-	// matter if the transport itself consults a cost model.
+	// processes over real sockets. Under a measured transport Model prices
+	// nothing.
 	Transport transport.Transport
 	// RegistryClient, when set, supplies each runtime's connection to the
 	// type registry (one fresh client per runtime — a TCP cluster gives
@@ -182,7 +177,7 @@ func NewCluster(cp *klass.Path, cfg Config, codec serial.Codec) (*Cluster, error
 		cfg.ParallelTasks = cfg.Workers
 	}
 	if cfg.Transport == nil {
-		cfg.Transport = netsim.NewLocalTransport(cfg.Model, cfg.SpillDir)
+		cfg.Transport = netsim.NewLocalTransport()
 	}
 	c := &Cluster{
 		CP: cp, Reg: reg, Driver: driver, Model: cfg.Model, Codec: codec,
@@ -209,6 +204,18 @@ func NewCluster(cp *klass.Path, cfg Config, codec serial.Codec) (*Cluster, error
 
 // Workers returns the executor count.
 func (c *Cluster) Workers() int { return len(c.Execs) }
+
+// ioCharge prices one task's I/O, the one place the two transport worlds
+// meet: a measured transport is charged the wall-clock time its sockets
+// clocked; a modelled one what the cost model derives from the task's byte
+// counts. modelled runs only in the second case — a cost query emits a
+// fabric span and evaluates the netsim.fetch.slow failpoint.
+func (c *Cluster) ioCharge(measured time.Duration, modelled func(netsim.CostModel) time.Duration) time.Duration {
+	if c.Transport.Measured() {
+		return measured
+	}
+	return modelled(c.Model)
+}
 
 // Parallel reports whether executor tasks run concurrently.
 func (c *Cluster) Parallel() bool { return c.parallelTasks > 1 }

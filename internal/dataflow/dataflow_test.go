@@ -260,36 +260,6 @@ func TestSkywayShufflesMoreBytesButLessSD(t *testing.T) {
 	}
 }
 
-func TestSpillToDiskMatchesModelled(t *testing.T) {
-	lines := datagen.TextSpec{Lines: 300, WordsPerLine: 8, Vocabulary: 100, Seed: 5}.Generate()
-	parts := [][]string{lines[:100], lines[100:200], lines[200:]}
-
-	run := func(spill string) (int64, int64) {
-		cp := klass.NewPath()
-		WorkloadClasses(cp)
-		c, err := NewCluster(cp, Config{Workers: 3, Heap: smallHeap(), SpillDir: spill}, serial.KryoCodec(WorkloadRegistration()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bd, total, err := RunWordCount(c, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bd.WriteIO == 0 || bd.ReadIO == 0 {
-			t.Error("I/O components missing")
-		}
-		return total, bd.ShuffleBytes
-	}
-	total1, bytes1 := run("")
-	total2, bytes2 := run(t.TempDir())
-	if total1 != total2 {
-		t.Errorf("spilled run result %d != modelled %d", total2, total1)
-	}
-	if bytes1 != bytes2 {
-		t.Errorf("spilled run bytes %d != modelled %d", bytes2, bytes1)
-	}
-}
-
 func TestPartitionCountsDoNotChangeResults(t *testing.T) {
 	g := testGraph()
 	var want float64

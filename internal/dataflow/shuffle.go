@@ -14,6 +14,7 @@ import (
 	"skyway/internal/gc"
 	"skyway/internal/heap"
 	"skyway/internal/metrics"
+	"skyway/internal/netsim"
 	"skyway/internal/obs"
 	"skyway/internal/transport"
 )
@@ -199,9 +200,9 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 		}
 	}
 
-	// Publish blocks to the transport. The transport measures whatever I/O
-	// it really performs (spill files, sockets); WriteCost folds that and
-	// the modelled remainder into the write-I/O charge.
+	// Publish blocks to the transport, which measures whatever I/O it
+	// really performs (sockets); ioCharge picks that or the modelled time
+	// as the write-I/O charge.
 	var written int64
 	var putTime time.Duration
 	for dst := 0; dst < p; dst++ {
@@ -215,7 +216,7 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 		}
 		putTime += d
 	}
-	res.bd.WriteIO = c.Transport.WriteCost(written, putTime)
+	res.bd.WriteIO = c.ioCharge(putTime, func(m netsim.CostModel) time.Duration { return m.WriteTime(written) })
 	c.Traffic.AddWrite(written)
 	res.bd.ShuffleBytes = written
 	// The task's elapsed time: concurrent sender streams overlap, so the
@@ -289,7 +290,9 @@ func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffl
 		res.bd.LocalBytes = localB
 		res.bd.RemoteBytes = remoteB
 		c.Traffic.AddFetch(localB, remoteB)
-		res.bd.ReadIO = c.Transport.FetchCost(triedLocal, triedRemote, fetchTime) + slowPenalty
+		res.bd.ReadIO = slowPenalty + c.ioCharge(fetchTime, func(m netsim.CostModel) time.Duration {
+			return m.FetchTime(triedLocal, triedRemote)
+		})
 	}
 	fail := func(err error) (taskResult, error) {
 		for _, h := range handles {

@@ -2,8 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -11,48 +9,27 @@ import (
 )
 
 // LocalTransport is the in-process transport.Transport: the historical
-// simulator behind the seam. Blocks live in a mutex-guarded map (or, with
-// SpillDir set, in real block files whose reads and writes are measured),
-// and the analytic CostModel prices whatever is not measured — exactly the
-// accounting the single-process cluster has always reported.
+// simulator behind the seam. Blocks live in a mutex-guarded store, nothing
+// is measured, and the dataflow engine prices every byte with the analytic
+// CostModel — exactly the accounting the single-process cluster has always
+// reported.
 type LocalTransport struct {
-	Model CostModel
-	// SpillDir, when set, stores blocks as real files there: write and read
-	// times become measured, and only the remote network hop stays modelled
-	// (the simulated cluster shares one machine).
-	SpillDir string
-
 	mu     sync.Mutex
 	bcasts map[int][]byte
 }
 
-// NewLocalTransport builds the in-process transport over a cost model.
-func NewLocalTransport(model CostModel, spillDir string) *LocalTransport {
-	return &LocalTransport{Model: model, SpillDir: spillDir, bcasts: make(map[int][]byte)}
+// NewLocalTransport builds the in-process transport.
+func NewLocalTransport() *LocalTransport {
+	return &LocalTransport{bcasts: make(map[int][]byte)}
 }
 
 // NewShuffle implements transport.Transport.
 func (t *LocalTransport) NewShuffle(seq int) (transport.Shuffle, error) {
-	return &localShuffle{t: t, seq: seq, blocks: transport.NewBlockStore[blockKey]()}, nil
+	return &localShuffle{blocks: transport.NewBlockStore[blockKey]()}, nil
 }
 
-// WriteCost implements transport.Transport: modelled from bytes, or the
-// measured file-write time when spilling to real files.
-func (t *LocalTransport) WriteCost(n int64, measured time.Duration) time.Duration {
-	if t.SpillDir != "" {
-		return measured
-	}
-	return t.Model.WriteTime(n)
-}
-
-// FetchCost implements transport.Transport: fully modelled in-memory, or
-// measured disk reads plus a modelled remote hop when spilling.
-func (t *LocalTransport) FetchCost(local, remote int64, measured time.Duration) time.Duration {
-	if t.SpillDir != "" {
-		return measured + t.Model.NetTime(remote)
-	}
-	return t.Model.FetchTime(local, remote)
-}
+// Measured implements transport.Transport: all I/O here is modelled.
+func (t *LocalTransport) Measured() bool { return false }
 
 // Broadcast implements transport.Transport.
 func (t *LocalTransport) Broadcast(seq int, payload []byte) (time.Duration, error) {
@@ -74,12 +51,6 @@ func (t *LocalTransport) FetchBroadcast(seq, ex int) ([]byte, time.Duration, err
 	return p, 0, nil
 }
 
-// BroadcastCost implements transport.Transport: one modelled network
-// transfer per receiving executor.
-func (t *LocalTransport) BroadcastCost(n int64, measured time.Duration) time.Duration {
-	return measured + t.Model.NetTime(n)
-}
-
 // Close implements transport.Transport.
 func (t *LocalTransport) Close() error {
 	t.mu.Lock()
@@ -96,61 +67,27 @@ type blockKey struct{ src, dst int }
 // from concurrent goroutines; the shared BlockStore guards access and, with
 // the arena knob on, parks each block off-heap.
 type localShuffle struct {
-	t   *LocalTransport
-	seq int
-
 	blocks *transport.BlockStore[blockKey]
-}
-
-// spillPath names the shuffle block file for one (mapper, reducer) pair of
-// this round.
-func (s *localShuffle) spillPath(src, dst int) string {
-	return filepath.Join(s.t.SpillDir, fmt.Sprintf("shuffle-%d-%d-%d.block", s.seq, src, dst))
 }
 
 // Put implements transport.Shuffle.
 func (s *localShuffle) Put(src, dst int, block []byte) (time.Duration, error) {
-	if s.t.SpillDir != "" {
-		start := time.Now()
-		if err := os.WriteFile(s.spillPath(src, dst), block, 0o644); err != nil {
-			return 0, fmt.Errorf("spill: %w", err)
-		}
-		return time.Since(start), nil
-	}
 	s.blocks.Put(blockKey{src, dst}, block)
 	return 0, nil
 }
 
-// Fetch implements transport.Shuffle. The stored block (or spill file) keeps
-// the original bytes until Drop, so a fetch whose copy was damaged in flight
-// can be retried from the intact source.
+// Fetch implements transport.Shuffle. The stored block keeps the original
+// bytes until Drop, so a fetch whose copy was damaged in flight can be
+// retried from the intact source.
 func (s *localShuffle) Fetch(src, dst int) ([]byte, time.Duration, error) {
-	block, ok := s.blocks.Get(blockKey{src, dst})
-	if !ok && s.t.SpillDir != "" {
-		// Fetch the real block file (measured read I/O).
-		start := time.Now()
-		b, err := os.ReadFile(s.spillPath(src, dst))
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil, 0, nil
-			}
-			return nil, 0, fmt.Errorf("fetch: %w", err)
-		}
-		return b, time.Since(start), nil
-	}
+	block, _ := s.blocks.Get(blockKey{src, dst})
 	return block, 0, nil
 }
 
 // Drop implements transport.Shuffle.
-func (s *localShuffle) Drop(src, dst int) {
-	s.blocks.Drop(blockKey{src, dst})
-	if s.t.SpillDir != "" {
-		os.Remove(s.spillPath(src, dst))
-	}
-}
+func (s *localShuffle) Drop(src, dst int) { s.blocks.Drop(blockKey{src, dst}) }
 
-// Close implements transport.Shuffle. Undropped spill files (an aborted
-// stage) are left for the caller's directory cleanup, as they always were.
+// Close implements transport.Shuffle.
 func (s *localShuffle) Close() error {
 	s.blocks.Close()
 	return nil

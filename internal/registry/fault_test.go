@@ -7,7 +7,12 @@ import (
 	"time"
 
 	"skyway/internal/fault"
+	"skyway/internal/framed"
 )
+
+// fastPolicy is the failpoint tests' retry policy: the default's shape with
+// the waits shortened.
+var fastPolicy = framed.Policy{Timeout: time.Second, Retries: 2, Backoff: time.Millisecond}
 
 // faultServer boots a live registry server and a client with fast retry
 // settings for failpoint tests.
@@ -24,8 +29,7 @@ func faultServer(t *testing.T, spec string) (*Registry, *TCPClient) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fault.Reset)
-	c, err := Dial(ln.Addr().String(),
-		WithTimeout(time.Second), WithRetries(2), WithBackoff(time.Millisecond))
+	c, err := dial(ln.Addr().String(), fastPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +113,7 @@ func TestDialFailpointSurfacesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fault.Reset()
-	_, err = Dial(ln.Addr().String(), WithTimeout(time.Second))
+	_, err = dial(ln.Addr().String(), fastPolicy)
 	var fe *fault.Error
 	if !errors.As(err, &fe) || fe.Point != fault.RegistryDial {
 		t.Fatalf("Dial under persistent dial fault = %v, want *fault.Error", err)
@@ -119,8 +123,7 @@ func TestDialFailpointSurfacesAndRecovers(t *testing.T) {
 	if err := fault.Configure(fault.RegistryDial + ":on*times=1"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(ln.Addr().String(),
-		WithTimeout(time.Second), WithRetries(2), WithBackoff(time.Millisecond))
+	c, err := dial(ln.Addr().String(), fastPolicy)
 	if err == nil {
 		defer c.Close()
 		if _, err := c.Lookup("p.Q"); err != nil {
@@ -130,7 +133,7 @@ func TestDialFailpointSurfacesAndRecovers(t *testing.T) {
 	}
 	// Dial itself performs no retry; the first connection attempt absorbed
 	// the injected failure, so a second Dial must succeed.
-	c, err = Dial(ln.Addr().String(), WithTimeout(time.Second))
+	c, err = dial(ln.Addr().String(), fastPolicy)
 	if err != nil {
 		t.Fatalf("second Dial after transient fault: %v", err)
 	}

@@ -1,44 +1,37 @@
 package registry
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
-	"time"
 
 	"skyway/internal/fault"
+	"skyway/internal/framed"
 )
 
-// Wire protocol (Algorithm 1's driver daemon): length-free binary frames on
-// a persistent TCP connection, one request/response pair at a time.
+// Wire protocol (Algorithm 1's driver daemon), "SKYR" version 4: one
+// request/response pair at a time over an internal/framed connection, which
+// supplies the hello, the CRC'd frames, the deadline and the retry policy.
+// A request is a frame whose op names the operation; the answer is an OK
+// frame, or an ERR frame when the request was malformed (unknown op, short
+// or overlong payload) or the answer would not fit one frame.
 //
-//	hello    := "SKYR" ver(u8)        -- once, immediately after connect
-//	request  := nonce(u32) op(u8) payload
-//	response := nonce(u32) payload
-//	op 'V' (REQUEST_VIEW): no payload  → resp: count(u32) {id(i32) name(str)}*
-//	op 'L' (LOOKUP):       name(str)   → resp: id(i32)
-//	op 'R' (REVERSE):      id(i32)     → resp: name(str)
-//	op 'A' (ANNOUNCE):     id(i32) addr(str) → resp: id(i32)
-//	op 'P' (PEERS):        no payload  → resp: count(u32) {id(i32) addr(str)}*
-//	str := len(u32) bytes
+//	op               request payload           OK payload
+//	'V' REQUEST_VIEW nonce                     nonce table   (id = type ID, str = name)
+//	'L' LOOKUP       nonce str(name)           nonce id
+//	'R' REVERSE      nonce id                  nonce str(name, "" = unknown)
+//	'U' ANNOUNCE     nonce id str(addr)        nonce id
+//	'P' PEERS        nonce                     nonce table   (id = executor, str = addr)
 //
-// The hello versions the framing (like the Skyway stream header does):
-// version 3 adds the peer-advertisement ops (ANNOUNCE/PEERS — executor
-// block servers publish their shuffle listen addresses through the driver's
-// registry, which is how a TCP cluster discovers its peers); version 2 was
-// the nonce-prefixed framing below; version 1 was the nonce-free framing it
-// replaced. The server severs any connection whose hello does not match its
-// own version, so a mixed-version cluster fails loudly at the first
-// exchange instead of desyncing — without the hello, a v2 server would
-// consume a v1 client's op byte as part of the nonce and both sides would
-// misparse every frame after it. A v1 server reading a v2 hello sees an
-// unknown op and severs likewise. Driver and executors are still expected
-// to be upgraded together; the hello turns a skew into a clean connection
-// error rather than crossed type IDs.
+//	nonce := u32   id := i32   str := len(u32) bytes
+//	table := count(u32) {id str}*
+//
+// ANNOUNCE/PEERS are the peer advertisement: executor block servers publish
+// their shuffle listen addresses through the driver's registry, which is how
+// a TCP cluster discovers its peers. A VIEW or PEERS table too large for one
+// frame (framed.MaxPayload) is refused by the server with an explicit ERR
+// rather than streamed: 8 MiB of type names is a misconfiguration.
 //
 // The nonce makes the client's retry policy safe against replay: every
 // registry operation is idempotent on the server (LookupOrAssign assigns at
@@ -50,515 +43,313 @@ import (
 // nonce; a client that reads a response with the wrong nonce severs the
 // connection and retries on a fresh one.
 const (
-	protoMagic   = "SKYR"
-	protoVersion = 3 // nonce-prefixed framing + peer advertisement
-
 	opView     = 'V'
 	opLookup   = 'L'
 	opReverse  = 'R'
-	opAnnounce = 'A'
+	opAnnounce = 'U'
 	opPeers    = 'P'
 )
 
-func writeStr(w io.Writer, s string) error {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(s)))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
+// msg is a request or response payload; shape says which fields after the
+// nonce are on the wire, in the order id, str, table.
+type msg struct {
+	nonce uint32
+	id    int32
+	str   string
+	table []entry
 }
 
-// maxViewEntries bounds the entry count a view response may claim: a
-// corrupt or hostile peer must not be able to drive map preallocation (or
-// panic make with a negative count) before the entries are even read.
-const maxViewEntries = 1 << 20
-
-func readStr(r io.Reader) (string, error) {
-	var n [4]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return "", err
-	}
-	ln := binary.BigEndian.Uint32(n[:])
-	if ln > 1<<20 {
-		return "", fmt.Errorf("registry: implausible string length %d", ln)
-	}
-	b := make([]byte, ln)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+type entry struct {
+	id  int32
+	str string
 }
 
-func writeI32(w io.Writer, v int32) error {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(v))
-	_, err := w.Write(b[:])
-	return err
+type shape uint8
+
+const (
+	hasID shape = 1 << iota
+	hasStr
+	hasTable
+)
+
+// shapes is the op table above: each op's request and response shape.
+var shapes = map[byte]struct{ req, resp shape }{
+	opView:     {0, hasTable},
+	opLookup:   {hasStr, hasID},
+	opReverse:  {hasID, hasStr},
+	opAnnounce: {hasID | hasStr, hasID},
+	opPeers:    {0, hasTable},
 }
 
-func readI32(r io.Reader) (int32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
+func appendStr(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
+}
+
+func encode(sh shape, m msg) []byte {
+	b := binary.BigEndian.AppendUint32(nil, m.nonce)
+	if sh&hasID != 0 {
+		b = binary.BigEndian.AppendUint32(b, uint32(m.id))
 	}
-	return int32(binary.BigEndian.Uint32(b[:])), nil
+	if sh&hasStr != 0 {
+		b = appendStr(b, m.str)
+	}
+	if sh&hasTable != 0 {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(m.table)))
+		for _, e := range m.table {
+			b = appendStr(binary.BigEndian.AppendUint32(b, uint32(e.id)), e.str)
+		}
+	}
+	return b
+}
+
+// payload is a bounds-checked cursor over a received payload: every length
+// it reads off the wire is compared at full width against the bytes that
+// are actually left before anything is sliced or sized from it, and the
+// first short read latches.
+type payload struct {
+	b     []byte
+	short bool
+}
+
+func (p *payload) u32() uint32 {
+	if len(p.b) < 4 {
+		p.short, p.b = true, nil
+		return 0
+	}
+	v := binary.BigEndian.Uint32(p.b)
+	p.b = p.b[4:]
+	return v
+}
+
+func (p *payload) str() string {
+	n := p.u32()
+	if uint64(n) > uint64(len(p.b)) {
+		p.short, p.b = true, nil
+		return ""
+	}
+	s := string(p.b[:n])
+	p.b = p.b[n:]
+	return s
+}
+
+// decode parses a payload of the given shape; it must be consumed exactly.
+func decode(sh shape, b []byte) (msg, error) {
+	p := payload{b: b}
+	m := msg{nonce: p.u32()}
+	if sh&hasID != 0 {
+		m.id = int32(p.u32())
+	}
+	if sh&hasStr != 0 {
+		m.str = p.str()
+	}
+	if sh&hasTable != 0 {
+		// An entry is at least 8 bytes, so the bytes left bound the count
+		// before the table is sized from it.
+		n := p.u32()
+		if uint64(n) > uint64(len(p.b))/8 {
+			return m, fmt.Errorf("registry: table declares %d entries in %d bytes", n, len(p.b))
+		}
+		m.table = make([]entry, 0, n)
+		for i := uint32(0); i < n; i++ {
+			m.table = append(m.table, entry{int32(p.u32()), p.str()})
+		}
+	}
+	if p.short || len(p.b) != 0 {
+		return m, fmt.Errorf("registry: malformed %d-byte payload (short=%v, %d bytes over)", len(b), p.short, len(p.b))
+	}
+	return m, nil
 }
 
 // Server exposes a Registry over TCP — the driver's daemon thread.
-type Server struct {
-	reg *Registry
-	ln  net.Listener
-	wg  sync.WaitGroup
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]bool
-}
+type Server = framed.Server
 
 // Serve starts accepting worker connections on ln. It returns immediately;
 // call Close to stop.
 func Serve(reg *Registry, ln net.Listener) *Server {
-	s := &Server{reg: reg, ln: ln, conns: make(map[net.Conn]bool)}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s
+	return framed.Serve(&framed.SKYR, framed.DefaultPolicy, ln, func(c *framed.Conn) {
+		for {
+			op, req, err := framed.ReadFrame(c.R)
+			if err != nil {
+				return
+			}
+			resp, err := reg.answer(op, req)
+			framed.Release(req)
+			if err == nil {
+				err = c.Send(framed.OpOK, resp)
+			}
+			if err != nil {
+				c.SendErr(err)
+				return
+			}
+		}
+	})
 }
 
-// Addr returns the listen address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
-
-// Close stops the server, severs outstanding worker connections, and waits
-// for the handlers to drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
+// answer serves one request payload and returns the OK payload, with the
+// request nonce echoed ahead of the body so the client can tell this
+// response from a stale one left by a replayed request.
+func (r *Registry) answer(op byte, req []byte) ([]byte, error) {
+	sh, ok := shapes[op]
+	if !ok {
+		return nil, fmt.Errorf("registry: unknown op %q", op)
 	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.handle(conn)
-		}()
+	q, err := decode(sh.req, req)
+	if err != nil {
+		return nil, err
 	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	// Version hello: a mismatched peer is severed before any framing is
-	// consumed (see the protocol comment above).
-	var hello [len(protoMagic) + 1]byte
-	if _, err := io.ReadFull(r, hello[:]); err != nil {
-		return
-	}
-	if string(hello[:len(protoMagic)]) != protoMagic || hello[len(protoMagic)] != protoVersion {
-		return
-	}
-	for {
-		nonce, err := readI32(r)
-		if err != nil {
-			return
+	a := msg{nonce: q.nonce}
+	switch op {
+	case opView:
+		for name, id := range r.View() {
+			a.table = append(a.table, entry{id, name})
 		}
-		op, err := r.ReadByte()
-		if err != nil {
-			return
-		}
-		// Echo the request nonce ahead of the payload so the client can
-		// tell this response from a stale one left by a replayed request.
-		if err := writeI32(w, nonce); err != nil {
-			return
-		}
-		switch op {
-		case opView:
-			view := s.reg.View()
-			if err := writeI32(w, int32(len(view))); err != nil {
-				return
-			}
-			for name, id := range view {
-				if err := writeI32(w, id); err != nil {
-					return
-				}
-				if err := writeStr(w, name); err != nil {
-					return
-				}
-			}
-		case opLookup:
-			name, err := readStr(r)
-			if err != nil {
-				return
-			}
-			if err := writeI32(w, s.reg.LookupOrAssign(name)); err != nil {
-				return
-			}
-		case opReverse:
-			id, err := readI32(r)
-			if err != nil {
-				return
-			}
-			name, ok := s.reg.NameOf(id)
-			if !ok {
-				name = "" // empty string signals unknown
-			}
-			if err := writeStr(w, name); err != nil {
-				return
-			}
-		case opAnnounce:
-			id, err := readI32(r)
-			if err != nil {
-				return
-			}
-			addr, err := readStr(r)
-			if err != nil {
-				return
-			}
-			s.reg.Announce(id, addr)
-			if err := writeI32(w, id); err != nil {
-				return
-			}
-		case opPeers:
-			peers := s.reg.Peers()
-			if err := writeI32(w, int32(len(peers))); err != nil {
-				return
-			}
-			for id, addr := range peers {
-				if err := writeI32(w, id); err != nil {
-					return
-				}
-				if err := writeStr(w, addr); err != nil {
-					return
-				}
-			}
-		default:
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
+	case opLookup:
+		a.id = r.LookupOrAssign(q.str)
+	case opReverse:
+		a.str, _ = r.NameOf(q.id) // empty string signals unknown
+	case opAnnounce:
+		r.Announce(q.id, q.str)
+		a.id = q.id
+	case opPeers:
+		for id, addr := range r.Peers() {
+			a.table = append(a.table, entry{id, addr})
 		}
 	}
+	return encode(sh.resp, a), nil
 }
 
 // TCPClient is a worker's connection to a remote driver registry. A LOOKUP
 // during class loading must not hang an executor forever, so every exchange
-// runs under a connection deadline and failed exchanges are retried — with
-// backoff, over a fresh connection (a timed-out request leaves the old
-// connection's framing in an unknown state) — a bounded number of times.
+// runs under the framed layer's deadline and retry policy.
 type TCPClient struct {
-	mu   sync.Mutex
 	addr string
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
+	cli  *framed.Client
 
-	// nonce numbers exchanges; the server echoes it so a response can be
-	// matched to its request (see the protocol comment above).
+	// mu serialises exchanges: one connection and one nonce sequence per
+	// client. The server echoes the nonce so a response can be matched to
+	// its request (see the protocol comment above).
+	mu    sync.Mutex
 	nonce uint32
-
-	timeout time.Duration
-	retries int
-	backoff time.Duration
 }
 
-// DialOption tunes a TCPClient's failure handling.
-type DialOption func(*TCPClient)
-
-// WithTimeout bounds each request/response exchange (and each connection
-// attempt). Default 5s.
-func WithTimeout(d time.Duration) DialOption { return func(c *TCPClient) { c.timeout = d } }
-
-// WithRetries sets how many times a failed exchange is retried over a fresh
-// connection before the error is surfaced. Default 2.
-func WithRetries(n int) DialOption { return func(c *TCPClient) { c.retries = n } }
-
-// WithBackoff sets the delay before the first retry; it doubles on each
-// subsequent one. Default 50ms.
-func WithBackoff(d time.Duration) DialOption { return func(c *TCPClient) { c.backoff = d } }
-
 // Dial connects to a driver registry server.
-func Dial(addr string, opts ...DialOption) (*TCPClient, error) {
-	c := &TCPClient{addr: addr, timeout: 5 * time.Second, retries: 2, backoff: 50 * time.Millisecond}
-	for _, o := range opts {
-		o(c)
-	}
-	if err := c.redial(); err != nil {
+func Dial(addr string) (*TCPClient, error) { return dial(addr, framed.DefaultPolicy) }
+
+func dial(addr string, policy framed.Policy) (*TCPClient, error) {
+	c := &TCPClient{addr: addr, cli: framed.NewClient(&framed.SKYR, policy)}
+	// Connect now, so an unreachable driver fails the Dial rather than the
+	// first lookup.
+	if err := c.cli.Connect(addr); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// redial (re)establishes the connection. Caller holds c.mu (or owns c).
-func (c *TCPClient) redial() error {
-	// Failpoint: the driver is unreachable for this dial attempt.
-	if err := fault.Inject(fault.RegistryDial); err != nil {
-		return fmt.Errorf("registry: dial %s: %w", c.addr, err)
-	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-	if err != nil {
-		return fmt.Errorf("registry: dial %s: %w", c.addr, err)
-	}
-	c.conn, c.r, c.w = conn, bufio.NewReader(conn), bufio.NewWriter(conn)
-	// The version hello is buffered here and flushed ahead of the first
-	// exchange; a mismatched server severs the connection, so the exchange
-	// fails with a connection error instead of desyncing.
-	c.w.WriteString(protoMagic)
-	c.w.WriteByte(protoVersion)
-	return nil
-}
-
-// drop severs the current connection so the next attempt redials. Caller
-// holds c.mu.
-func (c *TCPClient) drop() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-}
-
-// exchange runs one request/response pair under the deadline/retry policy.
-// It owns the nonce framing: the request is built in full (nonce, op,
-// payload from writeReq), sent, and the echoed response nonce is verified
-// before readResp consumes the payload. A nonce mismatch means the bytes on
-// the connection belong to some other exchange — a response replayed or left
-// behind by a duplicated request — so the connection is severed and the
-// exchange retried on a fresh one, which makes retries safe against replay.
-func (c *TCPClient) exchange(op byte, writeReq func(w io.Writer) error, readResp func(r *bufio.Reader) error) error {
+// call runs one request/response pair. The echoed response nonce is verified
+// before the body is trusted: a mismatch means the bytes on the connection
+// belong to some other exchange — a response replayed or left behind by a
+// duplicated request — so the attempt fails, the framed client severs the
+// connection and retries on a fresh one, which makes retries safe against
+// replay.
+func (c *TCPClient) call(op byte, q msg) (a msg, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var err error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.backoff << (attempt - 1))
-		}
-		// Failpoint: the connection dies between exchanges, exercising the
-		// redial path below.
-		if fault.Eval(fault.RegistryExchangeDrop) {
-			c.drop()
-		}
-		if c.conn == nil {
-			if err = c.redial(); err != nil {
-				continue
-			}
-		}
-		// Failpoint: a stalled network before the exchange (arg duration);
-		// stalls beyond the timeout trip the per-exchange deadline.
-		fault.Sleep(fault.RegistryExchangeDelay)
+	sh := shapes[op]
+	err = c.cli.Exchange(c.addr, func(cn *framed.Conn) error {
 		c.nonce++
-		nonce := int32(c.nonce)
-		var req bytes.Buffer
-		writeI32(&req, nonce)
-		req.WriteByte(op)
-		if writeReq != nil {
-			if err := writeReq(&req); err != nil {
+		q.nonce = c.nonce
+		req := encode(sh.req, q)
+		if err := framed.WriteFrame(cn.W, op, req); err != nil {
+			return err
+		}
+		// Failpoint: the transport replays the request frame. The server
+		// answers both copies; the second response stays buffered on the
+		// connection, where only the nonce check keeps the NEXT exchange
+		// from adopting it as its answer.
+		if fault.Eval(fault.RegistryExchangeDup) {
+			if err := framed.WriteFrame(cn.W, op, req); err != nil {
 				return err
 			}
 		}
-		err = func() error {
-			// The per-exchange deadline lives exactly as long as this
-			// attempt: the deferred zero-value reset runs on EVERY return
-			// path, so no exit — a timeout, a torn frame, a nonce mismatch
-			// — can leak an already-expiring deadline into a later exchange
-			// that reuses the connection. (Resetting only on the success
-			// path poisons the next exchange the moment any failure path
-			// keeps the connection: its reads inherit a deadline that has
-			// already passed and fail instantly.)
-			conn := c.conn
-			conn.SetDeadline(time.Now().Add(c.timeout))
-			defer conn.SetDeadline(time.Time{})
-			if _, err := c.w.Write(req.Bytes()); err != nil {
-				return err
-			}
-			// Failpoint: the transport replays the request frame. The
-			// server answers both copies; the second response stays
-			// buffered on the connection, where only the nonce check
-			// keeps the NEXT exchange from adopting it as its answer.
-			if fault.Eval(fault.RegistryExchangeDup) {
-				if _, err := c.w.Write(req.Bytes()); err != nil {
-					return err
-				}
-			}
-			if err := c.w.Flush(); err != nil {
-				return err
-			}
-			echo, err := readI32(c.r)
-			if err != nil {
-				return err
-			}
-			if echo != nonce {
-				return fmt.Errorf("registry: response nonce %#x does not match request nonce %#x (stale or replayed response)", uint32(echo), uint32(nonce))
-			}
-			return readResp(c.r)
-		}()
-		if err == nil {
-			return nil
+		rop, resp, err := cn.Recv()
+		if err != nil {
+			return err
 		}
-		// The exchange died mid-frame (or answered out of order); the
-		// stream state is unknown.
-		c.drop()
-	}
-	return fmt.Errorf("registry: request failed after %d attempts: %w", c.retries+1, err)
+		defer framed.Release(resp)
+		if rop != framed.OpOK {
+			return fmt.Errorf("registry: want OK, got frame %q", rop)
+		}
+		if a, err = decode(sh.resp, resp); err != nil {
+			return err
+		}
+		if a.nonce != q.nonce {
+			return fmt.Errorf("registry: response nonce %#x does not match request nonce %#x (stale or replayed response)", a.nonce, q.nonce)
+		}
+		return nil
+	})
+	return a, err
 }
 
 // RequestView implements Client.
 func (c *TCPClient) RequestView() (map[string]int32, error) {
-	var out map[string]int32
-	err := c.exchange(opView, nil, func(r *bufio.Reader) error {
-		n, err := readI32(r)
-		if err != nil {
-			return err
-		}
-		if n < 0 || n > maxViewEntries {
-			return fmt.Errorf("registry: view entry count %d out of range", n)
-		}
-		out = make(map[string]int32, n)
-		for i := int32(0); i < n; i++ {
-			id, err := readI32(r)
-			if err != nil {
-				return err
-			}
-			name, err := readStr(r)
-			if err != nil {
-				return err
-			}
-			out[name] = id
-		}
-		return nil
-	})
+	a, err := c.call(opView, msg{})
 	if err != nil {
 		return nil, err
+	}
+	out := make(map[string]int32, len(a.table))
+	for _, e := range a.table {
+		out[e.str] = e.id
 	}
 	return out, nil
 }
 
 // Lookup implements Client.
 func (c *TCPClient) Lookup(name string) (int32, error) {
-	var id int32
-	err := c.exchange(opLookup,
-		func(w io.Writer) error { return writeStr(w, name) },
-		func(r *bufio.Reader) error {
-			var err error
-			id, err = readI32(r)
-			return err
-		})
+	a, err := c.call(opLookup, msg{str: name})
 	if err != nil {
 		return -1, err
 	}
-	return id, nil
+	return a.id, nil
 }
 
 // Reverse implements Client.
 func (c *TCPClient) Reverse(id int32) (string, error) {
-	var name string
-	err := c.exchange(opReverse,
-		func(w io.Writer) error { return writeI32(w, id) },
-		func(r *bufio.Reader) error {
-			var err error
-			name, err = readStr(r)
-			return err
-		})
+	a, err := c.call(opReverse, msg{id: id})
 	if err != nil {
 		return "", err
 	}
-	if name == "" {
+	if a.str == "" {
 		return "", fmt.Errorf("registry: unknown type ID %d", id)
 	}
-	return name, nil
+	return a.str, nil
 }
-
-// maxPeerEntries bounds the peer count a PEERS response may claim, with the
-// same full-width pre-validation discipline as maxViewEntries: a corrupt
-// peer must not drive map preallocation before any entry is read.
-const maxPeerEntries = 1 << 16
 
 // Announce implements PeerClient: it publishes an executor block server's
 // shuffle listen address under its executor ID.
 func (c *TCPClient) Announce(id int32, addr string) error {
-	return c.exchange(opAnnounce,
-		func(w io.Writer) error {
-			if err := writeI32(w, id); err != nil {
-				return err
-			}
-			return writeStr(w, addr)
-		},
-		func(r *bufio.Reader) error {
-			echo, err := readI32(r)
-			if err != nil {
-				return err
-			}
-			if echo != id {
-				return fmt.Errorf("registry: ANNOUNCE echoed id %d, want %d", echo, id)
-			}
-			return nil
-		})
+	a, err := c.call(opAnnounce, msg{id: id, str: addr})
+	if err == nil && a.id != id {
+		err = fmt.Errorf("registry: ANNOUNCE echoed id %d, want %d", a.id, id)
+	}
+	return err
 }
 
 // Peers implements PeerClient: the advertised executor ID → address map.
 func (c *TCPClient) Peers() (map[int32]string, error) {
-	var out map[int32]string
-	err := c.exchange(opPeers, nil, func(r *bufio.Reader) error {
-		n, err := readI32(r)
-		if err != nil {
-			return err
-		}
-		if n < 0 || n > maxPeerEntries {
-			return fmt.Errorf("registry: peer entry count %d out of range", n)
-		}
-		out = make(map[int32]string, n)
-		for i := int32(0); i < n; i++ {
-			id, err := readI32(r)
-			if err != nil {
-				return err
-			}
-			addr, err := readStr(r)
-			if err != nil {
-				return err
-			}
-			out[id] = addr
-		}
-		return nil
-	})
+	a, err := c.call(opPeers, msg{})
 	if err != nil {
 		return nil, err
+	}
+	out := make(map[int32]string, len(a.table))
+	for _, e := range a.table {
+		out[e.id] = e.str
 	}
 	return out, nil
 }
 
 // Close implements Client.
 func (c *TCPClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
+	c.cli.Close()
+	return nil
 }

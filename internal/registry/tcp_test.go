@@ -1,11 +1,14 @@
 package registry
 
 import (
-	"io"
+	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"skyway/internal/framed"
 )
 
 // stallListener accepts connections and never responds — the failure mode
@@ -68,8 +71,8 @@ func (s *stallListener) accepted() int {
 func TestTCPClientTimesOutOnStalledServer(t *testing.T) {
 	s := newStallListener(t)
 
-	c, err := Dial(s.ln.Addr().String(),
-		WithTimeout(30*time.Millisecond), WithRetries(2), WithBackoff(time.Millisecond))
+	c, err := dial(s.ln.Addr().String(),
+		framed.Policy{Timeout: 30 * time.Millisecond, Retries: 2, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,169 +100,61 @@ func TestTCPClientTimesOutOnStalledServer(t *testing.T) {
 	}
 }
 
-// A peer speaking a different framing generation must be severed at the
-// hello, not silently desynced: without the version check the server would
-// consume a pre-nonce client's op byte as part of the nonce and misparse
-// every frame after it.
-func TestServerSeversVersionMismatch(t *testing.T) {
-	reg := NewRegistry()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(reg, ln)
-	defer srv.Close()
-
-	for _, tc := range []struct {
-		name  string
-		hello []byte
-	}{
-		// An old (pre-hello) client's first frame: nonce(u32) then op.
-		{"versionless", []byte{0, 0, 0, 1, opView}},
-		{"wrong version", append([]byte(protoMagic), protoVersion+1)},
-	} {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(tc.hello); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		var b [1]byte
-		if n, err := conn.Read(b[:]); err == nil || n != 0 {
-			t.Errorf("%s client got %d bytes (err=%v), want severed connection", tc.name, n, err)
-		}
-		conn.Close()
-	}
-}
-
-// A client must survive a one-off stall: when the real server comes back
-// (here: the stalled endpoint is replaced by a live Server on a new dial),
-// the retry path re-establishes the connection and the lookup succeeds.
-func TestTCPClientRecoversAfterRedial(t *testing.T) {
-	reg := NewRegistry()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(reg, ln)
-	defer srv.Close()
-
-	c, err := Dial(ln.Addr().String(),
-		WithTimeout(time.Second), WithRetries(2), WithBackoff(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if _, err := c.Lookup("a.B"); err != nil {
-		t.Fatal(err)
-	}
-	// Sever the client's connection under it; the next exchange must
-	// redial transparently instead of failing on the dead socket.
-	c.mu.Lock()
-	c.conn.Close()
-	c.mu.Unlock()
-	id, err := c.Lookup("c.D")
-	if err != nil {
-		t.Fatalf("Lookup after severed connection: %v", err)
-	}
-	if name, _ := reg.NameOf(id); name != "c.D" {
-		t.Errorf("recovered lookup assigned %d (%s)", id, name)
-	}
-}
-
-// stallOnceProxy stalls the FIRST accepted connection forever (reading and
-// discarding, answering nothing) and transparently proxies every later
-// connection to the real server at backend. It manufactures the deadline
-// regression's exchange N: an attempt that genuinely times out mid-exchange.
-type stallOnceProxy struct {
-	ln  net.Listener
-	mu  sync.Mutex
-	acc int
-}
-
-func newStallOnceProxy(t *testing.T, backend string) *stallOnceProxy {
+// rawExchange sends one request frame to a live registry server through a
+// bare framed client — no registry client in the way to refuse the request —
+// and returns what the exchange came back with.
+func rawExchange(t *testing.T, reg *Registry, op byte, payload []byte) error {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &stallOnceProxy{ln: ln}
-	var wg sync.WaitGroup
-	var conns []net.Conn
-	var connsMu sync.Mutex
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			connsMu.Lock()
-			conns = append(conns, c)
-			connsMu.Unlock()
-			p.mu.Lock()
-			p.acc++
-			n := p.acc
-			p.mu.Unlock()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer c.Close()
-				if n == 1 {
-					// Exchange N's fate: swallow the request, answer nothing.
-					buf := make([]byte, 256)
-					for {
-						if _, err := c.Read(buf); err != nil {
-							return
-						}
-					}
-				}
-				up, err := net.Dial("tcp", backend)
-				if err != nil {
-					return
-				}
-				connsMu.Lock()
-				conns = append(conns, up)
-				connsMu.Unlock()
-				defer up.Close()
-				done := make(chan struct{})
-				go func() { io.Copy(up, c); up.(*net.TCPConn).CloseWrite(); close(done) }()
-				io.Copy(c, up)
-				<-done
-			}()
+	srv := Serve(reg, ln)
+	defer srv.Close()
+	cli := framed.NewClient(&framed.SKYR, framed.Policy{Timeout: time.Second})
+	defer cli.Close()
+	return cli.Exchange(ln.Addr().String(), func(c *framed.Conn) error {
+		if err := framed.WriteFrame(c.W, op, payload); err != nil {
+			return err
 		}
-	}()
-	t.Cleanup(func() {
-		ln.Close()
-		connsMu.Lock()
-		for _, c := range conns {
-			c.Close()
-		}
-		connsMu.Unlock()
-		wg.Wait()
+		_, resp, err := c.Recv()
+		framed.Release(resp)
+		return err
 	})
-	return p
 }
 
-func (p *stallOnceProxy) accepted() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.acc
+// A request the server cannot parse — an op outside the table, a payload
+// shorter or longer than the op's shape — comes back as an ERR frame, which
+// the client surfaces as a structured *framed.RemoteError naming the
+// problem, rather than a bare EOF from a silent sever.
+func TestMalformedRequestComesBackAsERR(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		op      byte
+		payload []byte
+		want    string
+	}{
+		{"unknown op", 'Z', encode(0, msg{nonce: 1}), "unknown op"},
+		{"short payload", opLookup, []byte{0, 0}, "malformed"},
+		{"string longer than payload", opLookup, []byte{0, 0, 0, 1, 0, 0, 0, 9, 'x'}, "malformed"},
+		{"trailing bytes", opReverse, append(encode(hasID, msg{nonce: 1, id: 3}), 0xFF), "malformed"},
+	} {
+		err := rawExchange(t, NewRegistry(), tc.op, tc.payload)
+		var re *framed.RemoteError
+		if !errors.As(err, &re) {
+			t.Errorf("%s: exchange returned %v, want a *framed.RemoteError", tc.name, err)
+			continue
+		}
+		if !strings.Contains(re.Detail, tc.want) {
+			t.Errorf("%s: ERR detail %q does not mention %q", tc.name, re.Detail, tc.want)
+		}
+	}
 }
 
-// TestTimeoutDoesNotPoisonNextExchange is the regression test for the
-// deadline-lifecycle bug: exchange N times out (its attempt's deadline
-// trips), the retry succeeds on a fresh connection, and exchange N+1 reuses
-// that healthy connection AFTER the earlier deadline instant has passed. If
-// any exit path of an attempt leaked its armed deadline instead of resetting
-// it via defer, exchange N+1's first read would fail instantly with a stale
-// i/o timeout and force a spurious redial — observable below as a third
-// accepted connection (or, with the retry budget exhausted, a failed lookup).
-func TestTimeoutDoesNotPoisonNextExchange(t *testing.T) {
+// A VIEW too large for one frame is refused at the sender with an explicit
+// error — not streamed, not truncated, not misread as a torn stream — and
+// the same client keeps working for requests whose answers fit.
+func TestOversizedViewRejectedAtSender(t *testing.T) {
 	reg := NewRegistry()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -267,90 +162,40 @@ func TestTimeoutDoesNotPoisonNextExchange(t *testing.T) {
 	}
 	srv := Serve(reg, ln)
 	defer srv.Close()
-	proxy := newStallOnceProxy(t, ln.Addr().String())
-
-	const timeout = 60 * time.Millisecond
-	c, err := Dial(proxy.ln.Addr().String(),
-		WithTimeout(timeout), WithRetries(1), WithBackoff(time.Millisecond))
+	c, err := dial(ln.Addr().String(), framed.Policy{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// Exchange N: the first attempt stalls and must be killed by its own
-	// deadline; the retry lands on a proxied connection and succeeds.
-	start := time.Now()
-	idN, err := c.Lookup("exchange.N")
-	if err != nil {
-		t.Fatalf("Lookup(exchange.N) with one stalled attempt: %v", err)
+	big := strings.Repeat("n", 1<<20)
+	for i := 0; i <= framed.MaxPayload>>20; i++ {
+		reg.LookupOrAssign(string(rune('a'+i)) + big)
 	}
-	if elapsed := time.Since(start); elapsed < timeout {
-		t.Fatalf("lookup returned in %v, before the %v deadline could have tripped — exchange N never timed out", elapsed, timeout)
+	_, err = c.RequestView()
+	var re *framed.RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Detail, "over cap") {
+		t.Fatalf("RequestView of an over-cap registry = %v, want a *framed.RemoteError naming the cap", err)
 	}
-	if got := proxy.accepted(); got != 2 {
-		t.Fatalf("proxy accepted %d connections after exchange N, want 2 (stalled + retry)", got)
-	}
-
-	// Outlive the timed-out attempt's deadline instant, then run exchange
-	// N+1 on the reused connection.
-	time.Sleep(timeout + 20*time.Millisecond)
-	idN1, err := c.Lookup("exchange.N1")
-	if err != nil {
-		t.Fatalf("Lookup(exchange.N+1) on the reused connection: %v (stale deadline poisoned the exchange)", err)
-	}
-	if idN1 == idN {
-		t.Fatalf("exchange N+1 got exchange N's id %d", idN)
-	}
-	if got := proxy.accepted(); got != 2 {
-		t.Errorf("proxy accepted %d connections after exchange N+1, want still 2 — a leaked deadline forced a redial", got)
-	}
-	if name, _ := reg.NameOf(idN1); name != "exchange.N1" {
-		t.Errorf("exchange N+1 resolved to %q", name)
+	if id, err := c.Lookup("small.Class"); err != nil {
+		t.Fatalf("Lookup after the refused VIEW: %v", err)
+	} else if name, _ := reg.NameOf(id); name != "small.Class" {
+		t.Fatalf("Lookup after the refused VIEW resolved to %q", name)
 	}
 }
 
-// TestServerCloseDuringAcceptStorm hammers a Server with concurrent dials
-// while Close runs, many rounds. Pinned invariants (under -race): no handler
-// goroutine outlives Close (wg.Wait covers the accept window), a connection
-// accepted after Close is severed rather than tracked, and Close returns
-// exactly once with the listener down.
-func TestServerCloseDuringAcceptStorm(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		reg := NewRegistry()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := Serve(reg, ln)
-		addr := ln.Addr().String()
-
-		var dialers sync.WaitGroup
-		for i := 0; i < 8; i++ {
-			dialers.Add(1)
-			go func() {
-				defer dialers.Done()
-				for j := 0; j < 5; j++ {
-					c, err := Dial(addr, WithTimeout(200*time.Millisecond), WithRetries(0))
-					if err != nil {
-						return // listener already down
-					}
-					c.Lookup("storm.Class") // may fail mid-close; must not hang or race
-					c.Close()
-				}
-			}()
-		}
-		// Close concurrently with the dial storm; vary the overlap window.
-		time.Sleep(time.Duration(round%4) * 500 * time.Microsecond)
-		if err := srv.Close(); err != nil {
-			t.Fatalf("round %d: Close: %v", round, err)
-		}
-		dialers.Wait()
-		// The listener must be down: a fresh dial cannot reach a handler.
-		if c, err := Dial(addr, WithTimeout(50*time.Millisecond), WithRetries(0)); err == nil {
-			if _, err := c.Lookup("after.Close"); err == nil {
-				t.Fatalf("round %d: lookup succeeded against a closed server", round)
+// Every op's request and response survive encode → decode unchanged.
+func TestPayloadRoundTrip(t *testing.T) {
+	m := msg{nonce: 0xDEADBEEF, id: -7, str: "pkg.Class", table: []entry{{1, "a"}, {-2, ""}, {3, "ccc"}}}
+	for op, sh := range shapes {
+		for _, s := range []shape{sh.req, sh.resp} {
+			got, err := decode(s, encode(s, m))
+			if err != nil {
+				t.Fatalf("op %q shape %b: %v", op, s, err)
 			}
-			c.Close()
+			if again := encode(s, got); string(again) != string(encode(s, m)) {
+				t.Errorf("op %q shape %b: re-encoded payload differs", op, s)
+			}
 		}
 	}
 }

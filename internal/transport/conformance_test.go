@@ -1,6 +1,6 @@
 // Conformance suite for transport.Transport implementations: every behavior
 // the dataflow engine relies on is pinned here against BOTH shipped
-// transports — the in-process simulator (plain and spill-backed) and the
+// transports — the in-process simulator and the
 // real-socket TCP transport over in-process block servers — so the two
 // worlds cannot drift apart behind the seam.
 package transport_test
@@ -24,10 +24,7 @@ func eachTransport(t *testing.T, fn func(t *testing.T, tr transport.Transport)) 
 	t.Helper()
 	impls := map[string]func(t *testing.T) transport.Transport{
 		"netsim": func(t *testing.T) transport.Transport {
-			return netsim.NewLocalTransport(netsim.Paper1GbE(), "")
-		},
-		"netsim-spill": func(t *testing.T) transport.Transport {
-			return netsim.NewLocalTransport(netsim.Paper1GbE(), t.TempDir())
+			return netsim.NewLocalTransport()
 		},
 		"tcp": func(t *testing.T) transport.Transport {
 			return startTCP(t, conformanceWorkers)

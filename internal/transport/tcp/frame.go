@@ -1,280 +1,114 @@
 // Package tcp is the real-network transport.Transport: shuffle blocks and
 // broadcast payloads move between a driver process and N executor block
-// server processes over length-prefixed, CRC-32C-framed TCP streams.
+// server processes over internal/framed connections (hello "SKWT" v1,
+// CRC-32C frames, per-exchange deadline, retry over a fresh dial). This
+// package holds only what is specific to blocks: the request headers, the
+// chunked block stream with its credit window, and the block servers.
 //
-// Wire protocol: a connection opens with a fixed hello and then carries
-// frames, one request/response conversation at a time:
-//
-//	hello := "SKWT" ver(u8)
-//	frame := op(u8) len(u32 BE) crc32c(u32 BE) payload
-//
-// The CRC covers the payload, Castagnoli polynomial — the same integrity
-// discipline as Skyway wire v2, applied one layer down: a torn or
-// bit-flipped transfer is rejected at the framing layer, before any of it
-// reaches a decoder, and surfaces as a *core.DecodeError (kind "checksum").
-//
-// Requests (client → server):
+// Requests (client → server), on top of framed's common ops:
 //
 //	'P' PUT        seq(u32) src(u32) dst(u32) total(u64) chunks(u32),
-//	               then chunks × DATA frames  → ACK per DATA, then 'K'
+//	               then chunks × DATA frames  → ACK per DATA, then OK
 //	'G' GET        seq(u32) src(u32) dst(u32)
 //	               → 'H' total(u64) chunks(u32) + chunks × DATA (ACK each),
-//	                 or 'N' when the block was never published
-//	'T' DROP       seq(u32) src(u32) dst(u32) → 'K'
-//	'B' BCAST-PUT  seq(u32) total(u64) chunks(u32), then DATA frames → 'K'
-//	'F' BCAST-GET  seq(u32) → 'H' + DATA frames, or 'N'
+//	                 or NIL when the block was never published
+//	'T' DROP       seq(u32) src(u32) dst(u32) → OK
+//	'B' BCAST-PUT  seq(u32) total(u64) chunks(u32), then DATA frames → OK
+//	'F' BCAST-GET  seq(u32) → 'H' + DATA frames, or NIL
 //
-//	'D' DATA       idx(u32) bytes — one chunk of a block
-//	'A' ACK        idx(u32)       — receiver's credit grant for chunk idx
-//	'K' OK         no payload
-//	'E' ERR        kind(u8) len(u32) detail — kind 1 marks a decode-shaped
-//	               failure (torn upload), which the client rehydrates as a
-//	               *core.DecodeError so the error keeps its structure across
-//	               the process boundary
+// A damaged transfer is a *framed.TornError inside this package and crosses
+// Transport's boundary as a *core.DecodeError (kind "checksum"), so the
+// dataflow degradation ladder (and the chaos matrix's closed error set)
+// treat a stream torn on the real wire exactly like one torn in a simulated
+// transfer.
 //
 // Flow control: a block travels as DATA frames of at most chunkBytes each,
-// and the sender may have at most window chunks outstanding — it blocks on
-// the receiver's cumulative ACKs before sending more. A slow receiver
+// and the sender may have at most defaultWindow chunks outstanding — it
+// blocks on the receiver's cumulative ACKs before sending more. A slow receiver
 // therefore exerts real backpressure on the sender (and on everything
 // queued behind it on that connection) instead of ballooning kernel socket
 // buffers; the conformance suite pins this with a deliberately slow reader.
 package tcp
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"net"
-	"sync"
 
-	"skyway/internal/core"
 	"skyway/internal/fault"
+	"skyway/internal/framed"
 )
 
 const (
-	helloMagic   = "SKWT"
-	helloVersion = 1
-
-	opPut      = 'P'
-	opGet      = 'G'
-	opDrop     = 'T'
-	opBPut     = 'B'
-	opBGet     = 'F'
-	opHdr      = 'H'
-	opNil      = 'N'
-	opData     = 'D'
-	opAck      = 'A'
-	opOK       = 'K'
-	opErr      = 'E'
-	opShutdown = 'Q'
+	opPut  = 'P'
+	opGet  = 'G'
+	opDrop = 'T'
+	opBPut = 'B'
+	opBGet = 'F'
+	opHdr  = 'H'
 )
 
 const (
-	// maxFramePayload caps one frame. A declared length beyond it is
-	// corruption (or a hostile peer), not a big chunk — senders never
-	// produce frames above chunkBytes plus the chunk index word.
-	maxFramePayload = 8 << 20
 	// maxBlockBytes caps a declared block size before any buffer is
 	// allocated for it, mirroring core's maxSegmentBytes discipline.
 	maxBlockBytes = 1 << 30
 
-	// chunkBytes is the DATA frame payload budget.
-	chunkBytes = 256 << 10
+	chunkBytes = framed.ChunkBytes
 	// defaultWindow is how many DATA frames a sender may have outstanding
 	// before it blocks on the receiver's ACKs.
 	defaultWindow = 8
 )
 
-// crcTable is the Castagnoli table, as in Skyway wire v2.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// tornError builds the structured error a damaged frame surfaces as. The
-// transport reuses core's DecodeError so the dataflow degradation ladder
-// (and the chaos matrix's closed error set) treat a stream torn on the real
-// wire exactly like one torn in a simulated transfer.
-func tornError(detail string) error {
-	return &core.DecodeError{Kind: core.DecodeChecksum, Detail: detail}
+func tornf(format string, args ...any) error {
+	return &framed.TornError{Detail: fmt.Sprintf(format, args...)}
 }
 
-// framePool recycles received frame payloads. Every readFrame used to cost
-// one fresh allocation of the declared length — under a shuffle that is one
-// chunk-sized make per DATA frame, the transport's dominant allocation.
-// Senders never produce frames beyond chunkBytes+4 (the read-side cap is
-// slack for corruption detection), so that is the pooled capacity; the rare
-// larger frame is allocated and left to the GC.
-var framePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, chunkBytes+4)
-		return &b
-	},
+// appendBlockID appends the seq(u32) src(u32) dst(u32) that names one
+// shuffle block; parseBlockID reads it back off the head of a request.
+func appendBlockID(b []byte, id blockID) []byte {
+	b = binary.BigEndian.AppendUint32(b, id.seq)
+	b = binary.BigEndian.AppendUint32(b, id.src)
+	return binary.BigEndian.AppendUint32(b, id.dst)
 }
 
-// getFramePayload returns a length-n buffer, recycled when possible.
-func getFramePayload(n uint32) []byte {
-	b := *framePool.Get().(*[]byte)
-	if uint64(cap(b)) < uint64(n) {
-		framePool.Put(&b)
-		return make([]byte, n)
+func parseBlockID(p []byte) blockID {
+	return blockID{
+		seq: binary.BigEndian.Uint32(p[0:4]),
+		src: binary.BigEndian.Uint32(p[4:8]),
+		dst: binary.BigEndian.Uint32(p[8:12]),
 	}
-	return b[:n]
 }
 
-// releaseFrame hands a readFrame payload back to the pool. Safe on nil. A
-// caller must be completely done with the bytes — the buffer backs the next
-// frame read; anything worth keeping (an ERR detail, chunk bytes) is copied
-// out before release.
-func releaseFrame(b []byte) {
-	if cap(b) == 0 || cap(b) > chunkBytes+4 {
-		return
-	}
-	b = b[:0]
-	framePool.Put(&b)
+// appendExtent appends the total(u64) chunks(u32) announcement of an
+// n-byte block — the tail of PUT and BCAST-PUT, and all of 'H'.
+func appendExtent(b []byte, n int) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(n))
+	return binary.BigEndian.AppendUint32(b, uint32((n+chunkBytes-1)/chunkBytes))
 }
 
-// writeFrame emits one frame. The caller flushes. A payload over
-// maxFramePayload is rejected before any bytes move: the uint32 length
-// header would truncate silently and desync the stream, turning a local
-// sizing bug into a peer-side "torn stream" misdiagnosis.
-func writeFrame(w io.Writer, op byte, payload []byte) error {
-	if len(payload) > maxFramePayload {
-		return fmt.Errorf("transport: frame payload %d bytes over cap %d", len(payload), maxFramePayload)
-	}
-	var h [9]byte
-	h[0] = op
-	binary.BigEndian.PutUint32(h[1:5], uint32(len(payload)))
-	binary.BigEndian.PutUint32(h[5:9], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(h[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads and validates one frame. The declared length is bounds-
-// checked at full width before any allocation; a CRC mismatch surfaces as a
-// *core.DecodeError so callers can tell a torn stream from a dead peer.
-func readFrame(r io.Reader) (op byte, payload []byte, err error) {
-	var h [9]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, nil, err
-	}
-	op = h[0]
-	ln := binary.BigEndian.Uint32(h[1:5])
-	if ln > maxFramePayload {
-		return 0, nil, tornError(fmt.Sprintf("transport frame declares %d payload bytes (cap %d)", ln, maxFramePayload))
-	}
-	want := binary.BigEndian.Uint32(h[5:9])
-	payload = getFramePayload(ln)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		releaseFrame(payload)
-		return 0, nil, noEOF(err)
-	}
-	// Failpoint: the stream is torn in flight — flip one deterministic
-	// byte of the received payload before the integrity check, which must
-	// reject it. Applied only to DATA frames so control frames keep the
-	// conversation parseable (a torn control frame severs the connection,
-	// which the dial/retry path already covers).
-	if op == opData && len(payload) > 4 && fault.Eval(fault.TransportStreamTorn) {
-		payload[4+(len(payload)-4)/2] ^= 0xFF
-	}
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		releaseFrame(payload)
-		return 0, nil, tornError(fmt.Sprintf("transport frame CRC %#x, want %#x (stream torn in flight)", got, want))
-	}
-	return op, payload, nil
-}
-
-// noEOF maps a bare io.EOF inside a frame to io.ErrUnexpectedEOF: running
-// out of bytes mid-frame is truncation, not a clean close.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// ERR frame kinds: how the receiving side should rehydrate the error.
-const (
-	errKindGeneric = 0
-	errKindDecode  = 1
-)
-
-// maxErrDetail caps the detail string an ERR frame carries. An error message
-// that embeds megabytes of context would push the ERR frame past
-// maxFramePayload — the peer would then misdiagnose the oversized frame as a
-// torn stream and lose the real error. Clamped details end in errTruncMark.
-const (
-	maxErrDetail = 64 << 10
-	errTruncMark = "... [truncated]"
-)
-
-// encodeErr builds an ERR frame payload from a server-side failure,
-// preserving the decode-error shape across the wire.
-func encodeErr(err error) []byte {
-	kind := byte(errKindGeneric)
-	if _, ok := core.AsDecodeError(err); ok {
-		kind = errKindDecode
-	}
-	detail := err.Error()
-	if len(detail) > maxErrDetail {
-		detail = detail[:maxErrDetail-len(errTruncMark)] + errTruncMark
-	}
-	p := make([]byte, 5, 5+len(detail))
-	p[0] = kind
-	binary.BigEndian.PutUint32(p[1:5], uint32(len(detail)))
-	return append(p, detail...)
-}
-
-// decodeErrFrame turns a received ERR payload back into an error with the
-// structure the sender declared.
-func decodeErrFrame(payload []byte) error {
-	if len(payload) < 5 {
-		return fmt.Errorf("transport: malformed ERR frame (%d bytes)", len(payload))
-	}
-	n := binary.BigEndian.Uint32(payload[1:5])
-	if uint64(n) != uint64(len(payload)-5) {
-		return fmt.Errorf("transport: malformed ERR frame (declares %d detail bytes of %d)", n, len(payload)-5)
-	}
-	detail := string(payload[5:])
-	if payload[0] == errKindDecode {
-		return tornError(detail)
-	}
-	return fmt.Errorf("transport: server error: %s", detail)
+func parseExtent(p []byte) (total uint64, chunks uint32) {
+	return binary.BigEndian.Uint64(p[0:8]), binary.BigEndian.Uint32(p[8:12])
 }
 
 // sendBlock streams block as CRC-framed DATA chunks under the credit
-// window: at most window chunks are outstanding before the sender blocks on
-// the peer's cumulative ACKs. w must be flushable (bufio) — the sender
-// flushes before every blocking ACK read, or both sides would deadlock.
+// window: at most defaultWindow chunks are outstanding before the sender
+// blocks on the peer's cumulative ACKs.
 //
-// conn, when non-nil, is the raw connection underneath w: each DATA frame is
-// then handed to the kernel as one vectored write (frame header + chunk
-// slice straight out of block), so a chunk crosses the transport without
-// ever being copied into an intermediate frame buffer. With conn nil the
-// same two pieces go through w sequentially — byte-identical on the wire,
-// just without the writev coalescing.
-func sendBlock(w *bufio.Writer, conn io.Writer, r io.Reader, block []byte, window int) error {
-	if window < 1 {
-		window = 1
-	}
+// Each DATA frame is handed to the kernel as one vectored write (frame
+// header + chunk slice straight out of block), so a chunk crosses the
+// transport without ever being copied into an intermediate frame buffer.
+func sendBlock(c *framed.Conn, block []byte) error {
 	chunks := (len(block) + chunkBytes - 1) / chunkBytes
 	outstanding := 0
 	acked := uint32(0)
 	awaitAck := func() error {
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		op, payload, err := readFrame(r)
+		op, payload, err := c.Recv()
 		if err != nil {
 			return err
 		}
-		defer releaseFrame(payload)
-		if op == opErr {
-			return decodeErrFrame(payload)
-		}
-		if op != opAck || len(payload) != 4 {
+		defer framed.Release(payload)
+		if op != framed.OpAck || len(payload) != 4 {
 			return fmt.Errorf("transport: want ACK, got frame %q", op)
 		}
 		idx := binary.BigEndian.Uint32(payload)
@@ -288,9 +122,10 @@ func sendBlock(w *bufio.Writer, conn io.Writer, r io.Reader, block []byte, windo
 	// One reusable 13-byte header holds the frame header (9 bytes) and the
 	// chunk index word (4 bytes); with the CRC folded over index and chunk
 	// incrementally, the wire bytes are exactly those of
-	// writeFrame(w, opData, append(idx, chunk...)) minus the append copy.
+	// framed.WriteFrame(w, OpData, append(idx, chunk...)) minus the append
+	// copy.
 	var h [13]byte
-	h[0] = opData
+	h[0] = framed.OpData
 	vec := make(net.Buffers, 0, 2)
 	for i := 0; i < chunks; i++ {
 		lo, hi := i*chunkBytes, (i+1)*chunkBytes
@@ -300,29 +135,20 @@ func sendBlock(w *bufio.Writer, conn io.Writer, r io.Reader, block []byte, windo
 		body := block[lo:hi]
 		binary.BigEndian.PutUint32(h[1:5], uint32(4+len(body)))
 		binary.BigEndian.PutUint32(h[9:13], uint32(i))
-		crc := crc32.Update(0, crcTable, h[9:13])
-		crc = crc32.Update(crc, crcTable, body)
+		crc := crc32.Update(0, framed.CRCTable, h[9:13])
+		crc = crc32.Update(crc, framed.CRCTable, body)
 		binary.BigEndian.PutUint32(h[5:9], crc)
-		if conn != nil {
-			// Drain the buffered writer first so bytes stay ordered, then
-			// header + chunk leave in one writev.
-			if err := w.Flush(); err != nil {
-				return err
-			}
-			vec = append(vec[:0], h[:], body)
-			if _, err := vec.WriteTo(conn); err != nil {
-				return err
-			}
-		} else {
-			if _, err := w.Write(h[:]); err != nil {
-				return err
-			}
-			if _, err := w.Write(body); err != nil {
-				return err
-			}
+		// Drain the buffered writer first so bytes stay ordered, then
+		// header + chunk leave in one writev.
+		if err := c.W.Flush(); err != nil {
+			return err
+		}
+		vec = append(vec[:0], h[:], body)
+		if _, err := vec.WriteTo(c.Raw); err != nil {
+			return err
 		}
 		outstanding++
-		if outstanding >= window {
+		if outstanding >= defaultWindow {
 			if err := awaitAck(); err != nil {
 				return err
 			}
@@ -333,7 +159,7 @@ func sendBlock(w *bufio.Writer, conn io.Writer, r io.Reader, block []byte, windo
 			return err
 		}
 	}
-	return w.Flush()
+	return c.W.Flush()
 }
 
 // recvBlock receives a block announced as total bytes in chunks DATA
@@ -342,48 +168,45 @@ func sendBlock(w *bufio.Writer, conn io.Writer, r io.Reader, block []byte, windo
 // buffer is sized from them. The assembled block escapes to the caller (it
 // lands in a server's block table or a fetcher's hands), so it is a real
 // allocation; only the per-chunk frame payloads recycle.
-func recvBlock(w *bufio.Writer, r io.Reader, total uint64, chunks uint32) ([]byte, error) {
+func recvBlock(c *framed.Conn, total uint64, chunks uint32) ([]byte, error) {
 	if total > maxBlockBytes {
-		return nil, tornError(fmt.Sprintf("transport block declares %d bytes (cap %d)", total, maxBlockBytes))
+		return nil, tornf("transport block declares %d bytes (cap %d)", total, maxBlockBytes)
 	}
 	if uint64(chunks) != (total+chunkBytes-1)/chunkBytes {
-		return nil, tornError(fmt.Sprintf("transport block declares %d chunks for %d bytes", chunks, total))
+		return nil, tornf("transport block declares %d chunks for %d bytes", chunks, total)
 	}
 	block := make([]byte, 0, total)
 	var ack [4]byte
 	for i := uint32(0); i < chunks; i++ {
-		op, payload, err := readFrame(r)
+		op, payload, err := framed.ReadFrame(c.R)
 		if err != nil {
 			return nil, err
 		}
-		if op != opData || len(payload) < 4 {
-			releaseFrame(payload)
+		if op != framed.OpData || len(payload) < 4 {
+			framed.Release(payload)
 			return nil, fmt.Errorf("transport: want DATA, got frame %q", op)
 		}
 		if idx := binary.BigEndian.Uint32(payload[:4]); idx != i {
-			releaseFrame(payload)
+			framed.Release(payload)
 			return nil, fmt.Errorf("transport: DATA chunk %d out of order, want %d", idx, i)
 		}
 		if uint64(len(block))+uint64(len(payload)-4) > total {
-			releaseFrame(payload)
-			return nil, tornError("transport block longer than declared")
+			framed.Release(payload)
+			return nil, tornf("transport block longer than declared")
 		}
 		block = append(block, payload[4:]...)
-		releaseFrame(payload)
+		framed.Release(payload)
 		// Failpoint: a slow peer — the receiver stalls before granting the
 		// sender's next credit, so the window turns the stall into real
 		// sender-side backpressure.
 		fault.Sleep(fault.TransportPeerSlow)
 		binary.BigEndian.PutUint32(ack[:], i)
-		if err := writeFrame(w, opAck, ack[:]); err != nil {
-			return nil, err
-		}
-		if err := w.Flush(); err != nil {
+		if err := c.Send(framed.OpAck, ack[:]); err != nil {
 			return nil, err
 		}
 	}
 	if uint64(len(block)) != total {
-		return nil, tornError(fmt.Sprintf("transport block %d bytes, declared %d", len(block), total))
+		return nil, tornf("transport block %d bytes, declared %d", len(block), total)
 	}
 	return block, nil
 }

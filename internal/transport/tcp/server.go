@@ -1,12 +1,12 @@
 package tcp
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
 
+	"skyway/internal/framed"
 	"skyway/internal/obs"
 	"skyway/internal/transport"
 )
@@ -29,14 +29,16 @@ type blockID struct {
 // everything stored here arrived over a real socket, and everything fetched
 // leaves over one.
 type Server struct {
+	*framed.Server
 	id int
-	ln net.Listener
-	wg sync.WaitGroup
 
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]bool
+	// blocks holds shuffle blocks (off-heap blobs under the arena knob).
+	// The framed conversations never run under its lock, so a slow transfer
+	// on one connection cannot stall another connection's lookup. A loaded
+	// view stays valid while it is streamed because only the owning reducer
+	// drops a block, and only after its fetch completed.
 	blocks *transport.BlockStore[blockID]
+	mu     sync.Mutex
 	bcasts map[uint32][]byte
 }
 
@@ -44,254 +46,108 @@ type Server struct {
 // immediately; call Close to stop.
 func Serve(id int, ln net.Listener) *Server {
 	s := &Server{
-		id: id, ln: ln,
-		conns:  make(map[net.Conn]bool),
+		id:     id,
 		blocks: transport.NewBlockStore[blockID](),
 		bcasts: make(map[uint32][]byte),
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.Server = framed.Serve(&framed.SKWT, framed.DefaultPolicy, ln, s.handle)
 	return s
 }
-
-// Addr returns the listen address peers should dial.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // ID returns the executor ID this server stores blocks for.
 func (s *Server) ID() int { return s.id }
 
 // Close stops the server, severs open connections, and waits for the
-// handlers to drain. The conn-map mutation is mutex-guarded against the
-// accept loop (same discipline as registry.Server.Close).
+// handlers to drain.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
+	err := s.Server.Close()
 	// All handlers have drained, so no send can still be reading a block:
 	// safe to release the store's off-heap blobs.
 	s.blocks.Close()
 	return err
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
+// requestBytes is each request's exact header size; a request of any other
+// size (or any other op) is a protocol violation.
+var requestBytes = map[byte]int{opPut: 24, opGet: 12, opDrop: 12, opBPut: 16, opBGet: 4}
+
+// handle runs one connection's request loop. Any protocol violation is
+// reported in an ERR frame (which keeps a torn upload's structure) and
+// severs the connection — the client retries on a fresh one.
+func (s *Server) handle(c *framed.Conn) {
 	for {
-		conn, err := s.ln.Accept()
+		op, req, err := framed.ReadFrame(c.R)
 		if err != nil {
-			return // listener closed
+			return
+		}
+		if err := s.serve(c, op, req); err != nil {
+			c.SendErr(err)
+			return
+		}
+	}
+}
+
+// serve answers one request. It releases req as soon as the header words
+// are parsed, so the pooled buffer is free again for the DATA frames that
+// follow.
+func (s *Server) serve(c *framed.Conn, op byte, req []byte) error {
+	if want, known := requestBytes[op]; !known || len(req) != want {
+		framed.Release(req)
+		return fmt.Errorf("bad request: op %q with a %d-byte header", op, len(req))
+	}
+	switch op {
+	case opPut:
+		id := parseBlockID(req)
+		total, chunks := parseExtent(req[12:])
+		framed.Release(req)
+		block, err := recvBlock(c, total, chunks)
+		if err != nil {
+			return err
+		}
+		s.blocks.Put(id, block)
+		ctrSrvBlocks.Inc()
+		ctrSrvBlockBytes.Add(int64(len(block)))
+	case opGet:
+		id := parseBlockID(req)
+		framed.Release(req)
+		block, ok := s.blocks.Get(id)
+		if ok {
+			ctrSrvFetches.Inc()
+		}
+		return s.reply(c, block, ok)
+	case opDrop:
+		s.blocks.Drop(parseBlockID(req))
+		framed.Release(req)
+	case opBPut:
+		seq := binary.BigEndian.Uint32(req)
+		total, chunks := parseExtent(req[4:])
+		framed.Release(req)
+		block, err := recvBlock(c, total, chunks)
+		if err != nil {
+			return err
 		}
 		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = true
+		s.bcasts[seq] = block
 		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.handle(conn)
-		}()
+	case opBGet:
+		seq := binary.BigEndian.Uint32(req)
+		framed.Release(req)
+		s.mu.Lock()
+		block, ok := s.bcasts[seq]
+		s.mu.Unlock()
+		return s.reply(c, block, ok)
 	}
+	return c.Send(framed.OpOK, nil)
 }
 
-// store/load/drop delegate to the shared block store (off-heap blobs under
-// the arena knob); the framed conversations never run under its lock, so a
-// slow transfer on one connection cannot stall another connection's lookup.
-// A loaded view stays valid while it is streamed because only the owning
-// reducer drops a block, and only after its fetch completed.
-func (s *Server) store(id blockID, block []byte) {
-	s.blocks.Put(id, block)
-	ctrSrvBlocks.Inc()
-	ctrSrvBlockBytes.Add(int64(len(block)))
-}
-
-func (s *Server) load(id blockID) ([]byte, bool) {
-	return s.blocks.Get(id)
-}
-
-func (s *Server) dropBlock(id blockID) {
-	s.blocks.Drop(id)
-}
-
-// handle runs one connection's request loop. Any protocol violation severs
-// the connection — the client's pool retries on a fresh one.
-func (s *Server) handle(conn net.Conn) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	var hello [len(helloMagic) + 1]byte
-	if _, err := readFull(r, hello[:]); err != nil {
-		return
+// reply answers a GET: NIL when the block was never published, else the
+// 'H' announcement and the block streamed under the credit window.
+func (s *Server) reply(c *framed.Conn, block []byte, ok bool) error {
+	if !ok {
+		return c.Send(framed.OpNil, nil)
 	}
-	if string(hello[:len(helloMagic)]) != helloMagic || hello[len(helloMagic)] != helloVersion {
-		return
-	}
-	for {
-		op, payload, err := readFrame(r)
-		if err != nil {
-			return
-		}
-		switch op {
-		case opPut:
-			if len(payload) != 24 {
-				s.sendErr(w, fmt.Errorf("PUT header size"))
-				return
-			}
-			id := blockID{
-				seq: binary.BigEndian.Uint32(payload[0:4]),
-				src: binary.BigEndian.Uint32(payload[4:8]),
-				dst: binary.BigEndian.Uint32(payload[8:12]),
-			}
-			total := binary.BigEndian.Uint64(payload[12:20])
-			chunks := binary.BigEndian.Uint32(payload[20:24])
-			releaseFrame(payload)
-			block, err := recvBlock(w, r, total, chunks)
-			if err != nil {
-				s.sendErr(w, err)
-				return
-			}
-			s.store(id, block)
-			if err := s.sendOK(w); err != nil {
-				return
-			}
-		case opGet:
-			if len(payload) != 12 {
-				s.sendErr(w, fmt.Errorf("GET header size"))
-				return
-			}
-			id := blockID{
-				seq: binary.BigEndian.Uint32(payload[0:4]),
-				src: binary.BigEndian.Uint32(payload[4:8]),
-				dst: binary.BigEndian.Uint32(payload[8:12]),
-			}
-			releaseFrame(payload)
-			block, ok := s.load(id)
-			if !ok {
-				if err := writeFrame(w, opNil, nil); err != nil {
-					return
-				}
-				if err := w.Flush(); err != nil {
-					return
-				}
-				continue
-			}
-			ctrSrvFetches.Inc()
-			if err := s.sendBlockWithHdr(w, r, conn, block); err != nil {
-				return
-			}
-		case opDrop:
-			if len(payload) != 12 {
-				s.sendErr(w, fmt.Errorf("DROP header size"))
-				return
-			}
-			s.dropBlock(blockID{
-				seq: binary.BigEndian.Uint32(payload[0:4]),
-				src: binary.BigEndian.Uint32(payload[4:8]),
-				dst: binary.BigEndian.Uint32(payload[8:12]),
-			})
-			releaseFrame(payload)
-			if err := s.sendOK(w); err != nil {
-				return
-			}
-		case opBPut:
-			if len(payload) != 16 {
-				s.sendErr(w, fmt.Errorf("BCAST-PUT header size"))
-				return
-			}
-			seq := binary.BigEndian.Uint32(payload[0:4])
-			total := binary.BigEndian.Uint64(payload[4:12])
-			chunks := binary.BigEndian.Uint32(payload[12:16])
-			releaseFrame(payload)
-			block, err := recvBlock(w, r, total, chunks)
-			if err != nil {
-				s.sendErr(w, err)
-				return
-			}
-			s.mu.Lock()
-			s.bcasts[seq] = block
-			s.mu.Unlock()
-			if err := s.sendOK(w); err != nil {
-				return
-			}
-		case opBGet:
-			if len(payload) != 4 {
-				s.sendErr(w, fmt.Errorf("BCAST-GET header size"))
-				return
-			}
-			seq := binary.BigEndian.Uint32(payload)
-			releaseFrame(payload)
-			s.mu.Lock()
-			block, ok := s.bcasts[seq]
-			s.mu.Unlock()
-			if !ok {
-				if err := writeFrame(w, opNil, nil); err != nil {
-					return
-				}
-				if err := w.Flush(); err != nil {
-					return
-				}
-				continue
-			}
-			if err := s.sendBlockWithHdr(w, r, conn, block); err != nil {
-				return
-			}
-		default:
-			s.sendErr(w, fmt.Errorf("unknown op %q", op))
-			return
-		}
-	}
-}
-
-// sendBlockWithHdr announces a block ('H' total chunks) and streams it
-// under the credit window, reading the client's ACKs. conn is the raw
-// connection under w, so DATA chunks leave as vectored writes.
-func (s *Server) sendBlockWithHdr(w *bufio.Writer, r *bufio.Reader, conn net.Conn, block []byte) error {
-	var hdr [12]byte
-	binary.BigEndian.PutUint64(hdr[0:8], uint64(len(block)))
-	binary.BigEndian.PutUint32(hdr[8:12], uint32((len(block)+chunkBytes-1)/chunkBytes))
-	if err := writeFrame(w, opHdr, hdr[:]); err != nil {
+	if err := framed.WriteFrame(c.W, opHdr, appendExtent(nil, len(block))); err != nil {
 		return err
 	}
-	return sendBlock(w, conn, r, block, defaultWindow)
-}
-
-func (s *Server) sendOK(w *bufio.Writer) error {
-	if err := writeFrame(w, opOK, nil); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// sendErr reports a failure before the server severs the connection,
-// preserving decode-error structure across the wire; best-effort (the
-// client may already be gone).
-func (s *Server) sendErr(w *bufio.Writer, err error) {
-	writeFrame(w, opErr, encodeErr(err))
-	w.Flush()
-}
-
-// readFull is io.ReadFull over the connection's buffered reader, split out
-// so handle's hello read mirrors the registry server's.
-func readFull(r *bufio.Reader, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := r.Read(buf[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	return sendBlock(c, block)
 }

@@ -9,6 +9,7 @@ import (
 
 	"skyway/internal/core"
 	"skyway/internal/fault"
+	"skyway/internal/framed"
 )
 
 // startCluster boots n in-process block servers and a transport over them.
@@ -190,7 +191,7 @@ func TestPooledConnectionReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ctrPoolDials.Value()
+	before := framed.SKWT.Dials.Value()
 	for i := 0; i < 5; i++ {
 		if _, err := sh.Put(0, 0, patternBlock(512)); err != nil {
 			t.Fatal(err)
@@ -199,7 +200,7 @@ func TestPooledConnectionReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if dials := ctrPoolDials.Value() - before; dials != 1 {
+	if dials := framed.SKWT.Dials.Value() - before; dials != 1 {
 		t.Fatalf("10 exchanges dialed %d connections, want 1 pooled connection", dials)
 	}
 }

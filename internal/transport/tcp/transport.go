@@ -2,32 +2,35 @@ package tcp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
 
+	"skyway/internal/core"
+	"skyway/internal/framed"
 	"skyway/internal/transport"
 )
 
 // Transport is the real-network transport.Transport: every shuffle block and
 // broadcast payload crosses loopback (or the LAN) twice — once when the map
 // side PUTs it to the block server that owns it, once when the reduce side
-// GETs it back. Costs are measured wall-clock: the cost methods return the
-// socket time the exchanges actually clocked, so a Breakdown produced under
-// this transport reports real I/O where the simulator reports modelled I/O.
+// GETs it back. Its I/O times are measured wall-clock, so a Breakdown
+// produced under this transport reports real I/O where the simulator reports
+// modelled I/O.
 //
 // Block placement follows the simulator's locality story: the blocks mapper
 // src produced live on executor process src, so a reduce task on executor
 // dst doing Fetch(src, dst) reads remotely for every src != dst.
 type Transport struct {
 	peers map[int]string // executor ID → block-server address
-	pool  *pool
+	cli   *framed.Client
 }
 
 // New builds a TCP transport over the given executor ID → address map
 // (usually the snapshot a registry PeerClient returned from Peers).
 func New(peers map[int]string) *Transport {
-	t := &Transport{peers: make(map[int]string, len(peers)), pool: newPool()}
+	t := &Transport{peers: make(map[int]string, len(peers)), cli: framed.NewClient(&framed.SKWT, framed.DefaultPolicy)}
 	for id, addr := range peers {
 		t.peers[id] = addr
 	}
@@ -44,12 +47,77 @@ func (t *Transport) Peers() []int {
 	return out
 }
 
-func (t *Transport) addrOf(ex int) (string, error) {
+// exchange runs one conversation with executor ex's block server. It is the
+// one boundary where the framed layer's errors become the transport's: a
+// torn stream that outlived the retry budget surfaces as the bare
+// *core.DecodeError the dataflow degradation ladder branches on.
+func (t *Transport) exchange(ex int, fn func(*framed.Conn) error) error {
 	addr, ok := t.peers[ex]
 	if !ok {
-		return "", fmt.Errorf("transport: no block server advertised for executor %d", ex)
+		return fmt.Errorf("transport: no block server advertised for executor %d", ex)
 	}
-	return addr, nil
+	err := t.cli.Exchange(addr, fn)
+	var te *framed.TornError
+	if errors.As(err, &te) {
+		return &core.DecodeError{Kind: core.DecodeChecksum, Detail: te.Detail}
+	}
+	return err
+}
+
+// put runs one PUT-shaped conversation: request header out, the block
+// streamed under the credit window, OK back.
+func (t *Transport) put(ex int, op byte, hdr, block []byte) error {
+	return t.exchange(ex, func(c *framed.Conn) error {
+		if err := framed.WriteFrame(c.W, op, hdr); err != nil {
+			return err
+		}
+		if err := sendBlock(c, block); err != nil {
+			return err
+		}
+		return awaitOK(c)
+	})
+}
+
+// fetch runs one GET-shaped conversation (request frame out, 'H' + DATA
+// frames or NIL back) and returns the block, nil when the server never had
+// one.
+func (t *Transport) fetch(ex int, op byte, req []byte) ([]byte, error) {
+	var block []byte
+	err := t.exchange(ex, func(c *framed.Conn) error {
+		block = nil
+		if err := framed.WriteFrame(c.W, op, req); err != nil {
+			return err
+		}
+		rop, payload, err := c.Recv()
+		if err != nil {
+			return err
+		}
+		defer framed.Release(payload)
+		switch {
+		case rop == framed.OpNil:
+			return nil
+		case rop == opHdr && len(payload) == 12:
+			total, chunks := parseExtent(payload)
+			block, err = recvBlock(c, total, chunks)
+			return err
+		default:
+			return fmt.Errorf("transport: want HDR or NIL, got frame %q (%d bytes)", rop, len(payload))
+		}
+	})
+	return block, err
+}
+
+// awaitOK reads the server's closing OK frame.
+func awaitOK(c *framed.Conn) error {
+	op, payload, err := c.Recv()
+	if err != nil {
+		return err
+	}
+	framed.Release(payload)
+	if op != framed.OpOK {
+		return fmt.Errorf("transport: want OK, got frame %q", op)
+	}
+	return nil
 }
 
 // NewShuffle implements transport.Transport.
@@ -57,17 +125,9 @@ func (t *Transport) NewShuffle(seq int) (transport.Shuffle, error) {
 	return &tcpShuffle{t: t, seq: uint32(seq)}, nil
 }
 
-// WriteCost implements transport.Transport: the charge is exactly the socket
-// time the task's Puts measured.
-func (t *Transport) WriteCost(n int64, measured time.Duration) time.Duration {
-	return measured
-}
-
-// FetchCost implements transport.Transport: the charge is exactly the socket
-// time the task's fetches measured, every attempt included.
-func (t *Transport) FetchCost(local, remote int64, measured time.Duration) time.Duration {
-	return measured
-}
+// Measured implements transport.Transport: every charge is the socket time
+// the exchanges actually clocked, every attempt included.
+func (t *Transport) Measured() bool { return true }
 
 // Broadcast implements transport.Transport: the payload is PUT to every
 // executor's block server, so each executor's later fetch is served by its
@@ -75,25 +135,9 @@ func (t *Transport) FetchCost(local, remote int64, measured time.Duration) time.
 // is out of scope; the paper's broadcasts are driver-fan-out too).
 func (t *Transport) Broadcast(seq int, payload []byte) (time.Duration, error) {
 	start := time.Now()
+	hdr := appendExtent(binary.BigEndian.AppendUint32(nil, uint32(seq)), len(payload))
 	for _, ex := range t.Peers() {
-		addr, err := t.addrOf(ex)
-		if err != nil {
-			return time.Since(start), err
-		}
-		var hdr [16]byte
-		binary.BigEndian.PutUint32(hdr[0:4], uint32(seq))
-		binary.BigEndian.PutUint64(hdr[4:12], uint64(len(payload)))
-		binary.BigEndian.PutUint32(hdr[12:16], uint32((len(payload)+chunkBytes-1)/chunkBytes))
-		err = t.pool.exchange(addr, func(pc *poolConn) error {
-			if err := writeFrame(pc.w, opBPut, hdr[:]); err != nil {
-				return err
-			}
-			if err := sendBlock(pc.w, pc.conn, pc.r, payload, defaultWindow); err != nil {
-				return err
-			}
-			return awaitOK(pc)
-		})
-		if err != nil {
+		if err := t.put(ex, opBPut, hdr, payload); err != nil {
 			return time.Since(start), err
 		}
 	}
@@ -102,70 +146,18 @@ func (t *Transport) Broadcast(seq int, payload []byte) (time.Duration, error) {
 
 // FetchBroadcast implements transport.Transport.
 func (t *Transport) FetchBroadcast(seq, ex int) ([]byte, time.Duration, error) {
-	addr, err := t.addrOf(ex)
-	if err != nil {
-		return nil, 0, err
-	}
 	start := time.Now()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(seq))
-	block, err := t.fetchFramed(addr, opBGet, hdr[:])
-	if err != nil {
-		return nil, time.Since(start), err
+	block, err := t.fetch(ex, opBGet, binary.BigEndian.AppendUint32(nil, uint32(seq)))
+	if err == nil && block == nil {
+		err = fmt.Errorf("transport: broadcast %d not published to executor %d", seq, ex)
 	}
-	if block == nil {
-		return nil, time.Since(start), fmt.Errorf("transport: broadcast %d not published to executor %d", seq, ex)
-	}
-	return block, time.Since(start), nil
-}
-
-// BroadcastCost implements transport.Transport.
-func (t *Transport) BroadcastCost(n int64, measured time.Duration) time.Duration {
-	return measured
+	return block, time.Since(start), err
 }
 
 // Close implements transport.Transport.
 func (t *Transport) Close() error {
-	t.pool.close()
+	t.cli.Close()
 	return nil
-}
-
-// fetchFramed runs one GET-shaped conversation (request frame out, 'H' +
-// DATA frames or 'N' back) and returns the block, nil when the server never
-// had one.
-func (t *Transport) fetchFramed(addr string, op byte, req []byte) ([]byte, error) {
-	var block []byte
-	err := t.pool.exchange(addr, func(pc *poolConn) error {
-		block = nil
-		if err := writeFrame(pc.w, op, req); err != nil {
-			return err
-		}
-		if err := pc.w.Flush(); err != nil {
-			return err
-		}
-		rop, payload, err := readFrame(pc.r)
-		if err != nil {
-			return err
-		}
-		defer releaseFrame(payload)
-		switch rop {
-		case opNil:
-			return nil
-		case opErr:
-			return decodeErrFrame(payload)
-		case opHdr:
-			if len(payload) != 12 {
-				return fmt.Errorf("transport: HDR payload %d bytes, want 12", len(payload))
-			}
-			total := binary.BigEndian.Uint64(payload[0:8])
-			chunks := binary.BigEndian.Uint32(payload[8:12])
-			block, err = recvBlock(pc.w, pc.r, total, chunks)
-			return err
-		default:
-			return fmt.Errorf("transport: want HDR or NIL, got frame %q", rop)
-		}
-	})
-	return block, err
 }
 
 // tcpShuffle is one round's block exchange over the peer block servers.
@@ -174,28 +166,15 @@ type tcpShuffle struct {
 	seq uint32
 }
 
+func (s *tcpShuffle) id(src, dst int) blockID {
+	return blockID{seq: s.seq, src: uint32(src), dst: uint32(dst)}
+}
+
 // Put implements transport.Shuffle: the block lands on executor src's server.
 func (s *tcpShuffle) Put(src, dst int, block []byte) (time.Duration, error) {
-	addr, err := s.t.addrOf(src)
-	if err != nil {
-		return 0, err
-	}
 	start := time.Now()
-	var hdr [24]byte
-	binary.BigEndian.PutUint32(hdr[0:4], s.seq)
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(src))
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(dst))
-	binary.BigEndian.PutUint64(hdr[12:20], uint64(len(block)))
-	binary.BigEndian.PutUint32(hdr[20:24], uint32((len(block)+chunkBytes-1)/chunkBytes))
-	err = s.t.pool.exchange(addr, func(pc *poolConn) error {
-		if err := writeFrame(pc.w, opPut, hdr[:]); err != nil {
-			return err
-		}
-		if err := sendBlock(pc.w, pc.conn, pc.r, block, defaultWindow); err != nil {
-			return err
-		}
-		return awaitOK(pc)
-	})
+	hdr := appendExtent(appendBlockID(nil, s.id(src, dst)), len(block))
+	err := s.t.put(src, opPut, hdr, block)
 	return time.Since(start), err
 }
 
@@ -203,35 +182,19 @@ func (s *tcpShuffle) Put(src, dst int, block []byte) (time.Duration, error) {
 // they are already the caller's private copy — safe to tear for fault
 // injection without a defensive copy.
 func (s *tcpShuffle) Fetch(src, dst int) ([]byte, time.Duration, error) {
-	addr, err := s.t.addrOf(src)
-	if err != nil {
-		return nil, 0, err
-	}
 	start := time.Now()
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:4], s.seq)
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(src))
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(dst))
-	block, err := s.t.fetchFramed(addr, opGet, hdr[:])
+	block, err := s.t.fetch(src, opGet, appendBlockID(nil, s.id(src, dst)))
 	return block, time.Since(start), err
 }
 
 // Drop implements transport.Shuffle; best-effort (an unreachable server just
 // keeps the block until its process exits).
 func (s *tcpShuffle) Drop(src, dst int) {
-	addr, err := s.t.addrOf(src)
-	if err != nil {
-		return
-	}
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:4], s.seq)
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(src))
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(dst))
-	s.t.pool.exchange(addr, func(pc *poolConn) error {
-		if err := writeFrame(pc.w, opDrop, hdr[:]); err != nil {
+	s.t.exchange(src, func(c *framed.Conn) error {
+		if err := framed.WriteFrame(c.W, opDrop, appendBlockID(nil, s.id(src, dst))); err != nil {
 			return err
 		}
-		return awaitOK(pc)
+		return awaitOK(c)
 	})
 }
 
@@ -239,23 +202,3 @@ func (s *tcpShuffle) Drop(src, dst int) {
 // anything left (an aborted stage) stays on the servers, keyed by a seq no
 // future round reuses.
 func (s *tcpShuffle) Close() error { return nil }
-
-// awaitOK flushes and reads the server's closing 'K' frame.
-func awaitOK(pc *poolConn) error {
-	if err := pc.w.Flush(); err != nil {
-		return err
-	}
-	op, payload, err := readFrame(pc.r)
-	if err != nil {
-		return err
-	}
-	defer releaseFrame(payload)
-	switch op {
-	case opOK:
-		return nil
-	case opErr:
-		return decodeErrFrame(payload)
-	default:
-		return fmt.Errorf("transport: want OK, got frame %q", op)
-	}
-}

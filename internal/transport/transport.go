@@ -5,18 +5,15 @@
 // those blocks live and what moving them costs.
 //
 // Two implementations ship: netsim.LocalTransport keeps blocks in process
-// (optionally spilled to real files) and prices I/O with the analytic cost
-// model — the fast CI path, bit-identical to the historical simulator — and
-// transport/tcp moves every block through per-executor server processes over
-// length-prefixed, CRC-framed TCP streams, where the costs are measured
-// wall-clock rather than modelled.
+// and measures nothing — the fast CI path, bit-identical to the historical
+// simulator — and transport/tcp moves every block through per-executor
+// server processes over length-prefixed, CRC-framed TCP streams.
 //
-// The cost methods exist because the two worlds account differently: the
-// simulator charges modelled time derived from byte counts, a spill-backed
-// simulator mixes measured disk time with a modelled network hop, and a real
-// network transport charges exactly what its sockets measured. Keeping the
-// pricing policy behind the seam lets the dataflow engine stay byte-count
-// centric without knowing which world it is in.
+// The two worlds account differently, and Measured says which one a
+// transport is in: the simulator's I/O is charged modelled time derived
+// from byte counts, a real network transport's exactly what its sockets
+// measured. The dataflow engine prices both in one place (Cluster.ioCharge)
+// and otherwise stays byte-count centric.
 package transport
 
 import "time"
@@ -25,20 +22,17 @@ import "time"
 // Implementations must be safe for concurrent use by parallel tasks.
 type Transport interface {
 	// NewShuffle opens the block exchange for one shuffle round. seq
-	// distinguishes rounds so a transport with persistent storage (spill
-	// files, remote block servers) never confuses two rounds' blocks.
+	// distinguishes rounds so a transport with persistent storage (remote
+	// block servers) never confuses two rounds' blocks.
 	NewShuffle(seq int) (Shuffle, error)
 
-	// WriteCost converts one map task's spill totals into its write-I/O
-	// charge: n is the bytes the task published and measured is the real
-	// I/O time its Puts clocked (zero under a purely modelled transport).
-	WriteCost(n int64, measured time.Duration) time.Duration
-
-	// FetchCost converts one reduce task's fetch totals into its read-I/O
-	// charge. local and remote are the bytes *fetched* — every attempt
-	// counts, so a block re-fetched by the degradation ladder is charged
-	// again — and measured is the real I/O time the fetches clocked.
-	FetchCost(local, remote int64, measured time.Duration) time.Duration
+	// Measured reports which world the transport is in: true when the
+	// durations Put, Fetch, Broadcast and FetchBroadcast return are real
+	// wall-clock I/O and are the task's charge as they stand — every
+	// attempt counts, so a block re-fetched by the degradation ladder is
+	// charged again; false when they are zero and the charge is modelled
+	// from the byte counts.
+	Measured() bool
 
 	// Broadcast publishes the driver's payload to every executor; seq
 	// distinguishes broadcast rounds. Returns the measured publish time
@@ -49,10 +43,6 @@ type Transport interface {
 	// measured fetch time. The returned slice must not be mutated — an
 	// in-process transport may hand every executor the same backing array.
 	FetchBroadcast(seq, ex int) ([]byte, time.Duration, error)
-
-	// BroadcastCost converts one executor's broadcast receive of n bytes
-	// (measured fetch time included) into its read-I/O charge.
-	BroadcastCost(n int64, measured time.Duration) time.Duration
 
 	// Close releases the transport's connections and round state.
 	Close() error
