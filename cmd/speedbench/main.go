@@ -7,9 +7,6 @@
 //   - memcpy          — the host's sustained large-copy bandwidth (the ceiling)
 //   - encode-array    — bulk corpus (long[] arrays) through a Skyway writer
 //   - decode-array    — the same wire bytes through a Skyway reader
-//   - decode-array-copy — decode with the direct heap byte view disabled,
-//     forcing the historical stage-then-copy path (the double copy this
-//     optimisation pass removed); the gap to decode-array is the win
 //   - encode-rec / decode-rec — many small records, where per-object header
 //     work rather than memcpy dominates
 //
@@ -70,13 +67,6 @@ func main() {
 	wire := encodeOnce(sky, arrayRoots)
 	add("encode-array", "skyway", int64(len(wire)), bestOf(*passes, encodePass(sky, arrayRoots)))
 	add("decode-array", "skyway", int64(len(wire)), bestOf(*passes, decodePass(rcv, wire)))
-
-	// The pre-optimisation baseline: disable the heap's direct byte view so
-	// every decoded segment stages through a scratch buffer and is copied a
-	// second time into the heap.
-	prev := heap.SetByteView(false)
-	add("decode-array-copy", "skyway", int64(len(wire)), bestOf(*passes, decodePass(rcv, wire)))
-	heap.SetByteView(prev)
 
 	// Small-record corpus: throughput here is bounded by per-object header
 	// and field work, not memcpy — the contrast column.

@@ -12,21 +12,21 @@ import (
 	"skyway/internal/vm"
 )
 
-// --- kind-size validation (the putKind silent-truncation bugfix) -------------
+// --- kind-size validation (the silent-truncation bugfix) ---------------------
 
-// putKind used to silently no-op on a kind whose size is not 1/2/4/8,
-// leaving zero bytes where a field's value should be — corruption without a
-// diagnostic. The writer now panics (an undefined-size kind in a loaded
-// class is a programming error on the encode side) and the reader rejects
-// the class with a structured decode error before any field is read.
-func TestPutKindUndefinedSizePanics(t *testing.T) {
+// Storing a field whose kind has no size of 1/2/4/8 used to silently no-op,
+// leaving zero bytes where the field's value should be — corruption without
+// a diagnostic. The shared store routine panics (an undefined-size kind in a
+// loaded class is a programming error on the encode side) and the reader
+// rejects the class with a structured decode error before any field is read.
+func TestStoreUndefinedKindSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("putKind silently accepted a kind of undefined size")
+			t.Fatal("StoreBytes silently accepted a kind of undefined size")
 		}
 	}()
 	var b [8]byte
-	putKind(b[:], klass.Invalid, 0x1234)
+	heap.StoreBytes(b[:], 0, klass.Invalid, 0x1234)
 }
 
 func TestCheckKlassKindsRejectsUndefinedSizes(t *testing.T) {

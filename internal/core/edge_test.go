@@ -349,11 +349,7 @@ func TestCompactHugeArrayLengthRejected(t *testing.T) {
 	phys = append(phys, tmp[:binary.PutUvarint(tmp[:], 1<<29)]...)
 
 	rd := NewReader(rcv, bytes.NewReader(nil))
-	img, staged := rd.heapImage(base, 1<<30)
-	if staged {
-		t.Fatal("test assumes a byte view of the chunk")
-	}
-	err := rd.decodeCompactSegment(phys, img, 1<<30)
+	err := rd.decodeCompactSegment(phys, rd.image(&chunk{base: base, size: 1 << 30}), 1<<30)
 	de, ok := AsDecodeError(err)
 	if !ok {
 		t.Fatalf("decodeCompactSegment = %v, want DecodeError", err)

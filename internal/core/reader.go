@@ -365,13 +365,11 @@ func (rd *Reader) fillStaged(dst []byte, wireCRC uint32) error {
 // it. The chunk is pinned immediately (unparsed) so the collector treats
 // the raw bytes as opaque.
 //
-// On hosts whose byte order matches the slab encoding the wire bytes are
-// read directly into the pinned chunk through heap.ByteView and checksummed
-// in place — the decode path's only copy is the socket read itself. The
-// portable fallback stages through a recycled buffer. Either way, a segment
-// that fails mid-receive (short read, CRC mismatch) frees its chunk before
-// surfacing the error: the chunk is not yet pinned or listed, so the range
-// would otherwise leak from buffer space.
+// The wire bytes are read directly into the pinned chunk through
+// heap.ByteView and checksummed in place — the decode path's only copy is
+// the socket read itself. A segment that fails mid-receive (short read, CRC
+// mismatch) frees its chunk before surfacing the error: the chunk is not yet
+// pinned or listed, so the range would otherwise leak from buffer space.
 func (rd *Reader) readSegment() error {
 	var lenb [4]byte
 	if _, err := io.ReadFull(rd.r, lenb[:]); err != nil {
@@ -397,22 +395,9 @@ func (rd *Reader) readSegment() error {
 		return err
 	}
 	h := rd.rt.Heap
-	if dst := h.ByteView(base, n); dst != nil {
-		if err := rd.fillStaged(dst, wireCRC); err != nil {
-			h.FreeBufferRange(base, n)
-			return err
-		}
-	} else {
-		tmp := getBuf(int(n))[:n]
-		err := rd.fillStaged(tmp, wireCRC)
-		if err == nil {
-			h.CopyIn(base, n, tmp)
-		}
-		putBuf(tmp)
-		if err != nil {
-			h.FreeBufferRange(base, n)
-			return err
-		}
+	if err := rd.fillStaged(h.ByteView(base, n), wireCRC); err != nil {
+		h.FreeBufferRange(base, n)
+		return err
 	}
 
 	rd.addChunk(base, n, nil)
@@ -464,13 +449,7 @@ func (rd *Reader) readCompactSegment() error {
 	// Pin before decoding so a decode error cannot leave an unaccounted
 	// raw range in buffer space.
 	pin := rd.rt.GC.Pin(base, decoded)
-	img, staged := rd.heapImage(base, decoded)
-	err = rd.decodeCompactSegment(buf, img, decoded)
-	if staged {
-		rd.rt.Heap.CopyIn(base, uint32(len(img)), img)
-		putBuf(img)
-	}
-	if err != nil {
+	if err = rd.decodeCompactSegment(buf, rd.rt.Heap.ByteView(base, decoded), decoded); err != nil {
 		rd.rt.GC.Unpin(pin)
 		return err
 	}
@@ -479,8 +458,8 @@ func (rd *Reader) readCompactSegment() error {
 	return nil
 }
 
-// checkKlassKinds is the reader-side counterpart of the writer's putKind
-// panic: a klass whose field or element kind has no defined size (a
+// checkKlassKinds is the reader-side counterpart of heap.StoreBytes'
+// unsized-kind panic: a klass whose field or element kind has no defined size (a
 // malformed or out-of-sync class definition) would make every sized
 // accessor silently drop bytes, so a stream resolving to one is rejected as
 // a structured decode error before any of its objects are absolutized.
@@ -572,13 +551,8 @@ func (rd *Reader) walk() error {
 	var err error
 	for rd.parsed < len(rd.chunks) {
 		c := &rd.chunks[rd.parsed]
-		img, staged := rd.image(c)
 		var done bool
-		done, err = rd.walkChunk(c, img, limit, staged)
-		if staged {
-			h.CopyIn(c.base, uint32(len(img)), img)
-			putBuf(img)
-		}
+		done, err = rd.walkChunk(c, rd.image(c), limit)
 		if err != nil || !done {
 			break
 		}
@@ -595,31 +569,19 @@ func (rd *Reader) walk() error {
 }
 
 // image returns the byte image of chunk c for the walker: an arena chunk's
-// segment, an eager chunk's heap image.
-func (rd *Reader) image(c *chunk) (img []byte, staged bool) {
+// segment, an eager chunk's view of buffer space. A chunk can overstate its
+// extent only when its table entry was fabricated (the huge-length
+// regression tests do), and then the image stops at the end of the slab:
+// whoever scans it bounds every object by the image as well.
+func (rd *Reader) image(c *chunk) []byte {
 	if rd.arena {
-		return c.seg, false
+		return c.seg
 	}
-	return rd.heapImage(c.base, c.size)
-}
-
-// heapImage returns the byte image of the size bytes of buffer space at base:
-// viewed in place where the host allows, elsewhere staged — copied out into
-// a pooled buffer that the caller copies back in and recycles. A chunk can
-// overstate its extent only when its table entry was fabricated (the
-// huge-length regression tests do), and then the image stops at the end of
-// the slab: whoever scans it bounds every object by the image as well.
-func (rd *Reader) heapImage(base heap.Addr, size uint32) (img []byte, staged bool) {
-	h := rd.rt.Heap
-	if room := h.TotalBytes() - uint64(base); uint64(size) > room {
+	h, size := rd.rt.Heap, c.size
+	if room := h.TotalBytes() - uint64(c.base); uint64(size) > room {
 		size = uint32(room)
 	}
-	if img = h.ByteView(base, size); img != nil {
-		return img, false
-	}
-	img = getBuf(int(size))[:size]
-	h.CopyOut(base, size, img)
-	return img, true
+	return h.ByteView(c.base, size)
 }
 
 // resolveKlass resolves a global type ID to a local klass (loading the class
@@ -649,7 +611,7 @@ func (rd *Reader) resolveKlass(tid int32) (*klass.Klass, error) {
 // before the first mutation of the object — an eager reader's commit is per
 // object, never partial. Registered field updates apply on both paths, once,
 // at receive time.
-func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64, staged bool) (bool, error) {
+func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64) (bool, error) {
 	rt := rd.rt
 	layout := rt.Heap.Layout()
 	offLen, arrayBase := layout.OffArrayLen(), layout.ArrayHeaderSize()
@@ -741,7 +703,7 @@ func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64, staged bool) (bo
 		}
 		if !k.IsArray {
 			if ups := rt.UpdatesFor(k); len(ups) > 0 {
-				rd.applyUpdates(ups, c, off, obj, staged)
+				rd.applyUpdates(ups, c, off, obj)
 			}
 		}
 		rd.Objects++
@@ -762,16 +724,12 @@ func refSlot(k *klass.Klass, arrayBase uint32, i int) uint32 {
 
 // applyUpdates runs the registered §3.3 field updates on the object whose
 // image obj sits at off in chunk c. The update function sees the object the
-// way the application will — by heap address, or through a tagged handle —
-// so a staged image, which walk copies back only at the end, is copied in
-// before each one runs.
-func (rd *Reader) applyUpdates(ups []vm.FieldUpdate, c *chunk, off uint32, obj []byte, staged bool) {
+// way the application will — by heap address, or through a tagged handle.
+func (rd *Reader) applyUpdates(ups []vm.FieldUpdate, c *chunk, off uint32, obj []byte) {
 	for _, u := range ups {
 		a := c.base + heap.Addr(off)
 		if rd.arena {
 			a = heap.ComposeArenaAddr(rd.region.ID(), c.startRel+uint64(off))
-		} else if staged {
-			rd.rt.Heap.CopyIn(a, uint32(len(obj)), obj)
 		}
 		heap.StoreBytes(obj, u.Field.Offset, u.Field.Kind, u.Fn(rd.rt, a))
 	}

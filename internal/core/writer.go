@@ -545,8 +545,8 @@ func (w *Writer) cloneCrossLayout(obj heap.Addr, k, tk *klass.Klass, img []byte)
 		binary.LittleEndian.PutUint64(img[w.target.OffArrayLen():], uint64(n))
 		es := k.ElemSize()
 		if es == 0 {
-			// Same contract as putKind: this is our own heap handing us a
-			// klass with an unsized element kind — a corrupted klass table,
+			// Same contract as heap.StoreBytes: this is our own heap handing us
+			// a klass with an unsized element kind — a corrupted klass table,
 			// not wire input — so it is a programming error, not an error
 			// return.
 			panic(fmt.Sprintf("skyway: array class %s has element kind of undefined size", k.Name))
@@ -565,36 +565,14 @@ func (w *Writer) cloneCrossLayout(obj heap.Addr, k, tk *klass.Klass, img []byte)
 			h.CopyOut(obj.Add(srcBase), whole, img[dstBase:dstBase+whole])
 		}
 		for i := int(whole) / int(es); i < n; i++ {
-			v := h.Load(obj, srcBase+uint32(i)*es, k.Elem)
-			putKind(img[dstBase+uint32(i)*es:], k.Elem, v)
+			heap.StoreBytes(img, dstBase+uint32(i)*es, k.Elem, h.Load(obj, srcBase+uint32(i)*es, k.Elem))
 		}
 		return
 	}
 	for i := range k.Fields {
 		src := &k.Fields[i]
 		dst := &tk.Fields[i]
-		putKind(img[dst.Offset:], src.Kind, h.Load(obj, src.Offset, src.Kind))
-	}
-}
-
-// putKind stores v into b with the kind's width. A kind whose size is not
-// one of {1,2,4,8} panics: the klass came from this process's own klass
-// table, so an unsized kind is memory corruption or a construction bug, and
-// silently writing nothing would drop field bytes from the wire image.
-// (The reader-side counterpart, checkKlassKinds, returns a DecodeError
-// instead — there the malformed klass is attacker-reachable input.)
-func putKind(b []byte, k klass.Kind, v uint64) {
-	switch k.Size() {
-	case 1:
-		b[0] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(b, uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(b, uint32(v))
-	case 8:
-		binary.LittleEndian.PutUint64(b, v)
-	default:
-		panic(fmt.Sprintf("skyway: field kind %v has undefined size", k))
+		heap.StoreBytes(img, dst.Offset, src.Kind, h.Load(obj, src.Offset, src.Kind))
 	}
 }
 

@@ -1,10 +1,6 @@
 package heap
 
-import (
-	"encoding/binary"
-
-	"skyway/internal/klass"
-)
+import "skyway/internal/klass"
 
 // Arena handle encoding. Segments staged into an off-heap arena region stay
 // relativized — their reference slots still hold the sender's baddr-relative
@@ -50,50 +46,28 @@ func ArenaRelOf(a Addr) uint64 { return uint64(a) & BaddrRelMask }
 
 // --- bounds-checked byte-image accessors -----------------------------------
 //
-// LoadBytes/StoreBytes are the arena-side siblings of Heap.Load/Heap.Store:
-// field accessors over a raw little-endian object image. Wire images are
-// little-endian by construction (CopyOut), so reading them in place is
-// bit-identical to staging into the word slab and calling Heap.Load. Unlike
-// the heap variants — whose bounds are implied by the slab — these take an
-// explicit image and panic on any access that would leave it; the arena
-// resolves a handle to exactly the bytes of one region segment, so an
-// out-of-bounds offset can only mean a validation bug, never silent memory
-// disclosure.
+// LoadBytes/StoreBytes are Heap.Load/Heap.Store for an object image that
+// lives outside the slab — an arena segment, a clone under construction —
+// and go through the same loadKind/storeKind. Unlike the heap variants —
+// whose bounds are implied by the slab — these take an explicit image and
+// panic on any access that would leave it; the arena resolves a handle to
+// exactly the bytes of one region segment, so an out-of-bounds offset can
+// only mean a validation bug, never silent memory disclosure.
 
 // LoadBytes reads a field of the given kind at byte offset off of the object
 // image b, zero-extended to 64 bits.
 func LoadBytes(b []byte, off uint32, k klass.Kind) uint64 {
-	end := uint64(off) + uint64(k.Size())
-	if end > uint64(len(b)) || k.Size() == 0 {
+	if uint64(off)+uint64(k.Size()) > uint64(len(b)) {
 		panic("heap: arena field access out of bounds")
 	}
-	switch k.Size() {
-	case 8:
-		return binary.LittleEndian.Uint64(b[off:])
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(b[off:]))
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(b[off:]))
-	default:
-		return uint64(b[off])
-	}
+	return loadKind(b[off:], k)
 }
 
 // StoreBytes writes a field of the given kind at byte offset off of the
 // object image b.
 func StoreBytes(b []byte, off uint32, k klass.Kind, v uint64) {
-	end := uint64(off) + uint64(k.Size())
-	if end > uint64(len(b)) || k.Size() == 0 {
+	if uint64(off)+uint64(k.Size()) > uint64(len(b)) {
 		panic("heap: arena field access out of bounds")
 	}
-	switch k.Size() {
-	case 8:
-		binary.LittleEndian.PutUint64(b[off:], v)
-	case 4:
-		binary.LittleEndian.PutUint32(b[off:], uint32(v))
-	case 2:
-		binary.LittleEndian.PutUint16(b[off:], uint16(v))
-	default:
-		b[off] = byte(v)
-	}
+	storeKind(b[off:], k, v)
 }

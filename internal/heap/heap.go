@@ -1,21 +1,31 @@
-// Package heap implements the simulated managed heap: a word-addressed slab
-// with the 64-bit object layout of the paper's Figure 6 (mark word, klass
-// word, Skyway's baddr word, array length, padded payload), generational
-// regions (eden, two survivor spaces, old generation, and a pinned buffer
-// space for Skyway input buffers), and a card table.
+// Package heap implements the simulated managed heap: a slab with the 64-bit
+// object layout of the paper's Figure 6 (mark word, klass word, Skyway's
+// baddr word, array length, padded payload), generational regions (eden, two
+// survivor spaces, old generation, and a pinned buffer space for Skyway input
+// buffers), and a card table.
 //
 // Addresses are byte offsets into the slab; every object is 8-byte aligned
-// and address 0 is the null reference. The slab is stored as []uint64 so
-// that the Skyway writer can CAS baddr words through sync/atomic without
-// unsafe pointer arithmetic; the one deliberate unsafe construction in the
-// package (view.go) reinterprets word ranges as byte slices on little-endian
-// hosts so bulk transfers are single memcpys instead of per-word loops.
+// and address 0 is the null reference.
+//
+// Byte order: the slab is defined by its byte image, and that image is
+// little-endian on every host — an object's heap bytes are its wire bytes
+// (§4.2 clones by memcpy, §4.3 absolutizes the input buffer in place). Every
+// plain access reads and writes the image through encoding/binary's
+// LittleEndian. The image is allocated as []uint64, for 8-byte alignment and
+// because sync/atomic needs whole words: the atomic word operations are the
+// only native-order accesses, and they convert their operands and results
+// between native and little-endian order (slabWord), so a word written
+// atomically reads back identically through LoadWord or ByteView. New builds
+// the byte image over the words once — the package's one unsafe construction.
 package heap
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"skyway/internal/klass"
 )
@@ -98,7 +108,8 @@ func (r *Region) Alloc(size uint64) Addr {
 // the atomic word operations (used for Skyway's concurrent baddr updates)
 // are safe for concurrent use.
 type Heap struct {
-	words  []uint64
+	words  []uint64 // the allocation; indexed only by the atomic word operations
+	mem    []byte   // the slab: the little-endian byte image of words
 	layout klass.Layout
 
 	Eden     Region
@@ -109,10 +120,11 @@ type Heap struct {
 	cards    []byte // dirty card map covering the whole slab
 	sizeEstB uint64
 
-	// bufFree holds explicitly freed input-buffer chunks for reuse —
-	// §3.2: "Skyway does not reuse an old input buffer unless the
-	// developer explicitly frees the buffer". First-fit; chunk sizes are
-	// uniform enough in practice that fragmentation stays bounded.
+	// bufFree holds explicitly freed input-buffer space for reuse — §3.2:
+	// "Skyway does not reuse an old input buffer unless the developer
+	// explicitly frees the buffer". Spans are in address order, no two
+	// adjacent and none touching Buffers.Top (FreeBufferRange merges them);
+	// allocation is first-fit.
 	bufFree []Region
 
 	// bufHighWater is the peak of BufferUsed over the heap's lifetime —
@@ -129,8 +141,10 @@ func New(cfg Config) *Heap {
 	buf := round(cfg.BufferSize)
 	// Address 0 is reserved for null, so the slab starts one word in.
 	total := uint64(klass.WordSize) + eden + 2*surv + old + buf
+	words := make([]uint64, total/klass.WordSize)
 	h := &Heap{
-		words:  make([]uint64, total/klass.WordSize),
+		words:  words,
+		mem:    unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), total),
 		layout: cfg.Layout,
 		cards:  make([]byte, (total+CardSize-1)/CardSize),
 	}
@@ -165,130 +179,119 @@ func (h *Heap) UsedBytes() uint64 {
 func (h *Heap) check(a Addr) uint64 {
 	i := uint64(a) >> 3
 	if a == Null || uint64(a)&7 != 0 || i >= uint64(len(h.words)) {
-		panic(fmt.Sprintf("heap: bad word address %#x", uint64(a)))
+		panic(badWord(a))
 	}
 	return i
 }
 
+// badWord is check's panic value: formatting the message here, not in check,
+// keeps check small enough to inline into every word accessor.
+type badWord Addr
+
+func (a badWord) Error() string { return fmt.Sprintf("heap: bad word address %#x", uint64(a)) }
+
 // LoadWord reads the 8-byte word at a (a must be word-aligned).
-func (h *Heap) LoadWord(a Addr) uint64 { return h.words[h.check(a)] }
+func (h *Heap) LoadWord(a Addr) uint64 { return binary.LittleEndian.Uint64(h.mem[h.check(a)<<3:]) }
 
 // StoreWord writes the 8-byte word at a.
-func (h *Heap) StoreWord(a Addr, v uint64) { h.words[h.check(a)] = v }
+func (h *Heap) StoreWord(a Addr, v uint64) { binary.LittleEndian.PutUint64(h.mem[h.check(a)<<3:], v) }
+
+// slabWord converts between a value and the native-order word whose bytes in
+// memory are the value's little-endian encoding: the identity on a
+// little-endian host, a byte swap elsewhere, and its own inverse on both.
+func slabWord(v uint64) uint64 {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return binary.NativeEndian.Uint64(b[:])
+}
 
 // AtomicLoadWord atomically reads the word at a.
-func (h *Heap) AtomicLoadWord(a Addr) uint64 { return atomic.LoadUint64(&h.words[h.check(a)]) }
+func (h *Heap) AtomicLoadWord(a Addr) uint64 {
+	return slabWord(atomic.LoadUint64(&h.words[h.check(a)]))
+}
 
 // AtomicStoreWord atomically writes the word at a. Required for words that
 // concurrent sender threads may CAS (baddr words): mixing plain stores with
 // CAS on the same word is a data race.
-func (h *Heap) AtomicStoreWord(a Addr, v uint64) { atomic.StoreUint64(&h.words[h.check(a)], v) }
+func (h *Heap) AtomicStoreWord(a Addr, v uint64) {
+	atomic.StoreUint64(&h.words[h.check(a)], slabWord(v))
+}
 
 // CasWord performs a compare-and-swap on the word at a. Skyway uses this to
 // claim baddr words when multiple sender threads race on a shared object
 // (§4.2 "Support for Threads").
 func (h *Heap) CasWord(a Addr, old, new uint64) bool {
-	return atomic.CompareAndSwapUint64(&h.words[h.check(a)], old, new)
+	return atomic.CompareAndSwapUint64(&h.words[h.check(a)], slabWord(old), slabWord(new))
+}
+
+// loadKind reads the field of kind k at the head of the object image b,
+// zero-extended to 64 bits. With storeKind it is the one place a field's
+// kind meets its bytes: the managed heap, an arena segment and a clone under
+// construction are all read and written here.
+func loadKind(b []byte, k klass.Kind) uint64 {
+	switch k.Size() {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 1:
+		return uint64(b[0])
+	}
+	panic(fmt.Sprintf("heap: field kind %v has undefined size", k))
+}
+
+// storeKind writes v as the field of kind k at the head of b. A kind without
+// a size panics: writing nothing would silently drop field bytes from the
+// image.
+func storeKind(b []byte, k klass.Kind, v uint64) {
+	switch k.Size() {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 1:
+		b[0] = byte(v)
+	default:
+		panic(fmt.Sprintf("heap: field kind %v has undefined size", k))
+	}
 }
 
 // Load reads a field of the given kind at byte offset a+off. The returned
-// value holds the raw bits zero-extended to 64 bits. Sub-word fields are
-// little-endian within their word, so CopyOut/CopyIn round-trip exactly.
+// value holds the raw bits zero-extended to 64 bits.
 func (h *Heap) Load(a Addr, off uint32, k klass.Kind) uint64 {
-	ba := uint64(a) + uint64(off)
-	sz := uint64(k.Size())
-	w := h.words[ba>>3]
-	shift := (ba & 7) * 8
-	switch sz {
-	case 8:
-		return w
-	case 4:
-		return (w >> shift) & 0xFFFFFFFF
-	case 2:
-		return (w >> shift) & 0xFFFF
-	case 1:
-		return (w >> shift) & 0xFF
-	}
-	panic("heap: invalid field kind")
+	return loadKind(h.mem[uint64(a)+uint64(off):], k)
 }
 
 // Store writes a field of the given kind at byte offset a+off.
 func (h *Heap) Store(a Addr, off uint32, k klass.Kind, v uint64) {
-	ba := uint64(a) + uint64(off)
-	sz := uint64(k.Size())
-	idx := ba >> 3
-	shift := (ba & 7) * 8
-	switch sz {
-	case 8:
-		h.words[idx] = v
-		return
-	case 4:
-		mask := uint64(0xFFFFFFFF) << shift
-		h.words[idx] = h.words[idx]&^mask | (v&0xFFFFFFFF)<<shift
-		return
-	case 2:
-		mask := uint64(0xFFFF) << shift
-		h.words[idx] = h.words[idx]&^mask | (v&0xFFFF)<<shift
-		return
-	case 1:
-		mask := uint64(0xFF) << shift
-		h.words[idx] = h.words[idx]&^mask | (v&0xFF)<<shift
-		return
-	}
-	panic("heap: invalid field kind")
+	storeKind(h.mem[uint64(a)+uint64(off):], k, v)
 }
 
-// CopyOut serializes n bytes starting at a into dst, little-endian. n and a
-// must be word-aligned: object images always are. This is the "transfer the
-// entirety of each object" memcpy at the core of Skyway's sender — a real
-// memcpy when the host byte order permits a byte view, a per-word encoding
-// loop otherwise.
+// CopyOut copies the n bytes of the slab at a into dst. n and a must be
+// word-aligned: object images always are. This is the "transfer the entirety
+// of each object" memcpy at the core of Skyway's sender.
 func (h *Heap) CopyOut(a Addr, n uint32, dst []byte) {
 	if uint32(len(dst)) < n {
 		panic("heap: CopyOut destination too small")
 	}
-	if src := h.ByteView(a, n); src != nil {
-		copyAligned(dst, src)
-		return
-	}
-	wi := uint64(a) >> 3
-	for i := uint32(0); i < n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:], h.words[wi])
-		wi++
-	}
+	copyAligned(dst, h.ByteView(a, n))
 }
 
-// CopyIn deserializes n bytes from src into the heap at a.
-func (h *Heap) CopyIn(a Addr, n uint32, src []byte) {
-	if uint32(len(src)) < n {
-		panic("heap: CopyIn source too small")
-	}
-	if dst := h.ByteView(a, n); dst != nil {
-		copy(dst, src[:n])
-		return
-	}
-	wi := uint64(a) >> 3
-	for i := uint32(0); i < n; i += 8 {
-		h.words[wi] = binary.LittleEndian.Uint64(src[i:])
-		wi++
-	}
-}
+// CopyIn copies the first n bytes of src into the slab at a.
+func (h *Heap) CopyIn(a Addr, n uint32, src []byte) { copy(h.ByteView(a, n), src[:n]) }
 
 // CopyWords copies n bytes (word multiple) from src to dst within the heap.
 // Regions may not overlap.
 func (h *Heap) CopyWords(dst, src Addr, n uint32) {
-	d := uint64(dst) >> 3
-	s := uint64(src) >> 3
-	copy(h.words[d:d+uint64(n)/8], h.words[s:s+uint64(n)/8])
+	copy(h.mem[dst:uint64(dst)+uint64(n)], h.mem[src:uint64(src)+uint64(n)])
 }
 
 // ZeroWords clears n bytes (word multiple) starting at a.
-func (h *Heap) ZeroWords(a Addr, n uint32) {
-	i := uint64(a) >> 3
-	for end := i + uint64(n)/8; i < end; i++ {
-		h.words[i] = 0
-	}
-}
+func (h *Heap) ZeroWords(a Addr, n uint32) { clear(h.mem[a : uint64(a)+uint64(n)]) }
 
 // --- allocation -----------------------------------------------------------
 
@@ -342,18 +345,29 @@ func (h *Heap) noteBufferUse() {
 }
 
 // FreeBufferRange returns an explicitly freed input-buffer chunk to the
-// allocator for reuse.
+// allocator for reuse: merged with the free spans on either side of it, and
+// handed back to the bump tail when the result reaches Buffers.Top.
 func (h *Heap) FreeBufferRange(a Addr, size uint32) {
 	if !h.Buffers.Contains(a) {
 		panic(fmt.Sprintf("heap: freeing non-buffer range %#x", uint64(a)))
 	}
 	end := a + Addr(size)
-	// Reclaim trivially when the chunk is the bump tail; otherwise list it.
+	f := h.bufFree
+	i := sort.Search(len(f), func(i int) bool { return f[i].Start > a })
+	lo, hi := i, i // the range absorbs the adjacent spans f[lo:hi]
+	if i > 0 && f[i-1].End == a {
+		lo, a = i-1, f[i-1].Start
+	}
+	if i < len(f) && f[i].Start == end {
+		hi, end = i+1, f[i].End
+	}
 	if end == h.Buffers.Top {
+		// Every span lies below Top, so none is left above this one.
 		h.Buffers.Top = a
+		h.bufFree = f[:lo]
 		return
 	}
-	h.bufFree = append(h.bufFree, Region{Start: a, End: end, Top: a})
+	h.bufFree = slices.Replace(f, lo, hi, Region{Start: a, End: end, Top: a})
 }
 
 // InYoung reports whether a is in eden or a survivor space.

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -253,7 +254,8 @@ func TestBufferFreeListReuse(t *testing.T) {
 
 // checkBufInvariants asserts the buffer allocator's internal consistency:
 // every free span lies inside buffer space, is non-empty, spans are mutually
-// disjoint, and BufferUsed never exceeds the bump extent.
+// disjoint, in address order and fully merged (no two adjacent, none
+// touching the bump tail), and BufferUsed never exceeds the bump extent.
 func checkBufInvariants(t *testing.T, h *Heap) {
 	t.Helper()
 	for i, s := range h.bufFree {
@@ -268,6 +270,13 @@ func checkBufInvariants(t *testing.T, h *Heap) {
 			if s.Start < o.End && o.Start < s.End {
 				t.Fatalf("free spans %d and %d overlap", i, j)
 			}
+		}
+		if i > 0 && h.bufFree[i-1].End >= s.Start {
+			t.Fatalf("free span %d [%#x, %#x) not above and apart from span %d ending %#x",
+				i, uint64(s.Start), uint64(s.End), i-1, uint64(h.bufFree[i-1].End))
+		}
+		if s.End == h.Buffers.Top {
+			t.Fatalf("free span %d [%#x, %#x) touches the bump tail", i, uint64(s.Start), uint64(s.End))
 		}
 	}
 	if h.BufferUsed() > h.Buffers.Used() {
@@ -353,6 +362,36 @@ func TestBufferReuseBeforeExhaustion(t *testing.T) {
 	}
 	if hw := h.BufferHighWater(); hw != 2*chunk {
 		t.Errorf("BufferHighWater = %d, want %d (two live chunks at peak)", hw, 2*chunk)
+	}
+}
+
+// TestFreeBufferRangeCoalesces: freed neighbours merge whichever is freed
+// first, and the bump tail takes back a listed span it comes to touch — so a
+// stream's worth of chunks, freed one by one, is one reusable extent again,
+// and two adjacent free 64 KiB chunks serve a 128 KiB segment instead of the
+// reader reporting exhausted input-buffer space.
+func TestFreeBufferRangeCoalesces(t *testing.T) {
+	const chunk = 64 << 10
+	for _, order := range [][]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 3}, {3, 2}, {0, 1, 2, 3}, {2, 0, 3, 1}} {
+		h := New(Config{BufferSize: 4 * chunk, Layout: klass.Layout{Baddr: true}})
+		var at [4]Addr
+		for i := range at {
+			if at[i] = h.AllocBuffer(chunk); at[i] == Null {
+				t.Fatalf("alloc %d failed", i)
+			}
+		}
+		for _, i := range order {
+			h.FreeBufferRange(at[i], chunk)
+			checkBufInvariants(t, h)
+		}
+		if want := uint64(4-len(order)) * chunk; h.BufferUsed() != want {
+			t.Errorf("free order %v: BufferUsed = %d, want %d", order, h.BufferUsed(), want)
+		}
+		if got := h.AllocBuffer(uint32(len(order)) * chunk); got != at[slices.Min(order)] {
+			t.Errorf("free order %v: %d KiB alloc got %#x, want the merged extent at %#x",
+				order, len(order)*chunk>>10, uint64(got), uint64(at[slices.Min(order)]))
+		}
+		checkBufInvariants(t, h)
 	}
 }
 

@@ -128,12 +128,6 @@ type engineEncoder struct {
 	nextDesc   uint64
 
 	scratch [binary.MaxVarintLen64]byte
-	// bulk is the reusable staging buffer for the schema-compiled
-	// primitive-array fast path (used only when the heap can't hand out a
-	// direct byte view); it grows to the largest array seen and lives as
-	// long as the stream, so steady-state encoding allocates nothing per
-	// array.
-	bulk []byte
 }
 
 func (e *engineEncoder) Bytes() int64  { return e.cw.n + int64(e.w.Buffered()) }
@@ -200,26 +194,11 @@ func (e *engineEncoder) writePrimArray(o heap.Addr, k *klass.Klass, n int) error
 	es := k.ElemSize()
 	base := e.rt.Heap.Layout().ArrayHeaderSize()
 	if e.s.Access == AccessGenerated && !e.s.Varint {
-		// Bulk copy path of schema-compiled serializers. When the heap can
-		// expose the payload words directly (little-endian hosts) the array
-		// bytes go straight from the slab into the stream writer — no
-		// staging buffer at all; otherwise they stage through the reusable
-		// e.bulk scratch.
-		total := uint32(n) * es
-		if total == 0 {
-			return nil
+		// Bulk copy path of schema-compiled serializers: the array bytes go
+		// straight from the slab into the stream writer.
+		if total := uint32(n) * es; total > 0 {
+			e.w.Write(e.rt.Heap.ByteView(o.Add(base), klass.Pad(total))[:total])
 		}
-		pad := klass.Pad(total)
-		if v := e.rt.Heap.ByteView(o.Add(base), pad); v != nil {
-			e.w.Write(v[:total])
-			return nil
-		}
-		if cap(e.bulk) < int(pad) {
-			e.bulk = make([]byte, pad)
-		}
-		buf := e.bulk[:pad]
-		e.rt.Heap.CopyOut(o.Add(base), pad, buf)
-		e.w.Write(buf[:total])
 		return nil
 	}
 	for i := 0; i < n; i++ {
@@ -383,9 +362,6 @@ type engineDecoder struct {
 	rehash    []*gc.Handle // completed hash maps awaiting rehash
 
 	objects uint64
-	// bulk mirrors engineEncoder.bulk: the reusable primitive-array staging
-	// buffer for hosts where the heap can't be filled in place.
-	bulk []byte
 }
 
 func (d *engineDecoder) Objects() uint64 { return d.objects }
@@ -557,27 +533,14 @@ func (d *engineDecoder) readPrimArray(oh *gc.Handle, k *klass.Klass, n int) erro
 		if total == 0 {
 			return nil
 		}
-		pad := klass.Pad(total)
-		if v := d.rt.Heap.ByteView(oh.Addr().Add(base), pad); v != nil {
-			// Wire bytes land straight in the slab. The pad tail of the last
-			// word is zeroed explicitly — the staging path always wrote
-			// zeros there, and compact-mode re-encoding would otherwise leak
-			// stale pad bytes onto the wire.
-			if _, err := io.ReadFull(d.r, v[:total]); err != nil {
-				return err
-			}
-			clear(v[total:])
-			return nil
-		}
-		if cap(d.bulk) < int(pad) {
-			d.bulk = make([]byte, pad)
-		}
-		buf := d.bulk[:pad]
-		clear(buf[total:]) // reuse: the pad tail must stay zero
-		if _, err := io.ReadFull(d.r, buf[:total]); err != nil {
+		// Wire bytes land straight in the slab. The pad tail of the last
+		// word is zeroed explicitly: compact-mode re-encoding would
+		// otherwise leak stale pad bytes onto the wire.
+		v := d.rt.Heap.ByteView(oh.Addr().Add(base), klass.Pad(total))
+		if _, err := io.ReadFull(d.r, v[:total]); err != nil {
 			return err
 		}
-		d.rt.Heap.CopyIn(oh.Addr().Add(base), pad, buf)
+		clear(v[total:])
 		return nil
 	}
 	for i := 0; i < n; i++ {
