@@ -53,33 +53,34 @@ verify:
 	SKYWAY_VERIFY=1 $(GO) test ./...
 
 # Chaos suite under the race detector: the failpoint matrix
-# (internal/fault), the shuffle degradation-ladder tests, and the registry
+# (internal/fault), the shuffle degradation-ladder tests (Spark jobs in
+# internal/dataflow, Flink queries in internal/batch), and the registry
 # replay/drop/delay tests plus the framed layer's deadline/redial tests, with
 # the heap invariant verifier armed.
 chaos:
 	SKYWAY_VERIFY=1 $(GO) test -race -run 'Chaos|Fault|Torn|TaskDie|FetchSlow|Exchange|Dial' \
-		./internal/fault/ ./internal/dataflow/ ./internal/registry/ ./internal/framed/ ./internal/core/
+		./internal/fault/ ./internal/dataflow/ ./internal/batch/ ./internal/registry/ ./internal/framed/ ./internal/core/
 
 # Real multi-process cluster over loopback TCP: the test binary is the
 # driver (registry daemon included) and spawns executor block-server
 # processes via its re-exec trampoline; every shuffle block crosses real
-# sockets twice. Includes the transport conformance suite, the TCP chaos
-# matrix, and the framed-connection and registry-protocol tests both
-# conversations run on.
+# sockets twice. Includes the transport conformance suite (a Flink query
+# among its inputs), the TCP chaos matrix, and the framed-connection and
+# registry-protocol tests both conversations run on.
 cluster-test:
 	$(GO) test -race -run 'TestClusterWordCountOverTCPProcesses|TestTCPChaosMatrix|TestConformance|TestTornStream|TestSlowPeer|TestDialFailpoint|TestPooled' \
-		./internal/dataflow/ ./internal/transport/ ./internal/transport/tcp/
+		./internal/dataflow/ ./internal/batch/ ./internal/transport/ ./internal/transport/tcp/
 	$(GO) test -race ./internal/framed/ ./internal/registry/
 
 # The arena suite: lazy-decode equivalence (eager vs. arena bit-identity,
 # promotion-heavy variants), handle bounds/lifecycle unit tests, the
 # steady-state allocation and full-GC-scan-independence gates, the arena
-# chaos matrix, and a full SKYWAY_ARENA=1 sweep of the core and dataflow
-# packages under the race detector with the heap verifier armed.
+# chaos matrix, and a full SKYWAY_ARENA=1 sweep of the core, dataflow and
+# batch packages under the race detector with the heap verifier armed.
 arena-test:
 	SKYWAY_VERIFY=1 $(GO) test -race ./internal/arena/ ./internal/transport/
 	SKYWAY_VERIFY=1 $(GO) test -race -run 'Arena' ./internal/heap/ ./internal/core/ ./internal/fault/
-	SKYWAY_ARENA=1 SKYWAY_VERIFY=1 $(GO) test -race ./internal/core/ ./internal/serial/ ./internal/dataflow/
+	SKYWAY_ARENA=1 SKYWAY_VERIFY=1 $(GO) test -race ./internal/core/ ./internal/serial/ ./internal/dataflow/ ./internal/batch/
 
 # Native fuzzing, smoke duration per target (override FUZZTIME for a soak).
 FUZZTIME ?= 30s

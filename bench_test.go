@@ -152,30 +152,16 @@ func BenchmarkTable1GraphGen(b *testing.B) {
 // built-in tuple serializers and Skyway.
 func BenchmarkFig8bFlink(b *testing.B) {
 	gen := datagen.GenTPCH(0.3, 2024)
+	cfg := experiments.DefaultFlinkConfig()
 	for _, q := range batch.AllQueries() {
-		for _, mode := range []string{"flink-builtin", "skyway"} {
-			b.Run(fmt.Sprintf("%s/%s", q, mode), func(b *testing.B) {
-				factory := batch.BuiltinFactory()
-				if mode == "skyway" {
-					factory = batch.SkywayFactory()
-				}
+		for _, ser := range batch.Serializers() {
+			b.Run(fmt.Sprintf("%s/%s", q, ser), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					cp := klass.NewPath()
-					batch.TPCHClasses(cp)
-					c, err := batch.NewCluster(cp, batch.Config{Workers: 3}, factory)
+					info, err := experiments.FlinkRunInfo(q, gen, ser, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
-					db, err := batch.Load(c, gen)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b1, _, err := batch.Run(c, q, db)
-					if err != nil {
-						b.Fatal(err)
-					}
-					db.Free()
-					if i == 0 && b1.Records > 0 {
+					if b1 := info.Breakdown; i == 0 && b1.Records > 0 {
 						b.ReportMetric(float64((b1.Ser+b1.Deser).Microseconds())/float64(b1.Records)*1000, "sd-ns/record")
 					}
 				}

@@ -10,7 +10,7 @@ import (
 
 	"skyway/internal/batch"
 	"skyway/internal/datagen"
-	"skyway/internal/klass"
+	"skyway/internal/experiments"
 )
 
 func main() {
@@ -30,33 +30,16 @@ func main() {
 	fmt.Printf("dataset: sf=%.2f — %d lineitems, %d orders, %d customers\n\n",
 		*sf, len(gen.LineItems), len(gen.Orders), len(gen.Customers))
 
-	modes := []struct {
-		name    string
-		factory batch.CodecFactory
-	}{
-		{"flink-builtin", batch.BuiltinFactory()},
-		{"skyway", batch.SkywayFactory()},
-	}
-
+	cfg := experiments.DefaultFlinkConfig()
+	cfg.Workers = *workers
 	for _, q := range queries {
 		fmt.Printf("%s: %s\n", q, batch.Describe(q))
-		for _, m := range modes {
-			cp := klass.NewPath()
-			batch.TPCHClasses(cp)
-			c, err := batch.NewCluster(cp, batch.Config{Workers: *workers}, m.factory)
+		for _, ser := range batch.Serializers() {
+			info, err := experiments.FlinkRunInfo(q, gen, ser, cfg)
 			if err != nil {
-				log.Fatal(err)
+				log.Fatalf("%s/%s: %v", ser, q, err)
 			}
-			db, err := batch.Load(c, gen)
-			if err != nil {
-				log.Fatal(err)
-			}
-			bd, digest, err := batch.Run(c, q, db)
-			if err != nil {
-				log.Fatalf("%s/%s: %v", m.name, q, err)
-			}
-			fmt.Printf("  %-14s %s\n                 result digest %.2f\n", m.name, bd, digest)
-			db.Free()
+			fmt.Printf("  %-14s %s\n                 result digest %.2f\n", ser, info.Breakdown, info.Digest)
 		}
 		fmt.Println()
 	}

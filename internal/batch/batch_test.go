@@ -3,14 +3,17 @@ package batch
 import (
 	"bytes"
 	"io"
+	"net"
 	"sort"
 	"testing"
 
+	"skyway/internal/dataflow"
 	"skyway/internal/datagen"
 	"skyway/internal/heap"
 	"skyway/internal/klass"
 	"skyway/internal/race"
 	"skyway/internal/registry"
+	tcptransport "skyway/internal/transport/tcp"
 	"skyway/internal/verify"
 	"skyway/internal/vm"
 )
@@ -25,11 +28,12 @@ func smallHeap() heap.Config {
 	}
 }
 
-func newTestCluster(t *testing.T, factory CodecFactory) *Cluster {
+// newTestCluster boots three small-heap task managers; cfg carries whatever
+// else the test varies (ParallelTasks, Transport).
+func newTestCluster(t *testing.T, cfg dataflow.Config, serializer string) *Cluster {
 	t.Helper()
-	cp := klass.NewPath()
-	TPCHClasses(cp)
-	c, err := NewCluster(cp, Config{Workers: 3, Heap: smallHeap()}, factory)
+	cfg.Workers, cfg.Heap = 3, smallHeap()
+	c, err := NewCluster(cfg, serializer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,32 +165,87 @@ func loadTestDB(t *testing.T, c *Cluster) *DB {
 	return db
 }
 
+// TestAllQueriesAgreeAcrossSerializers: every query answers the same under
+// the built-in serializers and Skyway, and — per serializer — the same with
+// identical exchange bytes whether the task managers run one at a time or all
+// at once.
 func TestAllQueriesAgreeAcrossSerializers(t *testing.T) {
-	want := make(map[Query]float64)
-	for _, mode := range []string{"builtin", "skyway"} {
-		var factory CodecFactory
-		if mode == "builtin" {
-			factory = BuiltinFactory()
-		} else {
-			factory = SkywayFactory()
-		}
-		c := newTestCluster(t, factory)
+	type result struct {
+		digest float64
+		bytes  int64
+	}
+	runAll := func(serializer string, parallel int) map[Query]result {
+		c := newTestCluster(t, dataflow.Config{ParallelTasks: parallel}, serializer)
 		db := loadTestDB(t, c)
+		defer db.Free()
+		out := make(map[Query]result)
 		for _, q := range AllQueries() {
 			bd, digest, err := Run(c, q, db)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", mode, q, err)
+				t.Fatalf("%s/%s (parallel %d): %v", serializer, q, parallel, err)
 			}
 			if bd.ShuffleBytes == 0 {
-				t.Errorf("%s/%s: no exchange volume", mode, q)
+				t.Errorf("%s/%s: no exchange volume", serializer, q)
 			}
-			if mode == "builtin" {
-				want[q] = digest
-			} else if digest != want[q] {
-				t.Errorf("%s: skyway digest %f != builtin %f", q, digest, want[q])
+			// Under SKYWAY_ARENA=1 every received block was staged
+			// off-heap; the exchange's epoch must have retired it.
+			if n := liveArenaRegions(c); n != 0 {
+				t.Errorf("%s/%s: %d arena regions live after the query", serializer, q, n)
+			}
+			out[q] = result{digest, bd.ShuffleBytes}
+		}
+		return out
+	}
+	var want map[Query]result
+	for _, ser := range Serializers() {
+		seq := runAll(ser, 1)
+		par := runAll(ser, -1)
+		if want == nil {
+			want = seq
+		}
+		for _, q := range AllQueries() {
+			if seq[q].digest != want[q].digest {
+				t.Errorf("%s: %s digest %f != %s %f", q, ser, seq[q].digest, Serializers()[0], want[q].digest)
+			}
+			if par[q] != seq[q] {
+				t.Errorf("%s/%s: parallel run %+v != sequential %+v", ser, q, par[q], seq[q])
 			}
 		}
-		db.Free()
+	}
+}
+
+// TestConformanceQueryOverTCP: QC's three exchanges through in-process
+// transport/tcp block servers must give the digest and exchange bytes of the
+// netsim.LocalTransport run — a transport moves bytes, it must not change
+// them.
+func TestConformanceQueryOverTCP(t *testing.T) {
+	run := func(cfg dataflow.Config) (float64, int64) {
+		c := newTestCluster(t, cfg, "skyway")
+		db := loadTestDB(t, c)
+		defer db.Free()
+		bd, digest, err := Run(c, QC, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digest, bd.ShuffleBytes
+	}
+	peers := make(map[int]string)
+	for i := 0; i < 3; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := tcptransport.Serve(i, ln)
+		defer srv.Close()
+		peers[i] = ln.Addr().String()
+	}
+	tr := tcptransport.New(peers)
+	defer tr.Close()
+
+	simDigest, simBytes := run(dataflow.Config{})
+	tcpDigest, tcpBytes := run(dataflow.Config{Transport: tr})
+	if tcpDigest != simDigest || tcpBytes != simBytes || simBytes == 0 {
+		t.Fatalf("QC over tcp = (%v, %d B), over netsim = (%v, %d B)", tcpDigest, tcpBytes, simDigest, simBytes)
 	}
 }
 
@@ -208,8 +267,8 @@ func TestBuiltinSmallerButSlowerThanSkywayOnDeser(t *testing.T) {
 	// noisy on shared hardware, so the timing claim takes the median
 	// sky/builtin ratio over interleaved trials with headroom, and is
 	// skipped under -short.
-	run := func(factory CodecFactory) (deserPerRec float64, bytes int64) {
-		c := newTestCluster(t, factory)
+	run := func(serializer string) (deserPerRec float64, bytes int64) {
+		c := newTestCluster(t, dataflow.Config{}, serializer)
 		db := loadTestDB(t, c)
 		defer db.Free()
 		var totalDeser float64
@@ -225,8 +284,8 @@ func TestBuiltinSmallerButSlowerThanSkywayOnDeser(t *testing.T) {
 		}
 		return totalDeser / float64(totalRecs), totalBytes
 	}
-	builtinDeser, builtinBytes := run(BuiltinFactory())
-	skyDeser, skyBytes := run(SkywayFactory())
+	builtinDeser, builtinBytes := run("flink-builtin")
+	skyDeser, skyBytes := run("skyway")
 	if skyBytes <= builtinBytes {
 		t.Errorf("skyway bytes (%d) not larger than builtin (%d)", skyBytes, builtinBytes)
 	}
@@ -242,8 +301,8 @@ func TestBuiltinSmallerButSlowerThanSkywayOnDeser(t *testing.T) {
 	const trials = 5
 	ratios := []float64{skyDeser / builtinDeser}
 	for len(ratios) < trials {
-		b, _ := run(BuiltinFactory())
-		s, _ := run(SkywayFactory())
+		b, _ := run("flink-builtin")
+		s, _ := run("skyway")
 		ratios = append(ratios, s/b)
 	}
 	sort.Float64s(ratios)

@@ -1,62 +1,40 @@
-// Package batch is a miniature Flink batch engine (§5.3): typed tuple
-// datasets partitioned across worker runtimes, hash exchanges between
-// operators, and Flink's signature serialization design — a statically
-// chosen, schema-specialized serializer per exchanged tuple type, with lazy
-// deserialization that materializes only the fields downstream operators
-// touch. Skyway plugs into the same exchange path through the shared
-// serial.Codec interface.
+// Package batch is a miniature Flink batch engine (§5.3), reduced to what is
+// Flink's own: the plan layer — typed tuple datasets partitioned across the
+// task managers and the five queries' operator graphs — and Flink's signature
+// serialization design, a statically chosen, schema-specialized serializer
+// per exchanged tuple type with lazy deserialization that materializes only
+// the fields downstream operators touch (tuplecodec.go). The deployment
+// itself — runtimes, registry, scheduler, transport, degradation ladder,
+// arena epochs, accounting — is a dataflow.Cluster: a hash exchange is one
+// dataflow shuffle, and Skyway plugs into it exactly as it does for Spark,
+// through the cluster codec and the shuffleStart mark.
 package batch
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
-	"time"
 
-	"skyway/internal/gc"
+	"skyway/internal/dataflow"
 	"skyway/internal/heap"
 	"skyway/internal/klass"
 	"skyway/internal/metrics"
-	"skyway/internal/netsim"
-	"skyway/internal/obs"
-	"skyway/internal/registry"
 	"skyway/internal/serial"
 	"skyway/internal/vm"
 )
 
-// CodecFactory selects the serializer for one exchange of rows of the given
-// class; needed lists the fields downstream operators will read (lazy
-// deserialization hint — ignored by serializers without that capability).
-type CodecFactory func(c *Cluster, class string, needed []string) serial.Codec
+// Serializers lists the Figure 8(b) serializers in report order.
+func Serializers() []string { return []string{"flink-builtin", "skyway"} }
 
-// Config sizes a cluster.
-type Config struct {
-	Workers int
-	Heap    heap.Config
-	Model   netsim.CostModel
-}
-
-// Cluster is one simulated Flink deployment.
+// Cluster is one simulated Flink deployment: a dataflow cluster whose
+// exchanges pick their serializer per tuple type.
 type Cluster struct {
-	CP    *klass.Path
-	Reg   *registry.Registry
-	Execs []*Executor
-	Model netsim.CostModel
-
-	// NewCodec picks the serializer per exchange (built-in tuple
-	// serializers vs Skyway).
-	NewCodec CodecFactory
-
-	// PeakHeap tracks maximum observed executor heap usage.
-	PeakHeap uint64
+	*dataflow.Cluster
+	// sky is the deployment's one Skyway codec; nil selects Flink's
+	// built-in tuple serializers, one per exchange.
+	sky *serial.SkywayCodec
 }
 
 // Executor is one task-manager runtime.
-type Executor struct {
-	ID int
-	RT *vm.Runtime
-}
+type Executor = dataflow.Executor
 
 // DefaultHeap sizes task-manager heaps for the bundled queries.
 func DefaultHeap() heap.Config {
@@ -69,232 +47,59 @@ func DefaultHeap() heap.Config {
 	}
 }
 
-// NewCluster boots the task managers over a shared classpath and registry.
-func NewCluster(cp *klass.Path, cfg Config, factory CodecFactory) (*Cluster, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 3
-	}
+// NewCluster boots the task managers as a dataflow cluster over a fresh TPC-H
+// classpath, one exchange partition per task manager, exchanging rows with
+// the named serializer. A zero cfg.Heap uses DefaultHeap.
+func NewCluster(cfg dataflow.Config, serializer string) (*Cluster, error) {
+	cp := klass.NewPath()
+	TPCHClasses(cp)
 	if cfg.Heap.EdenSize == 0 {
 		cfg.Heap = DefaultHeap()
 	}
-	if cfg.Model.NetBandwidth == 0 {
-		cfg.Model = netsim.Paper1GbE()
+	cfg.PartitionsPerWorker = 1
+	df, err := dataflow.NewCluster(cp, cfg, nil)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Model.Trace == nil {
-		cfg.Model.Trace = obs.NewTracer("fabric")
-	}
-	reg := registry.NewRegistry()
-	c := &Cluster{CP: cp, Reg: reg, Model: cfg.Model, NewCodec: factory}
-	for i := 0; i < cfg.Workers; i++ {
-		rt, err := vm.NewRuntime(cp, vm.Options{
-			Name:     fmt.Sprintf("tm-%d", i),
-			Heap:     cfg.Heap,
-			Registry: registry.InProc{R: reg},
-		})
-		if err != nil {
-			return nil, err
+	c := &Cluster{Cluster: df}
+	switch serializer {
+	case "flink-builtin":
+	case "skyway":
+		rts := make([]*vm.Runtime, len(df.Execs))
+		for i, ex := range df.Execs {
+			rts[i] = ex.RT
 		}
-		c.Execs = append(c.Execs, &Executor{ID: i, RT: rt})
+		c.sky = serial.NewSkywayCodec(rts...)
+	default:
+		return nil, fmt.Errorf("batch: unknown serializer %q", serializer)
 	}
 	return c, nil
-}
-
-// Workers returns the task-manager count.
-func (c *Cluster) Workers() int { return len(c.Execs) }
-
-// GCStats aggregates collector statistics across the task managers.
-func (c *Cluster) GCStats() gc.Stats {
-	var s gc.Stats
-	for _, ex := range c.Execs {
-		s.Merge(ex.RT.GC.Stats())
-	}
-	return s
-}
-
-// BufferPeak returns the largest input-buffer high-water mark across the
-// task managers.
-func (c *Cluster) BufferPeak() uint64 {
-	var peak uint64
-	for _, ex := range c.Execs {
-		if hw := ex.RT.Heap.BufferHighWater(); hw > peak {
-			peak = hw
-		}
-	}
-	return peak
-}
-
-func (c *Cluster) sampleHeaps() {
-	for _, ex := range c.Execs {
-		if u := ex.RT.Heap.UsedBytes(); u > c.PeakHeap {
-			c.PeakHeap = u
-		}
-	}
-}
-
-// BuiltinFactory returns Flink's native behaviour: a schema-specialized
-// tuple serializer per exchange with lazy deserialization of the needed
-// fields only.
-func BuiltinFactory() CodecFactory {
-	return func(c *Cluster, class string, needed []string) serial.Codec {
-		return NewTupleCodec(class, needed)
-	}
-}
-
-// SkywayFactory returns a factory that transfers rows via Skyway; one
-// service per runtime is shared across exchanges, and every exchange is a
-// new shuffle phase. Codecs are cached per cluster — never across clusters,
-// which would both pin retired clusters' heaps in memory and desynchronize
-// shuffle phases.
-func SkywayFactory() CodecFactory {
-	codecs := make(map[*Cluster]*serial.SkywayCodec)
-	return func(c *Cluster, class string, needed []string) serial.Codec {
-		codec, ok := codecs[c]
-		if !ok {
-			rts := make([]*vm.Runtime, len(c.Execs))
-			for i, ex := range c.Execs {
-				rts[i] = ex.RT
-			}
-			codec = serial.NewSkywayCodec(rts...)
-			// Drop retired clusters so their heap slabs can be
-			// reclaimed; only the live cluster stays cached.
-			clear(codecs)
-			codecs[c] = codec
-		}
-		codec.ShuffleStartAll()
-		return codec
-	}
 }
 
 // Emit routes one row to a destination task manager.
 type Emit func(dst int, row heap.Addr)
 
-// Exchange runs one hash exchange of rows of the given class: produce emits
-// rows on every executor (computation), rows are serialized per destination
-// block (measured), spilled and fetched (modelled), deserialized (measured),
-// and handed to consume (computation).
+// Exchange runs one hash exchange of rows of the given class as a dataflow
+// shuffle: produce emits rows on every task manager, consume receives them
+// in (sender, emit) order. needed lists the fields downstream operators will
+// read (the built-in serializers' lazy deserialization hint; Skyway ignores
+// it). Both closures run under dataflow.ShuffleSpec's concurrency contract:
+// several task managers at once, so they touch only ex-local state.
 func (c *Cluster) Exchange(class string, needed []string,
 	produce func(ex *Executor, emit Emit) error,
 	consume func(ex *Executor, rows []heap.Addr) error) (metrics.Breakdown, error) {
 
-	var bd metrics.Breakdown
-	p := c.Workers()
-	codec := c.NewCodec(c, class, needed)
-
-	blocks := make([][][]byte, p)
-	for src := 0; src < p; src++ {
-		ex := c.Execs[src]
-		out := make([][]*gc.Handle, p)
-		start := time.Now()
-		err := produce(ex, func(dst int, row heap.Addr) {
-			out[dst] = append(out[dst], ex.RT.Pin(row))
-		})
-		if err != nil {
-			return bd, fmt.Errorf("batch: produce on tm-%d: %w", src, err)
-		}
-		bd.Compute += time.Since(start)
-
-		blocks[src] = make([][]byte, p)
-		serStart := time.Now()
-		for dst := 0; dst < p; dst++ {
-			if len(out[dst]) == 0 {
-				continue
-			}
-			var buf bytes.Buffer
-			enc := codec.NewEncoder(ex.RT, &buf)
-			for _, h := range out[dst] {
-				if err := enc.Write(h.Addr()); err != nil {
-					return bd, fmt.Errorf("batch: serialize on tm-%d: %w", src, err)
-				}
-			}
-			if err := enc.Flush(); err != nil {
-				return bd, err
-			}
-			blocks[src][dst] = buf.Bytes()
-			bd.Records += int64(len(out[dst]))
-		}
-		bd.Ser += time.Since(serStart)
-		for dst := range out {
-			for _, h := range out[dst] {
-				h.Release()
-			}
-		}
-		var written int64
-		for dst := 0; dst < p; dst++ {
-			written += int64(len(blocks[src][dst]))
-		}
-		bd.WriteIO += c.Model.WriteTime(written)
-		bd.ShuffleBytes += written
+	if c.sky != nil {
+		c.Codec = c.sky
+	} else {
+		c.Codec = NewTupleCodec(class, needed)
 	}
-	c.sampleHeaps()
-
-	for dst := 0; dst < p; dst++ {
-		ex := c.Execs[dst]
-		var localB, remoteB int64
-		var handles []*gc.Handle
-		var freers []interface{ Free() }
-		for src := 0; src < p; src++ {
-			block := blocks[src][dst]
-			if len(block) == 0 {
-				continue
-			}
-			if src == dst {
-				localB += int64(len(block))
-			} else {
-				remoteB += int64(len(block))
-			}
-			deserStart := time.Now()
-			dec := codec.NewDecoder(ex.RT, bytes.NewReader(block))
-			for {
-				row, err := dec.Read()
-				if err != nil {
-					if errors.Is(err, io.EOF) {
-						break
-					}
-					return bd, fmt.Errorf("batch: deserialize on tm-%d: %w", dst, err)
-				}
-				handles = append(handles, ex.RT.Pin(row))
-			}
-			bd.Deser += time.Since(deserStart)
-			if f, ok := dec.(interface{ Free() }); ok {
-				freers = append(freers, f)
-			}
-			blocks[src][dst] = nil
-		}
-		bd.LocalBytes += localB
-		bd.RemoteBytes += remoteB
-		bd.ReadIO += c.Model.FetchTime(localB, remoteB)
-
-		start := time.Now()
-		rows := make([]heap.Addr, len(handles))
-		for i, h := range handles {
-			rows[i] = h.Addr()
-		}
-		if err := consume(ex, rows); err != nil {
-			return bd, fmt.Errorf("batch: consume on tm-%d: %w", dst, err)
-		}
-		bd.Compute += time.Since(start)
-		for _, h := range handles {
-			h.Release()
-		}
-		// Rows were consumed into operator state; free the Skyway input
-		// buffers (explicit-free API, §3.2).
-		for _, f := range freers {
-			f.Free()
-		}
-	}
-	c.sampleHeaps()
-	return bd, nil
-}
-
-// Compute runs fn on every executor under the computation timer.
-func (c *Cluster) Compute(fn func(ex *Executor) error) (metrics.Breakdown, error) {
-	var bd metrics.Breakdown
-	for _, ex := range c.Execs {
-		start := time.Now()
-		if err := fn(ex); err != nil {
-			return bd, err
-		}
-		bd.Compute += time.Since(start)
-	}
-	return bd, nil
+	return c.RunShuffle(dataflow.ShuffleSpec{
+		Produce: func(ex *Executor, emit dataflow.Emit) error {
+			// A constant sort key keeps the stable sort-based shuffle in
+			// emit order: Flink's hash exchange does not sort.
+			return produce(ex, func(dst int, row heap.Addr) { emit(dst, 0, row) })
+		},
+		Consume: consume,
+	})
 }

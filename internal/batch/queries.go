@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"skyway/internal/datagen"
 	"skyway/internal/heap"
@@ -81,6 +82,19 @@ func fDouble(ex *Executor, row heap.Addr, k *klass.Klass, name string) float64 {
 	return ex.RT.GetDouble(row, k.FieldByName(name))
 }
 
+// partials allocates one result map per task manager. Operator closures run
+// for several task managers at once (dataflow.ShuffleSpec's concurrency
+// contract), so each writes only the map at its own ex.ID and reads only maps
+// finished before its exchange began; the driver merges them afterwards in
+// executor-ID order.
+func partials[K comparable, V any](c *Cluster) []map[K]V {
+	out := make([]map[K]V, c.Workers())
+	for i := range out {
+		out[i] = make(map[K]V)
+	}
+	return out
+}
+
 // newAggRow builds an AggRow tuple; strings in tag are optional.
 func newAggRow(ex *Executor, key int64, v1, v2, v3, v4 float64, count int64) (heap.Addr, error) {
 	k, err := ex.RT.LoadClass(AggRowClass)
@@ -108,7 +122,7 @@ func runQA(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 		qty, price, disc, charge float64
 		n                        int64
 	}
-	results := make(map[int64]*agg)
+	results := partials[int64, *agg](c)
 
 	bd, err := c.Exchange(AggRowClass, []string{"key", "v1", "v2", "v3", "v4", "count"},
 		func(ex *Executor, emit Emit) error {
@@ -143,10 +157,10 @@ func runQA(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 			ak := ex.RT.MustLoad(AggRowClass)
 			for _, row := range rows {
 				key := fInt(ex, row, ak, "key")
-				a := results[key]
+				a := results[ex.ID][key]
 				if a == nil {
 					a = &agg{}
-					results[key] = a
+					results[ex.ID][key] = a
 				}
 				a.qty += fDouble(ex, row, ak, "v1")
 				a.price += fDouble(ex, row, ak, "v2")
@@ -159,9 +173,13 @@ func runQA(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 	if err != nil {
 		return bd, 0, err
 	}
+	// Groups are hash-partitioned by key, so the per-executor maps are
+	// disjoint.
 	var digest float64
-	for key, a := range results {
-		digest += float64(key) + a.qty + a.price + a.disc + a.charge + float64(a.n)
+	for _, part := range results {
+		for key, a := range part {
+			digest += float64(key) + a.qty + a.price + a.disc + a.charge + float64(a.n)
+		}
 	}
 	return bd, round2(digest), nil
 }
@@ -193,10 +211,7 @@ func runQB(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 		part, supp int32
 		cost       float64
 	}
-	costsByPart := make([]map[int32][]costRow, c.Workers())
-	for i := range costsByPart {
-		costsByPart[i] = make(map[int32][]costRow)
-	}
+	costsByPart := partials[int32, []costRow](c)
 	x1, err := c.Exchange(PartSuppClass, nil,
 		func(ex *Executor, emit Emit) error {
 			db.PartSupp.Each(ex, func(row heap.Addr) {
@@ -226,10 +241,7 @@ func runQB(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 	// Exchange 2: supplier rows by suppkey hash, so each worker can map
 	// suppkey → region for the cost rows it owns. Suppliers are small;
 	// replicate by emitting to every worker (broadcast join).
-	suppRegion := make([]map[int32]int32, c.Workers())
-	for i := range suppRegion {
-		suppRegion[i] = make(map[int32]int32)
-	}
+	suppRegion := partials[int32, int32](c)
 	x2, err := c.Exchange(SupplierClass, []string{"suppkey", "nationkey"},
 		func(ex *Executor, emit Emit) error {
 			db.Supplier.Each(ex, func(row heap.Addr) {
@@ -263,8 +275,9 @@ func runQB(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 		part   int32
 		region int32
 	}
-	mins := make(map[prKey]float64)
+	mins := partials[prKey, float64](c)
 	fin, err := c.Compute(func(ex *Executor) error {
+		local := mins[ex.ID]
 		for part, rows := range costsByPart[ex.ID] {
 			for _, cr := range rows {
 				region, ok := suppRegion[ex.ID][cr.supp]
@@ -272,8 +285,8 @@ func runQB(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 					continue
 				}
 				k := prKey{part, region}
-				if cur, ok := mins[k]; !ok || cr.cost < cur {
-					mins[k] = cr.cost
+				if cur, ok := local[k]; !ok || cr.cost < cur {
+					local[k] = cr.cost
 				}
 			}
 		}
@@ -284,9 +297,13 @@ func runQB(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 	}
 	bd.Add(fin)
 
+	// Cost rows are hash-partitioned by part, so the per-executor maps are
+	// disjoint.
 	var digest float64
-	for k, v := range mins {
-		digest += float64(k.part)*7 + float64(k.region)*13 + v
+	for _, part := range mins {
+		for k, v := range part {
+			digest += float64(k.part)*7 + float64(k.region)*13 + v
+		}
 	}
 	return bd, round2(digest), nil
 }
@@ -299,10 +316,7 @@ func runQC(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 	segment := "BUILDING"
 
 	// Exchange 1: filtered customers by custkey (build side).
-	buildingCust := make([]map[int32]bool, c.Workers())
-	for i := range buildingCust {
-		buildingCust[i] = make(map[int32]bool)
-	}
+	buildingCust := partials[int32, bool](c)
 	x1, err := c.Exchange(CustomerClass, []string{"custkey", "mktsegment"},
 		func(ex *Executor, emit Emit) error {
 			ck := ex.RT.MustLoad(CustomerClass)
@@ -327,10 +341,7 @@ func runQC(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 	bd.Add(x1)
 
 	// Exchange 2: pending orders by custkey (probe), re-keyed by orderkey.
-	pendingOrders := make([]map[int32]int64, c.Workers()) // orderkey → orderdate<<8|prio
-	for i := range pendingOrders {
-		pendingOrders[i] = make(map[int32]int64)
-	}
+	pendingOrders := partials[int32, int64](c) // orderkey → orderdate<<8|prio
 	x2, err := c.Exchange(OrdersClass, []string{"orderkey", "custkey", "orderdate", "shippriority"},
 		func(ex *Executor, emit Emit) error {
 			ok := ex.RT.MustLoad(OrdersClass)
@@ -359,22 +370,19 @@ func runQC(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 	bd.Add(x2)
 
 	// Qualifying orders must be visible on the workers that receive the
-	// lineitem probe (partitioned by orderkey): merge the per-worker maps
-	// (driver-side broadcast of a small set).
+	// lineitem probe (partitioned by orderkey): the driver merges the
+	// per-worker maps (broadcast of a small set), read-only from here on.
+	start := time.Now()
 	qualified := make(map[int32]int64)
-	merge, err := c.Compute(func(ex *Executor) error {
-		for k, v := range pendingOrders[ex.ID] {
+	for _, part := range pendingOrders {
+		for k, v := range part {
 			qualified[k] = v
 		}
-		return nil
-	})
-	if err != nil {
-		return bd, 0, err
 	}
-	bd.Add(merge)
+	bd.Compute += time.Since(start)
 
 	// Exchange 3: late-shipped lineitems by orderkey; aggregate revenue.
-	revenue := make(map[int32]float64)
+	revenue := partials[int32, float64](c)
 	x3, err := c.Exchange(LineItemClass, []string{"orderkey", "extendedprice", "discount", "shipdate"},
 		func(ex *Executor, emit Emit) error {
 			lk := ex.RT.MustLoad(LineItemClass)
@@ -394,7 +402,7 @@ func runQC(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 				}
 				price := fDouble(ex, row, lk, "extendedprice")
 				disc := fDouble(ex, row, lk, "discount")
-				revenue[okey] += price * (1 - disc)
+				revenue[ex.ID][okey] += price * (1 - disc)
 			}
 			return nil
 		})
@@ -403,10 +411,13 @@ func runQC(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 	}
 	bd.Add(x3)
 
-	// Top-10 revenue digest.
-	vals := make([]float64, 0, len(revenue))
-	for _, v := range revenue {
-		vals = append(vals, v)
+	// Top-10 revenue digest (orders are hash-partitioned by orderkey: the
+	// per-executor maps are disjoint).
+	var vals []float64
+	for _, part := range revenue {
+		for _, v := range part {
+			vals = append(vals, v)
+		}
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
 	var digest float64
@@ -427,10 +438,7 @@ func runQD(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 	const yearEnd = yearStart + 360
 
 	// Exchange 1: late lineitems by orderkey (commit missed).
-	lateOrders := make([]map[int32]bool, c.Workers())
-	for i := range lateOrders {
-		lateOrders[i] = make(map[int32]bool)
-	}
+	lateOrders := partials[int32, bool](c)
 	x1, err := c.Exchange(LineItemClass, []string{"orderkey", "commitdate", "receiptdate"},
 		func(ex *Executor, emit Emit) error {
 			lk := ex.RT.MustLoad(LineItemClass)
@@ -455,7 +463,7 @@ func runQD(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 
 	// Exchange 2: orders in the year window by orderkey; count late per
 	// quarter.
-	counts := [4]int64{}
+	counts := make([][4]int64, c.Workers())
 	x2, err := c.Exchange(OrdersClass, []string{"orderkey", "orderdate"},
 		func(ex *Executor, emit Emit) error {
 			ok := ex.RT.MustLoad(OrdersClass)
@@ -478,7 +486,7 @@ func runQD(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 				if q > 3 {
 					q = 3
 				}
-				counts[q]++
+				counts[ex.ID][q]++
 			}
 			return nil
 		})
@@ -488,7 +496,11 @@ func runQD(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 	bd.Add(x2)
 
 	var digest float64
-	for q, n := range counts {
+	for q := 0; q < 4; q++ {
+		var n int64
+		for _, part := range counts {
+			n += part[q]
+		}
 		digest += float64(n) * float64(q+1)
 	}
 	return bd, digest, nil
@@ -500,10 +512,7 @@ func runQE(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 	var bd metrics.Breakdown
 
 	// Exchange 1: orders by orderkey (build: orderkey → custkey).
-	orderCust := make([]map[int32]int32, c.Workers())
-	for i := range orderCust {
-		orderCust[i] = make(map[int32]int32)
-	}
+	orderCust := partials[int32, int32](c)
 	x1, err := c.Exchange(OrdersClass, []string{"orderkey", "custkey"},
 		func(ex *Executor, emit Emit) error {
 			ok := ex.RT.MustLoad(OrdersClass)
@@ -526,7 +535,7 @@ func runQE(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 
 	// Exchange 2: returned lineitems by orderkey; revenue lost per
 	// customer.
-	lost := make(map[int32]float64)
+	lostAt := partials[int32, float64](c)
 	x2, err := c.Exchange(LineItemClass, []string{"orderkey", "extendedprice", "discount", "returnflag"},
 		func(ex *Executor, emit Emit) error {
 			lk := ex.RT.MustLoad(LineItemClass)
@@ -547,7 +556,7 @@ func runQE(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 				}
 				price := fDouble(ex, row, lk, "extendedprice")
 				disc := fDouble(ex, row, lk, "discount")
-				lost[cust] += price * (1 - disc)
+				lostAt[ex.ID][cust] += price * (1 - disc)
 			}
 			return nil
 		})
@@ -555,6 +564,15 @@ func runQE(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 		return bd, 0, err
 	}
 	bd.Add(x2)
+
+	// A customer's orders land on several workers: sum the partials in
+	// executor-ID order.
+	lost := make(map[int32]float64)
+	for _, part := range lostAt {
+		for cust, v := range part {
+			lost[cust] += v
+		}
+	}
 
 	// Digest: total lost revenue plus top-20 weighting.
 	type kv struct {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"skyway/internal/dataflow"
 	"skyway/internal/datagen"
 )
 
@@ -115,7 +116,7 @@ func refQE(db *datagen.TPCH) float64 {
 
 func TestQueriesMatchReference(t *testing.T) {
 	gen := datagen.GenTPCH(0.3, 99)
-	c := newTestCluster(t, BuiltinFactory())
+	c := newTestCluster(t, dataflow.Config{}, "flink-builtin")
 	db, err := Load(c, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +147,7 @@ func TestQBAndQCNonTrivial(t *testing.T) {
 	// QB and QC involve multi-way joins whose reference versions would
 	// duplicate the engine; instead pin down non-triviality invariants.
 	gen := datagen.GenTPCH(0.3, 99)
-	c := newTestCluster(t, BuiltinFactory())
+	c := newTestCluster(t, dataflow.Config{}, "flink-builtin")
 	db, err := Load(c, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +177,7 @@ func TestQBAndQCNonTrivial(t *testing.T) {
 }
 
 func TestRunUnknownQuery(t *testing.T) {
-	c := newTestCluster(t, BuiltinFactory())
+	c := newTestCluster(t, dataflow.Config{}, "flink-builtin")
 	db, err := Load(c, datagen.GenTPCH(0.05, 1))
 	if err != nil {
 		t.Fatal(err)

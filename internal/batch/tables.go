@@ -145,7 +145,6 @@ func (db *DB) Free() {
 // partitioned across executors; small dimension tables (nation, region)
 // are replicated to every executor, Flink-broadcast style.
 func Load(c *Cluster, db *datagen.TPCH) (*DB, error) {
-	TPCHClasses(c.CP)
 	out := &DB{}
 	var err error
 

@@ -547,35 +547,45 @@ func DefaultFlinkConfig() FlinkConfig {
 	return FlinkConfig{Workers: 3, SF: 1.0, Model: netsim.Paper1GbE()}
 }
 
+// FlinkRunInfo executes one (query, serializer) cell of Figure 8(b) on a
+// fresh cluster — the mirror of SparkRunInfo, and the one place a Flink
+// deployment is built, loaded, run and torn down.
+func FlinkRunInfo(q batch.Query, gen *datagen.TPCH, serializer string, cfg FlinkConfig) (RunInfo, error) {
+	// Start every cell from a clean Go heap, as SparkRunInfo does.
+	runtime.GC()
+	c, err := batch.NewCluster(dataflow.Config{Workers: cfg.Workers, Model: cfg.Model}, serializer)
+	if err != nil {
+		return RunInfo{}, err
+	}
+	db, err := batch.Load(c, gen)
+	if err != nil {
+		return RunInfo{}, err
+	}
+	bd, digest, err := batch.Run(c, q, db)
+	db.Free()
+	return RunInfo{
+		Breakdown:  bd,
+		Digest:     digest,
+		PeakHeap:   c.PeakHeap,
+		BufferPeak: c.BufferPeak(),
+		GC:         c.GCStats(),
+	}, err
+}
+
 // RunFlinkMatrix reproduces Figure 8(b): QA–QE under the built-in
 // serializers and Skyway.
 func RunFlinkMatrix(cfg FlinkConfig, queries []batch.Query) ([]FlinkCell, error) {
 	gen := datagen.GenTPCH(cfg.SF, 2024)
 	var cells []FlinkCell
-	for _, mode := range []string{"flink-builtin", "skyway"} {
-		factory := batch.BuiltinFactory()
-		if mode == "skyway" {
-			factory = batch.SkywayFactory()
-		}
+	for _, ser := range batch.Serializers() {
 		for _, q := range queries {
-			cp := klass.NewPath()
-			batch.TPCHClasses(cp)
-			c, err := batch.NewCluster(cp, batch.Config{Workers: cfg.Workers, Model: cfg.Model}, factory)
+			info, err := FlinkRunInfo(q, gen, ser, cfg)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s/%s: %w", ser, q, err)
 			}
-			db, err := batch.Load(c, gen)
-			if err != nil {
-				return nil, err
-			}
-			bd, digest, err := batch.Run(c, q, db)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", mode, q, err)
-			}
-			db.Free()
 			cells = append(cells, FlinkCell{
-				Query: q, Serializer: mode, Breakdown: bd, Digest: digest,
-				GC: c.GCStats(), BufferPeak: c.BufferPeak(),
+				Query: q, Serializer: ser, Breakdown: info.Breakdown, Digest: info.Digest,
+				GC: info.GC, BufferPeak: info.BufferPeak,
 			})
 		}
 	}
