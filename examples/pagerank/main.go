@@ -13,7 +13,6 @@ import (
 	"skyway/internal/datagen"
 	"skyway/internal/klass"
 	"skyway/internal/serial"
-	"skyway/internal/vm"
 )
 
 func main() {
@@ -30,34 +29,22 @@ func main() {
 	g := spec.Generate()
 	fmt.Printf("graph: %s-shaped, |V|=%d |E|=%d maxdeg=%d\n\n", spec.Name, g.N, g.M, g.MaxDegree())
 
-	codecs := []struct {
-		name string
-		mk   func(c *dataflow.Cluster) serial.Codec
-	}{
-		{"java", func(*dataflow.Cluster) serial.Codec { return serial.JavaCodec() }},
-		{"kryo", func(*dataflow.Cluster) serial.Codec { return serial.KryoCodec(dataflow.WorkloadRegistration()) }},
-		{"skyway", func(c *dataflow.Cluster) serial.Codec {
-			rts := make([]*vm.Runtime, 0, len(c.Execs))
-			for _, ex := range c.Execs {
-				rts = append(rts, ex.RT)
-			}
-			return serial.NewSkywayCodec(rts...)
-		}},
-	}
-
-	for _, entry := range codecs {
+	for _, name := range []string{"java", "kryo", "skyway"} {
 		cp := klass.NewPath()
 		dataflow.WorkloadClasses(cp)
-		c, err := dataflow.NewCluster(cp, dataflow.Config{Workers: *workers, ParallelTasks: *parallel}, nil)
+		codec, err := serial.ByName(name, dataflow.WorkloadRegistration())
 		if err != nil {
 			log.Fatal(err)
 		}
-		c.Codec = entry.mk(c)
+		c, err := dataflow.NewCluster(cp, dataflow.Config{Workers: *workers, ParallelTasks: *parallel}, codec)
+		if err != nil {
+			log.Fatal(err)
+		}
 		bd, mass, err := dataflow.RunPageRank(c, g, *iters)
 		if err != nil {
-			log.Fatalf("%s: %v", entry.name, err)
+			log.Fatalf("%s: %v", name, err)
 		}
-		fmt.Printf("%-8s %s\n", entry.name, bd)
+		fmt.Printf("%-8s %s\n", name, bd)
 		fmt.Printf("         rank mass %.2f, S/D share of total: %.1f%%\n\n", mass, bd.SDShare()*100)
 	}
 }

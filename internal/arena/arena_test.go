@@ -170,32 +170,3 @@ func TestSpaceBytesAcrossRegions(t *testing.T) {
 	}
 	b.Release()
 }
-
-func TestBlobOffHeapRoundTrip(t *testing.T) {
-	data := []byte("shuffle block payload")
-	for _, offHeap := range []bool{true, false} {
-		src := append([]byte(nil), data...)
-		bl := NewBlob(src, offHeap)
-		if string(bl.Bytes()) != string(data) {
-			t.Fatalf("offHeap=%v: Blob holds %q, want %q", offHeap, bl.Bytes(), data)
-		}
-		if offHeap {
-			// The mapping is a copy: mutating the source must not show
-			// through, or a recycled sender buffer would corrupt the block.
-			src[0] = 'X'
-			if bl.Bytes()[0] != 's' {
-				t.Fatalf("off-heap blob aliases its source slice")
-			}
-		}
-		bl.Free()
-		if bl.Bytes() != nil {
-			t.Fatalf("offHeap=%v: Bytes() non-nil after Free", offHeap)
-		}
-		bl.Free() // double free is a no-op, not a crash
-	}
-	empty := NewBlob(nil, true)
-	if len(empty.Bytes()) != 0 {
-		t.Fatal("empty blob is not empty")
-	}
-	empty.Free()
-}

@@ -18,7 +18,6 @@ import (
 	"skyway/internal/klass"
 	"skyway/internal/metrics"
 	"skyway/internal/serial"
-	"skyway/internal/vm"
 )
 
 // Serializers lists the Figure 8(b) serializers in report order.
@@ -65,11 +64,7 @@ func NewCluster(cfg dataflow.Config, serializer string) (*Cluster, error) {
 	switch serializer {
 	case "flink-builtin":
 	case "skyway":
-		rts := make([]*vm.Runtime, len(df.Execs))
-		for i, ex := range df.Execs {
-			rts[i] = ex.RT
-		}
-		c.sky = serial.NewSkywayCodec(rts...)
+		c.sky = serial.NewSkywayCodec()
 	default:
 		return nil, fmt.Errorf("batch: unknown serializer %q", serializer)
 	}

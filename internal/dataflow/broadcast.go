@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"time"
 
@@ -14,15 +15,24 @@ import (
 // paper's closure serialization path (§2.1): Spark launches the program on
 // the driver and must transfer each task's closure, and everything it
 // captures, to the workers before the task can run there. The active data
-// serializer carries the closure, exactly like shuffle records.
+// serializer carries the closure, exactly like shuffle records, and it
+// crosses the same exchange: a broadcast is one round whose blocks are the
+// payload put once per executor under (ex, ex), received through fetchBlock
+// like any reduce-side block.
 //
 // Returns the per-executor copies and the transfer cost breakdown (ser on
-// the driver, deser on each worker, network modelled per worker).
+// the driver, deser on each worker, network modelled per worker). Each copy
+// lives in its decoder's input buffers, which are kept; a failed broadcast
+// leaves no handle, input buffer or arena region behind.
 func (c *Cluster) Broadcast(root heap.Addr) ([]heap.Addr, metrics.Breakdown, error) {
 	var bd metrics.Breakdown
 	c.shuffleStart()
-	c.broadcastSeq++
-	seq := c.broadcastSeq
+	c.shuffleSeq++
+	sh, err := c.Transport.NewShuffle(c.shuffleSeq)
+	if err != nil {
+		return nil, bd, fmt.Errorf("dataflow: transport: %w", err)
+	}
+	defer sh.Close()
 
 	start := time.Now()
 	var buf bytes.Buffer
@@ -38,35 +48,44 @@ func (c *Cluster) Broadcast(root heap.Addr) ([]heap.Addr, metrics.Breakdown, err
 	bd.ShuffleBytes = int64(len(payload)) * int64(c.Workers())
 	bd.RemoteBytes = bd.ShuffleBytes
 
-	// Publish through the transport: in process this parks the payload for
-	// zero measured cost; over TCP it really ships a copy to every executor
-	// server, and the publish time lands in the write-I/O column.
-	pubTime, err := c.Transport.Broadcast(seq, payload)
-	if err != nil {
-		return nil, bd, fmt.Errorf("dataflow: broadcast publish: %w", err)
+	// Publish: in process this parks the payload for zero measured cost;
+	// over TCP it really ships a copy to every executor's server, and the
+	// publish time lands in the write-I/O column.
+	var putTime time.Duration
+	for _, ex := range c.Execs {
+		d, err := sh.Put(ex.ID, ex.ID, payload)
+		if err != nil {
+			return nil, bd, fmt.Errorf("dataflow: broadcast publish: %w", err)
+		}
+		putTime += d
 	}
-	bd.WriteIO = c.ioCharge(pubTime, func(m netsim.CostModel) time.Duration { return m.WriteTime(0) })
+	bd.WriteIO = c.ioCharge(putTime, func(m netsim.CostModel) time.Duration { return m.WriteTime(0) })
 
-	// Every worker decodes its own copy — concurrently when the cluster is
-	// parallel (each writes only its own out slot and its own runtime).
+	// Every worker receives its own copy — concurrently when the cluster is
+	// parallel (each writes only its own slots and its own runtime).
 	out := make([]heap.Addr, c.Workers())
+	bufs := make([]freer, c.Workers())
 	rbd, err := c.runPerExecutor("broadcast", func(ex *Executor) (taskResult, error) {
 		var res taskResult
-		copyB, fetchTime, err := c.Transport.FetchBroadcast(seq, ex.ID)
-		if err != nil {
-			return res, fmt.Errorf("fetch broadcast: %w", err)
-		}
-		start := time.Now()
-		dec := c.Codec.NewDecoder(ex.RT, bytes.NewReader(copyB))
-		got, err := dec.Read()
-		if err != nil {
-			return res, fmt.Errorf("deserialize: %w", err)
-		}
-		res.bd.Deser = time.Since(start)
-		out[ex.ID] = got
-		// Modelled, a broadcast receive is one network transfer per executor.
-		res.bd.ReadIO = c.ioCharge(fetchTime, func(m netsim.CostModel) time.Duration { return m.NetTime(int64(len(copyB))) })
+		var t fetchTally
+		hs, f, err := c.fetchBlock(ex, sh, "broadcast", ex.ID, ex.ID, &t)
+		res.bd.Deser = t.deser
+		// Modelled, a broadcast receive is one network transfer per executor
+		// (per attempt): the payload came from the driver, whichever
+		// executor's key it was parked under.
+		res.bd.ReadIO = t.slowPenalty + c.ioCharge(t.fetchTime, func(m netsim.CostModel) time.Duration {
+			return m.NetTime(t.triedLocal + t.triedRemote)
+		})
 		res.wall = res.bd.Deser + res.bd.ReadIO
+		if err != nil {
+			return res, err
+		}
+		if len(hs) == 0 {
+			releaseAll(nil, f)
+			return res, errors.New("broadcast block not published")
+		}
+		out[ex.ID], bufs[ex.ID] = hs[0].Addr(), f
+		releaseAll(hs)
 		c.sampleHeap(ex)
 		return res, nil
 	})
@@ -76,6 +95,7 @@ func (c *Cluster) Broadcast(root heap.Addr) ([]heap.Addr, metrics.Breakdown, err
 		bd.Wall += bd.Ser
 	}
 	if err != nil {
+		releaseAll(nil, bufs...)
 		return nil, bd, err
 	}
 	bd.Records = int64(c.Workers())

@@ -71,13 +71,6 @@ type Config struct {
 	// Results are identical either way; only scheduling and the
 	// wall-clock accounting differ (metrics.Breakdown.Wall).
 	ParallelTasks int
-	// ConcurrentSenders sets how many encoder goroutines serialize one
-	// executor's shuffle blocks concurrently — the §4.2 multi-threaded
-	// sender path, where several streams copy out of one heap at once and
-	// contend on the CAS-claimed baddr words. 0 means auto: 2 when the
-	// cluster is parallel and the codec reports ConcurrentEncoders, else
-	// 1. Codecs without the capability always serialize sequentially.
-	ConcurrentSenders int
 }
 
 // Cluster is one simulated Spark deployment.
@@ -91,8 +84,8 @@ type Cluster struct {
 	// Codec is the active data serializer (spark.serializer).
 	Codec serial.Codec
 
-	// Transport is the byte-moving layer shuffle blocks and broadcast
-	// payloads travel through (netsim.LocalTransport by default).
+	// Transport is the byte-moving layer every block — shuffle or
+	// broadcast — travels through (netsim.LocalTransport by default).
 	Transport transport.Transport
 
 	// PeakHeap tracks the maximum per-executor heap usage, sampled at
@@ -104,15 +97,17 @@ type Cluster struct {
 	// local/remote fetches); safe for concurrent tasks.
 	Traffic netsim.Traffic
 
-	// shuffleSeq and broadcastSeq number transport rounds so a transport
-	// with persistent storage never confuses two rounds' payloads.
-	shuffleSeq   int
-	broadcastSeq int
+	// shuffleSeq numbers transport rounds, shuffles and broadcasts alike,
+	// so a transport with persistent storage never confuses two rounds'
+	// blocks.
+	shuffleSeq int
 
 	partitionsPerWorker int
 	parallelTasks       int
-	concurrentSenders   int
-	peakMu              sync.Mutex
+	// concurrentSenders overrides senderSlots' rule when nonzero; only
+	// tests set it.
+	concurrentSenders int
+	peakMu            sync.Mutex
 
 	// excluded tracks map-side peers the reduce degradation ladder gave up
 	// on (see faults.go); guarded by excludedMu.
@@ -182,7 +177,7 @@ func NewCluster(cp *klass.Path, cfg Config, codec serial.Codec) (*Cluster, error
 	c := &Cluster{
 		CP: cp, Reg: reg, Driver: driver, Model: cfg.Model, Codec: codec,
 		Transport: cfg.Transport, partitionsPerWorker: cfg.PartitionsPerWorker,
-		parallelTasks: cfg.ParallelTasks, concurrentSenders: cfg.ConcurrentSenders,
+		parallelTasks: cfg.ParallelTasks,
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		rc, err := cfg.RegistryClient()
@@ -229,8 +224,11 @@ func (c *Cluster) taskSlots() int {
 }
 
 // senderSlots returns how many encoder goroutines serialize one executor's
-// blocks, bounded by the block count; >1 only when the codec declares its
-// encoders concurrency-safe (serial.ConcurrentCodec).
+// blocks — the §4.2 multi-threaded sender path, where several streams copy
+// out of one heap at once and contend on the CAS-claimed baddr words: 2 when
+// the cluster is parallel and the codec declares its encoders
+// concurrency-safe (serial.ConcurrentCodec), else 1; bounded by the block
+// count.
 func (c *Cluster) senderSlots(blocks int) int {
 	n := c.concurrentSenders
 	if n == 0 {
@@ -306,28 +304,6 @@ func (c *Cluster) shuffleStart() {
 		s.ShuffleStartAll()
 	}
 }
-
-// records is a GC-safe record list: one pinned heap ArrayList per executor
-// partition.
-type records struct {
-	ex  *Executor
-	pin interface{ Addr() heap.Addr }
-	rel func()
-}
-
-func newRecords(ex *Executor) (*records, error) {
-	l, err := ex.RT.NewArrayList(64)
-	if err != nil {
-		return nil, err
-	}
-	h := ex.RT.Pin(l)
-	return &records{ex: ex, pin: h, rel: h.Release}, nil
-}
-
-func (r *records) add(a heap.Addr) error { return r.ex.RT.ListAdd(r.pin.Addr(), a) }
-func (r *records) len() int              { return r.ex.RT.ListLen(r.pin.Addr()) }
-func (r *records) get(i int) heap.Addr   { return r.ex.RT.ListGet(r.pin.Addr(), i) }
-func (r *records) free()                 { r.rel() }
 
 // Task execution -----------------------------------------------------------
 

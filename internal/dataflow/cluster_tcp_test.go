@@ -18,7 +18,6 @@ import (
 	"skyway/internal/registry"
 	"skyway/internal/serial"
 	tcptransport "skyway/internal/transport/tcp"
-	"skyway/internal/vm"
 )
 
 // The re-exec trampoline: when the test binary is launched with
@@ -87,6 +86,26 @@ func spawnExecutors(t *testing.T, n int, regAddr string) {
 	}
 }
 
+// startBlockServers boots n in-process executor block servers and a
+// transport over them, so failpoints fire deterministically in one process.
+func startBlockServers(t *testing.T, n int) ([]*tcptransport.Server, *tcptransport.Transport) {
+	t.Helper()
+	srvs := make([]*tcptransport.Server, n)
+	peers := make(map[int]string, n)
+	for i := range srvs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs[i] = tcptransport.Serve(i, ln)
+		t.Cleanup(func() { srvs[i].Close() })
+		peers[i] = ln.Addr().String()
+	}
+	tr := tcptransport.New(peers)
+	t.Cleanup(func() { tr.Close() })
+	return srvs, tr
+}
+
 // tcpWordCountInput builds the deterministic workload both the TCP and the
 // netsim runs consume.
 func tcpWordCountInput(workers int) [][]string {
@@ -109,15 +128,10 @@ func runTCPWordCount(t *testing.T, workers int, tr *tcptransport.Transport, regA
 	if regAddr != "" {
 		cfg.RegistryClient = func() (registry.Client, error) { return registry.Dial(regAddr) }
 	}
-	c, err := NewCluster(cp, cfg, nil)
+	c, err := NewCluster(cp, cfg, serial.NewSkywayCodec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts := []*vm.Runtime{}
-	for _, ex := range c.Execs {
-		rts = append(rts, ex.RT)
-	}
-	c.Codec = serial.NewSkywayCodec(rts...)
 	return RunWordCount(c, tcpWordCountInput(workers))
 }
 
@@ -150,9 +164,6 @@ func TestClusterWordCountOverTCPProcesses(t *testing.T) {
 		t.Fatalf("executor processes never announced: %v", err)
 	}
 	defer tr.Close()
-	if peers := tr.Peers(); len(peers) != workers {
-		t.Fatalf("discovered peers %v, want %d executors", peers, workers)
-	}
 
 	tcpBD, tcpTotal, err := runTCPWordCount(t, workers, tr, regAddr)
 	if err != nil {
@@ -162,15 +173,10 @@ func TestClusterWordCountOverTCPProcesses(t *testing.T) {
 	// Reference run: same input, same codec, in-process netsim transport.
 	cp := klass.NewPath()
 	WorkloadClasses(cp)
-	simC, err := NewCluster(cp, Config{Workers: workers, Heap: smallHeap()}, nil)
+	simC, err := NewCluster(cp, Config{Workers: workers, Heap: smallHeap()}, serial.NewSkywayCodec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts := []*vm.Runtime{}
-	for _, ex := range simC.Execs {
-		rts = append(rts, ex.RT)
-	}
-	simC.Codec = serial.NewSkywayCodec(rts...)
 	simBD, simTotal, err := RunWordCount(simC, tcpWordCountInput(workers))
 	if err != nil {
 		t.Fatalf("netsim reference run: %v", err)
@@ -211,18 +217,7 @@ func TestTCPChaosMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(fault.Reset)
-		peers := make(map[int]string, workers)
-		for i := 0; i < workers; i++ {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := tcptransport.Serve(i, ln)
-			t.Cleanup(func() { srv.Close() })
-			peers[i] = ln.Addr().String()
-		}
-		tr := tcptransport.New(peers)
-		t.Cleanup(func() { tr.Close() })
+		_, tr := startBlockServers(t, workers)
 		_, total, err := runTCPWordCount(t, workers, tr, "")
 		return total, err
 	}
@@ -306,5 +301,28 @@ func TestRetriedFetchChargedInReadIO(t *testing.T) {
 	if retried.ShuffleBytes != clean.ShuffleBytes || retried.Records != clean.Records {
 		t.Fatalf("retry changed byte accounting: shuffle %d vs %d, records %d vs %d",
 			retried.ShuffleBytes, clean.ShuffleBytes, retried.Records, clean.Records)
+	}
+}
+
+// TestBroadcastOverTCPDropsBlocks: over real block servers a broadcast is W
+// PUTs and W GETs of ordinary blocks, charged measured socket time, and every
+// executor drops its block once decoded — no server is left holding the
+// payload.
+func TestBroadcastOverTCPDropsBlocks(t *testing.T) {
+	const workers = 3
+	srvs, tr := startBlockServers(t, workers)
+	c := newClosureCluster(t, "skyway", Config{Workers: workers, Heap: smallHeap(), Transport: tr})
+	copies, bd, err := broadcastParser(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkParserCopies(t, c, copies)
+	if bd.WriteIO <= 0 || bd.ReadIO <= 0 {
+		t.Errorf("measured TCP I/O charges WriteIO=%v ReadIO=%v, want both positive", bd.WriteIO, bd.ReadIO)
+	}
+	for _, srv := range srvs {
+		if n := srv.Stored(); n != 0 {
+			t.Errorf("block server %d still holds %d blocks after the broadcast", srv.ID(), n)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"skyway/internal/race"
 	"skyway/internal/serial"
 	"skyway/internal/verify"
-	"skyway/internal/vm"
 )
 
 func smallHeap() heap.Config {
@@ -34,15 +33,9 @@ func newTestCluster(t *testing.T, codec serial.Codec, cp *klass.Path) *Cluster {
 func testCodecs(t *testing.T, cp *klass.Path) map[string]func(*Cluster) serial.Codec {
 	t.Helper()
 	return map[string]func(*Cluster) serial.Codec{
-		"java": func(*Cluster) serial.Codec { return serial.JavaCodec() },
-		"kryo": func(*Cluster) serial.Codec { return serial.KryoCodec(WorkloadRegistration()) },
-		"skyway": func(c *Cluster) serial.Codec {
-			rts := []*vm.Runtime{}
-			for _, ex := range c.Execs {
-				rts = append(rts, ex.RT)
-			}
-			return serial.NewSkywayCodec(rts...)
-		},
+		"java":   func(*Cluster) serial.Codec { return serial.JavaCodec() },
+		"kryo":   func(*Cluster) serial.Codec { return serial.KryoCodec(WorkloadRegistration()) },
+		"skyway": func(*Cluster) serial.Codec { return serial.NewSkywayCodec() },
 	}
 }
 
@@ -236,13 +229,7 @@ func TestSkywayShufflesMoreBytesButLessSD(t *testing.T) {
 		return float64(bd.Ser+bd.Deser) / float64(bd.Records), bd.ShuffleBytes
 	}
 	kryoSD, kryoBytes := run(func(*Cluster) serial.Codec { return serial.KryoCodec(WorkloadRegistration()) })
-	skySD, skyBytes := run(func(c *Cluster) serial.Codec {
-		rts := []*vm.Runtime{}
-		for _, ex := range c.Execs {
-			rts = append(rts, ex.RT)
-		}
-		return serial.NewSkywayCodec(rts...)
-	})
+	skySD, skyBytes := run(func(*Cluster) serial.Codec { return serial.NewSkywayCodec() })
 	if skyBytes <= kryoBytes {
 		t.Errorf("skyway bytes (%d) not larger than kryo (%d)", skyBytes, kryoBytes)
 	}

@@ -9,7 +9,6 @@ import (
 	"skyway/internal/fault"
 	"skyway/internal/klass"
 	"skyway/internal/serial"
-	"skyway/internal/vm"
 )
 
 // newSkywayCluster boots a cluster running the Skyway codec — the fault
@@ -19,13 +18,7 @@ func newSkywayCluster(t *testing.T) *Cluster {
 	t.Helper()
 	cp := klass.NewPath()
 	WorkloadClasses(cp)
-	c := newTestCluster(t, nil, cp)
-	rts := []*vm.Runtime{}
-	for _, ex := range c.Execs {
-		rts = append(rts, ex.RT)
-	}
-	c.Codec = serial.NewSkywayCodec(rts...)
-	return c
+	return newTestCluster(t, serial.NewSkywayCodec(), cp)
 }
 
 func faultWordCount(t *testing.T, spec string) (int64, []int, error) {

@@ -14,9 +14,9 @@ var (
 	ctrStageAborts   = obs.NewCounter("skyway_shuffle_stage_aborts_total", "Stages aborted by the shuffle degradation ladder.")
 )
 
-// maxFetchAttempts bounds the first rung of the reduce-side degradation
-// ladder: one fetch plus two re-fetches per (mapper, partition) block. A
-// decode failure releases everything the attempt pinned, so the heap is
+// maxFetchAttempts bounds the first rung of the receive-side degradation
+// ladder (fetchBlock): one fetch plus two re-fetches per block. A decode
+// failure releases everything the attempt pinned, so the heap is
 // exactly as it was; the re-fetch starts from the intact stored block. Only
 // when every attempt fails does the ladder climb: the peer is excluded and
 // the stage aborts with a StageAbortError — degraded, never corrupted.
@@ -28,7 +28,7 @@ const maxFetchAttempts = 3
 // correct results without the block. The wrapped cause is the last decode
 // error (usually a *core.DecodeError; errors.As reaches it).
 type StageAbortError struct {
-	Stage    string // "reduce"
+	Stage    string // "reduce" or "broadcast"
 	Src      int    // the excluded map executor
 	Dst      int    // the partition whose block failed
 	Attempts int    // fetch attempts consumed

@@ -7,7 +7,6 @@ import (
 	"skyway/internal/heap"
 	"skyway/internal/klass"
 	"skyway/internal/serial"
-	"skyway/internal/vm"
 )
 
 func newParallelCluster(t *testing.T, cfg Config) *Cluster {
@@ -24,14 +23,6 @@ func newParallelCluster(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
-func skywayFor(c *Cluster) *serial.SkywayCodec {
-	rts := []*vm.Runtime{}
-	for _, ex := range c.Execs {
-		rts = append(rts, ex.RT)
-	}
-	return serial.NewSkywayCodec(rts...)
-}
-
 // Parallel execution must be invisible in the answers: every codec, four
 // executors shuffling concurrently, same results as the sequential run.
 func TestParallelMatchesSequential(t *testing.T) {
@@ -42,7 +33,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	codecs := map[string]func(c *Cluster) serial.Codec{
 		"java":   func(*Cluster) serial.Codec { return serial.JavaCodec() },
 		"kryo":   func(*Cluster) serial.Codec { return serial.KryoCodec(WorkloadRegistration()) },
-		"skyway": func(c *Cluster) serial.Codec { return skywayFor(c) },
+		"skyway": func(*Cluster) serial.Codec { return serial.NewSkywayCodec() },
 	}
 	for name, mk := range codecs {
 		t.Run(name, func(t *testing.T) {
@@ -100,9 +91,9 @@ func TestParallelConcurrentSendersShareHeap(t *testing.T) {
 		Workers:             4,
 		PartitionsPerWorker: 4, // 16 partitions: several blocks per sender slot
 		ParallelTasks:       4,
-		ConcurrentSenders:   4,
 	})
-	codec := skywayFor(c)
+	c.concurrentSenders = 4
+	codec := serial.NewSkywayCodec()
 	c.Codec = codec
 
 	const cells = 64

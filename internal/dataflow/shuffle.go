@@ -226,176 +226,175 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 	return res, nil
 }
 
-// decodeBlock decodes one fetched block into pinned records. On failure it
-// releases every handle and input buffer the attempt created — the heap is
-// exactly as it was before the attempt — and returns the decode error, so
-// the caller's bounded re-fetch starts from a clean slate.
-//
-// A decoder on the arena path stages the block's segments in an off-heap
-// region; a successful decode binds that region to this shuffle round's
-// epoch so RunShuffle's stage-retirement backstop can reclaim it even if
-// the decoder is never Freed.
-func (c *Cluster) decodeBlock(ex *Executor, block []byte) (hs []*gc.Handle, freer interface{ Free() }, d time.Duration, err error) {
+// freer is a decoder that owns input buffers until told to release them
+// (the explicit-free API of §3.2); baseline decoders are not.
+type freer interface{ Free() }
+
+// decodeBlock decodes one fetched block into pinned records and returns
+// them with the owner of their input buffers (nil for a baseline codec). On
+// failure it releases every handle and input buffer the attempt created —
+// the heap is exactly as it was before the attempt — and returns the decode
+// error, so the caller's bounded re-fetch starts from a clean slate.
+func (c *Cluster) decodeBlock(ex *Executor, block []byte) (hs []*gc.Handle, f freer, d time.Duration, err error) {
 	start := time.Now()
 	dec := c.Codec.NewDecoder(ex.RT, bytes.NewReader(block))
-	f, _ := dec.(interface{ Free() })
+	f, _ = dec.(freer)
 	for {
 		rec, rerr := dec.Read()
 		if rerr != nil {
 			if isEOF(rerr) {
-				if ar, ok := dec.(interface{ ArenaRegion() *arena.Region }); ok {
-					if reg := ar.ArenaRegion(); reg != nil {
-						reg.BindEpoch(uint64(c.shuffleSeq))
-					}
-				}
 				return hs, f, time.Since(start), nil
 			}
-			for _, h := range hs {
-				h.Release()
-			}
-			if f != nil {
-				f.Free()
-			}
+			releaseAll(hs, f)
 			return nil, nil, time.Since(start), rerr
 		}
 		hs = append(hs, ex.RT.Pin(rec))
 	}
 }
 
-// reduceTask runs one executor's reduce side: it drains every partition it
-// hosts, pulling that partition's block from every map worker, then
-// deserializes and consumes the records.
-//
-// Fetched blocks run the degradation ladder: a block whose fetch or decode
-// fails (a torn transfer, a checksum mismatch, any *core.DecodeError) is
-// re-fetched from the intact stored bytes up to maxFetchAttempts times; if
-// every attempt fails, the mapper is excluded and the stage aborts with a
-// StageAbortError. Every exit path releases the handles and input buffers
-// it acquired, so an aborted stage leaves no pins behind — and every exit
-// path, the aborts included, charges the read I/O its fetches really did
-// (attempted bytes and measured time, not just the blocks that decoded).
-func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, p int) (taskResult, error) {
-	var res taskResult
-	w := c.Workers()
-	var localB, remoteB int64 // unique bytes consumed (Figure 3(b) accounting)
-	var triedLocal, triedRemote int64
-	var fetchTime time.Duration // measured I/O across every attempt
-	var slowPenalty time.Duration
-	var handles []*gc.Handle
-	var freers []interface{ Free() }
-	// chargeRead prices the task's fetches. It runs on every exit path:
-	// re-fetch attempts beyond the first do real I/O too, and an aborted
-	// stage must not understate the read I/O it consumed before giving up.
-	chargeRead := func() {
-		res.bd.LocalBytes = localB
-		res.bd.RemoteBytes = remoteB
-		c.Traffic.AddFetch(localB, remoteB)
-		res.bd.ReadIO = slowPenalty + c.ioCharge(fetchTime, func(m netsim.CostModel) time.Duration {
-			return m.FetchTime(triedLocal, triedRemote)
-		})
+// releaseAll releases handles, then the input buffers their records lived in.
+func releaseAll(hs []*gc.Handle, fs ...freer) {
+	for _, h := range hs {
+		h.Release()
 	}
-	fail := func(err error) (taskResult, error) {
-		for _, h := range handles {
-			h.Release()
-		}
-		for _, f := range freers {
+	for _, f := range fs {
+		if f != nil {
 			f.Free()
 		}
-		chargeRead()
-		return res, err
 	}
+}
 
+// fetchTally is one task's fetch accounting. The tried bytes and the times
+// cover every attempt — a re-fetch does real I/O too, and an aborted stage
+// must not understate the read I/O it consumed before giving up; the
+// consumed bytes count each decoded block once (Figure 3(b) accounting).
+type fetchTally struct {
+	local, remote           int64         // unique bytes consumed
+	triedLocal, triedRemote int64         // bytes fetched, every attempt
+	fetchTime               time.Duration // measured I/O across every attempt
+	slowPenalty             time.Duration // dataflow.fetch.slow charges
+	deser                   time.Duration // decode time across every attempt
+}
+
+// fetchBlock brings block (src, dst) of round sh into ex's heap — the one
+// receive path, for a reduce task's shuffle blocks and a broadcast's
+// self-addressed ones alike — and returns its records pinned, with the
+// owner of their input buffers if the codec has one (no records when nothing
+// was published under that key). The block is dropped once decoded.
+//
+// It runs the degradation ladder: a block whose fetch or decode fails (a
+// torn transfer, a checksum mismatch, any *core.DecodeError) is re-fetched
+// from the intact stored bytes up to maxFetchAttempts times; if every
+// attempt fails, the publishing peer is excluded and the stage aborts with a
+// StageAbortError. A failed attempt leaves no handle or input buffer behind.
+func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, stage string, src, dst int, t *fetchTally) ([]*gc.Handle, freer, error) {
+	var lastErr error
+	for attempt := 1; attempt <= maxFetchAttempts; attempt++ {
+		if attempt > 1 {
+			ctrRefetches.Inc()
+		}
+		// Fetch returns a copy-on-damage view of the stored block; the
+		// transport keeps the original until Drop.
+		block, d, err := sh.Fetch(src, dst)
+		if err != nil {
+			// A failed fetch (a torn stream the transport's own framing
+			// rejected, a dead peer) rides the same ladder as a failed
+			// decode: re-fetch, then exclude.
+			lastErr = fmt.Errorf("fetch block (%d→%d): %w", src, dst, err)
+			continue
+		}
+		t.fetchTime += d
+		if len(block) == 0 {
+			return nil, nil, nil
+		}
+		n := int64(len(block))
+		local := src == ex.ID
+		if local {
+			t.triedLocal += n
+		} else {
+			t.triedRemote += n
+		}
+		// Failpoint: the fetched copy is torn in flight. Only the copy is
+		// damaged — the stored block stays intact, so a re-fetch can succeed.
+		if fault.Eval(fault.DataflowFetchTorn) {
+			block = append([]byte(nil), block...)
+			block[len(block)/2] ^= 0xFF
+		}
+		// Failpoint: a slow peer — charge extra modelled read time.
+		if fault.Eval(fault.DataflowFetchSlow) {
+			t.slowPenalty += fault.DurationArg(fault.DataflowFetchSlow, time.Millisecond)
+		}
+		hs, f, d, err := c.decodeBlock(ex, block)
+		t.deser += d
+		if err != nil {
+			lastErr = fmt.Errorf("deserialize block (%d→%d): %w", src, dst, err)
+			continue
+		}
+		if obs.Enabled() {
+			ex.RT.Trace.Emit("transfer", "shuffle.decode", time.Now().Add(-d), d,
+				obs.I64("bytes", n),
+				obs.I64("src", int64(src)), obs.I64("dst", int64(dst)),
+				obs.I64("attempt", int64(attempt)))
+		}
+		sh.Drop(src, dst)
+		if local {
+			t.local += n
+		} else {
+			t.remote += n
+		}
+		return hs, f, nil
+	}
+	// The ladder's last rungs: exclude the peer, abort the stage.
+	c.excludePeer(src)
+	ctrStageAborts.Inc()
+	return nil, nil, &StageAbortError{
+		Stage: stage, Src: src, Dst: dst,
+		Attempts: maxFetchAttempts, Err: lastErr,
+	}
+}
+
+// reduceTask runs one executor's reduce side: it drains every partition it
+// hosts, pulling that partition's block from every map worker through
+// fetchBlock, then consumes the records. Every exit path releases the
+// handles and input buffers it acquired, so an aborted stage leaves no pins
+// behind — and every exit path, the aborts included, charges the read I/O
+// its fetches really did.
+func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, p int) (taskResult, error) {
+	var res taskResult
+	var t fetchTally
+	var handles []*gc.Handle
+	var freers []freer
+	// chargeRead prices the task's fetches; it runs on every exit path.
+	chargeRead := func() {
+		res.bd.Deser = t.deser
+		res.bd.LocalBytes = t.local
+		res.bd.RemoteBytes = t.remote
+		c.Traffic.AddFetch(t.local, t.remote)
+		res.bd.ReadIO = t.slowPenalty + c.ioCharge(t.fetchTime, func(m netsim.CostModel) time.Duration {
+			return m.FetchTime(t.triedLocal, t.triedRemote)
+		})
+	}
 	for dst := 0; dst < p; dst++ {
 		if c.OwnerOf(dst) != ex.ID {
 			continue
 		}
-		for src := 0; src < w; src++ {
-			// fetch returns a copy-on-damage view of the stored block; the
-			// transport keeps the original until Drop.
-			fetch := func() ([]byte, error) {
-				block, d, err := sh.Fetch(src, dst)
-				if err != nil {
-					return nil, err
-				}
-				fetchTime += d
-				if len(block) == 0 {
-					return nil, nil
-				}
-				if src == ex.ID {
-					triedLocal += int64(len(block))
-				} else {
-					triedRemote += int64(len(block))
-				}
-				// Failpoint: the fetched copy is torn in flight. Only the
-				// copy is damaged — the stored block stays intact, so a
-				// re-fetch can succeed.
-				if fault.Eval(fault.DataflowFetchTorn) {
-					block = append([]byte(nil), block...)
-					block[len(block)/2] ^= 0xFF
-				}
-				// Failpoint: a slow peer — charge extra modelled read time.
-				if fault.Eval(fault.DataflowFetchSlow) {
-					slowPenalty += fault.DurationArg(fault.DataflowFetchSlow, time.Millisecond)
-				}
-				return block, nil
+		for src := 0; src < c.Workers(); src++ {
+			hs, f, err := c.fetchBlock(ex, sh, "reduce", src, dst, &t)
+			if err != nil {
+				releaseAll(handles, freers...)
+				chargeRead()
+				return res, err
 			}
-
-			var lastErr error
-			decoded := false
-			var blockLen int
-			for attempt := 1; attempt <= maxFetchAttempts; attempt++ {
-				block, err := fetch()
-				if err != nil {
-					// A failed fetch (a torn stream the transport's own
-					// framing rejected, a dead peer) rides the same ladder
-					// as a failed decode: re-fetch, then exclude.
-					lastErr = fmt.Errorf("fetch block (%d→%d): %w", src, dst, err)
-					if attempt < maxFetchAttempts {
-						ctrRefetches.Inc()
-					}
-					continue
-				}
-				if block == nil {
-					decoded = true // empty block: nothing to do
-					break
-				}
-				blockLen = len(block)
-				hs, freer, d, derr := c.decodeBlock(ex, block)
-				res.bd.Deser += d
-				if derr == nil {
-					handles = append(handles, hs...)
-					if freer != nil {
-						freers = append(freers, freer)
-					}
-					if obs.Enabled() {
-						ex.RT.Trace.Emit("transfer", "shuffle.decode", time.Now().Add(-d), d,
-							obs.I64("bytes", int64(blockLen)),
-							obs.I64("src", int64(src)), obs.I64("dst", int64(dst)),
-							obs.I64("attempt", int64(attempt)))
-					}
-					decoded = true
-					break
-				}
-				lastErr = fmt.Errorf("deserialize block (%d→%d): %w", src, dst, derr)
-				if attempt < maxFetchAttempts {
-					ctrRefetches.Inc()
-				}
-			}
-			if !decoded {
-				// The ladder's last rungs: exclude the peer, abort the stage.
-				c.excludePeer(src)
-				ctrStageAborts.Inc()
-				return fail(&StageAbortError{
-					Stage: "reduce", Src: src, Dst: dst,
-					Attempts: maxFetchAttempts, Err: lastErr,
-				})
-			}
-			if blockLen > 0 {
-				sh.Drop(src, dst)
-				if src == ex.ID {
-					localB += int64(blockLen)
-				} else {
-					remoteB += int64(blockLen)
+			handles = append(handles, hs...)
+			freers = append(freers, f)
+			// A decoder on the arena path staged the block in an off-heap
+			// region; binding it to this round's epoch lets RunShuffle's
+			// stage-retirement backstop reclaim it even if the decoder is
+			// never Freed. (Bound here, not in fetchBlock: a broadcast's
+			// region outlives its round.)
+			if ar, ok := f.(interface{ ArenaRegion() *arena.Region }); ok {
+				if reg := ar.ArenaRegion(); reg != nil {
+					reg.BindEpoch(uint64(c.shuffleSeq))
 				}
 			}
 		}
@@ -409,12 +408,7 @@ func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffl
 	}
 	if spec.Consume != nil {
 		if err := spec.Consume(ex, recs); err != nil {
-			for _, h := range handles {
-				h.Release()
-			}
-			for _, f := range freers {
-				f.Free()
-			}
+			releaseAll(handles, freers...)
 			return res, fmt.Errorf("consume: %w", err)
 		}
 	}
@@ -423,15 +417,10 @@ func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffl
 	// input buffers are still live — the receive side is where the §5.2
 	// memory overhead peaks.
 	c.sampleHeap(ex)
-	for _, h := range handles {
-		h.Release()
-	}
-	// The reduce side has consumed the records; release the Skyway input
-	// buffers (the explicit-free API of §3.2 — Spark keeps buffers only
-	// while the RDD is cached, and these records are not).
-	for _, f := range freers {
-		f.Free()
-	}
+	// The reduce side has consumed the records; release them and the Skyway
+	// input buffers (Spark keeps buffers only while the RDD is cached, and
+	// these records are not).
+	releaseAll(handles, freers...)
 	res.wall = res.bd.Deser + res.bd.ReadIO + res.bd.Compute
 	return res, nil
 }

@@ -72,11 +72,13 @@ func (e *jsbsEnv) newReceiver(name string) (*vm.Runtime, error) {
 
 // JSBSCodecs returns the Figure 7 library lineup (Skyway first), extended
 // with the compact-headers mode (the paper's §5.2 future work).
-func JSBSCodecs(snd, rcv *vm.Runtime) []serial.Codec {
+func JSBSCodecs() []serial.Codec {
 	reg := serial.NewRegistration(datagen.MediaClassNames()...)
+	compact := serial.NewSkywayCodec()
+	compact.Compact = true
 	return []serial.Codec{
-		serial.NewSkywayCodec(snd, rcv),
-		serial.NewSkywayCompactCodec(snd, rcv),
+		serial.NewSkywayCodec(),
+		compact,
 		serial.ColferCodec(reg),
 		serial.ProtostuffCodec(reg),
 		serial.DatakernelCodec(reg),
@@ -118,7 +120,7 @@ func RunJSBS(n int, model netsim.CostModel) ([]JSBSResult, error) {
 	// barely moves the network cost (§1, §5.1).
 
 	var out []JSBSResult
-	for li := range JSBSCodecs(snd, snd) {
+	for li := range JSBSCodecs() {
 		// Fresh receiver per library: no codec inherits another's heap
 		// garbage or GC debt.
 		rcv, err := env.newReceiver(fmt.Sprintf("jsbs-rcv-%d", li))
@@ -132,7 +134,7 @@ func RunJSBS(n int, model netsim.CostModel) ([]JSBSResult, error) {
 		// three repetitions; the best one is reported (JSBS likewise
 		// repeats until timings stabilize).
 		const reps = 5
-		codec := JSBSCodecs(snd, rcv)[li]
+		codec := JSBSCodecs()[li]
 		best := JSBSResult{Ser: 1 << 62, Deser: 1 << 62}
 		for rep := 0; rep < reps; rep++ {
 			// A repetition is a new shuffle phase: without the phase
@@ -250,31 +252,13 @@ func newSparkCluster(cfg SparkConfig, codecName string) (*dataflow.Cluster, erro
 	if cfg.Layout != nil {
 		hc.Layout = *cfg.Layout
 	}
-	c, err := dataflow.NewCluster(cp, dataflow.Config{
-		Workers: cfg.Workers, Heap: hc, Model: cfg.Model, ParallelTasks: cfg.Parallel,
-	}, nil)
+	codec, err := serial.ByName(codecName, dataflow.WorkloadRegistration())
 	if err != nil {
 		return nil, err
 	}
-	switch codecName {
-	case "java":
-		c.Codec = serial.JavaCodec()
-	case "kryo":
-		c.Codec = serial.KryoCodec(dataflow.WorkloadRegistration())
-	case "skyway", "skyway-compact", "skyway-arena":
-		rts := make([]*vm.Runtime, 0, len(c.Execs)+1)
-		rts = append(rts, c.Driver)
-		for _, ex := range c.Execs {
-			rts = append(rts, ex.RT)
-		}
-		sk := serial.NewSkywayCodec(rts...)
-		sk.Compact = codecName == "skyway-compact"
-		sk.Arena = codecName == "skyway-arena"
-		c.Codec = sk
-	default:
-		return nil, fmt.Errorf("experiments: unknown serializer %q", codecName)
-	}
-	return c, nil
+	return dataflow.NewCluster(cp, dataflow.Config{
+		Workers: cfg.Workers, Heap: hc, Model: cfg.Model, ParallelTasks: cfg.Parallel,
+	}, codec)
 }
 
 // RunInfo is the full result of one experiment cell: the cost breakdown

@@ -1,27 +1,20 @@
 package netsim
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"skyway/internal/transport"
 )
 
 // LocalTransport is the in-process transport.Transport: the historical
-// simulator behind the seam. Blocks live in a mutex-guarded store, nothing
-// is measured, and the dataflow engine prices every byte with the analytic
-// CostModel — exactly the accounting the single-process cluster has always
-// reported.
-type LocalTransport struct {
-	mu     sync.Mutex
-	bcasts map[int][]byte
-}
+// simulator behind the seam. Each round's blocks live in a mutex-guarded
+// store, nothing is measured, and the dataflow engine prices every byte
+// with the analytic CostModel — exactly the accounting the single-process
+// cluster has always reported.
+type LocalTransport struct{}
 
 // NewLocalTransport builds the in-process transport.
-func NewLocalTransport() *LocalTransport {
-	return &LocalTransport{bcasts: make(map[int][]byte)}
-}
+func NewLocalTransport() *LocalTransport { return &LocalTransport{} }
 
 // NewShuffle implements transport.Transport.
 func (t *LocalTransport) NewShuffle(seq int) (transport.Shuffle, error) {
@@ -31,41 +24,15 @@ func (t *LocalTransport) NewShuffle(seq int) (transport.Shuffle, error) {
 // Measured implements transport.Transport: all I/O here is modelled.
 func (t *LocalTransport) Measured() bool { return false }
 
-// Broadcast implements transport.Transport.
-func (t *LocalTransport) Broadcast(seq int, payload []byte) (time.Duration, error) {
-	t.mu.Lock()
-	t.bcasts[seq] = payload
-	t.mu.Unlock()
-	return 0, nil
-}
-
-// FetchBroadcast implements transport.Transport. Every executor decodes from
-// the same backing array; decoders only read it.
-func (t *LocalTransport) FetchBroadcast(seq, ex int) ([]byte, time.Duration, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.bcasts[seq]
-	if !ok {
-		return nil, 0, fmt.Errorf("netsim: broadcast %d not published", seq)
-	}
-	return p, 0, nil
-}
-
 // Close implements transport.Transport.
-func (t *LocalTransport) Close() error {
-	t.mu.Lock()
-	t.bcasts = make(map[int][]byte)
-	t.mu.Unlock()
-	return nil
-}
+func (t *LocalTransport) Close() error { return nil }
 
 type blockKey struct{ src, dst int }
 
 // localShuffle is one round's block store: serialized (mapper, partition)
 // blocks land here on the map side and are taken — exactly once — by the
 // partition's owning reducer. Parallel map and reduce tasks touch the store
-// from concurrent goroutines; the shared BlockStore guards access and, with
-// the arena knob on, parks each block off-heap.
+// from concurrent goroutines; the shared BlockStore guards access.
 type localShuffle struct {
 	blocks *transport.BlockStore[blockKey]
 }
@@ -87,8 +54,5 @@ func (s *localShuffle) Fetch(src, dst int) ([]byte, time.Duration, error) {
 // Drop implements transport.Shuffle.
 func (s *localShuffle) Drop(src, dst int) { s.blocks.Drop(blockKey{src, dst}) }
 
-// Close implements transport.Shuffle.
-func (s *localShuffle) Close() error {
-	s.blocks.Close()
-	return nil
-}
+// Close implements transport.Shuffle: the round's store goes with it.
+func (s *localShuffle) Close() error { return nil }

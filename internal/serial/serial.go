@@ -11,6 +11,7 @@
 package serial
 
 import (
+	"fmt"
 	"io"
 
 	"skyway/internal/heap"
@@ -25,6 +26,25 @@ type Codec interface {
 	NewEncoder(rt *vm.Runtime, w io.Writer) Encoder
 	// NewDecoder opens a deserialization stream reading from r.
 	NewDecoder(rt *vm.Runtime, r io.Reader) Decoder
+}
+
+// ByName builds the codec a serializer name selects — the one name → codec
+// table the engines, experiments and examples share. reg is the Kryo
+// registration table (only "kryo" reads it). "skyway" follows the
+// SKYWAY_ARENA default for its receive path; "skyway-arena" forces it on.
+func ByName(name string, reg *Registration) (Codec, error) {
+	switch name {
+	case "java":
+		return JavaCodec(), nil
+	case "kryo":
+		return KryoCodec(reg), nil
+	case "skyway", "skyway-compact", "skyway-arena":
+		c := NewSkywayCodec()
+		c.Compact = name == "skyway-compact"
+		c.Arena = c.Arena || name == "skyway-arena"
+		return c, nil
+	}
+	return nil, fmt.Errorf("serial: unknown serializer %q", name)
 }
 
 // Encoder serializes object graphs. Back references are tracked per stream,

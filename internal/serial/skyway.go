@@ -32,7 +32,9 @@ type SkywayCodec struct {
 	Arena bool
 }
 
-// NewSkywayCodec builds the adapter for a set of runtimes.
+// NewSkywayCodec builds the adapter. Listing runtimes is optional: a
+// runtime's service is registered the first time a stream is opened on it
+// (ServiceFor).
 func NewSkywayCodec(runtimes ...*vm.Runtime) *SkywayCodec {
 	c := &SkywayCodec{
 		services: make(map[*vm.Runtime]*core.Skyway, len(runtimes)),
@@ -41,13 +43,6 @@ func NewSkywayCodec(runtimes ...*vm.Runtime) *SkywayCodec {
 	for _, rt := range runtimes {
 		c.services[rt] = core.New(rt)
 	}
-	return c
-}
-
-// NewSkywayCompactCodec builds the adapter in compact wire mode.
-func NewSkywayCompactCodec(runtimes ...*vm.Runtime) *SkywayCodec {
-	c := NewSkywayCodec(runtimes...)
-	c.Compact = true
 	return c
 }
 

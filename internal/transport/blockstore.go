@@ -1,85 +1,47 @@
 package transport
 
-import (
-	"os"
-	"sync"
-
-	"skyway/internal/arena"
-)
+import "sync"
 
 // BlockStore is the shared block-parking helper behind both Transport
-// implementations: netsim keys blocks by (seq, src, dst), the TCP block
-// servers by their wire block ID. Blocks sit in the store from a map task's
-// Put until the consuming reduce task's Drop — exactly the window where
-// Skyway's receive buffers used to pin managed memory — so with the arena
-// knob on, every stored block lives in its own off-heap arena.Blob and the
-// runtime's collector never sees the bytes.
+// implementations: netsim keys blocks by (src, dst) within a round's store,
+// the TCP block servers by their wire block ID. A block sits in the store
+// from its Put until the consuming task's Drop.
 type BlockStore[K comparable] struct {
-	mu      sync.Mutex
-	blobs   map[K]*arena.Blob
-	offHeap bool
+	mu     sync.Mutex
+	blocks map[K][]byte
 }
 
-// NewBlockStore builds an empty store. Off-heap storage follows the
-// SKYWAY_ARENA knob, sampled once at construction.
+// NewBlockStore builds an empty store.
 func NewBlockStore[K comparable]() *BlockStore[K] {
-	return &BlockStore[K]{
-		blobs:   make(map[K]*arena.Blob),
-		offHeap: arena.Enabled(os.Getenv("SKYWAY_ARENA")),
-	}
+	return &BlockStore[K]{blocks: make(map[K][]byte)}
 }
 
-// Put parks block under k, copying it off-heap when the arena knob is on.
-// A replaced block's storage is freed.
+// Put parks block under k, replacing any block already there. The store
+// adopts the slice; the caller must not write to it afterwards.
 func (s *BlockStore[K]) Put(k K, block []byte) {
-	b := arena.NewBlob(block, s.offHeap)
 	s.mu.Lock()
-	prev := s.blobs[k]
-	s.blobs[k] = b
+	s.blocks[k] = block
 	s.mu.Unlock()
-	if prev != nil {
-		prev.Free()
-	}
 }
 
-// Get returns the block parked under k. The view stays valid until the
-// block is dropped or the store closed; callers must not mutate it.
+// Get returns the block parked under k; callers must not mutate it.
 func (s *BlockStore[K]) Get(k K) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.blobs[k]
-	if !ok {
-		return nil, false
-	}
-	return b.Bytes(), true
+	b, ok := s.blocks[k]
+	return b, ok
 }
 
-// Drop releases the block parked under k, freeing its off-heap storage.
-// Dropping an absent key is a no-op.
+// Drop releases the block parked under k. Dropping an absent key is a no-op.
 func (s *BlockStore[K]) Drop(k K) {
 	s.mu.Lock()
-	b, ok := s.blobs[k]
-	delete(s.blobs, k)
+	delete(s.blocks, k)
 	s.mu.Unlock()
-	if ok {
-		b.Free()
-	}
 }
 
 // Len reports how many blocks are parked.
 func (s *BlockStore[K]) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.blobs)
-}
-
-// Close drops every parked block.
-func (s *BlockStore[K]) Close() {
-	s.mu.Lock()
-	blobs := s.blobs
-	s.blobs = make(map[K]*arena.Blob)
-	s.mu.Unlock()
-	for _, b := range blobs {
-		b.Free()
-	}
+	return len(s.blocks)
 }

@@ -130,25 +130,44 @@ func TestConformanceShuffleRoundtrip(t *testing.T) {
 	})
 }
 
-// TestConformanceBroadcast: a broadcast payload reaches every executor
-// bit-identical, and broadcast rounds are isolated by seq.
+// TestConformanceBroadcast pins the shape a broadcast takes on the seam: the
+// same payload put as the self-addressed block (ex, ex) on every executor —
+// large enough to span chunks on the TCP path — fetches back bit-identical
+// at each one, is gone after that executor's Drop while the others' copies
+// stay, and is isolated from other rounds by seq.
 func TestConformanceBroadcast(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport.Transport) {
-		payload := testBlock(9, 9, 700<<10) // spans chunks on the TCP path
-		if _, err := tr.Broadcast(7, payload); err != nil {
-			t.Fatalf("Broadcast: %v", err)
+		sh, err := tr.NewShuffle(7)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer sh.Close()
+		payload := testBlock(9, 9, 700<<10)
 		for ex := 0; ex < conformanceWorkers; ex++ {
-			got, _, err := tr.FetchBroadcast(7, ex)
+			if _, err := sh.Put(ex, ex, payload); err != nil {
+				t.Fatalf("Put(%d,%d): %v", ex, ex, err)
+			}
+		}
+		other, err := tr.NewShuffle(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer other.Close()
+		for ex := 0; ex < conformanceWorkers; ex++ {
+			got, _, err := sh.Fetch(ex, ex)
 			if err != nil {
-				t.Fatalf("FetchBroadcast(7, %d): %v", ex, err)
+				t.Fatalf("Fetch(%d,%d): %v", ex, ex, err)
 			}
 			if !bytes.Equal(got, payload) {
 				t.Fatalf("executor %d broadcast copy differs (%d bytes, want %d)", ex, len(got), len(payload))
 			}
-		}
-		if _, _, err := tr.FetchBroadcast(8, 0); err == nil {
-			t.Fatal("FetchBroadcast of an unpublished round succeeded")
+			if got, _, err := other.Fetch(ex, ex); err != nil || got != nil {
+				t.Fatalf("round 8 sees round 7's block at executor %d (%d bytes, err %v)", ex, len(got), err)
+			}
+			sh.Drop(ex, ex)
+			if got, _, err := sh.Fetch(ex, ex); err != nil || got != nil {
+				t.Fatalf("Fetch(%d,%d) after Drop = %d bytes, err %v; want nil, nil", ex, ex, len(got), err)
+			}
 		}
 	})
 }

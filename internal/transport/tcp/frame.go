@@ -1,8 +1,8 @@
-// Package tcp is the real-network transport.Transport: shuffle blocks and
-// broadcast payloads move between a driver process and N executor block
-// server processes over internal/framed connections (hello "SKWT" v1,
-// CRC-32C frames, per-exchange deadline, retry over a fresh dial). This
-// package holds only what is specific to blocks: the request headers, the
+// Package tcp is the real-network transport.Transport: blocks move between
+// a driver process and N executor block server processes over
+// internal/framed connections (hello "SKWT" v1, CRC-32C frames,
+// per-exchange deadline, retry over a fresh dial). This package holds only
+// what is specific to blocks: the request headers, the
 // chunked block stream with its credit window, and the block servers.
 //
 // Requests (client → server), on top of framed's common ops:
@@ -13,8 +13,9 @@
 //	               → 'H' total(u64) chunks(u32) + chunks × DATA (ACK each),
 //	                 or NIL when the block was never published
 //	'T' DROP       seq(u32) src(u32) dst(u32) → OK
-//	'B' BCAST-PUT  seq(u32) total(u64) chunks(u32), then DATA frames → OK
-//	'F' BCAST-GET  seq(u32) → 'H' + DATA frames, or NIL
+//
+// Any other op, or a known op with a header of the wrong size, is answered
+// with an ERR frame and the connection severed.
 //
 // A damaged transfer is a *framed.TornError inside this package and crosses
 // Transport's boundary as a *core.DecodeError (kind "checksum"), so the
@@ -44,8 +45,6 @@ const (
 	opPut  = 'P'
 	opGet  = 'G'
 	opDrop = 'T'
-	opBPut = 'B'
-	opBGet = 'F'
 	opHdr  = 'H'
 )
 
@@ -81,7 +80,7 @@ func parseBlockID(p []byte) blockID {
 }
 
 // appendExtent appends the total(u64) chunks(u32) announcement of an
-// n-byte block — the tail of PUT and BCAST-PUT, and all of 'H'.
+// n-byte block — the tail of PUT, and all of 'H'.
 func appendExtent(b []byte, n int) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(n))
 	return binary.BigEndian.AppendUint32(b, uint32((n+chunkBytes-1)/chunkBytes))

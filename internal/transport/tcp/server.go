@@ -1,10 +1,8 @@
 package tcp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
-	"sync"
 
 	"skyway/internal/framed"
 	"skyway/internal/obs"
@@ -32,24 +30,16 @@ type Server struct {
 	*framed.Server
 	id int
 
-	// blocks holds shuffle blocks (off-heap blobs under the arena knob).
-	// The framed conversations never run under its lock, so a slow transfer
-	// on one connection cannot stall another connection's lookup. A loaded
-	// view stays valid while it is streamed because only the owning reducer
-	// drops a block, and only after its fetch completed.
+	// blocks holds the executor's blocks. The framed conversations never
+	// run under its lock, so a slow transfer on one connection cannot stall
+	// another connection's lookup.
 	blocks *transport.BlockStore[blockID]
-	mu     sync.Mutex
-	bcasts map[uint32][]byte
 }
 
 // Serve starts an executor block server for executor id on ln. It returns
 // immediately; call Close to stop.
 func Serve(id int, ln net.Listener) *Server {
-	s := &Server{
-		id:     id,
-		blocks: transport.NewBlockStore[blockID](),
-		bcasts: make(map[uint32][]byte),
-	}
+	s := &Server{id: id, blocks: transport.NewBlockStore[blockID]()}
 	s.Server = framed.Serve(&framed.SKWT, framed.DefaultPolicy, ln, s.handle)
 	return s
 }
@@ -57,19 +47,13 @@ func Serve(id int, ln net.Listener) *Server {
 // ID returns the executor ID this server stores blocks for.
 func (s *Server) ID() int { return s.id }
 
-// Close stops the server, severs open connections, and waits for the
-// handlers to drain.
-func (s *Server) Close() error {
-	err := s.Server.Close()
-	// All handlers have drained, so no send can still be reading a block:
-	// safe to release the store's off-heap blobs.
-	s.blocks.Close()
-	return err
-}
+// Stored reports how many blocks the server currently holds: published and
+// not yet dropped.
+func (s *Server) Stored() int { return s.blocks.Len() }
 
 // requestBytes is each request's exact header size; a request of any other
 // size (or any other op) is a protocol violation.
-var requestBytes = map[byte]int{opPut: 24, opGet: 12, opDrop: 12, opBPut: 16, opBGet: 4}
+var requestBytes = map[byte]int{opPut: 24, opGet: 12, opDrop: 12}
 
 // handle runs one connection's request loop. Any protocol violation is
 // reported in an ERR frame (which keeps a torn upload's structure) and
@@ -111,43 +95,17 @@ func (s *Server) serve(c *framed.Conn, op byte, req []byte) error {
 		id := parseBlockID(req)
 		framed.Release(req)
 		block, ok := s.blocks.Get(id)
-		if ok {
-			ctrSrvFetches.Inc()
+		if !ok {
+			return c.Send(framed.OpNil, nil)
 		}
-		return s.reply(c, block, ok)
+		ctrSrvFetches.Inc()
+		if err := framed.WriteFrame(c.W, opHdr, appendExtent(nil, len(block))); err != nil {
+			return err
+		}
+		return sendBlock(c, block)
 	case opDrop:
 		s.blocks.Drop(parseBlockID(req))
 		framed.Release(req)
-	case opBPut:
-		seq := binary.BigEndian.Uint32(req)
-		total, chunks := parseExtent(req[4:])
-		framed.Release(req)
-		block, err := recvBlock(c, total, chunks)
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.bcasts[seq] = block
-		s.mu.Unlock()
-	case opBGet:
-		seq := binary.BigEndian.Uint32(req)
-		framed.Release(req)
-		s.mu.Lock()
-		block, ok := s.bcasts[seq]
-		s.mu.Unlock()
-		return s.reply(c, block, ok)
 	}
 	return c.Send(framed.OpOK, nil)
-}
-
-// reply answers a GET: NIL when the block was never published, else the
-// 'H' announcement and the block streamed under the credit window.
-func (s *Server) reply(c *framed.Conn, block []byte, ok bool) error {
-	if !ok {
-		return c.Send(framed.OpNil, nil)
-	}
-	if err := framed.WriteFrame(c.W, opHdr, appendExtent(nil, len(block))); err != nil {
-		return err
-	}
-	return sendBlock(c, block)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -202,5 +203,55 @@ func TestPooledConnectionReuse(t *testing.T) {
 	}
 	if dials := framed.SKWT.Dials.Value() - before; dials != 1 {
 		t.Fatalf("10 exchanges dialed %d connections, want 1 pooled connection", dials)
+	}
+}
+
+// TestBadRequestComesBackAsERR: an op outside the request table — the
+// retired broadcast ops included — or a known op with a header of the wrong
+// size is answered with an ERR frame (a *framed.RemoteError at the client),
+// the connection is severed, and nothing is stored.
+func TestBadRequestComesBackAsERR(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(0, ln)
+	defer srv.Close()
+	cli := framed.NewClient(&framed.SKWT, framed.Policy{Timeout: time.Second})
+	defer cli.Close()
+
+	id := appendBlockID(nil, blockID{seq: 1})
+	for _, tc := range []struct {
+		name string
+		op   byte
+		hdr  []byte
+	}{
+		{"retired BCAST-PUT", 'B', appendExtent([]byte{0, 0, 0, 1}, 8)},
+		{"retired BCAST-GET", 'F', []byte{0, 0, 0, 1}},
+		{"PUT without an extent", opPut, id},
+		{"GET one byte short", opGet, id[:11]},
+		{"DROP one byte long", opDrop, append(id, 0)},
+	} {
+		err := cli.Exchange(ln.Addr().String(), func(c *framed.Conn) error {
+			if err := framed.WriteFrame(c.W, tc.op, tc.hdr); err != nil {
+				return err
+			}
+			_, resp, err := c.Recv()
+			framed.Release(resp)
+			var re *framed.RemoteError
+			if !errors.As(err, &re) || !strings.Contains(re.Detail, "bad request") {
+				t.Errorf("%s: server answered %v, want a *framed.RemoteError naming a bad request", tc.name, err)
+			}
+			if _, _, err := framed.ReadFrame(c.R); err == nil {
+				t.Errorf("%s: connection still open after the ERR", tc.name)
+			}
+			return err
+		})
+		if err == nil {
+			t.Errorf("%s: exchange succeeded", tc.name)
+		}
+	}
+	if n := srv.Stored(); n != 0 {
+		t.Fatalf("bad requests stored %d blocks", n)
 	}
 }

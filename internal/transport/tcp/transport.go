@@ -1,10 +1,8 @@
 package tcp
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"skyway/internal/core"
@@ -12,12 +10,11 @@ import (
 	"skyway/internal/transport"
 )
 
-// Transport is the real-network transport.Transport: every shuffle block and
-// broadcast payload crosses loopback (or the LAN) twice — once when the map
-// side PUTs it to the block server that owns it, once when the reduce side
-// GETs it back. Its I/O times are measured wall-clock, so a Breakdown
-// produced under this transport reports real I/O where the simulator reports
-// modelled I/O.
+// Transport is the real-network transport.Transport: every block crosses
+// loopback (or the LAN) twice — once when the map side PUTs it to the block
+// server that owns it, once when the reduce side GETs it back. Its I/O times
+// are measured wall-clock, so a Breakdown produced under this transport
+// reports real I/O where the simulator reports modelled I/O.
 //
 // Block placement follows the simulator's locality story: the blocks mapper
 // src produced live on executor process src, so a reduce task on executor
@@ -37,16 +34,6 @@ func New(peers map[int]string) *Transport {
 	return t
 }
 
-// Peers returns the executor IDs this transport can reach, sorted.
-func (t *Transport) Peers() []int {
-	out := make([]int, 0, len(t.peers))
-	for id := range t.peers {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // exchange runs one conversation with executor ex's block server. It is the
 // one boundary where the framed layer's errors become the transport's: a
 // torn stream that outlived the retry budget surfaces as the bare
@@ -62,49 +49,6 @@ func (t *Transport) exchange(ex int, fn func(*framed.Conn) error) error {
 		return &core.DecodeError{Kind: core.DecodeChecksum, Detail: te.Detail}
 	}
 	return err
-}
-
-// put runs one PUT-shaped conversation: request header out, the block
-// streamed under the credit window, OK back.
-func (t *Transport) put(ex int, op byte, hdr, block []byte) error {
-	return t.exchange(ex, func(c *framed.Conn) error {
-		if err := framed.WriteFrame(c.W, op, hdr); err != nil {
-			return err
-		}
-		if err := sendBlock(c, block); err != nil {
-			return err
-		}
-		return awaitOK(c)
-	})
-}
-
-// fetch runs one GET-shaped conversation (request frame out, 'H' + DATA
-// frames or NIL back) and returns the block, nil when the server never had
-// one.
-func (t *Transport) fetch(ex int, op byte, req []byte) ([]byte, error) {
-	var block []byte
-	err := t.exchange(ex, func(c *framed.Conn) error {
-		block = nil
-		if err := framed.WriteFrame(c.W, op, req); err != nil {
-			return err
-		}
-		rop, payload, err := c.Recv()
-		if err != nil {
-			return err
-		}
-		defer framed.Release(payload)
-		switch {
-		case rop == framed.OpNil:
-			return nil
-		case rop == opHdr && len(payload) == 12:
-			total, chunks := parseExtent(payload)
-			block, err = recvBlock(c, total, chunks)
-			return err
-		default:
-			return fmt.Errorf("transport: want HDR or NIL, got frame %q (%d bytes)", rop, len(payload))
-		}
-	})
-	return block, err
 }
 
 // awaitOK reads the server's closing OK frame.
@@ -129,31 +73,6 @@ func (t *Transport) NewShuffle(seq int) (transport.Shuffle, error) {
 // the exchanges actually clocked, every attempt included.
 func (t *Transport) Measured() bool { return true }
 
-// Broadcast implements transport.Transport: the payload is PUT to every
-// executor's block server, so each executor's later fetch is served by its
-// own process (the BitTorrent-ish alternative of peer-to-peer chunk exchange
-// is out of scope; the paper's broadcasts are driver-fan-out too).
-func (t *Transport) Broadcast(seq int, payload []byte) (time.Duration, error) {
-	start := time.Now()
-	hdr := appendExtent(binary.BigEndian.AppendUint32(nil, uint32(seq)), len(payload))
-	for _, ex := range t.Peers() {
-		if err := t.put(ex, opBPut, hdr, payload); err != nil {
-			return time.Since(start), err
-		}
-	}
-	return time.Since(start), nil
-}
-
-// FetchBroadcast implements transport.Transport.
-func (t *Transport) FetchBroadcast(seq, ex int) ([]byte, time.Duration, error) {
-	start := time.Now()
-	block, err := t.fetch(ex, opBGet, binary.BigEndian.AppendUint32(nil, uint32(seq)))
-	if err == nil && block == nil {
-		err = fmt.Errorf("transport: broadcast %d not published to executor %d", seq, ex)
-	}
-	return block, time.Since(start), err
-}
-
 // Close implements transport.Transport.
 func (t *Transport) Close() error {
 	t.cli.Close()
@@ -170,20 +89,53 @@ func (s *tcpShuffle) id(src, dst int) blockID {
 	return blockID{seq: s.seq, src: uint32(src), dst: uint32(dst)}
 }
 
-// Put implements transport.Shuffle: the block lands on executor src's server.
+// Put implements transport.Shuffle: the block lands on executor src's
+// server — request header out, the block streamed under the credit window,
+// OK back.
 func (s *tcpShuffle) Put(src, dst int, block []byte) (time.Duration, error) {
 	start := time.Now()
 	hdr := appendExtent(appendBlockID(nil, s.id(src, dst)), len(block))
-	err := s.t.put(src, opPut, hdr, block)
+	err := s.t.exchange(src, func(c *framed.Conn) error {
+		if err := framed.WriteFrame(c.W, opPut, hdr); err != nil {
+			return err
+		}
+		if err := sendBlock(c, block); err != nil {
+			return err
+		}
+		return awaitOK(c)
+	})
 	return time.Since(start), err
 }
 
-// Fetch implements transport.Shuffle. The bytes come back over a socket, so
-// they are already the caller's private copy — safe to tear for fault
-// injection without a defensive copy.
+// Fetch implements transport.Shuffle: request frame out, 'H' + DATA frames
+// or NIL (the server never had the block) back. The bytes come back over a
+// socket, so they are already the caller's private copy — safe to tear for
+// fault injection without a defensive copy.
 func (s *tcpShuffle) Fetch(src, dst int) ([]byte, time.Duration, error) {
 	start := time.Now()
-	block, err := s.t.fetch(src, opGet, appendBlockID(nil, s.id(src, dst)))
+	req := appendBlockID(nil, s.id(src, dst))
+	var block []byte
+	err := s.t.exchange(src, func(c *framed.Conn) error {
+		block = nil
+		if err := framed.WriteFrame(c.W, opGet, req); err != nil {
+			return err
+		}
+		rop, payload, err := c.Recv()
+		if err != nil {
+			return err
+		}
+		defer framed.Release(payload)
+		switch {
+		case rop == framed.OpNil:
+			return nil
+		case rop == opHdr && len(payload) == 12:
+			total, chunks := parseExtent(payload)
+			block, err = recvBlock(c, total, chunks)
+			return err
+		default:
+			return fmt.Errorf("transport: want HDR or NIL, got frame %q (%d bytes)", rop, len(payload))
+		}
+	})
 	return block, time.Since(start), err
 }
 

@@ -1,8 +1,10 @@
-// Package transport defines the seam between the dataflow shuffle/broadcast
-// path and the layer that actually moves serialized bytes between executors.
-// The dataflow engine produces and consumes opaque blocks (already framed and
-// checksummed by the active codec's wire format); a Transport decides where
-// those blocks live and what moving them costs.
+// Package transport defines the seam between the dataflow exchange and the
+// layer that actually moves serialized bytes between executors: put, fetch
+// and drop over one block store per round. The dataflow engine produces and
+// consumes opaque blocks (already framed and checksummed by the active
+// codec's wire format); a Transport decides where those blocks live and what
+// moving them costs. A driver → worker broadcast is W self-addressed blocks
+// of a round, not a second exchange.
 //
 // Two implementations ship: netsim.LocalTransport keeps blocks in process
 // and measures nothing — the fast CI path, bit-identical to the historical
@@ -27,30 +29,20 @@ type Transport interface {
 	NewShuffle(seq int) (Shuffle, error)
 
 	// Measured reports which world the transport is in: true when the
-	// durations Put, Fetch, Broadcast and FetchBroadcast return are real
-	// wall-clock I/O and are the task's charge as they stand — every
-	// attempt counts, so a block re-fetched by the degradation ladder is
-	// charged again; false when they are zero and the charge is modelled
-	// from the byte counts.
+	// durations Put and Fetch return are real wall-clock I/O and are the
+	// task's charge as they stand — every attempt counts, so a block
+	// re-fetched by the degradation ladder is charged again; false when
+	// they are zero and the charge is modelled from the byte counts.
 	Measured() bool
-
-	// Broadcast publishes the driver's payload to every executor; seq
-	// distinguishes broadcast rounds. Returns the measured publish time
-	// (zero under a purely modelled transport).
-	Broadcast(seq int, payload []byte) (time.Duration, error)
-
-	// FetchBroadcast returns executor ex's copy of broadcast seq and the
-	// measured fetch time. The returned slice must not be mutated — an
-	// in-process transport may hand every executor the same backing array.
-	FetchBroadcast(seq, ex int) ([]byte, time.Duration, error)
 
 	// Close releases the transport's connections and round state.
 	Close() error
 }
 
 // Shuffle is one round's block exchange. Blocks are keyed by the (mapper,
-// partition) pair; a block stays available until Drop so a fetch whose copy
-// was damaged in flight can be retried from the intact stored bytes.
+// partition) pair — a broadcast round's by (executor, executor); a block
+// stays available until Drop so a fetch whose copy was damaged in flight can
+// be retried from the intact stored bytes.
 type Shuffle interface {
 	// Put publishes mapper src's serialized block for partition dst and
 	// returns the measured I/O time (zero under a modelled transport).
