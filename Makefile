@@ -81,11 +81,14 @@ cluster-test:
 # The arena suite: lazy-decode equivalence (eager vs. arena bit-identity,
 # promotion-heavy variants), handle bounds/lifecycle unit tests, the
 # steady-state allocation and full-GC-scan-independence gates, the arena
-# chaos matrix, and a full SKYWAY_ARENA=1 sweep of the core, dataflow and
-# batch packages under the race detector with the heap verifier armed.
+# chaos matrix, one pass of BenchmarkArrayRead (per-element and bulk reads on
+# eager, arena and promoted arrays), and a full SKYWAY_ARENA=1 sweep of the
+# core, dataflow and batch packages under the race detector with the heap
+# verifier armed.
 arena-test:
 	SKYWAY_VERIFY=1 $(GO) test -race ./internal/arena/
-	SKYWAY_VERIFY=1 $(GO) test -race -run 'Arena' ./internal/heap/ ./internal/core/ ./internal/fault/
+	SKYWAY_VERIFY=1 $(GO) test -race -run 'Arena|ArrayLongs' ./internal/heap/ ./internal/core/ ./internal/fault/
+	SKYWAY_VERIFY=1 $(GO) test -race -run '^$$' -bench ArrayRead -benchtime=1x -benchmem ./internal/core/
 	SKYWAY_ARENA=1 SKYWAY_VERIFY=1 $(GO) test -race ./internal/core/ ./internal/serial/ ./internal/dataflow/ ./internal/batch/
 
 # Native fuzzing, smoke duration per target (override FUZZTIME for a soak).

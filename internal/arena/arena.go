@@ -50,7 +50,7 @@ type segment struct {
 // safe for concurrent use; reads after retirement panic rather than touch
 // unmapped memory.
 //
-// The read path (Resolve, PromotedAddr) sits under every field access of an
+// The read path (Tail, PromotedAddr) sits under every field access of an
 // arena-resident object, so it must not take locks: the segment table and
 // the promotion map are published copy-on-write through atomic pointers,
 // and mu only serializes the writers (Commit, SetPromoted, BindEpoch,
@@ -109,7 +109,7 @@ func (r *Region) Stage(n uint32) ([]byte, error) {
 
 // Commit publishes a staged, validated segment at biased relative address
 // startRel. Segments arrive in stream order, so the table stays sorted; the
-// new table is published as a fresh copy so concurrent Resolve calls never
+// new table is published as a fresh copy so concurrent Tail calls never
 // observe a partially appended slice.
 func (r *Region) Commit(startRel uint64, b []byte) {
 	r.mu.Lock()
@@ -129,11 +129,15 @@ func (r *Region) Commit(startRel uint64, b []byte) {
 // Discard unmaps a staged buffer that failed validation.
 func (r *Region) Discard(b []byte) { munmap(b) }
 
-// Resolve returns the n bytes at biased relative address rel as a view into
-// the region's mapping, or an error naming the violated bound. It never
-// returns memory outside the segment containing rel: an access that would
-// cross a segment end fails rather than spill into an adjacent mapping.
-func (r *Region) Resolve(rel uint64, n uint32) ([]byte, error) {
+// Tail returns the bytes from biased relative address rel to the end of the
+// segment holding it, as a view into the region's mapping — the
+// object-granular resolve: the caller reads the header at the front of the
+// view, works out the object's size and cuts the view down to it, all for one
+// table search. rel at exactly the end of the last segment resolves to an
+// empty view (the end of a non-last segment is the start of the next one):
+// that is where the payload of a zero-length array that closes a segment
+// begins, and reading zero bytes there is legal.
+func (r *Region) Tail(rel uint64) ([]byte, error) {
 	if r.retired.Load() {
 		panic(fmt.Sprintf("arena: use of retired region %d (rel %#x)", r.id, rel))
 	}
@@ -156,11 +160,11 @@ func (r *Region) Resolve(rel uint64, n uint32) ([]byte, error) {
 	}
 	s := segs[lo-1]
 	off := rel - s.startRel
-	if off+uint64(n) > uint64(len(s.b)) {
-		return nil, fmt.Errorf("arena: %d bytes at relative address %#x overrun segment [%#x,%#x) of region %d",
-			n, rel, s.startRel, s.startRel+uint64(len(s.b)), r.id)
+	if off > uint64(len(s.b)) {
+		return nil, fmt.Errorf("arena: relative address %#x beyond segment [%#x,%#x) of region %d",
+			rel, s.startRel, s.startRel+uint64(len(s.b)), r.id)
 	}
-	return s.b[off : off+uint64(n) : off+uint64(n)], nil
+	return s.b[off:], nil
 }
 
 // promotion is one promoted object: its managed (pinned, non-moving)

@@ -34,25 +34,43 @@ func TestRegionResolveBounds(t *testing.T) {
 	stage(t, r, 16, []byte{9, 10, 11, 12, 13, 14, 15, 16})
 
 	// Exact hits, including across the segment boundary in the table.
-	if b, err := r.Resolve(8, 8); err != nil || b[0] != 1 || b[7] != 8 {
-		t.Fatalf("Resolve(8, 8) = %v, %v", b, err)
+	if b, err := r.Tail(8); err != nil || len(b) != 8 || b[0] != 1 || b[7] != 8 {
+		t.Fatalf("Tail(8) = %v, %v", b, err)
 	}
-	if b, err := r.Resolve(20, 4); err != nil || b[0] != 13 {
-		t.Fatalf("Resolve(20, 4) = %v, %v", b, err)
+	if b, err := r.Tail(20); err != nil || len(b) != 4 || b[0] != 13 {
+		t.Fatalf("Tail(20) = %v, %v", b, err)
 	}
 
 	// Below the first segment: structured error naming the bound.
-	if _, err := r.Resolve(4, 4); err == nil || !strings.Contains(err.Error(), "below region") {
-		t.Fatalf("Resolve below region = %v, want below-region error", err)
+	if _, err := r.Tail(4); err == nil || !strings.Contains(err.Error(), "below region") {
+		t.Fatalf("Tail below region = %v, want below-region error", err)
 	}
-	// Overrunning a segment end must fail even though the next mapping
+	// The view stops at its segment's end even though the next mapping
 	// exists — a read never crosses from one segment into another.
-	if _, err := r.Resolve(12, 8); err == nil || !strings.Contains(err.Error(), "overrun") {
-		t.Fatalf("Resolve crossing segment end = %v, want overrun error", err)
+	if b, err := r.Tail(12); err != nil || len(b) != 4 {
+		t.Fatalf("Tail(12) = %v, %v; want the 4 bytes left in the segment", b, err)
 	}
 	// Past the last segment.
-	if _, err := r.Resolve(24, 1); err == nil {
-		t.Fatal("Resolve past the last segment succeeded")
+	if _, err := r.Tail(25); err == nil || !strings.Contains(err.Error(), "beyond") {
+		t.Fatalf("Tail past the last segment = %v, want a beyond-segment error", err)
+	}
+}
+
+// TestTailAtSegmentEnd pins the contract a zero-length array depends on: its
+// (empty) payload starts exactly where its segment ends. At the end of an
+// inner segment that address is the next segment's first byte; at the end of
+// the last one nothing follows and the view is empty, not an error.
+func TestTailAtSegmentEnd(t *testing.T) {
+	s := NewSpace()
+	r := s.NewRegion()
+	defer r.Release()
+	stage(t, r, 8, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	stage(t, r, 16, []byte{9, 10, 11, 12, 13, 14, 15, 16})
+	if b, err := r.Tail(16); err != nil || len(b) != 8 || b[0] != 9 {
+		t.Errorf("Tail at an inner segment's end = %v, %v; want the next segment", b, err)
+	}
+	if b, err := r.Tail(24); err != nil || len(b) != 0 {
+		t.Errorf("Tail at the region's end = %v, %v; want an empty view", b, err)
 	}
 }
 
@@ -66,7 +84,7 @@ func TestRegionRefcountAndRetire(t *testing.T) {
 	if r.Retired() {
 		t.Fatal("region retired while a reference was outstanding")
 	}
-	if _, err := r.Resolve(8, 8); err != nil {
+	if _, err := r.Tail(8); err != nil {
 		t.Fatalf("resolve with one reference left: %v", err)
 	}
 	r.Release()
@@ -79,10 +97,10 @@ func TestRegionRefcountAndRetire(t *testing.T) {
 
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Resolve on a retired region did not panic")
+			t.Fatal("Tail on a retired region did not panic")
 		}
 	}()
-	r.Resolve(8, 8)
+	r.Tail(8)
 }
 
 func TestRetireThroughSkipsUnboundRegions(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -23,11 +24,11 @@ func cachedHash(rt *vm.Runtime, a heap.Addr) (uint32, bool) {
 		if p := reg.PromotedAddr(heap.ArenaRelOf(a)); p != heap.Null {
 			return rt.Heap.HashOf(p)
 		}
-		b, err := reg.Resolve(heap.ArenaRelOf(a)+uint64(klass.OffMark), 8)
+		b, err := reg.Tail(heap.ArenaRelOf(a))
 		if err != nil {
 			panic(err)
 		}
-		return heap.MarkHash(heap.LoadBytes(b, 0, klass.Int64))
+		return heap.MarkHash(heap.LoadBytes(b, klass.OffMark, klass.Int64))
 	}
 	return rt.Heap.HashOf(a)
 }
@@ -259,27 +260,42 @@ func TestArenaFreeRetiresRegion(t *testing.T) {
 // through a tagged handle whose region was force-retired (the stage-epoch
 // backstop firing while someone still holds a record) must panic loudly
 // naming the retired region — never touch unmapped memory, never return
-// stale bytes.
+// stale bytes. The bulk array read resolves once and then copies out of the
+// mapping, so it is held to the same rule as a field read.
 func TestArenaUseAfterRetirePanics(t *testing.T) {
 	snd, rcv, sky := testCluster(t)
-	wire := encodeOneDate(t, snd, sky)
-	rd := NewReader(rcv, bytes.NewReader(wire), WithArena())
-	root, err := rd.ReadObject()
-	if err != nil {
-		t.Fatal(err)
+	arrays, _, _ := arrayCorpus(t, snd, sky)
+	for _, tc := range []struct {
+		name string
+		wire []byte
+		read func(root heap.Addr)
+	}{
+		{"field", encodeOneDate(t, snd, sky), func(root heap.Addr) {
+			rcv.GetInt(root, rcv.MustLoad("Date").FieldByName("month"))
+		}},
+		{"element", arrays, func(root heap.Addr) { rcv.ArrayGetLong(root, 0) }},
+		{"bulk", arrays, func(root heap.Addr) { rcv.ArrayLongs(root, make([]int64, 8)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rd := NewReader(rcv, bytes.NewReader(tc.wire), WithArena())
+			root, err := rd.ReadObject()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.read(root) // live: fine
+			rd.ArenaRegion().ForceRetire()
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("read through a retired region's handle did not panic")
+				}
+				if msg, ok := r.(string); !ok || !strings.Contains(msg, "retired region") {
+					t.Fatalf("use-after-retire panic %v does not name the retired region", r)
+				}
+			}()
+			tc.read(root)
+		})
 	}
-	rd.ArenaRegion().ForceRetire()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("read through a retired region's handle did not panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "retired region") {
-			t.Fatalf("use-after-retire panic %v does not name the retired region", r)
-		}
-	}()
-	dk := rcv.MustLoad("Date")
-	rcv.GetInt(root, dk.FieldByName("month"))
 }
 
 // TestArenaPromoteFailpoint: the arena.promote.fail failpoint surfaces as a
@@ -351,4 +367,254 @@ func encodeOneDate(t *testing.T, snd *vm.Runtime, sky *Skyway) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// arrayCorpus is the bulk-read suite's input: primitive arrays as the roots
+// of one stream cut into two segments, each of which a zero-length long[]
+// closes — the arrays whose (empty) payload starts exactly where a segment,
+// and for the second the whole region, ends. It returns the wire and the
+// arrays' values and klass names in root order.
+func arrayCorpus(t testing.TB, snd *vm.Runtime, sky *Skyway) (wire []byte, vals [][]int64, kinds []string) {
+	t.Helper()
+	kinds = []string{"long[]", "int[]", "long[]", "short[]", "byte[]", "long[]"}
+	vals = [][]int64{
+		{3, -1, 1 << 40, -(1 << 62), 0, 7},
+		{-5, 1<<31 - 1, -(1 << 31), 0, 12},
+		{}, // closes the first segment
+		{-300, 299, -1},
+		{-128, 127, -1, 0, 5},
+		{}, // closes the last segment
+	}
+	sky.ShuffleStart()
+	var buf bytes.Buffer
+	w := sky.NewWriter(&buf)
+	for i, v := range vals {
+		arr := snd.MustNewArray(snd.MustLoad(kinds[i]), len(v))
+		snd.ArrayPutLongs(arr, v)
+		if err := w.WriteObject(arr); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), vals, kinds
+}
+
+// perElement is the reference the bulk read is checked against.
+func perElement(rt *vm.Runtime, a heap.Addr) []int64 {
+	out := make([]int64, rt.ArrayLen(a))
+	for i := range out {
+		out[i] = rt.ArrayGetLong(a, i)
+	}
+	return out
+}
+
+// TestArrayLongsEquivalence: the bulk read returns exactly what the
+// per-element loop returns — sign extension included — on eagerly decoded
+// arrays, on arena handles, and on handles that have been promoted and then
+// mutated, where it must see the mutated copy and not the region's image;
+// zero-length arrays at a segment's end and at the region's end read as
+// empty; and filling a handle in bulk promotes it exactly once.
+func TestArrayLongsEquivalence(t *testing.T) {
+	snd, rcv, sky := testCluster(t)
+	wire, vals, kinds := arrayCorpus(t, snd, sky)
+
+	erd := NewReader(rcv, bytes.NewReader(wire))
+	defer erd.Free()
+	eager, err := erd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ard := NewReader(rcv, bytes.NewReader(wire), WithArena())
+	defer ard.Free()
+	lazy, err := ard.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(eager) != len(vals) || len(lazy) != len(vals) {
+		t.Fatalf("decoded %d eager and %d arena roots, want %d", len(eager), len(lazy), len(vals))
+	}
+	var dst []int64
+	for i, want := range vals {
+		if !heap.IsArenaAddr(lazy[i]) {
+			t.Fatalf("root %d: arena decode returned a managed address", i)
+		}
+		for _, side := range []struct {
+			name string
+			a    heap.Addr
+		}{{"eager", eager[i]}, {"arena", lazy[i]}} {
+			dst = rcv.ArrayLongs(side.a, dst)
+			if !slices.Equal(dst, want) || !slices.Equal(dst, perElement(rcv, side.a)) {
+				t.Errorf("%s %s (root %d): ArrayLongs = %v, per-element = %v, sent %v",
+					side.name, kinds[i], i, dst, perElement(rcv, side.a), want)
+			}
+		}
+	}
+	if got := rcv.ArrayLongs(lazy[2], dst[:3]); len(got) != 0 {
+		t.Fatalf("zero-length array read into a non-empty dst came back with %d elements", len(got))
+	}
+
+	// Promote + mutate: element writes land in the promoted copy only.
+	reg := ard.ArenaRegion()
+	for _, i := range []int{0, 1} {
+		rcv.ArraySetLong(lazy[i], 1, -77)
+		rcv.ArraySetLong(eager[i], 1, -77)
+		want := append([]int64(nil), vals[i]...)
+		want[1] = -77
+		if dst = rcv.ArrayLongs(lazy[i], dst); !slices.Equal(dst, want) || !slices.Equal(dst, perElement(rcv, lazy[i])) {
+			t.Errorf("promoted %s: ArrayLongs = %v, want the mutated copy %v", kinds[i], dst, want)
+		}
+		if dst = rcv.ArrayLongs(eager[i], dst); !slices.Equal(dst, want) {
+			t.Errorf("eager %s after the same mutation: ArrayLongs = %v, want %v", kinds[i], dst, want)
+		}
+	}
+	if n := reg.Promotions(); n != 2 {
+		t.Fatalf("two mutated arrays left %d promotions", n)
+	}
+
+	// A bulk fill of a handle is one mutation: one promotion, however many
+	// elements, and none on a refill.
+	fill := []int64{9, -9, 1 << 33}
+	for pass := 0; pass < 2; pass++ {
+		rcv.ArrayPutLongs(lazy[3], fill)
+		if n := reg.Promotions(); n != 3 {
+			t.Fatalf("pass %d: ArrayPutLongs on a handle left %d promotions, want 3", pass, n)
+		}
+	}
+	if dst = rcv.ArrayLongs(lazy[3], dst); !slices.Equal(dst, []int64{9, -9, 0}) {
+		t.Fatalf("short[] after a bulk fill reads %v, want the truncated fill [9 -9 0]", dst)
+	}
+}
+
+// TestArrayLongsRejectsNonIntegerArrays: the bulk integer read refuses a
+// char[] (zero-extending UTF-16 units into int64 is not a sign-extending
+// integer read) the same way on a managed array and through a handle.
+func TestArrayLongsRejectsNonIntegerArrays(t *testing.T) {
+	snd, rcv, sky := testCluster(t)
+	str := snd.Pin(snd.MustNewString("héllo"))
+	defer str.Release()
+	sky.ShuffleStart()
+	var buf bytes.Buffer
+	w := sky.NewWriter(&buf)
+	if err := w.WriteObject(str.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		opts []ReaderOption
+	}{{"eager", nil}, {"arena", []ReaderOption{WithArena()}}} {
+		t.Run(mode.name, func(t *testing.T) {
+			rd := NewReader(rcv, bytes.NewReader(buf.Bytes()), mode.opts...)
+			defer rd.Free()
+			root, err := rd.ReadObject()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rcv.GoString(root); got != "héllo" {
+				t.Fatalf("GoString = %q", got)
+			}
+			chars := rcv.GetRef(root, rcv.MustLoad(vm.StringClass).FieldByName("value"))
+			defer func() {
+				if msg, ok := recover().(string); !ok || !strings.Contains(msg, "char[]") {
+					t.Fatalf("ArrayLongs on a char[] did not reject it: %v", msg)
+				}
+			}()
+			rcv.ArrayLongs(chars, nil)
+		})
+	}
+}
+
+// TestArrayLongsDoesNotAllocate: into a dst that is large enough the bulk
+// read allocates nothing, on either side of the tag test.
+func TestArrayLongsDoesNotAllocate(t *testing.T) {
+	snd, rcv, sky := testCluster(t)
+	wire, _, _ := arrayCorpus(t, snd, sky)
+	for _, mode := range []struct {
+		name string
+		opts []ReaderOption
+	}{{"eager", nil}, {"arena", []ReaderOption{WithArena()}}} {
+		rd := NewReader(rcv, bytes.NewReader(wire), mode.opts...)
+		roots, err := rd.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]int64, 16)
+		if n := testing.AllocsPerRun(100, func() {
+			for _, a := range roots {
+				dst = rcv.ArrayLongs(a, dst)
+			}
+		}); n != 0 {
+			t.Errorf("%s: ArrayLongs into a reused dst allocates %v times per sweep", mode.name, n)
+		}
+		rd.Free()
+	}
+}
+
+// BenchmarkArrayRead prices one element of a received long[] on each side
+// of the tag test — eagerly decoded, behind an arena handle, behind a
+// promoted handle — read one ArrayGetLong at a time and in one ArrayLongs.
+func BenchmarkArrayRead(b *testing.B) {
+	snd, rcv, sky := testCluster(b)
+	const n = 4096
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(uint64(i) * 0x9E3779B97F4A7C15)
+	}
+	arr := snd.MustNewArray(snd.MustLoad("long[]"), n)
+	snd.ArrayPutLongs(arr, vals)
+	sky.ShuffleStart()
+	var buf bytes.Buffer
+	w := sky.NewWriter(&buf)
+	if err := w.WriteObject(arr); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var sink int64
+	for _, side := range []struct {
+		name    string
+		opts    []ReaderOption
+		promote bool
+	}{{"eager", nil, false}, {"arena", []ReaderOption{WithArena()}, false}, {"arena-promoted", []ReaderOption{WithArena()}, true}} {
+		rd := NewReader(rcv, bytes.NewReader(buf.Bytes()), side.opts...)
+		a, err := rd.ReadObject()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if side.promote {
+			if _, err := Promote(rcv, a); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(side.name+"/per-element", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < n; j++ {
+					sink += rcv.ArrayGetLong(a, j)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+		})
+		b.Run(side.name+"/bulk", func(b *testing.B) {
+			b.ReportAllocs()
+			dst := make([]int64, n)
+			for i := 0; i < b.N; i++ {
+				dst = rcv.ArrayLongs(a, dst)
+				sink += dst[i%n]
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+		})
+		rd.Free()
+	}
+	_ = sink
 }

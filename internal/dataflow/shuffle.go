@@ -2,10 +2,11 @@ package dataflow
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -125,7 +126,7 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 	// Sort each block by key (sort-based shuffle).
 	for dst := range out {
 		recs := out[dst]
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
+		slices.SortStableFunc(recs, func(a, b outRecord) int { return cmp.Compare(a.key, b.key) })
 	}
 	res.bd.Compute = time.Since(start)
 

@@ -72,10 +72,15 @@ func RunTriangleCounting(c *Cluster, g *datagen.Graph) (metrics.Breakdown, int64
 		Produce: func(ex *Executor, emit Emit) error {
 			mk := ex.RT.MustLoad(AdjMsgClass)
 			arrK := ex.RT.MustLoad("long[]")
+			var nbrs []int64 // N⁺(v) widened once, stored into every copy shipped
 			for v := ex.ID; v < g.N; v += c.Workers() {
 				hs := higher[v]
 				if len(hs) == 0 {
 					continue
+				}
+				nbrs = nbrs[:0]
+				for _, w := range hs {
+					nbrs = append(nbrs, int64(w))
 				}
 				for _, u := range hs {
 					// Ship N⁺(v) to u's owner for intersection
@@ -85,9 +90,7 @@ func RunTriangleCounting(c *Cluster, g *datagen.Graph) (metrics.Breakdown, int64
 						return err
 					}
 					ah := ex.RT.Pin(arr)
-					for i, w := range hs {
-						ex.RT.ArraySetLong(ah.Addr(), i, int64(w))
-					}
+					ex.RT.ArrayPutLongs(ah.Addr(), nbrs)
 					msg, err := ex.RT.New(mk)
 					if err != nil {
 						ah.Release()
@@ -106,16 +109,16 @@ func RunTriangleCounting(c *Cluster, g *datagen.Graph) (metrics.Breakdown, int64
 			mk := ex.RT.MustLoad(AdjMsgClass)
 			nF := mk.FieldByName("neighbors")
 			var found int64
+			var shipped []int64 // reused: one bulk read per record, not one resolve per element
 			for _, r := range recs {
 				u := int32(getLong(ex, r, mk, "dst"))
-				arr := ex.RT.GetRef(r, nF)
-				n := ex.RT.ArrayLen(arr)
+				shipped = ex.RT.ArrayLongs(ex.RT.GetRef(r, nF), shipped)
 				// Intersect sorted N⁺(v) (shipped) with N⁺(u)
 				// (local).
 				local := higher[u]
 				i, j := 0, 0
-				for i < n && j < len(local) {
-					w := int32(ex.RT.ArrayGetLong(arr, i))
+				for i < len(shipped) && j < len(local) {
+					w := int32(shipped[i])
 					switch {
 					case w < local[j]:
 						i++

@@ -13,6 +13,11 @@ import (
 // WordCount pipeline, with received segments staged lazily in off-heap
 // regions and read through bounds-checked handles.
 func chaosRunArena(t *testing.T, spec string) (float64, error) {
+	return chaosRunArenaApp(t, experiments.WC, spec)
+}
+
+// chaosRunArenaApp is chaosRunArena for any Spark workload.
+func chaosRunArenaApp(t *testing.T, app experiments.SparkApp, spec string) (float64, error) {
 	t.Helper()
 	if err := fault.Configure(spec); err != nil {
 		t.Fatal(err)
@@ -22,7 +27,7 @@ func chaosRunArena(t *testing.T, spec string) (float64, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, runErr := experiments.SparkRunInfo(experiments.WC, g.Generate(), "skyway-arena", chaosConfig())
+	info, runErr := experiments.SparkRunInfo(app, g.Generate(), "skyway-arena", chaosConfig())
 	return info.Digest, runErr
 }
 
@@ -90,6 +95,44 @@ func TestChaosMatrixArena(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestChaosArenaBulkRead holds the bulk array read to the premature-free row
+// of the matrix: TriangleCounting's reducer copies every shipped adjacency
+// array out of its region in one ArrayLongs, so a region reclaimed under the
+// live stream must still end in the fault-free count or a structured abort —
+// the copy must never run over a mapping that is gone.
+func TestChaosArenaBulkRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos matrix is not a -short test")
+	}
+	wasOn := verify.SetEnabled(true)
+	defer verify.SetEnabled(wasOn)
+	fault.Seed(0xC0FFEE)
+	defer fault.Seed(0)
+
+	want, err := chaosRunArenaApp(t, experiments.TC, "")
+	if err != nil {
+		t.Fatalf("fault-free arena run: %v", err)
+	}
+	for _, trigger := range []string{":on*times=1", ":1in3"} {
+		t.Run(fault.ArenaRegionPrematureFree+trigger, func(t *testing.T) {
+			got, err := chaosRunArenaApp(t, experiments.TC, fault.ArenaRegionPrematureFree+trigger)
+			if fault.Fired(fault.ArenaRegionPrematureFree) == 0 {
+				t.Fatal("the failpoint never fired")
+			}
+			if err != nil {
+				if !structuredChaosError(err) {
+					t.Fatalf("unstructured failure: %T: %v", err, err)
+				}
+				t.Logf("structured abort: %v", err)
+				return
+			}
+			if got != want {
+				t.Fatalf("silent corruption: %v triangles, fault-free %v", got, want)
+			}
+		})
 	}
 }
 

@@ -20,31 +20,72 @@ import (
 // mutation promotes the object into the managed heap (copy-on-write), after
 // which the region forwards every access to the promoted copy.
 
-// arenaObject resolves a tagged address to its region and biased relative
-// address, failing loudly on a handle that outlived its region.
-func (rt *Runtime) arenaObject(a heap.Addr) (*arena.Region, uint64) {
-	return rt.Arena.MustRegion(heap.ArenaRegionOf(a)), heap.ArenaRelOf(a)
+// resolve is the one place a tagged address becomes an object: one region
+// lookup, one promotion probe, one segment search, the klass from the TID
+// table. It returns the object's klass with either the managed address of
+// its promoted copy (img nil) or its image in the region, cut to exactly the
+// object's bytes (p Null) — so whatever a caller reads at an offset inside
+// the image is inside the object, and a whole loop over an array's payload
+// costs one resolve. The image is a view of the region's mapping: it dies
+// with the region, so callers read through it and never hold it.
+//
+// It fails loudly: a handle that outlived its region panics naming the
+// retired region, and an image that escapes its segment or names an unknown
+// type can only be a forged or stale handle (decode-time validation proved
+// every object fits its segment and loaded every class in the stream), which
+// must not become an out-of-region read.
+func (rt *Runtime) resolve(a heap.Addr) (reg *arena.Region, k *klass.Klass, img []byte, p heap.Addr) {
+	reg = rt.Arena.MustRegion(heap.ArenaRegionOf(a))
+	rel := heap.ArenaRelOf(a)
+	if p = reg.PromotedAddr(rel); p != heap.Null {
+		return reg, rt.KlassAt(int32(rt.Heap.KlassWord(p))), nil, p
+	}
+	img, err := reg.Tail(rel)
+	if err != nil {
+		panic(fmt.Sprintf("vm: %s: arena read escapes its segment: %v", rt.Name, err))
+	}
+	// The klass word still holds the wire's global type ID — the lazy
+	// counterpart of absolutization's klass-word rewrite.
+	tid := int32(uint32(heap.LoadBytes(img, klass.OffKlass, klass.Int64)))
+	if k = rt.byTID[tid]; k == nil {
+		panic(fmt.Sprintf("vm: %s: arena object %#x has unresolvable type ID %d", rt.Name, uint64(a), tid))
+	}
+	size := k.Size
+	if k.IsArray && uint64(size) <= uint64(len(img)) {
+		// Widen before multiplying (cf. NewArray): InstanceBytes computes in
+		// uint32, so a forged length must fail here, not wrap to a size that
+		// passes the bound below.
+		n := heap.LoadBytes(img, rt.Heap.Layout().OffArrayLen(), klass.Int64)
+		if n > uint64(len(img)) || uint64(size)+n*uint64(k.ElemSize()) > uint64(len(img)) {
+			panic(fmt.Sprintf("vm: %s: arena read escapes its segment: %s of length %d at %#x", rt.Name, k.Name, n, uint64(a)))
+		}
+		size = k.InstanceBytes(int(n))
+	}
+	if uint64(size) > uint64(len(img)) {
+		panic(fmt.Sprintf("vm: %s: arena read escapes its segment: %d-byte %s at %#x", rt.Name, size, k.Name, uint64(a)))
+	}
+	return reg, k, img[:size:size], heap.Null
 }
 
 // load is the kind-typed read funnel shared by every accessor: managed
-// addresses hit the word slab, arena addresses resolve through the region
-// (or its promoted copy), and arena reference slots come back re-tagged.
+// addresses hit the word slab, arena addresses resolve to their image (or
+// their promoted copy), and arena reference slots come back re-tagged.
 func (rt *Runtime) load(a heap.Addr, off uint32, kind klass.Kind) uint64 {
 	if !heap.IsArenaAddr(a) {
 		return rt.Heap.Load(a, off, kind)
 	}
-	reg, rel := rt.arenaObject(a)
-	if p := reg.PromotedAddr(rel); p != heap.Null {
+	reg, _, img, p := rt.resolve(a)
+	if p != heap.Null {
 		return rt.Heap.Load(p, off, kind)
 	}
-	b, err := reg.Resolve(rel+uint64(off), kind.Size())
-	if err != nil {
-		// Decode-time validation proved every object (and so every field)
-		// fits its segment; an escaping read can only be a forged or stale
-		// handle, which must not become an out-of-region read.
-		panic(fmt.Sprintf("vm: %s: arena read escapes its segment: %v", rt.Name, err))
-	}
-	v := heap.LoadBytes(b, 0, kind)
+	return loadImage(reg, img, off, kind)
+}
+
+// loadImage reads one field of a resolved arena image. A reference slot
+// holds a relative address, which is re-tagged instead of translated, so
+// following a pointer costs one compose, not a table rewrite.
+func loadImage(reg *arena.Region, img []byte, off uint32, kind klass.Kind) uint64 {
+	v := heap.LoadBytes(img, off, kind)
 	if kind == klass.Ref && v != 0 {
 		v = uint64(heap.ComposeArenaAddr(reg.ID(), v))
 	}
@@ -85,22 +126,14 @@ func (rt *Runtime) Promote(a heap.Addr) (heap.Addr, error) {
 	if !heap.IsArenaAddr(a) {
 		return a, nil
 	}
-	reg, rel := rt.arenaObject(a)
-	if p := reg.PromotedAddr(rel); p != heap.Null {
+	reg, k, img, p := rt.resolve(a)
+	if p != heap.Null {
 		return p, nil
 	}
 	if err := fault.Inject(fault.ArenaPromoteFail); err != nil {
 		return heap.Null, fmt.Errorf("vm: %s: promote %#x: %w", rt.Name, uint64(a), err)
 	}
-	k := rt.KlassOf(a)
-	size := k.Size
-	if k.IsArray {
-		size = k.InstanceBytes(rt.ArrayLen(a))
-	}
-	img, err := reg.Resolve(rel, size)
-	if err != nil {
-		return heap.Null, fmt.Errorf("vm: %s: promote %#x: %w", rt.Name, uint64(a), err)
-	}
+	size := uint32(len(img))
 	dst := rt.Heap.AllocBuffer(size)
 	if dst == heap.Null {
 		return heap.Null, fmt.Errorf("%w: %s: promoting %d bytes from arena region %d", ErrOOM, rt.Name, size, reg.ID())
@@ -136,7 +169,7 @@ func (rt *Runtime) Promote(a heap.Addr) (heap.Addr, error) {
 	}
 	pin := rt.GC.Pin(dst, size)
 	pin.Parsed = true
-	if winner := reg.SetPromoted(rel, dst, func() { rt.GC.Unpin(pin) }); winner != dst {
+	if winner := reg.SetPromoted(heap.ArenaRelOf(a), dst, func() { rt.GC.Unpin(pin) }); winner != dst {
 		rt.GC.Unpin(pin)
 		return winner, nil
 	}

@@ -206,22 +206,10 @@ func (rt *Runtime) KlassByTID(tid int32) (*klass.Klass, error) {
 	return rt.LoadClass(name)
 }
 
-// KlassOf returns the klass of the live object at a. For an arena-resident
-// object the klass word still holds the wire's global type ID (the lazy
-// counterpart of absolutization's klass-word rewrite); decode-time
-// validation already resolved and loaded every class in the stream, so the
-// TID lookup cannot miss on a valid handle.
+// KlassOf returns the klass of the live object at a.
 func (rt *Runtime) KlassOf(a heap.Addr) *klass.Klass {
 	if heap.IsArenaAddr(a) {
-		reg, rel := rt.arenaObject(a)
-		if p := reg.PromotedAddr(rel); p != heap.Null {
-			return rt.KlassAt(int32(rt.Heap.KlassWord(p)))
-		}
-		tid := int32(uint32(rt.load(a, klass.OffKlass, klass.Int64)))
-		k, err := rt.KlassByTID(tid)
-		if err != nil {
-			panic(fmt.Sprintf("vm: %s: arena object %#x has unresolvable type ID %d: %v", rt.Name, uint64(a), tid, err))
-		}
+		_, k, _, _ := rt.resolve(a)
 		return k
 	}
 	return rt.KlassAt(int32(rt.Heap.KlassWord(a)))
@@ -355,19 +343,14 @@ func (rt *Runtime) Pin(a heap.Addr) *gc.Handle { return rt.GC.NewHandle(a) }
 // wire mark words in place).
 func (rt *Runtime) HashCode(a heap.Addr) uint32 {
 	if heap.IsArenaAddr(a) {
-		reg, rel := rt.arenaObject(a)
-		p := reg.PromotedAddr(rel)
+		_, _, img, p := rt.resolve(a)
 		if p == heap.Null {
-			b, err := reg.Resolve(rel+uint64(klass.OffMark), klass.WordSize)
-			if err != nil {
-				panic(fmt.Sprintf("vm: %s: arena read escapes its segment: %v", rt.Name, err))
-			}
-			m := heap.LoadBytes(b, 0, klass.Int64)
+			m := heap.LoadBytes(img, klass.OffMark, klass.Int64)
 			if h, ok := heap.MarkHash(m); ok {
 				return h
 			}
 			h := rt.nextHash()
-			heap.StoreBytes(b, 0, klass.Int64, heap.MarkWithHash(m, h))
+			heap.StoreBytes(img, klass.OffMark, klass.Int64, heap.MarkWithHash(m, h))
 			return h
 		}
 		a = p

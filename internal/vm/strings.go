@@ -48,8 +48,9 @@ func (rt *Runtime) NewString(s string) (heap.Addr, error) {
 	// Protect arr across the second allocation, which may GC.
 	h := rt.Pin(arr)
 	defer h.Release()
+	_, b := rt.elems(arr, charKind)
 	for i, u := range units {
-		rt.ArraySetChar(arr, i, u)
+		heap.StoreBytes(b, uint32(2*i), klass.Char, uint64(u))
 	}
 	obj, err := rt.New(strK)
 	if err != nil {
@@ -76,10 +77,10 @@ func (rt *Runtime) GoString(a heap.Addr) string {
 	if arr == heap.Null {
 		return ""
 	}
-	n := rt.ArrayLen(arr)
-	units := make([]uint16, n)
-	for i := 0; i < n; i++ {
-		units[i] = rt.ArrayGetChar(arr, i)
+	_, b := rt.elems(arr, charKind)
+	units := make([]uint16, len(b)/2)
+	for i := range units {
+		units[i] = uint16(heap.LoadBytes(b, uint32(2*i), klass.Char))
 	}
 	return string(utf16.Decode(units))
 }

@@ -393,3 +393,49 @@ func TestFieldIsolationQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestArrayBulkAccess: ArrayPutLongs / ArrayLongs move a whole integer array
+// for one klass lookup, truncating and sign-extending exactly as the
+// per-element accessors do, for every integer element width.
+func TestArrayBulkAccess(t *testing.T) {
+	rt := testRuntime(t)
+	src := []int64{-1, 0, 127, -128, 1 << 15, -(1 << 31), 1<<62 + 5}
+	var dst []int64
+	for _, name := range []string{"byte[]", "short[]", "int[]", "long[]"} {
+		bulk := rt.MustNewArray(rt.MustLoad(name), len(src))
+		rt.ArrayPutLongs(bulk, src)
+		each := rt.MustNewArray(rt.MustLoad(name), len(src))
+		for i, v := range src {
+			rt.ArraySetLong(each, i, v)
+		}
+		dst = rt.ArrayLongs(bulk, dst)
+		if len(dst) != len(src) {
+			t.Fatalf("%s: ArrayLongs returned %d elements, want %d", name, len(dst), len(src))
+		}
+		for i := range src {
+			if want := rt.ArrayGetLong(each, i); dst[i] != want || rt.ArrayGetLong(bulk, i) != want {
+				t.Errorf("%s[%d]: bulk %d / bulk-written %d, per-element %d", name, i, dst[i], rt.ArrayGetLong(bulk, i), want)
+			}
+		}
+	}
+	if got := rt.ArrayLongs(rt.MustNewArray(rt.MustLoad("long[]"), 0), dst); len(got) != 0 {
+		t.Errorf("zero-length array read as %d elements", len(got))
+	}
+
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	long3 := rt.MustNewArray(rt.MustLoad("long[]"), 3)
+	mustPanic("ArrayPutLongs of the wrong length", func() { rt.ArrayPutLongs(long3, src) })
+	refs := rt.MustNewArray(rt.MustLoad("Point[]"), 3)
+	mustPanic("ArrayLongs on a reference array", func() { rt.ArrayLongs(refs, nil) })
+	mustPanic("ArrayPutLongs on a reference array", func() { rt.ArrayPutLongs(refs, src[:3]) })
+	mustPanic("ArrayLongs on a double[]", func() { rt.ArrayLongs(rt.MustNewArray(rt.MustLoad("double[]"), 3), nil) })
+	mustPanic("ArrayLongs on a non-array", func() { rt.ArrayLongs(rt.MustNew(rt.MustLoad("Point")), nil) })
+}
