@@ -1,7 +1,7 @@
 // Command skywayvet is the project's custom vet multichecker: it runs the
-// skyway-specific static analyzers (addrarith, rawslab, atomicbaddr,
-// staleaddr, writebarrier, wiretaint, atomicmix) over the given package
-// patterns and exits nonzero on any finding.
+// skyway-specific static analyzers (addrarith, rawslab, staleaddr,
+// writebarrier, wiretaint, atomicmix) over the given package patterns and
+// exits nonzero on any finding.
 //
 // Usage:
 //

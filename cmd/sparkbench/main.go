@@ -9,12 +9,13 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"skyway/internal/datagen"
 	"skyway/internal/experiments"
 	"skyway/internal/fault"
-	"skyway/internal/metrics"
 	"skyway/internal/obs"
 )
 
@@ -152,32 +153,12 @@ func main() {
 }
 
 func parseApps(s string) []experiments.SparkApp {
+	want := strings.Split(s, ",")
 	var out []experiments.SparkApp
 	for _, a := range experiments.SparkApps() {
-		for _, tok := range splitComma(s) {
-			if string(a) == tok {
-				out = append(out, a)
-			}
+		if slices.Contains(want, string(a)) {
+			out = append(out, a)
 		}
-	}
-	return out
-}
-
-func splitComma(s string) []string {
-	var out []string
-	cur := ""
-	for _, r := range s {
-		if r == ',' {
-			if cur != "" {
-				out = append(out, cur)
-			}
-			cur = ""
-			continue
-		}
-		cur += string(r)
-	}
-	if cur != "" {
-		out = append(out, cur)
 	}
 	return out
 }
@@ -227,5 +208,4 @@ func printMatrix(cells []experiments.SparkCell) {
 		}
 		fmt.Println()
 	}
-	_ = metrics.Breakdown{}
 }

@@ -5,8 +5,6 @@
 //   - addrarith: heap.Addr values are derived, never computed ad hoc;
 //   - rawslab: little-endian is the slab byte order, confined to the heap
 //     and Skyway-core layers — the network wire format is big-endian/varint;
-//   - atomicbaddr: baddr header words are claimed by concurrent senders via
-//     CAS, so every access outside internal/heap must be atomic;
 //   - staleaddr: a raw heap.Addr held live across a call that can trigger a
 //     collection is a stale pointer once the copying GC moves the object —
 //     root it in a gc.Handle instead (the safepoint discipline);
@@ -17,6 +15,10 @@
 //     heap address — truncated-width comparisons do not count;
 //   - atomicmix: memory accessed through sync/atomic anywhere in the
 //     module must never be loaded or stored plainly elsewhere.
+//
+// That baddr header words, which concurrent senders claim by CAS, are only
+// ever accessed atomically needs no analyzer: heap.Heap has no plain baddr
+// accessor to call.
 package analyzers
 
 import (
@@ -28,7 +30,7 @@ import (
 // All returns every skywayvet analyzer, in the order the multichecker runs
 // them.
 func All() []*framework.Analyzer {
-	return []*framework.Analyzer{AddrArith, RawSlab, AtomicBaddr, StaleAddr, WriteBarrier, WireTaint, AtomicMix}
+	return []*framework.Analyzer{AddrArith, RawSlab, StaleAddr, WriteBarrier, WireTaint, AtomicMix}
 }
 
 const (
@@ -39,14 +41,12 @@ const (
 
 // exemptions is the single source of truth for which packages may violate
 // which check. The heap and Skyway core own the slab representation (raw
-// address math, slab byte order); the heap implements both baddr access
-// flavors; the collector and the heap manipulate raw addresses while the
-// world is stopped, so safepoint and barrier rules do not apply beneath
-// them.
+// address math, slab byte order); the collector and the heap manipulate raw
+// addresses while the world is stopped, so safepoint and barrier rules do not
+// apply beneath them.
 var exemptions = map[string]map[string]bool{
 	"addrarith":    {heapPkg: true, corePkg: true},
 	"rawslab":      {heapPkg: true, corePkg: true},
-	"atomicbaddr":  {heapPkg: true},
 	"staleaddr":    {heapPkg: true, gcPkg: true},
 	"writebarrier": {heapPkg: true, gcPkg: true},
 	"atomicmix":    {heapPkg: true},

@@ -20,10 +20,6 @@ func TestRawSlabFixture(t *testing.T) {
 	framework.RunFixture(t, analyzers.RawSlab, fixtureRoot+"rawslab")
 }
 
-func TestAtomicBaddrFixture(t *testing.T) {
-	framework.RunFixture(t, analyzers.AtomicBaddr, fixtureRoot+"atomicbaddr")
-}
-
 func TestStaleAddrFixture(t *testing.T) {
 	framework.RunFixture(t, analyzers.StaleAddr, fixtureRoot+"staleaddr")
 }

@@ -13,7 +13,7 @@ import (
 // testdata/src/), runs one analyzer over it, and checks the diagnostics
 // against the fixture's `// want` comments — the analysistest contract:
 //
-//	h.SetBaddr(a, 1) // want `non-atomic baddr`
+//	b := a + heap.Addr(n) // want `raw heap\.Addr arithmetic`
 //
 // Every want comment must be matched by a diagnostic on its line, every
 // diagnostic must be claimed by a want comment, and the quoted text is a

@@ -228,9 +228,6 @@ func (r *Region) BindEpoch(epoch uint64) {
 	r.mu.Unlock()
 }
 
-// Retain adds a reference (one per open decoder).
-func (r *Region) Retain() { r.refs.Add(1) }
-
 // Release drops a reference; the last release retires the region.
 func (r *Region) Release() {
 	if r.refs.Add(-1) <= 0 {

@@ -78,7 +78,7 @@ func TestRegionRefcountAndRetire(t *testing.T) {
 	s := NewSpace()
 	r := s.NewRegion()
 	stage(t, r, 8, make([]byte, 64))
-	r.Retain() // second decoder
+	r.refs.Add(1) // second decoder
 
 	r.Release()
 	if r.Retired() {

@@ -8,6 +8,7 @@ import (
 	"skyway/internal/dataflow"
 	"skyway/internal/datagen"
 	"skyway/internal/fault"
+	"skyway/internal/serial"
 	"skyway/internal/verify"
 )
 
@@ -50,8 +51,8 @@ func TestChaosQueries(t *testing.T) {
 	run := func(t *testing.T, q Query, serializer string, arena bool, spec string) (float64, error) {
 		t.Helper()
 		c := newTestCluster(t, dataflow.Config{}, serializer)
-		if c.sky != nil {
-			c.sky.Arena = arena
+		if sky, ok := c.Codec.(*serial.SkywayCodec); ok {
+			sky.Arena = arena
 		}
 		db, err := Load(c, gen)
 		if err != nil {

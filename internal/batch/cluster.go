@@ -27,9 +27,10 @@ func Serializers() []string { return []string{"flink-builtin", "skyway"} }
 // exchanges pick their serializer per tuple type.
 type Cluster struct {
 	*dataflow.Cluster
-	// sky is the deployment's one Skyway codec; nil selects Flink's
-	// built-in tuple serializers, one per exchange.
-	sky *serial.SkywayCodec
+	// builtin selects Flink's built-in tuple serializers, a new cluster
+	// codec per exchange; otherwise the Skyway codec set at boot serves
+	// every exchange.
+	builtin bool
 }
 
 // Executor is one task-manager runtime.
@@ -56,19 +57,19 @@ func NewCluster(cfg dataflow.Config, serializer string) (*Cluster, error) {
 		cfg.Heap = DefaultHeap()
 	}
 	cfg.PartitionsPerWorker = 1
-	df, err := dataflow.NewCluster(cp, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{Cluster: df}
+	var codec serial.Codec // nil: a tuple codec per exchange
 	switch serializer {
 	case "flink-builtin":
 	case "skyway":
-		c.sky = serial.NewSkywayCodec()
+		codec = serial.NewSkywayCodec()
 	default:
 		return nil, fmt.Errorf("batch: unknown serializer %q", serializer)
 	}
-	return c, nil
+	df, err := dataflow.NewCluster(cp, cfg, codec)
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{Cluster: df, builtin: codec == nil}, nil
 }
 
 // Emit routes one row to a destination task manager.
@@ -84,9 +85,7 @@ func (c *Cluster) Exchange(class string, needed []string,
 	produce func(ex *Executor, emit Emit) error,
 	consume func(ex *Executor, rows []heap.Addr) error) (metrics.Breakdown, error) {
 
-	if c.sky != nil {
-		c.Codec = c.sky
-	} else {
+	if c.builtin {
 		c.Codec = NewTupleCodec(class, needed)
 	}
 	return c.RunShuffle(dataflow.ShuffleSpec{

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"skyway/internal/heap"
@@ -167,10 +169,10 @@ func TestPhaseWraparoundClearsBaddrs(t *testing.T) {
 }
 
 func TestManyWritersSixteenBitStreamIDs(t *testing.T) {
-	// The baddr stream field is 16 bits; writer IDs wrap. Two writers
-	// whose IDs collide after a wrap must still not share buffer state
-	// because they are in different phases by then in practice — here we
-	// just verify allocation keeps working far past 2^16.
+	// The baddr stream field is 16 bits; writer IDs wrap. Two writers whose
+	// IDs collide after a wrap are in different phases (the runtime refuses
+	// a 65 537th stream within one, TestStreamIDsExhaustedWithinPhase) —
+	// here we verify allocation keeps working far past 2^16.
 	snd, _, sky := testCluster(t)
 	d := newDate(t, snd, 2001, 1, 1)
 	dp := snd.Pin(d)
@@ -188,6 +190,73 @@ func TestManyWritersSixteenBitStreamIDs(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// Within one phase the 16-bit stream field can tell 65 536 streams apart.
+// The next one would alias the first's baddr claims and emit bare back
+// references for objects it never copied, so it must fail instead — and a
+// phase bump hands the full space out again.
+func TestStreamIDsExhaustedWithinPhase(t *testing.T) {
+	snd, _, sky := testCluster(t)
+	dp := snd.Pin(newDate(t, snd, 2001, 1, 1))
+	defer dp.Release()
+	write := func() error {
+		w := sky.NewWriter(io.Discard)
+		defer w.Close()
+		return w.WriteObject(dp.Addr())
+	}
+	if err := write(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < vm.StreamsPerPhase; i++ {
+		sky.NewWriter(io.Discard).Close()
+	}
+	err := write()
+	var ex *vm.StreamIDsExhaustedError
+	if !errors.As(err, &ex) {
+		t.Fatalf("stream %d of one phase: err = %v, want a StreamIDsExhaustedError", vm.StreamsPerPhase+1, err)
+	}
+	if ex.Phase != sky.Phase() || !strings.Contains(err.Error(), "65536") {
+		t.Errorf("error %q does not name phase %d and the 65536 limit", err, sky.Phase())
+	}
+	sky.ShuffleStart()
+	if err := write(); err != nil {
+		t.Errorf("first stream of the next phase: %v", err)
+	}
+}
+
+// Any number of services may be opened over one runtime: they are views of
+// the runtime's phase and stream IDs, so two writers from two views never
+// hold the same (phase, stream) pair, and each copies a shared root in full.
+func TestTwoViewsOfOneRuntimeShareStreamIDs(t *testing.T) {
+	snd, rcv, a := testCluster(t)
+	b := New(snd)
+	dp := snd.Pin(newDate(t, snd, 1990, 6, 7))
+	defer dp.Release()
+
+	rdk, ryk := rcv.MustLoad("Date"), rcv.MustLoad("Year4D")
+	for _, sky := range []*Skyway{a, b} {
+		var buf bytes.Buffer
+		w := sky.NewWriter(&buf)
+		if err := w.WriteObject(dp.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewReader(rcv, &buf).ReadObject()
+		if err != nil {
+			t.Fatalf("stream %d: %v", w.streamID, err)
+		}
+		year := rcv.GetInt(rcv.GetRef(got, rdk.FieldByName("year")), ryk.FieldByName("value"))
+		month, day := rcv.GetInt(got, rdk.FieldByName("month")), rcv.GetInt(got, rdk.FieldByName("day"))
+		if year != 1990 || month != 6 || day != 7 {
+			t.Errorf("stream %d decoded %d-%d-%d, want 1990-6-7", w.streamID, year, month, day)
+		}
+	}
+	if a.Phase() != b.Phase() || a.Snapshot() != b.Snapshot() {
+		t.Error("two views of one runtime disagree on its phase or statistics")
 	}
 }
 

@@ -3,127 +3,41 @@
 // buffer protocol, and the receiver-side chunked input buffers with linear
 // absolutization (§4.3).
 //
-// A Skyway value is the per-runtime service state: the shuffle-phase counter
-// driven by ShuffleStart (§4.2 "Multi-phase data shuffling") and the stream
-// ID allocator used to disambiguate concurrent sender threads sharing
-// objects (§4.2 "Support for Threads").
+// The per-heap transfer state — the shuffle-phase counter driven by
+// ShuffleStart (§4.2 "Multi-phase data shuffling") and the stream ID
+// allocator that disambiguates concurrent sender threads sharing objects
+// (§4.2 "Support for Threads") — lives in the runtime (vm/shuffle.go), next
+// to the baddr words it is compared against. A Skyway value is a view of it.
 package core
 
-import (
-	"sync"
-	"sync/atomic"
+import "skyway/internal/vm"
 
-	"skyway/internal/vm"
-)
-
-// Skyway is the per-runtime transfer service.
+// Skyway is a runtime's transfer service: a view of the runtime's phase,
+// stream IDs and statistics. Any number of views may be opened over one
+// runtime; they all share that state.
 type Skyway struct {
 	rt *vm.Runtime
-
-	// phaseMu orders the shuffle-phase bump against in-flight writers:
-	// every WriteObject holds the read side for its whole traversal, and
-	// ShuffleStart takes the write side, so sid can never advance (and, on
-	// 8-bit wrap, clearAllBaddrs can never run) while a writer is claiming
-	// baddr words under the old phase. Without this, a concurrent sender
-	// could publish a claim composed with a stale phase just after the
-	// bump — the §4.2 hazard the sequential harness never exercised.
-	phaseMu    sync.RWMutex
-	sid        uint32 // current shuffle phase ID (8-bit, atomically read on the hot path)
-	nextStream uint32 // stream/thread ID allocator (16-bit space)
-
-	stats Stats
 }
 
 // Stats aggregates transfer statistics across a runtime's streams.
-type Stats struct {
-	ObjectsSent     uint64
-	BytesSent       uint64
-	ObjectsReceived uint64
-	BytesReceived   uint64
-	// Byte composition of sent data, for the §5.2 "extra bytes" analysis:
-	// headers (incl. array length words), padding, and pointer slots.
-	HeaderBytes  uint64
-	PaddingBytes uint64
-	PointerBytes uint64
-	// OverflowHits counts shared-object visits resolved through the
-	// thread-local hash table instead of the baddr word.
-	OverflowHits uint64
-}
+type Stats = vm.TransferStats
 
-// New creates the Skyway service for a runtime.
-func New(rt *vm.Runtime) *Skyway {
-	return &Skyway{rt: rt, sid: 1, nextStream: 0}
-}
+// New returns a Skyway service for a runtime.
+func New(rt *vm.Runtime) *Skyway { return &Skyway{rt: rt} }
 
 // Runtime returns the runtime the service is bound to.
 func (s *Skyway) Runtime() *vm.Runtime { return s.rt }
 
-// ShuffleStart begins a new shuffling phase (§3.3): baddr bookkeeping from
-// the previous phase becomes stale wholesale, so output buffers are
-// logically cleared without touching any object. The 8-bit phase space
-// wraps; on wrap every live baddr word is cleared so phase 1 starts clean.
-//
-// ShuffleStart blocks until every in-flight WriteObject call has returned;
-// writers that outlive the bump get a phase-mismatch error on their next
-// WriteObject rather than silently mixing phases.
-func (s *Skyway) ShuffleStart() {
-	s.phaseMu.Lock()
-	defer s.phaseMu.Unlock()
-	next := uint8(atomic.LoadUint32(&s.sid)) + 1
-	if next == 0 {
-		s.clearAllBaddrs()
-		next = 1
-	}
-	atomic.StoreUint32(&s.sid, uint32(next))
-}
+// ShuffleStart begins a new shuffling phase on the runtime (§3.3); see
+// vm.Runtime.ShuffleStart. Writers that outlive the bump get a phase-mismatch
+// error on their next WriteObject rather than silently mixing phases.
+func (s *Skyway) ShuffleStart() { s.rt.ShuffleStart() }
 
-// Phase returns the current shuffle phase ID.
-func (s *Skyway) Phase() uint8 { return uint8(atomic.LoadUint32(&s.sid)) }
+// Phase returns the runtime's current shuffle phase ID.
+func (s *Skyway) Phase() uint8 { return s.rt.Phase() }
 
-// Snapshot returns a copy of the accumulated statistics.
-func (s *Skyway) Snapshot() Stats {
-	return Stats{
-		ObjectsSent:     atomic.LoadUint64(&s.stats.ObjectsSent),
-		BytesSent:       atomic.LoadUint64(&s.stats.BytesSent),
-		ObjectsReceived: atomic.LoadUint64(&s.stats.ObjectsReceived),
-		BytesReceived:   atomic.LoadUint64(&s.stats.BytesReceived),
-		HeaderBytes:     atomic.LoadUint64(&s.stats.HeaderBytes),
-		PaddingBytes:    atomic.LoadUint64(&s.stats.PaddingBytes),
-		PointerBytes:    atomic.LoadUint64(&s.stats.PointerBytes),
-		OverflowHits:    atomic.LoadUint64(&s.stats.OverflowHits),
-	}
-}
-
-func (s *Skyway) allocStreamID() uint16 {
-	id := atomic.AddUint32(&s.nextStream, 1)
-	return uint16(id) // 16-bit wrap matches the 2-byte baddr field
-}
-
-// clearAllBaddrs walks every live object and zeroes its baddr word. Called
-// only on 8-bit phase wraparound (every 255 shuffles).
-func (s *Skyway) clearAllBaddrs() {
-	h := s.rt.Heap
-	if !h.Layout().Baddr {
-		return
-	}
-	clearRegion := func(start, top uint64) {
-		a := start
-		for a < top {
-			size := s.rt.ObjectSize(addr(a))
-			// Atomic: baddr words are only ever accessed atomically (the
-			// atomicbaddr analyzer enforces this). phaseMu already excludes
-			// concurrent writer CASes during the wrap clear.
-			h.AtomicSetBaddr(addr(a), 0)
-			a += uint64(size)
-		}
-	}
-	clearRegion(uint64(h.Eden.Start), uint64(h.Eden.Top))
-	clearRegion(uint64(h.From.Start), uint64(h.From.Top))
-	clearRegion(uint64(h.Old.Start), uint64(h.Old.Top))
-	// Buffer space may contain unparsed chunks; parsed objects there were
-	// received with baddr already zero and writers reset them per phase,
-	// so chunks are left untouched.
-}
+// Snapshot returns a copy of the runtime's accumulated statistics.
+func (s *Skyway) Snapshot() Stats { return s.rt.TransferStats() }
 
 // The baddr word encoding (§4.2) lives in internal/heap (ComposeBaddr and
 // friends): it is a property of the object header that the collector and

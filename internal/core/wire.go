@@ -10,8 +10,6 @@ import (
 	"skyway/internal/klass"
 )
 
-func addr(a uint64) heap.Addr { return heap.Addr(a) }
-
 // Wire protocol. A stream opens with a fixed header and then carries frames:
 //
 //	header := "SKYW" ver(u8) flags(u8) streamID(u16 BE)

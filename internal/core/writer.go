@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"skyway/internal/fault"
@@ -14,6 +13,7 @@ import (
 	"skyway/internal/klass"
 	"skyway/internal/obs"
 	"skyway/internal/verify"
+	"skyway/internal/vm"
 )
 
 // Process-wide transfer counters, exported on /metrics.
@@ -35,12 +35,15 @@ const DefaultBufferSize = 256 << 10
 // its klass word to the global type ID, and flushes the buffer in segments
 // as it fills (Algorithm 2).
 type Writer struct {
-	sky *Skyway
-	w   io.Writer
+	rt *vm.Runtime
+	w  io.Writer
 
 	streamID uint16
 	sid      uint8 // shuffle phase the writer was opened in
-	target   klass.Layout
+	// exhausted: the phase had no stream ID left that is this writer's alone
+	// (vm.StreamIDsExhaustedError); every WriteObject fails.
+	exhausted bool
+	target    klass.Layout
 	// targetKlass caches source-klass → target-layout klass for
 	// heterogeneous transfers (§3.1); nil when layouts match.
 	targetKlass map[int32]*klass.Klass
@@ -70,8 +73,8 @@ type Writer struct {
 	// same reason.
 	tops []byte
 
-	// Local stat accumulators, folded into the shared service stats on
-	// Flush/Close (hot-loop atomics are expensive). foldedObjects and
+	// Local stat accumulators, folded into the runtime's shared stats on
+	// Flush/Close (hot-loop synchronisation is expensive). foldedObjects and
 	// foldedBytes are how much of Objects and Bytes has been folded.
 	headerB, padB, ptrB, overflowHits uint64
 	foldedObjects, foldedBytes        uint64
@@ -146,16 +149,17 @@ func WithCompactHeaders() WriterOption {
 // NewWriter opens a Skyway object output stream over w.
 func (s *Skyway) NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 	wr := &Writer{
-		sky:      s,
-		w:        w,
-		streamID: s.allocStreamID(),
-		sid:      s.Phase(),
-		target:   s.rt.Heap.Layout(),
+		rt:     s.rt,
+		w:      w,
+		target: s.rt.Heap.Layout(),
 
 		flushed:   relBias,
 		allocable: relBias,
 		verify:    verify.Enabled(),
 	}
+	var ok bool
+	wr.sid, wr.streamID, ok = s.rt.OpenStream()
+	wr.exhausted = !ok
 	if obs.Enabled() {
 		wr.openedAt = time.Now()
 	}
@@ -184,15 +188,17 @@ func (w *Writer) WriteObject(root heap.Addr) error {
 	if w.closed {
 		return fmt.Errorf("skyway: write on closed stream")
 	}
-	// Hold the phase guard for the whole traversal: ShuffleStartAll cannot
+	if w.exhausted {
+		return fmt.Errorf("skyway: stream %d: %w", w.streamID, &vm.StreamIDsExhaustedError{Phase: w.sid})
+	}
+	// Hold the phase guard for the whole traversal: ShuffleStart cannot
 	// advance sID (or clear baddr words on wrap) while this writer is
 	// claiming them, so every claim this call publishes is composed with
-	// the phase checked below.
-	w.sky.phaseMu.RLock()
-	defer w.sky.phaseMu.RUnlock()
-	if w.sky.Phase() != w.sid {
-		return fmt.Errorf("skyway: writer opened in shuffle phase %d used in phase %d; open a new writer after ShuffleStart", w.sid, w.sky.Phase())
+	// the phase checked here.
+	if !w.rt.HoldPhase(w.sid) {
+		return fmt.Errorf("skyway: writer opened in shuffle phase %d used in phase %d; open a new writer after ShuffleStart", w.sid, w.rt.Phase())
 	}
+	defer w.rt.ReleasePhase()
 	if !w.headerWritten {
 		if err := writeHeader(w.w, w.target, w.streamID, w.compact); err != nil {
 			return err
@@ -236,7 +242,7 @@ func (w *Writer) WriteObject(root heap.Addr) error {
 // visited this phase. A first visit claims the address at w.allocable; the
 // caller must reserve the clone's space there before it visits anything else.
 func (w *Writer) visit(obj heap.Addr) (rel uint64, already bool) {
-	h := w.sky.rt.Heap
+	h := w.rt.Heap
 	sid := w.sid
 	if !h.Layout().Baddr {
 		// No baddr header word on this heap (vanilla layout): every
@@ -281,7 +287,7 @@ func (w *Writer) visitOverflow(obj heap.Addr) (rel uint64, already bool) {
 // (In place, and read back field by field: a record written as words and
 // then copied as a whole stalls on store forwarding, once per object.)
 func (w *Writer) reserve(obj heap.Addr, rec *grayRec) error {
-	k := w.sky.rt.KlassOf(obj)
+	k := w.rt.KlassOf(obj)
 	tk := k
 	if w.targetKlass != nil {
 		var err error
@@ -292,7 +298,7 @@ func (w *Writer) reserve(obj heap.Addr, rec *grayRec) error {
 	size := tk.Size
 	if tk.IsArray {
 		//skyway:allow wiretaint — encode path: obj lives in the local heap, so its length header was written by this process's allocator, not read off the wire
-		size = tk.InstanceBytes(w.sky.rt.Heap.ArrayLen(obj))
+		size = tk.InstanceBytes(w.rt.Heap.ArrayLen(obj))
 	}
 	rec.obj, rec.rel, rec.k, rec.tk, rec.size = obj, w.allocable, k, tk, size
 	w.allocable += uint64(size)
@@ -306,7 +312,7 @@ func (w *Writer) targetKlassOf(k *klass.Klass) (*klass.Klass, error) {
 	if tk, ok := w.targetKlass[k.LID]; ok {
 		return tk, nil
 	}
-	rt := w.sky.rt
+	rt := w.rt
 	var tk *klass.Klass
 	var err error
 	if k.IsArray {
@@ -343,9 +349,9 @@ func (w *Writer) targetKlassOf(k *klass.Klass) (*klass.Klass, error) {
 // the klass — sizes, byte composition, ref-slot tables — was fixed when the
 // klass was resolved.
 func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k, tk *klass.Klass, size uint32) error {
-	h := w.sky.rt.Heap
+	h := w.rt.Heap
 	if k.TID < 0 {
-		return fmt.Errorf("skyway: class %s has no global type ID (runtime %s is not attached to a registry)", k.Name, w.sky.rt.Name)
+		return fmt.Errorf("skyway: class %s has no global type ID (runtime %s is not attached to a registry)", k.Name, w.rt.Name)
 	}
 
 	// need over-estimates the physical bytes this object adds to the
@@ -486,7 +492,7 @@ func (w *Writer) ensureCap(n int) {
 // relativize writes the relative address of the object referenced at
 // srcOff into the clone image at dstOff, visiting the referee if new.
 func (w *Writer) relativize(img []byte, obj heap.Addr, srcOff, dstOff uint32) error {
-	o := heap.Addr(w.sky.rt.Heap.Load(obj, srcOff, klass.Ref))
+	o := heap.Addr(w.rt.Heap.Load(obj, srcOff, klass.Ref))
 	if o == heap.Null {
 		binary.LittleEndian.PutUint64(img[dstOff:], 0)
 		return nil
@@ -511,19 +517,21 @@ func (w *Writer) relativize(img []byte, obj heap.Addr, srcOff, dstOff uint32) er
 	return nil
 }
 
-// foldStats publishes the writer's local accumulators into the shared
-// service stats.
+// foldStats publishes the writer's local accumulators into the runtime's
+// shared stats.
 func (w *Writer) foldStats() {
 	objects, bytes := w.Objects-w.foldedObjects, w.Bytes-w.foldedBytes
 	if objects == 0 && w.overflowHits == 0 {
 		return
 	}
-	atomic.AddUint64(&w.sky.stats.ObjectsSent, objects)
-	atomic.AddUint64(&w.sky.stats.BytesSent, bytes)
-	atomic.AddUint64(&w.sky.stats.HeaderBytes, w.headerB)
-	atomic.AddUint64(&w.sky.stats.PointerBytes, w.ptrB)
-	atomic.AddUint64(&w.sky.stats.PaddingBytes, w.padB)
-	atomic.AddUint64(&w.sky.stats.OverflowHits, w.overflowHits)
+	w.rt.AddTransferStats(Stats{
+		ObjectsSent:  objects,
+		BytesSent:    bytes,
+		HeaderBytes:  w.headerB,
+		PointerBytes: w.ptrB,
+		PaddingBytes: w.padB,
+		OverflowHits: w.overflowHits,
+	})
 	ctrObjectsSent.Add(int64(objects))
 	ctrBytesSent.Add(int64(bytes))
 	ctrOverflowHits.Add(int64(w.overflowHits))
@@ -538,7 +546,7 @@ func (w *Writer) foldStats() {
 // cloneCrossLayout builds obj's image field by field under the target
 // layout (heterogeneous clusters, §3.1).
 func (w *Writer) cloneCrossLayout(obj heap.Addr, k, tk *klass.Klass, img []byte) {
-	h := w.sky.rt.Heap
+	h := w.rt.Heap
 	clear(img)
 	if k.IsArray {
 		n := h.ArrayLen(obj)
@@ -683,7 +691,7 @@ func (w *Writer) Close() error {
 	_, err := w.w.Write(w.hdr[:1])
 	ctrSendStreams.Inc()
 	if !w.openedAt.IsZero() {
-		w.sky.rt.Trace.Emit("transfer", "skyway.send", w.openedAt, time.Since(w.openedAt),
+		w.rt.Trace.Emit("transfer", "skyway.send", w.openedAt, time.Since(w.openedAt),
 			obs.I64("objects", int64(w.Objects)),
 			obs.I64("bytes", int64(w.Bytes)),
 			obs.I64("header_bytes", int64(w.totHeaderB)),

@@ -296,12 +296,13 @@ func (c *Cluster) sampleHeap(ex *Executor) {
 	c.peakMu.Unlock()
 }
 
-// shuffleStart advances the Skyway shuffle phase when the active codec is
-// Skyway — the one-line integration mark of §3.3. Baseline codecs need no
-// phase management.
+// shuffleStart begins a new shuffle phase on every runtime of the cluster —
+// the one-line integration mark of §3.3. The phase is the runtime's own
+// state; a baseline codec never reads it.
 func (c *Cluster) shuffleStart() {
-	if s, ok := c.Codec.(interface{ ShuffleStartAll() }); ok {
-		s.ShuffleStartAll()
+	c.Driver.ShuffleStart()
+	for _, ex := range c.Execs {
+		ex.RT.ShuffleStart()
 	}
 }
 

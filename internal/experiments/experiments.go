@@ -120,7 +120,7 @@ func RunJSBS(n int, model netsim.CostModel) ([]JSBSResult, error) {
 	// barely moves the network cost (§1, §5.1).
 
 	var out []JSBSResult
-	for li := range JSBSCodecs() {
+	for li, codec := range JSBSCodecs() {
 		// Fresh receiver per library: no codec inherits another's heap
 		// garbage or GC debt.
 		rcv, err := env.newReceiver(fmt.Sprintf("jsbs-rcv-%d", li))
@@ -134,14 +134,11 @@ func RunJSBS(n int, model netsim.CostModel) ([]JSBSResult, error) {
 		// three repetitions; the best one is reported (JSBS likewise
 		// repeats until timings stabilize).
 		const reps = 5
-		codec := JSBSCodecs()[li]
 		best := JSBSResult{Ser: 1 << 62, Deser: 1 << 62}
 		for rep := 0; rep < reps; rep++ {
 			// A repetition is a new shuffle phase: without the phase
 			// bump the sender's baddr words would say "already sent".
-			if s, ok := codec.(interface{ ShuffleStartAll() }); ok {
-				s.ShuffleStartAll()
-			}
+			snd.ShuffleStart()
 			// Collect Go-side garbage outside the timed sections so
 			// background GC does not preempt a measurement (the
 			// harness host may be a single-core machine).
@@ -485,10 +482,9 @@ func RunExtraBytes(cfg SparkConfig) (ExtraBytes, error) {
 	if err2 != nil {
 		return ExtraBytes{}, err2
 	}
-	sky := c.Codec.(*serial.SkywayCodec)
 	var stats struct{ hdr, pad, ptr, total uint64 }
 	for _, ex := range c.Execs {
-		s := sky.ServiceFor(ex.RT).Snapshot()
+		s := ex.RT.TransferStats()
 		stats.hdr += s.HeaderBytes
 		stats.pad += s.PaddingBytes
 		stats.ptr += s.PointerBytes

@@ -39,20 +39,10 @@ func (h *Heap) KlassWord(a Addr) uint64 { return h.LoadWord(a + klass.OffKlass) 
 // SetKlassWord stores the klass word of the object at a.
 func (h *Heap) SetKlassWord(a Addr, v uint64) { h.StoreWord(a+klass.OffKlass, v) }
 
-// Baddr returns the Skyway baddr header word. Panics when the layout has no
-// baddr word.
-func (h *Heap) Baddr(a Addr) uint64 {
-	return h.LoadWord(a + Addr(h.layout.OffBaddr()))
-}
-
-// SetBaddr stores the Skyway baddr header word.
-func (h *Heap) SetBaddr(a Addr, v uint64) {
-	h.StoreWord(a+Addr(h.layout.OffBaddr()), v)
-}
-
 // AtomicBaddr atomically reads the Skyway baddr header word. Baddr words are
-// shared between concurrent sender threads (which CAS them), so any read
-// that can race a transfer must go through this instead of Baddr.
+// shared between concurrent sender threads (which CAS them), so the heap
+// offers no plain accessor for them. Panics when the layout has no baddr
+// word.
 func (h *Heap) AtomicBaddr(a Addr) uint64 {
 	return h.AtomicLoadWord(a + Addr(h.layout.OffBaddr()))
 }

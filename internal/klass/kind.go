@@ -66,6 +66,3 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
-
-// IsPrimitive reports whether the kind is a primitive (non-reference) type.
-func (k Kind) IsPrimitive() bool { return k != Invalid && k != Ref }

@@ -106,14 +106,6 @@ type Klass struct {
 // measures in §2.
 func (k *Klass) FieldByName(name string) *Field { return k.fieldsByName[name] }
 
-// HasRefs reports whether instances contain any reference slots.
-func (k *Klass) HasRefs() bool {
-	if k.IsArray {
-		return k.Elem == Ref
-	}
-	return len(k.RefOffsets) > 0
-}
-
 // ElemSize returns the element size of an array klass.
 func (k *Klass) ElemSize() uint32 {
 	if !k.IsArray {

@@ -34,11 +34,6 @@ type CostModel struct {
 	DiskReadBandwidth  float64
 	// NetLatency is added once per remote fetch.
 	NetLatency time.Duration
-	// MemBandwidth models sustained single-core memcpy throughput — the
-	// ceiling a memcpy-bound encode/decode path converges to once the
-	// per-object work is gone (cmd/speedbench measures the real machine's
-	// value; this is the modelled cluster's).
-	MemBandwidth float64
 	// Trace, when set, receives one modelled-I/O span per public cost query.
 	// The span's duration is the modelled time, anchored at the query (the
 	// fabric charges time without occupying wall-clock).
@@ -68,7 +63,6 @@ func Paper1GbE() CostModel {
 		DiskWriteBandwidth: 700e6, // SSD behind the page cache
 		DiskReadBandwidth:  1.2e9, // mostly page-cache hits
 		NetLatency:         200 * time.Microsecond,
-		MemBandwidth:       10e9, // single-core sustained memcpy, DDR4-era
 	}
 }
 
@@ -80,7 +74,6 @@ func Infiniband() CostModel {
 		DiskWriteBandwidth: 700e6,
 		DiskReadBandwidth:  1.2e9,
 		NetLatency:         50 * time.Microsecond,
-		MemBandwidth:       10e9,
 	}
 }
 
@@ -111,15 +104,6 @@ func (m CostModel) NetTime(n int64) time.Duration {
 func (m CostModel) WriteTime(n int64) time.Duration {
 	d := cost(n, m.DiskWriteBandwidth)
 	m.emit("disk.write", n, d)
-	return d
-}
-
-// MemcpyTime returns the time to move n bytes through memory at the
-// modelled memcpy ceiling — the floor under any serializer's encode or
-// decode of n bytes, however cheap its per-object work.
-func (m CostModel) MemcpyTime(n int64) time.Duration {
-	d := cost(n, m.MemBandwidth)
-	m.emit("mem.copy", n, d)
 	return d
 }
 

@@ -385,9 +385,44 @@ func TestSkywayCodecAdapter(t *testing.T) {
 	if _, err := dec.Read(); err != io.EOF {
 		t.Errorf("want EOF, got %v", err)
 	}
-	c.ShuffleStartAll()
+	snd.ShuffleStart()
 	if c.ServiceFor(snd).Phase() != 2 {
-		t.Error("ShuffleStartAll did not advance phase")
+		t.Error("the codec's service does not see the runtime's phase")
+	}
+}
+
+// Two Skyway codecs over one sender runtime (Figure 7 runs standard and
+// compact this way) write the same record in the same phase: the runtime, not
+// the codec, hands out stream IDs, so neither stream mistakes the other's
+// baddr claims for its own and both carry the whole graph.
+func TestTwoSkywayCodecsShareOneSender(t *testing.T) {
+	snd, rcv := testPair(t)
+	mp := snd.Pin(buildMedia(t, snd, "shared", 320, 200))
+	defer mp.Release()
+	mk := rcv.MustLoad("Media")
+	for _, name := range []string{"skyway", "skyway-compact"} {
+		c, err := ByName(name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		enc := c.NewEncoder(snd, &buf)
+		if err := enc.Write(mp.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.NewDecoder(rcv, &buf).Read()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if w := rcv.GetInt(got, mk.FieldByName("width")); w != 320 {
+			t.Errorf("%s: width = %d, want 320", name, w)
+		}
+		if uri := rcv.GoString(rcv.GetRef(got, mk.FieldByName("uri"))); uri != "shared" {
+			t.Errorf("%s: uri = %q, want %q", name, uri, "shared")
+		}
 	}
 }
 

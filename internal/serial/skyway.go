@@ -3,7 +3,6 @@ package serial
 import (
 	"io"
 	"os"
-	"sync"
 
 	"skyway/internal/arena"
 	"skyway/internal/core"
@@ -15,12 +14,6 @@ import (
 // harnesses can swap it in wherever a baseline serializer is used — the
 // drop-in integration §3.3 is about.
 type SkywayCodec struct {
-	// mu guards services: executor tasks on concurrent goroutines open
-	// encoders and decoders through one shared codec.
-	mu sync.RWMutex
-	// services maps each runtime to its Skyway service. A codec is shared
-	// by senders and receivers, and Skyway state is per runtime.
-	services map[*vm.Runtime]*core.Skyway
 	// Compact switches writers to the compact wire encoding (the header/
 	// padding compression the paper proposes as future work, §5.2).
 	Compact bool
@@ -32,52 +25,15 @@ type SkywayCodec struct {
 	Arena bool
 }
 
-// NewSkywayCodec builds the adapter. Listing runtimes is optional: a
-// runtime's service is registered the first time a stream is opened on it
-// (ServiceFor).
-func NewSkywayCodec(runtimes ...*vm.Runtime) *SkywayCodec {
-	c := &SkywayCodec{
-		services: make(map[*vm.Runtime]*core.Skyway, len(runtimes)),
-		Arena:    arena.Enabled(os.Getenv("SKYWAY_ARENA")),
-	}
-	for _, rt := range runtimes {
-		c.services[rt] = core.New(rt)
-	}
-	return c
+// NewSkywayCodec builds the adapter. The codec holds no per-runtime state —
+// phase, stream IDs and statistics are the runtime's — so the runtimes it
+// will serve need not be listed; the parameter remains for callers that do.
+func NewSkywayCodec(...*vm.Runtime) *SkywayCodec {
+	return &SkywayCodec{Arena: arena.Enabled(os.Getenv("SKYWAY_ARENA"))}
 }
 
-// ServiceFor returns (registering if needed) the Skyway service for rt.
-func (c *SkywayCodec) ServiceFor(rt *vm.Runtime) *core.Skyway {
-	c.mu.RLock()
-	s, ok := c.services[rt]
-	c.mu.RUnlock()
-	if ok {
-		return s
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok = c.services[rt]; !ok {
-		s = core.New(rt)
-		c.services[rt] = s
-	}
-	return s
-}
-
-// ShuffleStartAll begins a new shuffle phase on every runtime (§3.3's
-// shuffleStart mark, applied cluster-wide by the harness). Each service's
-// ShuffleStart blocks until that runtime's in-flight writers drain, so the
-// bump is a true barrier against the previous phase.
-func (c *SkywayCodec) ShuffleStartAll() {
-	c.mu.RLock()
-	services := make([]*core.Skyway, 0, len(c.services))
-	for _, s := range c.services {
-		services = append(services, s)
-	}
-	c.mu.RUnlock()
-	for _, s := range services {
-		s.ShuffleStart()
-	}
-}
+// ServiceFor returns a Skyway service for rt.
+func (c *SkywayCodec) ServiceFor(rt *vm.Runtime) *core.Skyway { return core.New(rt) }
 
 // ConcurrentEncoders implements ConcurrentCodec: Skyway encoders on one
 // heap may run on concurrent goroutines — per-object visited state lives in
@@ -103,7 +59,7 @@ func (c *SkywayCodec) NewEncoder(rt *vm.Runtime, w io.Writer) Encoder {
 	if c.Compact {
 		opts = append(opts, core.WithCompactHeaders())
 	}
-	return &skywayEncoder{w: c.ServiceFor(rt).NewWriter(cw, opts...), cw: cw}
+	return &skywayEncoder{w: core.New(rt).NewWriter(cw, opts...), cw: cw}
 }
 
 // NewDecoder implements Codec.

@@ -7,6 +7,8 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"skyway/internal/arena"
 	"skyway/internal/fault"
@@ -57,6 +59,16 @@ type Runtime struct {
 	// registers one): the Skyway reader asks once per received object.
 	fieldUpdates [][]FieldUpdate
 
+	// Per-heap transfer state (shuffle.go). phaseMu orders the phase bump
+	// (write side) against in-flight senders and stream opens (read side);
+	// phaseFirstStream is nextStream's value at the last bump.
+	phaseMu          sync.RWMutex
+	sid              atomic.Uint32 // current shuffle phase ID (8-bit)
+	nextStream       atomic.Uint32 // stream/thread ID allocator (16-bit space)
+	phaseFirstStream uint32
+	statsMu          sync.Mutex
+	stats            TransferStats
+
 	// ClassesLoaded counts classloading events, for registry statistics.
 	ClassesLoaded int
 }
@@ -95,6 +107,7 @@ func NewRuntime(cp *klass.Path, opts Options) (*Runtime, error) {
 		byTID:     make(map[int32]*klass.Klass),
 		hashState: 0x9E3779B97F4A7C15,
 	}
+	rt.sid.Store(1)
 	rt.Trace = obs.NewTracer(opts.Name)
 	rt.GC = gc.New(rt.Heap, rt)
 	rt.GC.Trace = rt.Trace

@@ -72,14 +72,14 @@ type (
 	// RuntimeOptions configures NewRuntime.
 	RuntimeOptions = vm.Options
 
-	// Service is the per-runtime Skyway transfer service: shuffle phases
-	// and stream creation.
+	// Service is a runtime's Skyway transfer service: shuffle phases and
+	// stream creation, as a view of state the runtime owns.
 	Service = core.Skyway
 	// Writer streams object graphs out of a heap.
 	Writer = core.Writer
 	// Reader receives object graphs into a heap.
 	Reader = core.Reader
-	// TransferStats aggregates a service's transfer volume.
+	// TransferStats aggregates a runtime's transfer volume.
 	TransferStats = core.Stats
 )
 
@@ -110,8 +110,9 @@ func NewRuntime(cp *ClassPath, opts RuntimeOptions) (*Runtime, error) {
 	return vm.NewRuntime(cp, opts)
 }
 
-// NewService creates the Skyway transfer service for a runtime. One service
-// per runtime; writers created from it share the runtime's shuffle phase.
+// NewService returns a Skyway transfer service for a runtime. Every service
+// over one runtime shares the runtime's shuffle phase, stream IDs and
+// statistics, so any number may be created.
 func NewService(rt *Runtime) *Service { return core.New(rt) }
 
 // NewReader opens a Skyway object input stream — the receiving end of a
