@@ -1,11 +1,12 @@
-// Command benchcmp compares two benchmark trajectory files (BENCH_spark.json /
-// BENCH_flink.json) and exits non-zero when any entry's Total regressed past
-// the tolerance, or when an entry present in the baseline is missing from the
-// current run. CI runs it against the checked-in baselines.
+// Command benchcmp sets a freshly generated paper-matrix file against the
+// checked-in one (BENCH_spark.json / BENCH_flink.json) and exits non-zero
+// when a baseline entry is missing from the current run or any of its exact
+// columns — shuffle_bytes, remote_bytes, records, buffer_peak, gc_pauses,
+// gc_full_gcs — differs. The time columns are printed as current/baseline
+// ratios for information only; time is gated by `go run ./benchmark -compare`.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -14,31 +15,39 @@ import (
 )
 
 func main() {
-	tol := flag.Float64("tol", 0.20, "allowed Total regression before failing (0.20 = +20%)")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintf(os.Stderr, "usage: benchcmp [-tol f] base.json current.json\n")
+	if len(os.Args) != 3 {
+		fmt.Fprintf(os.Stderr, "usage: benchcmp base.json current.json\n")
 		os.Exit(2)
 	}
-	base, err := experiments.ReadBenchFile(flag.Arg(0))
+	base, err := experiments.ReadBenchFile(os.Args[1])
 	if err != nil {
 		log.Fatalf("benchcmp: %v", err)
 	}
-	cur, err := experiments.ReadBenchFile(flag.Arg(1))
+	cur, err := experiments.ReadBenchFile(os.Args[2])
 	if err != nil {
 		log.Fatalf("benchcmp: %v", err)
 	}
-	regs := experiments.CompareBench(base, cur, *tol)
-	if len(regs) == 0 {
-		fmt.Printf("benchcmp: %d entries within +%.0f%% of baseline\n", len(base.Entries), *tol*100)
-		return
-	}
-	for _, r := range regs {
-		if r.Missing {
-			fmt.Printf("MISSING  %-40s baseline %v\n", r.Key, r.BaseNS)
+	failed := 0
+	for _, d := range experiments.CompareBench(base, cur) {
+		if d.Failed() {
+			fmt.Printf("DIFFERS  %-40s %v\n", d.Key, d.Mismatch)
+			failed++
 			continue
 		}
-		fmt.Printf("REGRESS  %-40s %v -> %v (%.2fx, tol %.2fx)\n", r.Key, r.BaseNS, r.CurNS, r.Ratio, 1+*tol)
+		fmt.Printf("same     %-40s total %s  gc pause %s\n", d.Key, ratio(d.Total), ratio(d.GCPause))
 	}
-	os.Exit(1)
+	if failed > 0 {
+		fmt.Printf("benchcmp: %d of %d entries are missing or differ from %s in an exact column\n", failed, len(base.Entries), os.Args[1])
+		os.Exit(1)
+	}
+	fmt.Printf("benchcmp: %d entries match %s in every exact column (time ratios are information, not a gate)\n", len(base.Entries), os.Args[1])
+}
+
+// ratio formats a current/baseline time ratio; 0 means the baseline had no
+// time in that column.
+func ratio(r float64) string {
+	if r == 0 {
+		return "    -"
+	}
+	return fmt.Sprintf("%.2fx", r)
 }

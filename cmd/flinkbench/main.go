@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"skyway/internal/batch"
 	"skyway/internal/experiments"
@@ -63,26 +62,12 @@ func main() {
 
 	if *fig8b {
 		fmt.Printf("Figure 8(b) — Flink QA-QE (sf=%.2f, 3 task managers)\n", *sf)
-		fmt.Printf("  %-4s %-14s %10s %10s %10s %10s %10s %10s %12s\n",
-			"q", "serializer", "total", "compute", "ser", "writeIO", "deser", "readIO", "bytes")
-		digests := make(map[batch.Query]float64)
-		for _, c := range cells {
-			b := c.Breakdown
-			fmt.Printf("  %-4s %-14s %10v %10v %10v %10v %10v %10v %12d\n",
-				c.Query, c.Serializer,
-				b.Total().Round(time.Millisecond), b.Compute.Round(time.Millisecond), b.Ser.Round(time.Millisecond),
-				b.WriteIO.Round(time.Millisecond), b.Deser.Round(time.Millisecond), b.ReadIO.Round(time.Millisecond),
-				b.ShuffleBytes)
-			if prev, ok := digests[c.Query]; ok && prev != c.Digest {
-				fmt.Printf("  WARNING: %s digests differ across serializers (%v vs %v)\n", c.Query, prev, c.Digest)
-			}
-			digests[c.Query] = c.Digest
-		}
+		experiments.PrintBreakdown(os.Stdout, cells)
 		fmt.Println()
 	}
 
 	if *benchJSON != "" {
-		f := experiments.FlinkBenchFile(cells)
+		f := experiments.NewBenchFile("flink", cells)
 		if err := f.Write(*benchJSON); err != nil {
 			log.Fatal(err)
 		}

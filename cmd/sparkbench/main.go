@@ -11,7 +11,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"time"
 
 	"skyway/internal/datagen"
 	"skyway/internal/experiments"
@@ -78,22 +77,22 @@ func main() {
 		fmt.Println()
 	}
 
-	var fig3Res []experiments.Fig3Result
+	var fig3Cells []experiments.Cell
 	if *fig3 {
 		fmt.Println("Figure 3 — Spark S/D cost: TriangleCounting over LiveJournal (3 workers)")
 		var err error
-		fig3Res, err = experiments.RunFig3(fig3Cfg)
+		fig3Cells, err = experiments.RunFig3(fig3Cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		printBreakdownTable(toCells(fig3Res))
-		for _, r := range fig3Res {
+		experiments.PrintBreakdown(os.Stdout, fig3Cells)
+		for _, r := range fig3Cells {
 			fmt.Printf("  %-6s S/D share of total: %.1f%% (paper: >30%%)\n", r.Serializer, r.Breakdown.SDShare()*100)
 		}
 		fmt.Println()
 	}
 
-	var cells []experiments.SparkCell
+	var cells []experiments.Cell
 	if *fig8a || *table2 {
 		appList := parseApps(*apps)
 		var err error
@@ -104,7 +103,8 @@ func main() {
 	}
 	if *fig8a {
 		fmt.Println("Figure 8(a) — Spark runtime breakdown per app x graph x serializer")
-		printMatrix(cells)
+		experiments.PrintBreakdown(os.Stdout, cells)
+		fmt.Println()
 	}
 	if *table2 {
 		fmt.Println("Table 2 — performance normalized to the Java serializer (lo ~ hi (geomean); lower is better, Size > 1 = more bytes)")
@@ -129,7 +129,7 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		f := experiments.SparkBenchFile(fig3Res, cells)
+		f := experiments.NewBenchFile("spark", append(fig3Cells, cells...))
 		if err := f.Write(*benchJSON); err != nil {
 			log.Fatal(err)
 		}
@@ -161,51 +161,4 @@ func parseApps(s string) []experiments.SparkApp {
 		}
 	}
 	return out
-}
-
-func toCells(res []experiments.Fig3Result) []experiments.SparkCell {
-	var cells []experiments.SparkCell
-	for _, r := range res {
-		cells = append(cells, experiments.SparkCell{
-			App: experiments.TC, Graph: "LiveJournal", Serializer: r.Serializer, Breakdown: r.Breakdown,
-		})
-	}
-	return cells
-}
-
-func printBreakdownTable(cells []experiments.SparkCell) {
-	fmt.Printf("  %-6s %-14s %-8s %10s %10s %10s %10s %10s %10s %12s %12s\n",
-		"app", "graph", "ser", "total", "compute", "ser", "writeIO", "deser", "readIO", "localB", "remoteB")
-	for _, c := range cells {
-		b := c.Breakdown
-		fmt.Printf("  %-6s %-14s %-8s %10v %10v %10v %10v %10v %10v %12d %12d\n",
-			c.App, c.Graph, c.Serializer,
-			b.Total().Round(time.Millisecond), b.Compute.Round(time.Millisecond), b.Ser.Round(time.Millisecond),
-			b.WriteIO.Round(time.Millisecond), b.Deser.Round(time.Millisecond), b.ReadIO.Round(time.Millisecond),
-			b.LocalBytes, b.RemoteBytes)
-	}
-}
-
-func printMatrix(cells []experiments.SparkCell) {
-	byKey := make(map[string][]experiments.SparkCell)
-	var order []string
-	for _, c := range cells {
-		k := string(c.App) + "-" + c.Graph
-		if _, ok := byKey[k]; !ok {
-			order = append(order, k)
-		}
-		byKey[k] = append(byKey[k], c)
-	}
-	for _, k := range order {
-		printBreakdownTable(byKey[k])
-		// Digest agreement check across serializers.
-		group := byKey[k]
-		for _, c := range group[1:] {
-			if c.Digest != group[0].Digest {
-				fmt.Printf("  WARNING: %s digest %v differs from %s digest %v\n",
-					c.Serializer, c.Digest, group[0].Serializer, group[0].Digest)
-			}
-		}
-		fmt.Println()
-	}
 }

@@ -7,14 +7,13 @@
 // squeeze the arena exists to escape.
 //
 // Lifecycle: a region is created per decoder stream, accumulates the
-// stream's segments, and is reclaimed as a unit. Reclamation is
-// refcounted — each open decoder holds one reference, released by Free —
-// with a stage-epoch backstop: internal/dataflow binds shuffle-stage
-// regions to the shuffle sequence number and force-retires them when the
-// stage retires, so a leaked decoder cannot pin a region forever. Regions
-// never bound to a stage (broadcast streams, whose decoded records stay
-// live for the whole job) are exempt from the backstop and live until
-// their refcount drains.
+// stream's segments, and is reclaimed as a unit. The decoder owns it and
+// releases it in Free, with a stage-epoch backstop: internal/dataflow binds
+// shuffle-stage regions to the shuffle sequence number and retires them
+// when the stage retires, so a leaked decoder cannot pin a region forever.
+// Regions never bound to a stage (broadcast streams, whose decoded records
+// stay live for the whole job) are exempt from the backstop and live until
+// their decoder is freed.
 package arena
 
 import (
@@ -76,7 +75,6 @@ type Region struct {
 	// Guarded by mu.
 	epoch uint64
 
-	refs    atomic.Int32
 	retired atomic.Bool
 }
 
@@ -228,19 +226,11 @@ func (r *Region) BindEpoch(epoch uint64) {
 	r.mu.Unlock()
 }
 
-// Release drops a reference; the last release retires the region.
+// Release reclaims the region: its owner's Free, the stage-epoch backstop
+// and the fault injector's premature-free hook all end here, and only the
+// first call does anything. Subsequent handle reads panic loudly instead of
+// reading freed memory.
 func (r *Region) Release() {
-	if r.refs.Add(-1) <= 0 {
-		r.retire()
-	}
-}
-
-// ForceRetire reclaims the region regardless of outstanding references —
-// the stage-epoch backstop, and the fault injector's premature-free hook.
-// Subsequent handle reads panic loudly instead of reading freed memory.
-func (r *Region) ForceRetire() { r.retire() }
-
-func (r *Region) retire() {
 	if r.retired.Swap(true) {
 		return
 	}
@@ -289,8 +279,8 @@ func NewSpace() *Space {
 	return s
 }
 
-// NewRegion creates and registers a fresh region with one reference held
-// by the caller.
+// NewRegion creates and registers a fresh region, owned by the caller until
+// it calls Release.
 func (s *Space) NewRegion() *Region {
 	s.mu.Lock()
 	s.nextID++
@@ -299,7 +289,6 @@ func (s *Space) NewRegion() *Region {
 		panic("arena: region IDs exhausted")
 	}
 	r := &Region{id: s.nextID, space: s}
-	r.refs.Store(1)
 	s.publish(func(m map[uint32]*Region) { m[r.id] = r })
 	s.mu.Unlock()
 	ctrRegions.Inc()
@@ -348,7 +337,7 @@ func (s *Space) Regions() int {
 	return len(*s.regions.Load())
 }
 
-// RetireThrough force-retires every region bound to a stage epoch <= epoch.
+// RetireThrough retires every region bound to a stage epoch <= epoch.
 // Unbound regions (broadcast) are untouched. This is the reclamation edge
 // the paper ties to explicit buffer management (§3.2): when a shuffle stage
 // retires, the whole region goes at once, no per-object work.
@@ -363,7 +352,7 @@ func (s *Space) RetireThrough(epoch uint64) {
 		}
 	}
 	for _, r := range doomed {
-		r.ForceRetire()
+		r.Release()
 	}
 }
 

@@ -78,18 +78,12 @@ func TestRegionRefcountAndRetire(t *testing.T) {
 	s := NewSpace()
 	r := s.NewRegion()
 	stage(t, r, 8, make([]byte, 64))
-	r.refs.Add(1) // second decoder
-
-	r.Release()
-	if r.Retired() {
-		t.Fatal("region retired while a reference was outstanding")
-	}
 	if _, err := r.Tail(8); err != nil {
-		t.Fatalf("resolve with one reference left: %v", err)
+		t.Fatalf("resolve before release: %v", err)
 	}
 	r.Release()
 	if !r.Retired() {
-		t.Fatal("region survived its last release")
+		t.Fatal("region survived its release")
 	}
 	if s.Regions() != 0 {
 		t.Fatalf("space still tracks %d regions after retirement", s.Regions())

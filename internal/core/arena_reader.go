@@ -118,7 +118,7 @@ func (rd *Reader) checkRegion() error {
 	// a lifecycle bug (or this injection) that the retired-region guard
 	// must turn into a structured error.
 	if fault.Eval(fault.ArenaRegionPrematureFree) && rd.region != nil {
-		rd.region.ForceRetire()
+		rd.region.Release()
 	}
 	if len(rd.chunks) == 0 {
 		return nil

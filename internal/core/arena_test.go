@@ -283,7 +283,7 @@ func TestArenaUseAfterRetirePanics(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.read(root) // live: fine
-			rd.ArenaRegion().ForceRetire()
+			rd.ArenaRegion().Release()
 			defer func() {
 				r := recover()
 				if r == nil {

@@ -28,10 +28,15 @@ import (
 	"skyway/internal/vm"
 )
 
-// Scheduler counters, exported on /metrics.
+// Scheduler and shuffle-I/O counters, exported on /metrics.
 var (
 	ctrStages = obs.NewCounter("skyway_dataflow_stages_total", "Stages executed across all clusters.")
 	ctrTasks  = obs.NewCounter("skyway_dataflow_tasks_total", "Executor tasks executed across all clusters.")
+
+	ctrSpillBytes    = obs.NewCounter("skyway_io_spill_bytes_total", "Bytes spilled to modelled shuffle files.")
+	ctrLocalReadB    = obs.NewCounter("skyway_io_local_read_bytes_total", "Bytes fetched from modelled local disk.")
+	ctrRemoteReadB   = obs.NewCounter("skyway_io_remote_read_bytes_total", "Bytes fetched across the modelled network.")
+	ctrRemoteFetches = obs.NewCounter("skyway_io_remote_fetches_total", "Remote shuffle fetches (per-transfer latency units).")
 )
 
 // Config sizes a cluster.
@@ -92,10 +97,6 @@ type Cluster struct {
 	// every task completion, for the §5.2 memory-overhead experiment.
 	// Guarded by peakMu; read it only after a run returns.
 	PeakHeap uint64
-
-	// Traffic is the fabric's shared byte accounting (spill writes,
-	// local/remote fetches); safe for concurrent tasks.
-	Traffic netsim.Traffic
 
 	// shuffleSeq numbers transport rounds, shuffles and broadcasts alike,
 	// so a transport with persistent storage never confuses two rounds'

@@ -3,12 +3,14 @@ package dataflow
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"skyway/internal/core"
 	"skyway/internal/datagen"
 	"skyway/internal/fault"
 	"skyway/internal/klass"
 	"skyway/internal/serial"
+	"skyway/internal/transport"
 )
 
 // newSkywayCluster boots a cluster running the Skyway codec — the fault
@@ -118,5 +120,45 @@ func TestFetchSlowKeepsResultsIdenticalAcrossRuns(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("slow-peer run changed result: %d != %d", got, want)
+	}
+}
+
+// tornTransport is a measured transport whose every fetch fails after
+// spending d on the wire.
+type tornTransport struct {
+	transport.Transport
+	d time.Duration
+}
+
+func (tornTransport) Measured() bool { return true }
+
+func (t tornTransport) NewShuffle(seq int) (transport.Shuffle, error) {
+	sh, err := t.Transport.NewShuffle(seq)
+	return tornShuffle{sh, t.d}, err
+}
+
+type tornShuffle struct {
+	transport.Shuffle
+	d time.Duration
+}
+
+func (s tornShuffle) Fetch(src, dst int) ([]byte, time.Duration, error) {
+	return nil, s.d, errors.New("stream torn")
+}
+
+// TestFailedFetchTimeIsCharged: under a measured transport every attempt
+// counts, the failed ones included — a stage that aborts because every fetch
+// tore still reports the socket time those fetches took.
+func TestFailedFetchTimeIsCharged(t *testing.T) {
+	const d = 7 * time.Millisecond
+	c := newSkywayCluster(t)
+	c.Transport = tornTransport{c.Transport, d}
+	bd, err := c.RunShuffle(ShuffleSpec{Produce: func(*Executor, Emit) error { return nil }})
+	var abort *StageAbortError
+	if !errors.As(err, &abort) {
+		t.Fatalf("error is %T (%v), want *StageAbortError", err, err)
+	}
+	if want := maxFetchAttempts * d; bd.ReadIO < want {
+		t.Errorf("ReadIO = %v, want at least %v (%d failed fetches of %v)", bd.ReadIO, want, maxFetchAttempts, d)
 	}
 }

@@ -85,11 +85,11 @@ func (c *Cluster) RunShuffle(spec ShuffleSpec) (metrics.Breakdown, error) {
 	})
 	bd.Add(rbd)
 	// The stage has retired: any arena region this round's decoders staged
-	// is dead, reachable records having been consumed or promoted. Refcounts
-	// already reclaimed the regions of decoders that were Freed; this is the
-	// epoch backstop that sweeps the rest (an aborted stage's stragglers).
-	// Regions never bound to a shuffle epoch — broadcast decodes — are
-	// exempt and live by refcount alone.
+	// is dead, reachable records having been consumed or promoted. Decoders
+	// that were Freed already released their regions; this is the epoch
+	// backstop that sweeps the rest (an aborted stage's stragglers). Regions
+	// never bound to a shuffle epoch — broadcast decodes — are exempt and
+	// live until their decoder is freed.
 	for _, ex := range c.Execs {
 		ex.RT.Arena.RetireThrough(uint64(c.shuffleSeq))
 	}
@@ -218,7 +218,7 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 		putTime += d
 	}
 	res.bd.WriteIO = c.ioCharge(putTime, func(m netsim.CostModel) time.Duration { return m.WriteTime(written) })
-	c.Traffic.AddWrite(written)
+	ctrSpillBytes.Add(written)
 	res.bd.ShuffleBytes = written
 	// The task's elapsed time: concurrent sender streams overlap, so the
 	// slowest stream bounds the serialization wall time.
@@ -297,6 +297,7 @@ func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, stage string, s
 		// Fetch returns a copy-on-damage view of the stored block; the
 		// transport keeps the original until Drop.
 		block, d, err := sh.Fetch(src, dst)
+		t.fetchTime += d
 		if err != nil {
 			// A failed fetch (a torn stream the transport's own framing
 			// rejected, a dead peer) rides the same ladder as a failed
@@ -304,7 +305,6 @@ func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, stage string, s
 			lastErr = fmt.Errorf("fetch block (%d→%d): %w", src, dst, err)
 			continue
 		}
-		t.fetchTime += d
 		if len(block) == 0 {
 			return nil, nil, nil
 		}
@@ -370,7 +370,13 @@ func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffl
 		res.bd.Deser = t.deser
 		res.bd.LocalBytes = t.local
 		res.bd.RemoteBytes = t.remote
-		c.Traffic.AddFetch(t.local, t.remote)
+		ctrLocalReadB.Add(t.local)
+		if t.remote > 0 {
+			// One remote fetch per task: the per-transfer latency unit
+			// of CostModel.NetTime.
+			ctrRemoteReadB.Add(t.remote)
+			ctrRemoteFetches.Inc()
+		}
 		res.bd.ReadIO = t.slowPenalty + c.ioCharge(t.fetchTime, func(m netsim.CostModel) time.Duration {
 			return m.FetchTime(t.triedLocal, t.triedRemote)
 		})

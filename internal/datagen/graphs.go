@@ -98,9 +98,6 @@ func (spec GraphSpec) Generate() *Graph {
 	return &Graph{Spec: spec, N: n, Adj: adj, M: edges}
 }
 
-// OutDegree returns the out-degree of v.
-func (g *Graph) OutDegree(v int) int { return len(g.Adj[v]) }
-
 // MaxDegree returns the maximum out-degree (skew diagnostic).
 func (g *Graph) MaxDegree() int {
 	max := 0

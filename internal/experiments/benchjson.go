@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
-
-	"skyway/internal/gc"
-	"skyway/internal/metrics"
 )
 
 // BenchEntry is one figure cell of the benchmark trajectory: the per-figure
-// totals plus GC pause accounting, serialized to BENCH_spark.json /
-// BENCH_flink.json so CI can compare runs over time.
+// totals plus GC and buffer accounting, serialized to BENCH_spark.json /
+// BENCH_flink.json, the checked-in record of the reproduction.
 type BenchEntry struct {
 	Figure     string `json:"figure"`          // "fig3", "fig8a", "fig8b"
 	App        string `json:"app,omitempty"`   // Spark workload (WC/PR/CC/TC)
@@ -35,10 +32,6 @@ type BenchEntry struct {
 	GCPromotionFG int   `json:"gc_promotion_full_gcs"`
 
 	BufferPeak uint64 `json:"buffer_peak,omitempty"`
-
-	// GBps is the measured throughput for "speed" figure entries
-	// (cmd/speedbench): bytes moved per wall-clock second, best of K passes.
-	GBps float64 `json:"gbps,omitempty"`
 }
 
 // BenchFile is the checked-in trajectory document.
@@ -52,57 +45,33 @@ func (e BenchEntry) Key() string {
 	return fmt.Sprintf("%s/%s%s%s/%s", e.Figure, e.App, e.Graph, e.Query, e.Serializer)
 }
 
-func benchEntry(figure string, bd metrics.Breakdown, gcs gc.Stats) BenchEntry {
-	return BenchEntry{
-		Figure:        figure,
-		TotalNS:       int64(bd.Total()),
-		SumNS:         int64(bd.Sum()),
-		WallNS:        int64(bd.Wall),
-		SDShare:       bd.SDShare(),
-		ShuffleBytes:  bd.ShuffleBytes,
-		RemoteBytes:   bd.RemoteBytes,
-		Records:       bd.Records,
-		GCPauses:      gcs.Pauses,
-		GCPauseNS:     int64(gcs.TotalPause()),
-		GCFullGCs:     gcs.FullGCs,
-		GCPromotionFG: gcs.PromotionFullGCs,
-	}
-}
-
-// SparkBenchFile assembles the Spark trajectory from Figure 3 results and
-// Figure 8(a) matrix cells.
-func SparkBenchFile(fig3 []Fig3Result, cells []SparkCell) BenchFile {
-	f := BenchFile{Engine: "spark"}
-	for _, r := range fig3 {
-		e := benchEntry("fig3", r.Breakdown, r.GC)
-		e.App, e.Graph, e.Serializer = "TC", "LiveJournal", r.Serializer
-		f.Entries = append(f.Entries, e)
-	}
+// NewBenchFile assembles an engine's trajectory from its figures' cells.
+func NewBenchFile(engine string, cells []Cell) BenchFile {
+	f := BenchFile{Engine: engine}
 	for _, c := range cells {
-		e := benchEntry("fig8a", c.Breakdown, c.GC)
-		e.App, e.Graph, e.Serializer = string(c.App), c.Graph, c.Serializer
-		e.BufferPeak = c.BufferPeak
-		f.Entries = append(f.Entries, e)
+		bd, gcs := c.Breakdown, c.GC
+		f.Entries = append(f.Entries, BenchEntry{
+			Figure:        c.Figure,
+			App:           string(c.App),
+			Graph:         c.Graph,
+			Query:         string(c.Query),
+			Serializer:    c.Serializer,
+			TotalNS:       int64(bd.Total()),
+			SumNS:         int64(bd.Sum()),
+			WallNS:        int64(bd.Wall),
+			SDShare:       bd.SDShare(),
+			ShuffleBytes:  bd.ShuffleBytes,
+			RemoteBytes:   bd.RemoteBytes,
+			Records:       bd.Records,
+			GCPauses:      gcs.Pauses,
+			GCPauseNS:     int64(gcs.TotalPause()),
+			GCFullGCs:     gcs.FullGCs,
+			GCPromotionFG: gcs.PromotionFullGCs,
+			BufferPeak:    c.BufferPeak,
+		})
 	}
-	f.sort()
-	return f
-}
-
-// FlinkBenchFile assembles the Flink trajectory from Figure 8(b) cells.
-func FlinkBenchFile(cells []FlinkCell) BenchFile {
-	f := BenchFile{Engine: "flink"}
-	for _, c := range cells {
-		e := benchEntry("fig8b", c.Breakdown, c.GC)
-		e.Query, e.Serializer = string(c.Query), c.Serializer
-		e.BufferPeak = c.BufferPeak
-		f.Entries = append(f.Entries, e)
-	}
-	f.sort()
-	return f
-}
-
-func (f *BenchFile) sort() {
 	sort.Slice(f.Entries, func(i, j int) bool { return f.Entries[i].Key() < f.Entries[j].Key() })
+	return f
 }
 
 // Write saves the trajectory as indented JSON.
@@ -125,36 +94,66 @@ func ReadBenchFile(path string) (BenchFile, error) {
 	return f, err
 }
 
-// Regression is one entry whose Total regressed past the tolerance.
-type Regression struct {
-	Key           string
-	BaseNS, CurNS int64
-	Ratio         float64
-	Missing       bool // entry present in base but absent from cur
+// exactColumns are the columns of an entry that are a function of the code
+// and the input alone — bytes, records, collections, buffer residency — and
+// so repeat bit for bit between runs on any host. They are what the paper
+// matrix gates; its time columns are a record, not a gate (time is gated by
+// `benchmark -compare`, which has the repeats and quartiles to do it).
+var exactColumns = []struct {
+	name string
+	get  func(BenchEntry) int64
+}{
+	{"shuffle_bytes", func(e BenchEntry) int64 { return e.ShuffleBytes }},
+	{"remote_bytes", func(e BenchEntry) int64 { return e.RemoteBytes }},
+	{"records", func(e BenchEntry) int64 { return e.Records }},
+	{"buffer_peak", func(e BenchEntry) int64 { return int64(e.BufferPeak) }},
+	{"gc_pauses", func(e BenchEntry) int64 { return int64(e.GCPauses) }},
+	{"gc_full_gcs", func(e BenchEntry) int64 { return int64(e.GCFullGCs) }},
 }
 
-// CompareBench flags entries of cur whose Total exceeds base's by more than
-// tol (e.g. 0.20 = +20%), and base entries missing from cur. Entries new in
+// EntryDiff is one baseline entry set against the current run.
+type EntryDiff struct {
+	Key string
+	// Mismatch lists what fails the gate: each exact column that differs,
+	// as "name base -> cur", or the entry's absence from cur.
+	Mismatch []string
+	// Total and GCPause are cur/base ratios of total_ns and gc_pause_ns (0
+	// where base is 0), for information only: one sample on a drifting host
+	// decides nothing.
+	Total, GCPause float64
+}
+
+// Failed reports whether the entry fails the gate.
+func (d EntryDiff) Failed() bool { return len(d.Mismatch) > 0 }
+
+// CompareBench sets every entry of base against its namesake in cur. An
+// entry fails when cur lacks it or any exact column differs; entries new in
 // cur are ignored (the trajectory is allowed to grow).
-func CompareBench(base, cur BenchFile, tol float64) []Regression {
+func CompareBench(base, cur BenchFile) []EntryDiff {
 	curBy := make(map[string]BenchEntry, len(cur.Entries))
 	for _, e := range cur.Entries {
 		curBy[e.Key()] = e
 	}
-	var out []Regression
+	ratio := func(cur, base int64) float64 {
+		if base <= 0 {
+			return 0
+		}
+		return float64(cur) / float64(base)
+	}
+	out := make([]EntryDiff, 0, len(base.Entries))
 	for _, b := range base.Entries {
-		c, ok := curBy[b.Key()]
-		if !ok {
-			out = append(out, Regression{Key: b.Key(), BaseNS: b.TotalNS, Missing: true})
-			continue
+		d := EntryDiff{Key: b.Key()}
+		if c, ok := curBy[d.Key]; !ok {
+			d.Mismatch = []string{"missing from the current run"}
+		} else {
+			for _, col := range exactColumns {
+				if bv, cv := col.get(b), col.get(c); bv != cv {
+					d.Mismatch = append(d.Mismatch, fmt.Sprintf("%s %d -> %d", col.name, bv, cv))
+				}
+			}
+			d.Total, d.GCPause = ratio(c.TotalNS, b.TotalNS), ratio(c.GCPauseNS, b.GCPauseNS)
 		}
-		if b.TotalNS <= 0 {
-			continue
-		}
-		ratio := float64(c.TotalNS) / float64(b.TotalNS)
-		if ratio > 1+tol {
-			out = append(out, Regression{Key: b.Key(), BaseNS: b.TotalNS, CurNS: c.TotalNS, Ratio: ratio})
-		}
+		out = append(out, d)
 	}
 	return out
 }

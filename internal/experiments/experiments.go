@@ -1,12 +1,13 @@
 // Package experiments contains the reproduction harnesses for every table
-// and figure in the paper's evaluation (§2.2, §5), shared by the cmd/
-// binaries and the repository's benchmarks. Each experiment returns
-// structured results; formatting lives with the callers.
+// and figure in the paper's evaluation (§2.2, §5), run by the cmd/ binaries.
+// Each experiment returns structured results; apart from the breakdown table
+// every matrix shares (PrintBreakdown), formatting lives with the callers.
 package experiments
 
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"time"
@@ -268,16 +269,54 @@ type RunInfo struct {
 	GC         gc.Stats // pause and promotion totals across the cluster
 }
 
-// SparkRun executes one (app, graph, serializer) cell and returns the
-// breakdown, a result digest (codec-independent) and the cluster's peak
-// executor heap usage.
-func SparkRun(app SparkApp, g *datagen.Graph, codecName string, cfg SparkConfig) (metrics.Breakdown, float64, uint64, error) {
-	info, err := SparkRunInfo(app, g, codecName, cfg)
-	return info.Breakdown, info.Digest, info.PeakHeap, err
+// Cell is one labelled bar of the paper's matrix: the figure it belongs to,
+// the axes that place it there (app × graph for Spark, query for Flink), the
+// serializer, and the run's result.
+type Cell struct {
+	Figure     string // "fig3", "fig8a", "fig8b"
+	App        SparkApp
+	Graph      string
+	Query      batch.Query
+	Serializer string
+	RunInfo
 }
 
-// SparkRunInfo is SparkRun returning the full RunInfo, including the
-// cluster's GC statistics and buffer high-water mark.
+// Name is the cell's place in its figure without the serializer
+// ("TC/LiveJournal", "QA"): cells that share it ran the same job and must
+// agree on the digest.
+func (c Cell) Name() string {
+	if c.Query != "" {
+		return string(c.Query)
+	}
+	return string(c.App) + "/" + c.Graph
+}
+
+// PrintBreakdown writes one row per cell — Total, the five components and
+// the local / remote byte split — and a warning under any cell whose digest
+// differs from the first cell of the same name: a serializer must not change
+// the answer.
+func PrintBreakdown(w io.Writer, cells []Cell) {
+	fmt.Fprintf(w, "  %-18s %-14s %10s %10s %10s %10s %10s %10s %12s %12s\n",
+		"cell", "serializer", "total", "compute", "ser", "writeIO", "deser", "readIO", "localB", "remoteB")
+	first := make(map[string]Cell)
+	for _, c := range cells {
+		name, b := c.Name(), c.Breakdown
+		fmt.Fprintf(w, "  %-18s %-14s %10v %10v %10v %10v %10v %10v %12d %12d\n",
+			name, c.Serializer,
+			b.Total().Round(time.Millisecond), b.Compute.Round(time.Millisecond), b.Ser.Round(time.Millisecond),
+			b.WriteIO.Round(time.Millisecond), b.Deser.Round(time.Millisecond), b.ReadIO.Round(time.Millisecond),
+			b.LocalBytes, b.RemoteBytes)
+		if f, ok := first[name]; !ok {
+			first[name] = c
+		} else if f.Digest != c.Digest {
+			fmt.Fprintf(w, "  WARNING: %s digest %v differs from %s digest %v\n", c.Serializer, c.Digest, f.Serializer, f.Digest)
+		}
+	}
+}
+
+// SparkRunInfo executes one (app, graph, serializer) cell on a fresh
+// cluster: the breakdown, a codec-independent result digest, the cluster's
+// peak executor heap and buffer usage, and its GC statistics.
 func SparkRunInfo(app SparkApp, g *datagen.Graph, codecName string, cfg SparkConfig) (RunInfo, error) {
 	// Start every cell from a clean Go heap so one cell's garbage does
 	// not become background GC work inside the next cell's timers.
@@ -322,20 +361,9 @@ func SparkRunInfo(app SparkApp, g *datagen.Graph, codecName string, cfg SparkCon
 	}, err
 }
 
-// SparkCell is one bar of Figure 8(a).
-type SparkCell struct {
-	App        SparkApp
-	Graph      string
-	Serializer string
-	Breakdown  metrics.Breakdown
-	Digest     float64
-	GC         gc.Stats
-	BufferPeak uint64
-}
-
 // RunSparkMatrix reproduces Figure 8(a): every app × graph × serializer.
-func RunSparkMatrix(cfg SparkConfig, graphs []datagen.GraphSpec, apps []SparkApp) ([]SparkCell, error) {
-	var cells []SparkCell
+func RunSparkMatrix(cfg SparkConfig, graphs []datagen.GraphSpec, apps []SparkApp) ([]Cell, error) {
+	var cells []Cell
 	for _, spec := range graphs {
 		g := spec.Generate()
 		for _, app := range apps {
@@ -344,11 +372,7 @@ func RunSparkMatrix(cfg SparkConfig, graphs []datagen.GraphSpec, apps []SparkApp
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s/%s: %w", app, spec.Name, ser, err)
 				}
-				cells = append(cells, SparkCell{
-					App: app, Graph: spec.Name, Serializer: ser,
-					Breakdown: info.Breakdown, Digest: info.Digest,
-					GC: info.GC, BufferPeak: info.BufferPeak,
-				})
+				cells = append(cells, Cell{Figure: "fig8a", App: app, Graph: spec.Name, Serializer: ser, RunInfo: info})
 			}
 		}
 	}
@@ -357,11 +381,11 @@ func RunSparkMatrix(cfg SparkConfig, graphs []datagen.GraphSpec, apps []SparkApp
 
 // Table2 aggregates Figure 8(a) cells into the Table 2 normalized summary:
 // per serializer, each (app, graph) run normalized to the Java serializer.
-func Table2(cells []SparkCell) map[string]*metrics.Summary {
+func Table2(cells []Cell) map[string]*metrics.Summary {
 	base := make(map[string]metrics.Breakdown) // app/graph -> java breakdown
 	for _, c := range cells {
 		if c.Serializer == "java" {
-			base[string(c.App)+"/"+c.Graph] = c.Breakdown
+			base[c.Name()] = c.Breakdown
 		}
 	}
 	out := map[string]*metrics.Summary{"kryo": {}, "skyway": {}}
@@ -369,7 +393,7 @@ func Table2(cells []SparkCell) map[string]*metrics.Summary {
 		if c.Serializer == "java" {
 			continue
 		}
-		b, ok := base[string(c.App)+"/"+c.Graph]
+		b, ok := base[c.Name()]
 		if !ok {
 			continue
 		}
@@ -384,28 +408,22 @@ func Table2(cells []SparkCell) map[string]*metrics.Summary {
 	return out
 }
 
-// Fig3Result is the §2.2 motivation experiment: TriangleCounting over the
-// LiveJournal-shaped graph under Kryo and the Java serializer.
-type Fig3Result struct {
-	Serializer string
-	Breakdown  metrics.Breakdown
-	GC         gc.Stats
-}
-
-// RunFig3 reproduces Figure 3(a)/(b).
-func RunFig3(cfg SparkConfig) ([]Fig3Result, error) {
+// RunFig3 reproduces Figure 3(a)/(b), the §2.2 motivation experiment:
+// TriangleCounting over the LiveJournal-shaped graph under Kryo and the Java
+// serializer.
+func RunFig3(cfg SparkConfig) ([]Cell, error) {
 	spec, err := datagen.GraphByName("LiveJournal", cfg.GraphScale)
 	if err != nil {
 		return nil, err
 	}
 	g := spec.Generate()
-	var out []Fig3Result
+	var out []Cell
 	for _, ser := range []string{"kryo", "java"} {
 		info, err := SparkRunInfo(TC, g, ser, cfg)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Fig3Result{Serializer: ser, Breakdown: info.Breakdown, GC: info.GC})
+		out = append(out, Cell{Figure: "fig3", App: TC, Graph: spec.Name, Serializer: ser, RunInfo: info})
 	}
 	return out, nil
 }
@@ -432,22 +450,22 @@ func RunMemOverhead(cfg SparkConfig) ([]MemOverheadResult, error) {
 		with := cfg
 		withLayout := klass.Layout{Baddr: true}
 		with.Layout = &withLayout
-		_, _, peakWith, err := SparkRun(app, g, "kryo", with)
+		withInfo, err := SparkRunInfo(app, g, "kryo", with)
 		if err != nil {
 			return nil, err
 		}
 		without := cfg
 		withoutLayout := klass.Layout{Baddr: false}
 		without.Layout = &withoutLayout
-		_, _, peakWithout, err := SparkRun(app, g, "kryo", without)
+		withoutInfo, err := SparkRunInfo(app, g, "kryo", without)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, MemOverheadResult{
 			App:              app,
-			PeakWithBaddr:    peakWith,
-			PeakWithoutBaddr: peakWithout,
-			OverheadFraction: float64(peakWith)/float64(peakWithout) - 1,
+			PeakWithBaddr:    withInfo.PeakHeap,
+			PeakWithoutBaddr: withoutInfo.PeakHeap,
+			OverheadFraction: float64(withInfo.PeakHeap)/float64(withoutInfo.PeakHeap) - 1,
 		})
 	}
 	return out, nil
@@ -469,10 +487,11 @@ func RunExtraBytes(cfg SparkConfig) (ExtraBytes, error) {
 	}
 	g := spec.Generate()
 
-	kbd, _, _, err := SparkRun(PR, g, "kryo", cfg)
+	kryo, err := SparkRunInfo(PR, g, "kryo", cfg)
 	if err != nil {
 		return ExtraBytes{}, err
 	}
+	kbd := kryo.Breakdown
 
 	c, err := newSparkCluster(cfg, "skyway")
 	if err != nil {
@@ -504,16 +523,6 @@ func RunExtraBytes(cfg SparkConfig) (ExtraBytes, error) {
 }
 
 // --- Flink experiments (Figure 8(b), Tables 3-4) -------------------------------
-
-// FlinkCell is one bar of Figure 8(b).
-type FlinkCell struct {
-	Query      batch.Query
-	Serializer string
-	Breakdown  metrics.Breakdown
-	Digest     float64
-	GC         gc.Stats
-	BufferPeak uint64
-}
 
 // FlinkConfig parameterizes the Flink matrix.
 type FlinkConfig struct {
@@ -554,19 +563,16 @@ func FlinkRunInfo(q batch.Query, gen *datagen.TPCH, serializer string, cfg Flink
 
 // RunFlinkMatrix reproduces Figure 8(b): QA–QE under the built-in
 // serializers and Skyway.
-func RunFlinkMatrix(cfg FlinkConfig, queries []batch.Query) ([]FlinkCell, error) {
+func RunFlinkMatrix(cfg FlinkConfig, queries []batch.Query) ([]Cell, error) {
 	gen := datagen.GenTPCH(cfg.SF, 2024)
-	var cells []FlinkCell
+	var cells []Cell
 	for _, ser := range batch.Serializers() {
 		for _, q := range queries {
 			info, err := FlinkRunInfo(q, gen, ser, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", ser, q, err)
 			}
-			cells = append(cells, FlinkCell{
-				Query: q, Serializer: ser, Breakdown: info.Breakdown, Digest: info.Digest,
-				GC: info.GC, BufferPeak: info.BufferPeak,
-			})
+			cells = append(cells, Cell{Figure: "fig8b", Query: q, Serializer: ser, RunInfo: info})
 		}
 	}
 	return cells, nil
@@ -574,7 +580,7 @@ func RunFlinkMatrix(cfg FlinkConfig, queries []batch.Query) ([]FlinkCell, error)
 
 // Table4 aggregates Figure 8(b) cells into the Table 4 normalized summary
 // (Skyway vs the built-in serializers).
-func Table4(cells []FlinkCell) *metrics.Summary {
+func Table4(cells []Cell) *metrics.Summary {
 	base := make(map[batch.Query]metrics.Breakdown)
 	for _, c := range cells {
 		if c.Serializer == "flink-builtin" {

@@ -59,20 +59,20 @@ func TestSparkRunDigestsAgree(t *testing.T) {
 	for _, app := range SparkApps() {
 		var want float64
 		for i, ser := range SparkSerializers() {
-			bd, digest, peak, err := SparkRun(app, g, ser, cfg)
+			info, err := SparkRunInfo(app, g, ser, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", app, ser, err)
 			}
-			if bd.Records == 0 {
+			if info.Breakdown.Records == 0 {
 				t.Errorf("%s/%s shuffled nothing", app, ser)
 			}
-			if peak == 0 {
+			if info.PeakHeap == 0 {
 				t.Errorf("%s/%s peak heap not sampled", app, ser)
 			}
 			if i == 0 {
-				want = digest
-			} else if digest != want {
-				t.Errorf("%s: %s digest %v != %v", app, ser, digest, want)
+				want = info.Digest
+			} else if info.Digest != want {
+				t.Errorf("%s: %s digest %v != %v", app, ser, info.Digest, want)
 			}
 		}
 	}
@@ -178,18 +178,18 @@ func TestSkywayCompactSparkSerializer(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := spec.Generate()
-	bd1, d1, _, err := SparkRun(PR, g, "skyway", cfg)
+	std, err := SparkRunInfo(PR, g, "skyway", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd2, d2, _, err := SparkRun(PR, g, "skyway-compact", cfg)
+	compact, err := SparkRunInfo(PR, g, "skyway-compact", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1 != d2 {
-		t.Errorf("compact digest %v != standard %v", d2, d1)
+	if std.Digest != compact.Digest {
+		t.Errorf("compact digest %v != standard %v", compact.Digest, std.Digest)
 	}
-	if bd2.ShuffleBytes >= bd1.ShuffleBytes {
-		t.Errorf("compact bytes %d not below standard %d", bd2.ShuffleBytes, bd1.ShuffleBytes)
+	if compact.Breakdown.ShuffleBytes >= std.Breakdown.ShuffleBytes {
+		t.Errorf("compact bytes %d not below standard %d", compact.Breakdown.ShuffleBytes, std.Breakdown.ShuffleBytes)
 	}
 }

@@ -8,19 +8,10 @@
 package netsim
 
 import (
-	"sync/atomic"
 	"time"
 
 	"skyway/internal/fault"
 	"skyway/internal/obs"
-)
-
-// Modelled-fabric counters, exported on /metrics.
-var (
-	ctrSpillBytes    = obs.NewCounter("skyway_io_spill_bytes_total", "Bytes spilled to modelled shuffle files.")
-	ctrLocalReadB    = obs.NewCounter("skyway_io_local_read_bytes_total", "Bytes fetched from modelled local disk.")
-	ctrRemoteReadB   = obs.NewCounter("skyway_io_remote_read_bytes_total", "Bytes fetched across the modelled network.")
-	ctrRemoteFetches = obs.NewCounter("skyway_io_remote_fetches_total", "Remote shuffle fetches (per-transfer latency units).")
 )
 
 // CostModel holds sustained bandwidths in bytes/second plus fixed per-
@@ -126,57 +117,4 @@ func (m CostModel) FetchTime(localBytes, remoteBytes int64) time.Duration {
 	}
 	m.emit("shuffle.fetch", localBytes+remoteBytes, d)
 	return d
-}
-
-// Traffic accumulates the fabric's byte accounting for one simulated
-// deployment: shuffle spill writes and local/remote fetches. Executor tasks
-// running on concurrent goroutines record into one shared Traffic, so every
-// counter is maintained atomically; a zero Traffic is ready to use.
-type Traffic struct {
-	written     int64
-	localRead   int64
-	remoteRead  int64
-	remoteXfers int64
-}
-
-// AddWrite records n bytes spilled to shuffle files.
-func (t *Traffic) AddWrite(n int64) {
-	if n > 0 {
-		atomic.AddInt64(&t.written, n)
-		ctrSpillBytes.Add(n)
-	}
-}
-
-// AddFetch records one shuffle fetch of local disk bytes and remote network
-// bytes. A remote fetch of more than zero bytes counts as one transfer (the
-// per-transfer latency unit of CostModel.NetTime).
-func (t *Traffic) AddFetch(local, remote int64) {
-	if local > 0 {
-		atomic.AddInt64(&t.localRead, local)
-		ctrLocalReadB.Add(local)
-	}
-	if remote > 0 {
-		atomic.AddInt64(&t.remoteRead, remote)
-		atomic.AddInt64(&t.remoteXfers, 1)
-		ctrRemoteReadB.Add(remote)
-		ctrRemoteFetches.Inc()
-	}
-}
-
-// TrafficSnapshot is a consistent copy of the counters.
-type TrafficSnapshot struct {
-	Written     int64 // bytes spilled to shuffle files
-	LocalRead   int64 // bytes fetched from local disk
-	RemoteRead  int64 // bytes fetched across the network
-	RemoteXfers int64 // remote fetches (latency units)
-}
-
-// Snapshot returns the current counter values.
-func (t *Traffic) Snapshot() TrafficSnapshot {
-	return TrafficSnapshot{
-		Written:     atomic.LoadInt64(&t.written),
-		LocalRead:   atomic.LoadInt64(&t.localRead),
-		RemoteRead:  atomic.LoadInt64(&t.remoteRead),
-		RemoteXfers: atomic.LoadInt64(&t.remoteXfers),
-	}
 }

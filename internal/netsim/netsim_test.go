@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -96,38 +95,5 @@ func TestMonotoneQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Traffic is the one piece of netsim state shared across concurrent
-// executor tasks; hammer it from many goroutines and check the totals.
-func TestTrafficConcurrentAdders(t *testing.T) {
-	var tr Traffic
-	const workers, rounds = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				tr.AddWrite(10)
-				tr.AddFetch(3, 7)
-				tr.AddFetch(5, 0) // all-local fetch: no transfer counted
-			}
-		}()
-	}
-	wg.Wait()
-	s := tr.Snapshot()
-	if s.Written != workers*rounds*10 {
-		t.Errorf("written = %d", s.Written)
-	}
-	if s.LocalRead != workers*rounds*8 || s.RemoteRead != workers*rounds*7 {
-		t.Errorf("local = %d remote = %d", s.LocalRead, s.RemoteRead)
-	}
-	if s.RemoteXfers != workers*rounds {
-		t.Errorf("remote transfers = %d, want %d", s.RemoteXfers, workers*rounds)
-	}
-	if s.LocalRead+s.RemoteRead != s.Written+workers*rounds*5 {
-		t.Errorf("byte balance off: %+v", s)
 	}
 }

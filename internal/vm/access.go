@@ -91,16 +91,6 @@ func (rt *Runtime) SetDouble(a heap.Addr, f *klass.Field, v float64) {
 	rt.storePrim(a, f.Offset, klass.Float64, math.Float64bits(v))
 }
 
-// GetFloat loads a float32 field.
-func (rt *Runtime) GetFloat(a heap.Addr, f *klass.Field) float32 {
-	return math.Float32frombits(uint32(rt.load(a, f.Offset, klass.Float32)))
-}
-
-// SetFloat stores a float32 field.
-func (rt *Runtime) SetFloat(a heap.Addr, f *klass.Field, v float32) {
-	rt.storePrim(a, f.Offset, klass.Float32, uint64(math.Float32bits(v)))
-}
-
 // GetRaw loads the raw bits of any field (for reference fields of arena
 // objects, the tagged handle).
 func (rt *Runtime) GetRaw(a heap.Addr, f *klass.Field) uint64 {
