@@ -21,13 +21,13 @@ func badMake(b []byte) []byte {
 
 // badWrap seeds the PR 5 regression shape: the only guard compares a
 // TRUNCATED conversion of the value, so a length with bit 32 set passes the
-// check and oversizes the instance computation.
-func badWrap(b []byte, k *klass.Klass) uint32 {
+// check and oversizes the allocation.
+func badWrap(b []byte, rt *vm.Runtime, k *klass.Klass) (heap.Addr, error) {
 	n := int64(binary.BigEndian.Uint32(b)) * 8
 	if uint32(n) > limit {
-		return 0
+		return heap.Null, nil
 	}
-	return k.InstanceBytes(int(n)) // want `wire-derived value reaches the InstanceBytes size argument without a dominating full-width bounds check`
+	return rt.NewArray(k, int(n)) // want `wire-derived value reaches the NewArray size argument without a dominating full-width bounds check`
 }
 
 // A varint-decoded count driving an array allocation is just as untrusted.
@@ -59,12 +59,23 @@ func badThroughHelper(b []byte) []byte {
 // goodWidened mirrors the fixed decode path in internal/core/reader.go: the
 // count is validated with a WIDENED comparison before it reaches the sink,
 // so the wrap is impossible and nothing is reported.
-func goodWidened(b []byte, k *klass.Klass) uint32 {
+func goodWidened(b []byte) []byte {
 	n := int(int64(binary.BigEndian.Uint32(b)))
 	if n < 0 || uint64(n)*8 > uint64(len(b)) {
-		return 0
+		return nil
 	}
-	return k.InstanceBytes(n)
+	return make([]byte, n)
+}
+
+// klass.Extent takes the length word exactly as read and is itself the
+// full-width check (it replaced the wrapping size primitive that used to be
+// a sink here), so the size it returns is clean.
+func goodExtent(b []byte, k *klass.Klass) []byte {
+	size, _, ok := k.Extent(binary.LittleEndian.Uint64(b), uint64(len(b)))
+	if !ok {
+		return nil
+	}
+	return make([]byte, size)
 }
 
 // A same-width comparison of an unwidened uint32 cannot wrap either — the
@@ -91,7 +102,7 @@ func goodClampedHelper(b []byte) []byte {
 }
 
 // Sizes that never touched the wire are not findings.
-func goodLocalSize(k *klass.Klass) uint32 {
-	n := 12
-	return k.InstanceBytes(n)
+func goodLocalSize(a heap.Addr) heap.Addr {
+	n := uint32(12)
+	return a.Add(n)
 }

@@ -13,14 +13,13 @@ import (
 // varint decodes, single-byte reads, and (in the decode layer) header words
 // loaded from not-yet-validated chunk images — and flags any such value
 // flowing into a size-like sink (make, slice indexing, heap address
-// arithmetic, Klass.InstanceBytes, Runtime.NewArray, heap copy/alloc
-// lengths) without a dominating full-width bounds comparison. A comparison
-// against a TRUNCATED conversion does not sanitize: `uint32(n) > limit`
-// with n an int64 is exactly the wrap pattern that let a crafted segment
-// header oversize a decode buffer (fixed in internal/core/reader.go by
-// widening the check to uint64). The analysis is interprocedural through
-// parameter→return summaries, so a helper that returns a wire read taints
-// its callers.
+// arithmetic, Runtime.NewArray, heap copy/alloc lengths) without a
+// dominating full-width bounds comparison. A comparison against a TRUNCATED
+// conversion does not sanitize: `uint32(n) > limit` with n an int64 is
+// exactly the wrap pattern that let a crafted segment header oversize a
+// decode buffer (fixed in internal/core/reader.go by widening the check to
+// uint64). The analysis is interprocedural through parameter→return
+// summaries, so a helper that returns a wire read taints its callers.
 var WireTaint = &framework.Analyzer{
 	Name: "wiretaint",
 	Doc: "flag wire-derived integers (binary.*Endian.Uint*, varints, unvalidated " +
@@ -32,10 +31,7 @@ var WireTaint = &framework.Analyzer{
 	Run:         runWireTaint,
 }
 
-const (
-	klassPkg = "skyway/internal/klass"
-	vmPkg    = "skyway/internal/vm"
-)
+const vmPkg = "skyway/internal/vm"
 
 // wireTaintConfig defines the source set. Everything decoded by
 // encoding/binary is untrusted by definition; byte-at-a-time reads feed
@@ -133,8 +129,9 @@ func checkWireFlows(p *framework.Pass, eng *framework.TaintEngine, ftype *ast.Fu
 	}
 }
 
-// wireSinkArgs maps heap/klass/vm methods to the index of their size or
-// length argument.
+// wireSinkArgs maps heap/vm methods to the index of their size or length
+// argument. (klass.Extent is not one: it takes the length word as read and
+// is itself the full-width check.)
 var wireSinkArgs = map[string]map[string]int{
 	heapPkg: {
 		"Add":         0, // (Addr).Add
@@ -147,8 +144,7 @@ var wireSinkArgs = map[string]map[string]int{
 		"ZeroWords":   1,
 		"DirtyRange":  1,
 	},
-	klassPkg: {"InstanceBytes": 0},
-	vmPkg:    {"NewArray": 1, "MustNewArray": 1},
+	vmPkg: {"NewArray": 1, "MustNewArray": 1},
 }
 
 func checkCallSinks(p *framework.Pass, call *ast.CallExpr, reported map[token.Pos]bool, tainted func(ast.Expr) bool) {

@@ -3,7 +3,6 @@ package batch
 import (
 	"bytes"
 	"io"
-	"net"
 	"sort"
 	"testing"
 
@@ -14,6 +13,7 @@ import (
 	"skyway/internal/race"
 	"skyway/internal/registry"
 	tcptransport "skyway/internal/transport/tcp"
+	"skyway/internal/transport/tcp/tcptest"
 	"skyway/internal/verify"
 	"skyway/internal/vm"
 )
@@ -229,18 +229,7 @@ func TestConformanceQueryOverTCP(t *testing.T) {
 		}
 		return digest, bd.ShuffleBytes
 	}
-	peers := make(map[int]string)
-	for i := 0; i < 3; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := tcptransport.Serve(i, ln)
-		defer srv.Close()
-		peers[i] = ln.Addr().String()
-	}
-	tr := tcptransport.New(peers)
-	defer tr.Close()
+	_, tr := tcptest.Start(t, 3, tcptransport.Serve, tcptransport.New)
 
 	simDigest, simBytes := run(dataflow.Config{})
 	tcpDigest, tcpBytes := run(dataflow.Config{Transport: tr})

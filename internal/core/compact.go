@@ -132,34 +132,21 @@ func (rd *Reader) decodeCompactSegment(phys, img []byte, decoded uint32) error {
 			return rd.decodeErrf(DecodeType, uint64(pos), "compact record array flag disagrees with class %s", k.Name)
 		}
 
-		size := k.Size
-		payloadOff := layout.HeaderSize()
 		arrayLen := uint64(0)
 		if isArray {
-			arrayLen, err = readUvarint()
-			if err != nil {
+			if arrayLen, err = readUvarint(); err != nil {
 				return err
 			}
-			if arrayLen > uint64(decoded) {
-				return rd.decodeErrf(DecodeLength, uint64(pos), "compact record array length %d implausible", arrayLen)
-			}
-			// Widen before multiplying (cf. vm.NewArray): InstanceBytes
-			// computes in uint32, so arrayLen near 2^32/ElemSize would wrap
-			// to a tiny size that passes the overrun check below and plants
-			// an oversized array-length header in the chunk. arrayLen <=
-			// decoded above bounds the uint64 product.
-			if uint64(k.Size)+arrayLen*uint64(k.ElemSize()) > uint64(decoded-a) {
-				return rd.decodeErrf(DecodeLength, uint64(pos), "compact record array length %d overruns its chunk", arrayLen)
-			}
-			size = k.InstanceBytes(int(arrayLen))
-			payloadOff = layout.ArrayHeaderSize()
 		}
 		// The image is as long as the chunk was declared unless the chunk
-		// table entry was fabricated; bounding by both keeps every store
-		// below inside it.
-		if end := uint64(a) + uint64(size); end > uint64(decoded) || end > uint64(len(img)) {
-			return rd.decodeErrf(DecodeLength, uint64(pos), "compact record overruns its chunk")
+		// table entry was fabricated; the shorter of the two is the room, so
+		// every store below stays inside both.
+		room := min(uint64(decoded), uint64(len(img))) - uint64(a)
+		size, _, ok := k.Extent(arrayLen, room)
+		if !ok {
+			return rd.decodeErrf(DecodeLength, uint64(pos), "compact record of %s, length %d, overruns the %d bytes left of its chunk", k.Name, arrayLen, room)
 		}
+		payloadOff := k.HeaderBytes
 		payload := size - payloadOff
 		if pos+int(payload) > len(phys) {
 			return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (payload)")

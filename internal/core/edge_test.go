@@ -363,15 +363,14 @@ func TestBufferSpaceRecycledAcrossTransfers(t *testing.T) {
 	}
 }
 
-// TestHugeArrayLengthRejected pins the widened size check in the segment walker:
-// InstanceBytes computes Pad(Size + n*ElemSize) in uint32, so a wire-supplied
-// ref-array length of 2^29 (8-byte elements) wraps to a tiny size that passes
+// TestHugeArrayLengthRejected pins the full-width extent in the segment
+// walker: Pad(Size + n*ElemSize) computed in uint32 turns a wire-supplied
+// ref-array length of 2^29 (8-byte elements) into a tiny size that passes
 // the per-object overrun check while refCount=n would drive slot reads and
-// absolutization writes far past the chunk. A length that large only passes
-// the n<=chunkSize plausibility check when the chunk itself is huge (the wire
-// format permits 1 GiB segments), so rather than stream a gigabyte through
-// the reader, the test stages a small real chunk and fabricates the chunk
-// table entry such a segment would register.
+// absolutization writes far past the chunk. The wire format permits 1 GiB
+// segments, so rather than stream a gigabyte through the reader, the test
+// stages a small real chunk and fabricates the chunk table entry such a
+// segment would register.
 func TestHugeArrayLengthRejected(t *testing.T) {
 	_, rcv, _ := testCluster(t)
 	h := rcv.Heap
@@ -432,28 +431,29 @@ func TestCompactHugeArrayLengthRejected(t *testing.T) {
 	}
 }
 
-func TestHashSetTransferStaysValid(t *testing.T) {
-	// The §1 headline applied to sets: a transferred HashSet's layout is
-	// immediately valid because element hashcodes ride in the mark words.
+func TestHashMapTransferStaysValid(t *testing.T) {
+	// The §1 headline: a transferred hash structure's layout is immediately
+	// valid because the key hashcodes ride in the mark words.
 	snd, rcv, sky := testCluster(t)
-	s, err := snd.NewHashSet(16)
+	m, err := snd.NewHashMap(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := snd.Pin(s)
-	defer sp.Release()
+	mp := snd.Pin(m)
+	defer mp.Release()
 	for i := 0; i < 40; i++ {
-		e := snd.MustNewString("elem")
-		eh := snd.Pin(e)
-		if _, err := snd.HashSetAdd(sp.Addr(), eh.Addr()); err != nil {
+		kh := snd.Pin(snd.MustNewString("key"))
+		vh := snd.Pin(snd.MustNewString("value"))
+		if err := snd.HashMapPut(mp.Addr(), kh.Addr(), vh.Addr()); err != nil {
 			t.Fatal(err)
 		}
-		eh.Release()
+		kh.Release()
+		vh.Release()
 	}
 
 	var buf bytes.Buffer
 	w := sky.NewWriter(&buf)
-	if err := w.WriteObject(sp.Addr()); err != nil {
+	if err := w.WriteObject(mp.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -461,23 +461,22 @@ func TestHashSetTransferStaysValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rcv.HashSetLen(got) != 40 {
-		t.Fatalf("received set has %d elements", rcv.HashSetLen(got))
+	if rcv.HashMapLen(got) != 40 {
+		t.Fatalf("received map has %d entries", rcv.HashMapLen(got))
 	}
-	// Every received element must be found through the received table
-	// without any rehash.
+	// Every received key must be found through the received table without
+	// any rehash.
 	n := 0
-	rcv.HashSetEach(got, func(e heap.Addr) {
-		if !rcv.HashSetContains(got, e) {
-			t.Fatal("received element not found via hash lookup")
+	rcv.HashMapEach(got, func(k, v heap.Addr) {
+		if found, ok := rcv.HashMapGet(got, k); !ok || found != v {
+			t.Fatal("received key not found via hash lookup")
 		}
 		n++
 	})
 	if n != 40 {
-		t.Fatalf("iterated %d elements", n)
+		t.Fatalf("iterated %d entries", n)
 	}
-	setK := rcv.KlassOf(got)
-	if !rcv.HashMapValid(rcv.GetRef(got, setK.FieldByName("map"))) {
-		t.Error("received set's map needs a rehash")
+	if !rcv.HashMapValid(got) {
+		t.Error("received map needs a rehash")
 	}
 }

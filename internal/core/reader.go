@@ -613,8 +613,7 @@ func (rd *Reader) resolveKlass(tid int32) (*klass.Klass, error) {
 // at receive time.
 func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64) (bool, error) {
 	rt := rd.rt
-	layout := rt.Heap.Layout()
-	offLen, arrayBase := layout.OffArrayLen(), layout.ArrayHeaderSize()
+	offLen := rt.Heap.Layout().OffArrayLen()
 	off := c.done
 	for off < c.size {
 		relOff := c.startRel + uint64(off)
@@ -634,27 +633,16 @@ func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64) (bool, error) {
 				return false, rd.decodeWrap(DecodeType, relOff, err)
 			}
 		}
-		size, nrefs := k.Size, len(k.RefOffsets)
-		if k.IsArray && uint64(off)+uint64(size) <= uint64(len(img)) {
-			n := int(binary.LittleEndian.Uint64(img[off+offLen:]))
-			// Widen before multiplying (cf. vm.NewArray): InstanceBytes
-			// computes in uint32, so a wire-supplied length near
-			// 2^32/ElemSize would wrap to a tiny size that passes the
-			// overrun check below while nrefs=n drives slot reads and
-			// absolutization writes far past the chunk. The n<=c.size
-			// pre-check bounds n so the uint64 product cannot itself
-			// overflow.
-			if n < 0 || uint64(n) > uint64(c.size) ||
-				uint64(k.Size)+uint64(n)*uint64(k.ElemSize()) > uint64(c.size-off) {
-				return false, rd.decodeErrf(DecodeLength, relOff, "array length %d of %s exceeds its chunk", n, k.Name)
-			}
-			size = k.InstanceBytes(n)
-			if k.Elem == klass.Ref {
-				nrefs = n
-			}
+		// The rest of the image is the room. A length word is read only when
+		// the array header fits in it; otherwise the zero fails on the header.
+		room := uint64(len(img)) - uint64(off)
+		var n uint64
+		if k.IsArray && uint64(k.Size) <= room {
+			n = binary.LittleEndian.Uint64(img[off+offLen:])
 		}
-		if uint64(off)+uint64(size) > uint64(len(img)) {
-			return false, rd.decodeErrf(DecodeLength, relOff, "%d-byte %s overruns its chunk", size, k.Name)
+		size, nrefs, ok := k.Extent(n, room)
+		if !ok {
+			return false, rd.decodeErrf(DecodeLength, relOff, "%s of length %d overruns the %d bytes left of its chunk", k.Name, n, room)
 		}
 		obj := img[off : off+size]
 
@@ -662,7 +650,7 @@ func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64) (bool, error) {
 		// out-of-space relative pointer — post-checksum corruption the
 		// CRC cannot see, which the bounds check below must reject.
 		if nrefs > 0 && fault.Eval(fault.CoreChunkBadPtr) {
-			binary.LittleEndian.PutUint64(obj[refSlot(k, arrayBase, 0):], 0xDEADBEEF)
+			binary.LittleEndian.PutUint64(obj[k.RefSlot(0):], 0xDEADBEEF)
 		}
 
 		// First pass: verify every reference is well formed and
@@ -671,7 +659,7 @@ func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64) (bool, error) {
 		// now; a well-formed forward reference beyond the received data
 		// defers the rest of the scan (nothing mutated yet).
 		for i := 0; i < nrefs; i++ {
-			rel := binary.LittleEndian.Uint64(obj[refSlot(k, arrayBase, i):])
+			rel := binary.LittleEndian.Uint64(obj[k.RefSlot(i):])
 			if rel == 0 {
 				continue
 			}
@@ -689,7 +677,7 @@ func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64) (bool, error) {
 			// Commit: install the klass word, absolutize references.
 			binary.LittleEndian.PutUint64(obj[klass.OffKlass:], uint64(k.LID))
 			for i := 0; i < nrefs; i++ {
-				slot := obj[refSlot(k, arrayBase, i):]
+				slot := obj[k.RefSlot(i):]
 				rel := binary.LittleEndian.Uint64(slot)
 				if rel == 0 {
 					continue
@@ -711,15 +699,6 @@ func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64) (bool, error) {
 		c.done = off
 	}
 	return true, nil
-}
-
-// refSlot returns the offset of the i-th reference slot of an instance of k:
-// an entry of the klass's ref-slot table, or an element of a reference array.
-func refSlot(k *klass.Klass, arrayBase uint32, i int) uint32 {
-	if k.IsArray {
-		return arrayBase + uint32(i)*klass.WordSize
-	}
-	return k.RefOffsets[i]
 }
 
 // applyUpdates runs the registered §3.3 field updates on the object whose

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"testing/iotest"
@@ -276,6 +277,192 @@ func TestArenaWalkMatchesInPlace(t *testing.T) {
 			t.Fatalf("date %d: month %d in place, %d arena", i, ref[i], lazy[i])
 		}
 	}
+
+	t.Run("shapes", func(t *testing.T) { walkersAgreeOnShape(t, snd, rcv, sky) })
+}
+
+// shapeRow is what one walker made of one object: its class, its padded size
+// and the offsets of its reference slots.
+type shapeRow struct {
+	class string
+	size  uint32
+	slots []uint32
+}
+
+// shapeRows walks the size bytes at base object by object through one of the
+// runtime's two shape views: live objects (ObjectSize / RefSlots) or wire
+// images (ImageSize / ImageRefSlots).
+func shapeRows(t *testing.T, rt *vm.Runtime, base heap.Addr, size uint32, images bool) []shapeRow {
+	t.Helper()
+	var rows []shapeRow
+	for a, end := base, base.Add(size); a < end; {
+		var r shapeRow
+		add := func(off uint32) { r.slots = append(r.slots, off) }
+		if images {
+			k, err := rt.KlassByTID(int32(uint32(rt.Heap.KlassWord(a))))
+			if err != nil {
+				t.Fatalf("image %d: %v", len(rows), err)
+			}
+			r.class = k.Name
+			r.size, _ = rt.ImageSize(a)
+			rt.ImageRefSlots(a, add)
+		} else {
+			r.class, r.size = rt.KlassOf(a).Name, rt.ObjectSize(a)
+			rt.RefSlots(a, add)
+		}
+		if r.size == 0 {
+			t.Fatalf("object %d, a %s, has no size", len(rows), r.class)
+		}
+		rows = append(rows, r)
+		a = a.Add(r.size)
+	}
+	return rows
+}
+
+// walkersAgreeOnShape is the cross-walker table: every object of one stream
+// — records, a two-slot Pair with a null, a String, reference and primitive
+// arrays of every element width, empty ones included — must have the same
+// size and the same reference slots as a live object on the sender, as a
+// wire image in an unwalked eager chunk, as a re-inflated compact record, as
+// the object the in-place walk commits, as the image an arena handle
+// resolves to, and as that handle's promoted copy.
+func walkersAgreeOnShape(t *testing.T, snd, rcv *vm.Runtime, sky *Skyway) {
+	var roots []heap.Addr
+	root := func(a heap.Addr) heap.Addr {
+		h := snd.Pin(a)
+		t.Cleanup(h.Release)
+		roots = append(roots, a)
+		return a
+	}
+	for _, a := range recordCorpus(t, snd, 6) {
+		root(a)
+	}
+	ck, pk := snd.MustLoad("Cell"), snd.MustLoad("Pair")
+	pair := root(snd.MustNew(pk))
+	snd.SetRef(pair, pk.FieldByName("b"), root(snd.MustNew(ck)))
+	root(snd.MustNewString("skyway"))
+	dates := root(snd.MustNewArray(snd.MustLoad("Date[]"), 3))
+	for i := 0; i < 3; i++ {
+		snd.ArraySetRef(dates, i, roots[2]) // a Date of the record corpus
+	}
+	root(snd.MustNewArray(snd.MustLoad("Date[]"), 0))
+	for _, arr := range []struct {
+		class string
+		n     int
+	}{{"byte[]", 5}, {"short[]", 3}, {"int[]", 5}, {"long[]", 2}, {"double[]", 1}, {"long[]", 0}} {
+		a := root(snd.MustNewArray(snd.MustLoad(arr.class), arr.n))
+		for i := 0; i < arr.n && arr.class != "double[]"; i++ {
+			snd.ArraySetLong(a, i, int64(i+1))
+		}
+	}
+
+	// payload returns the one segment of a stream of the roots.
+	payload := func(tag byte, hdr int, opts ...WriterOption) []byte {
+		var buf bytes.Buffer
+		encodeRecords(t, sky, roots, &buf, opts...)
+		f := buf.Bytes()[8:]
+		if f[0] != tag || f[hdr+int(binary.BigEndian.Uint32(f[1:]))] != frameTop {
+			t.Fatalf("stream is not one %#x segment followed by its top marks", tag)
+		}
+		return f[:hdr+int(binary.BigEndian.Uint32(f[1:]))]
+	}
+	h := rcv.Heap
+	stage := func(size uint32) heap.Addr {
+		a := h.AllocBuffer(size)
+		if a == heap.Null {
+			t.Fatal("buffer allocation failed")
+		}
+		t.Cleanup(func() { h.FreeBufferRange(a, size) })
+		return a
+	}
+
+	// The wire image, as it lands in an eager chunk no walker has touched.
+	seg := payload(frameSegment, 9)[9:]
+	size := uint32(len(seg))
+	wireAt := stage(size)
+	h.CopyIn(wireAt, size, seg)
+	want := shapeRows(t, rcv, wireAt, size, true)
+	if len(want) < len(roots) {
+		t.Fatalf("%d images for %d roots", len(want), len(roots))
+	}
+	check := func(view string, got []shapeRow) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s disagrees with the wire images:\n got %v\nwant %v", view, got, want)
+		}
+	}
+
+	// The compact record of each, re-inflated.
+	compact := payload(frameCompact, 13, WithCompactHeaders())
+	if decoded := binary.BigEndian.Uint32(compact[5:]); decoded != size {
+		t.Fatalf("compact segment declares %d decoded bytes, the standard one has %d", decoded, size)
+	}
+	inflatedAt := stage(size)
+	if err := NewReader(rcv, bytes.NewReader(nil)).decodeCompactSegment(compact[13:], h.ByteView(inflatedAt, size), size); err != nil {
+		t.Fatal(err)
+	}
+	check("compact re-inflation", shapeRows(t, rcv, inflatedAt, size, true))
+
+	// The objects the in-place walk commits, and the sender's own.
+	var wire bytes.Buffer
+	encodeRecords(t, sky, roots, &wire)
+	eager := NewReader(rcv, bytes.NewReader(wire.Bytes()))
+	got, err := eager.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(eager.chunks) != 1 {
+		t.Fatalf("stream decoded into %d chunks, want 1", len(eager.chunks))
+	}
+	check("in-place walk", shapeRows(t, rcv, eager.chunks[0].base, eager.chunks[0].size, false))
+	for i, a := range got {
+		ours, theirs := shapeRows(t, snd, roots[i], snd.ObjectSize(roots[i]), false), shapeRows(t, rcv, a, rcv.ObjectSize(a), false)
+		if !reflect.DeepEqual(ours, theirs) {
+			t.Errorf("root %d is %v on the sender, %v received", i, ours, theirs)
+		}
+	}
+	eager.Free()
+
+	// The arena image each handle resolves to — Promote copies exactly that
+	// image into a pin of its own, and re-tags exactly its non-null
+	// reference slots — and the promoted copy as a live object.
+	lazy := NewReader(rcv, bytes.NewReader(wire.Bytes()), WithArena())
+	defer lazy.Free()
+	if _, err := lazy.ReadAll(); err != nil {
+		t.Fatal(err)
+	}
+	var promoted []shapeRow
+	off := uint32(0)
+	for i, w := range want {
+		hnd := heap.ComposeArenaAddr(lazy.region.ID(), relBias+uint64(off))
+		p, err := rcv.Promote(hnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := shapeRow{class: rcv.KlassOf(hnd).Name}
+		rcv.EachPinned(func(start heap.Addr, size uint32, _ bool) {
+			if start == p {
+				r.size = size
+			}
+		})
+		nonNull := shapeRow{class: w.class, size: w.size}
+		for _, s := range w.slots {
+			if h.Load(wireAt.Add(off), s, klass.Ref) != 0 {
+				nonNull.slots = append(nonNull.slots, s)
+			}
+		}
+		for s := uint32(klass.OffKlass + klass.WordSize); s < r.size; s += klass.WordSize {
+			if heap.IsArenaAddr(heap.Addr(h.Load(p, s, klass.Ref))) {
+				r.slots = append(r.slots, s)
+			}
+		}
+		if !reflect.DeepEqual(r, nonNull) {
+			t.Errorf("object %d: arena image promotes as %v, want %v", i, r, nonNull)
+		}
+		promoted = append(promoted, shapeRows(t, rcv, p, w.size, false)...)
+		off += w.size
+	}
+	check("promoted copies", promoted)
 }
 
 // A segment too short to hold an object header is a length error on both

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net"
 	"time"
 
@@ -113,13 +114,15 @@ type Writer struct {
 }
 
 // grayRec is one claimed object awaiting its clone: where it lives, where
-// its image goes, and its klass under the sender's layout (k) and the
-// stream's (tk — the same klass unless the layouts differ).
+// its image goes, its klass under the sender's layout (k) and the stream's
+// (tk — the same klass unless the layouts differ), and tk.Extent's answer:
+// the image's size and the reference-slot count, which k shares.
 type grayRec struct {
 	obj   heap.Addr
 	rel   uint64
 	k, tk *klass.Klass
 	size  uint32
+	nrefs int
 }
 
 // WriterOption configures a Writer.
@@ -222,7 +225,7 @@ func (w *Writer) WriteObject(root heap.Addr) error {
 		// rec may point into the queue, which cloneInBuffer grows: its
 		// fields are read out as arguments before the call.
 		for rec := &first; ; w.grayHead++ {
-			if err := w.cloneInBuffer(rec.obj, rec.rel, rec.k, rec.tk, rec.size); err != nil {
+			if err := w.cloneInBuffer(rec.obj, rec.rel, rec.k, rec.tk, rec.size, rec.nrefs); err != nil {
 				return err
 			}
 			if w.grayHead == len(w.gray) {
@@ -295,12 +298,15 @@ func (w *Writer) reserve(obj heap.Addr, rec *grayRec) error {
 			return err
 		}
 	}
-	size := tk.Size
+	var n uint64
 	if tk.IsArray {
-		//skyway:allow wiretaint — encode path: obj lives in the local heap, so its length header was written by this process's allocator, not read off the wire
-		size = tk.InstanceBytes(w.rt.Heap.ArrayLen(obj))
+		n = uint64(w.rt.Heap.ArrayLen(obj))
 	}
-	rec.obj, rec.rel, rec.k, rec.tk, rec.size = obj, w.allocable, k, tk, size
+	size, nrefs, ok := tk.Extent(n, math.MaxUint32)
+	if !ok {
+		return fmt.Errorf("skyway: %s of length %d has no 32-bit size under the target layout", k.Name, n)
+	}
+	rec.obj, rec.rel, rec.k, rec.tk, rec.size, rec.nrefs = obj, w.allocable, k, tk, size, nrefs
 	w.allocable += uint64(size)
 	if w.allocable-relBias > heap.BaddrRelMask {
 		return fmt.Errorf("skyway: stream exceeded 1 TiB relative address space")
@@ -348,7 +354,7 @@ func (w *Writer) targetKlassOf(k *klass.Klass) (*klass.Klass, error) {
 // relativization, Algorithm 2 lines 10-27). Everything that depends only on
 // the klass — sizes, byte composition, ref-slot tables — was fixed when the
 // klass was resolved.
-func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k, tk *klass.Klass, size uint32) error {
+func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k, tk *klass.Klass, size uint32, nrefs int) error {
 	h := w.rt.Heap
 	if k.TID < 0 {
 		return fmt.Errorf("skyway: class %s has no global type ID (runtime %s is not attached to a registry)", k.Name, w.rt.Name)
@@ -409,26 +415,13 @@ func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k, tk *klass.Klass, si
 
 	// Relativize references. payload is the unpadded field data, for the
 	// byte-composition accounting below.
-	var ptrSlots int
 	payload := tk.PayloadBytes
 	if k.IsArray {
-		n := h.ArrayLen(obj)
-		payload = uint32(n) * k.ElemSize()
-		if k.Elem == klass.Ref {
-			ptrSlots = n
-			srcBase, dstBase := k.HeaderBytes, tk.HeaderBytes
-			for i := 0; i < n; i++ {
-				if err := w.relativize(img, obj, srcBase+uint32(i)*8, dstBase+uint32(i)*8); err != nil {
-					return err
-				}
-			}
-		}
-	} else {
-		ptrSlots = len(k.RefOffsets)
-		for i, srcOff := range k.RefOffsets {
-			if err := w.relativize(img, obj, srcOff, tk.RefOffsets[i]); err != nil {
-				return err
-			}
+		payload = uint32(h.ArrayLen(obj)) * k.ElemSize()
+	}
+	for i := 0; i < nrefs; i++ {
+		if err := w.relativize(img, obj, k.RefSlot(i), tk.RefSlot(i)); err != nil {
+			return err
 		}
 	}
 
@@ -441,7 +434,7 @@ func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k, tk *klass.Klass, si
 	w.Objects++
 	w.Bytes += uint64(size)
 	w.headerB += uint64(tk.HeaderBytes)
-	w.ptrB += uint64(ptrSlots) * 8
+	w.ptrB += uint64(nrefs) * 8
 	w.padB += uint64(size - tk.HeaderBytes - payload)
 	return nil
 }
@@ -566,7 +559,6 @@ func (w *Writer) cloneCrossLayout(obj heap.Addr, k, tk *klass.Klass, img []byte)
 		// per-element load/store loop; es divides the word size, so only the
 		// sub-word tail — at most 7 bytes — goes element by element, and the
 		// cleared image keeps the padding identical to what the loop left.
-		//skyway:allow wiretaint — encode path: obj lives in the local heap, so its length header was written by this process's allocator, not read off the wire
 		total := uint32(n) * es
 		whole := total &^ (klass.WordSize - 1)
 		if whole > 0 {

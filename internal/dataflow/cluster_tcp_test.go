@@ -18,6 +18,7 @@ import (
 	"skyway/internal/registry"
 	"skyway/internal/serial"
 	tcptransport "skyway/internal/transport/tcp"
+	"skyway/internal/transport/tcp/tcptest"
 )
 
 // The re-exec trampoline: when the test binary is launched with
@@ -84,26 +85,6 @@ func spawnExecutors(t *testing.T, n int, regAddr string) {
 			cmd.Wait()
 		})
 	}
-}
-
-// startBlockServers boots n in-process executor block servers and a
-// transport over them, so failpoints fire deterministically in one process.
-func startBlockServers(t *testing.T, n int) ([]*tcptransport.Server, *tcptransport.Transport) {
-	t.Helper()
-	srvs := make([]*tcptransport.Server, n)
-	peers := make(map[int]string, n)
-	for i := range srvs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = tcptransport.Serve(i, ln)
-		t.Cleanup(func() { srvs[i].Close() })
-		peers[i] = ln.Addr().String()
-	}
-	tr := tcptransport.New(peers)
-	t.Cleanup(func() { tr.Close() })
-	return srvs, tr
 }
 
 // tcpWordCountInput builds the deterministic workload both the TCP and the
@@ -217,7 +198,7 @@ func TestTCPChaosMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(fault.Reset)
-		_, tr := startBlockServers(t, workers)
+		_, tr := tcptest.Start(t, workers, tcptransport.Serve, tcptransport.New)
 		_, total, err := runTCPWordCount(t, workers, tr, "")
 		return total, err
 	}
@@ -310,7 +291,7 @@ func TestRetriedFetchChargedInReadIO(t *testing.T) {
 // payload.
 func TestBroadcastOverTCPDropsBlocks(t *testing.T) {
 	const workers = 3
-	srvs, tr := startBlockServers(t, workers)
+	srvs, tr := tcptest.Start(t, workers, tcptransport.Serve, tcptransport.New)
 	c := newClosureCluster(t, "skyway", Config{Workers: workers, Heap: smallHeap(), Transport: tr})
 	copies, bd, err := broadcastParser(c)
 	if err != nil {

@@ -232,7 +232,7 @@ func TestPinnedChunksSurviveAndAnchor(t *testing.T) {
 	k := rt.MustLoad("N")
 
 	// Build a fake parsed input chunk holding one object.
-	size := k.InstanceBytes(0)
+	size := k.Size
 	base := rt.Heap.AllocBuffer(klass.Pad(size))
 	rt.Heap.ZeroWords(base, klass.Pad(size))
 	rt.Heap.SetKlassWord(base, uint64(k.LID))

@@ -1,6 +1,8 @@
 package klass
 
 import (
+	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -156,8 +158,8 @@ func TestArrayKlassSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ka.InstanceBytes(3) != Pad(32+12) {
-		t.Errorf("int[3] bytes = %d", ka.InstanceBytes(3))
+	if size, nrefs, ok := ka.Extent(3, 48); size != Pad(32+12) || nrefs != 0 || !ok {
+		t.Errorf("int[3] extent = %d, %d, %v", size, nrefs, ok)
 	}
 	kr, err := ResolveArray("X[]", l)
 	if err != nil {
@@ -166,8 +168,69 @@ func TestArrayKlassSizes(t *testing.T) {
 	if kr.Elem != Ref || kr.ElemClass != "X" {
 		t.Errorf("ref array elem = %v %q", kr.Elem, kr.ElemClass)
 	}
-	if kr.InstanceBytes(2) != 32+16 {
-		t.Errorf("X[2] bytes = %d", kr.InstanceBytes(2))
+	if size, nrefs, ok := kr.Extent(2, 48); size != 32+16 || nrefs != 2 || !ok {
+		t.Errorf("X[2] extent = %d, %d, %v", size, nrefs, ok)
+	}
+	if kr.RefSlot(0) != 32 || kr.RefSlot(1) != 40 {
+		t.Errorf("X[2] slots at %d, %d", kr.RefSlot(0), kr.RefSlot(1))
+	}
+	// One byte short of room, and the PR 5 wrap: 2^29 eight-byte elements
+	// are 2^32 bytes, which a 32-bit product turns into a bare header.
+	if _, _, ok := kr.Extent(2, 47); ok {
+		t.Error("X[2] fits in 47 bytes")
+	}
+	if size, nrefs, ok := kr.Extent(1<<29, math.MaxUint64); ok {
+		t.Errorf("X[2^29] extent = %d, %d, ok", size, nrefs)
+	}
+}
+
+// Property: Extent is the padded instance size computed without wrapping. It
+// agrees with a math/big reference on size and fit for any klass, length
+// word and room, never reports a size beyond the room, sizes in whole words,
+// and counts reference slots only where there are references.
+func TestExtentMatchesBigReferenceQuick(t *testing.T) {
+	l := Layout{Baddr: true}
+	var klasses []*Klass
+	for _, name := range []string{"boolean[]", "byte[]", "short[]", "char[]", "int[]", "float[]", "long[]", "double[]", "X[]"} {
+		k, err := ResolveArray(name, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		klasses = append(klasses, k)
+	}
+	klasses = append(klasses, mustResolve(t, &ClassDef{Name: "P", Fields: []FieldDef{
+		{Name: "a", Kind: Ref, Class: "P"}, {Name: "b", Kind: Int8}, {Name: "c", Kind: Ref, Class: "P"},
+	}}, nil, l))
+	// Raw 64-bit draws almost never land near a boundary, so each value is
+	// shifted down by a drawn amount: lengths and rooms of every magnitude,
+	// the 2^29..2^32 wrap band included.
+	f := func(sel uint8, nRaw, roomRaw uint64, nShift, roomShift uint8) bool {
+		k := klasses[int(sel)%len(klasses)]
+		n, room := nRaw>>(nShift%64), roomRaw>>(roomShift%64)
+		size, nrefs, ok := k.Extent(n, room)
+
+		want := new(big.Int).SetUint64(uint64(k.Size))
+		wantRefs := len(k.RefOffsets)
+		if k.IsArray {
+			payload := new(big.Int).Mul(new(big.Int).SetUint64(n), big.NewInt(int64(k.Elem.Size())))
+			want.Add(want, payload).Add(want, big.NewInt(WordSize-1))
+			want.Sub(want, new(big.Int).Mod(want, big.NewInt(WordSize)))
+			wantRefs = 0
+			if k.Elem == Ref {
+				wantRefs = int(n)
+			}
+		}
+		fits := want.Cmp(new(big.Int).SetUint64(room)) <= 0 && want.Cmp(big.NewInt(math.MaxUint32)) <= 0
+		if ok != fits {
+			return false
+		}
+		if !ok {
+			return size == 0 && nrefs == 0
+		}
+		return uint64(size) == want.Uint64() && uint64(size) <= room && size%WordSize == 0 && nrefs == wantRefs
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package klass
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Layout describes the object header geometry of one runtime. The paper's
 // Figure 6 shows the Skyway layout on a 64-bit HotSpot: an 8-byte mark word
@@ -206,13 +209,41 @@ func ResolveArray(name string, l Layout) (*Klass, error) {
 	}, nil
 }
 
-// InstanceBytes returns the total padded size in bytes of an instance of k;
-// n is the element count for arrays and ignored otherwise.
-func (k *Klass) InstanceBytes(n int) uint32 {
-	if !k.IsArray {
-		return k.Size
+// Extent is the one answer to "what is an instance of k": its padded size in
+// bytes and how many reference slots (RefSlot) it has. n is the instance's
+// array-length word exactly as read — from a heap object, a wire image or a
+// compact record — and is ignored for a non-array; room is how many bytes
+// the instance may occupy (what is left of its chunk, segment or slab). ok
+// is false, with a zero size and no slots, when the padded instance does not
+// fit in room or in the 32 bits every size is carried in. The arithmetic is
+// 64 bits wide, so a length forged to wrap a 32-bit product fails here
+// instead of yielding a small size with a huge slot count.
+func (k *Klass) Extent(n, room uint64) (size uint32, nrefs int, ok bool) {
+	end := uint64(k.Size)
+	nrefs = len(k.RefOffsets)
+	if k.IsArray {
+		// An element is at least a byte, so an array this long already fits
+		// no 32-bit size; clamping keeps the product below inside 64 bits.
+		n = min(n, math.MaxUint32)
+		end = (end + n*uint64(k.Elem.Size()) + WordSize - 1) &^ (WordSize - 1)
+		if k.Elem == Ref {
+			nrefs = int(n)
+		}
 	}
-	return Pad(k.Size + uint32(n)*k.ElemSize())
+	if end > min(room, math.MaxUint32) {
+		return 0, 0, false
+	}
+	return uint32(end), nrefs, true
+}
+
+// RefSlot returns the byte offset of the i-th of the nrefs reference slots
+// Extent reported: an element of a reference array (whose Size is its header
+// size), or an entry of the klass's ref-slot table.
+func (k *Klass) RefSlot(i int) uint32 {
+	if k.IsArray {
+		return k.Size + uint32(i)*WordSize
+	}
+	return k.RefOffsets[i]
 }
 
 func align(off, sz uint32) uint32 {

@@ -8,12 +8,12 @@ package transport_test
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"testing"
 
 	"skyway/internal/netsim"
 	"skyway/internal/transport"
 	tcptransport "skyway/internal/transport/tcp"
+	"skyway/internal/transport/tcp/tcptest"
 )
 
 const conformanceWorkers = 3
@@ -44,17 +44,8 @@ func eachTransport(t *testing.T, fn func(t *testing.T, tr transport.Transport)) 
 // boundary (the multi-process path is pinned by the dataflow cluster test).
 func startTCP(t *testing.T, n int) *tcptransport.Transport {
 	t.Helper()
-	peers := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := tcptransport.Serve(i, ln)
-		t.Cleanup(func() { srv.Close() })
-		peers[i] = ln.Addr().String()
-	}
-	return tcptransport.New(peers)
+	_, tr := tcptest.Start(t, n, tcptransport.Serve, tcptransport.New)
+	return tr
 }
 
 // testBlock builds a deterministic block whose content encodes its identity,

@@ -11,22 +11,14 @@ import (
 	"skyway/internal/core"
 	"skyway/internal/fault"
 	"skyway/internal/framed"
+	"skyway/internal/transport/tcp/tcptest"
 )
 
 // startCluster boots n in-process block servers and a transport over them.
 func startCluster(t *testing.T, n int) *Transport {
 	t.Helper()
-	peers := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := Serve(i, ln)
-		t.Cleanup(func() { srv.Close() })
-		peers[i] = ln.Addr().String()
-	}
-	return New(peers)
+	_, tr := tcptest.Start(t, n, Serve, New)
+	return tr
 }
 
 func patternBlock(n int) []byte {
@@ -45,7 +37,6 @@ func patternBlock(n int) []byte {
 // intact: the damage was confined to the wire copy.
 func TestTornStreamSurfacesDecodeError(t *testing.T) {
 	tr := startCluster(t, 2)
-	defer tr.Close()
 	sh, err := tr.NewShuffle(1)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +75,6 @@ func TestTornStreamSurfacesDecodeError(t *testing.T) {
 // the pool's fresh-connection retry — the caller sees a clean block.
 func TestTornStreamTransientAbsorbedByRetry(t *testing.T) {
 	tr := startCluster(t, 2)
-	defer tr.Close()
 	sh, err := tr.NewShuffle(1)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +106,6 @@ func TestTornStreamTransientAbsorbedByRetry(t *testing.T) {
 // control, not decoration.
 func TestSlowPeerBackpressure(t *testing.T) {
 	tr := startCluster(t, 2)
-	defer tr.Close()
 	sh, err := tr.NewShuffle(1)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +137,6 @@ func TestSlowPeerBackpressure(t *testing.T) {
 // backoff-and-redial discipline.
 func TestDialFailpoint(t *testing.T) {
 	tr := startCluster(t, 2)
-	defer tr.Close()
 	sh, err := tr.NewShuffle(1)
 	if err != nil {
 		t.Fatal(err)
@@ -180,15 +168,7 @@ func TestDialFailpoint(t *testing.T) {
 // TestPooledConnectionReuse: consecutive exchanges with the same peer reuse
 // one pooled connection instead of dialing per exchange.
 func TestPooledConnectionReuse(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(0, ln)
-	defer srv.Close()
-	tr := New(map[int]string{0: ln.Addr().String()})
-	defer tr.Close()
-	sh, err := tr.NewShuffle(1)
+	sh, err := startCluster(t, 1).NewShuffle(1)
 	if err != nil {
 		t.Fatal(err)
 	}

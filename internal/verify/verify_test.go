@@ -157,6 +157,29 @@ func TestCheckChunkFlagsUnrelativizedPointer(t *testing.T) {
 	}
 }
 
+// TestCheckChunkBoundsForgedArrayLength pins the audit of a suffix no walker
+// has validated: a reference-array image whose length word says 2^29 has a
+// 2^32-byte payload, which a 32-bit size computation wraps to the bare array
+// header — a size that fits the chunk exactly — after which the slot walk
+// ran 2^29 loads through and off the end of the slab. The full-width extent
+// fits nowhere, so the walk must end at that image with one BadWalk.
+func TestCheckChunkBoundsForgedArrayLength(t *testing.T) {
+	rt := newRT(t)
+	ak := rt.MustLoad("Node[]")
+	h := rt.Heap
+
+	base := h.AllocBuffer(ak.Size)
+	if base == heap.Null {
+		t.Fatal("buffer allocation failed")
+	}
+	h.ZeroWords(base, ak.Size)
+	h.SetKlassWord(base, uint64(uint32(ak.TID)))
+	h.SetArrayLen(base, 1<<29)
+
+	chunk := verify.Chunk{Base: base, Size: ak.Size, Limit: heap.RelBias + uint64(ak.Size)}
+	exactlyOne(t, verify.CheckChunk(h, rt, chunk), verify.BadWalk, base)
+}
+
 func TestGCVerifyHookPanicsOnCorruption(t *testing.T) {
 	cp := klass.NewPath()
 	cp.MustDefine(&klass.ClassDef{Name: "Node", Fields: []klass.FieldDef{

@@ -245,7 +245,8 @@ func (rt *Runtime) elems(a heap.Addr, want kindSet) (klass.Kind, []byte) {
 		panic(fmt.Sprintf("vm: bulk access to a %s, not an array of the element kind asked for", k.Name))
 	}
 	if img == nil {
-		img = rt.Heap.ByteView(a, k.InstanceBytes(rt.Heap.ArrayLen(a)))
+		size, _ := rt.shape(a, k)
+		img = rt.Heap.ByteView(a, size)
 	}
 	hdr := rt.Heap.Layout().ArrayHeaderSize()
 	n := heap.LoadBytes(img, rt.Heap.Layout().OffArrayLen(), klass.Int64)

@@ -50,19 +50,15 @@ func (rt *Runtime) resolve(a heap.Addr) (reg *arena.Region, k *klass.Klass, img 
 	if k = rt.byTID[tid]; k == nil {
 		panic(fmt.Sprintf("vm: %s: arena object %#x has unresolvable type ID %d", rt.Name, uint64(a), tid))
 	}
-	size := k.Size
-	if k.IsArray && uint64(size) <= uint64(len(img)) {
-		// Widen before multiplying (cf. NewArray): InstanceBytes computes in
-		// uint32, so a forged length must fail here, not wrap to a size that
-		// passes the bound below.
-		n := heap.LoadBytes(img, rt.Heap.Layout().OffArrayLen(), klass.Int64)
-		if n > uint64(len(img)) || uint64(size)+n*uint64(k.ElemSize()) > uint64(len(img)) {
-			panic(fmt.Sprintf("vm: %s: arena read escapes its segment: %s of length %d at %#x", rt.Name, k.Name, n, uint64(a)))
-		}
-		size = k.InstanceBytes(int(n))
+	// The segment tail is the room; a length word is read only when the
+	// array header fits in it, and otherwise the zero stands in and fails too.
+	var n uint64
+	if k.IsArray && uint64(k.Size) <= uint64(len(img)) {
+		n = heap.LoadBytes(img, rt.Heap.Layout().OffArrayLen(), klass.Int64)
 	}
-	if uint64(size) > uint64(len(img)) {
-		panic(fmt.Sprintf("vm: %s: arena read escapes its segment: %d-byte %s at %#x", rt.Name, size, k.Name, uint64(a)))
+	size, _, ok := k.Extent(n, uint64(len(img)))
+	if !ok {
+		panic(fmt.Sprintf("vm: %s: arena read escapes its segment: %s of length %d at %#x", rt.Name, k.Name, n, uint64(a)))
 	}
 	return reg, k, img[:size:size], heap.Null
 }
@@ -145,26 +141,15 @@ func (rt *Runtime) Promote(a heap.Addr) (heap.Addr, error) {
 	// type ID -> local klass ID. References are re-tagged rather than
 	// translated — their targets still live in the region.
 	h.SetKlassWord(dst, uint64(k.LID))
-	// Walked inline rather than through RefSlots: its callback parameter is a
-	// dynamic call the staleaddr call graph must treat as allocating, and
-	// this funnel sits under every typed setter.
-	retag := func(off uint32) {
+	// Walked by index rather than through a callback, which is a dynamic
+	// call the staleaddr call graph must treat as allocating, and this funnel
+	// sits under every typed setter.
+	_, nrefs := rt.shape(dst, k)
+	for i := 0; i < nrefs; i++ {
+		off := k.RefSlot(i)
 		if r := h.Load(dst, off, klass.Ref); r != 0 {
 			//skyway:allow writebarrier — the stored value is a tagged arena address, not a young-generation pointer; the card table has nothing to find
 			h.Store(dst, off, klass.Ref, uint64(heap.ComposeArenaAddr(reg.ID(), r)))
-		}
-	}
-	if k.IsArray {
-		if k.Elem == klass.Ref {
-			n := h.ArrayLen(dst)
-			base := h.Layout().ArrayHeaderSize()
-			for i := 0; i < n; i++ {
-				retag(base + uint32(i)*8)
-			}
-		}
-	} else {
-		for _, off := range k.RefOffsets {
-			retag(off)
 		}
 	}
 	pin := rt.GC.Pin(dst, size)

@@ -142,54 +142,3 @@ func TestRehashRejectsNonMap(t *testing.T) {
 		t.Error("rehash of a String succeeded")
 	}
 }
-
-func TestHashSet(t *testing.T) {
-	rt := testRuntime(t)
-	s, err := rt.NewHashSet(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := rt.Pin(s)
-	defer sp.Release()
-
-	// Hold elements through GC-safe handles: later allocations may move
-	// earlier elements.
-	var elems []interface {
-		Addr() heap.Addr
-		Release()
-	}
-	for i := 0; i < 30; i++ {
-		e := rt.MustNewString("e")
-		eh := rt.Pin(e)
-		added, err := rt.HashSetAdd(sp.Addr(), eh.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !added {
-			t.Fatal("fresh element reported as duplicate")
-		}
-		elems = append(elems, eh)
-		defer eh.Release()
-	}
-	if rt.HashSetLen(sp.Addr()) != 30 {
-		t.Fatalf("len = %d", rt.HashSetLen(sp.Addr()))
-	}
-	// Re-adding an existing element is a no-op.
-	added, err := rt.HashSetAdd(sp.Addr(), elems[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added {
-		t.Error("duplicate add succeeded")
-	}
-	for _, e := range elems {
-		if !rt.HashSetContains(sp.Addr(), e.Addr()) {
-			t.Fatal("member missing")
-		}
-	}
-	n := 0
-	rt.HashSetEach(sp.Addr(), func(heap.Addr) { n++ })
-	if n != 30 {
-		t.Errorf("iterated %d", n)
-	}
-}

@@ -7,6 +7,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -228,34 +229,67 @@ func (rt *Runtime) KlassOf(a heap.Addr) *klass.Klass {
 	return rt.KlassAt(int32(rt.Heap.KlassWord(a)))
 }
 
-// --- gc.Meta ---------------------------------------------------------------
+// --- object shape (gc.Meta, verify.Meta, verify.ChunkMeta) --------------------
+
+// shape asks klass.Extent what the instance of k at a is — a live object, or
+// a wire image in buffer space; the two differ only in how their klass word
+// resolved to k — bounded by the slab a lies in. The size is 0 when the
+// length word describes no instance that fits: the collector cannot meet
+// that (it walks what NewArray and the validating walker sized), and the
+// verifier reports a zero size as a BadWalk.
+func (rt *Runtime) shape(a heap.Addr, k *klass.Klass) (size uint32, nrefs int) {
+	room := rt.Heap.TotalBytes() - uint64(a)
+	var n uint64
+	if k.IsArray && uint64(k.Size) <= room {
+		n = uint64(rt.Heap.ArrayLen(a))
+	}
+	size, nrefs, _ = k.Extent(n, room)
+	return size, nrefs
+}
+
+// refSlots hands fn the offset of every reference slot of the instance of k
+// at a. (Apart from shape: a callback is a dynamic call, which the staleaddr
+// call graph must treat as allocating, and the size side must not be.)
+func (rt *Runtime) refSlots(a heap.Addr, k *klass.Klass, fn func(off uint32)) {
+	_, nrefs := rt.shape(a, k)
+	for i := 0; i < nrefs; i++ {
+		fn(k.RefSlot(i))
+	}
+}
 
 // ObjectSize implements gc.Meta.
 func (rt *Runtime) ObjectSize(a heap.Addr) uint32 {
-	k := rt.KlassOf(a)
-	if !k.IsArray {
-		return k.Size
-	}
-	return k.InstanceBytes(rt.Heap.ArrayLen(a))
+	size, _ := rt.shape(a, rt.KlassOf(a))
+	return size
 }
 
 // RefSlots implements gc.Meta.
-func (rt *Runtime) RefSlots(a heap.Addr, fn func(off uint32)) {
-	k := rt.KlassOf(a)
-	if k.IsArray {
-		if k.Elem != klass.Ref {
-			return
-		}
-		n := rt.Heap.ArrayLen(a)
-		base := rt.Heap.Layout().ArrayHeaderSize()
-		for i := 0; i < n; i++ {
-			fn(base + uint32(i)*8)
-		}
-		return
+func (rt *Runtime) RefSlots(a heap.Addr, fn func(off uint32)) { rt.refSlots(a, rt.KlassOf(a), fn) }
+
+// ImageSize implements verify.ChunkMeta: the padded size of the wire-form
+// buffer image at a, whose klass word holds a global type ID; ok is whether
+// that ID resolves to a class.
+func (rt *Runtime) ImageSize(a heap.Addr) (size uint32, ok bool) {
+	k, ok := rt.imageKlass(a)
+	if !ok {
+		return 0, false
 	}
-	for _, off := range k.RefOffsets {
-		fn(off)
+	size, _ = rt.shape(a, k)
+	return size, true
+}
+
+// ImageRefSlots implements verify.ChunkMeta: the reference slot offsets of
+// the wire-form buffer image at a.
+func (rt *Runtime) ImageRefSlots(a heap.Addr, fn func(off uint32)) {
+	if k, ok := rt.imageKlass(a); ok {
+		rt.refSlots(a, k, fn)
 	}
+}
+
+// imageKlass resolves the global type ID in a buffer image's klass word.
+func (rt *Runtime) imageKlass(a heap.Addr) (*klass.Klass, bool) {
+	k, err := rt.KlassByTID(int32(uint32(rt.Heap.KlassWord(a))))
+	return k, err == nil
 }
 
 // --- allocation --------------------------------------------------------------
@@ -307,13 +341,12 @@ func (rt *Runtime) NewArray(k *klass.Klass, n int) (heap.Addr, error) {
 	if !k.IsArray {
 		return heap.Null, fmt.Errorf("vm: NewArray(%s): not an array klass", k.Name)
 	}
-	// Widen before multiplying: InstanceBytes computes in uint32, so an
-	// attacker-sized n (a decoded wire length) would wrap and yield an
-	// undersized allocation whose element writes land out of bounds.
-	if n < 0 || uint64(k.Size)+uint64(n)*uint64(k.ElemSize())+klass.WordSize > 1<<32-1 {
+	// n may be a decoded wire length: a negative one widens to a length no
+	// instance has, and Extent refuses what would wrap an allocation size.
+	size, _, ok := k.Extent(uint64(n), math.MaxUint32)
+	if !ok {
 		return heap.Null, fmt.Errorf("vm: NewArray(%s): length %d out of range", k.Name, n)
 	}
-	size := k.InstanceBytes(n)
 	a, err := rt.allocYoung(size)
 	if err != nil {
 		return heap.Null, err

@@ -4,13 +4,13 @@ import (
 	"fmt"
 
 	"skyway/internal/heap"
-	"skyway/internal/klass"
 	"skyway/internal/verify"
 )
 
 // The Runtime implements verify.Meta and verify.ChunkMeta, giving the heap
 // verifier the class-resolution knowledge it needs without coupling it to
-// the class loader.
+// the class loader; the object-shape methods of both sit with gc.Meta's in
+// runtime.go.
 
 // ValidKlassWord implements verify.Meta: it reports whether a live object's
 // klass word resolves to a loaded class.
@@ -22,56 +22,6 @@ func (rt *Runtime) ValidKlassWord(w uint64) bool {
 // input-buffer chunk table.
 func (rt *Runtime) EachPinned(fn func(start heap.Addr, size uint32, parsed bool)) {
 	rt.GC.EachPinned(fn)
-}
-
-// ImageSize implements verify.ChunkMeta: the padded size of the wire-form
-// buffer image at a, whose klass word holds a global type ID.
-func (rt *Runtime) ImageSize(a heap.Addr) (uint32, bool) {
-	k, ok := rt.imageKlass(a)
-	if !ok {
-		return 0, false
-	}
-	if !k.IsArray {
-		return k.Size, true
-	}
-	n := rt.Heap.ArrayLen(a)
-	if n < 0 {
-		return 0, false
-	}
-	return k.InstanceBytes(n), true
-}
-
-// ImageRefSlots implements verify.ChunkMeta: the reference slot offsets of
-// the wire-form buffer image at a.
-func (rt *Runtime) ImageRefSlots(a heap.Addr, fn func(off uint32)) {
-	k, ok := rt.imageKlass(a)
-	if !ok {
-		return
-	}
-	if k.IsArray {
-		if k.Elem != klass.Ref {
-			return
-		}
-		n := rt.Heap.ArrayLen(a)
-		base := rt.Heap.Layout().ArrayHeaderSize()
-		for i := 0; i < n; i++ {
-			fn(base + uint32(i)*klass.WordSize)
-		}
-		return
-	}
-	for _, off := range k.RefOffsets {
-		fn(off)
-	}
-}
-
-// imageKlass resolves the global type ID in a buffer image's klass word.
-func (rt *Runtime) imageKlass(a heap.Addr) (*klass.Klass, bool) {
-	tid := int32(uint32(rt.Heap.KlassWord(a)))
-	k, err := rt.KlassByTID(tid)
-	if err != nil {
-		return nil, false
-	}
-	return k, true
 }
 
 // wireVerifier installs the heap verifier as the collector's before/after
