@@ -98,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReaderDecode -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzArenaHandle -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzTupleCodec -fuzztime $(FUZZTIME) ./internal/batch/
+	$(GO) test -run '^$$' -fuzz FuzzSortByKey -fuzztime $(FUZZTIME) ./internal/dataflow/
 	$(GO) test -run '^$$' -fuzz FuzzBaddrRoundTrip -fuzztime $(FUZZTIME) ./internal/heap/
 	$(GO) test -run '^$$' -fuzz FuzzFrameRead -fuzztime $(FUZZTIME) ./internal/framed/
 	$(GO) test -run '^$$' -fuzz FuzzRegistryPayload -fuzztime $(FUZZTIME) ./internal/registry/

@@ -9,8 +9,9 @@ import (
 
 // StaleAddr flags a raw heap.Addr whose value is held live across a call
 // that may trigger a collection. The copying collector moves objects on
-// every scavenge and full GC; only gc.Handle roots are retargeted, so a
-// plain Addr local observed after a collection points at the object's old
+// every scavenge and full GC; only roots — a gc.Handle, a gc.Roots table
+// slot — are retargeted, so a plain Addr local observed after a collection
+// (one read out of a table with Roots.At included) points at the object's old
 // home — HotSpot's "oops live across a safepoint must be in Handles"
 // discipline. The check is interprocedural: the framework's module call
 // graph decides which calls can reach Scavenge/FullGC or an allocation
@@ -20,8 +21,9 @@ import (
 var StaleAddr = &framework.Analyzer{
 	Name: "staleaddr",
 	Doc: "flag heap.Addr values live across calls that may trigger GC; the copying " +
-		"collector moves objects, so root them in a gc.Handle (Runtime.Pin) and " +
-		"re-derive the address with Handle.Addr after the call",
+		"collector moves objects, so root them in a gc.Handle (Runtime.Pin) or a " +
+		"gc.Roots table and re-derive the address with Handle.Addr / Roots.At " +
+		"after the call",
 	NeedsModule: true,
 	Run:         runStaleAddr,
 }
@@ -55,7 +57,7 @@ func runStaleAddr(p *framework.Pass) error {
 						}
 						for _, v := range n.Across {
 							p.Reportf(call.Pos(),
-								"heap.Addr %s is live across the call to %s in %s, which may trigger a collection and move the object; root it in a gc.Handle (Runtime.Pin) and re-derive it with Addr()",
+								"heap.Addr %s is live across the call to %s in %s, which may trigger a collection and move the object; root it in a gc.Handle (Runtime.Pin) or a gc.Roots table and re-derive it with Addr() / At()",
 								v.Name(), who, name)
 						}
 					})

@@ -4,6 +4,7 @@
 package staleaddr
 
 import (
+	"skyway/internal/gc"
 	"skyway/internal/heap"
 	"skyway/internal/klass"
 	"skyway/internal/vm"
@@ -52,6 +53,23 @@ func goodPinned(rt *vm.Runtime, k *klass.Klass, obj heap.Addr) heap.Addr {
 	other := rt.MustNew(k)
 	_ = rt.GetInt(h.Addr(), k.FieldByName("f"))
 	h.Release()
+	return other
+}
+
+// A root table roots its slots, not the copies read out of them: an address
+// taken with Roots.At is as raw as any other, while re-reading the slot
+// after the allocation is the table's form of the fix.
+func badTableRead(rt *vm.Runtime, k *klass.Klass, tab *gc.Roots) heap.Addr {
+	rec := tab.At(0)
+	other := rt.MustNew(k) // want `heap.Addr rec is live across the call to \(\*skyway/internal/vm\.Runtime\)\.MustNew in badTableRead, which may trigger a collection and move the object; root it in a gc.Handle \(Runtime.Pin\) or a gc.Roots table`
+	_ = rt.GetInt(rec, k.FieldByName("f"))
+	return other
+}
+
+func goodTableReread(rt *vm.Runtime, k *klass.Klass, tab *gc.Roots, obj heap.Addr) heap.Addr {
+	slot := tab.Append(obj)
+	other := rt.MustNew(k)
+	_ = rt.GetInt(tab.At(slot), k.FieldByName("f"))
 	return other
 }
 

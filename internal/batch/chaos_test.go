@@ -2,6 +2,7 @@ package batch
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"skyway/internal/core"
@@ -21,10 +22,12 @@ func liveArenaRegions(c *Cluster) int {
 	return n
 }
 
-func pinnedHandles(c *Cluster) int {
-	n := 0
-	for _, ex := range c.Execs {
-		n += ex.RT.GC.Stats().HandleCount
+// pinnedHandles returns each task manager's live root count (handles plus
+// root-table slots).
+func pinnedHandles(c *Cluster) []int {
+	n := make([]int, len(c.Execs))
+	for i, ex := range c.Execs {
+		n[i] = ex.RT.GC.Stats().HandleCount
 	}
 	return n
 }
@@ -64,8 +67,8 @@ func TestChaosQueries(t *testing.T) {
 		}
 		defer fault.Reset()
 		_, digest, err := Run(c, q, db)
-		if n := pinnedHandles(c); n != loaded {
-			t.Errorf("%d handles pinned after the query, %d before", n, loaded)
+		if n := pinnedHandles(c); !slices.Equal(n, loaded) {
+			t.Errorf("roots per task manager after the query %v, before %v", n, loaded)
 		}
 		if n := liveArenaRegions(c); n != 0 {
 			t.Errorf("%d arena regions live after the query", n)

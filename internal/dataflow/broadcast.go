@@ -68,7 +68,7 @@ func (c *Cluster) Broadcast(root heap.Addr) ([]heap.Addr, metrics.Breakdown, err
 	rbd, err := c.runPerExecutor("broadcast", func(ex *Executor) (taskResult, error) {
 		var res taskResult
 		var t fetchTally
-		hs, f, err := c.fetchBlock(ex, sh, "broadcast", ex.ID, ex.ID, &t)
+		f, err := c.fetchBlock(ex, sh, "broadcast", ex.ID, ex.ID, &t)
 		res.bd.Deser = t.deser
 		// Modelled, a broadcast receive is one network transfer per executor
 		// (per attempt): the payload came from the driver, whichever
@@ -80,12 +80,12 @@ func (c *Cluster) Broadcast(root heap.Addr) ([]heap.Addr, metrics.Breakdown, err
 		if err != nil {
 			return res, err
 		}
-		if len(hs) == 0 {
-			releaseAll(nil, f)
+		if ex.recs.Len() == 0 {
+			freeAll(f)
 			return res, errors.New("broadcast block not published")
 		}
-		out[ex.ID], bufs[ex.ID] = hs[0].Addr(), f
-		releaseAll(hs)
+		out[ex.ID], bufs[ex.ID] = ex.recs.At(0), f
+		ex.recs.Release()
 		c.sampleHeap(ex)
 		return res, nil
 	})
@@ -95,7 +95,7 @@ func (c *Cluster) Broadcast(root heap.Addr) ([]heap.Addr, metrics.Breakdown, err
 		bd.Wall += bd.Ser
 	}
 	if err != nil {
-		releaseAll(nil, bufs...)
+		freeAll(bufs...)
 		return nil, bd, err
 	}
 	bd.Records = int64(c.Workers())

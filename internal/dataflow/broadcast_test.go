@@ -141,10 +141,7 @@ func TestBroadcastTornFetch(t *testing.T) {
 			// every later fetch arrives torn.
 			for src, plan := range []string{":on", ":on*after=1"} {
 				c := boot(t, serializer, fault.DataflowFetchTorn+plan)
-				handles := make([]int, workers)
-				for i, ex := range c.Execs {
-					handles[i] = ex.RT.GC.Stats().HandleCount
-				}
+				handles := rootCounts(c)
 				_, _, err := broadcastParser(c)
 				var abort *StageAbortError
 				if !errors.As(err, &abort) {

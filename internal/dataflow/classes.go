@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"skyway/internal/heap"
 	"skyway/internal/klass"
 	"skyway/internal/serial"
 	"skyway/internal/vm"
@@ -55,22 +54,4 @@ func WorkloadRegistration() *serial.Registration {
 		WordPairClass, RankMsgClass, LabelMsgClass, AdjMsgClass,
 		vm.StringClass, vm.CharArrayClass, "long[]",
 	)
-}
-
-// field shorthand helpers -----------------------------------------------------
-
-func setLong(ex *Executor, obj heap.Addr, k *klass.Klass, field string, v int64) {
-	ex.RT.SetLong(obj, k.FieldByName(field), v)
-}
-
-func getLong(ex *Executor, obj heap.Addr, k *klass.Klass, field string) int64 {
-	return ex.RT.GetLong(obj, k.FieldByName(field))
-}
-
-func setDouble(ex *Executor, obj heap.Addr, k *klass.Klass, field string, v float64) {
-	ex.RT.SetDouble(obj, k.FieldByName(field), v)
-}
-
-func getDouble(ex *Executor, obj heap.Addr, k *klass.Klass, field string) float64 {
-	return ex.RT.GetDouble(obj, k.FieldByName(field))
 }

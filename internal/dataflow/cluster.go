@@ -120,6 +120,28 @@ type Cluster struct {
 type Executor struct {
 	ID int
 	RT *vm.Runtime
+
+	// The shuffle's record buffer. It belongs to the executor, not the task,
+	// so every slice below keeps its capacity across rounds and rounds 2+ of
+	// an iterative job grow nothing. Stages are barriers and an executor runs
+	// one task at a time, so the map task, the reduce task and a broadcast
+	// receive take turns with it; each leaves recs empty.
+	recs     *gc.Roots     // the running task's records, one root slot each
+	out      [][]outRecord // map side: (key, slot) per partition
+	sortTmp  []outRecord   // sortByKey's second buffer
+	recBytes int           // wire bytes per record of the last map task
+}
+
+// blockBytes sizes the buffer a block of n records is encoded into: the
+// last map task's bytes per record (48 before there was one) plus an eighth
+// and a stream header's worth of slack. A low guess costs bytes.Buffer's
+// usual doubling, nothing else.
+func (ex *Executor) blockBytes(n int) int {
+	per := ex.recBytes
+	if per == 0 {
+		per = 48
+	}
+	return n*per + n*per/8 + 512
 }
 
 // DefaultWorkerHeap sizes executor heaps for the bundled workloads.
@@ -193,7 +215,7 @@ func NewCluster(cp *klass.Path, cfg Config, codec serial.Codec) (*Cluster, error
 		if err != nil {
 			return nil, err
 		}
-		c.Execs = append(c.Execs, &Executor{ID: i, RT: rt})
+		c.Execs = append(c.Execs, &Executor{ID: i, RT: rt, recs: rt.GC.NewRoots()})
 	}
 	return c, nil
 }

@@ -1,7 +1,9 @@
 package dataflow
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,6 +25,10 @@ func newSkywayCluster(t *testing.T) *Cluster {
 	return newTestCluster(t, serial.NewSkywayCodec(), cp)
 }
 
+// faultWordCount runs WordCount under the fault plan spec. Whatever the
+// outcome — a clean run, a retried block, an aborted stage — every executor
+// must end with the root count it started with: that is what shows the
+// truncate-to-mark rollback and the abort paths emptying their tables.
 func faultWordCount(t *testing.T, spec string) (int64, []int, error) {
 	t.Helper()
 	if err := fault.Configure(spec); err != nil {
@@ -32,8 +38,22 @@ func faultWordCount(t *testing.T, spec string) (int64, []int, error) {
 	lines := datagen.TextSpec{Lines: 600, WordsPerLine: 8, Vocabulary: 200, Seed: 11}.Generate()
 	parts := [][]string{lines[:200], lines[200:400], lines[400:]}
 	c := newSkywayCluster(t)
+	before := rootCounts(c)
 	_, total, err := RunWordCount(c, parts)
+	if after := rootCounts(c); !slices.Equal(after, before) {
+		t.Errorf("roots per executor after the run %v, before %v (err: %v)", after, before, err)
+	}
 	return total, c.ExcludedPeers(), err
+}
+
+// rootCounts returns each executor's live root count (handles plus
+// root-table slots).
+func rootCounts(c *Cluster) []int {
+	n := make([]int, len(c.Execs))
+	for i, ex := range c.Execs {
+		n[i] = ex.RT.GC.Stats().HandleCount
+	}
+	return n
 }
 
 // TestTransientTornFetchRetriesToIdenticalResult: one shuffle block arrives
@@ -160,5 +180,87 @@ func TestFailedFetchTimeIsCharged(t *testing.T) {
 	}
 	if want := maxFetchAttempts * d; bd.ReadIO < want {
 		t.Errorf("ReadIO = %v, want at least %v (%d failed fetches of %v)", bd.ReadIO, want, maxFetchAttempts, d)
+	}
+}
+
+// TestDecodeBlockRollsBackToMark: a block whose decode fails part-way — here
+// a truncated one, which a per-record baseline decoder reads well into before
+// it notices — leaves the executor's root table exactly at the mark the
+// attempt started from, earlier blocks' records untouched, and no input
+// buffer behind; the intact block then decodes on top of them. The ladder
+// tests above flip one bit in a one-segment block, which the segment CRC
+// rejects before a single record is yielded, so they never reach this path.
+func TestDecodeBlockRollsBackToMark(t *testing.T) {
+	cpBase := klass.NewPath()
+	WorkloadClasses(cpBase)
+	for name, mk := range testCodecs(t, cpBase) {
+		t.Run(name, func(t *testing.T) {
+			cp := klass.NewPath()
+			WorkloadClasses(cp)
+			c := newTestCluster(t, nil, cp)
+			c.Codec = mk(c)
+			c.shuffleStart()
+			snd, ex := c.Execs[0], c.Execs[1]
+			mk := snd.RT.MustLoad(RankMsgClass)
+			dstF := mk.FieldByName("dst")
+
+			const n = 200
+			var buf bytes.Buffer
+			enc := c.Codec.NewEncoder(snd.RT, &buf)
+			for i := 0; i < n; i++ {
+				msg := snd.RT.MustNew(mk)
+				snd.RT.SetLong(msg, dstF, int64(i))
+				if err := enc.Write(msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			block := buf.Bytes()
+
+			// Two records from an "earlier block" sit below the mark.
+			rk := ex.RT.MustLoad(RankMsgClass)
+			rdstF := rk.FieldByName("dst")
+			for _, v := range []int64{-1, -2} {
+				msg := ex.RT.MustNew(rk)
+				ex.RT.SetLong(msg, rdstF, v)
+				ex.recs.Append(msg)
+			}
+			defer ex.recs.Release()
+			check := func(stage string, want int) {
+				t.Helper()
+				if ex.recs.Len() != want || ex.RT.GC.Stats().HandleCount != want {
+					t.Fatalf("%s: table holds %d records, collector counts %d roots, want %d",
+						stage, ex.recs.Len(), ex.RT.GC.Stats().HandleCount, want)
+				}
+				for i, v := range []int64{-1, -2} {
+					if got := ex.RT.GetLong(ex.recs.At(i), rdstF); got != v {
+						t.Errorf("%s: earlier record %d reads %d, want %d", stage, i, got, v)
+					}
+				}
+			}
+
+			if _, _, err := c.decodeBlock(ex, block[:len(block)-5]); err == nil {
+				t.Fatal("truncated block decoded without error")
+			}
+			check("after the failed attempt", 2)
+			if used := ex.RT.Heap.BufferUsed(); used != 0 {
+				t.Errorf("failed attempt left %d input-buffer bytes", used)
+			}
+
+			f, _, err := c.decodeBlock(ex, block)
+			if err != nil {
+				t.Fatalf("intact block: %v", err)
+			}
+			check("after the intact block", 2+n)
+			for i := 0; i < n; i++ {
+				if got := ex.RT.GetLong(ex.recs.At(2+i), rdstF); got != int64(i) {
+					t.Fatalf("record %d reads dst %d", i, got)
+				}
+			}
+			ex.recs.Release()
+			freeAll(f)
+		})
 	}
 }

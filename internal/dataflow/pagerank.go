@@ -55,6 +55,7 @@ func RunPageRank(c *Cluster, g *datagen.Graph, iters int) (metrics.Breakdown, fl
 		spec := ShuffleSpec{
 			Produce: func(ex *Executor, emit Emit) error {
 				mk := ex.RT.MustLoad(RankMsgClass)
+				dstF, valueF := mk.FieldByName("dst"), mk.FieldByName("value")
 				s := states[ex.ID]
 				for _, v := range s.vertices {
 					nbrs := s.adj[v]
@@ -67,8 +68,8 @@ func RunPageRank(c *Cluster, g *datagen.Graph, iters int) (metrics.Breakdown, fl
 						if err != nil {
 							return err
 						}
-						setLong(ex, msg, mk, "dst", int64(u))
-						setDouble(ex, msg, mk, "value", contrib)
+						ex.RT.SetLong(msg, dstF, int64(u))
+						ex.RT.SetDouble(msg, valueF, contrib)
 						emit(int(u)%p, uint64(u), msg)
 					}
 				}
@@ -76,9 +77,10 @@ func RunPageRank(c *Cluster, g *datagen.Graph, iters int) (metrics.Breakdown, fl
 			},
 			Consume: func(ex *Executor, recs []heap.Addr) error {
 				mk := ex.RT.MustLoad(RankMsgClass)
+				dstF, valueF := mk.FieldByName("dst"), mk.FieldByName("value")
 				agg := make(map[int32]float64)
 				for _, r := range recs {
-					agg[int32(getLong(ex, r, mk, "dst"))] += getDouble(ex, r, mk, "value")
+					agg[int32(ex.RT.GetLong(r, dstF))] += ex.RT.GetDouble(r, valueF)
 				}
 				sums[ex.ID] = agg
 				return nil
@@ -138,6 +140,7 @@ func RunConnectedComponents(c *Cluster, g *datagen.Graph, maxIters int) (metrics
 		spec := ShuffleSpec{
 			Produce: func(ex *Executor, emit Emit) error {
 				mk := ex.RT.MustLoad(LabelMsgClass)
+				dstF, labelF := mk.FieldByName("dst"), mk.FieldByName("label")
 				s := states[ex.ID]
 				for _, v := range s.vertices {
 					label := s.labels[v]
@@ -146,8 +149,8 @@ func RunConnectedComponents(c *Cluster, g *datagen.Graph, maxIters int) (metrics
 						if err != nil {
 							return err
 						}
-						setLong(ex, msg, mk, "dst", int64(u))
-						setLong(ex, msg, mk, "label", label)
+						ex.RT.SetLong(msg, dstF, int64(u))
+						ex.RT.SetLong(msg, labelF, label)
 						emit(int(u)%p, uint64(u), msg)
 					}
 				}
@@ -155,10 +158,11 @@ func RunConnectedComponents(c *Cluster, g *datagen.Graph, maxIters int) (metrics
 			},
 			Consume: func(ex *Executor, recs []heap.Addr) error {
 				mk := ex.RT.MustLoad(LabelMsgClass)
+				dstF, labelF := mk.FieldByName("dst"), mk.FieldByName("label")
 				agg := make(map[int32]int64)
 				for _, r := range recs {
-					dst := int32(getLong(ex, r, mk, "dst"))
-					l := getLong(ex, r, mk, "label")
+					dst := int32(ex.RT.GetLong(r, dstF))
+					l := ex.RT.GetLong(r, labelF)
 					if cur, ok := agg[dst]; !ok || l < cur {
 						agg[dst] = l
 					}

@@ -125,8 +125,8 @@ func TestParallelConcurrentSendersShareHeap(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				setLong(ex, msg, mk, "src", int64(ex.ID))
-				setLong(ex, msg, mk, "dst", int64(dst))
+				ex.RT.SetLong(msg, mk.FieldByName("src"), int64(ex.ID))
+				ex.RT.SetLong(msg, mk.FieldByName("dst"), int64(dst))
 				ex.RT.SetRef(msg, mk.FieldByName("neighbors"), ah.Addr())
 				emit(dst, uint64(dst), msg)
 			}

@@ -2,17 +2,14 @@ package dataflow
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 	"time"
 
 	"skyway/internal/arena"
 	"skyway/internal/fault"
-	"skyway/internal/gc"
 	"skyway/internal/heap"
 	"skyway/internal/metrics"
 	"skyway/internal/netsim"
@@ -36,14 +33,17 @@ type ShuffleSpec struct {
 	// Consume runs on every executor over the records it received (in
 	// sorted key order per sending block). It executes under the
 	// computation timer, with the same concurrency contract as Produce.
+	// recs is the executor's root table itself: its elements stay current
+	// if Consume allocates, and it is invalid once Consume returns.
 	Consume func(ex *Executor, recs []heap.Addr) error
 }
 
-// outRecord is a map-side buffered record, held through a GC handle so the
-// producer's further allocations cannot invalidate it.
+// outRecord is a map-side buffered record: its sort key and its slot in the
+// executor's root table, which is what keeps the record alive and current
+// across the producer's further allocations.
 type outRecord struct {
-	key uint64
-	h   *gc.Handle
+	key  uint64
+	slot int
 }
 
 // RunShuffle executes one full shuffle phase over the cluster and returns
@@ -102,14 +102,17 @@ func (c *Cluster) RunShuffle(spec ShuffleSpec) (metrics.Breakdown, error) {
 // streams claiming baddr words out of this executor's heap at once.
 func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, p int) (taskResult, error) {
 	var res taskResult
-	out := make([][]outRecord, p)
-
-	release := func() {
-		for dst := range out {
-			for _, r := range out[dst] {
-				r.h.Release()
-			}
-		}
+	// The task's records live in the executor's root table until the task
+	// returns — on the task goroutine, after the sender streams have joined:
+	// the collector's root set is runtime-confined.
+	tab := ex.recs
+	defer tab.Release()
+	if len(ex.out) != p {
+		ex.out = make([][]outRecord, p)
+	}
+	out := ex.out
+	for dst := range out {
+		out[dst] = out[dst][:0]
 	}
 
 	start := time.Now()
@@ -117,16 +120,14 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 		if dst < 0 || dst >= p {
 			panic(fmt.Sprintf("dataflow: emit to partition %d of %d", dst, p))
 		}
-		out[dst] = append(out[dst], outRecord{key: key, h: ex.RT.Pin(rec)})
+		out[dst] = append(out[dst], outRecord{key: key, slot: tab.Append(rec)})
 	})
 	if err != nil {
-		release()
 		return res, fmt.Errorf("produce: %w", err)
 	}
 	// Sort each block by key (sort-based shuffle).
 	for dst := range out {
-		recs := out[dst]
-		slices.SortStableFunc(recs, func(a, b outRecord) int { return cmp.Compare(a.key, b.key) })
+		ex.sortTmp = sortByKey(out[dst], ex.sortTmp)
 	}
 	res.bd.Compute = time.Since(start)
 
@@ -156,9 +157,10 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 				continue
 			}
 			var buf bytes.Buffer
+			buf.Grow(ex.blockBytes(len(out[dst])))
 			enc := c.Codec.NewEncoder(ex.RT, &buf)
 			for _, r := range out[dst] {
-				if err := enc.Write(r.h.Addr()); err != nil {
+				if err := enc.Write(tab.At(r.slot)); err != nil {
 					enc.Flush() // close the stream; output is discarded
 					serErr[slot] = fmt.Errorf("serialize: %w", err)
 					return
@@ -186,9 +188,6 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 	} else {
 		encode(0)
 	}
-	// Handles are released on the task goroutine after the sender streams
-	// join: the gc.Collector's handle table is runtime-confined.
-	release()
 	var serMax time.Duration
 	for s := 0; s < senders; s++ {
 		if serErr[s] != nil {
@@ -220,6 +219,9 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 	res.bd.WriteIO = c.ioCharge(putTime, func(m netsim.CostModel) time.Duration { return m.WriteTime(written) })
 	ctrSpillBytes.Add(written)
 	res.bd.ShuffleBytes = written
+	if res.bd.Records > 0 {
+		ex.recBytes = int((written + res.bd.Records - 1) / res.bd.Records)
+	}
 	// The task's elapsed time: concurrent sender streams overlap, so the
 	// slowest stream bounds the serialization wall time.
 	res.wall = res.bd.Compute + serMax + res.bd.WriteIO
@@ -231,33 +233,33 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 // (the explicit-free API of §3.2); baseline decoders are not.
 type freer interface{ Free() }
 
-// decodeBlock decodes one fetched block into pinned records and returns
-// them with the owner of their input buffers (nil for a baseline codec). On
-// failure it releases every handle and input buffer the attempt created —
-// the heap is exactly as it was before the attempt — and returns the decode
-// error, so the caller's bounded re-fetch starts from a clean slate.
-func (c *Cluster) decodeBlock(ex *Executor, block []byte) (hs []*gc.Handle, f freer, d time.Duration, err error) {
+// decodeBlock decodes one fetched block, appending its records to the
+// executor's root table, and returns the owner of their input buffers (nil
+// for a baseline codec). On failure it truncates the table back to where the
+// attempt started and frees the input buffers the attempt created — the heap
+// is exactly as it was before the attempt — and returns the decode error, so
+// the caller's bounded re-fetch starts from a clean slate.
+func (c *Cluster) decodeBlock(ex *Executor, block []byte) (f freer, d time.Duration, err error) {
 	start := time.Now()
+	mark := ex.recs.Len()
 	dec := c.Codec.NewDecoder(ex.RT, bytes.NewReader(block))
 	f, _ = dec.(freer)
 	for {
 		rec, rerr := dec.Read()
 		if rerr != nil {
 			if isEOF(rerr) {
-				return hs, f, time.Since(start), nil
+				return f, time.Since(start), nil
 			}
-			releaseAll(hs, f)
-			return nil, nil, time.Since(start), rerr
+			ex.recs.Truncate(mark)
+			freeAll(f)
+			return nil, time.Since(start), rerr
 		}
-		hs = append(hs, ex.RT.Pin(rec))
+		ex.recs.Append(rec)
 	}
 }
 
-// releaseAll releases handles, then the input buffers their records lived in.
-func releaseAll(hs []*gc.Handle, fs ...freer) {
-	for _, h := range hs {
-		h.Release()
-	}
+// freeAll frees input buffers; release the records that lived in them first.
+func freeAll(fs ...freer) {
 	for _, f := range fs {
 		if f != nil {
 			f.Free()
@@ -279,16 +281,17 @@ type fetchTally struct {
 
 // fetchBlock brings block (src, dst) of round sh into ex's heap — the one
 // receive path, for a reduce task's shuffle blocks and a broadcast's
-// self-addressed ones alike — and returns its records pinned, with the
-// owner of their input buffers if the codec has one (no records when nothing
-// was published under that key). The block is dropped once decoded.
+// self-addressed ones alike: its records are appended to ex's root table
+// (none when nothing was published under that key) and the owner of their
+// input buffers, if the codec has one, is returned. The block is dropped once
+// decoded.
 //
 // It runs the degradation ladder: a block whose fetch or decode fails (a
 // torn transfer, a checksum mismatch, any *core.DecodeError) is re-fetched
 // from the intact stored bytes up to maxFetchAttempts times; if every
 // attempt fails, the publishing peer is excluded and the stage aborts with a
-// StageAbortError. A failed attempt leaves no handle or input buffer behind.
-func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, stage string, src, dst int, t *fetchTally) ([]*gc.Handle, freer, error) {
+// StageAbortError. A failed attempt leaves no root or input buffer behind.
+func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, stage string, src, dst int, t *fetchTally) (freer, error) {
 	var lastErr error
 	for attempt := 1; attempt <= maxFetchAttempts; attempt++ {
 		if attempt > 1 {
@@ -306,7 +309,7 @@ func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, stage string, s
 			continue
 		}
 		if len(block) == 0 {
-			return nil, nil, nil
+			return nil, nil
 		}
 		n := int64(len(block))
 		local := src == ex.ID
@@ -325,7 +328,7 @@ func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, stage string, s
 		if fault.Eval(fault.DataflowFetchSlow) {
 			t.slowPenalty += fault.DurationArg(fault.DataflowFetchSlow, time.Millisecond)
 		}
-		hs, f, d, err := c.decodeBlock(ex, block)
+		f, d, err := c.decodeBlock(ex, block)
 		t.deser += d
 		if err != nil {
 			lastErr = fmt.Errorf("deserialize block (%d→%d): %w", src, dst, err)
@@ -343,12 +346,12 @@ func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, stage string, s
 		} else {
 			t.remote += n
 		}
-		return hs, f, nil
+		return f, nil
 	}
 	// The ladder's last rungs: exclude the peer, abort the stage.
 	c.excludePeer(src)
 	ctrStageAborts.Inc()
-	return nil, nil, &StageAbortError{
+	return nil, &StageAbortError{
 		Stage: stage, Src: src, Dst: dst,
 		Attempts: maxFetchAttempts, Err: lastErr,
 	}
@@ -356,15 +359,18 @@ func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, stage string, s
 
 // reduceTask runs one executor's reduce side: it drains every partition it
 // hosts, pulling that partition's block from every map worker through
-// fetchBlock, then consumes the records. Every exit path releases the
-// handles and input buffers it acquired, so an aborted stage leaves no pins
-// behind — and every exit path, the aborts included, charges the read I/O
-// its fetches really did.
+// fetchBlock, then consumes the records. Every exit path empties the root
+// table and frees the input buffers it acquired, so an aborted stage leaves
+// no pins behind — and every exit path, the aborts included, charges the
+// read I/O its fetches really did.
 func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, p int) (taskResult, error) {
 	var res taskResult
 	var t fetchTally
-	var handles []*gc.Handle
 	var freers []freer
+	release := func() {
+		ex.recs.Release()
+		freeAll(freers...)
+	}
 	// chargeRead prices the task's fetches; it runs on every exit path.
 	chargeRead := func() {
 		res.bd.Deser = t.deser
@@ -386,13 +392,12 @@ func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffl
 			continue
 		}
 		for src := 0; src < c.Workers(); src++ {
-			hs, f, err := c.fetchBlock(ex, sh, "reduce", src, dst, &t)
+			f, err := c.fetchBlock(ex, sh, "reduce", src, dst, &t)
 			if err != nil {
-				releaseAll(handles, freers...)
+				release()
 				chargeRead()
 				return res, err
 			}
-			handles = append(handles, hs...)
 			freers = append(freers, f)
 			// A decoder on the arena path staged the block in an off-heap
 			// region; binding it to this round's epoch lets RunShuffle's
@@ -409,13 +414,9 @@ func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffl
 	chargeRead()
 
 	start := time.Now()
-	recs := make([]heap.Addr, len(handles))
-	for i, h := range handles {
-		recs[i] = h.Addr()
-	}
 	if spec.Consume != nil {
-		if err := spec.Consume(ex, recs); err != nil {
-			releaseAll(handles, freers...)
+		if err := spec.Consume(ex, ex.recs.Slots()); err != nil {
+			release()
 			return res, fmt.Errorf("consume: %w", err)
 		}
 	}
@@ -427,7 +428,7 @@ func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffl
 	// The reduce side has consumed the records; release them and the Skyway
 	// input buffers (Spark keeps buffers only while the RDD is cached, and
 	// these records are not).
-	releaseAll(handles, freers...)
+	release()
 	res.wall = res.bd.Deser + res.bd.ReadIO + res.bd.Compute
 	return res, nil
 }

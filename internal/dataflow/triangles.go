@@ -71,7 +71,12 @@ func RunTriangleCounting(c *Cluster, g *datagen.Graph) (metrics.Breakdown, int64
 	spec := ShuffleSpec{
 		Produce: func(ex *Executor, emit Emit) error {
 			mk := ex.RT.MustLoad(AdjMsgClass)
+			srcF, dstF, nF := mk.FieldByName("src"), mk.FieldByName("dst"), mk.FieldByName("neighbors")
 			arrK := ex.RT.MustLoad("long[]")
+			// One scratch root for the task: it holds each array across
+			// the allocation of the message that will point to it.
+			ah := ex.RT.Pin(heap.Null)
+			defer ah.Release()
 			var nbrs []int64 // N⁺(v) widened once, stored into every copy shipped
 			for v := ex.ID; v < g.N; v += c.Workers() {
 				hs := higher[v]
@@ -89,17 +94,15 @@ func RunTriangleCounting(c *Cluster, g *datagen.Graph) (metrics.Breakdown, int64
 					if err != nil {
 						return err
 					}
-					ah := ex.RT.Pin(arr)
-					ex.RT.ArrayPutLongs(ah.Addr(), nbrs)
+					ex.RT.ArrayPutLongs(arr, nbrs)
+					ah.Set(arr)
 					msg, err := ex.RT.New(mk)
 					if err != nil {
-						ah.Release()
 						return err
 					}
-					setLong(ex, msg, mk, "src", int64(v))
-					setLong(ex, msg, mk, "dst", int64(u))
-					ex.RT.SetRef(msg, mk.FieldByName("neighbors"), ah.Addr())
-					ah.Release()
+					ex.RT.SetLong(msg, srcF, int64(v))
+					ex.RT.SetLong(msg, dstF, int64(u))
+					ex.RT.SetRef(msg, nF, ah.Addr())
 					emit(int(u)%p, uint64(u), msg)
 				}
 			}
@@ -107,11 +110,11 @@ func RunTriangleCounting(c *Cluster, g *datagen.Graph) (metrics.Breakdown, int64
 		},
 		Consume: func(ex *Executor, recs []heap.Addr) error {
 			mk := ex.RT.MustLoad(AdjMsgClass)
-			nF := mk.FieldByName("neighbors")
+			dstF, nF := mk.FieldByName("dst"), mk.FieldByName("neighbors")
 			var found int64
 			var shipped []int64 // reused: one bulk read per record, not one resolve per element
 			for _, r := range recs {
-				u := int32(getLong(ex, r, mk, "dst"))
+				u := int32(ex.RT.GetLong(r, dstF))
 				shipped = ex.RT.ArrayLongs(ex.RT.GetRef(r, nF), shipped)
 				// Intersect sorted N⁺(v) (shipped) with N⁺(u)
 				// (local).

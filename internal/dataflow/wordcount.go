@@ -22,6 +22,10 @@ func RunWordCount(c *Cluster, lines [][]string) (metrics.Breakdown, int64, error
 		Produce: func(ex *Executor, emit Emit) error {
 			pk := ex.RT.MustLoad(WordPairClass)
 			wordF, countF := pk.FieldByName("word"), pk.FieldByName("count")
+			// One scratch root for the task: it holds each string across
+			// the allocation of the pair that will point to it.
+			sp := ex.RT.Pin(heap.Null)
+			defer sp.Release()
 			// Map-side combine in a transient Go map, like Spark's
 			// map-side aggregator.
 			counts := make(map[string]int64)
@@ -35,15 +39,13 @@ func RunWordCount(c *Cluster, lines [][]string) (metrics.Breakdown, int64, error
 				if err != nil {
 					return err
 				}
-				sp := ex.RT.Pin(s)
+				sp.Set(s)
 				pair, err := ex.RT.New(pk)
 				if err != nil {
-					sp.Release()
 					return err
 				}
 				ex.RT.SetRef(pair, wordF, sp.Addr())
 				ex.RT.SetLong(pair, countF, n)
-				sp.Release()
 				key := uint64(uint32(stringHash(w)))
 				emit(int(key)%c.NumPartitions(), key, pair)
 			}

@@ -49,6 +49,11 @@ func (c *Collector) FullGC() {
 			mark(hd.addr)
 		}
 	}
+	for _, t := range c.tables {
+		for _, a := range t.slots {
+			mark(a)
+		}
+	}
 	c.eachPinnedObject(mark)
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
@@ -132,6 +137,13 @@ func (c *Collector) FullGC() {
 		}
 		if to, moved := fwd[hd.addr]; moved {
 			hd.addr = to
+		}
+	}
+	for _, t := range c.tables {
+		for i, a := range t.slots {
+			if to, moved := fwd[a]; moved {
+				t.slots[i] = to
+			}
 		}
 	}
 

@@ -41,7 +41,8 @@ type Meta interface {
 }
 
 // Handle is a GC root slot. Application code holds objects through handles;
-// the collector rewrites handle targets when objects move.
+// the collector rewrites handle targets when objects move. A handle is a Go
+// object of its own: hold records in bulk through a Roots table instead.
 type Handle struct {
 	addr heap.Addr
 	coll *Collector
@@ -74,11 +75,13 @@ type PinnedRange struct {
 
 // Stats accumulates collection counts for tests and reporting.
 type Stats struct {
-	Scavenges   int
-	FullGCs     int
-	PromotedB   uint64
-	CopiedB     uint64
-	CompactedB  uint64
+	Scavenges  int
+	FullGCs    int
+	PromotedB  uint64
+	CopiedB    uint64
+	CompactedB uint64
+	// HandleCount is the number of live root slots: handles plus the slots
+	// of every root table.
 	HandleCount int
 
 	// PromotionFullGCs counts the FullGCs attributed to a scavenge that
@@ -135,6 +138,7 @@ type Collector struct {
 
 	handles []*Handle
 	free    []int
+	tables  []*Roots // root tables holding at least one slot
 
 	pinned    []*PinnedRange
 	freedPins int
@@ -200,6 +204,9 @@ func New(h *heap.Heap, meta Meta) *Collector {
 func (c *Collector) Stats() Stats {
 	s := c.stats
 	s.HandleCount = len(c.handles) - len(c.free)
+	for _, t := range c.tables {
+		s.HandleCount += len(t.slots)
+	}
 	return s
 }
 
@@ -346,13 +353,20 @@ func (c *Collector) Scavenge() bool {
 		h.Store(owner, off, refKind, uint64(forward(ref)))
 	}
 
-	// Roots: handles.
+	// Roots: handles and root tables.
 	for _, hd := range c.handles {
 		if hd == nil || hd.addr == heap.Null {
 			continue
 		}
 		if h.InYoung(hd.addr) {
 			hd.addr = forward(hd.addr)
+		}
+	}
+	for _, t := range c.tables {
+		for i, a := range t.slots {
+			if h.InYoung(a) {
+				t.slots[i] = forward(a)
+			}
 		}
 	}
 	// Roots: old-generation objects on dirty cards (write-barrier remembered

@@ -278,8 +278,9 @@ func TestStatsCount(t *testing.T) {
 	}
 }
 
-// Property: any random sequence of list builds, handle releases and
-// collections preserves exactly the pinned lists' contents.
+// Property: any random sequence of list builds, handle releases, root-table
+// appends / truncations and collections preserves exactly the pinned lists'
+// and the table slots' contents, and HandleCount is the number of both.
 func TestGCSoakQuick(t *testing.T) {
 	rt := newRT(t)
 	k := rt.MustLoad("N")
@@ -326,9 +327,14 @@ func TestGCSoakQuick(t *testing.T) {
 		return cur == heap.Null
 	}
 
+	// One root table beside the handles: slot i holds a lone node whose value
+	// is tabVals[i].
+	tab := rt.GC.NewRoots()
+	var tabVals []int64
+
 	f := func(ops []uint8) bool {
 		for i, op := range ops {
-			switch op % 4 {
+			switch op % 6 {
 			case 0:
 				live = append(live, buildList(int64(i), 1+int(op)%20))
 			case 1:
@@ -343,11 +349,36 @@ func TestGCSoakQuick(t *testing.T) {
 				}
 			case 3:
 				rt.GC.FullGC()
+			case 4:
+				for j := 0; j <= int(op)%8; j++ {
+					v := -int64(i)*1000 - int64(j)
+					node := rt.MustNew(k)
+					rt.SetLong(node, vF, v)
+					tab.Append(node)
+					tabVals = append(tabVals, v)
+				}
+			case 5:
+				// Roll back to a mark, or (a third of the time) to empty.
+				n := tab.Len() / 2
+				if op%3 == 0 {
+					n = 0
+				}
+				tab.Truncate(n)
+				tabVals = tabVals[:n]
 			}
 			for _, l := range live {
 				if !checkList(l) {
 					return false
 				}
+			}
+			for j, want := range tabVals {
+				if rt.GetLong(tab.At(j), vF) != want {
+					return false
+				}
+			}
+			if got := rt.GC.Stats().HandleCount; got != len(live)+tab.Len() {
+				t.Logf("HandleCount = %d with %d handles and %d table slots", got, len(live), tab.Len())
+				return false
 			}
 		}
 		return true
@@ -357,6 +388,126 @@ func TestGCSoakQuick(t *testing.T) {
 	}
 	for _, l := range live {
 		l.pin.Release()
+	}
+	tab.Release()
+	if got := rt.GC.Stats().HandleCount; got != 0 {
+		t.Errorf("HandleCount = %d after releasing everything", got)
+	}
+}
+
+// A root table is a GC root kind of its own: a scavenge forwards its slots in
+// place, a compacting full GC redirects them, and a slot dropped by Truncate
+// or Release stops keeping its object alive. HandleCount counts live slots.
+func TestRootTableSlotsAreRoots(t *testing.T) {
+	rt := newRT(t)
+	k := rt.MustLoad("N")
+	vF := k.FieldByName("v")
+	count := func() int { return rt.GC.Stats().HandleCount }
+
+	// Garbage first, so the compaction below has somewhere to slide to.
+	junk := rt.Pin(rt.MustNew(k))
+	rt.GC.FullGC()
+
+	tab := rt.GC.NewRoots()
+	if tab.Len() != 0 || count() != 1 {
+		t.Fatalf("fresh table: Len %d, HandleCount %d", tab.Len(), count())
+	}
+	for i := 0; i < 3; i++ {
+		node := rt.MustNew(k)
+		rt.SetLong(node, vF, int64(10+i))
+		if slot := tab.Append(node); slot != i {
+			t.Fatalf("Append returned slot %d, want %d", slot, i)
+		}
+	}
+	if count() != 4 {
+		t.Errorf("HandleCount = %d with 1 handle and 3 slots", count())
+	}
+	check := func(stage string, n int) {
+		t.Helper()
+		if tab.Len() != n || len(tab.Slots()) != n {
+			t.Fatalf("%s: Len %d, want %d", stage, tab.Len(), n)
+		}
+		for i := 0; i < n; i++ {
+			if got := rt.GetLong(tab.At(i), vF); got != int64(10+i) {
+				t.Errorf("%s: slot %d reads %d", stage, i, got)
+			}
+			if tab.Slots()[i] != tab.At(i) {
+				t.Errorf("%s: Slots()[%d] disagrees with At", stage, i)
+			}
+		}
+	}
+
+	eden := tab.At(0)
+	if !rt.Heap.Eden.Contains(eden) {
+		t.Fatal("fresh node not in eden")
+	}
+	if !rt.GC.Scavenge() {
+		t.Fatal("scavenge refused")
+	}
+	if tab.At(0) == eden || rt.Heap.Eden.Contains(tab.At(0)) {
+		t.Errorf("scavenge left slot 0 at its eden address %#x", uint64(tab.At(0)))
+	}
+	check("after scavenge", 3)
+
+	// Tenure the nodes, free the older neighbour below them, compact.
+	rt.GC.FullGC()
+	before := tab.At(0)
+	if !rt.Heap.InOld(before) {
+		t.Fatal("full GC did not tenure the table's nodes")
+	}
+	junk.Release()
+	rt.GC.FullGC()
+	if tab.At(0) >= before {
+		t.Errorf("compaction did not slide slot 0 down: %#x -> %#x", uint64(before), uint64(tab.At(0)))
+	}
+	check("after compacting full GC", 3)
+
+	// Truncate: the dropped slot's node is garbage, the kept ones are not.
+	used := rt.Heap.Old.Used()
+	tab.Truncate(2)
+	if count() != 2 {
+		t.Errorf("HandleCount = %d after Truncate(2)", count())
+	}
+	rt.GC.FullGC()
+	if rt.Heap.Old.Used() >= used {
+		t.Errorf("old gen did not shrink after truncating a slot: %d -> %d", used, rt.Heap.Old.Used())
+	}
+	check("after truncate", 2)
+
+	// Release: nothing is rooted, the table is reusable.
+	tab.Release()
+	rt.GC.FullGC()
+	if count() != 0 || rt.Heap.Old.Used() != 0 {
+		t.Errorf("after Release: HandleCount %d, old gen %d bytes", count(), rt.Heap.Old.Used())
+	}
+	node := rt.MustNew(k)
+	rt.SetLong(node, vF, 10)
+	tab.Append(node)
+	rt.GC.Scavenge()
+	check("reused after release", 1)
+	tab.Release()
+}
+
+// Two tables on one collector unregister independently, in either order.
+func TestRootTablesReleaseIndependently(t *testing.T) {
+	rt := newRT(t)
+	k := rt.MustLoad("N")
+	vF := k.FieldByName("v")
+	a, b, c := rt.GC.NewRoots(), rt.GC.NewRoots(), rt.GC.NewRoots()
+	for i, tab := range []*gc.Roots{a, b, c} {
+		node := rt.MustNew(k)
+		rt.SetLong(node, vF, int64(i))
+		tab.Append(node)
+	}
+	a.Release() // the first registered goes first: the last takes its place
+	rt.GC.FullGC()
+	if rt.GetLong(b.At(0), vF) != 1 || rt.GetLong(c.At(0), vF) != 2 {
+		t.Error("a surviving table lost its slot when another was released")
+	}
+	c.Release()
+	b.Release()
+	if got := rt.GC.Stats().HandleCount; got != 0 {
+		t.Errorf("HandleCount = %d", got)
 	}
 }
 

@@ -100,6 +100,7 @@ func (c *engineCodec) NewDecoder(rt *vm.Runtime, r io.Reader) Decoder {
 		s:     c.s,
 		rt:    rt,
 		r:     br,
+		tab:   rt.GC.NewRoots(),
 		descs: make(map[uint64]*klass.Klass),
 	}
 }
@@ -356,25 +357,28 @@ type engineDecoder struct {
 	rt *vm.Runtime
 	r  *bufio.Reader
 
-	handleTab []*gc.Handle
-	descs     map[uint64]*klass.Klass
-	nextDesc  uint64
-	rehash    []*gc.Handle // completed hash maps awaiting rehash
+	// tab roots every object of the root graph being read: slot i is the
+	// wire's back-reference index i, so the table is the back-reference
+	// table too. It is emptied at the end of each Read.
+	tab      *gc.Roots
+	descs    map[uint64]*klass.Klass
+	nextDesc uint64
+	rehash   []int // slots of completed hash maps awaiting rehash
 
 	objects uint64
 }
 
 func (d *engineDecoder) Objects() uint64 { return d.objects }
 
-// Read reconstructs one root graph. All intermediate objects are held via
-// GC handles so allocation-triggered collections cannot invalidate them;
-// handles are released before returning.
+// Read reconstructs one root graph. All intermediate objects are held in
+// the root table so allocation-triggered collections cannot invalidate them;
+// the table is emptied before returning.
 func (d *engineDecoder) Read() (heap.Addr, error) {
 	if _, err := d.r.Peek(1); err != nil {
 		return heap.Null, err // io.EOF at stream end
 	}
-	h, err := d.readRef()
-	defer d.releaseAll()
+	defer d.tab.Release()
+	root, err := d.readRef()
 	if err != nil {
 		return heap.Null, err
 	}
@@ -382,25 +386,21 @@ func (d *engineDecoder) Read() (heap.Addr, error) {
 	// hashes on this runtime) — the receiver-side rehashing cost Skyway
 	// eliminates.
 	if d.s.RehashOnRead {
-		for _, mh := range d.rehash {
-			if err := d.rt.HashMapRehash(mh.Addr()); err != nil {
+		for _, m := range d.rehash {
+			if err := d.rt.HashMapRehash(d.tab.At(m)); err != nil {
 				return heap.Null, err
 			}
 		}
 	}
 	d.rehash = d.rehash[:0]
-	if h == nil {
+	if root == nullSlot {
 		return heap.Null, nil
 	}
-	return h.Addr(), nil
+	return d.tab.At(root), nil
 }
 
-func (d *engineDecoder) releaseAll() {
-	for _, h := range d.handleTab {
-		h.Release()
-	}
-	d.handleTab = d.handleTab[:0]
-}
+// nullSlot is readRef's result for a null reference.
+const nullSlot = -1
 
 func (d *engineDecoder) u8() (byte, error) { return d.r.ReadByte() }
 
@@ -443,89 +443,87 @@ func (d *engineDecoder) readPrim(kind klass.Kind) (uint64, error) {
 	return d.fixed(kind.Size())
 }
 
-// readRef returns a handle to the decoded object, or nil for null.
-func (d *engineDecoder) readRef() (*gc.Handle, error) {
+// readRef returns the root-table slot of the decoded object, or nullSlot.
+func (d *engineDecoder) readRef() (int, error) {
 	tag, err := d.u8()
 	if err != nil {
-		return nil, err
+		return nullSlot, err
 	}
 	switch tag {
 	case tagNull:
-		return nil, nil
+		return nullSlot, nil
 	case tagBackref:
 		h, err := d.uvar()
 		if err != nil {
-			return nil, err
+			return nullSlot, err
 		}
-		if h >= uint64(len(d.handleTab)) {
-			return nil, fmt.Errorf("serial: bad back reference %d", h)
+		if h >= uint64(d.tab.Len()) {
+			return nullSlot, fmt.Errorf("serial: bad back reference %d", h)
 		}
-		return d.handleTab[h], nil
+		return int(h), nil
 	case tagObject:
 		return d.readObject()
 	default:
-		return nil, fmt.Errorf("serial: bad tag %d", tag)
+		return nullSlot, fmt.Errorf("serial: bad tag %d", tag)
 	}
 }
 
-func (d *engineDecoder) readObject() (*gc.Handle, error) {
+func (d *engineDecoder) readObject() (int, error) {
 	rt := d.rt
 	k, err := d.readType()
 	if err != nil {
-		return nil, err
+		return nullSlot, err
 	}
-	var oh *gc.Handle
 	if k.IsArray {
 		n64, err := d.uvar()
 		if err != nil {
-			return nil, err
+			return nullSlot, err
 		}
 		if n64 > 1<<28 {
-			return nil, fmt.Errorf("serial: implausible array length %d", n64)
+			return nullSlot, fmt.Errorf("serial: implausible array length %d", n64)
 		}
 		n := int(n64)
 		arr, err := rt.NewArray(k, n)
 		if err != nil {
-			return nil, err
+			return nullSlot, err
 		}
-		oh = rt.Pin(arr)
-		d.handleTab = append(d.handleTab, oh)
+		o := d.tab.Append(arr)
 		d.objects++
 		if k.Elem == klass.Ref {
 			for i := 0; i < n; i++ {
-				ch, err := d.readRef()
+				c, err := d.readRef()
 				if err != nil {
-					return nil, err
+					return nullSlot, err
 				}
-				if ch != nil {
-					rt.ArraySetRef(oh.Addr(), i, ch.Addr())
+				if c != nullSlot {
+					rt.ArraySetRef(d.tab.At(o), i, d.tab.At(c))
 				}
 			}
-			return oh, nil
+			return o, nil
 		}
-		if err := d.readPrimArray(oh, k, n); err != nil {
-			return nil, err
+		if err := d.readPrimArray(o, k, n); err != nil {
+			return nullSlot, err
 		}
-		return oh, nil
+		return o, nil
 	}
 
 	obj, err := rt.New(k)
 	if err != nil {
-		return nil, err
+		return nullSlot, err
 	}
-	oh = rt.Pin(obj)
-	d.handleTab = append(d.handleTab, oh)
+	o := d.tab.Append(obj)
 	d.objects++
-	if err := d.readFields(oh, k); err != nil {
-		return nil, err
+	if err := d.readFields(o, k); err != nil {
+		return nullSlot, err
 	}
 	if k.Name == vm.HashMapClass && d.s.RehashOnRead {
-		d.rehash = append(d.rehash, oh)
+		d.rehash = append(d.rehash, o)
 	}
-	return oh, nil
+	return o, nil
 }
 
-func (d *engineDecoder) readPrimArray(oh *gc.Handle, k *klass.Klass, n int) error {
+// readPrimArray fills the primitive array in slot o.
+func (d *engineDecoder) readPrimArray(o int, k *klass.Klass, n int) error {
 	es := k.ElemSize()
 	base := d.rt.Heap.Layout().ArrayHeaderSize()
 	if d.s.Access == AccessGenerated && !d.s.Varint {
@@ -536,7 +534,7 @@ func (d *engineDecoder) readPrimArray(oh *gc.Handle, k *klass.Klass, n int) erro
 		// Wire bytes land straight in the slab. The pad tail of the last
 		// word is zeroed explicitly: compact-mode re-encoding would
 		// otherwise leak stale pad bytes onto the wire.
-		v := d.rt.Heap.ByteView(oh.Addr().Add(base), klass.Pad(total))
+		v := d.rt.Heap.ByteView(d.tab.At(o).Add(base), klass.Pad(total))
 		if _, err := io.ReadFull(d.r, v[:total]); err != nil {
 			return err
 		}
@@ -549,12 +547,13 @@ func (d *engineDecoder) readPrimArray(oh *gc.Handle, k *klass.Klass, n int) erro
 			return err
 		}
 		//skyway:allow writebarrier — primitive arrays only: reference arrays take the readRef path, so k.Elem is never Ref here
-		d.rt.Heap.Store(oh.Addr(), base+uint32(i)*es, k.Elem, v)
+		d.rt.Heap.Store(d.tab.At(o), base+uint32(i)*es, k.Elem, v)
 	}
 	return nil
 }
 
-func (d *engineDecoder) readFields(oh *gc.Handle, k *klass.Klass) error {
+// readFields fills the fields of the instance in slot o.
+func (d *engineDecoder) readFields(o int, k *klass.Klass) error {
 	for i := range k.Fields {
 		if k.Fields[i].Transient {
 			// Not on the wire; stays zero (Java's transient default).
@@ -571,12 +570,12 @@ func (d *engineDecoder) readFields(oh *gc.Handle, k *klass.Klass) error {
 			f = &k.Fields[i]
 		}
 		if f.Kind == klass.Ref {
-			ch, err := d.readRef()
+			c, err := d.readRef()
 			if err != nil {
 				return err
 			}
-			if ch != nil {
-				d.rt.SetRef(oh.Addr(), f, ch.Addr())
+			if c != nullSlot {
+				d.rt.SetRef(d.tab.At(o), f, d.tab.At(c))
 			}
 			continue
 		}
@@ -588,7 +587,7 @@ func (d *engineDecoder) readFields(oh *gc.Handle, k *klass.Klass) error {
 			// Reflective Field.set unboxes a boxed primitive.
 			boxField(v)
 		}
-		d.rt.SetRaw(oh.Addr(), f, v)
+		d.rt.SetRaw(d.tab.At(o), f, v)
 	}
 	return nil
 }
