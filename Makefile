@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check loc cross skywayvet vet-taint sarif lint-fixtures race race-parallel verify chaos cluster-test arena-test fuzz-smoke check check-parallel bench-json bench-cmp bench-gate benchmark benchmark-quick
+.PHONY: build test vet fmt-check loc cross skywayvet vet-taint sarif lint-fixtures race race-parallel verify chaos cluster-test arena-test fuzz-smoke check bench-json bench-cmp bench-gate benchmark benchmark-quick
 
 build:
 	$(GO) build ./...
@@ -152,5 +152,3 @@ benchmark-quick:
 	$(GO) test ./benchmark
 
 check: build vet fmt-check cross skywayvet race
-
-check-parallel: build vet fmt-check skywayvet race-parallel

@@ -17,8 +17,10 @@ import (
 // Storing a field whose kind has no size of 1/2/4/8 used to silently no-op,
 // leaving zero bytes where the field's value should be — corruption without
 // a diagnostic. The shared store routine panics (an undefined-size kind in a
-// loaded class is a programming error on the encode side) and the reader
-// rejects the class with a structured decode error before any field is read.
+// loaded class is a programming error on the encode side) and such a class
+// never enters the runtime's type ID table, so a stream naming it is a type
+// error before any field is read (internal/vm,
+// TestCheckKlassKindsRejectsUndefinedSizes).
 func TestStoreUndefinedKindSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -27,25 +29,6 @@ func TestStoreUndefinedKindSizePanics(t *testing.T) {
 	}()
 	var b [8]byte
 	heap.StoreBytes(b[:], 0, klass.Invalid, 0x1234)
-}
-
-func TestCheckKlassKindsRejectsUndefinedSizes(t *testing.T) {
-	bad := &klass.Klass{Name: "Bad", Fields: []klass.Field{{Name: "x", Kind: klass.Invalid}}}
-	if err := checkKlassKinds(bad); err == nil {
-		t.Error("class with an Invalid-kind field passed kind validation")
-	}
-	badArr := &klass.Klass{Name: "Bad[]", IsArray: true, Elem: klass.Invalid}
-	if err := checkKlassKinds(badArr); err == nil {
-		t.Error("array class with an Invalid element kind passed kind validation")
-	}
-	ok := &klass.Klass{Name: "OK", Fields: []klass.Field{{Name: "x", Kind: klass.Int64}, {Name: "r", Kind: klass.Ref}}}
-	if err := checkKlassKinds(ok); err != nil {
-		t.Errorf("well-formed class rejected: %v", err)
-	}
-	okArr := &klass.Klass{Name: "long[]", IsArray: true, Elem: klass.Int64}
-	if err := checkKlassKinds(okArr); err != nil {
-		t.Errorf("well-formed array class rejected: %v", err)
-	}
 }
 
 // --- steady-state allocation discipline --------------------------------------

@@ -59,55 +59,6 @@ func (rd *Reader) arenaRegion() (*arena.Region, error) {
 	return rd.region, nil
 }
 
-// readSegmentArena stages one standard segment of n bytes into the arena:
-// map, fill, validate (CRC + injected damage), then commit to the region's
-// relative-address table. A segment that fails validation is unmapped
-// before the error surfaces — it never enters the table.
-func (rd *Reader) readSegmentArena(n, wireCRC uint32) error {
-	reg, err := rd.arenaRegion()
-	if err != nil {
-		return err
-	}
-	seg, err := reg.Stage(n)
-	if err != nil {
-		return rd.decodeWrap(DecodeResource, uint64(n), err)
-	}
-	if err := rd.fillStaged(seg, wireCRC); err != nil {
-		reg.Discard(seg)
-		return err
-	}
-	rd.commitArena(reg, seg, n)
-	return nil
-}
-
-// readCompactSegmentArena re-inflates a compact segment into a staged arena
-// mapping instead of a heap chunk; everything downstream (validation scan,
-// translation, promotion) is shared with the standard arena path.
-func (rd *Reader) readCompactSegmentArena(phys []byte, decoded uint32) error {
-	reg, err := rd.arenaRegion()
-	if err != nil {
-		return err
-	}
-	seg, err := reg.Stage(decoded)
-	if err != nil {
-		return rd.decodeWrap(DecodeResource, uint64(decoded), err)
-	}
-	if err := rd.decodeCompactSegment(phys, seg, decoded); err != nil {
-		reg.Discard(seg)
-		return err
-	}
-	rd.commitArena(reg, seg, decoded)
-	return nil
-}
-
-// commitArena publishes a validated staged segment: region table first,
-// then the reader's chunk table (same bookkeeping as the eager path, with
-// base left Null — arena chunks have no heap address).
-func (rd *Reader) commitArena(reg *arena.Region, seg []byte, n uint32) {
-	reg.Commit(rd.received(), seg)
-	rd.addChunk(heap.Null, n, seg)
-}
-
 // checkRegion is the liveness gate an arena reader passes at every top mark:
 // the walker commits nothing for it — klass words keep their global type
 // IDs, reference slots their relative addresses, resolution is the accessor

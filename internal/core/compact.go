@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 
+	"skyway/internal/heap"
 	"skyway/internal/klass"
 )
 
@@ -38,7 +39,7 @@ func appendCompact(dst []byte, img []byte, target klass.Layout, isArray bool) []
 	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], tid)]...)
 
 	mark := binary.LittleEndian.Uint64(img[klass.OffMark:])
-	hash, hashed := markHash(mark)
+	hash, hashed := heap.MarkHash(mark)
 	var flags byte
 	if hashed {
 		flags |= compactFlagHashed
@@ -61,31 +62,14 @@ func appendCompact(dst []byte, img []byte, target klass.Layout, isArray bool) []
 	return append(dst, img[payloadOff:]...)
 }
 
-// markHash extracts the cached hashcode from a mark word.
-func markHash(mark uint64) (uint32, bool) {
-	const hashedBit = 1 << 3
-	if mark&hashedBit == 0 {
-		return 0, false
-	}
-	return uint32(mark >> 8), true
-}
-
-// composeMark builds a mark word carrying only a cached hashcode.
-func composeMark(hash uint32, hashed bool) uint64 {
-	if !hashed {
-		return 0
-	}
-	return uint64(hash)<<8 | 1<<3
-}
-
-// decodeCompactSegment inflates a compact segment (phys bytes) into img, the
-// byte image of the chunk that will hold it — a pinned range of buffer space
-// or an arena mapping — which spans decoded bytes, leaving objects in exactly
-// the state a standard segment would: klass word holding the global type ID,
-// baddr zero, references still relative.
-func (rd *Reader) decodeCompactSegment(phys, img []byte, decoded uint32) error {
+// inflate expands a compact segment (phys bytes) into img, the image of the
+// staged chunk that will hold it, which spans the frame's declared decoded
+// size — leaving objects in exactly the state a standard segment would: klass
+// word holding the global type ID, baddr zero, references still relative.
+func (rd *Reader) inflate(phys, img []byte) error {
 	rt := rd.rt
 	layout := rt.Heap.Layout()
+	decoded := uint32(len(img))
 	pos := 0
 	a := uint32(0)
 
@@ -107,9 +91,6 @@ func (rd *Reader) decodeCompactSegment(phys, img []byte, decoded uint32) error {
 			return err
 		}
 		k, err := rt.KlassByTID(int32(uint32(tid64)))
-		if err == nil {
-			err = checkKlassKinds(k)
-		}
 		if err != nil {
 			return rd.decodeWrap(DecodeType, uint64(pos), err)
 		}
@@ -138,10 +119,7 @@ func (rd *Reader) decodeCompactSegment(phys, img []byte, decoded uint32) error {
 				return err
 			}
 		}
-		// The image is as long as the chunk was declared unless the chunk
-		// table entry was fabricated; the shorter of the two is the room, so
-		// every store below stays inside both.
-		room := min(uint64(decoded), uint64(len(img))) - uint64(a)
+		room := uint64(decoded - a)
 		size, _, ok := k.Extent(arrayLen, room)
 		if !ok {
 			return rd.decodeErrf(DecodeLength, uint64(pos), "compact record of %s, length %d, overruns the %d bytes left of its chunk", k.Name, arrayLen, room)
@@ -154,7 +132,11 @@ func (rd *Reader) decodeCompactSegment(phys, img []byte, decoded uint32) error {
 
 		// Re-inflate the standard wire image in place.
 		obj := img[a : a+size]
-		binary.LittleEndian.PutUint64(obj[klass.OffMark:], composeMark(hash, hashed))
+		var mark uint64
+		if hashed {
+			mark = heap.MarkWithHash(0, hash)
+		}
+		binary.LittleEndian.PutUint64(obj[klass.OffMark:], mark)
 		binary.LittleEndian.PutUint64(obj[klass.OffKlass:], tid64)
 		if layout.Baddr {
 			binary.LittleEndian.PutUint64(obj[layout.OffBaddr():], 0)

@@ -576,65 +576,67 @@ func TestConcurrentWritersSharedObjects(t *testing.T) {
 	}
 }
 
-func TestHeterogeneousLayoutTransfer(t *testing.T) {
-	// Sender has baddr; receiver runs a vanilla (no-baddr) layout. The
-	// sender pays the format adjustment (§3.1).
-	cp := klass.NewPath()
-	cp.MustDefine(&klass.ClassDef{Name: "Date", Fields: []klass.FieldDef{
-		{Name: "year", Kind: klass.Ref, Class: "Year4D"},
-		{Name: "month", Kind: klass.Int32},
-		{Name: "day", Kind: klass.Int32},
-	}}, &klass.ClassDef{Name: "Year4D", Fields: []klass.FieldDef{
-		{Name: "value", Kind: klass.Int32},
-	}})
-	reg := registry.NewRegistry()
-	snd, err := vm.NewRuntime(cp, vm.Options{Name: "snd", Registry: registry.InProc{R: reg}})
+func TestLayoutMismatchRejected(t *testing.T) {
+	// The sender heap has no baddr word, the receiver's has one: a stream
+	// carries its sender's layout, and the receiver refuses any but its own.
+	cp := testClusterPath()
+	reg, rcv := newSenderFor(t, cp)
+	sndCfg := heap.DefaultConfig()
+	sndCfg.Layout = klass.Layout{Baddr: false}
+	snd, err := vm.NewRuntime(cp, vm.Options{Name: "vanilla", Heap: sndCfg, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcvCfg := heap.DefaultConfig()
-	rcvCfg.Layout = klass.Layout{Baddr: false}
-	rcv, err := vm.NewRuntime(cp, vm.Options{Name: "rcv", Heap: rcvCfg, Registry: registry.InProc{R: reg}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sky := New(snd)
-
-	d := newDate(t, snd, 2024, 6, 30)
+	d := newDate(t, snd, 2020, 5, 5)
 	var buf bytes.Buffer
-	w := sky.NewWriter(&buf, WithTargetLayout(klass.Layout{Baddr: false}))
+	w := New(snd).NewWriter(&buf)
 	if err := w.WriteObject(d); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-
-	got, err := NewReader(rcv, &buf).ReadObject()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dk := rcv.MustLoad("Date")
-	yk := rcv.MustLoad("Year4D")
-	if rcv.GetInt(got, dk.FieldByName("month")) != 6 {
-		t.Error("field corrupted across layouts")
-	}
-	yo := rcv.GetRef(got, dk.FieldByName("year"))
-	if rcv.GetInt(yo, yk.FieldByName("value")) != 2024 {
-		t.Error("reference corrupted across layouts")
+	_, err = NewReader(rcv, &buf).ReadObject()
+	if de, ok := AsDecodeError(err); !ok || de.Kind != DecodeFrame {
+		t.Errorf("layout mismatch: ReadObject = %v, want a frame error", err)
 	}
 }
 
-func TestLayoutMismatchRejected(t *testing.T) {
-	snd, rcv, sky := testCluster(t)
-	d := newDate(t, snd, 2020, 5, 5)
-	var buf bytes.Buffer
-	w := sky.NewWriter(&buf, WithTargetLayout(klass.Layout{Baddr: false}))
-	if err := w.WriteObject(d); err != nil {
-		t.Fatal(err)
+// Two heaps without the baddr header word exchange both wires: every visit
+// goes through the sender's hash table, and images are one word shorter.
+func TestVanillaLayoutRoundTrip(t *testing.T) {
+	cp := testClusterPath()
+	cfg := heap.DefaultConfig()
+	cfg.Layout = klass.Layout{Baddr: false}
+	reg := registry.InProc{R: registry.NewRegistry()}
+	var rts [2]*vm.Runtime
+	for i := range rts {
+		rt, err := vm.NewRuntime(cp, vm.Options{Name: "vanilla", Heap: cfg, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rts[i] = rt
 	}
-	w.Close()
-	// Receiver heap has baddr; the stream was adjusted for no-baddr.
-	if _, err := NewReader(rcv, &buf).ReadObject(); err == nil {
-		t.Error("layout mismatch not rejected")
+	snd, rcv := rts[0], rts[1]
+	for _, opts := range [][]WriterOption{nil, {WithCompactHeaders()}} {
+		d := newDate(t, snd, 2030, 12, 1)
+		want := snd.HashCode(d)
+		var buf bytes.Buffer
+		w := New(snd).NewWriter(&buf, opts...)
+		if err := w.WriteObject(d); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		got, err := NewReader(rcv, &buf).ReadObject()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dk, yk := rcv.MustLoad("Date"), rcv.MustLoad("Year4D")
+		if rcv.GetInt(got, dk.FieldByName("month")) != 12 ||
+			rcv.GetInt(rcv.GetRef(got, dk.FieldByName("year")), yk.FieldByName("value")) != 2030 {
+			t.Errorf("compact=%v: fields or reference corrupted", opts != nil)
+		}
+		if h, ok := rcv.Heap.HashOf(got); !ok || h != want {
+			t.Errorf("compact=%v: hashcode lost", opts != nil)
+		}
 	}
 }
 

@@ -363,14 +363,20 @@ func TestBufferSpaceRecycledAcrossTransfers(t *testing.T) {
 	}
 }
 
+// slabTail is the image of everything from base to the end of h's slab: the
+// most room a chunk at base could ever offer an object.
+func slabTail(h *heap.Heap, base heap.Addr) []byte {
+	return h.ByteView(base, uint32(h.TotalBytes()-uint64(base)))
+}
+
 // TestHugeArrayLengthRejected pins the full-width extent in the segment
 // walker: Pad(Size + n*ElemSize) computed in uint32 turns a wire-supplied
 // ref-array length of 2^29 (8-byte elements) into a tiny size that passes
 // the per-object overrun check while refCount=n would drive slot reads and
 // absolutization writes far past the chunk. The wire format permits 1 GiB
 // segments, so rather than stream a gigabyte through the reader, the test
-// stages a small real chunk and fabricates the chunk table entry such a
-// segment would register.
+// lists a chunk whose image is all of buffer space from a small real
+// allocation to the end of the slab.
 func TestHugeArrayLengthRejected(t *testing.T) {
 	_, rcv, _ := testCluster(t)
 	h := rcv.Heap
@@ -385,7 +391,7 @@ func TestHugeArrayLengthRejected(t *testing.T) {
 	h.SetArrayLen(base, 1<<29)
 
 	rd := NewReader(rcv, bytes.NewReader(nil))
-	rd.chunks = append(rd.chunks, chunk{startRel: relBias, base: base, size: 1 << 30})
+	rd.chunks = append(rd.chunks, chunk{startRel: relBias, base: base, img: slabTail(h, base)})
 	err := rd.walk()
 	de, ok := AsDecodeError(err)
 	if !ok {
@@ -417,10 +423,10 @@ func TestCompactHugeArrayLengthRejected(t *testing.T) {
 	phys = append(phys, tmp[:binary.PutUvarint(tmp[:], 1<<29)]...)
 
 	rd := NewReader(rcv, bytes.NewReader(nil))
-	err := rd.decodeCompactSegment(phys, rd.image(&chunk{base: base, size: 1 << 30}), 1<<30)
+	err := rd.inflate(phys, slabTail(h, base))
 	de, ok := AsDecodeError(err)
 	if !ok {
-		t.Fatalf("decodeCompactSegment = %v, want DecodeError", err)
+		t.Fatalf("inflate = %v, want DecodeError", err)
 	}
 	if de.Kind != DecodeLength {
 		t.Errorf("DecodeError kind = %s, want %s", de.Kind, DecodeLength)

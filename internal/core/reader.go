@@ -46,28 +46,30 @@ type Reader struct {
 	rt *vm.Runtime
 	r  *bufio.Reader
 
-	headerRead  bool
-	streamID    uint16
-	compact     bool
-	checksummed bool // wire v2: per-segment CRC-32C
+	headerRead bool
+	streamID   uint16
 
 	// tops is the window of top marks peeked but not yet returned, all
 	// topsPeeked bytes of which are still to be discarded (see peekTops).
 	tops       []byte
 	topsPeeked int
 
-	chunks []chunk // ascending startRel, back to back from relBias
-	parsed int     // chunks[:parsed] are absolutized (or arena-validated)
-
-	// runs is the relative→absolute table: the chunks, with every stretch
-	// that lies in the heap in stream order merged into one entry. Buffer
-	// space hands out neighbours until its free list interferes, and arena
-	// chunks have no base at all, so it is usually a single run; run0 backs
-	// it until a second one appears.
-	runs []run
-	run0 [1]run
-
-	pins []*gc.PinnedRange
+	// chunks is the reader's only record of what it has received: one entry
+	// per segment, ascending startRel, back to back from relBias.
+	// chunks[:parsed] are walked (absolutized, or arena-validated), and done
+	// is how far the walk got into chunks[parsed]: a segment can end
+	// mid-graph (the sender flushed because its output buffer filled, §4.2
+	// streaming), leaving objects whose references point beyond the received
+	// data; those are deferred until more segments arrive — the paper's
+	// "block the computation on buffers into which data is being streamed
+	// until the absolutization pass is done" (§4.3).
+	chunks []chunk
+	parsed int
+	done   uint32
+	// contig: every eager chunk is its predecessor's neighbour in buffer
+	// space, so a relative address translates with one addition. Buffer space
+	// hands out neighbours until its free list interferes.
+	contig bool
 
 	// arena selects the lazy-absolutization decode path (arena_reader.go):
 	// segments stage into region instead of pinned buffer space, roots come
@@ -75,16 +77,10 @@ type Reader struct {
 	arena  bool
 	region *arena.Region
 
-	// klasses is a direct-mapped TID→klass cache in front of the runtime's
-	// map: shuffle streams interleave a handful of record classes. Every
-	// entry has passed checkKlassKinds.
-	klasses [8]tidEntry
-
-	// rootHint and refHint name the run the last top mark and the last
-	// reference slot resolved into. Both kinds of address move through the
-	// table in long same-run stretches, each at its own place, so translate
-	// tries the hint before it searches.
-	rootHint, refHint int
+	// err is the first non-EOF error ReadObject returned, and what every
+	// later call returns: a stream that failed once has lost its place in
+	// the relative address space, and must not yield another root.
+	err error
 
 	// verify enables the SKYWAY_VERIFY debug assertions on top-mark
 	// framing and chunk relativization.
@@ -101,32 +97,14 @@ type Reader struct {
 	eofSeen  bool
 }
 
-type tidEntry struct {
-	tid int32
-	k   *klass.Klass
-}
-
-// run is one entry of the relative→absolute table.
-type run struct {
-	startRel uint64
-	size     uint64
-	base     heap.Addr // Null in arena mode
-}
-
+// chunk is one received segment: img is the walker's image of it — a view of
+// the pinned buffer-space range at base, or an arena mapping (base Null, pin
+// nil) — captured once at staging.
 type chunk struct {
 	startRel uint64
+	img      []byte
 	base     heap.Addr
-	size     uint32
-	// seg is the arena-mode segment image (base stays Null); eager chunks
-	// leave it nil.
-	seg []byte
-	// done tracks absolutization progress within the chunk: a segment can
-	// end mid-graph (the sender flushed because its output buffer filled,
-	// §4.2 streaming), leaving objects whose references point beyond the
-	// received data; those are deferred until more segments arrive — the
-	// paper's "block the computation on buffers into which data is being
-	// streamed until the absolutization pass is done" (§4.3).
-	done uint32
+	pin      *gc.PinnedRange
 }
 
 // NewReader opens a Skyway object input stream over r for runtime rt.
@@ -136,7 +114,6 @@ func NewReader(rt *vm.Runtime, r io.Reader, opts ...ReaderOption) *Reader {
 		br = bufio.NewReaderSize(r, 16<<10)
 	}
 	rd := &Reader{rt: rt, r: br, verify: verify.Enabled()}
-	rd.runs = rd.run0[:0]
 	for _, opt := range opts {
 		opt(rd)
 	}
@@ -148,10 +125,15 @@ func NewReader(rt *vm.Runtime, r io.Reader, opts ...ReaderOption) *Reader {
 
 // ReadObject returns the next transferred root object. It consumes frames
 // until a top mark arrives, absolutizing newly received chunks. io.EOF is
-// returned at end of stream; any malformed input surfaces as a *DecodeError.
+// returned at end of stream; any malformed input surfaces as a *DecodeError,
+// and once one has, so does every later call.
 func (rd *Reader) ReadObject() (heap.Addr, error) {
+	if rd.err != nil {
+		return heap.Null, rd.err
+	}
 	a, err := rd.readObject()
 	if err != nil && err != io.EOF {
+		rd.err = err
 		if _, ok := AsDecodeError(err); ok {
 			ctrDecodeErrors.Inc()
 		}
@@ -161,17 +143,15 @@ func (rd *Reader) ReadObject() (heap.Addr, error) {
 
 func (rd *Reader) readObject() (heap.Addr, error) {
 	if !rd.headerRead {
-		target, sid, compact, checksummed, err := readHeader(rd.r)
+		layout, sid, err := readHeader(rd.r)
 		if err != nil {
 			return heap.Null, err
 		}
-		if target != rd.rt.Heap.Layout() {
+		if layout != rd.rt.Heap.Layout() {
 			return heap.Null, &DecodeError{Kind: DecodeFrame, Stream: sid,
-				Detail: fmt.Sprintf("stream was adjusted for layout %+v but receiver heap uses %+v", target, rd.rt.Heap.Layout())}
+				Detail: fmt.Sprintf("stream is in layout %+v but receiver heap uses %+v", layout, rd.rt.Heap.Layout())}
 		}
 		rd.streamID = sid
-		rd.compact = compact
-		rd.checksummed = checksummed
 		rd.headerRead = true
 	}
 	for {
@@ -187,12 +167,8 @@ func (rd *Reader) readObject() (heap.Addr, error) {
 			return heap.Null, rd.decodeWrap(DecodeFrame, 0, noEOF(err))
 		}
 		switch tag {
-		case frameSegment:
-			if err := rd.readSegment(); err != nil {
-				return heap.Null, err
-			}
-		case frameCompact:
-			if err := rd.readCompactSegment(); err != nil {
+		case frameSegment, frameCompact:
+			if err := rd.readSegment(tag); err != nil {
 				return heap.Null, err
 			}
 		case frameTop:
@@ -279,7 +255,7 @@ func (rd *Reader) root(rel uint64) (heap.Addr, error) {
 	if rel == 0 {
 		return heap.Null, nil
 	}
-	return rd.translate(rel, &rd.rootHint)
+	return rd.translate(rel)
 }
 
 // ReadAll reads every remaining root in the stream.
@@ -297,41 +273,143 @@ func (rd *Reader) ReadAll() ([]heap.Addr, error) {
 	}
 }
 
-// stageChunk allocates a new pinned input-buffer chunk of `size` bytes to
-// hold the segment being received.
-func (rd *Reader) stageChunk(size uint32) (heap.Addr, error) {
-	var base heap.Addr
+// readSegment receives one segment frame, standard or compact, whose tag was
+// just read. Staging is one sequence on every path: parse the frame header,
+// stage a chunk of the segment's in-heap size, bring the bytes into its image
+// — verbatim, or re-inflated from compact records — and commit it. One
+// failure rule: a chunk is pinned, listed, or committed to its region only
+// after its bytes validated; until then its range or mapping goes back.
+func (rd *Reader) readSegment(tag byte) error {
+	phys, decoded, wireCRC, err := rd.segmentHeader(tag)
+	if err != nil {
+		return err
+	}
+	c, err := rd.stage(decoded)
+	if err != nil {
+		return err
+	}
+	if tag == frameCompact {
+		// The compact path cannot avoid a staging buffer — records are
+		// re-inflated, not copied verbatim — but the buffer is recycled
+		// across segments instead of allocated per segment.
+		buf := getBuf(int(phys))[:phys]
+		if err = rd.fill(buf, wireCRC); err == nil {
+			err = rd.inflate(buf, c.img)
+		}
+		putBuf(buf)
+	} else {
+		err = rd.fill(c.img, wireCRC)
+	}
+	if err != nil {
+		rd.abort(c)
+		return err
+	}
+	corruptStaged(c.img)
+	rd.commit(c)
+	return nil
+}
+
+// segmentHeader parses what follows a segment frame's tag: the payload's wire
+// length, the length of the in-heap image it becomes (a compact frame declares
+// it; a standard payload IS the image), and the payload's CRC-32C.
+func (rd *Reader) segmentHeader(tag byte) (phys, decoded, wireCRC uint32, err error) {
+	var hdr [8]byte
+	lens := hdr[:4]
+	if tag == frameCompact {
+		lens = hdr[:8]
+	}
+	if _, err := io.ReadFull(rd.r, lens); err != nil {
+		return 0, 0, 0, rd.decodeWrap(DecodeFrame, 0, noEOF(err))
+	}
+	phys = binary.BigEndian.Uint32(lens)
+	decoded = binary.BigEndian.Uint32(lens[len(lens)-4:])
+	if decoded == 0 || decoded%klass.WordSize != 0 || phys == 0 ||
+		decoded > maxSegmentBytes || phys > maxSegmentBytes {
+		return 0, 0, 0, rd.decodeErrf(DecodeLength, uint64(decoded), "bad segment lengths %d/%d", phys, decoded)
+	}
+	if _, err := io.ReadFull(rd.r, hdr[:4]); err != nil {
+		return 0, 0, 0, rd.decodeWrap(DecodeFrame, 0, noEOF(err))
+	}
+	return phys, decoded, binary.BigEndian.Uint32(hdr[:4]), nil
+}
+
+// stage reserves the chunk that will hold the next n bytes of the relative
+// address space: a range of buffer space the collector does not know yet, or
+// an arena mapping its region does not list yet.
+func (rd *Reader) stage(n uint32) (chunk, error) {
+	c := chunk{startRel: rd.received()}
+	if rd.arena {
+		reg, err := rd.arenaRegion()
+		if err != nil {
+			return c, err
+		}
+		if c.img, err = reg.Stage(n); err != nil {
+			return c, rd.decodeWrap(DecodeResource, uint64(n), err)
+		}
+		return c, nil
+	}
 	// Failpoint: a receiver under memory pressure loses the allocation race
 	// at exactly this safepoint.
 	if !fault.Eval(fault.CoreAllocBuffer) {
-		base = rd.rt.Heap.AllocBuffer(size)
+		c.base = rd.rt.Heap.AllocBuffer(n)
 	}
-	if base == heap.Null {
-		return heap.Null, rd.decodeErrf(DecodeResource, uint64(size),
-			"input-buffer space exhausted allocating %d-byte chunk (free unused buffers or enlarge Config.BufferSize)", size)
+	if c.base == heap.Null {
+		return c, rd.decodeErrf(DecodeResource, uint64(n),
+			"input-buffer space exhausted allocating %d-byte chunk (free unused buffers or enlarge Config.BufferSize)", n)
 	}
-	return base, nil
+	c.img = rd.rt.Heap.ByteView(c.base, n)
+	return c, nil
 }
 
-// checkSegment verifies the segment payload against its wire CRC (v2
-// streams) after applying any injected wire damage. Runs before a single
-// byte reaches the heap.
-func (rd *Reader) checkSegment(payload []byte, wireCRC uint32) error {
-	// Failpoints: damage in flight — a flipped bit, a torn (zero-filled)
-	// tail. Injected before the checksum gate, which must catch both.
-	if fault.Eval(fault.CoreChunkBitflip) && len(payload) > 0 {
-		payload[len(payload)/2] ^= 0x10
+// abort gives back a staged chunk whose bytes did not validate.
+func (rd *Reader) abort(c chunk) {
+	if rd.arena {
+		rd.region.Discard(c.img)
+	} else {
+		rd.rt.Heap.FreeBufferRange(c.base, uint32(len(c.img)))
 	}
-	if fault.Eval(fault.CoreChunkTruncate) && len(payload) >= 2 {
-		for i := len(payload) / 2; i < len(payload); i++ {
-			payload[i] = 0
+}
+
+// commit lists a staged chunk whose bytes validated at the end of the
+// received relative address space. An eager chunk is pinned unparsed, so the
+// collector treats the raw bytes as opaque until the walk has passed them; an
+// arena chunk becomes readable through its region's handles.
+func (rd *Reader) commit(c chunk) {
+	n := uint32(len(c.img))
+	if rd.arena {
+		rd.region.Commit(c.startRel, c.img)
+	} else {
+		c.pin = rd.rt.GC.Pin(c.base, n)
+		if len(rd.chunks) == 0 {
+			rd.contig = true
+		} else if last := &rd.chunks[len(rd.chunks)-1]; last.base.Add(uint32(len(last.img))) != c.base {
+			rd.contig = false
 		}
 	}
-	if !rd.checksummed {
-		return nil
+	rd.chunks = append(rd.chunks, c)
+	rd.Bytes += uint64(n)
+	ctrChunks.Inc()
+	ctrBytesRecv.Add(int64(n))
+}
+
+// fill receives one segment payload into dst — which may alias the staged
+// chunk directly: the decode path's only copy is then the socket read itself
+// — and checks it against its wire CRC, after applying any injected wire
+// damage. No byte reaches a walker without passing here.
+func (rd *Reader) fill(dst []byte, wireCRC uint32) error {
+	if _, err := io.ReadFull(rd.r, dst); err != nil {
+		return rd.decodeWrap(DecodeFrame, 0, noEOF(err))
 	}
-	if got := crc32.Checksum(payload, crcTable); got != wireCRC {
-		return rd.decodeErrf(DecodeChecksum, 0, "segment CRC %#x does not match wire CRC %#x over %d bytes", got, wireCRC, len(payload))
+	// Failpoints: damage in flight — a flipped bit, a torn (zero-filled)
+	// tail. Injected before the checksum gate, which must catch both.
+	if fault.Eval(fault.CoreChunkBitflip) && len(dst) > 0 {
+		dst[len(dst)/2] ^= 0x10
+	}
+	if fault.Eval(fault.CoreChunkTruncate) && len(dst) >= 2 {
+		clear(dst[len(dst)/2:])
+	}
+	if got := crc32.Checksum(dst, crcTable); got != wireCRC {
+		return rd.decodeErrf(DecodeChecksum, 0, "segment CRC %#x does not match wire CRC %#x over %d bytes", got, wireCRC, len(dst))
 	}
 	return nil
 }
@@ -339,184 +417,20 @@ func (rd *Reader) checkSegment(payload []byte, wireCRC uint32) error {
 // corruptStaged applies the post-checksum type-ID failpoint: corruption
 // that a valid CRC cannot rule out (a buggy sender, receiver-side memory
 // damage). It stomps the first object's klass word, exercising the
-// absolutization-time class validation. The matching pointer failpoint
-// lives in absolutize, where a real reference slot is known.
-func corruptStaged(tmp []byte) {
-	if fault.Eval(fault.CoreChunkBadTID) && len(tmp) >= int(klass.OffKlass)+8 {
-		binary.LittleEndian.PutUint64(tmp[klass.OffKlass:], 0x7FFFFFF0)
+// walk-time class validation. The matching pointer failpoint lives in
+// walkChunk, where a real reference slot is known.
+func corruptStaged(img []byte) {
+	if fault.Eval(fault.CoreChunkBadTID) && len(img) >= int(klass.OffKlass)+8 {
+		binary.LittleEndian.PutUint64(img[klass.OffKlass:], 0x7FFFFFF0)
 	}
 }
 
-// fillStaged receives one segment payload into dst — which may alias the
-// pinned chunk directly — and validates it in place: injected wire damage,
-// then the CRC gate, then the post-checksum corruption point.
-func (rd *Reader) fillStaged(dst []byte, wireCRC uint32) error {
-	if _, err := io.ReadFull(rd.r, dst); err != nil {
-		return rd.decodeWrap(DecodeFrame, 0, noEOF(err))
-	}
-	if err := rd.checkSegment(dst, wireCRC); err != nil {
-		return err
-	}
-	corruptStaged(dst)
-	return nil
-}
-
-// readSegment allocates an input-buffer chunk and receives the segment into
-// it. The chunk is pinned immediately (unparsed) so the collector treats
-// the raw bytes as opaque.
-//
-// The wire bytes are read directly into the pinned chunk through
-// heap.ByteView and checksummed in place — the decode path's only copy is
-// the socket read itself. A segment that fails mid-receive (short read, CRC
-// mismatch) frees its chunk before surfacing the error: the chunk is not yet
-// pinned or listed, so the range would otherwise leak from buffer space.
-func (rd *Reader) readSegment() error {
-	var lenb [4]byte
-	if _, err := io.ReadFull(rd.r, lenb[:]); err != nil {
-		return rd.decodeWrap(DecodeFrame, 0, noEOF(err))
-	}
-	n := binary.BigEndian.Uint32(lenb[:])
-	if n == 0 || n%klass.WordSize != 0 || n > maxSegmentBytes {
-		return rd.decodeErrf(DecodeLength, uint64(n), "bad segment length %d", n)
-	}
-	var wireCRC uint32
-	if rd.checksummed {
-		var crcb [4]byte
-		if _, err := io.ReadFull(rd.r, crcb[:]); err != nil {
-			return rd.decodeWrap(DecodeFrame, 0, noEOF(err))
-		}
-		wireCRC = binary.BigEndian.Uint32(crcb[:])
-	}
-	if rd.arena {
-		return rd.readSegmentArena(n, wireCRC)
-	}
-	base, err := rd.stageChunk(n)
-	if err != nil {
-		return err
-	}
-	h := rd.rt.Heap
-	if err := rd.fillStaged(h.ByteView(base, n), wireCRC); err != nil {
-		h.FreeBufferRange(base, n)
-		return err
-	}
-
-	rd.addChunk(base, n, nil)
-	rd.pins = append(rd.pins, rd.rt.GC.Pin(base, n))
-	return nil
-}
-
-// readCompactSegment receives a compact segment (§5.2 future-work mode):
-// the wire carries compressed records; the chunk is allocated at the
-// declared inflated size and each record is re-expanded into the standard
-// in-heap image before the shared absolutization pass runs over it.
-func (rd *Reader) readCompactSegment() error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(rd.r, hdr[:]); err != nil {
-		return rd.decodeWrap(DecodeFrame, 0, noEOF(err))
-	}
-	phys := binary.BigEndian.Uint32(hdr[:4])
-	decoded := binary.BigEndian.Uint32(hdr[4:])
-	if decoded == 0 || decoded%klass.WordSize != 0 || phys == 0 ||
-		decoded > maxSegmentBytes || phys > maxSegmentBytes {
-		return rd.decodeErrf(DecodeLength, uint64(decoded), "bad compact segment lengths %d/%d", phys, decoded)
-	}
-	var wireCRC uint32
-	if rd.checksummed {
-		var crcb [4]byte
-		if _, err := io.ReadFull(rd.r, crcb[:]); err != nil {
-			return rd.decodeWrap(DecodeFrame, 0, noEOF(err))
-		}
-		wireCRC = binary.BigEndian.Uint32(crcb[:])
-	}
-	// The compact path cannot avoid a staging buffer — records are
-	// re-inflated, not copied verbatim — but the buffer is recycled across
-	// segments instead of allocated per segment.
-	buf := getBuf(int(phys))[:phys]
-	defer putBuf(buf)
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
-		return rd.decodeWrap(DecodeFrame, 0, noEOF(err))
-	}
-	if err := rd.checkSegment(buf, wireCRC); err != nil {
-		return err
-	}
-	if rd.arena {
-		return rd.readCompactSegmentArena(buf, decoded)
-	}
-	base, err := rd.stageChunk(decoded)
-	if err != nil {
-		return err
-	}
-	// Pin before decoding so a decode error cannot leave an unaccounted
-	// raw range in buffer space.
-	pin := rd.rt.GC.Pin(base, decoded)
-	if err = rd.decodeCompactSegment(buf, rd.rt.Heap.ByteView(base, decoded), decoded); err != nil {
-		rd.rt.GC.Unpin(pin)
-		return err
-	}
-	rd.addChunk(base, decoded, nil)
-	rd.pins = append(rd.pins, pin)
-	return nil
-}
-
-// checkKlassKinds is the reader-side counterpart of heap.StoreBytes'
-// unsized-kind panic: a klass whose field or element kind has no defined size (a
-// malformed or out-of-sync class definition) would make every sized
-// accessor silently drop bytes, so a stream resolving to one is rejected as
-// a structured decode error before any of its objects are absolutized.
-func checkKlassKinds(k *klass.Klass) error {
-	if k.IsArray {
-		if k.ElemSize() == 0 {
-			return fmt.Errorf("array class %s has element kind %v of undefined size", k.Name, k.Elem)
-		}
-		return nil
-	}
-	for i := range k.Fields {
-		if k.Fields[i].Kind.Size() == 0 {
-			return fmt.Errorf("class %s field %s has kind %v of undefined size", k.Name, k.Fields[i].Name, k.Fields[i].Kind)
-		}
-	}
-	return nil
-}
-
-// addChunk lists a received chunk — a pinned range at base, or the arena
-// segment seg — at the end of the received relative address space.
-func (rd *Reader) addChunk(base heap.Addr, size uint32, seg []byte) {
-	startRel := rd.received()
-	rd.chunks = append(rd.chunks, chunk{startRel: startRel, base: base, size: size, seg: seg})
-	if last := len(rd.runs) - 1; last >= 0 && (rd.arena || rd.runs[last].base+heap.Addr(rd.runs[last].size) == base) {
-		rd.runs[last].size += uint64(size)
-	} else {
-		rd.runs = append(rd.runs, run{startRel: startRel, size: uint64(size), base: base})
-	}
-	rd.Bytes += uint64(size)
-	ctrChunks.Inc()
-	ctrBytesRecv.Add(int64(size))
-}
-
-// runOf returns the run that holds the (biased) relative address rel, or nil
-// when nothing received does. *hint is the run the caller's previous address
-// resolved into; only a miss pays for the binary search.
-func (rd *Reader) runOf(rel uint64, hint *int) *run {
-	if i := *hint; i < len(rd.runs) {
-		// Unsigned: an address below the run wraps far past its size.
-		if r := &rd.runs[i]; rel-r.startRel < r.size {
-			return r
-		}
-	}
-	i := sort.Search(len(rd.runs), func(i int) bool { return rd.runs[i].startRel > rel }) - 1
-	if i < 0 || rel-rd.runs[i].startRel >= rd.runs[i].size {
-		return nil
-	}
-	*hint = i
-	return &rd.runs[i]
-}
-
-// translate maps a (biased) relative address to its heap address using the
-// run table — the paper's two-step translation for buffers that span
-// multiple, possibly underfilled chunks.
-func (rd *Reader) translate(rel uint64, hint *int) (heap.Addr, error) {
-	r := rd.runOf(rel, hint)
-	if r == nil {
+// translate maps a (biased) relative address to the address the application
+// will use — the paper's two-step translation for buffers that span multiple,
+// possibly underfilled chunks.
+func (rd *Reader) translate(rel uint64) (heap.Addr, error) {
+	// Unsigned: an address below the bias wraps far past the end.
+	if rel-relBias >= rd.received()-relBias {
 		return heap.Null, rd.decodeErrf(DecodePointer, rel, "relative address outside received chunks")
 	}
 	if rd.arena {
@@ -524,7 +438,17 @@ func (rd *Reader) translate(rel uint64, hint *int) (heap.Addr, error) {
 		// relative address, resolved per access by the vm layer.
 		return heap.ComposeArenaAddr(rd.region.ID(), rel), nil
 	}
-	return r.base + heap.Addr(rel-r.startRel), nil
+	c := &rd.chunks[0]
+	if !rd.contig {
+		c = rd.chunkOf(rel)
+	}
+	return c.base + heap.Addr(rel-c.startRel), nil
+}
+
+// chunkOf returns the chunk that holds rel, which lies inside the received
+// space.
+func (rd *Reader) chunkOf(rel uint64) *chunk {
+	return &rd.chunks[sort.Search(len(rd.chunks), func(i int) bool { return rd.chunks[i].startRel > rel })-1]
 }
 
 // received returns the end of the received relative address space.
@@ -532,8 +456,8 @@ func (rd *Reader) received() uint64 {
 	if len(rd.chunks) == 0 {
 		return relBias
 	}
-	last := rd.chunks[len(rd.chunks)-1]
-	return last.startRel + uint64(last.size)
+	last := &rd.chunks[len(rd.chunks)-1]
+	return last.startRel + uint64(len(last.img))
 }
 
 // walk performs the linear scan over the not-yet-parsed chunk suffix, one
@@ -545,97 +469,58 @@ func (rd *Reader) received() uint64 {
 // nothing. The scan stops at the first object with a reference into data not
 // yet received (an in-flight graph) and resumes from there on the next call.
 func (rd *Reader) walk() error {
-	h := rd.rt.Heap
 	limit := rd.received()
 	objects0 := rd.Objects
 	var err error
 	for rd.parsed < len(rd.chunks) {
 		c := &rd.chunks[rd.parsed]
 		var done bool
-		done, err = rd.walkChunk(c, rd.image(c), limit)
+		done, err = rd.walkChunk(c, limit)
 		if err != nil || !done {
 			break
 		}
 		if !rd.arena {
 			// The chunk is now walkable; tell the collector and dirty its
 			// cards so the next scavenge scans it for young pointers.
-			rd.pins[rd.parsed].Parsed = true
-			h.DirtyRange(c.base, c.size)
+			c.pin.Parsed = true
+			rd.rt.Heap.DirtyRange(c.base, uint32(len(c.img)))
 		}
 		rd.parsed++
+		rd.done = 0
 	}
 	ctrObjectsRecv.Add(int64(rd.Objects - objects0))
 	return err
 }
 
-// image returns the byte image of chunk c for the walker: an arena chunk's
-// segment, an eager chunk's view of buffer space. A chunk can overstate its
-// extent only when its table entry was fabricated (the huge-length
-// regression tests do), and then the image stops at the end of the slab:
-// whoever scans it bounds every object by the image as well.
-func (rd *Reader) image(c *chunk) []byte {
-	if rd.arena {
-		return c.seg
-	}
-	h, size := rd.rt.Heap, c.size
-	if room := h.TotalBytes() - uint64(c.base); uint64(size) > room {
-		size = uint32(room)
-	}
-	return h.ByteView(c.base, size)
-}
-
-// resolveKlass resolves a global type ID to a local klass (loading the class
-// on demand) whose field kinds all have a size, and caches it.
-func (rd *Reader) resolveKlass(tid int32) (*klass.Klass, error) {
-	k, err := rd.rt.KlassByTID(tid)
-	if err == nil {
-		err = checkKlassKinds(k)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if tid >= 0 {
-		rd.klasses[uint32(tid)%uint32(len(rd.klasses))] = tidEntry{tid, k}
-	}
-	return k, nil
-}
-
-// walkChunk scans img, the image of chunk c, from c.done: for each object it
-// resolves the global type ID, bounds the object by its chunk, and checks
-// every reference slot, and reports whether it reached the end of the chunk
-// (false, nil: an object references data not yet received, all of which lies
-// below limit).
+// walkChunk scans the image of chunk c, the first unparsed one, from rd.done:
+// for each object it resolves the global type ID, bounds the object by its
+// chunk, and checks every reference slot, and reports whether it reached the
+// end of the chunk (false, nil: an object references data not yet received,
+// all of which lies below limit).
 //
 // Validation order is the §4.3 hardening contract: an object's class, its
 // size against its chunk, and every one of its reference slots are checked
 // before the first mutation of the object — an eager reader's commit is per
 // object, never partial. Registered field updates apply on both paths, once,
 // at receive time.
-func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64) (bool, error) {
-	rt := rd.rt
+func (rd *Reader) walkChunk(c *chunk, limit uint64) (bool, error) {
+	rt, img := rd.rt, c.img
 	offLen := rt.Heap.Layout().OffArrayLen()
-	off := c.done
-	for off < c.size {
+	off := rd.done
+	for uint64(off) < uint64(len(img)) {
 		relOff := c.startRel + uint64(off)
-		if uint64(off)+klass.OffKlass+klass.WordSize > uint64(len(img)) {
-			return false, rd.decodeErrf(DecodeLength, relOff, "%d-byte tail of the chunk is too short for an object header", c.size-off)
+		// The rest of the image is the room.
+		room := uint64(len(img)) - uint64(off)
+		if room < klass.OffKlass+klass.WordSize {
+			return false, rd.decodeErrf(DecodeLength, relOff, "%d-byte tail of the chunk is too short for an object header", room)
 		}
 		tid := int32(uint32(binary.LittleEndian.Uint64(img[off+klass.OffKlass:])))
-		var k *klass.Klass
-		if tid >= 0 { // a negative ID resolves to nothing, and must not index
-			if e := &rd.klasses[uint32(tid)%uint32(len(rd.klasses))]; e.tid == tid {
-				k = e.k
-			}
+		k, err := rt.KlassByTID(tid)
+		if err != nil {
+			return false, rd.decodeWrap(DecodeType, relOff, err)
 		}
-		if k == nil {
-			var err error
-			if k, err = rd.resolveKlass(tid); err != nil {
-				return false, rd.decodeWrap(DecodeType, relOff, err)
-			}
-		}
-		// The rest of the image is the room. A length word is read only when
-		// the array header fits in it; otherwise the zero fails on the header.
-		room := uint64(len(img)) - uint64(off)
+		// A length word is read only when the array header fits in the room;
+		// otherwise the zero fails on the header.
 		var n uint64
 		if k.IsArray && uint64(k.Size) <= room {
 			n = binary.LittleEndian.Uint64(img[off+offLen:])
@@ -668,7 +553,7 @@ func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64) (bool, error) {
 					"reference slot %d of %s holds malformed relative address %#x", i, k.Name, rel)
 			}
 			if rel >= limit {
-				c.done = off
+				rd.done = off
 				return false, nil
 			}
 		}
@@ -682,7 +567,7 @@ func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64) (bool, error) {
 				if rel == 0 {
 					continue
 				}
-				abs, err := rd.translate(rel, &rd.refHint)
+				abs, err := rd.translate(rel)
 				if err != nil {
 					return false, err
 				}
@@ -696,7 +581,7 @@ func (rd *Reader) walkChunk(c *chunk, img []byte, limit uint64) (bool, error) {
 		}
 		rd.Objects++
 		off += size
-		c.done = off
+		rd.done = off
 	}
 	return true, nil
 }
@@ -723,31 +608,31 @@ func (rd *Reader) applyUpdates(ups []vm.FieldUpdate, c *chunk, off uint32, obj [
 func (rd *Reader) verifyTop(rel uint64) error {
 	if rd.parsed < len(rd.chunks) {
 		c := &rd.chunks[rd.parsed]
-		if rel >= c.startRel+uint64(c.done) {
+		if rel >= c.startRel+uint64(rd.done) {
 			var audit []verify.Violation
 			if !rd.arena {
 				audit = verify.CheckChunk(rd.rt.Heap, rd.rt, verify.Chunk{
-					Base: c.base, Size: c.size, Done: c.done, Limit: rd.received(),
+					Base: c.base, Size: uint32(len(c.img)), Done: rd.done, Limit: rd.received(),
 				})
 			}
 			return fmt.Errorf("skyway: verify: top mark %#x arrived with chunk %d walked only to %d/%d bytes; audit: %v",
-				rel, rd.parsed, c.done, c.size, audit)
+				rel, rd.parsed, rd.done, len(c.img), audit)
 		}
 	}
 	if rel == 0 {
 		return nil
 	}
-	a, err := rd.translate(rel, &rd.rootHint)
+	a, err := rd.translate(rel)
 	if err != nil {
 		return fmt.Errorf("skyway: verify: top mark: %w", err)
 	}
 	if rd.arena {
-		c := &rd.chunks[sort.Search(len(rd.chunks), func(i int) bool { return rd.chunks[i].startRel > rel })-1]
+		c := rd.chunkOf(rel)
 		off := rel - c.startRel + klass.OffKlass
-		if off+klass.WordSize > uint64(len(c.seg)) {
+		if off+klass.WordSize > uint64(len(c.img)) {
 			return fmt.Errorf("skyway: verify: top mark %#x names the last bytes of its chunk, not an object", rel)
 		}
-		tid := int32(uint32(binary.LittleEndian.Uint64(c.seg[off:])))
+		tid := int32(uint32(binary.LittleEndian.Uint64(c.img[off:])))
 		if _, err := rd.rt.KlassByTID(tid); err != nil {
 			return fmt.Errorf("skyway: verify: top mark %#x names %#x whose type ID %d is not loadable: %v",
 				rel, uint64(a), tid, err)
@@ -763,15 +648,15 @@ func (rd *Reader) verifyTop(rel uint64) error {
 // become garbage (unless reachable some other way, which the application
 // must not assume). Mirrors the explicit buffer-free API of §3.2.
 func (rd *Reader) Free() {
-	for _, p := range rd.pins {
-		rd.rt.GC.Unpin(p)
+	for i := range rd.chunks {
+		if p := rd.chunks[i].pin; p != nil {
+			rd.rt.GC.Unpin(p)
+		}
 	}
-	rd.pins = nil
 	if rd.region != nil {
 		rd.region.Release()
 		rd.region = nil
 	}
 	rd.chunks = nil
-	rd.runs = rd.run0[:0]
-	rd.parsed = 0
+	rd.parsed, rd.done = 0, 0
 }

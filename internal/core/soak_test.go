@@ -136,37 +136,3 @@ func TestTransferGCInterleavingSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCompactHeterogeneousCombined(t *testing.T) {
-	// Compact wire encoding composed with target-layout adjustment: a
-	// baddr sender feeding a vanilla receiver over the compressed format.
-	cp := testClusterPath()
-	reg, snd := newSenderFor(t, cp)
-	rcvCfg := heap.DefaultConfig()
-	rcvCfg.Layout = klass.Layout{Baddr: false}
-	rcv, err := vm.NewRuntime(cp, vm.Options{Name: "vanilla", Heap: rcvCfg, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sky := New(snd)
-	d := newDate(t, snd, 2030, 12, 1)
-	want := snd.HashCode(d)
-
-	var buf bytes.Buffer
-	w := sky.NewWriter(&buf, WithCompactHeaders(), WithTargetLayout(klass.Layout{Baddr: false}))
-	if err := w.WriteObject(d); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	got, err := NewReader(rcv, &buf).ReadObject()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dk := rcv.MustLoad("Date")
-	if rcv.GetInt(got, dk.FieldByName("month")) != 12 {
-		t.Error("field corrupted")
-	}
-	if h, ok := rcv.Heap.HashOf(got); !ok || h != want {
-		t.Error("hashcode lost across compact heterogeneous transfer")
-	}
-}

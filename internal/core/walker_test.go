@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -147,10 +148,11 @@ func fragmentBufferSpace(t *testing.T, rt *vm.Runtime, hole uint32, holes int) {
 // its own, far from the shared Year4Ds it points back to.
 var backRefStreamOpts = []WriterOption{WithBufferSize(128)}
 
-// References that point back into earlier chunks resolve through the run
-// table. When the chunks are neighbours in the heap the table is one run and
-// the hint never misses; when buffer space is fragmented every chunk is its
-// own run and each back-reference falls through to the binary search.
+// References that point back into earlier chunks resolve through the chunk
+// table. When the chunks are neighbours in the heap the reader stays contig
+// and a reference translates with one addition; when buffer space is
+// fragmented each back-reference falls through to the binary search; an arena
+// reader composes a tag and never looks.
 func TestBackReferencesAcrossChunks(t *testing.T) {
 	for _, fragmented := range []bool{false, true} {
 		snd, rcv, sky := testCluster(t)
@@ -160,21 +162,19 @@ func TestBackReferencesAcrossChunks(t *testing.T) {
 		}
 		rd := NewReader(rcv, bytes.NewReader(wire))
 		checkRecords(t, rcv, rd, want)
-		if len(rd.chunks) < 100 {
-			t.Fatalf("stream decoded into %d chunks; the test needs many", len(rd.chunks))
+		chunks := len(rd.chunks)
+		if chunks < 100 {
+			t.Fatalf("stream decoded into %d chunks; the test needs many", chunks)
 		}
-		if fragmented && len(rd.runs) < len(rd.chunks)/2 {
-			t.Errorf("fragmented buffer space still merged %d chunks into %d runs", len(rd.chunks), len(rd.runs))
-		}
-		if !fragmented && len(rd.runs) != 1 {
-			t.Errorf("%d neighbouring chunks made %d runs, want 1", len(rd.chunks), len(rd.runs))
+		if rd.contig == fragmented {
+			t.Errorf("fragmented=%v: %d chunks left the reader with contig=%v", fragmented, chunks, rd.contig)
 		}
 		rd.Free()
 
 		ard := NewReader(rcv, bytes.NewReader(wire), WithArena())
 		checkRecords(t, rcv, ard, want)
-		if len(ard.runs) != 1 {
-			t.Errorf("arena reader has %d runs, want 1", len(ard.runs))
+		if len(ard.chunks) != chunks {
+			t.Errorf("arena reader listed %d chunks, the eager one %d", len(ard.chunks), chunks)
 		}
 		ard.Free()
 	}
@@ -204,23 +204,7 @@ func TestWritesPerStreamScaleWithSegments(t *testing.T) {
 		roots := recordCorpus(t, snd, 5000)
 		var cw countingWriter
 		encodeRecords(t, sky, roots, &cw, opts...)
-		segments := 0
-		for rest := cw.buf.Bytes()[8:]; len(rest) > 0; {
-			switch rest[0] {
-			case frameSegment:
-				segments++
-				rest = rest[9+binary.BigEndian.Uint32(rest[1:]):]
-			case frameCompact:
-				segments++
-				rest = rest[13+binary.BigEndian.Uint32(rest[1:]):]
-			case frameTop:
-				rest = rest[topFrameLen:]
-			case frameEnd:
-				rest = rest[1:]
-			default:
-				t.Fatalf("unknown frame tag %#x", rest[0])
-			}
-		}
+		segments := len(wireFrames(t, cw.buf.Bytes()))
 		if segments < 10 {
 			t.Fatalf("stream has %d segments; the test needs many", segments)
 		}
@@ -398,7 +382,7 @@ func walkersAgreeOnShape(t *testing.T, snd, rcv *vm.Runtime, sky *Skyway) {
 		t.Fatalf("compact segment declares %d decoded bytes, the standard one has %d", decoded, size)
 	}
 	inflatedAt := stage(size)
-	if err := NewReader(rcv, bytes.NewReader(nil)).decodeCompactSegment(compact[13:], h.ByteView(inflatedAt, size), size); err != nil {
+	if err := NewReader(rcv, bytes.NewReader(nil)).inflate(compact[13:], h.ByteView(inflatedAt, size)); err != nil {
 		t.Fatal(err)
 	}
 	check("compact re-inflation", shapeRows(t, rcv, inflatedAt, size, true))
@@ -414,7 +398,7 @@ func walkersAgreeOnShape(t *testing.T, snd, rcv *vm.Runtime, sky *Skyway) {
 	if len(eager.chunks) != 1 {
 		t.Fatalf("stream decoded into %d chunks, want 1", len(eager.chunks))
 	}
-	check("in-place walk", shapeRows(t, rcv, eager.chunks[0].base, eager.chunks[0].size, false))
+	check("in-place walk", shapeRows(t, rcv, eager.chunks[0].base, uint32(len(eager.chunks[0].img)), false))
 	for i, a := range got {
 		ours, theirs := shapeRows(t, snd, roots[i], snd.ObjectSize(roots[i]), false), shapeRows(t, rcv, a, rcv.ObjectSize(a), false)
 		if !reflect.DeepEqual(ours, theirs) {
@@ -469,8 +453,10 @@ func walkersAgreeOnShape(t *testing.T, snd, rcv *vm.Runtime, sky *Skyway) {
 // receive paths. (The arena scan used to index past the end of it.)
 func TestSegmentShorterThanHeaderRejected(t *testing.T) {
 	_, rcv, _ := testCluster(t)
-	wire := append([]byte("SKYW\x01\x01\x00\x00"), frameSegment, 0, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8,
-		frameTop, 0, 0, 0, 0, 0, 0, 0, 8)
+	body := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	wire := append([]byte("SKYW\x02\x01\x00\x00"), frameSegment, 0, 0, 0, 8)
+	wire = binary.BigEndian.AppendUint32(wire, crc32.Checksum(body, crcTable))
+	wire = append(append(wire, body...), frameTop, 0, 0, 0, 0, 0, 0, 0, 8)
 	for _, opts := range [][]ReaderOption{nil, {WithArena()}} {
 		rd := NewReader(rcv, bytes.NewReader(wire), opts...)
 		_, err := rd.ReadObject()

@@ -13,7 +13,7 @@ import (
 // Wire protocol. A stream opens with a fixed header and then carries frames:
 //
 //	header := "SKYW" ver(u8) flags(u8) streamID(u16 BE)
-//	frame  := 'S' len(u32 BE) [crc(u32 BE)] bytes
+//	frame  := 'S' len(u32 BE) crc(u32 BE) bytes
 //	                                     -- a flushed output-buffer segment;
 //	                                        the receiver turns it into one
 //	                                        input-buffer chunk, so objects
@@ -23,25 +23,23 @@ import (
 //	                                        Recognition"); rel 0 is null
 //	        | 'E'                        -- end of stream
 //
-// flags bit 0 records whether the object images carry a baddr header word,
-// i.e. the receiver layout the sender adjusted the clones to (§3.1).
+// flags bit 0 records whether the object images carry a baddr header word:
+// images are in the sender heap's layout, and a receiver whose heap's differs
+// refuses the stream.
 //
-// Versioning: ver 1 frames carry no checksum. Ver 2 (current) adds a
-// CRC-32C of the payload to every 'S' and 'C' frame, between the length
-// words and the bytes, so a torn or bit-flipped transfer is rejected before
-// any of it reaches the heap. Readers accept both; writers emit ver 2.
-// Future format changes bump the version byte — old readers reject unknown
-// versions loudly rather than misparsing (the golden wire-vector tests pin
-// the current encoding byte for byte).
+// Versioning: ver 2 is the only version a reader accepts. Every 'S' and 'C'
+// frame carries a CRC-32C of its payload between the length words and the
+// bytes, so a torn or bit-flipped transfer is rejected before any of it
+// reaches a walker. Format changes bump the version byte — readers reject
+// unknown versions (the checksum-free ver 1 included) loudly rather than
+// misparsing; the golden wire-vector tests pin the current encoding byte for
+// byte.
 const (
 	wireMagic   = "SKYW"
 	wireVersion = 2
-	// wireVersionNoCRC is the legacy checksum-free format, still accepted
-	// on receive.
-	wireVersionNoCRC = 1
 
 	frameSegment = 'S'
-	frameCompact = 'C' // compact segment: physLen(u32) decodedLen(u32) [crc(u32)] bytes
+	frameCompact = 'C' // compact segment: physLen(u32) decodedLen(u32) crc(u32) bytes
 	frameTop     = 'T'
 	frameEnd     = 'E'
 
@@ -66,11 +64,11 @@ const maxSegmentBytes = 1 << 30
 // amd64/arm64), shared by senders and receivers.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func writeHeader(w io.Writer, target klass.Layout, streamID uint16, compact bool) error {
+func writeHeader(w io.Writer, layout klass.Layout, streamID uint16, compact bool) error {
 	var h [8]byte
 	copy(h[:4], wireMagic)
 	h[4] = wireVersion
-	if target.Baddr {
+	if layout.Baddr {
 		h[5] |= flagBaddr
 	}
 	if compact {
@@ -81,24 +79,22 @@ func writeHeader(w io.Writer, target klass.Layout, streamID uint16, compact bool
 	return err
 }
 
-func readHeader(r io.Reader) (target klass.Layout, streamID uint16, compact, checksummed bool, err error) {
+// readHeader parses the stream header: the layout the sender's object images
+// are in and the stream ID. (The compact flag is informational: each segment
+// frame's tag says which encoding it is in.)
+func readHeader(r io.Reader) (layout klass.Layout, streamID uint16, err error) {
 	var h [8]byte
 	if _, err = io.ReadFull(r, h[:]); err != nil {
-		return target, 0, false, false, &DecodeError{Kind: DecodeFrame, Detail: "reading stream header", Err: noEOF(err)}
+		return layout, 0, &DecodeError{Kind: DecodeFrame, Detail: "reading stream header", Err: noEOF(err)}
 	}
 	if string(h[:4]) != wireMagic {
-		return target, 0, false, false, &DecodeError{Kind: DecodeFrame, Detail: fmt.Sprintf("bad stream magic %q", h[:4])}
+		return layout, 0, &DecodeError{Kind: DecodeFrame, Detail: fmt.Sprintf("bad stream magic %q", h[:4])}
 	}
-	switch h[4] {
-	case wireVersion:
-		checksummed = true
-	case wireVersionNoCRC:
-		checksummed = false
-	default:
-		return target, 0, false, false, &DecodeError{Kind: DecodeFrame, Detail: fmt.Sprintf("unsupported stream version %d", h[4])}
+	if h[4] != wireVersion {
+		return layout, 0, &DecodeError{Kind: DecodeFrame, Detail: fmt.Sprintf("unsupported stream version %d", h[4])}
 	}
-	target.Baddr = h[5]&flagBaddr != 0
-	return target, binary.BigEndian.Uint16(h[6:]), h[5]&flagCompact != 0, checksummed, nil
+	layout.Baddr = h[5]&flagBaddr != 0
+	return layout, binary.BigEndian.Uint16(h[6:]), nil
 }
 
 // noEOF maps a bare io.EOF to io.ErrUnexpectedEOF: inside a frame, running

@@ -41,13 +41,13 @@ type Writer struct {
 
 	streamID uint16
 	sid      uint8 // shuffle phase the writer was opened in
-	// exhausted: the phase had no stream ID left that is this writer's alone
-	// (vm.StreamIDsExhaustedError); every WriteObject fails.
-	exhausted bool
-	target    klass.Layout
-	// targetKlass caches source-klass → target-layout klass for
-	// heterogeneous transfers (§3.1); nil when layouts match.
-	targetKlass map[int32]*klass.Klass
+	// err is the stream's first failure, and what WriteObject, Flush and Close
+	// return from then on: a writer whose traversal or flush failed midway has
+	// claimed relative addresses for bytes that never reached the wire, so
+	// nothing it wrote afterwards could be decoded. It is set at open when the
+	// phase had no stream ID left that is this writer's alone
+	// (vm.StreamIDsExhaustedError).
+	err error
 
 	// buf is the physical output buffer, drawn from the process-wide pool
 	// and returned on Close; its capacity may exceed limit. All flush and
@@ -114,13 +114,12 @@ type Writer struct {
 }
 
 // grayRec is one claimed object awaiting its clone: where it lives, where
-// its image goes, its klass under the sender's layout (k) and the stream's
-// (tk — the same klass unless the layouts differ), and tk.Extent's answer:
-// the image's size and the reference-slot count, which k shares.
+// its image goes, its klass, and k.Extent's answer: the image's size and the
+// reference-slot count.
 type grayRec struct {
 	obj   heap.Addr
 	rel   uint64
-	k, tk *klass.Klass
+	k     *klass.Klass
 	size  uint32
 	nrefs int
 }
@@ -131,13 +130,6 @@ type WriterOption func(*Writer)
 // WithBufferSize sets the output-buffer capacity in bytes.
 func WithBufferSize(n int) WriterOption {
 	return func(w *Writer) { w.limit, w.fixedBuf = n, true }
-}
-
-// WithTargetLayout makes the writer emit object images in a different
-// header geometry than the sender heap's — the paper's heterogeneous
-// cluster support, where format adjustment costs fall on the sender only.
-func WithTargetLayout(l klass.Layout) WriterOption {
-	return func(w *Writer) { w.target = l }
 }
 
 // WithCompactHeaders enables the compact wire encoding: reconstructible
@@ -152,9 +144,8 @@ func WithCompactHeaders() WriterOption {
 // NewWriter opens a Skyway object output stream over w.
 func (s *Skyway) NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 	wr := &Writer{
-		rt:     s.rt,
-		w:      w,
-		target: s.rt.Heap.Layout(),
+		rt: s.rt,
+		w:  w,
 
 		flushed:   relBias,
 		allocable: relBias,
@@ -162,7 +153,9 @@ func (s *Skyway) NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 	}
 	var ok bool
 	wr.sid, wr.streamID, ok = s.rt.OpenStream()
-	wr.exhausted = !ok
+	if !ok {
+		wr.err = fmt.Errorf("skyway: stream %d: %w", wr.streamID, &vm.StreamIDsExhaustedError{Phase: wr.sid})
+	}
 	if obs.Enabled() {
 		wr.openedAt = time.Now()
 	}
@@ -177,22 +170,19 @@ func (s *Skyway) NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 		wr.growBuf = true
 	}
 	wr.buf = getBuf(wr.limit)
-	if wr.target != s.rt.Heap.Layout() {
-		wr.targetKlass = make(map[int32]*klass.Klass)
-	}
 	return wr
 }
 
 // WriteObject transfers the object graph reachable from root. If root was
 // already copied in the current shuffle phase (by this writer), only a
 // backward reference (top mark) is emitted. A Null root writes a null top
-// mark.
+// mark. The first error is final: every later call returns it.
 func (w *Writer) WriteObject(root heap.Addr) error {
 	if w.closed {
 		return fmt.Errorf("skyway: write on closed stream")
 	}
-	if w.exhausted {
-		return fmt.Errorf("skyway: stream %d: %w", w.streamID, &vm.StreamIDsExhaustedError{Phase: w.sid})
+	if w.err != nil {
+		return w.err
 	}
 	// Hold the phase guard for the whole traversal: ShuffleStart cannot
 	// advance sID (or clear baddr words on wrap) while this writer is
@@ -202,8 +192,13 @@ func (w *Writer) WriteObject(root heap.Addr) error {
 		return fmt.Errorf("skyway: writer opened in shuffle phase %d used in phase %d; open a new writer after ShuffleStart", w.sid, w.rt.Phase())
 	}
 	defer w.rt.ReleasePhase()
+	w.err = w.writeObject(root)
+	return w.err
+}
+
+func (w *Writer) writeObject(root heap.Addr) error {
 	if !w.headerWritten {
-		if err := writeHeader(w.w, w.target, w.streamID, w.compact); err != nil {
+		if err := writeHeader(w.w, w.rt.Heap.Layout(), w.streamID, w.compact); err != nil {
 			return err
 		}
 		w.headerWritten = true
@@ -225,7 +220,7 @@ func (w *Writer) WriteObject(root heap.Addr) error {
 		// rec may point into the queue, which cloneInBuffer grows: its
 		// fields are read out as arguments before the call.
 		for rec := &first; ; w.grayHead++ {
-			if err := w.cloneInBuffer(rec.obj, rec.rel, rec.k, rec.tk, rec.size, rec.nrefs); err != nil {
+			if err := w.cloneInBuffer(rec.obj, rec.rel, rec.k, rec.size, rec.nrefs); err != nil {
 				return err
 			}
 			if w.grayHead == len(w.gray) {
@@ -291,22 +286,15 @@ func (w *Writer) visitOverflow(obj heap.Addr) (rel uint64, already bool) {
 // then copied as a whole stalls on store forwarding, once per object.)
 func (w *Writer) reserve(obj heap.Addr, rec *grayRec) error {
 	k := w.rt.KlassOf(obj)
-	tk := k
-	if w.targetKlass != nil {
-		var err error
-		if tk, err = w.targetKlassOf(k); err != nil {
-			return err
-		}
-	}
 	var n uint64
-	if tk.IsArray {
+	if k.IsArray {
 		n = uint64(w.rt.Heap.ArrayLen(obj))
 	}
-	size, nrefs, ok := tk.Extent(n, math.MaxUint32)
+	size, nrefs, ok := k.Extent(n, math.MaxUint32)
 	if !ok {
-		return fmt.Errorf("skyway: %s of length %d has no 32-bit size under the target layout", k.Name, n)
+		return fmt.Errorf("skyway: %s of length %d has no 32-bit size", k.Name, n)
 	}
-	rec.obj, rec.rel, rec.k, rec.tk, rec.size, rec.nrefs = obj, w.allocable, k, tk, size, nrefs
+	rec.obj, rec.rel, rec.k, rec.size, rec.nrefs = obj, w.allocable, k, size, nrefs
 	w.allocable += uint64(size)
 	if w.allocable-relBias > heap.BaddrRelMask {
 		return fmt.Errorf("skyway: stream exceeded 1 TiB relative address space")
@@ -314,48 +302,14 @@ func (w *Writer) reserve(obj heap.Addr, rec *grayRec) error {
 	return nil
 }
 
-func (w *Writer) targetKlassOf(k *klass.Klass) (*klass.Klass, error) {
-	if tk, ok := w.targetKlass[k.LID]; ok {
-		return tk, nil
-	}
-	rt := w.rt
-	var tk *klass.Klass
-	var err error
-	if k.IsArray {
-		tk, err = klass.ResolveArray(k.Name, w.target)
-	} else {
-		var super *klass.Klass
-		def := rt.ClassPath().Lookup(k.Name)
-		if def == nil {
-			return nil, fmt.Errorf("skyway: class %s missing from classpath", k.Name)
-		}
-		if def.Super != "" {
-			sk := rt.KlassByName(def.Super)
-			if sk == nil {
-				return nil, fmt.Errorf("skyway: superclass %s of %s not loaded", def.Super, k.Name)
-			}
-			super, err = w.targetKlassOf(sk)
-			if err != nil {
-				return nil, err
-			}
-		}
-		tk, err = klass.ResolveLayout(def, super, w.target)
-	}
-	if err != nil {
-		return nil, err
-	}
-	tk.TID = k.TID
-	w.targetKlass[k.LID] = tk
-	return tk, nil
-}
-
 // cloneInBuffer copies a reserved object into the output buffer at its
 // relative address (CLONEINBUFFER + header update + reference
 // relativization, Algorithm 2 lines 10-27). Everything that depends only on
 // the klass — sizes, byte composition, ref-slot tables — was fixed when the
 // klass was resolved.
-func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k, tk *klass.Klass, size uint32, nrefs int) error {
+func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k *klass.Klass, size uint32, nrefs int) error {
 	h := w.rt.Heap
+	layout := h.Layout()
 	if k.TID < 0 {
 		return fmt.Errorf("skyway: class %s has no global type ID (runtime %s is not attached to a registry)", k.Name, w.rt.Name)
 	}
@@ -392,50 +346,45 @@ func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k, tk *klass.Klass, si
 		img = w.buf[pos : pos+int(size)]
 	}
 
-	if tk == k {
-		// Same layout: one copy of everything behind the header, then
-		// patch the reference slots in place. This is Skyway's fast path
-		// — no per-field access for primitive data. The header is written
-		// below, not copied: all of its words are replaced anyway, and
-		// copying the baddr word would be a plain read racing the claims
-		// of concurrent senders that share the object.
-		hdr := w.target.HeaderSize()
-		h.CopyOut(obj.Add(hdr), size-hdr, img[hdr:])
-	} else {
-		w.cloneCrossLayout(obj, k, tk, img)
-	}
+	// One copy of everything behind the header, then patch the reference
+	// slots in place — no per-field access for primitive data. The header is
+	// written below, not copied: all of its words are replaced anyway, and
+	// copying the baddr word would be a plain read racing the claims of
+	// concurrent senders that share the object.
+	hdr := layout.HeaderSize()
+	h.CopyOut(obj.Add(hdr), size-hdr, img[hdr:])
 
 	// Header update: reset GC/lock/age bits preserving the hashcode,
 	// install the global type ID, clear the clone's baddr.
 	binary.LittleEndian.PutUint64(img[klass.OffMark:], heap.ResetTransientMarkBits(h.Mark(obj)))
 	binary.LittleEndian.PutUint64(img[klass.OffKlass:], uint64(uint32(k.TID)))
-	if w.target.Baddr {
-		binary.LittleEndian.PutUint64(img[w.target.OffBaddr():], 0)
+	if layout.Baddr {
+		binary.LittleEndian.PutUint64(img[layout.OffBaddr():], 0)
 	}
 
 	// Relativize references. payload is the unpadded field data, for the
 	// byte-composition accounting below.
-	payload := tk.PayloadBytes
+	payload := k.PayloadBytes
 	if k.IsArray {
 		payload = uint32(h.ArrayLen(obj)) * k.ElemSize()
 	}
 	for i := 0; i < nrefs; i++ {
-		if err := w.relativize(img, obj, k.RefSlot(i), tk.RefSlot(i)); err != nil {
+		if err := w.relativize(img, obj, k.RefSlot(i)); err != nil {
 			return err
 		}
 	}
 
 	if w.compact {
-		w.buf = appendCompact(w.buf, img, w.target, k.IsArray)
+		w.buf = appendCompact(w.buf, img, layout, k.IsArray)
 		w.decodedInBuf += size
 	}
 
 	// Accounting for the byte-composition analysis (§5.2).
 	w.Objects++
 	w.Bytes += uint64(size)
-	w.headerB += uint64(tk.HeaderBytes)
+	w.headerB += uint64(k.HeaderBytes)
 	w.ptrB += uint64(nrefs) * 8
-	w.padB += uint64(size - tk.HeaderBytes - payload)
+	w.padB += uint64(size - k.HeaderBytes - payload)
 	return nil
 }
 
@@ -482,12 +431,12 @@ func (w *Writer) ensureCap(n int) {
 	w.buf = bigger
 }
 
-// relativize writes the relative address of the object referenced at
-// srcOff into the clone image at dstOff, visiting the referee if new.
-func (w *Writer) relativize(img []byte, obj heap.Addr, srcOff, dstOff uint32) error {
-	o := heap.Addr(w.rt.Heap.Load(obj, srcOff, klass.Ref))
+// relativize writes the relative address of the object obj references at off
+// into the clone image at the same offset, visiting the referee if new.
+func (w *Writer) relativize(img []byte, obj heap.Addr, off uint32) error {
+	o := heap.Addr(w.rt.Heap.Load(obj, off, klass.Ref))
 	if o == heap.Null {
-		binary.LittleEndian.PutUint64(img[dstOff:], 0)
+		binary.LittleEndian.PutUint64(img[off:], 0)
 		return nil
 	}
 	childRel, visited := w.visit(o)
@@ -506,7 +455,7 @@ func (w *Writer) relativize(img []byte, obj heap.Addr, srcOff, dstOff uint32) er
 		return fmt.Errorf("skyway: verify: relativized pointer %#x outside allocated relative space [%#x, %#x)",
 			childRel, uint64(relBias), w.allocable)
 	}
-	binary.LittleEndian.PutUint64(img[dstOff:], childRel)
+	binary.LittleEndian.PutUint64(img[off:], childRel)
 	return nil
 }
 
@@ -534,46 +483,6 @@ func (w *Writer) foldStats() {
 	w.totOverflow += w.overflowHits
 	w.foldedObjects, w.foldedBytes = w.Objects, w.Bytes
 	w.headerB, w.ptrB, w.padB, w.overflowHits = 0, 0, 0, 0
-}
-
-// cloneCrossLayout builds obj's image field by field under the target
-// layout (heterogeneous clusters, §3.1).
-func (w *Writer) cloneCrossLayout(obj heap.Addr, k, tk *klass.Klass, img []byte) {
-	h := w.rt.Heap
-	clear(img)
-	if k.IsArray {
-		n := h.ArrayLen(obj)
-		binary.LittleEndian.PutUint64(img[w.target.OffArrayLen():], uint64(n))
-		es := k.ElemSize()
-		if es == 0 {
-			// Same contract as heap.StoreBytes: this is our own heap handing us
-			// a klass with an unsized element kind — a corrupted klass table,
-			// not wire input — so it is a programming error, not an error
-			// return.
-			panic(fmt.Sprintf("skyway: array class %s has element kind of undefined size", k.Name))
-		}
-		srcBase, dstBase := k.HeaderBytes, tk.HeaderBytes
-		// Source and target element layouts always agree for primitive and
-		// reference payloads (same kind, little-endian in either header
-		// geometry), so the payload moves as one bulk copy instead of a
-		// per-element load/store loop; es divides the word size, so only the
-		// sub-word tail — at most 7 bytes — goes element by element, and the
-		// cleared image keeps the padding identical to what the loop left.
-		total := uint32(n) * es
-		whole := total &^ (klass.WordSize - 1)
-		if whole > 0 {
-			h.CopyOut(obj.Add(srcBase), whole, img[dstBase:dstBase+whole])
-		}
-		for i := int(whole) / int(es); i < n; i++ {
-			heap.StoreBytes(img, dstBase+uint32(i)*es, k.Elem, h.Load(obj, srcBase+uint32(i)*es, k.Elem))
-		}
-		return
-	}
-	for i := range k.Fields {
-		src := &k.Fields[i]
-		dst := &tk.Fields[i]
-		heap.StoreBytes(img, dst.Offset, src.Kind, h.Load(obj, src.Offset, src.Kind))
-	}
 }
 
 // flushSegment streams the current buffer out as one segment/chunk — with
@@ -653,32 +562,35 @@ func (w *Writer) queueTop(rel uint64) {
 // underlying writer.
 func (w *Writer) Flush() error {
 	w.foldStats()
-	return w.flushSegment()
+	if w.err == nil {
+		w.err = w.flushSegment()
+	}
+	return w.err
 }
 
-// Close flushes and terminates the stream. The Writer cannot be reused.
+// Close flushes and terminates the stream, and recycles the writer's buffers
+// (per-stage encoder reuse — a concurrent sender opening one encoder per stage
+// draws warm buffers instead of allocating fresh ones). The Writer cannot be
+// reused. A stream that failed is not terminated: it gets no further frame,
+// so its receiver sees a torn stream, and Close returns the failure.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
 	w.foldStats()
-	if !w.headerWritten {
-		if err := writeHeader(w.w, w.target, w.streamID, w.compact); err != nil {
-			return err
-		}
-		w.headerWritten = true
+	if w.err == nil && !w.headerWritten {
+		w.err = writeHeader(w.w, w.rt.Heap.Layout(), w.streamID, w.compact)
 	}
-	if err := w.flushSegment(); err != nil {
-		return err
+	if w.err == nil {
+		w.err = w.flushSegment()
 	}
-	// The stream is fully on the wire: recycle the output buffer and
-	// compact scratch for the next writer (per-stage encoder reuse — a
-	// concurrent sender opening one encoder per stage draws warm buffers
-	// instead of allocating fresh ones).
 	putBuf(w.buf)
 	putBuf(w.scratch)
 	w.buf, w.scratch = nil, nil
+	if w.err != nil {
+		return w.err
+	}
 	w.hdr[0] = frameEnd
 	_, err := w.w.Write(w.hdr[:1])
 	ctrSendStreams.Inc()

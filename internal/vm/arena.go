@@ -47,8 +47,8 @@ func (rt *Runtime) resolve(a heap.Addr) (reg *arena.Region, k *klass.Klass, img 
 	// The klass word still holds the wire's global type ID — the lazy
 	// counterpart of absolutization's klass-word rewrite.
 	tid := int32(uint32(heap.LoadBytes(img, klass.OffKlass, klass.Int64)))
-	if k = rt.byTID[tid]; k == nil {
-		panic(fmt.Sprintf("vm: %s: arena object %#x has unresolvable type ID %d", rt.Name, uint64(a), tid))
+	if k, err = rt.KlassByTID(tid); err != nil {
+		panic(fmt.Sprintf("vm: %s: arena object %#x has unresolvable type ID %d: %v", rt.Name, uint64(a), tid, err))
 	}
 	// The segment tail is the room; a length word is read only when the
 	// array header fits in it, and otherwise the zero stands in and fails too.

@@ -47,7 +47,12 @@ type Runtime struct {
 	cp      *klass.Path
 	klasses []*klass.Klass // indexed by LID
 	byName  map[string]*klass.Klass
-	byTID   map[int32]*klass.Klass
+	// byTID is the one type ID → klass table, dense (the registry assigns IDs
+	// from 0) and nil where no class is loaded. Every walker of wire-form
+	// images — the Skyway reader, the compact inflater, the arena accessors,
+	// the chunk verifier — resolves through KlassByTID; enterTID is the one
+	// place the table is filled.
+	byTID []*klass.Klass
 
 	// View is the node's registry view; nil for a detached runtime (then
 	// classes get TID -1 and Skyway transfer is unavailable).
@@ -105,7 +110,6 @@ func NewRuntime(cp *klass.Path, opts Options) (*Runtime, error) {
 		Arena:     arena.NewSpace(),
 		cp:        cp,
 		byName:    make(map[string]*klass.Klass),
-		byTID:     make(map[int32]*klass.Klass),
 		hashState: 0x9E3779B97F4A7C15,
 	}
 	rt.sid.Store(1)
@@ -173,8 +177,9 @@ func (rt *Runtime) LoadClass(name string) (*klass.Klass, error) {
 		if err != nil {
 			return nil, err
 		}
-		k.TID = tid // WRITETID(metaObj, id)
-		rt.byTID[tid] = k
+		if err := rt.enterTID(k, tid); err != nil {
+			return nil, err
+		}
 	}
 	rt.klasses = append(rt.klasses, k)
 	rt.byName[name] = k
@@ -202,14 +207,64 @@ func (rt *Runtime) KlassAt(lid int32) *klass.Klass {
 // KlassByName returns the loaded klass for name, or nil.
 func (rt *Runtime) KlassByName(name string) *klass.Klass { return rt.byName[name] }
 
-// KlassByTID resolves a global type ID to a local klass, loading the class
-// by name through the registry if it has not been loaded yet — the §4.1
-// "if we encounter an unloaded class ... Skyway instructs the class loader
-// to load the missing class" path.
-func (rt *Runtime) KlassByTID(tid int32) (*klass.Klass, error) {
-	if k, ok := rt.byTID[tid]; ok {
-		return k, nil
+// maxTID bounds the type IDs a registry may answer: far above any cluster's
+// class count, and low enough that a wild answer cannot size the table.
+const maxTID = 1 << 20
+
+// TypeIDRangeError reports a registry that answered a class lookup with a
+// type ID outside [0, maxTID).
+type TypeIDRangeError struct {
+	Class string
+	TID   int32
+}
+
+func (e *TypeIDRangeError) Error() string {
+	return fmt.Sprintf("vm: registry answered type ID %d for class %s, outside [0, %d)", e.TID, e.Class, maxTID)
+}
+
+// enterTID records tid as k's global type ID (Algorithm 1's WRITETID) and
+// enters k in the type ID table. It is where the table's two promises are
+// kept: an ID indexes it, and a klass in it has sized kinds — one whose field
+// or element kind has no defined size (a malformed or out-of-sync class
+// definition) would make every sized accessor silently drop bytes
+// (heap.StoreBytes panics on one), so a stream resolving to it fails as a
+// type error before any of its objects is walked.
+func (rt *Runtime) enterTID(k *klass.Klass, tid int32) error {
+	if tid < 0 || tid >= maxTID {
+		return &TypeIDRangeError{Class: k.Name, TID: tid}
 	}
+	if k.IsArray && k.ElemSize() == 0 {
+		return fmt.Errorf("vm: array class %s has element kind %v of undefined size", k.Name, k.Elem)
+	}
+	for i := range k.Fields {
+		if f := &k.Fields[i]; f.Kind.Size() == 0 {
+			return fmt.Errorf("vm: class %s field %s has kind %v of undefined size", k.Name, f.Name, f.Kind)
+		}
+	}
+	for int(tid) >= len(rt.byTID) {
+		rt.byTID = append(rt.byTID, nil)
+	}
+	k.TID = tid
+	rt.byTID[tid] = k
+	return nil
+}
+
+// KlassByTID resolves a global type ID to a local klass: a probe of the type
+// ID table, and behind it loadByTID for a class this runtime has not met.
+func (rt *Runtime) KlassByTID(tid int32) (*klass.Klass, error) {
+	// Unsigned: a negative ID indexes nothing.
+	if uint32(tid) < uint32(len(rt.byTID)) {
+		if k := rt.byTID[tid]; k != nil {
+			return k, nil
+		}
+	}
+	return rt.loadByTID(tid)
+}
+
+// loadByTID loads the class the registry knows as tid by name — the §4.1 "if
+// we encounter an unloaded class ... Skyway instructs the class loader to
+// load the missing class" path.
+func (rt *Runtime) loadByTID(tid int32) (*klass.Klass, error) {
 	if rt.View == nil {
 		return nil, fmt.Errorf("vm: %s: no registry view to resolve type ID %d", rt.Name, tid)
 	}

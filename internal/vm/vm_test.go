@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -340,6 +341,90 @@ func TestRegistryAssignsTIDs(t *testing.T) {
 	k, err := rt2.KlassByTID(k1.TID)
 	if err != nil || k.Name != "Point" {
 		t.Errorf("KlassByTID = %v, %v", k, err)
+	}
+}
+
+// lyingRegistry answers lookups of one class with a fixed type ID.
+type lyingRegistry struct {
+	registry.Client
+	class string
+	tid   int32
+}
+
+func (r lyingRegistry) Lookup(name string) (int32, error) {
+	if name == r.class {
+		return r.tid, nil
+	}
+	return r.Client.Lookup(name)
+}
+
+// A type ID indexes the runtime's dense table, so a registry answer outside
+// [0, 1<<20) is refused at class load, as a typed error, and the class is not
+// loaded under it.
+func TestLoadClassRefusesTypeIDOutOfRange(t *testing.T) {
+	for _, tid := range []int32{-1, 1 << 20} {
+		reg := lyingRegistry{Client: registry.InProc{R: registry.NewRegistry()}, class: "Point", tid: tid}
+		rt, err := NewRuntime(testPath(), Options{Name: "lied-to", Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = rt.LoadClass("Point")
+		var re *TypeIDRangeError
+		if !errors.As(err, &re) || re.TID != tid || re.Class != "Point" {
+			t.Errorf("LoadClass under type ID %d = %v, want a TypeIDRangeError", tid, err)
+		}
+		if rt.KlassByName("Point") != nil {
+			t.Errorf("Point was loaded under type ID %d", tid)
+		}
+		if k, err := rt.LoadClass("Node"); err != nil || k.TID < 0 {
+			t.Errorf("a class the registry answered honestly: %v, %v", k, err)
+		}
+	}
+	reg := lyingRegistry{Client: registry.InProc{R: registry.NewRegistry()}, class: "Point", tid: 1<<20 - 1}
+	rt, err := NewRuntime(testPath(), Options{Name: "edge", Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := rt.MustLoad("Point")
+	if got, err := rt.KlassByTID(1<<20 - 1); err != nil || got != k {
+		t.Errorf("KlassByTID(1<<20-1) = %v, %v, want Point", got, err)
+	}
+}
+
+// Storing a field whose kind has no size of 1/2/4/8 would silently no-op
+// (heap.StoreBytes panics instead), so a klass with such a field or element
+// kind never enters the type ID table, where every walker of received bytes
+// finds its classes: a stream naming it fails as a type error.
+func TestCheckKlassKindsRejectsUndefinedSizes(t *testing.T) {
+	rt, err := NewRuntime(testPath(), Options{Name: "kinds", Registry: registry.InProc{R: registry.NewRegistry()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tid = 40
+	for _, bad := range []*klass.Klass{
+		{Name: "Bad", TID: -1, Fields: []klass.Field{{Name: "x", Kind: klass.Invalid}}},
+		{Name: "Bad[]", TID: -1, IsArray: true, Elem: klass.Invalid},
+	} {
+		if err := rt.enterTID(bad, tid); err == nil {
+			t.Errorf("%s passed kind validation", bad.Name)
+		}
+		if bad.TID != -1 {
+			t.Errorf("%s was given type ID %d", bad.Name, bad.TID)
+		}
+		if k, err := rt.KlassByTID(tid); err == nil {
+			t.Errorf("type ID %d resolves to %s after %s was refused", tid, k.Name, bad.Name)
+		}
+	}
+	for _, ok := range []*klass.Klass{
+		{Name: "OK", Fields: []klass.Field{{Name: "x", Kind: klass.Int64}, {Name: "r", Kind: klass.Ref}}},
+		{Name: "long[]", IsArray: true, Elem: klass.Int64},
+	} {
+		if err := rt.enterTID(ok, tid); err != nil {
+			t.Errorf("well-formed class rejected: %v", err)
+		}
+		if k, err := rt.KlassByTID(tid); err != nil || k != ok {
+			t.Errorf("KlassByTID(%d) = %v, %v, want %s", tid, k, err, ok.Name)
+		}
 	}
 }
 

@@ -123,9 +123,6 @@ func NewReader(rt *Runtime, r io.Reader) *Reader { return core.NewReader(rt, r) 
 var (
 	// WithBufferSize sets a writer's output-buffer capacity.
 	WithBufferSize = core.WithBufferSize
-	// WithTargetLayout adjusts clones for a receiver with different
-	// header geometry (heterogeneous clusters).
-	WithTargetLayout = core.WithTargetLayout
 	// WithCompactHeaders compresses reconstructible header words and
 	// padding on the wire (the paper's §5.2 future work), trading CPU
 	// for bytes.

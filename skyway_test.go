@@ -118,37 +118,3 @@ func TestPublicAPIOverTCPRegistry(t *testing.T) {
 		t.Error("transfer corrupted")
 	}
 }
-
-func TestHeterogeneousLayoutViaPublicAPI(t *testing.T) {
-	cp := pointPath()
-	reg := skyway.NewInProcRegistry()
-	snd, err := skyway.NewRuntime(cp, skyway.RuntimeOptions{Name: "s", Registry: reg.Client()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vanilla := skyway.DefaultHeapConfig()
-	vanilla.Layout = skyway.Layout{Baddr: false}
-	rcv, err := skyway.NewRuntime(cp, skyway.RuntimeOptions{Name: "r", Heap: vanilla, Registry: reg.Client()})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	k := snd.MustLoad("Point")
-	p := snd.MustNew(k)
-	snd.SetInt(p, k.FieldByName("y"), 31)
-
-	var wire bytes.Buffer
-	w := skyway.NewService(snd).NewWriter(&wire, skyway.WithTargetLayout(skyway.Layout{Baddr: false}))
-	if err := w.WriteObject(p); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	got, err := skyway.NewReader(rcv, &wire).ReadObject()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rk := rcv.MustLoad("Point")
-	if rcv.GetInt(got, rk.FieldByName("y")) != 31 {
-		t.Error("cross-layout transfer corrupted")
-	}
-}
