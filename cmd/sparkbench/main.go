@@ -24,7 +24,7 @@ func main() {
 		fig8a     = flag.Bool("fig8a", false, "Figure 8(a): apps x graphs x serializers")
 		table1    = flag.Bool("table1", false, "Table 1: graph inputs")
 		table2    = flag.Bool("table2", false, "Table 2: normalized summary (implies -fig8a)")
-		bytesA    = flag.Bool("bytes", false, "extra-bytes composition analysis")
+		bytesA    = flag.Bool("bytes", false, "shuffle bytes per record: full image, wire, header-free floor, kryo")
 		mem       = flag.Bool("mem", false, "memory overhead of the baddr header word")
 		scale     = flag.Float64("scale", 0.15, "graph scale (1.0 = 1/100 of the paper's sizes)")
 		apps      = flag.String("apps", "WC,PR,CC,TC", "comma-separated app subset for -fig8a")
@@ -117,15 +117,24 @@ func main() {
 	}
 
 	if *bytesA {
-		fmt.Println("Extra-bytes composition (§5.2) — PageRank/LiveJournal")
-		eb, err := experiments.RunExtraBytes(cfg)
+		fmt.Println("Shuffle bytes per record (§5.2) — LiveJournal; full image = object images + a 9-byte top mark, floor = field and element bytes alone")
+		rows, err := experiments.RunShuffleBytes(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  skyway bytes %d vs kryo bytes %d (%.2fx; paper: 1.77x)\n",
-			eb.SkywayBytes, eb.KryoBytes, float64(eb.SkywayBytes)/float64(eb.KryoBytes))
-		fmt.Printf("  skyway stream composition: headers %.0f%%, padding %.0f%%, pointers %.0f%% of extra bytes (paper: 51%%/34%%/15%%)\n\n",
-			eb.HeaderShare*100, eb.PadShare*100, eb.PtrShare*100)
+		fmt.Printf("  %-4s %10s %11s %9s %9s %9s %12s %11s %11s\n",
+			"app", "records", "full image", "wire", "floor", "kryo", "wire/floor", "wire/kryo", "image/kryo")
+		for _, r := range rows {
+			fmt.Printf("  %-4s %10d %11.2f %9.2f %9.2f %9.2f %12.3f %11.2f %11.2f\n",
+				r.App, r.Records, r.FullImage, r.Wire, r.Floor, r.Kryo, r.Wire/r.Floor, r.Wire/r.Kryo, r.FullImage/r.Kryo)
+		}
+		fmt.Println("  (paper, full images: 1.77x kryo)")
+		for _, r := range rows {
+			if r.App == experiments.PR {
+				fmt.Printf("  PR full-image composition: headers %.0f%%, padding %.0f%%, pointers %.0f%% of the extra bytes over kryo (paper: 51%%/34%%/15%%)\n\n",
+					r.HeaderShare*100, r.PadShare*100, r.PtrShare*100)
+			}
+		}
 	}
 
 	if *benchJSON != "" {

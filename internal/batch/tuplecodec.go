@@ -135,6 +135,11 @@ func (e *tupleEncoder) Write(row heap.Addr) error {
 	return nil
 }
 
+// WriteBatch implements serial.Encoder.
+func (e *tupleEncoder) WriteBatch(rows []heap.Addr) error {
+	return serial.WriteWindowed(e.rt, rows, e.Write)
+}
+
 type tupleDecoder struct {
 	c       *TupleCodec
 	rt      *vm.Runtime

@@ -13,54 +13,108 @@ import (
 //
 // In compact mode the logical transfer is unchanged — relative addresses,
 // top marks and the receiver-side absolutization all operate on the fully
-// laid-out object images — but the wire encoding of each object drops the
-// header words that are reconstructible:
+// laid-out object images — but the wire drops what the receiver can rebuild.
+// A segment ('R' frame) is a sequence of same-klass runs:
 //
-//	record := tid(uvarint) flags(u8) [hash(u32)] [arraylen(uvarint)] payload
+//	run  := tid(uvarint) flags(u8) body{count}
+//	flags: bit 0 hashed, bit 1 array, bits 2–7 count−1
+//	body := [hash(u32 LE)] [arraylen(uvarint)] payload
 //
-// where payload is the raw post-header bytes (reference slots already
-// relativized). The mark word travels only when the object actually has a
-// cached hashcode (flag bit 0); the baddr word and padding words at fixed
-// positions are never sent. The receiver re-inflates each record into a
-// normal input-buffer chunk, so everything downstream of the segment
-// decoder — translation table, card marking, pinning, field updates — is
-// shared with the standard mode. Compact segments trade sender/receiver
-// CPU for bytes; BenchmarkAblationCompact quantifies the trade.
+// where payload is the raw post-header bytes of one object (reference slots
+// already relativized) and every body of a run has the run's hashed and array
+// bits. The clone order is the standard wire's: a record whose (tid, hashed,
+// array) equal the open run's joins it by bumping the count in the flags byte
+// already in the buffer, and anything else — a different klass, a hashed
+// object among unhashed ones, the 65th record, a segment flush — closes it.
+// The mark word travels only as a cached hashcode; the klass word once per
+// run; the baddr word never.
+//
+// The segment's top marks follow it as one 'M' frame of uvarints:
+//
+//	mark := 0                                  -- a null root
+//	      | zigzag((rel − prev) / 8) + 1       -- prev: the stream's previous
+//	                                              non-null mark, relBias at open
+//
+// so a root cloned right behind the last one costs one byte while its graph
+// stays under 512 bytes, and a back-reference root a short negative delta.
+//
+// The receiver re-inflates each run into a normal input-buffer chunk, so
+// everything downstream of the segment decoder — translation table, card
+// marking, pinning, field updates — is shared with the standard mode.
 const (
 	compactFlagHashed = 1 << 0
 	compactFlagArray  = 1 << 1
+	// compactKindMask selects the flag bits every record of a run shares;
+	// the bits above it count the run's records, less one.
+	compactKindMask = compactFlagHashed | compactFlagArray
+	compactRunShift = 2
+	compactRunMax   = 1 << (8 - compactRunShift)
+
+	// compactRecordMax bounds what one record adds to the buffer beyond its
+	// payload: a run header (type ID and flags), a hashcode, an array length.
+	compactRecordMax = binary.MaxVarintLen32 + 1 + 4 + binary.MaxVarintLen64
+
+	// marksHeaderLen is the 'M' frame's tag and length word; the marks queue
+	// in a compact writer's tops behind room for it.
+	marksHeaderLen = 5
 )
 
-// appendCompact encodes the full object image img (in target layout, header
-// already fixed up) into dst.
-func appendCompact(dst []byte, img []byte, target klass.Layout, isArray bool) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	tid := binary.LittleEndian.Uint64(img[klass.OffKlass:])
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], tid)]...)
-
-	mark := binary.LittleEndian.Uint64(img[klass.OffMark:])
-	hash, hashed := heap.MarkHash(mark)
-	var flags byte
+// appendRecord clones obj — an instance of k, size bytes as an image, claimed
+// at the next relative address — onto the compact wire at the end of the
+// output buffer, which has room for it: it joins or opens a run, and the
+// payload goes from the heap straight to its place in the buffer, where the
+// caller relativizes its reference slots (image offset off is at
+// w.buf[payloadAt+off-k.HeaderBytes]).
+func (w *Writer) appendRecord(obj heap.Addr, k *klass.Klass, size uint32) (payloadAt int) {
+	h := w.rt.Heap
+	hash, hashed := heap.MarkHash(h.Mark(obj))
+	var kind byte
 	if hashed {
-		flags |= compactFlagHashed
+		kind |= compactFlagHashed
 	}
-	if isArray {
-		flags |= compactFlagArray
+	if k.IsArray {
+		kind |= compactFlagArray
 	}
-	dst = append(dst, flags)
+	buf := w.buf
+	if w.runAt > 0 && w.runTID == k.TID && buf[w.runAt]&compactKindMask == kind && buf[w.runAt]>>compactRunShift < compactRunMax-1 {
+		buf[w.runAt] += 1 << compactRunShift
+	} else {
+		buf = binary.AppendUvarint(buf, uint64(uint32(k.TID)))
+		w.runAt, w.runTID = len(buf), k.TID
+		buf = append(buf, kind)
+	}
 	if hashed {
-		var h [4]byte
-		binary.LittleEndian.PutUint32(h[:], hash)
-		dst = append(dst, h[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, hash)
 	}
-	payloadOff := target.HeaderSize()
-	if isArray {
-		n := binary.LittleEndian.Uint64(img[target.OffArrayLen():])
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], n)]...)
-		payloadOff = target.ArrayHeaderSize()
+	if k.IsArray {
+		buf = binary.AppendUvarint(buf, uint64(h.ArrayLen(obj)))
 	}
-	return append(dst, img[payloadOff:]...)
+	payloadAt = len(buf)
+	payload := size - k.HeaderBytes
+	buf = buf[:payloadAt+int(payload)]
+	h.CopyOut(obj.Add(k.HeaderBytes), payload, buf[payloadAt:])
+	w.buf = buf
+	w.decodedInBuf += size
+	return payloadAt
 }
+
+// queueMark queues a top mark of a compact stream as a delta against the
+// previous one, opening the 'M' frame the next flush completes.
+func (w *Writer) queueMark(rel uint64) {
+	if len(w.tops) == 0 {
+		w.tops = append(w.tops, frameMarks, 0, 0, 0, 0)
+	}
+	if rel == 0 {
+		w.tops = append(w.tops, 0)
+		return
+	}
+	d := int64(rel-w.prevTop) / klass.WordSize
+	w.tops = binary.AppendUvarint(w.tops, zigzag(d)+1)
+	w.prevTop = rel
+}
+
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // inflate expands a compact segment (phys bytes) into img, the image of the
 // staged chunk that will hold it, which spans the frame's declared decoded
@@ -69,27 +123,13 @@ func appendCompact(dst []byte, img []byte, target klass.Layout, isArray bool) []
 func (rd *Reader) inflate(phys, img []byte) error {
 	rt := rd.rt
 	layout := rt.Heap.Layout()
-	decoded := uint32(len(img))
-	pos := 0
-	a := uint32(0)
-
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(phys[pos:])
+	pos, a := 0, uint32(0)
+	for pos < len(phys) {
+		tid64, n := binary.Uvarint(phys[pos:])
 		if n <= 0 {
-			return 0, rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (uvarint)")
+			return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (type ID)")
 		}
 		pos += n
-		return v, nil
-	}
-
-	for pos < len(phys) {
-		if a >= decoded {
-			return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment inflates past its declared size")
-		}
-		tid64, err := readUvarint()
-		if err != nil {
-			return err
-		}
 		k, err := rt.KlassByTID(int32(uint32(tid64)))
 		if err != nil {
 			return rd.decodeWrap(DecodeType, uint64(pos), err)
@@ -99,57 +139,65 @@ func (rd *Reader) inflate(phys, img []byte) error {
 		}
 		flags := phys[pos]
 		pos++
-		var hash uint32
 		hashed := flags&compactFlagHashed != 0
-		if hashed {
-			if pos+4 > len(phys) {
-				return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (hash)")
-			}
-			hash = binary.LittleEndian.Uint32(phys[pos:])
-			pos += 4
+		if isArray := flags&compactFlagArray != 0; isArray != k.IsArray {
+			return rd.decodeErrf(DecodeType, uint64(pos), "compact run's array flag disagrees with class %s", k.Name)
 		}
-		isArray := flags&compactFlagArray != 0
-		if isArray != k.IsArray {
-			return rd.decodeErrf(DecodeType, uint64(pos), "compact record array flag disagrees with class %s", k.Name)
-		}
+		count := uint32(flags>>compactRunShift) + 1
 
-		arrayLen := uint64(0)
-		if isArray {
-			if arrayLen, err = readUvarint(); err != nil {
-				return err
+		// An instance klass has one size, so the whole run is bounded at once:
+		// each record may take its share of what is left of the chunk.
+		var size uint32
+		if !k.IsArray {
+			room := uint64(len(img)) - uint64(a)
+			var ok bool
+			if size, _, ok = k.Extent(0, room/uint64(count)); !ok {
+				return rd.decodeErrf(DecodeLength, uint64(pos), "compact run of %d %s overruns the %d bytes left of its chunk", count, k.Name, room)
 			}
 		}
-		room := uint64(decoded - a)
-		size, _, ok := k.Extent(arrayLen, room)
-		if !ok {
-			return rd.decodeErrf(DecodeLength, uint64(pos), "compact record of %s, length %d, overruns the %d bytes left of its chunk", k.Name, arrayLen, room)
-		}
-		payloadOff := k.HeaderBytes
-		payload := size - payloadOff
-		if pos+int(payload) > len(phys) {
-			return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (payload)")
-		}
+		for ; count > 0; count-- {
+			var mark uint64
+			if hashed {
+				if pos+4 > len(phys) {
+					return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (hash)")
+				}
+				mark = heap.MarkWithHash(0, binary.LittleEndian.Uint32(phys[pos:]))
+				pos += 4
+			}
+			var arrayLen uint64
+			if k.IsArray {
+				if arrayLen, n = binary.Uvarint(phys[pos:]); n <= 0 {
+					return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (array length)")
+				}
+				pos += n
+				room := uint64(len(img)) - uint64(a)
+				var ok bool
+				if size, _, ok = k.Extent(arrayLen, room); !ok {
+					return rd.decodeErrf(DecodeLength, uint64(pos), "compact record of %s, length %d, overruns the %d bytes left of its chunk", k.Name, arrayLen, room)
+				}
+			}
+			payload := int(size - k.HeaderBytes)
+			if pos+payload > len(phys) {
+				return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (payload)")
+			}
 
-		// Re-inflate the standard wire image in place.
-		obj := img[a : a+size]
-		var mark uint64
-		if hashed {
-			mark = heap.MarkWithHash(0, hash)
+			// Re-inflate the standard wire image in place.
+			obj := img[a : a+size]
+			binary.LittleEndian.PutUint64(obj[klass.OffMark:], mark)
+			binary.LittleEndian.PutUint64(obj[klass.OffKlass:], tid64)
+			if layout.Baddr {
+				binary.LittleEndian.PutUint64(obj[layout.OffBaddr():], 0)
+			}
+			if k.IsArray {
+				binary.LittleEndian.PutUint64(obj[layout.OffArrayLen():], arrayLen)
+			}
+			copy(obj[k.HeaderBytes:], phys[pos:pos+payload])
+			pos += payload
+			a += size
 		}
-		binary.LittleEndian.PutUint64(obj[klass.OffMark:], mark)
-		binary.LittleEndian.PutUint64(obj[klass.OffKlass:], tid64)
-		if layout.Baddr {
-			binary.LittleEndian.PutUint64(obj[layout.OffBaddr():], 0)
-		}
-		if isArray {
-			binary.LittleEndian.PutUint64(obj[layout.OffArrayLen():], arrayLen)
-		}
-		copy(obj[payloadOff:], phys[pos:pos+int(payload)])
-		pos += int(payload)
-		a += size
 	}
-	if a != decoded {
-		return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment inflated to %d bytes, expected %d", a, decoded)
+	if int(a) != len(img) {
+		return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment inflated to %d bytes, expected %d", a, len(img))
 	}
 	return nil
 }

@@ -66,8 +66,9 @@ func TestShuffleStartWaitsForInflightWrite(t *testing.T) {
 	}
 }
 
-// Concurrent writers sharing one heap, several WriteObject calls each, all
-// roots reaching one shared chain: exactly one stream claims each shared
+// Concurrent writers sharing one heap, a batch of roots each (the phase guard
+// is held per batch, so all four hold its read side at once), all roots
+// reaching one shared chain: exactly one stream claims each shared
 // object's baddr word per phase, every other stream must resolve it through
 // its hash-table fallback, and every output buffer must still decode to a
 // complete private copy (§4.2 "Support for Threads"). Run under -race and
@@ -115,13 +116,9 @@ func TestConcurrentWritersShareChainAcrossRoots(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			w := sky.NewWriter(&bufs[i])
-			for _, r := range roots[i] {
-				if err := w.WriteObject(r); err != nil {
-					errs[i] = err
-					return
-				}
+			if errs[i] = w.WriteObjects(roots[i]); errs[i] == nil {
+				errs[i] = w.Close()
 			}
-			errs[i] = w.Close()
 		}(i)
 	}
 	wg.Wait()

@@ -64,7 +64,7 @@ func TestWriterStaysFailedAfterFlushError(t *testing.T) {
 	if dst.writes != writes {
 		t.Errorf("the failed stream wrote %d more frame(s) at Close", dst.writes-writes)
 	}
-	if w.buf != nil || w.scratch != nil {
+	if w.buf != nil {
 		t.Error("Close of a failed stream kept its buffers")
 	}
 }
@@ -77,11 +77,13 @@ func wireFrames(t *testing.T, wire []byte) (segments []int) {
 		case frameSegment:
 			segments = append(segments, off)
 			off += 9 + int(binary.BigEndian.Uint32(wire[off+1:]))
-		case frameCompact:
+		case frameRuns:
 			segments = append(segments, off)
 			off += 13 + int(binary.BigEndian.Uint32(wire[off+1:]))
 		case frameTop:
 			off += topFrameLen
+		case frameMarks:
+			off += marksHeaderLen + int(binary.BigEndian.Uint32(wire[off+1:]))
 		case frameEnd:
 			off++
 		default:
@@ -169,7 +171,7 @@ func TestStagingFaultLeavesNothingBehind(t *testing.T) {
 		wire = bytes.Clone(wire)
 		seg := wireFrames(t, wire)[1]
 		hdr := 9
-		if wire[seg] == frameCompact {
+		if wire[seg] == frameRuns {
 			hdr = 13
 		}
 		payload := wire[seg+hdr : seg+hdr+int(binary.BigEndian.Uint32(wire[seg+1:]))]

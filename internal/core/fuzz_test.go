@@ -23,6 +23,41 @@ func fuzzHeap() heap.Config {
 	}
 }
 
+// fuzzPath is FuzzReaderDecode's classpath.
+func fuzzPath() *klass.Path {
+	cp := klass.NewPath()
+	cp.MustDefine(
+		&klass.ClassDef{Name: "Date", Fields: []klass.FieldDef{
+			{Name: "year", Kind: klass.Ref, Class: "Year4D"},
+			{Name: "month", Kind: klass.Int32},
+			{Name: "day", Kind: klass.Int32},
+		}},
+		&klass.ClassDef{Name: "Year4D", Fields: []klass.FieldDef{
+			{Name: "value", Kind: klass.Int32},
+		}},
+	)
+	return cp
+}
+
+// fuzzTarget builds runtimes the way FuzzReaderDecode does — its classpath,
+// one registry, fuzzHeap — for the tests that generate checked-in corpus
+// entries: snd has registered Date, then Year4D, which is fuzzSeeds' order, so
+// the type IDs of a stream it encodes resolve in the fuzz target too.
+func fuzzTarget(t *testing.T) (snd *vm.Runtime, newRT func(name string) *vm.Runtime) {
+	t.Helper()
+	cp, reg := fuzzPath(), registry.NewRegistry()
+	newRT = func(name string) *vm.Runtime {
+		rt, err := vm.NewRuntime(cp, vm.Options{Name: name, Registry: registry.InProc{R: reg}, Heap: fuzzHeap()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	snd = newRT("fuzz-snd")
+	snd.MustLoad("Date")
+	return snd, newRT
+}
+
 // fuzzSeeds encodes real Skyway streams (standard and compact, single and
 // multi-root) so mutation starts from wire-valid inputs that reach the deep
 // validation layers rather than dying at the magic check.
@@ -76,17 +111,7 @@ func fuzzSeeds(f *testing.F, cp *klass.Path, reg *registry.Registry) [][]byte {
 // fails with a structured *DecodeError — never a panic, never a silent
 // wrong answer from a malformed frame.
 func FuzzReaderDecode(f *testing.F) {
-	cp := klass.NewPath()
-	cp.MustDefine(
-		&klass.ClassDef{Name: "Date", Fields: []klass.FieldDef{
-			{Name: "year", Kind: klass.Ref, Class: "Year4D"},
-			{Name: "month", Kind: klass.Int32},
-			{Name: "day", Kind: klass.Int32},
-		}},
-		&klass.ClassDef{Name: "Year4D", Fields: []klass.FieldDef{
-			{Name: "value", Kind: klass.Int32},
-		}},
-	)
+	cp := fuzzPath()
 	reg := registry.NewRegistry()
 	for _, seed := range fuzzSeeds(f, cp, reg) {
 		f.Add(seed)

@@ -50,9 +50,15 @@ type Reader struct {
 	streamID   uint16
 
 	// tops is the window of top marks peeked but not yet returned, all
-	// topsPeeked bytes of which are still to be discarded (see peekTops).
+	// topsPeeked bytes of which are still to be discarded (see peekTops):
+	// whole 'T' frames, or whole uvarints of the 'M' frame that has marksLeft
+	// bytes still unpeeked behind the window. prevTop is the last non-null
+	// mark an 'M' frame yielded, which the next one is a delta against.
 	tops       []byte
 	topsPeeked int
+	deltas     bool
+	marksLeft  uint32
+	prevTop    uint64
 
 	// chunks is the reader's only record of what it has received: one entry
 	// per segment, ascending startRel, back to back from relBias.
@@ -113,7 +119,7 @@ func NewReader(rt *vm.Runtime, r io.Reader, opts ...ReaderOption) *Reader {
 	if !ok {
 		br = bufio.NewReaderSize(r, 16<<10)
 	}
-	rd := &Reader{rt: rt, r: br, verify: verify.Enabled()}
+	rd := &Reader{rt: rt, r: br, prevTop: relBias, verify: verify.Enabled()}
 	for _, opt := range opts {
 		opt(rd)
 	}
@@ -156,18 +162,24 @@ func (rd *Reader) readObject() (heap.Addr, error) {
 	}
 	for {
 		if len(rd.tops) > 0 {
-			rel := binary.BigEndian.Uint64(rd.tops[1:topFrameLen])
-			if rd.tops = rd.tops[topFrameLen:]; len(rd.tops) == 0 {
-				rd.r.Discard(rd.topsPeeked) // cannot fail: these bytes were peeked
+			rel, err := rd.nextTop()
+			if err != nil {
+				return heap.Null, err
 			}
 			return rd.root(rel)
+		}
+		if rd.marksLeft > 0 {
+			if err := rd.peekMarks(); err != nil {
+				return heap.Null, err
+			}
+			continue
 		}
 		tag, err := rd.r.ReadByte()
 		if err != nil {
 			return heap.Null, rd.decodeWrap(DecodeFrame, 0, noEOF(err))
 		}
 		switch tag {
-		case frameSegment, frameCompact:
+		case frameSegment, frameRuns:
 			if err := rd.readSegment(tag); err != nil {
 				return heap.Null, err
 			}
@@ -176,6 +188,12 @@ func (rd *Reader) readObject() (heap.Addr, error) {
 			if err := rd.peekTops(); err != nil {
 				return heap.Null, err
 			}
+		case frameMarks:
+			var n [4]byte
+			if _, err := io.ReadFull(rd.r, n[:]); err != nil {
+				return heap.Null, rd.decodeWrap(DecodeFrame, 0, noEOF(err))
+			}
+			rd.marksLeft = binary.BigEndian.Uint32(n[:])
 		case frameEnd:
 			// §4.3 framing invariant at its sound enforcement point: a
 			// forward reference may defer absolutization mid-stream (data
@@ -221,8 +239,64 @@ func (rd *Reader) peekTops() error {
 	for n+topFrameLen <= len(b) && b[n] == frameTop {
 		n += topFrameLen
 	}
-	rd.tops, rd.topsPeeked = b[:n], n
+	rd.tops, rd.topsPeeked, rd.deltas = b[:n], n, false
 	return nil
+}
+
+// peekMarks opens the same window on the 'M' frame the stream stands in: as
+// many whole uvarints of its remaining marksLeft bytes as are buffered, the
+// first one at least.
+func (rd *Reader) peekMarks() error {
+	// A window is never longer than the buffer it is peeked from.
+	left := int(min(rd.marksLeft, uint32(rd.r.Size())))
+	_, short := rd.r.Peek(min(left, binary.MaxVarintLen64))
+	b, _ := rd.r.Peek(min(left, rd.r.Buffered()))
+	// A uvarint ends on a byte whose top bit is clear; one cut by the end of
+	// the buffer waits for the next window.
+	n := len(b)
+	for n > 0 && b[n-1]&0x80 != 0 {
+		n--
+	}
+	if n == 0 {
+		if short != nil {
+			return rd.decodeWrap(DecodeFrame, 0, noEOF(short))
+		}
+		return rd.decodeErrf(DecodeFrame, 0, "top marks frame holds %d bytes of no whole uvarint", len(b))
+	}
+	rd.tops, rd.topsPeeked, rd.deltas = b[:n], n, true
+	rd.marksLeft -= uint32(n)
+	return nil
+}
+
+// nextTop takes the next top mark off the window.
+func (rd *Reader) nextTop() (rel uint64, err error) {
+	n := topFrameLen
+	if rd.deltas {
+		// Nearly every delta is one byte (compact.go).
+		v := uint64(rd.tops[0])
+		if n = 1; v >= 0x80 {
+			if v, n = binary.Uvarint(rd.tops); n <= 0 {
+				return 0, rd.decodeErrf(DecodeFrame, 0, "top mark delta overflows 64 bits")
+			}
+		}
+		if v != 0 {
+			// A delta against the previous non-null mark, in words. The
+			// arithmetic wraps: a delta no writer produces lands below the
+			// bias, refused here, or beyond the received space, refused by
+			// translate.
+			rel = rd.prevTop + uint64(unzigzag(v-1))*klass.WordSize
+			if rel < relBias {
+				return 0, rd.decodeErrf(DecodePointer, rel, "top mark delta lands below the first relative address")
+			}
+			rd.prevTop = rel
+		}
+	} else {
+		rel = binary.BigEndian.Uint64(rd.tops[1:topFrameLen])
+	}
+	if rd.tops = rd.tops[n:]; len(rd.tops) == 0 {
+		rd.r.Discard(rd.topsPeeked) // cannot fail: these bytes were peeked
+	}
+	return rel, nil
 }
 
 // root resolves a top mark: it walks whatever arrived since the last one and
@@ -288,7 +362,7 @@ func (rd *Reader) readSegment(tag byte) error {
 	if err != nil {
 		return err
 	}
-	if tag == frameCompact {
+	if tag == frameRuns {
 		// The compact path cannot avoid a staging buffer — records are
 		// re-inflated, not copied verbatim — but the buffer is recycled
 		// across segments instead of allocated per segment.
@@ -315,7 +389,7 @@ func (rd *Reader) readSegment(tag byte) error {
 func (rd *Reader) segmentHeader(tag byte) (phys, decoded, wireCRC uint32, err error) {
 	var hdr [8]byte
 	lens := hdr[:4]
-	if tag == frameCompact {
+	if tag == frameRuns {
 		lens = hdr[:8]
 	}
 	if _, err := io.ReadFull(rd.r, lens); err != nil {

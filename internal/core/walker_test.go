@@ -17,7 +17,6 @@ import (
 
 	"skyway/internal/heap"
 	"skyway/internal/klass"
-	"skyway/internal/registry"
 	"skyway/internal/vm"
 )
 
@@ -73,9 +72,35 @@ func TestTopMarkStraddlesBufferBoundary(t *testing.T) {
 	// 4000 roots: ~36 KB of top marks behind each segment, more than two of
 	// the default 16 KiB buffers.
 	wire, want := recordStream(t, snd, sky, 4000)
+	// The same for the deltas of an 'M' frame when the buffer ends inside
+	// one: the root behind a 544-byte long[64] takes a two-byte delta.
+	yk, dk := snd.MustLoad("Year4D"), snd.MustLoad("Date")
+	var roots []heap.Addr
+	var wantWide []int64
+	for i := 0; i < 300; i++ {
+		d := keep(t, snd, snd.MustNew(dk))
+		snd.SetRef(d, dk.FieldByName("year"), keep(t, snd, snd.MustNew(yk)))
+		snd.SetInt(d, dk.FieldByName("day"), int64(i))
+		filler := keep(t, snd, snd.MustNewArray(snd.MustLoad("long[]"), 64))
+		roots = append(roots, d, filler)
+		wantWide = append(wantWide, int64(i))
+	}
+	wide := encodeBatch(t, sky, roots, WithCompactHeaders())
 	for _, size := range []int{16, 17, 25, 64, 4093, 4096} {
 		rd := NewReader(rcv, bufio.NewReaderSize(bytes.NewReader(wire), size))
 		checkRecords(t, rcv, rd, want)
+		rd.Free()
+
+		rd = NewReader(rcv, bufio.NewReaderSize(bytes.NewReader(wide), size))
+		got, err := rd.ReadAll()
+		if err != nil || len(got) != len(roots) {
+			t.Fatalf("buffer of %d: decoded %d of %d roots: %v", size, len(got), len(roots), err)
+		}
+		for i, w := range wantWide {
+			if f := recordFold(rcv, got[2*i]); f != w {
+				t.Fatalf("buffer of %d: root %d folds to %d, want %d", size, 2*i, f, w)
+			}
+		}
 		rd.Free()
 	}
 	for _, opts := range [][]ReaderOption{nil, {WithArena()}} {
@@ -87,40 +112,47 @@ func TestTopMarkStraddlesBufferBoundary(t *testing.T) {
 
 // A stream cut anywhere inside its run of top marks yields the marks that
 // arrived whole and then a frame error wrapping io.ErrUnexpectedEOF — never
-// io.EOF, never a root made of half a mark.
+// io.EOF, never a root made of half a mark. On the compact wire the marks are
+// one-byte deltas behind an 'M' frame header.
 func TestStreamTruncatedInsideTopMark(t *testing.T) {
 	snd, rcv, sky := testCluster(t)
 	const n = 40
-	wire, want := recordStream(t, snd, sky, n)
-	// One segment, then n top marks, then the end frame.
-	first := len(wire) - 1 - n*topFrameLen
-	if wire[first] != frameTop || wire[len(wire)-1] != frameEnd {
-		t.Fatalf("stream is not a segment followed by %d top marks", n)
-	}
-	for cut := first; cut < len(wire); cut++ {
-		whole := (cut - first) / topFrameLen
-		rd := NewReader(rcv, bytes.NewReader(wire[:cut]))
-		for i := 0; ; i++ {
-			a, err := rd.ReadObject()
-			if err == nil {
-				if i >= whole {
-					t.Fatalf("cut at %d: root %d decoded, only %d top marks are whole", cut, i, whole)
-				}
-				if f := recordFold(rcv, a); f != want[i] {
-					t.Fatalf("cut at %d: root %d folds to %d, want %d", cut, i, f, want[i])
-				}
-				continue
-			}
-			de, ok := AsDecodeError(err)
-			if !ok || de.Kind != DecodeFrame || !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("cut at %d: error %v, want a frame error wrapping io.ErrUnexpectedEOF", cut, err)
-			}
-			if i != whole {
-				t.Fatalf("cut at %d: failed after %d roots, want %d", cut, i, whole)
-			}
-			break
+	for _, wire := range []struct {
+		tag      byte
+		hdr, per int
+		opts     []WriterOption
+	}{{frameTop, 0, topFrameLen, nil}, {frameMarks, marksHeaderLen, 1, []WriterOption{WithCompactHeaders()}}} {
+		stream, want := recordStream(t, snd, sky, n, wire.opts...)
+		// One segment, then n top marks, then the end frame.
+		first := len(stream) - 1 - wire.hdr - n*wire.per
+		if stream[first] != wire.tag || stream[len(stream)-1] != frameEnd {
+			t.Fatalf("stream is not a segment followed by %d top marks", n)
 		}
-		rd.Free()
+		for cut := first; cut < len(stream); cut++ {
+			whole := max(cut-first-wire.hdr, 0) / wire.per
+			rd := NewReader(rcv, bytes.NewReader(stream[:cut]))
+			for i := 0; ; i++ {
+				a, err := rd.ReadObject()
+				if err == nil {
+					if i >= whole {
+						t.Fatalf("cut at %d: root %d decoded, only %d top marks are whole", cut, i, whole)
+					}
+					if f := recordFold(rcv, a); f != want[i] {
+						t.Fatalf("cut at %d: root %d folds to %d, want %d", cut, i, f, want[i])
+					}
+					continue
+				}
+				de, ok := AsDecodeError(err)
+				if !ok || de.Kind != DecodeFrame || !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("cut at %d: error %v, want a frame error wrapping io.ErrUnexpectedEOF", cut, err)
+				}
+				if i != whole {
+					t.Fatalf("cut at %d: failed after %d roots, want %d", cut, i, whole)
+				}
+				break
+			}
+			rd.Free()
+		}
 	}
 }
 
@@ -345,7 +377,7 @@ func walkersAgreeOnShape(t *testing.T, snd, rcv *vm.Runtime, sky *Skyway) {
 		var buf bytes.Buffer
 		encodeRecords(t, sky, roots, &buf, opts...)
 		f := buf.Bytes()[8:]
-		if f[0] != tag || f[hdr+int(binary.BigEndian.Uint32(f[1:]))] != frameTop {
+		if next := f[hdr+int(binary.BigEndian.Uint32(f[1:]))]; f[0] != tag || (next != frameTop && next != frameMarks) {
 			t.Fatalf("stream is not one %#x segment followed by its top marks", tag)
 		}
 		return f[:hdr+int(binary.BigEndian.Uint32(f[1:]))]
@@ -377,7 +409,7 @@ func walkersAgreeOnShape(t *testing.T, snd, rcv *vm.Runtime, sky *Skyway) {
 	}
 
 	// The compact record of each, re-inflated.
-	compact := payload(frameCompact, 13, WithCompactHeaders())
+	compact := payload(frameRuns, 13, WithCompactHeaders())
 	if decoded := binary.BigEndian.Uint32(compact[5:]); decoded != size {
 		t.Fatalf("compact segment declares %d decoded bytes, the standard one has %d", decoded, size)
 	}
@@ -474,27 +506,7 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite the generated Fuzz
 // so its type IDs resolve there. This test regenerates it, so the entry can
 // neither rot nor stop decoding.
 func TestBackRefStreamInFuzzCorpus(t *testing.T) {
-	cp := klass.NewPath()
-	cp.MustDefine(
-		&klass.ClassDef{Name: "Date", Fields: []klass.FieldDef{
-			{Name: "year", Kind: klass.Ref, Class: "Year4D"},
-			{Name: "month", Kind: klass.Int32},
-			{Name: "day", Kind: klass.Int32},
-		}},
-		&klass.ClassDef{Name: "Year4D", Fields: []klass.FieldDef{
-			{Name: "value", Kind: klass.Int32},
-		}},
-	)
-	reg := registry.NewRegistry()
-	newRT := func(name string) *vm.Runtime {
-		rt, err := vm.NewRuntime(cp, vm.Options{Name: name, Registry: registry.InProc{R: reg}, Heap: fuzzHeap()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rt
-	}
-	snd := newRT("fuzz-snd")
-	snd.MustLoad("Date") // fuzzSeeds' registration order: Date, then Year4D
+	snd, newRT := fuzzTarget(t)
 	wire, want := recordStream(t, snd, New(snd), 60, backRefStreamOpts...)
 
 	path := filepath.Join("testdata", "fuzz", "FuzzReaderDecode", "backrefs-across-chunks")

@@ -21,29 +21,42 @@ import (
 //	        | 'T' rel(u64 BE)            -- top mark: the relative address of
 //	                                        a root object (§4.2 "Root Object
 //	                                        Recognition"); rel 0 is null
+//	        | 'R' len(u32 BE) decoded(u32 BE) crc(u32 BE) runs
+//	                                     -- the same segment on the compact
+//	                                        wire (compact.go): len bytes of
+//	                                        same-klass runs that inflate to
+//	                                        a chunk of decoded bytes
+//	        | 'M' len(u32 BE) marks      -- every top mark queued behind a
+//	                                        compact segment, as deltas
+//	                                        (compact.go)
 //	        | 'E'                        -- end of stream
 //
 // flags bit 0 records whether the object images carry a baddr header word:
 // images are in the sender heap's layout, and a receiver whose heap's differs
-// refuses the stream.
+// refuses the stream. A stream is on one wire throughout — 'S' and 'T', or
+// 'R' and 'M' — and flags bit 1 says which; a reader takes each frame by its
+// tag.
 //
-// Versioning: ver 2 is the only version a reader accepts. Every 'S' and 'C'
+// Versioning: ver 2 is the only version a reader accepts. Every 'S' and 'R'
 // frame carries a CRC-32C of its payload between the length words and the
 // bytes, so a torn or bit-flipped transfer is rejected before any of it
 // reaches a walker. Format changes bump the version byte — readers reject
 // unknown versions (the checksum-free ver 1 included) loudly rather than
-// misparsing; the golden wire-vector tests pin the current encoding byte for
-// byte.
+// misparsing — or, where the standard wire's bytes do not move, retire a tag:
+// 'C', the per-record compact segment 'R' replaced, is an unknown frame. The
+// golden wire-vector tests pin the current encoding byte for byte.
 const (
 	wireMagic   = "SKYW"
 	wireVersion = 2
 
 	frameSegment = 'S'
-	frameCompact = 'C' // compact segment: physLen(u32) decodedLen(u32) crc(u32) bytes
 	frameTop     = 'T'
+	frameRuns    = 'R'
+	frameMarks   = 'M'
 	frameEnd     = 'E'
 
-	// topFrameLen is the wire size of a top mark: the tag and the address.
+	// topFrameLen is the wire size of a standard top mark: the tag and the
+	// address.
 	topFrameLen = 9
 
 	flagBaddr   = 1 << 0

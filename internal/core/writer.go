@@ -68,10 +68,10 @@ type Writer struct {
 	vec    net.Buffers
 	vecArr [3][]byte
 
-	// tops queues top marks, already framed, until the next segment flush
-	// so that one root per WriteObject forces neither one segment nor one
-	// write per root; the paper writes top marks into the buffer for the
-	// same reason.
+	// tops queues top marks, already framed — 'T' frames, or the one 'M'
+	// frame of a compact stream — until the next segment flush so that one
+	// root forces neither one segment nor one write per root; the paper
+	// writes top marks into the buffer for the same reason.
 	tops []byte
 
 	// Local stat accumulators, folded into the runtime's shared stats on
@@ -101,12 +101,17 @@ type Writer struct {
 	growBuf       bool // buffer may still grow toward DefaultBufferSize
 	verify        bool // SKYWAY_VERIFY debug assertions on relativized refs
 
-	// Compact mode (§5.2 future work): headers/padding are compressed on
-	// the wire; decodedInBuf tracks how many logical (inflated) bytes the
-	// physical buffer corresponds to.
+	// Compact mode (compact.go): decodedInBuf tracks how many logical
+	// (inflated) bytes the physical buffer corresponds to, runAt is where in
+	// buf the open run of runTID records keeps its flags byte (0: no run is
+	// open), and prevTop is the last non-null top mark queued — flushedTop,
+	// as of the last flush, which is where verifyTops starts decoding.
 	compact      bool
-	scratch      []byte
 	decodedInBuf uint32
+	runAt        int
+	runTID       int32
+	prevTop      uint64
+	flushedTop   uint64
 
 	// Objects and Bytes report per-writer transfer volume.
 	Objects uint64
@@ -132,11 +137,11 @@ func WithBufferSize(n int) WriterOption {
 	return func(w *Writer) { w.limit, w.fixedBuf = n, true }
 }
 
-// WithCompactHeaders enables the compact wire encoding: reconstructible
-// header words (klass pointer, unhashed mark, baddr) and padding are
-// compressed out of each object record and re-inflated on the receiver —
-// the header/padding compression the paper proposes as future work (§5.2).
-// Trades sender and receiver CPU for wire bytes.
+// WithCompactHeaders enables the compact wire encoding (compact.go): header
+// words the receiver can rebuild (klass pointer, unhashed mark, baddr) leave
+// each object image, consecutive objects of one klass share a run header, and
+// top marks travel as deltas — the header compression the paper proposes as
+// future work (§5.2). The receiver re-inflates the same images.
 func WithCompactHeaders() WriterOption {
 	return func(w *Writer) { w.compact = true }
 }
@@ -147,9 +152,11 @@ func (s *Skyway) NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 		rt: s.rt,
 		w:  w,
 
-		flushed:   relBias,
-		allocable: relBias,
-		verify:    verify.Enabled(),
+		flushed:    relBias,
+		allocable:  relBias,
+		prevTop:    relBias,
+		flushedTop: relBias,
+		verify:     verify.Enabled(),
 	}
 	var ok bool
 	wr.sid, wr.streamID, ok = s.rt.OpenStream()
@@ -173,66 +180,98 @@ func (s *Skyway) NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 	return wr
 }
 
-// WriteObject transfers the object graph reachable from root. If root was
-// already copied in the current shuffle phase (by this writer), only a
-// backward reference (top mark) is emitted. A Null root writes a null top
-// mark. The first error is final: every later call returns it.
+// WriteObject transfers the object graph reachable from root: WriteObjects
+// of the one root.
 func (w *Writer) WriteObject(root heap.Addr) error {
+	roots := [1]heap.Addr{root}
+	return w.WriteObjects(roots[:])
+}
+
+// RootWindow is how many roots WriteObjects reads ahead of its claims.
+const RootWindow = 64
+
+// WriteObjects transfers the object graph reachable from each root, in
+// order. A root already copied in the current shuffle phase (by this writer)
+// goes out as a backward reference (top mark) only; a Null root writes a null
+// top mark. The bytes are those of one call per root. The first error is
+// final: every later call returns it.
+//
+// The phase guard is held for the whole batch: ShuffleStart cannot advance
+// sID (or clear baddr words on wrap) while this writer is claiming them, so
+// every claim the call publishes is composed with the phase checked here.
+func (w *Writer) WriteObjects(roots []heap.Addr) error {
 	if w.closed {
 		return fmt.Errorf("skyway: write on closed stream")
 	}
 	if w.err != nil {
 		return w.err
 	}
-	// Hold the phase guard for the whole traversal: ShuffleStart cannot
-	// advance sID (or clear baddr words on wrap) while this writer is
-	// claiming them, so every claim this call publishes is composed with
-	// the phase checked here.
 	if !w.rt.HoldPhase(w.sid) {
 		return fmt.Errorf("skyway: writer opened in shuffle phase %d used in phase %d; open a new writer after ShuffleStart", w.sid, w.rt.Phase())
 	}
 	defer w.rt.ReleasePhase()
-	w.err = w.writeObject(root)
+	w.err = w.writeObjects(roots)
 	return w.err
 }
 
-func (w *Writer) writeObject(root heap.Addr) error {
+func (w *Writer) writeObjects(roots []heap.Addr) error {
 	if !w.headerWritten {
 		if err := writeHeader(w.w, w.rt.Heap.Layout(), w.streamID, w.compact); err != nil {
 			return err
 		}
 		w.headerWritten = true
 	}
-	if root == heap.Null {
-		w.queueTop(0)
-		return nil
-	}
-	rel, visited := w.visit(root)
-	if !visited {
-		// The gray queue is empty between roots, so the root's image is
-		// next in the buffer: it is cloned straight from its claim, and
-		// only what it references goes through the queue. A ref-free
-		// record never touches the queue at all.
-		var first grayRec
-		if err := w.reserve(root, &first); err != nil {
-			return err
-		}
-		// rec may point into the queue, which cloneInBuffer grows: its
-		// fields are read out as arguments before the call.
-		for rec := &first; ; w.grayHead++ {
-			if err := w.cloneInBuffer(rec.obj, rec.rel, rec.k, rec.size, rec.nrefs); err != nil {
-				return err
+	h := w.rt.Heap
+	for len(roots) > 0 {
+		win := roots[:min(len(roots), RootWindow)]
+		roots = roots[len(win):]
+		// A shuffle hands over records in key order, scattered over the heap,
+		// so a root's first touch is a cache miss, and claiming it a locked
+		// instruction no later load can pass: root by root, the misses queue
+		// up one behind the other. Every baddr word of the window is loaded
+		// before its first claim — independent loads, which overlap — the way
+		// a tracing collector prefetches what it has just greyed.
+		if len(win) > 1 && h.Layout().Baddr {
+			for _, root := range win {
+				if root != heap.Null {
+					h.AtomicBaddr(root)
+				}
 			}
-			if w.grayHead == len(w.gray) {
-				break
-			}
-			rec = &w.gray[w.grayHead]
 		}
-		w.gray = w.gray[:0]
-		w.grayHead = 0
+		for _, root := range win {
+			if root == heap.Null {
+				w.queueTop(0)
+				continue
+			}
+			rel, visited := w.visit(root)
+			if !visited {
+				// The gray queue is empty between roots, so the root's image
+				// is next in the buffer: it is cloned straight from its claim,
+				// and only what it references goes through the queue. A
+				// ref-free record never touches the queue at all.
+				var first grayRec
+				if err := w.reserve(root, &first); err != nil {
+					return err
+				}
+				// rec may point into the queue, which cloneInBuffer grows: its
+				// fields are read out as arguments before the call.
+				for rec := &first; ; w.grayHead++ {
+					if err := w.cloneInBuffer(rec.obj, rec.rel, rec.k, rec.size, rec.nrefs); err != nil {
+						return err
+					}
+					if w.grayHead == len(w.gray) {
+						break
+					}
+					rec = &w.gray[w.grayHead]
+				}
+				w.gray = w.gray[:0]
+				w.grayHead = 0
+			}
+			// Otherwise WRITEBACKWARDREFERENCE: the graph is already in the
+			// buffer.
+			w.queueTop(rel)
+		}
 	}
-	// Otherwise WRITEBACKWARDREFERENCE: the graph is already in the buffer.
-	w.queueTop(rel)
 	return nil
 }
 
@@ -314,12 +353,10 @@ func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k *klass.Klass, size u
 		return fmt.Errorf("skyway: class %s has no global type ID (runtime %s is not attached to a registry)", k.Name, w.rt.Name)
 	}
 
-	// need over-estimates the physical bytes this object adds to the
-	// buffer; in compact mode records can carry up to ~16 bytes of
-	// framing beyond the payload.
+	// need over-estimates the physical bytes this object adds to the buffer.
 	need := int(size)
 	if w.compact {
-		need += 16
+		need += compactRecordMax
 	}
 	if len(w.buf)+need > w.limit {
 		if err := w.makeRoom(need); err != nil {
@@ -328,38 +365,37 @@ func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k *klass.Klass, size u
 	}
 	w.ensureCap(len(w.buf) + need)
 
-	var img []byte
+	// One copy of everything behind the header, then patch the reference
+	// slots in place — no per-field access for primitive data. The header is
+	// written (or, on the compact wire, left out), not copied: all of its
+	// words are replaced anyway, and copying the baddr word would be a plain
+	// read racing the claims of concurrent senders that share the object.
+	// imgAt is where the image's offset 0 stands in the buffer — before the
+	// buffer's first byte, perhaps, on the compact wire, which carries the
+	// image from k.HeaderBytes on only.
+	var imgAt int
 	if w.compact {
-		// Build the standard image in scratch; it is compacted onto
-		// the wire after the header/reference fixups below.
-		if cap(w.scratch) < int(size) {
-			putBuf(w.scratch)
-			w.scratch = getBuf(int(size))
+		if rel-w.flushed != uint64(w.decodedInBuf) {
+			panic("skyway: buffer position diverged from relative address")
 		}
-		img = w.scratch[:size]
+		imgAt = w.appendRecord(obj, k, size) - int(k.HeaderBytes)
 	} else {
 		if rel-w.flushed != uint64(len(w.buf)) {
 			panic("skyway: buffer position diverged from relative address")
 		}
-		pos := len(w.buf)
-		w.buf = w.buf[:pos+int(size)]
-		img = w.buf[pos : pos+int(size)]
-	}
+		imgAt = len(w.buf)
+		w.buf = w.buf[:imgAt+int(size)]
+		img := w.buf[imgAt:]
+		hdr := layout.HeaderSize()
+		h.CopyOut(obj.Add(hdr), size-hdr, img[hdr:])
 
-	// One copy of everything behind the header, then patch the reference
-	// slots in place — no per-field access for primitive data. The header is
-	// written below, not copied: all of its words are replaced anyway, and
-	// copying the baddr word would be a plain read racing the claims of
-	// concurrent senders that share the object.
-	hdr := layout.HeaderSize()
-	h.CopyOut(obj.Add(hdr), size-hdr, img[hdr:])
-
-	// Header update: reset GC/lock/age bits preserving the hashcode,
-	// install the global type ID, clear the clone's baddr.
-	binary.LittleEndian.PutUint64(img[klass.OffMark:], heap.ResetTransientMarkBits(h.Mark(obj)))
-	binary.LittleEndian.PutUint64(img[klass.OffKlass:], uint64(uint32(k.TID)))
-	if layout.Baddr {
-		binary.LittleEndian.PutUint64(img[layout.OffBaddr():], 0)
+		// Header update: reset GC/lock/age bits preserving the hashcode,
+		// install the global type ID, clear the clone's baddr.
+		binary.LittleEndian.PutUint64(img[klass.OffMark:], heap.ResetTransientMarkBits(h.Mark(obj)))
+		binary.LittleEndian.PutUint64(img[klass.OffKlass:], uint64(uint32(k.TID)))
+		if layout.Baddr {
+			binary.LittleEndian.PutUint64(img[layout.OffBaddr():], 0)
+		}
 	}
 
 	// Relativize references. payload is the unpadded field data, for the
@@ -369,14 +405,10 @@ func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k *klass.Klass, size u
 		payload = uint32(h.ArrayLen(obj)) * k.ElemSize()
 	}
 	for i := 0; i < nrefs; i++ {
-		if err := w.relativize(img, obj, k.RefSlot(i)); err != nil {
+		off := k.RefSlot(i)
+		if err := w.relativize(w.buf[imgAt+int(off):], obj, off); err != nil {
 			return err
 		}
-	}
-
-	if w.compact {
-		w.buf = appendCompact(w.buf, img, layout, k.IsArray)
-		w.decodedInBuf += size
 	}
 
 	// Accounting for the byte-composition analysis (§5.2).
@@ -432,11 +464,11 @@ func (w *Writer) ensureCap(n int) {
 }
 
 // relativize writes the relative address of the object obj references at off
-// into the clone image at the same offset, visiting the referee if new.
-func (w *Writer) relativize(img []byte, obj heap.Addr, off uint32) error {
+// into slot, that offset of the clone image, visiting the referee if new.
+func (w *Writer) relativize(slot []byte, obj heap.Addr, off uint32) error {
 	o := heap.Addr(w.rt.Heap.Load(obj, off, klass.Ref))
 	if o == heap.Null {
-		binary.LittleEndian.PutUint64(img[off:], 0)
+		binary.LittleEndian.PutUint64(slot, 0)
 		return nil
 	}
 	childRel, visited := w.visit(o)
@@ -455,7 +487,7 @@ func (w *Writer) relativize(img []byte, obj heap.Addr, off uint32) error {
 		return fmt.Errorf("skyway: verify: relativized pointer %#x outside allocated relative space [%#x, %#x)",
 			childRel, uint64(relBias), w.allocable)
 	}
-	binary.LittleEndian.PutUint64(img[off:], childRel)
+	binary.LittleEndian.PutUint64(slot, childRel)
 	return nil
 }
 
@@ -504,7 +536,7 @@ func (w *Writer) flushSegment() error {
 		crc := crc32.Checksum(w.buf, crcTable)
 		hn := 9
 		if w.compact {
-			w.hdr[0] = frameCompact
+			w.hdr[0] = frameRuns
 			binary.BigEndian.PutUint32(w.hdr[1:], uint32(len(w.buf)))
 			binary.BigEndian.PutUint32(w.hdr[5:], w.decodedInBuf)
 			binary.BigEndian.PutUint32(w.hdr[9:], crc)
@@ -519,6 +551,9 @@ func (w *Writer) flushSegment() error {
 		w.vec = append(w.vec, w.hdr[:hn], w.buf)
 	}
 	if len(w.tops) > 0 {
+		if w.compact {
+			binary.BigEndian.PutUint32(w.tops[1:], uint32(len(w.tops)-marksHeaderLen))
+		}
 		if w.verify {
 			if err := w.verifyTops(flushed); err != nil {
 				return err
@@ -532,7 +567,7 @@ func (w *Writer) flushSegment() error {
 	if _, err := w.vec.WriteTo(w.w); err != nil {
 		return err
 	}
-	w.flushed, w.decodedInBuf = flushed, 0
+	w.flushed, w.decodedInBuf, w.runAt, w.flushedTop = flushed, 0, 0, w.prevTop
 	w.buf = w.buf[:0]
 	w.tops = w.tops[:0]
 	return nil
@@ -540,14 +575,41 @@ func (w *Writer) flushSegment() error {
 
 // verifyTops checks the framing invariant on the queued top marks: a top
 // mark reaches the wire only after every byte of the graph it names has
-// been flushed.
+// been flushed. The 'M' frame of a compact stream is decoded the way its
+// reader will, from the mark the previous frame ended on.
 func (w *Writer) verifyTops(flushed uint64) error {
-	for i := 0; i < len(w.tops); i += topFrameLen {
-		rel := binary.BigEndian.Uint64(w.tops[i+1:])
+	check := func(rel uint64) error {
 		if rel != 0 && (rel < relBias || rel >= flushed) {
 			return fmt.Errorf("skyway: verify: top mark %#x outside flushed relative space [%#x, %#x)",
 				rel, uint64(relBias), flushed)
 		}
+		return nil
+	}
+	if !w.compact {
+		for i := 0; i < len(w.tops); i += topFrameLen {
+			if err := check(binary.BigEndian.Uint64(w.tops[i+1:])); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	prev := w.flushedTop
+	for marks := w.tops[marksHeaderLen:]; len(marks) > 0; {
+		v, n := binary.Uvarint(marks)
+		if n <= 0 {
+			return fmt.Errorf("skyway: verify: queued top marks end inside a uvarint")
+		}
+		marks = marks[n:]
+		if v == 0 {
+			continue
+		}
+		prev += uint64(unzigzag(v-1)) * klass.WordSize
+		if err := check(prev); err != nil {
+			return err
+		}
+	}
+	if prev != w.prevTop {
+		return fmt.Errorf("skyway: verify: queued top marks decode to %#x, the last one queued was %#x", prev, w.prevTop)
 	}
 	return nil
 }
@@ -555,6 +617,10 @@ func (w *Writer) verifyTops(flushed uint64) error {
 // queueTop queues a top mark; it reaches the wire with the next segment
 // flush, after the bytes of every object it refers to.
 func (w *Writer) queueTop(rel uint64) {
+	if w.compact {
+		w.queueMark(rel)
+		return
+	}
 	w.tops = binary.BigEndian.AppendUint64(append(w.tops, frameTop), rel)
 }
 
@@ -586,8 +652,7 @@ func (w *Writer) Close() error {
 		w.err = w.flushSegment()
 	}
 	putBuf(w.buf)
-	putBuf(w.scratch)
-	w.buf, w.scratch = nil, nil
+	w.buf = nil
 	if w.err != nil {
 		return w.err
 	}

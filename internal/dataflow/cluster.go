@@ -129,6 +129,7 @@ type Executor struct {
 	recs     *gc.Roots     // the running task's records, one root slot each
 	out      [][]outRecord // map side: (key, slot) per partition
 	sortTmp  []outRecord   // sortByKey's second buffer
+	batch    [][]heap.Addr // map side: a sorted block's records, per sender stream
 	recBytes int           // wire bytes per record of the last map task
 }
 

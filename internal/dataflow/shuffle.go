@@ -138,6 +138,9 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 	// allocates nothing until the reduce stage), so the streams race only
 	// on the §4.2 baddr claims, which is the point.
 	senders := c.senderSlots(p)
+	if len(ex.batch) < senders {
+		ex.batch = make([][]heap.Addr, senders)
+	}
 	blocks := make([][]byte, p)
 	serTime := make([]time.Duration, senders)
 	serErr := make([]error, senders)
@@ -159,12 +162,16 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 			var buf bytes.Buffer
 			buf.Grow(ex.blockBytes(len(out[dst])))
 			enc := c.Codec.NewEncoder(ex.RT, &buf)
+			// The block goes to its encoder as one batch, in sorted order.
+			batch := ex.batch[slot][:0]
 			for _, r := range out[dst] {
-				if err := enc.Write(tab.At(r.slot)); err != nil {
-					enc.Flush() // close the stream; output is discarded
-					serErr[slot] = fmt.Errorf("serialize: %w", err)
-					return
-				}
+				batch = append(batch, tab.At(r.slot))
+			}
+			ex.batch[slot] = batch
+			if err := enc.WriteBatch(batch); err != nil {
+				enc.Flush() // close the stream; output is discarded
+				serErr[slot] = fmt.Errorf("serialize: %w", err)
+				return
 			}
 			if err := enc.Flush(); err != nil {
 				serErr[slot] = err

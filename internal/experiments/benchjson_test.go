@@ -52,7 +52,7 @@ func TestCompareBenchGatesExactColumnsOnly(t *testing.T) {
 		{"3x total_ns", triple, nil},
 		{"entry new in cur", func(f *BenchFile) {
 			e := f.Entries[1]
-			e.Serializer = "skyway-compact"
+			e.Serializer = "skyway-next"
 			e.ShuffleBytes /= 2
 			f.Entries = append(f.Entries, e)
 		}, nil},

@@ -71,15 +71,11 @@ func (e *jsbsEnv) newReceiver(name string) (*vm.Runtime, error) {
 	return vm.NewRuntime(e.cp, vm.Options{Name: name, Heap: jsbsHeap(), Registry: registry.InProc{R: e.reg}})
 }
 
-// JSBSCodecs returns the Figure 7 library lineup (Skyway first), extended
-// with the compact-headers mode (the paper's §5.2 future work).
+// JSBSCodecs returns the Figure 7 library lineup (Skyway first).
 func JSBSCodecs() []serial.Codec {
 	reg := serial.NewRegistration(datagen.MediaClassNames()...)
-	compact := serial.NewSkywayCodec()
-	compact.Compact = true
 	return []serial.Codec{
 		serial.NewSkywayCodec(),
-		compact,
 		serial.ColferCodec(reg),
 		serial.ProtostuffCodec(reg),
 		serial.DatakernelCodec(reg),
@@ -267,6 +263,9 @@ type RunInfo struct {
 	PeakHeap   uint64   // peak executor heap usage
 	BufferPeak uint64   // peak input-buffer usage (Skyway receive side)
 	GC         gc.Stats // pause and promotion totals across the cluster
+	// Transfer is the logical byte composition of what the executors sent
+	// through Skyway, summed (zero under a baseline serializer).
+	Transfer vm.TransferStats
 }
 
 // Cell is one labelled bar of the paper's matrix: the figure it belongs to,
@@ -352,12 +351,21 @@ func SparkRunInfo(app SparkApp, g *datagen.Graph, codecName string, cfg SparkCon
 	default:
 		err = fmt.Errorf("experiments: unknown app %q", app)
 	}
+	var transfer vm.TransferStats
+	for _, ex := range c.Execs {
+		s := ex.RT.TransferStats()
+		transfer.BytesSent += s.BytesSent
+		transfer.HeaderBytes += s.HeaderBytes
+		transfer.PaddingBytes += s.PaddingBytes
+		transfer.PointerBytes += s.PointerBytes
+	}
 	return RunInfo{
 		Breakdown:  bd,
 		Digest:     digest,
 		PeakHeap:   c.PeakHeap,
 		BufferPeak: c.BufferPeak(),
 		GC:         c.GCStats(),
+		Transfer:   transfer,
 	}, err
 }
 
@@ -471,55 +479,60 @@ func RunMemOverhead(cfg SparkConfig) ([]MemOverheadResult, error) {
 	return out, nil
 }
 
-// ExtraBytes reports the byte-composition analysis of §5.2: what Skyway's
-// extra bytes consist of (headers, padding, pointers).
-type ExtraBytes struct {
-	SkywayBytes, KryoBytes          int64
+// ShuffleBytes is one app's row of the §5.2 bytes analysis, in bytes per
+// shuffled record: what the paper's full-image wire would carry (every object
+// image plus a 9-byte top mark per record, stream framing aside), what the
+// engine's Skyway wire did carry, the header-free floor — the field and element
+// bytes of the shuffled graph, Σ klass.PayloadBytes and array payloads, which
+// no encoding of those objects as they are laid out goes below — and Kryo's
+// bytes for the same records. HeaderShare, PadShare and PtrShare decompose the
+// full image's extra bytes over Kryo the way §5.2 does.
+type ShuffleBytes struct {
+	App                             SparkApp
+	Records                         int64
+	FullImage, Wire, Floor, Kryo    float64
 	HeaderShare, PadShare, PtrShare float64
 }
 
-// RunExtraBytes measures Skyway's byte overhead vs Kryo on PageRank and
-// decomposes the Skyway stream.
-func RunExtraBytes(cfg SparkConfig) (ExtraBytes, error) {
+// fullImageTopMark is the full-image wire's top mark: a tag and a 64-bit
+// relative address per root.
+const fullImageTopMark = 9
+
+// RunShuffleBytes measures every app over the LiveJournal-shaped graph under
+// Skyway and Kryo. The composition counters describe the logical transfer —
+// the images a receiver ends up holding — whichever wire carried it.
+func RunShuffleBytes(cfg SparkConfig) ([]ShuffleBytes, error) {
 	spec, err := datagen.GraphByName("LiveJournal", cfg.GraphScale)
 	if err != nil {
-		return ExtraBytes{}, err
+		return nil, err
 	}
 	g := spec.Generate()
-
-	kryo, err := SparkRunInfo(PR, g, "kryo", cfg)
-	if err != nil {
-		return ExtraBytes{}, err
+	var out []ShuffleBytes
+	for _, app := range SparkApps() {
+		kryo, err := SparkRunInfo(app, g, "kryo", cfg)
+		if err != nil {
+			return nil, err
+		}
+		sky, err := SparkRunInfo(app, g, "skyway", cfg)
+		if err != nil {
+			return nil, err
+		}
+		n, s := float64(sky.Breakdown.Records), sky.Transfer
+		image := float64(s.BytesSent) + fullImageTopMark*n
+		extra := max(image-float64(kryo.Breakdown.ShuffleBytes), 1)
+		out = append(out, ShuffleBytes{
+			App:         app,
+			Records:     sky.Breakdown.Records,
+			FullImage:   image / n,
+			Wire:        float64(sky.Breakdown.ShuffleBytes) / n,
+			Floor:       float64(s.BytesSent-s.HeaderBytes-s.PaddingBytes) / n,
+			Kryo:        float64(kryo.Breakdown.ShuffleBytes) / n,
+			HeaderShare: float64(s.HeaderBytes) / extra,
+			PadShare:    float64(s.PaddingBytes) / extra,
+			PtrShare:    float64(s.PointerBytes) / extra,
+		})
 	}
-	kbd := kryo.Breakdown
-
-	c, err := newSparkCluster(cfg, "skyway")
-	if err != nil {
-		return ExtraBytes{}, err
-	}
-	sbd, _, err2 := dataflow.RunPageRank(c, g, cfg.PRIters)
-	if err2 != nil {
-		return ExtraBytes{}, err2
-	}
-	var stats struct{ hdr, pad, ptr, total uint64 }
-	for _, ex := range c.Execs {
-		s := ex.RT.TransferStats()
-		stats.hdr += s.HeaderBytes
-		stats.pad += s.PaddingBytes
-		stats.ptr += s.PointerBytes
-		stats.total += s.BytesSent
-	}
-	extra := float64(sbd.ShuffleBytes - kbd.ShuffleBytes)
-	if extra <= 0 {
-		extra = 1
-	}
-	return ExtraBytes{
-		SkywayBytes: sbd.ShuffleBytes,
-		KryoBytes:   kbd.ShuffleBytes,
-		HeaderShare: float64(stats.hdr) / extra,
-		PadShare:    float64(stats.pad) / extra,
-		PtrShare:    float64(stats.ptr) / extra,
-	}, nil
+	return out, nil
 }
 
 // --- Flink experiments (Figure 8(b), Tables 3-4) -------------------------------

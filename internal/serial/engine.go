@@ -156,6 +156,11 @@ func (e *engineEncoder) Write(root heap.Addr) error {
 	return e.writeRef(root)
 }
 
+// WriteBatch implements Encoder.
+func (e *engineEncoder) WriteBatch(roots []heap.Addr) error {
+	return WriteWindowed(e.rt, roots, e.Write)
+}
+
 func (e *engineEncoder) writeRef(o heap.Addr) error {
 	if o == heap.Null {
 		e.u8(tagNull)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"skyway/internal/core"
 	"skyway/internal/heap"
 	"skyway/internal/vm"
 )
@@ -20,6 +21,23 @@ var updateGolden = flag.Bool("update", false, "rewrite golden wire vectors")
 // frame CRC-32C). Any intentional format change must update the vectors
 // (go test ./internal/serial -run Golden -update) AND bump the wire
 // version; an accidental change fails here byte for byte.
+
+// fullImageCodec is the library's default wire — the paper's full object
+// images, what core.Skyway.NewWriter and skyway.DialWriter write and
+// skyway.bin pins — behind the Codec interface the golden tests drive.
+// SkywayCodec itself writes the compact wire, pinned by skyway-compact.bin.
+type fullImageCodec struct{ *SkywayCodec }
+
+func (fullImageCodec) NewEncoder(rt *vm.Runtime, w io.Writer) Encoder {
+	cw := &countingWriter{w: w}
+	return &skywayEncoder{w: core.New(rt).NewWriter(cw), cw: cw}
+}
+
+// skywayWires are the two Skyway golden vectors, by file name.
+var skywayWires = map[string]Codec{
+	"skyway":         fullImageCodec{NewSkywayCodec()},
+	"skyway-compact": NewSkywayCodec(),
+}
 
 // goldenGraph builds the pinned object graph: two Media objects sharing a
 // deterministic structure, the second written twice to exercise stream
@@ -88,12 +106,8 @@ func TestGoldenWireVectors(t *testing.T) {
 	}{
 		{"java", func(_, _ *vm.Runtime) Codec { return JavaCodec() }},
 		{"kryo", func(_, _ *vm.Runtime) Codec { return KryoCodec(reg) }},
-		{"skyway", func(snd, rcv *vm.Runtime) Codec { return NewSkywayCodec(snd, rcv) }},
-		{"skyway-compact", func(snd, rcv *vm.Runtime) Codec {
-			c := NewSkywayCodec(snd, rcv)
-			c.Compact = true
-			return c
-		}},
+		{"skyway", func(_, _ *vm.Runtime) Codec { return skywayWires["skyway"] }},
+		{"skyway-compact", func(_, _ *vm.Runtime) Codec { return skywayWires["skyway-compact"] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,9 +170,8 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 func TestGoldenSkywayStreamWrites(t *testing.T) {
 	for _, name := range []string{"skyway", "skyway-compact"} {
 		t.Run(name, func(t *testing.T) {
-			snd, rcv := testPair(t)
-			c := NewSkywayCodec(snd, rcv)
-			c.Compact = name == "skyway-compact"
+			snd, _ := testPair(t)
+			c := skywayWires[name]
 			var sink writeCounter
 			enc := c.NewEncoder(snd, &sink)
 			for _, root := range goldenGraph(t, snd) {
@@ -181,4 +194,53 @@ func TestGoldenSkywayStreamWrites(t *testing.T) {
 			}
 		})
 	}
+}
+
+// WriteBatch is the Write loop: under every golden codec the golden roots —
+// a null among them — written as one batch are the golden vector (plus the
+// null's encoding), and the batch is refused, not dereferenced, when one of
+// its roots is not an object.
+func TestWriteBatchMatchesWriteLoop(t *testing.T) {
+	reg := testRegistration()
+	codecs := map[string]Codec{"java": JavaCodec(), "kryo": KryoCodec(reg)}
+	for name, c := range skywayWires {
+		codecs[name] = c
+	}
+	for name, c := range codecs {
+		snd, _ := testPair(t)
+		roots := append(goldenGraph(t, snd), heap.Null)
+		var loop, batch bytes.Buffer
+		enc := c.NewEncoder(snd, &loop)
+		for _, root := range roots {
+			if err := enc.Write(root); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		snd.ShuffleStart()
+		enc = c.NewEncoder(snd, &batch)
+		if err := enc.WriteBatch(roots); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// A Skyway stream's header carries its stream ID.
+		if !bytes.Equal(loop.Bytes()[8:], batch.Bytes()[8:]) {
+			t.Errorf("%s: WriteBatch differs from the Write loop: %s", name, diffBytes(loop.Bytes(), batch.Bytes()))
+		}
+	}
+
+	snd, _ := testPair(t)
+	roots := goldenGraph(t, snd)
+	stray := snd.Pin(snd.MustNewArray(snd.MustLoad("long[]"), 4))
+	defer stray.Release()
+	snd.Heap.SetKlassWord(stray.Addr(), 0xDEAD)
+	var sink bytes.Buffer
+	if err := KryoCodec(reg).NewEncoder(snd, &sink).WriteBatch(append(roots, stray.Addr())); err == nil {
+		t.Error("a batch holding a root with klass word 0xDEAD was serialized")
+	}
+	snd.Heap.SetKlassWord(stray.Addr(), uint64(snd.MustLoad("long[]").LID))
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 
+	"skyway/internal/core"
 	"skyway/internal/heap"
 	"skyway/internal/vm"
 )
@@ -31,16 +32,16 @@ type Codec interface {
 // ByName builds the codec a serializer name selects — the one name → codec
 // table the engines, experiments and examples share. reg is the Kryo
 // registration table (only "kryo" reads it). "skyway" follows the
-// SKYWAY_ARENA default for its receive path; "skyway-arena" forces it on.
+// SKYWAY_ARENA default for its receive path; "skyway-arena" forces it on. The
+// two write the same wire.
 func ByName(name string, reg *Registration) (Codec, error) {
 	switch name {
 	case "java":
 		return JavaCodec(), nil
 	case "kryo":
 		return KryoCodec(reg), nil
-	case "skyway", "skyway-compact", "skyway-arena":
+	case "skyway", "skyway-arena":
 		c := NewSkywayCodec()
-		c.Compact = name == "skyway-compact"
 		c.Arena = c.Arena || name == "skyway-arena"
 		return c, nil
 	}
@@ -52,6 +53,10 @@ func ByName(name string, reg *Registration) (Codec, error) {
 type Encoder interface {
 	// Write serializes the graph rooted at root.
 	Write(root heap.Addr) error
+	// WriteBatch serializes the graph rooted at each root, in order: the
+	// bytes of one Write per root. A shuffle block is one batch, which lets
+	// an encoder overlap the cache misses of first touching its records.
+	WriteBatch(roots []heap.Addr) error
 	// Flush drains buffered output.
 	Flush() error
 	// Bytes reports total payload bytes produced so far.
@@ -116,6 +121,36 @@ func (r *Registration) NameOf(id uint32) (string, bool) {
 		return "", false
 	}
 	return r.names[id], true
+}
+
+// WriteWindowed is WriteBatch for an encoder that serializes a root at a time:
+// roots go to write in order, a window at a time — core.Writer's window, so
+// that the paper's comparisons stay between S/D mechanisms and not between who
+// overlaps its cache misses — the klass word of every root of a window loaded
+// before the first is written. Records reach a
+// shuffle's encoder in key order, scattered over the heap, so each one's
+// first touch is a cache miss; loaded back to back the misses overlap, where
+// one behind each record's serialization they would not.
+func WriteWindowed(rt *vm.Runtime, roots []heap.Addr, write func(heap.Addr) error) error {
+	for len(roots) > 0 {
+		win := roots[:min(len(roots), core.RootWindow)]
+		roots = roots[len(win):]
+		var top uint64
+		for _, root := range win {
+			if root != heap.Null {
+				top = max(top, rt.Heap.KlassWord(root))
+			}
+		}
+		if !rt.ValidKlassWord(top) {
+			return fmt.Errorf("serial: batch holds a root whose klass word %#x names no loaded class", top)
+		}
+		for _, root := range win {
+			if err := write(root); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // countingWriter tracks bytes written.

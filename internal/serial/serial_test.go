@@ -391,8 +391,8 @@ func TestSkywayCodecAdapter(t *testing.T) {
 	}
 }
 
-// Two Skyway codecs over one sender runtime (Figure 7 runs standard and
-// compact this way) write the same record in the same phase: the runtime, not
+// Two Skyway codecs over one sender runtime (a job and a broadcast do this)
+// write the same record in the same phase: the runtime, not
 // the codec, hands out stream IDs, so neither stream mistakes the other's
 // baddr claims for its own and both carry the whole graph.
 func TestTwoSkywayCodecsShareOneSender(t *testing.T) {
@@ -400,7 +400,7 @@ func TestTwoSkywayCodecsShareOneSender(t *testing.T) {
 	mp := snd.Pin(buildMedia(t, snd, "shared", 320, 200))
 	defer mp.Release()
 	mk := rcv.MustLoad("Media")
-	for _, name := range []string{"skyway", "skyway-compact"} {
+	for _, name := range []string{"skyway", "skyway-arena"} {
 		c, err := ByName(name, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -13,15 +13,18 @@ import (
 // SkywayCodec adapts the Skyway transfer service to the Codec interface so
 // harnesses can swap it in wherever a baseline serializer is used — the
 // drop-in integration §3.3 is about.
+//
+// Its encoders write the compact wire (core.WithCompactHeaders): an engine's
+// records are a few words each, and a header on every one of them costs more
+// in bytes than Skyway saves in S/D. The library's own writers
+// (core.Skyway.NewWriter, skyway.DialWriter) default to the paper's
+// full-image wire.
 type SkywayCodec struct {
-	// Compact switches writers to the compact wire encoding (the header/
-	// padding compression the paper proposes as future work, §5.2).
-	Compact bool
 	// Arena switches decoders to the off-heap arena path: received
 	// segments stay relativized outside the managed heap and absolutize
 	// lazily on first mutation. The wire format is unchanged — Arena is a
-	// pure receiver-side policy, freely combinable with Compact. Defaults
-	// to the SKYWAY_ARENA environment knob.
+	// pure receiver-side policy. Defaults to the SKYWAY_ARENA environment
+	// knob.
 	Arena bool
 }
 
@@ -43,9 +46,6 @@ func (c *SkywayCodec) ConcurrentEncoders() bool { return true }
 
 // Name implements Codec.
 func (c *SkywayCodec) Name() string {
-	if c.Compact {
-		return "skyway-compact"
-	}
 	if c.Arena {
 		return "skyway-arena"
 	}
@@ -55,11 +55,7 @@ func (c *SkywayCodec) Name() string {
 // NewEncoder implements Codec.
 func (c *SkywayCodec) NewEncoder(rt *vm.Runtime, w io.Writer) Encoder {
 	cw := &countingWriter{w: w}
-	var opts []core.WriterOption
-	if c.Compact {
-		opts = append(opts, core.WithCompactHeaders())
-	}
-	return &skywayEncoder{w: core.New(rt).NewWriter(cw, opts...), cw: cw}
+	return &skywayEncoder{w: core.New(rt).NewWriter(cw, core.WithCompactHeaders()), cw: cw}
 }
 
 // NewDecoder implements Codec.
@@ -77,6 +73,8 @@ type skywayEncoder struct {
 }
 
 func (e *skywayEncoder) Write(root heap.Addr) error { return e.w.WriteObject(root) }
+
+func (e *skywayEncoder) WriteBatch(roots []heap.Addr) error { return e.w.WriteObjects(roots) }
 
 func (e *skywayEncoder) Flush() error {
 	// Closing emits the end frame so the matching Decoder sees EOF; a

@@ -82,11 +82,14 @@ func (rt *Runtime) OpenStream() (phase uint8, stream uint16, ok bool) {
 
 // HoldPhase takes the read side of the phase guard for a stream opened in
 // phase and reports whether the runtime is still in it; on false nothing is
-// held. A sender holds the guard for a whole graph traversal, so the phase
-// can never advance (and, on 8-bit wrap, clearAllBaddrs can never run) while
-// it is claiming baddr words under the phase it checked. Without this, a
-// concurrent sender could publish a claim composed with a stale phase just
-// after the bump — the §4.2 hazard a sequential harness never exercises.
+// held. A sender holds the guard once per batch of roots — one
+// core.Writer.WriteObjects call: a whole shuffle block, or WriteObject's single
+// root — and for every traversal in it, so the phase can never advance (and,
+// on 8-bit wrap, clearAllBaddrs can never run) while it is claiming baddr
+// words under the phase it checked; a ShuffleStart waits out the batch.
+// Without this, a concurrent sender could publish a claim composed with a
+// stale phase just after the bump — the §4.2 hazard a sequential harness never
+// exercises.
 func (rt *Runtime) HoldPhase(phase uint8) bool {
 	rt.phaseMu.RLock()
 	if rt.Phase() != phase {

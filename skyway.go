@@ -123,9 +123,9 @@ func NewReader(rt *Runtime, r io.Reader) *Reader { return core.NewReader(rt, r) 
 var (
 	// WithBufferSize sets a writer's output-buffer capacity.
 	WithBufferSize = core.WithBufferSize
-	// WithCompactHeaders compresses reconstructible header words and
-	// padding on the wire (the paper's §5.2 future work), trading CPU
-	// for bytes.
+	// WithCompactHeaders leaves the header words the receiver can rebuild
+	// off the wire, shares one run header among consecutive objects of a
+	// class and sends top marks as deltas (the paper's §5.2 future work).
 	WithCompactHeaders = core.WithCompactHeaders
 )
 
