@@ -84,7 +84,8 @@ cluster-test:
 # chaos matrix, one pass of BenchmarkArrayRead (per-element and bulk reads on
 # eager, arena and promoted arrays), and a full SKYWAY_ARENA=1 sweep of the
 # core, dataflow and batch packages under the race detector with the heap
-# verifier armed.
+# verifier armed — every engine block then inflates its compact segments in
+# place inside arena mappings.
 arena-test:
 	SKYWAY_VERIFY=1 $(GO) test -race ./internal/arena/
 	SKYWAY_VERIFY=1 $(GO) test -race -run 'Arena|ArrayLongs' ./internal/heap/ ./internal/core/ ./internal/fault/

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -324,6 +325,73 @@ func TestRecordDecodeAllocsPerRoot(t *testing.T) {
 				t.Errorf("record decode allocates %.4f times per root, want 0", got)
 			}
 		})
+	}
+}
+
+// TestStreamOpenCloseAllocs: opening, draining and freeing a one-root stream
+// costs the Reader, its chunk table and the chunk's pin record. The read
+// buffer comes from a pool when the source is not a *bufio.Reader (a fresh
+// one was 16 KiB to allocate and zero, for every stream), and the stream
+// header, the segment header and the 'M' length word are read into the
+// Reader's own scratch.
+func TestStreamOpenCloseAllocs(t *testing.T) {
+	skipIfInstrumented(t)
+	snd, rcv, sky := testCluster(t)
+	var wire bytes.Buffer
+	encodeRecords(t, sky, []heap.Addr{newDate(t, snd, 2018, 3, 24)}, &wire)
+	src := bytes.NewReader(nil)
+	stream := func() {
+		src.Reset(wire.Bytes())
+		rd := NewReader(rcv, src)
+		if _, err := rd.ReadObject(); err != nil {
+			panic(err)
+		}
+		if _, err := rd.ReadObject(); err != io.EOF {
+			panic(err)
+		}
+		rd.Free()
+	}
+	stream() // warm the pool
+	if got := testing.AllocsPerRun(100, stream); got > 3 {
+		t.Errorf("a one-root stream makes %.1f allocations, want at most 3", got)
+	}
+}
+
+// Free ends a stream: its pooled read buffer goes back at once, so a later
+// ReadObject — at end of stream or with top marks still peeked out of that
+// buffer — must fail without touching it, and a second Free must not hand the
+// buffer out twice.
+func TestReadAfterFreeFails(t *testing.T) {
+	snd, rcv, sky := testCluster(t)
+	wire, want := recordStream(t, snd, sky, 10)
+	for _, drain := range []bool{false, true} {
+		rd := NewReader(rcv, bytes.NewReader(wire))
+		if _, err := rd.ReadObject(); err != nil {
+			t.Fatal(err)
+		}
+		if drain {
+			if _, err := rd.ReadAll(); err != nil {
+				t.Fatal(err)
+			}
+		} else if len(rd.tops) == 0 {
+			t.Fatal("no top marks left peeked after the first root")
+		}
+		rd.Free()
+		rd.Free()
+		// Two streams open now; neither may share a buffer with the other.
+		a, b := NewReader(rcv, bytes.NewReader(wire)), NewReader(rcv, bytes.NewReader(wire))
+		if a.r == b.r {
+			t.Fatal("a double Free handed one read buffer to two streams")
+		}
+		for i := 0; i < 3; i++ {
+			if got, err := rd.ReadObject(); !errors.Is(err, errFreed) || got != heap.Null {
+				t.Fatalf("drain=%v: ReadObject after Free = %#x, %v; want %v", drain, uint64(got), err, errFreed)
+			}
+		}
+		checkRecords(t, rcv, a, want)
+		checkRecords(t, rcv, b, want)
+		a.Free()
+		b.Free()
 	}
 }
 

@@ -40,7 +40,7 @@ func FuzzArenaHandle(f *testing.F) {
 	// shapes a forged handle would need bounds checks to stop.
 	hdr := []byte("SKYW\x02\x01\x00\x00")
 	f.Add(append(append([]byte{}, hdr...), 'S', 0, 0, 0, 8, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8))
-	f.Add(append(append([]byte{}, hdr...), 'T', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF))
+	f.Add(append(append([]byte{}, hdr...), frameMarks, 0, 0, 0, 5, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		newRT := func(name string) *vm.Runtime {

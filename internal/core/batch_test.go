@@ -402,16 +402,19 @@ func marksFrame(body ...byte) []byte {
 	return append(binary.BigEndian.AppendUint32([]byte{frameMarks}, uint32(len(body))), body...)
 }
 
-// Every malformed frame of the compact wire — and the 'C' frame it retired —
-// ends in one of the existing DecodeError kinds, on both receive paths, and
-// never in a panic. Each stream is also a seed of the FuzzReaderDecode corpus
-// (encoded against the fuzz target's classpath and registration order, like
-// TestBackRefStreamInFuzzCorpus's), so mutation starts from inside the new
+// Every malformed frame of the compact wire, of the 'M' frame both wires
+// share, and the 'C' and 'T' frames they retired, ends in one of the existing
+// DecodeError kinds, on both receive paths, and never in a panic. Each stream
+// is also a seed of the FuzzReaderDecode corpus (encoded against the fuzz
+// target's classpath and registration order, like
+// TestBackRefStreamInFuzzCorpus's), so mutation starts from inside the
 // frames; -update-corpus rewrites the entries.
 //
-// One malformation the issue that introduced the frames lists cannot be
-// written down: a delta is a count of words against an aligned mark, so no
-// uvarint names an unaligned address.
+// One malformation cannot be written down: a delta is a count of words
+// against an aligned mark, so no uvarint names an unaligned address. The
+// 'M'-frame version of the top-unaligned seed therefore walks the same
+// full-image segment and then names the one address a delta still gets
+// wrong on it, one word below the first.
 func TestMalformedCompactFrames(t *testing.T) {
 	snd, newRT := fuzzTarget(t)
 	yk := snd.MustLoad("Year4D")
@@ -426,6 +429,16 @@ func TestMalformedCompactFrames(t *testing.T) {
 	three := append([]byte{2, 2 << compactRunShift}, bytes.Repeat(one[2:], 3)...)
 
 	valid := encodeBatch(t, New(snd), recordCorpus(t, snd, 9), WithCompactHeaders(), WithBufferSize(128))
+	// The full-image wire: a stream of the same shape, and the one full-image
+	// segment of a lone Date root, ready for its top marks.
+	full := encodeBatch(t, New(snd), recordCorpus(t, snd, 9), WithBufferSize(128))
+	fullHdr := []byte("SKYW\x02\x01\x00\x00")
+	date := recordCorpus(t, snd, 3)[2]
+	dateSeg := encodeBatch(t, New(snd), []heap.Addr{date})
+	dateSeg = dateSeg[:len(dateSeg)-len(marksFrame(1))-1]
+	then := func(frames ...[]byte) []byte {
+		return append(bytes.Join(append([][]byte{dateSeg}, frames...), nil), frameEnd)
+	}
 	for _, tc := range []struct {
 		name string
 		wire []byte
@@ -434,7 +447,8 @@ func TestMalformedCompactFrames(t *testing.T) {
 		{"compact-stream", valid, ""},
 		{"compact-run-of-three", stream(runsFrame(three, 96), marksFrame(1, 9, 9)), ""},
 		// The deleted per-record compact segment: same header, tag 'C'.
-		{"compact-retired-c-frame", stream(append([]byte{'C'}, runsFrame(one, 32)[1:]...), []byte{frameTop, 0, 0, 0, 0, 0, 0, 0, 8}), DecodeFrame},
+		{"compact-retired-c-frame", stream(append([]byte{'C'}, runsFrame(one, 32)[1:]...), []byte{'T', 0, 0, 0, 0, 0, 0, 0, 8}), DecodeFrame},
+		{"compact-run-longer-than-image", stream(runsFrame(three, 16), marksFrame(1)), DecodeLength},
 		{"compact-run-overruns-chunk", stream(runsFrame(three, 64), marksFrame(1)), DecodeLength},
 		{"compact-run-array-flag", stream(runsFrame([]byte{2, compactFlagArray, 0}, 32), marksFrame(1)), DecodeType},
 		{"compact-run-unknown-class", stream(runsFrame([]byte{99, 0, 7, 0, 0, 0, 0, 0, 0, 0}, 32), marksFrame(1)), DecodeType},
@@ -446,6 +460,11 @@ func TestMalformedCompactFrames(t *testing.T) {
 		{"compact-mark-frame-cut-short", torn(runsFrame(one, 32), marksFrame(1, 1, 1)[:7]), DecodeFrame}, // the stream ends inside the frame
 		{"compact-mark-overlong-uvarint", stream(runsFrame(one, 32), marksFrame(bytes.Repeat([]byte{0xFF}, 11)...), marksFrame(1)), DecodeFrame},
 		{"compact-mark-overflows-uvarint", stream(runsFrame(one, 32), marksFrame(append(bytes.Repeat([]byte{0xFF}, 9), 0x7F)...)), DecodeFrame},
+		{"full-image-stream", full, ""},
+		// The deleted 9-byte top mark: a full-image segment, then tag 'T'.
+		{"retired-t-frame", then([]byte{'T', 0, 0, 0, 0, 0, 0, 0, 8}), DecodeFrame},
+		{"marks-top-out-of-range", append(append(fullHdr, marksFrame(0xFF, 0xFF, 0xFF, 0xFF, 0x0F)...), frameEnd), DecodePointer},
+		{"marks-top-unaligned", then(marksFrame(1, 2)), DecodePointer},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "fuzz", "FuzzReaderDecode", tc.name)

@@ -27,16 +27,8 @@ import (
 // already in the buffer, and anything else — a different klass, a hashed
 // object among unhashed ones, the 65th record, a segment flush — closes it.
 // The mark word travels only as a cached hashcode; the klass word once per
-// run; the baddr word never.
-//
-// The segment's top marks follow it as one 'M' frame of uvarints:
-//
-//	mark := 0                                  -- a null root
-//	      | zigzag((rel − prev) / 8) + 1       -- prev: the stream's previous
-//	                                              non-null mark, relBias at open
-//
-// so a root cloned right behind the last one costs one byte while its graph
-// stays under 512 bytes, and a back-reference root a short negative delta.
+// run; the baddr word never. Top marks are the 'M' frames both wires share
+// (wire.go).
 //
 // The receiver re-inflates each run into a normal input-buffer chunk, so
 // everything downstream of the segment decoder — translation table, card
@@ -53,10 +45,6 @@ const (
 	// compactRecordMax bounds what one record adds to the buffer beyond its
 	// payload: a run header (type ID and flags), a hashcode, an array length.
 	compactRecordMax = binary.MaxVarintLen32 + 1 + 4 + binary.MaxVarintLen64
-
-	// marksHeaderLen is the 'M' frame's tag and length word; the marks queue
-	// in a compact writer's tops behind room for it.
-	marksHeaderLen = 5
 )
 
 // appendRecord clones obj — an instance of k, size bytes as an image, claimed
@@ -98,34 +86,20 @@ func (w *Writer) appendRecord(obj heap.Addr, k *klass.Klass, size uint32) (paylo
 	return payloadAt
 }
 
-// queueMark queues a top mark of a compact stream as a delta against the
-// previous one, opening the 'M' frame the next flush completes.
-func (w *Writer) queueMark(rel uint64) {
-	if len(w.tops) == 0 {
-		w.tops = append(w.tops, frameMarks, 0, 0, 0, 0)
-	}
-	if rel == 0 {
-		w.tops = append(w.tops, 0)
-		return
-	}
-	d := int64(rel-w.prevTop) / klass.WordSize
-	w.tops = binary.AppendUvarint(w.tops, zigzag(d)+1)
-	w.prevTop = rel
-}
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// inflate expands a compact segment (phys bytes) into img, the image of the
-// staged chunk that will hold it, which spans the frame's declared decoded
-// size — leaving objects in exactly the state a standard segment would: klass
-// word holding the global type ID, baddr zero, references still relative.
-func (rd *Reader) inflate(phys, img []byte) error {
+// inflate expands, forward and in place, the compact segment whose phys
+// bytes fill received into the tail of img — the image of the staged chunk,
+// which spans the frame's declared decoded size — leaving objects in exactly
+// the state a standard segment would: klass word holding the global type ID,
+// baddr zero, references still relative. A record's image only ever lands on
+// bytes already read, since no record a writer produces takes more wire bytes
+// than its header words; a stream whose records would overwrite unread bytes
+// is refused.
+func (rd *Reader) inflate(img []byte, phys uint32) error {
 	rt := rd.rt
 	layout := rt.Heap.Layout()
-	pos, a := 0, uint32(0)
-	for pos < len(phys) {
-		tid64, n := binary.Uvarint(phys[pos:])
+	pos, a := len(img)-int(phys), uint32(0)
+	for pos < len(img) {
+		tid64, n := binary.Uvarint(img[pos:])
 		if n <= 0 {
 			return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (type ID)")
 		}
@@ -134,10 +108,10 @@ func (rd *Reader) inflate(phys, img []byte) error {
 		if err != nil {
 			return rd.decodeWrap(DecodeType, uint64(pos), err)
 		}
-		if pos >= len(phys) {
+		if pos >= len(img) {
 			return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (flags)")
 		}
-		flags := phys[pos]
+		flags := img[pos]
 		pos++
 		hashed := flags&compactFlagHashed != 0
 		if isArray := flags&compactFlagArray != 0; isArray != k.IsArray {
@@ -158,15 +132,15 @@ func (rd *Reader) inflate(phys, img []byte) error {
 		for ; count > 0; count-- {
 			var mark uint64
 			if hashed {
-				if pos+4 > len(phys) {
+				if pos+4 > len(img) {
 					return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (hash)")
 				}
-				mark = heap.MarkWithHash(0, binary.LittleEndian.Uint32(phys[pos:]))
+				mark = heap.MarkWithHash(0, binary.LittleEndian.Uint32(img[pos:]))
 				pos += 4
 			}
 			var arrayLen uint64
 			if k.IsArray {
-				if arrayLen, n = binary.Uvarint(phys[pos:]); n <= 0 {
+				if arrayLen, n = binary.Uvarint(img[pos:]); n <= 0 {
 					return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (array length)")
 				}
 				pos += n
@@ -177,11 +151,21 @@ func (rd *Reader) inflate(phys, img []byte) error {
 				}
 			}
 			payload := int(size - k.HeaderBytes)
-			if pos+payload > len(phys) {
+			if pos+payload > len(img) {
 				return rd.decodeErrf(DecodeLength, uint64(pos), "compact segment truncated (payload)")
 			}
+			// The image ends where the record's wire bytes end, or before.
+			at := int(a + k.HeaderBytes)
+			if at > pos {
+				return rd.decodeErrf(DecodeLength, uint64(pos), "compact record of %s would inflate over %d unread bytes", k.Name, at-pos)
+			}
 
-			// Re-inflate the standard wire image in place.
+			// Re-inflate the standard wire image: the payload first (a
+			// memmove; a run's last record may already stand in place), then
+			// the header words over bytes it has read.
+			if at != pos {
+				copy(img[at:at+payload], img[pos:pos+payload])
+			}
 			obj := img[a : a+size]
 			binary.LittleEndian.PutUint64(obj[klass.OffMark:], mark)
 			binary.LittleEndian.PutUint64(obj[klass.OffKlass:], tid64)
@@ -191,7 +175,6 @@ func (rd *Reader) inflate(phys, img []byte) error {
 			if k.IsArray {
 				binary.LittleEndian.PutUint64(obj[layout.OffArrayLen():], arrayLen)
 			}
-			copy(obj[k.HeaderBytes:], phys[pos:pos+payload])
 			pos += payload
 			a += size
 		}

@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"skyway/internal/heap"
+	"skyway/internal/klass"
+	"skyway/internal/registry"
 	"skyway/internal/vm"
 )
 
@@ -201,6 +205,65 @@ func TestCompactTruncationRejected(t *testing.T) {
 		if _, err := NewReader(rcv, bytes.NewReader(full[:cut])).ReadObject(); err == nil {
 			t.Fatalf("truncation at %d decoded", cut)
 		}
+	}
+}
+
+// A compact segment inflates forward in place, over the payload fill left at
+// the tail of its chunk, so a record's image has to end where its wire bytes
+// end, or before. No writer breaks that: a record's run header, hash and
+// array length take fewer bytes than the header words they stand for. On a
+// heap without the baddr word, though, an array's header is three words, and
+// a hashed array record whose type ID and length are overlong uvarints takes
+// 25 wire bytes against its 24. Behind a record with room to spare the
+// frame's lengths check out; inflating the first record would overwrite the
+// first byte of the second before it was read, so the segment is refused.
+func TestCompactInflationNeverOverwritesUnreadBytes(t *testing.T) {
+	cfg := heap.DefaultConfig()
+	cfg.Layout = klass.Layout{}
+	rcv, err := vm.NewRuntime(testClusterPath(), vm.Options{Name: "vanilla", Heap: cfg, Registry: registry.InProc{R: registry.NewRegistry()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid := uint64(uint32(rcv.MustLoad("long[]").TID))
+	if tid >= 0x80 {
+		t.Fatalf("long[] has type ID %d; the records below are written for one below 128", tid)
+	}
+	// overlong writes v < 128 as a ten-byte uvarint.
+	overlong := func(v uint64) []byte {
+		b := bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64-1)
+		b[0] |= byte(v)
+		return append(b, 0)
+	}
+	// Two long[1] records, each a run of one: an unhashed 7, and a hashed 9
+	// whose type ID and length take the bytes given. Each image is 32 bytes.
+	segment := func(tidBytes, lenBytes []byte) []byte {
+		p := append(binary.AppendUvarint(nil, tid), compactFlagArray, 1, 7, 0, 0, 0, 0, 0, 0, 0)
+		p = append(append(p, tidBytes...), compactFlagArray|compactFlagHashed)
+		p = binary.LittleEndian.AppendUint32(p, 0x5EED)
+		p = append(append(p, lenBytes...), 9, 0, 0, 0, 0, 0, 0, 0)
+		wire := append([]byte("SKYW\x02\x02\x00\x00"), runsFrame(p, 64)...)
+		return append(append(wire, marksFrame(1, 9)...), frameEnd)
+	}
+	for _, opts := range [][]ReaderOption{nil, {WithArena()}} {
+		rd := NewReader(rcv, bytes.NewReader(segment(binary.AppendUvarint(nil, tid), []byte{1})), opts...)
+		got, err := rd.ReadAll()
+		if err != nil || len(got) != 2 {
+			t.Fatalf("arena=%v: decoded %d of 2 roots: %v", opts != nil, len(got), err)
+		}
+		if a, b := rcv.ArrayGetLong(got[0], 0), rcv.ArrayGetLong(got[1], 0); a != 7 || b != 9 {
+			t.Errorf("arena=%v: roots hold %d and %d, want 7 and 9", opts != nil, a, b)
+		}
+		rd.Free()
+
+		rd = NewReader(rcv, bytes.NewReader(segment(overlong(tid), overlong(1))), opts...)
+		_, err = rd.ReadObject()
+		if de, ok := AsDecodeError(err); !ok || de.Kind != DecodeLength || !strings.Contains(de.Detail, "unread") {
+			t.Errorf("arena=%v: overlong record: %v, want a length error naming the unread bytes", opts != nil, err)
+		}
+		rd.Free()
+	}
+	if used := rcv.Heap.BufferUsed(); used != 0 {
+		t.Errorf("%d bytes of buffer space still in use", used)
 	}
 }
 

@@ -36,7 +36,9 @@ func TestShuffleStartWaitsForInflightWrite(t *testing.T) {
 	defer dp.Release()
 
 	g := &gatedWriter{started: make(chan struct{}), release: make(chan struct{})}
-	w := sky.NewWriter(g)
+	// The Date fits the buffer and its Year4D does not: the call flushes —
+	// and blocks — midway through the root's graph.
+	w := sky.NewWriter(g, WithBufferSize(48))
 	done := make(chan error, 1)
 	go func() { done <- w.WriteObject(dp.Addr()) }()
 	<-g.started

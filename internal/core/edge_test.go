@@ -422,8 +422,11 @@ func TestCompactHugeArrayLengthRejected(t *testing.T) {
 	phys = append(phys, compactFlagArray)
 	phys = append(phys, tmp[:binary.PutUvarint(tmp[:], 1<<29)]...)
 
+	// The wire payload stands at the tail of the chunk, as fill leaves it.
+	img := slabTail(h, base)
+	copy(img[len(img)-len(phys):], phys)
 	rd := NewReader(rcv, bytes.NewReader(nil))
-	err := rd.inflate(phys, slabTail(h, base))
+	err := rd.inflate(img, uint32(len(phys)))
 	de, ok := AsDecodeError(err)
 	if !ok {
 		t.Fatalf("inflate = %v, want DecodeError", err)

@@ -80,8 +80,6 @@ func wireFrames(t *testing.T, wire []byte) (segments []int) {
 		case frameRuns:
 			segments = append(segments, off)
 			off += 13 + int(binary.BigEndian.Uint32(wire[off+1:]))
-		case frameTop:
-			off += topFrameLen
 		case frameMarks:
 			off += marksHeaderLen + int(binary.BigEndian.Uint32(wire[off+1:]))
 		case frameEnd:
@@ -155,12 +153,13 @@ func footprint(rt *vm.Runtime) receiverFootprint {
 	return f
 }
 
-// Staging is one sequence — header, stage, fill or inflate, commit or abort —
-// on all four paths (standard / compact wire × eager / arena receive), with
-// one failure rule: a chunk whose bytes did not validate is never pinned,
-// listed or committed to its region, and its range or mapping goes back. Each
-// way the second segment of a stream can fail keeps its error kind and leaves
-// the receiver holding the first segment and nothing else.
+// Staging is one sequence — header, stage, fill the chunk's tail, inflate it
+// in place if compact, commit or abort — on all four paths (standard /
+// compact wire × eager / arena receive), with one failure rule: a chunk whose
+// bytes did not validate is never pinned, listed or committed to its region,
+// and its range or mapping goes back. Each way the second segment of a stream
+// can fail keeps its error kind and leaves the receiver holding the first
+// segment and nothing else.
 func TestStagingFaultLeavesNothingBehind(t *testing.T) {
 	snd, rcv, sky := testCluster(t)
 	t.Cleanup(fault.Reset)

@@ -121,9 +121,9 @@ func FuzzReaderDecode(f *testing.F) {
 	f.Add([]byte("SKYJ\x02\x01\x00\x00"))                                // bad magic
 	f.Add([]byte("SKYW\x09\x01\x00\x00"))                                // unknown version
 	f.Add(append(append([]byte{}, hdr...), 'S', 0xFF, 0xFF, 0xFF, 0xFF)) // absurd segment length
-	f.Add(append(append([]byte{}, hdr...), 'T', 0, 0))                   // truncated top mark
+	f.Add(append(append([]byte{}, hdr...), 'M', 0, 0))                   // truncated marks frame
 	f.Add(append(append([]byte{}, hdr...), 'Z'))                         // unknown tag
-	f.Add(append(append([]byte{}, hdr...), 'T', 0, 0, 0, 0, 0, 0, 0, 9)) // top into no chunks
+	f.Add(append(append([]byte{}, hdr...), 'M', 0, 0, 0, 1, 3))          // top into no chunks
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rcv, err := vm.NewRuntime(cp, vm.Options{Name: "fuzz-rcv", Registry: registry.InProc{R: reg}, Heap: fuzzHeap()})

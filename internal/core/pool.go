@@ -3,13 +3,12 @@ package core
 import "sync"
 
 // Hot-path buffer recycling. Every segment used to cost at least one fresh
-// []byte of segment size: the writer's output buffer and compact scratch,
-// and the reader's compact staging buffer. Under a shuffle those are the
-// dominant allocations — exactly the "serialization-shaped" GC pressure the
-// transfer design is meant to avoid — so they all draw from one process-wide
-// pool and return on Close/decode-complete. The standard (non-compact)
-// decode path needs no buffer at all anymore: wire bytes are read straight
-// into the pinned chunk through heap.ByteView.
+// []byte of segment size: the writer's output buffer. Under a shuffle that is
+// the dominant allocation — exactly the "serialization-shaped" GC pressure
+// the transfer design is meant to avoid — so output buffers draw from one
+// process-wide pool and return on Close. The decode path needs no segment
+// buffer at all: wire bytes are read straight into the tail of the staged
+// chunk, and a compact segment inflates there in place.
 
 // maxPooledBuf caps what returns to the pool: a one-off oversized-object
 // buffer (a single record bigger than any normal segment) should be freed,

@@ -3,10 +3,12 @@ package core
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"skyway/internal/arena"
@@ -29,8 +31,9 @@ var (
 )
 
 // Reader receives a Skyway stream into the runtime's heap: each incoming
-// segment is copied verbatim into a chunk allocated in the heap's pinned
-// buffer space, and when a top mark arrives the new chunks are absolutized
+// segment is read straight into a chunk allocated in the heap's pinned
+// buffer space (a compact one inflated there in place), and when a top mark
+// arrives the new chunks are absolutized
 // in one linear scan — type IDs become klass words, relative addresses
 // become heap addresses — after which the objects are immediately usable
 // (§4.3). Chunks are registered with the collector as pinned, immortal
@@ -45,18 +48,22 @@ var (
 type Reader struct {
 	rt *vm.Runtime
 	r  *bufio.Reader
+	// pooled: r came from readerPool, and Free gives it back.
+	pooled bool
 
 	headerRead bool
 	streamID   uint16
+	// scratch receives the stream header, a segment header and an 'M'
+	// frame's length word: read into a local, each would escape to the heap.
+	scratch [streamHeaderLen]byte
 
 	// tops is the window of top marks peeked but not yet returned, all
-	// topsPeeked bytes of which are still to be discarded (see peekTops):
-	// whole 'T' frames, or whole uvarints of the 'M' frame that has marksLeft
-	// bytes still unpeeked behind the window. prevTop is the last non-null
-	// mark an 'M' frame yielded, which the next one is a delta against.
+	// topsPeeked bytes of which are still to be discarded (see peekMarks):
+	// whole uvarints of the 'M' frame that has marksLeft bytes still unpeeked
+	// behind the window. prevTop is the last non-null mark yielded, which the
+	// next one is a delta against.
 	tops       []byte
 	topsPeeked int
-	deltas     bool
 	marksLeft  uint32
 	prevTop    uint64
 
@@ -83,9 +90,10 @@ type Reader struct {
 	arena  bool
 	region *arena.Region
 
-	// err is the first non-EOF error ReadObject returned, and what every
-	// later call returns: a stream that failed once has lost its place in
-	// the relative address space, and must not yield another root.
+	// err is the first non-EOF error ReadObject returned (errFreed after
+	// Free), and what every later call returns: a stream that failed once has
+	// lost its place in the relative address space, and must not yield
+	// another root.
 	err error
 
 	// verify enables the SKYWAY_VERIFY debug assertions on top-mark
@@ -113,13 +121,22 @@ type chunk struct {
 	pin      *gc.PinnedRange
 }
 
+// readerPool recycles the read buffers of streams opened over anything but a
+// *bufio.Reader: a stream is often one small graph, and allocating and
+// zeroing a fresh buffer would cost it more than decoding it.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 16<<10) }}
+
+// errFreed is what ReadObject returns once Free has been called.
+var errFreed = errors.New("skyway: read from a freed stream")
+
 // NewReader opens a Skyway object input stream over r for runtime rt.
 func NewReader(rt *vm.Runtime, r io.Reader, opts ...ReaderOption) *Reader {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
-		br = bufio.NewReaderSize(r, 16<<10)
+		br = readerPool.Get().(*bufio.Reader)
+		br.Reset(r)
 	}
-	rd := &Reader{rt: rt, r: br, prevTop: relBias, verify: verify.Enabled()}
+	rd := &Reader{rt: rt, r: br, pooled: !ok, prevTop: relBias, verify: verify.Enabled()}
 	for _, opt := range opts {
 		opt(rd)
 	}
@@ -149,7 +166,7 @@ func (rd *Reader) ReadObject() (heap.Addr, error) {
 
 func (rd *Reader) readObject() (heap.Addr, error) {
 	if !rd.headerRead {
-		layout, sid, err := readHeader(rd.r)
+		layout, sid, err := readHeader(rd.r, &rd.scratch)
 		if err != nil {
 			return heap.Null, err
 		}
@@ -183,17 +200,12 @@ func (rd *Reader) readObject() (heap.Addr, error) {
 			if err := rd.readSegment(tag); err != nil {
 				return heap.Null, err
 			}
-		case frameTop:
-			rd.r.UnreadByte() // cannot fail: the tag was just read
-			if err := rd.peekTops(); err != nil {
-				return heap.Null, err
-			}
 		case frameMarks:
-			var n [4]byte
-			if _, err := io.ReadFull(rd.r, n[:]); err != nil {
+			n := rd.scratch[:4]
+			if _, err := io.ReadFull(rd.r, n); err != nil {
 				return heap.Null, rd.decodeWrap(DecodeFrame, 0, noEOF(err))
 			}
-			rd.marksLeft = binary.BigEndian.Uint32(n[:])
+			rd.marksLeft = binary.BigEndian.Uint32(n)
 		case frameEnd:
 			// §4.3 framing invariant at its sound enforcement point: a
 			// forward reference may defer absolutization mid-stream (data
@@ -223,29 +235,13 @@ func (rd *Reader) readObject() (heap.Addr, error) {
 	}
 }
 
-// peekTops opens the window of top marks at the head of the stream: the one
-// whose tag was just seen, and every whole one already buffered behind it. A
-// sender queues a segment's top marks back to back, so taking them off one
-// Peek costs a root a slice operation instead of three bufio calls and an
-// escaping read buffer. The window is bufio's own buffer; it stays valid
+// peekMarks opens the window of top marks on the 'M' frame the stream stands
+// in: as many whole uvarints of its remaining marksLeft bytes as are
+// buffered, the first one at least. A sender queues a segment's top marks in
+// one frame, so taking them off one Peek costs a root a slice operation
+// instead of a bufio call. The window is bufio's own buffer; it stays valid
 // because the Reader reads nothing else until the last mark in it has been
 // taken, and only then discards them all.
-func (rd *Reader) peekTops() error {
-	if _, err := rd.r.Peek(topFrameLen); err != nil {
-		return rd.decodeWrap(DecodeFrame, 0, noEOF(err))
-	}
-	b, _ := rd.r.Peek(rd.r.Buffered())
-	n := topFrameLen
-	for n+topFrameLen <= len(b) && b[n] == frameTop {
-		n += topFrameLen
-	}
-	rd.tops, rd.topsPeeked, rd.deltas = b[:n], n, false
-	return nil
-}
-
-// peekMarks opens the same window on the 'M' frame the stream stands in: as
-// many whole uvarints of its remaining marksLeft bytes as are buffered, the
-// first one at least.
 func (rd *Reader) peekMarks() error {
 	// A window is never longer than the buffer it is peeked from.
 	left := int(min(rd.marksLeft, uint32(rd.r.Size())))
@@ -263,35 +259,30 @@ func (rd *Reader) peekMarks() error {
 		}
 		return rd.decodeErrf(DecodeFrame, 0, "top marks frame holds %d bytes of no whole uvarint", len(b))
 	}
-	rd.tops, rd.topsPeeked, rd.deltas = b[:n], n, true
+	rd.tops, rd.topsPeeked = b[:n], n
 	rd.marksLeft -= uint32(n)
 	return nil
 }
 
 // nextTop takes the next top mark off the window.
 func (rd *Reader) nextTop() (rel uint64, err error) {
-	n := topFrameLen
-	if rd.deltas {
-		// Nearly every delta is one byte (compact.go).
-		v := uint64(rd.tops[0])
-		if n = 1; v >= 0x80 {
-			if v, n = binary.Uvarint(rd.tops); n <= 0 {
-				return 0, rd.decodeErrf(DecodeFrame, 0, "top mark delta overflows 64 bits")
-			}
+	// Nearly every delta is one byte (wire.go).
+	v, n := uint64(rd.tops[0]), 1
+	if v >= 0x80 {
+		if v, n = binary.Uvarint(rd.tops); n <= 0 {
+			return 0, rd.decodeErrf(DecodeFrame, 0, "top mark delta overflows 64 bits")
 		}
-		if v != 0 {
-			// A delta against the previous non-null mark, in words. The
-			// arithmetic wraps: a delta no writer produces lands below the
-			// bias, refused here, or beyond the received space, refused by
-			// translate.
-			rel = rd.prevTop + uint64(unzigzag(v-1))*klass.WordSize
-			if rel < relBias {
-				return 0, rd.decodeErrf(DecodePointer, rel, "top mark delta lands below the first relative address")
-			}
-			rd.prevTop = rel
+	}
+	if v != 0 {
+		// A delta against the previous non-null mark, in words, so every mark
+		// is aligned. The arithmetic wraps: a delta no writer produces lands
+		// below the bias, refused here, or beyond the received space, refused
+		// by translate.
+		rel = rd.prevTop + uint64(unzigzag(v-1))*klass.WordSize
+		if rel < relBias {
+			return 0, rd.decodeErrf(DecodePointer, rel, "top mark delta lands below the first relative address")
 		}
-	} else {
-		rel = binary.BigEndian.Uint64(rd.tops[1:topFrameLen])
+		rd.prevTop = rel
 	}
 	if rd.tops = rd.tops[n:]; len(rd.tops) == 0 {
 		rd.r.Discard(rd.topsPeeked) // cannot fail: these bytes were peeked
@@ -318,9 +309,6 @@ func (rd *Reader) root(rel uint64) (heap.Addr, error) {
 	// "block the computation on buffers into which data is being
 	// streamed" case. The frameEnd check catches references that
 	// never resolve.
-	if rel%klass.WordSize != 0 {
-		return heap.Null, rd.decodeErrf(DecodePointer, rel, "top mark holds unaligned relative address")
-	}
 	if rd.verify {
 		if err := rd.verifyTop(rel); err != nil {
 			return heap.Null, err
@@ -349,10 +337,11 @@ func (rd *Reader) ReadAll() ([]heap.Addr, error) {
 
 // readSegment receives one segment frame, standard or compact, whose tag was
 // just read. Staging is one sequence on every path: parse the frame header,
-// stage a chunk of the segment's in-heap size, bring the bytes into its image
-// — verbatim, or re-inflated from compact records — and commit it. One
-// failure rule: a chunk is pinned, listed, or committed to its region only
-// after its bytes validated; until then its range or mapping goes back.
+// stage a chunk of the segment's in-heap size, receive the wire payload into
+// the tail of its image — for a standard segment, the whole image — inflate a
+// compact one forward in place, and commit the chunk. One failure rule: a
+// chunk is pinned, listed, or committed to its region only after its bytes
+// validated; until then its range or mapping goes back.
 func (rd *Reader) readSegment(tag byte) error {
 	phys, decoded, wireCRC, err := rd.segmentHeader(tag)
 	if err != nil {
@@ -362,17 +351,9 @@ func (rd *Reader) readSegment(tag byte) error {
 	if err != nil {
 		return err
 	}
-	if tag == frameRuns {
-		// The compact path cannot avoid a staging buffer — records are
-		// re-inflated, not copied verbatim — but the buffer is recycled
-		// across segments instead of allocated per segment.
-		buf := getBuf(int(phys))[:phys]
-		if err = rd.fill(buf, wireCRC); err == nil {
-			err = rd.inflate(buf, c.img)
-		}
-		putBuf(buf)
-	} else {
-		err = rd.fill(c.img, wireCRC)
+	err = rd.fill(c.img[decoded-phys:], wireCRC)
+	if err == nil && tag == frameRuns {
+		err = rd.inflate(c.img, phys)
 	}
 	if err != nil {
 		rd.abort(c)
@@ -385,26 +366,26 @@ func (rd *Reader) readSegment(tag byte) error {
 
 // segmentHeader parses what follows a segment frame's tag: the payload's wire
 // length, the length of the in-heap image it becomes (a compact frame declares
-// it; a standard payload IS the image), and the payload's CRC-32C.
+// it; a standard payload IS the image), and the payload's CRC-32C. A payload
+// never outgrows its image.
 func (rd *Reader) segmentHeader(tag byte) (phys, decoded, wireCRC uint32, err error) {
-	var hdr [8]byte
-	lens := hdr[:4]
+	lens := rd.scratch[:4]
 	if tag == frameRuns {
-		lens = hdr[:8]
+		lens = rd.scratch[:8]
 	}
 	if _, err := io.ReadFull(rd.r, lens); err != nil {
 		return 0, 0, 0, rd.decodeWrap(DecodeFrame, 0, noEOF(err))
 	}
 	phys = binary.BigEndian.Uint32(lens)
 	decoded = binary.BigEndian.Uint32(lens[len(lens)-4:])
-	if decoded == 0 || decoded%klass.WordSize != 0 || phys == 0 ||
-		decoded > maxSegmentBytes || phys > maxSegmentBytes {
+	if decoded%klass.WordSize != 0 || phys == 0 || phys > decoded || decoded > maxSegmentBytes {
 		return 0, 0, 0, rd.decodeErrf(DecodeLength, uint64(decoded), "bad segment lengths %d/%d", phys, decoded)
 	}
-	if _, err := io.ReadFull(rd.r, hdr[:4]); err != nil {
+	crc := rd.scratch[:4]
+	if _, err := io.ReadFull(rd.r, crc); err != nil {
 		return 0, 0, 0, rd.decodeWrap(DecodeFrame, 0, noEOF(err))
 	}
-	return phys, decoded, binary.BigEndian.Uint32(hdr[:4]), nil
+	return phys, decoded, binary.BigEndian.Uint32(crc), nil
 }
 
 // stage reserves the chunk that will hold the next n bytes of the relative
@@ -466,10 +447,10 @@ func (rd *Reader) commit(c chunk) {
 	ctrBytesRecv.Add(int64(n))
 }
 
-// fill receives one segment payload into dst — which may alias the staged
-// chunk directly: the decode path's only copy is then the socket read itself
-// — and checks it against its wire CRC, after applying any injected wire
-// damage. No byte reaches a walker without passing here.
+// fill receives one segment payload into dst, the tail of the staged chunk
+// — the decode path's only copy of a standard segment is the socket read
+// itself — and checks it against its wire CRC, after applying any injected
+// wire damage. No byte reaches a walker without passing here.
 func (rd *Reader) fill(dst []byte, wireCRC uint32) error {
 	if _, err := io.ReadFull(rd.r, dst); err != nil {
 		return rd.decodeWrap(DecodeFrame, 0, noEOF(err))
@@ -720,8 +701,18 @@ func (rd *Reader) verifyTop(rel uint64) error {
 
 // Free releases every input chunk this reader created. The objects inside
 // become garbage (unless reachable some other way, which the application
-// must not assume). Mirrors the explicit buffer-free API of §3.2.
+// must not assume). Mirrors the explicit buffer-free API of §3.2. The stream
+// ends here: a read buffer the reader drew from the pool goes back, and every
+// later ReadObject fails without touching it.
 func (rd *Reader) Free() {
+	rd.err = errFreed
+	rd.tops = nil
+	if rd.pooled {
+		rd.r.Reset(nil)
+		readerPool.Put(rd.r)
+		rd.pooled = false
+	}
+	rd.r = nil
 	for i := range rd.chunks {
 		if p := rd.chunks[i].pin; p != nil {
 			rd.rt.GC.Unpin(p)

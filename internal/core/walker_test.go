@@ -63,28 +63,35 @@ func checkRecords(t *testing.T, rt *vm.Runtime, rd *Reader, want []int64) {
 	}
 }
 
+// wideRecords pins n Date roots on rt, each followed by a long[64] root, and
+// returns the roots and each Date's fold: every Date after the first, the
+// root behind a 544-byte long[64], takes a two-byte delta, and every long[] a
+// one-byte one.
+func wideRecords(t *testing.T, rt *vm.Runtime, n int) (roots []heap.Addr, want []int64) {
+	t.Helper()
+	yk, dk := rt.MustLoad("Year4D"), rt.MustLoad("Date")
+	for i := 0; i < n; i++ {
+		d := keep(t, rt, rt.MustNew(dk))
+		rt.SetRef(d, dk.FieldByName("year"), keep(t, rt, rt.MustNew(yk)))
+		rt.SetInt(d, dk.FieldByName("day"), int64(i))
+		filler := keep(t, rt, rt.MustNewArray(rt.MustLoad("long[]"), 64))
+		roots = append(roots, d, filler)
+		want = append(want, int64(i))
+	}
+	return roots, want
+}
+
 // The reader takes top marks off bufio's buffer a window at a time, so a
 // mark cut in two by the end of that buffer — at any byte, for any buffer
 // size, or with the source trickling in a byte per Read — has to be put back
 // together.
 func TestTopMarkStraddlesBufferBoundary(t *testing.T) {
 	snd, rcv, sky := testCluster(t)
-	// 4000 roots: ~36 KB of top marks behind each segment, more than two of
-	// the default 16 KiB buffers.
+	// 4000 roots: one segment, then an 'M' frame of one-byte deltas that
+	// spans many of the smaller buffers below.
 	wire, want := recordStream(t, snd, sky, 4000)
-	// The same for the deltas of an 'M' frame when the buffer ends inside
-	// one: the root behind a 544-byte long[64] takes a two-byte delta.
-	yk, dk := snd.MustLoad("Year4D"), snd.MustLoad("Date")
-	var roots []heap.Addr
-	var wantWide []int64
-	for i := 0; i < 300; i++ {
-		d := keep(t, snd, snd.MustNew(dk))
-		snd.SetRef(d, dk.FieldByName("year"), keep(t, snd, snd.MustNew(yk)))
-		snd.SetInt(d, dk.FieldByName("day"), int64(i))
-		filler := keep(t, snd, snd.MustNewArray(snd.MustLoad("long[]"), 64))
-		roots = append(roots, d, filler)
-		wantWide = append(wantWide, int64(i))
-	}
+	// The same when the buffer ends inside a two-byte delta.
+	roots, wantWide := wideRecords(t, snd, 300)
 	wide := encodeBatch(t, sky, roots, WithCompactHeaders())
 	for _, size := range []int{16, 17, 25, 64, 4093, 4096} {
 		rd := NewReader(rcv, bufio.NewReaderSize(bytes.NewReader(wire), size))
@@ -110,26 +117,42 @@ func TestTopMarkStraddlesBufferBoundary(t *testing.T) {
 	}
 }
 
-// A stream cut anywhere inside its run of top marks yields the marks that
-// arrived whole and then a frame error wrapping io.ErrUnexpectedEOF — never
-// io.EOF, never a root made of half a mark. On the compact wire the marks are
-// one-byte deltas behind an 'M' frame header.
+// A stream cut anywhere inside its 'M' frame — in the length word, between
+// marks, or inside a two-byte delta — yields the marks that arrived whole and
+// then a frame error wrapping io.ErrUnexpectedEOF — never io.EOF, never a root
+// made of half a mark. Both wires end the same way.
 func TestStreamTruncatedInsideTopMark(t *testing.T) {
 	snd, rcv, sky := testCluster(t)
-	const n = 40
-	for _, wire := range []struct {
-		tag      byte
-		hdr, per int
-		opts     []WriterOption
-	}{{frameTop, 0, topFrameLen, nil}, {frameMarks, marksHeaderLen, 1, []WriterOption{WithCompactHeaders()}}} {
-		stream, want := recordStream(t, snd, sky, n, wire.opts...)
-		// One segment, then n top marks, then the end frame.
-		first := len(stream) - 1 - wire.hdr - n*wire.per
-		if stream[first] != wire.tag || stream[len(stream)-1] != frameEnd {
-			t.Fatalf("stream is not a segment followed by %d top marks", n)
+	roots, want := wideRecords(t, snd, 20)
+	for _, opts := range [][]WriterOption{nil, {WithCompactHeaders()}} {
+		stream := encodeBatch(t, sky, roots, opts...)
+		// One segment, then the 'M' frame, then the end frame.
+		segs := wireFrames(t, stream)
+		hdr := 9
+		if opts != nil {
+			hdr = 13
+		}
+		first := segs[0] + hdr + int(binary.BigEndian.Uint32(stream[segs[0]+1:]))
+		if len(segs) != 1 || stream[first] != frameMarks ||
+			first+marksHeaderLen+int(binary.BigEndian.Uint32(stream[first+1:])) != len(stream)-1 {
+			t.Fatalf("compact=%v: stream is not a segment followed by its top marks", opts != nil)
+		}
+		// Where each mark ends; some take two bytes.
+		var ends []int
+		for off := first + marksHeaderLen; off < len(stream)-1; {
+			_, n := binary.Uvarint(stream[off:])
+			off += n
+			ends = append(ends, off)
+		}
+		if len(ends) != len(roots) || ends[len(ends)-1]-first-marksHeaderLen < len(roots)*5/4 {
+			t.Fatalf("compact=%v: %d marks in %d bytes, want %d with two-byte ones among them",
+				opts != nil, len(ends), ends[len(ends)-1]-first-marksHeaderLen, len(roots))
 		}
 		for cut := first; cut < len(stream); cut++ {
-			whole := max(cut-first-wire.hdr, 0) / wire.per
+			whole := 0
+			for whole < len(ends) && ends[whole] <= cut {
+				whole++
+			}
 			rd := NewReader(rcv, bytes.NewReader(stream[:cut]))
 			for i := 0; ; i++ {
 				a, err := rd.ReadObject()
@@ -137,8 +160,12 @@ func TestStreamTruncatedInsideTopMark(t *testing.T) {
 					if i >= whole {
 						t.Fatalf("cut at %d: root %d decoded, only %d top marks are whole", cut, i, whole)
 					}
-					if f := recordFold(rcv, a); f != want[i] {
-						t.Fatalf("cut at %d: root %d folds to %d, want %d", cut, i, f, want[i])
+					if i%2 == 0 {
+						if f := recordFold(rcv, a); f != want[i/2] {
+							t.Fatalf("cut at %d: root %d folds to %d, want %d", cut, i, f, want[i/2])
+						}
+					} else if n := rcv.ArrayLen(a); n != 64 {
+						t.Fatalf("cut at %d: root %d is an array of %d, want 64", cut, i, n)
 					}
 					continue
 				}
@@ -377,7 +404,7 @@ func walkersAgreeOnShape(t *testing.T, snd, rcv *vm.Runtime, sky *Skyway) {
 		var buf bytes.Buffer
 		encodeRecords(t, sky, roots, &buf, opts...)
 		f := buf.Bytes()[8:]
-		if next := f[hdr+int(binary.BigEndian.Uint32(f[1:]))]; f[0] != tag || (next != frameTop && next != frameMarks) {
+		if next := f[hdr+int(binary.BigEndian.Uint32(f[1:]))]; f[0] != tag || next != frameMarks {
 			t.Fatalf("stream is not one %#x segment followed by its top marks", tag)
 		}
 		return f[:hdr+int(binary.BigEndian.Uint32(f[1:]))]
@@ -408,13 +435,17 @@ func walkersAgreeOnShape(t *testing.T, snd, rcv *vm.Runtime, sky *Skyway) {
 		}
 	}
 
-	// The compact record of each, re-inflated.
-	compact := payload(frameRuns, 13, WithCompactHeaders())
-	if decoded := binary.BigEndian.Uint32(compact[5:]); decoded != size {
+	// The compact record of each, re-inflated in place from the tail of its
+	// chunk.
+	frame := payload(frameRuns, 13, WithCompactHeaders())
+	if decoded := binary.BigEndian.Uint32(frame[5:]); decoded != size {
 		t.Fatalf("compact segment declares %d decoded bytes, the standard one has %d", decoded, size)
 	}
+	compact := frame[13:]
 	inflatedAt := stage(size)
-	if err := NewReader(rcv, bytes.NewReader(nil)).inflate(compact[13:], h.ByteView(inflatedAt, size)); err != nil {
+	img := h.ByteView(inflatedAt, size)
+	copy(img[len(img)-len(compact):], compact)
+	if err := NewReader(rcv, bytes.NewReader(nil)).inflate(img, uint32(len(compact))); err != nil {
 		t.Fatal(err)
 	}
 	check("compact re-inflation", shapeRows(t, rcv, inflatedAt, size, true))
@@ -488,7 +519,7 @@ func TestSegmentShorterThanHeaderRejected(t *testing.T) {
 	body := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	wire := append([]byte("SKYW\x02\x01\x00\x00"), frameSegment, 0, 0, 0, 8)
 	wire = binary.BigEndian.AppendUint32(wire, crc32.Checksum(body, crcTable))
-	wire = append(append(wire, body...), frameTop, 0, 0, 0, 0, 0, 0, 0, 8)
+	wire = append(append(wire, body...), marksFrame(1)...)
 	for _, opts := range [][]ReaderOption{nil, {WithArena()}} {
 		rd := NewReader(rcv, bytes.NewReader(wire), opts...)
 		_, err := rd.ReadObject()

@@ -18,46 +18,51 @@ import (
 //	                                        the receiver turns it into one
 //	                                        input-buffer chunk, so objects
 //	                                        never span chunks (§4.3)
-//	        | 'T' rel(u64 BE)            -- top mark: the relative address of
-//	                                        a root object (§4.2 "Root Object
-//	                                        Recognition"); rel 0 is null
 //	        | 'R' len(u32 BE) decoded(u32 BE) crc(u32 BE) runs
 //	                                     -- the same segment on the compact
 //	                                        wire (compact.go): len bytes of
 //	                                        same-klass runs that inflate to
 //	                                        a chunk of decoded bytes
-//	        | 'M' len(u32 BE) marks      -- every top mark queued behind a
-//	                                        compact segment, as deltas
-//	                                        (compact.go)
+//	        | 'M' len(u32 BE) mark*      -- every top mark queued behind a
+//	                                        segment: the relative addresses
+//	                                        of root objects (§4.2 "Root
+//	                                        Object Recognition"), as deltas
 //	        | 'E'                        -- end of stream
+//	mark   := 0                          -- a null root
+//	        | zigzag((rel − prev) / 8) + 1 (uvarint)
+//	                                     -- prev: the stream's previous
+//	                                        non-null mark, relBias at open
+//
+// so a root cloned right behind the last one costs one byte while its graph
+// stays under 512 bytes, and a back-reference root a short negative delta.
 //
 // flags bit 0 records whether the object images carry a baddr header word:
 // images are in the sender heap's layout, and a receiver whose heap's differs
-// refuses the stream. A stream is on one wire throughout — 'S' and 'T', or
-// 'R' and 'M' — and flags bit 1 says which; a reader takes each frame by its
-// tag.
+// refuses the stream. The two wires share every frame but the segment body:
+// a stream's segments are all 'S' or all 'R', flags bit 1 says which, and a
+// reader takes each frame by its tag.
 //
 // Versioning: ver 2 is the only version a reader accepts. Every 'S' and 'R'
 // frame carries a CRC-32C of its payload between the length words and the
 // bytes, so a torn or bit-flipped transfer is rejected before any of it
-// reaches a walker. Format changes bump the version byte — readers reject
-// unknown versions (the checksum-free ver 1 included) loudly rather than
-// misparsing — or, where the standard wire's bytes do not move, retire a tag:
-// 'C', the per-record compact segment 'R' replaced, is an unknown frame. The
-// golden wire-vector tests pin the current encoding byte for byte.
+// reaches a walker. A change that only retires a tag keeps the version,
+// because the old frame fails loudly as an unknown tag; any other change
+// bumps it, and readers reject unknown versions (the checksum-free ver 1
+// included) rather than misparse them. Retired so far: 'C', the per-record
+// compact segment 'R' replaced, and 'T', the 9-byte top mark 'M' replaced.
+// The golden wire-vector tests pin the current encoding byte for byte.
 const (
 	wireMagic   = "SKYW"
 	wireVersion = 2
 
 	frameSegment = 'S'
-	frameTop     = 'T'
 	frameRuns    = 'R'
 	frameMarks   = 'M'
 	frameEnd     = 'E'
 
-	// topFrameLen is the wire size of a standard top mark: the tag and the
-	// address.
-	topFrameLen = 9
+	// marksHeaderLen is the 'M' frame's tag and length word; a writer queues
+	// its marks behind room for it.
+	marksHeaderLen = 5
 
 	flagBaddr   = 1 << 0
 	flagCompact = 1 << 1
@@ -77,8 +82,11 @@ const maxSegmentBytes = 1 << 30
 // amd64/arm64), shared by senders and receivers.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func writeHeader(w io.Writer, layout klass.Layout, streamID uint16, compact bool) error {
-	var h [8]byte
+// streamHeaderLen is the size of the stream header.
+const streamHeaderLen = 8
+
+// putHeader writes the stream header into h.
+func putHeader(h *[streamHeaderLen]byte, layout klass.Layout, streamID uint16, compact bool) {
 	copy(h[:4], wireMagic)
 	h[4] = wireVersion
 	if layout.Baddr {
@@ -88,15 +96,12 @@ func writeHeader(w io.Writer, layout klass.Layout, streamID uint16, compact bool
 		h[5] |= flagCompact
 	}
 	binary.BigEndian.PutUint16(h[6:], streamID)
-	_, err := w.Write(h[:])
-	return err
 }
 
-// readHeader parses the stream header: the layout the sender's object images
-// are in and the stream ID. (The compact flag is informational: each segment
-// frame's tag says which encoding it is in.)
-func readHeader(r io.Reader) (layout klass.Layout, streamID uint16, err error) {
-	var h [8]byte
+// readHeader parses the stream header, read into h: the layout the sender's
+// object images are in and the stream ID. (The compact flag is informational:
+// each segment frame's tag says which encoding it is in.)
+func readHeader(r io.Reader, h *[streamHeaderLen]byte) (layout klass.Layout, streamID uint16, err error) {
 	if _, err = io.ReadFull(r, h[:]); err != nil {
 		return layout, 0, &DecodeError{Kind: DecodeFrame, Detail: "reading stream header", Err: noEOF(err)}
 	}
@@ -109,6 +114,9 @@ func readHeader(r io.Reader) (layout klass.Layout, streamID uint16, err error) {
 	layout.Baddr = h[5]&flagBaddr != 0
 	return layout, binary.BigEndian.Uint16(h[6:]), nil
 }
+
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // noEOF maps a bare io.EOF to io.ErrUnexpectedEOF: inside a frame, running
 // out of bytes is truncation, not a clean end of stream.

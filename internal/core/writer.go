@@ -60,19 +60,25 @@ type Writer struct {
 	flushed   uint64 // ob.flushedBytes (biased: starts at relBias)
 	allocable uint64 // ob.allocableAddr (biased)
 
-	// hdr and vec are reusable frame-write scratch: the segment header and
-	// the vector handed to net.Buffers, re-sliced from vecArr on every
-	// flush, so a flush allocates nothing and reaches a net.Conn
-	// destination as one writev.
+	// head, hdr and vec are reusable frame-write scratch: the stream header
+	// (which goes out with the first flush), the segment header and the
+	// vector handed to net.Buffers, re-sliced from vecArr on every flush, so
+	// a flush allocates nothing and reaches a net.Conn destination as one
+	// writev.
+	head   [streamHeaderLen]byte
 	hdr    [13]byte
 	vec    net.Buffers
-	vecArr [3][]byte
+	vecArr [4][]byte
 
-	// tops queues top marks, already framed — 'T' frames, or the one 'M'
-	// frame of a compact stream — until the next segment flush so that one
-	// root forces neither one segment nor one write per root; the paper
-	// writes top marks into the buffer for the same reason.
-	tops []byte
+	// tops queues top marks as the body of one 'M' frame, behind room for
+	// its header, until the next segment flush so that one root forces
+	// neither one segment nor one write per root; the paper writes top marks
+	// into the buffer for the same reason. prevTop is the last non-null mark
+	// queued — flushedTop, as of the last flush, which is where verifyTops
+	// starts decoding.
+	tops       []byte
+	prevTop    uint64
+	flushedTop uint64
 
 	// Local stat accumulators, folded into the runtime's shared stats on
 	// Flush/Close (hot-loop synchronisation is expensive). foldedObjects and
@@ -102,16 +108,13 @@ type Writer struct {
 	verify        bool // SKYWAY_VERIFY debug assertions on relativized refs
 
 	// Compact mode (compact.go): decodedInBuf tracks how many logical
-	// (inflated) bytes the physical buffer corresponds to, runAt is where in
-	// buf the open run of runTID records keeps its flags byte (0: no run is
-	// open), and prevTop is the last non-null top mark queued — flushedTop,
-	// as of the last flush, which is where verifyTops starts decoding.
+	// (inflated) bytes the physical buffer corresponds to, and runAt is where
+	// in buf the open run of runTID records keeps its flags byte (0: no run
+	// is open).
 	compact      bool
 	decodedInBuf uint32
 	runAt        int
 	runTID       int32
-	prevTop      uint64
-	flushedTop   uint64
 
 	// Objects and Bytes report per-writer transfer volume.
 	Objects uint64
@@ -137,11 +140,12 @@ func WithBufferSize(n int) WriterOption {
 	return func(w *Writer) { w.limit, w.fixedBuf = n, true }
 }
 
-// WithCompactHeaders enables the compact wire encoding (compact.go): header
+// WithCompactHeaders enables the compact segment body (compact.go): header
 // words the receiver can rebuild (klass pointer, unhashed mark, baddr) leave
-// each object image, consecutive objects of one klass share a run header, and
-// top marks travel as deltas — the header compression the paper proposes as
-// future work (§5.2). The receiver re-inflates the same images.
+// each object image and consecutive objects of one klass share a run header
+// — the header compression the paper proposes as future work (§5.2). The
+// receiver re-inflates the same images; every other frame is the one both
+// wires share.
 func WithCompactHeaders() WriterOption {
 	return func(w *Writer) { w.compact = true }
 }
@@ -215,12 +219,6 @@ func (w *Writer) WriteObjects(roots []heap.Addr) error {
 }
 
 func (w *Writer) writeObjects(roots []heap.Addr) error {
-	if !w.headerWritten {
-		if err := writeHeader(w.w, w.rt.Heap.Layout(), w.streamID, w.compact); err != nil {
-			return err
-		}
-		w.headerWritten = true
-	}
 	h := w.rt.Heap
 	for len(roots) > 0 {
 		win := roots[:min(len(roots), RootWindow)]
@@ -523,7 +521,7 @@ func (w *Writer) foldStats() {
 // wire), all in one vectored write: a single writev syscall when the
 // destination is a net.Conn (net.Buffers fast path), a plain sequence of
 // writes — byte-identical on the wire — for buffered and in-memory
-// destinations.
+// destinations. The stream header goes out in front of the first flush.
 func (w *Writer) flushSegment() error {
 	// Failpoint: the transport fails mid-flush (a severed connection, a
 	// full pipe). Surfaces to the caller exactly like a Write error.
@@ -531,6 +529,10 @@ func (w *Writer) flushSegment() error {
 		return err
 	}
 	w.vec = w.vecArr[:0]
+	if !w.headerWritten {
+		putHeader(&w.head, w.rt.Heap.Layout(), w.streamID, w.compact)
+		w.vec = append(w.vec, w.head[:])
+	}
 	flushed := w.flushed
 	if len(w.buf) > 0 {
 		crc := crc32.Checksum(w.buf, crcTable)
@@ -551,9 +553,7 @@ func (w *Writer) flushSegment() error {
 		w.vec = append(w.vec, w.hdr[:hn], w.buf)
 	}
 	if len(w.tops) > 0 {
-		if w.compact {
-			binary.BigEndian.PutUint32(w.tops[1:], uint32(len(w.tops)-marksHeaderLen))
-		}
+		binary.BigEndian.PutUint32(w.tops[1:], uint32(len(w.tops)-marksHeaderLen))
 		if w.verify {
 			if err := w.verifyTops(flushed); err != nil {
 				return err
@@ -567,6 +567,7 @@ func (w *Writer) flushSegment() error {
 	if _, err := w.vec.WriteTo(w.w); err != nil {
 		return err
 	}
+	w.headerWritten = true
 	w.flushed, w.decodedInBuf, w.runAt, w.flushedTop = flushed, 0, 0, w.prevTop
 	w.buf = w.buf[:0]
 	w.tops = w.tops[:0]
@@ -575,24 +576,9 @@ func (w *Writer) flushSegment() error {
 
 // verifyTops checks the framing invariant on the queued top marks: a top
 // mark reaches the wire only after every byte of the graph it names has
-// been flushed. The 'M' frame of a compact stream is decoded the way its
-// reader will, from the mark the previous frame ended on.
+// been flushed. The 'M' frame is decoded the way its reader will, from the
+// mark the previous frame ended on.
 func (w *Writer) verifyTops(flushed uint64) error {
-	check := func(rel uint64) error {
-		if rel != 0 && (rel < relBias || rel >= flushed) {
-			return fmt.Errorf("skyway: verify: top mark %#x outside flushed relative space [%#x, %#x)",
-				rel, uint64(relBias), flushed)
-		}
-		return nil
-	}
-	if !w.compact {
-		for i := 0; i < len(w.tops); i += topFrameLen {
-			if err := check(binary.BigEndian.Uint64(w.tops[i+1:])); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	prev := w.flushedTop
 	for marks := w.tops[marksHeaderLen:]; len(marks) > 0; {
 		v, n := binary.Uvarint(marks)
@@ -604,8 +590,9 @@ func (w *Writer) verifyTops(flushed uint64) error {
 			continue
 		}
 		prev += uint64(unzigzag(v-1)) * klass.WordSize
-		if err := check(prev); err != nil {
-			return err
+		if prev < relBias || prev >= flushed {
+			return fmt.Errorf("skyway: verify: top mark %#x outside flushed relative space [%#x, %#x)",
+				prev, uint64(relBias), flushed)
 		}
 	}
 	if prev != w.prevTop {
@@ -614,14 +601,20 @@ func (w *Writer) verifyTops(flushed uint64) error {
 	return nil
 }
 
-// queueTop queues a top mark; it reaches the wire with the next segment
+// queueTop queues a top mark as a delta against the previous one, opening
+// the 'M' frame the next flush completes; it reaches the wire with that
 // flush, after the bytes of every object it refers to.
 func (w *Writer) queueTop(rel uint64) {
-	if w.compact {
-		w.queueMark(rel)
+	if len(w.tops) == 0 {
+		w.tops = append(w.tops, frameMarks, 0, 0, 0, 0)
+	}
+	if rel == 0 {
+		w.tops = append(w.tops, 0)
 		return
 	}
-	w.tops = binary.BigEndian.AppendUint64(append(w.tops, frameTop), rel)
+	d := int64(rel-w.prevTop) / klass.WordSize
+	w.tops = binary.AppendUvarint(w.tops, zigzag(d)+1)
+	w.prevTop = rel
 }
 
 // Flush forces any buffered segment and queued top marks onto the
@@ -645,9 +638,6 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	w.foldStats()
-	if w.err == nil && !w.headerWritten {
-		w.err = writeHeader(w.w, w.rt.Heap.Layout(), w.streamID, w.compact)
-	}
 	if w.err == nil {
 		w.err = w.flushSegment()
 	}

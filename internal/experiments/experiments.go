@@ -494,8 +494,9 @@ type ShuffleBytes struct {
 	HeaderShare, PadShare, PtrShare float64
 }
 
-// fullImageTopMark is the full-image wire's top mark: a tag and a 64-bit
-// relative address per root.
+// fullImageTopMark models a top mark on the paper's full-image wire: a tag and
+// a 64-bit relative address per root. (The library's full-image streams send
+// the delta marks of the compact wire; the model is what §5.2 compares.)
 const fullImageTopMark = 9
 
 // RunShuffleBytes measures every app over the LiveJournal-shaped graph under

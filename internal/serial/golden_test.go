@@ -19,8 +19,10 @@ var updateGolden = flag.Bool("update", false, "rewrite golden wire vectors")
 // Golden wire vectors pin the on-the-wire encoding of the codecs the
 // benchmarks compare — including Skyway's versioned format (v2 with per-
 // frame CRC-32C). Any intentional format change must update the vectors
-// (go test ./internal/serial -run Golden -update) AND bump the wire
-// version; an accidental change fails here byte for byte.
+// (go test ./internal/serial -run Golden -update). A change that only
+// retires a tag keeps the version, because the old frame fails loudly as an
+// unknown tag; any other change bumps it. An accidental change fails here
+// byte for byte.
 
 // fullImageCodec is the library's default wire — the paper's full object
 // images, what core.Skyway.NewWriter and skyway.DialWriter write and
@@ -164,9 +166,9 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 
 // A Skyway stream reaches its destination in a number of writes fixed by its
 // segments, not its roots: the golden graph — one segment, three roots — is
-// the stream header, the segment's header and payload, its three top marks as
-// one write, and the end frame. Batching the top marks moved no byte: the
-// concatenation is still the golden vector.
+// the stream header, the segment's header and payload, its 'M' frame of three
+// top marks as one write, and the end frame. The concatenation is the golden
+// vector.
 func TestGoldenSkywayStreamWrites(t *testing.T) {
 	for _, name := range []string{"skyway", "skyway-compact"} {
 		t.Run(name, func(t *testing.T) {

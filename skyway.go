@@ -124,8 +124,8 @@ var (
 	// WithBufferSize sets a writer's output-buffer capacity.
 	WithBufferSize = core.WithBufferSize
 	// WithCompactHeaders leaves the header words the receiver can rebuild
-	// off the wire, shares one run header among consecutive objects of a
-	// class and sends top marks as deltas (the paper's §5.2 future work).
+	// off the wire and shares one run header among consecutive objects of a
+	// class (the paper's §5.2 future work).
 	WithCompactHeaders = core.WithCompactHeaders
 )
 
