@@ -418,9 +418,11 @@ func perElement(rt *vm.Runtime, a heap.Addr) []int64 {
 // TestArrayLongsEquivalence: the bulk read returns exactly what the
 // per-element loop returns — sign extension included — on eagerly decoded
 // arrays, on arena handles, and on handles that have been promoted and then
-// mutated, where it must see the mutated copy and not the region's image;
-// zero-length arrays at a segment's end and at the region's end read as
-// empty; and filling a handle in bulk promotes it exactly once.
+// mutated, where it must see the mutated copy and not the region's image,
+// for every integer width (long[], int[] and byte[] promote by an element
+// write, short[] by a bulk fill); zero-length arrays at a segment's end and
+// at the region's end read as empty; and filling a handle in bulk promotes
+// it exactly once and truncates as the per-element write does.
 func TestArrayLongsEquivalence(t *testing.T) {
 	snd, rcv, sky := testCluster(t)
 	wire, vals, kinds := arrayCorpus(t, snd, sky)
@@ -462,7 +464,7 @@ func TestArrayLongsEquivalence(t *testing.T) {
 
 	// Promote + mutate: element writes land in the promoted copy only.
 	reg := ard.ArenaRegion()
-	for _, i := range []int{0, 1} {
+	for _, i := range []int{0, 1, 4} {
 		rcv.ArraySetLong(lazy[i], 1, -77)
 		rcv.ArraySetLong(eager[i], 1, -77)
 		want := append([]int64(nil), vals[i]...)
@@ -474,21 +476,22 @@ func TestArrayLongsEquivalence(t *testing.T) {
 			t.Errorf("eager %s after the same mutation: ArrayLongs = %v, want %v", kinds[i], dst, want)
 		}
 	}
-	if n := reg.Promotions(); n != 2 {
-		t.Fatalf("two mutated arrays left %d promotions", n)
+	if n := reg.Promotions(); n != 3 {
+		t.Fatalf("three mutated arrays left %d promotions", n)
 	}
 
 	// A bulk fill of a handle is one mutation: one promotion, however many
 	// elements, and none on a refill.
-	fill := []int64{9, -9, 1 << 33}
+	fill := []int64{9, -9, 1<<33 | 1<<15}
 	for pass := 0; pass < 2; pass++ {
 		rcv.ArrayPutLongs(lazy[3], fill)
-		if n := reg.Promotions(); n != 3 {
-			t.Fatalf("pass %d: ArrayPutLongs on a handle left %d promotions, want 3", pass, n)
+		if n := reg.Promotions(); n != 4 {
+			t.Fatalf("pass %d: ArrayPutLongs on a handle left %d promotions, want 4", pass, n)
 		}
 	}
-	if dst = rcv.ArrayLongs(lazy[3], dst); !slices.Equal(dst, []int64{9, -9, 0}) {
-		t.Fatalf("short[] after a bulk fill reads %v, want the truncated fill [9 -9 0]", dst)
+	want := []int64{9, -9, -(1 << 15)}
+	if dst = rcv.ArrayLongs(lazy[3], dst); !slices.Equal(dst, want) || !slices.Equal(dst, perElement(rcv, lazy[3])) {
+		t.Fatalf("short[] after a bulk fill reads %v, want the truncated fill %v", dst, want)
 	}
 }
 
@@ -534,18 +537,27 @@ func TestArrayLongsRejectsNonIntegerArrays(t *testing.T) {
 }
 
 // TestArrayLongsDoesNotAllocate: into a dst that is large enough the bulk
-// read allocates nothing, on either side of the tag test.
+// read allocates nothing, on either side of the tag test and through a
+// promoted handle, and neither does a bulk write that needs no promotion.
 func TestArrayLongsDoesNotAllocate(t *testing.T) {
 	snd, rcv, sky := testCluster(t)
-	wire, _, _ := arrayCorpus(t, snd, sky)
+	wire, vals, _ := arrayCorpus(t, snd, sky)
 	for _, mode := range []struct {
-		name string
-		opts []ReaderOption
-	}{{"eager", nil}, {"arena", []ReaderOption{WithArena()}}} {
+		name    string
+		opts    []ReaderOption
+		promote bool
+	}{{"eager", nil, false}, {"arena", []ReaderOption{WithArena()}, false}, {"promoted", []ReaderOption{WithArena()}, true}} {
 		rd := NewReader(rcv, bytes.NewReader(wire), mode.opts...)
 		roots, err := rd.ReadAll()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if mode.promote {
+			for _, a := range roots {
+				if _, err := Promote(rcv, a); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		dst := make([]int64, 16)
 		if n := testing.AllocsPerRun(100, func() {
@@ -554,6 +566,15 @@ func TestArrayLongsDoesNotAllocate(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("%s: ArrayLongs into a reused dst allocates %v times per sweep", mode.name, n)
+		}
+		if mode.opts == nil || mode.promote {
+			if n := testing.AllocsPerRun(100, func() {
+				for i, a := range roots {
+					rcv.ArrayPutLongs(a, vals[i])
+				}
+			}); n != 0 {
+				t.Errorf("%s: ArrayPutLongs allocates %v times per sweep", mode.name, n)
+			}
 		}
 		rd.Free()
 	}

@@ -89,8 +89,8 @@ func (c *Collector) FullGC() {
 		dest = dest.Add(size)
 	}
 	// Old-gen compaction always fits (sliding cannot grow the region).
-	c.eachOldObject(plan)
-	oldPlans, oldDest := len(plans), dest
+	eachRegionObject(h, &h.Old, c.meta, plan)
+	oldPlans := len(plans)
 	// Young evacuation is all-or-nothing: if the survivors do not fit in
 	// the old generation, leave the young generation in place — the heap
 	// stays valid and the triggering allocation fails with OOM instead of
@@ -103,7 +103,6 @@ func (c *Collector) FullGC() {
 			delete(fwd, m.from)
 		}
 		plans = plans[:oldPlans]
-		dest = oldDest
 	}
 
 	// --- update references ----------------------------------------------
@@ -115,7 +114,7 @@ func (c *Collector) FullGC() {
 			}
 		})
 	}
-	c.eachOldObject(func(a heap.Addr) {
+	eachRegionObject(h, &h.Old, c.meta, func(a heap.Addr) {
 		if h.Marked(a) {
 			redirect(a)
 		}
@@ -153,8 +152,14 @@ func (c *Collector) FullGC() {
 	// sliding copies never clobber a not-yet-moved live object. The list —
 	// not a region re-walk — drives the moves, because a slide may stomp
 	// the headers of dead objects a re-walk would need for skipping.
+	// The plan is also the compacted generation's bump order: allocating it
+	// again from the bottom lands every object at its destination, m.to,
+	// and rebuilds the object-start table.
+	spanned := h.Old.Used()
+	h.Old.Reset()
 	var moved uint64
 	for _, m := range plans {
+		h.AllocOld(m.size)
 		if m.to != m.from {
 			h.CopyWords(m.to, m.from, m.size)
 		}
@@ -162,7 +167,6 @@ func (c *Collector) FullGC() {
 	}
 	c.stats.CompactedB += moved
 
-	h.Old.Top = dest
 	if evacuate {
 		h.Eden.Reset()
 		h.From.Reset()
@@ -174,13 +178,31 @@ func (c *Collector) FullGC() {
 		eachRegionObject(h, &h.From, c.meta, clearYoung)
 	}
 
-	// Clear mark bits on survivors and reset ages (tenured now).
-	c.eachOldObject(func(a heap.Addr) {
+	// Clear mark bits on survivors and reset ages (tenured now), and rebuild
+	// the tenured cards from the compacted heap: every card is cleaned, then
+	// each survivor left pointing young — possible only when the young
+	// generation stayed in place — has its card dirtied. The old cards
+	// described where objects were before they slid.
+	h.CleanCards(h.Old.Start, spanned)
+	for _, p := range c.pinned {
+		if !p.freed && p.Parsed {
+			h.CleanCards(p.Start, uint64(p.Size))
+		}
+	}
+	remember := func(a heap.Addr) {
+		if !evacuate && c.holdsYoung(a) {
+			h.DirtyCard(a)
+		}
+	}
+	eachRegionObject(h, &h.Old, c.meta, func(a heap.Addr) {
 		h.SetMarked(a, false)
 		h.SetAge(a, 0)
+		remember(a)
 	})
-	c.eachPinnedObject(func(a heap.Addr) { h.SetMarked(a, false) })
-	c.recleanCards()
+	c.eachPinnedObject(func(a heap.Addr) {
+		h.SetMarked(a, false)
+		remember(a)
+	})
 	if c.VerifyHook != nil {
 		c.VerifyHook("after-full-gc")
 	}

@@ -102,7 +102,8 @@ type Stats struct {
 	// old-to-young roots during scavenges.
 	CardsScanned uint64
 
-	// PinnedScanned counts pinned input-buffer objects walked as GC roots.
+	// PinnedScanned counts pinned input-buffer objects walked as GC roots:
+	// all of them by a full GC, those on dirty cards by a scavenge.
 	// On the arena decode path this stays at zero no matter how many bytes
 	// are resident off-heap — the measurable statement of "the collector
 	// never sees arena memory".
@@ -345,12 +346,20 @@ func (c *Collector) Scavenge() bool {
 		return dst
 	}
 
+	// fixSlot forwards the young referent of owner's slot at off. A tenured
+	// owner left pointing young — a promoted object whose referent was
+	// copied to to-space — gets the card mark the mutator's barrier would
+	// have given it, or the next scavenge could not find the edge.
 	fixSlot := func(owner heap.Addr, off uint32) {
 		ref := heap.Addr(h.Load(owner, off, refKind))
 		if ref == heap.Null || !h.InYoung(ref) {
 			return
 		}
-		h.Store(owner, off, refKind, uint64(forward(ref)))
+		to := forward(ref)
+		h.Store(owner, off, refKind, uint64(to))
+		if h.InYoung(to) && !h.InYoung(owner) {
+			h.DirtyCard(owner)
+		}
 	}
 
 	// Roots: handles and root tables.
@@ -369,24 +378,8 @@ func (c *Collector) Scavenge() bool {
 			}
 		}
 	}
-	// Roots: old-generation objects on dirty cards (write-barrier remembered
-	// set), walked linearly as HotSpot does within dirty card spans.
-	c.eachOldObject(func(a heap.Addr) {
-		size := c.meta.ObjectSize(a)
-		if !h.RangeDirty(a, size) {
-			return
-		}
-		c.stats.CardsScanned += cardSpan(a, size)
-		c.meta.RefSlots(a, func(off uint32) { fixSlot(a, off) })
-	})
-	// Roots: parsed Skyway input buffers holding young pointers (possible
-	// after application mutation); found via their dirty cards too.
-	c.eachPinnedObject(func(a heap.Addr) {
-		size := c.meta.ObjectSize(a)
-		if !h.RangeDirty(a, size) {
-			return
-		}
-		c.stats.CardsScanned += cardSpan(a, size)
+	// Roots: tenured objects on dirty cards — the remembered set.
+	c.scanTenured(func(a heap.Addr) {
 		c.meta.RefSlots(a, func(off uint32) { fixSlot(a, off) })
 	})
 
@@ -402,10 +395,7 @@ func (c *Collector) Scavenge() bool {
 	h.Eden.Reset()
 	h.From.Reset()
 	h.From, h.To = h.To, h.From
-	// Cards for the young generation are meaningless; clear cards over the
-	// old gen that no longer hold young pointers would require re-scanning,
-	// so conservatively keep them dirty only if they still point young.
-	c.recleanCards()
+	c.cleanCards()
 	if c.VerifyHook != nil {
 		c.VerifyHook("after-scavenge")
 	}
@@ -427,54 +417,86 @@ func cardSpan(a heap.Addr, size uint32) uint64 {
 
 const refKind = klass.Ref
 
-// recleanCards clears dirty cards over tenured spaces that no longer contain
-// young pointers, keeping scavenge cost proportional to genuinely dirty data.
-// Objects share 512-byte cards, so cleaning must be card-granular: first
-// collect the cards still covering a young pointer, then clear only cards
-// outside that set. (Cleaning per object wiped the boundary card a
-// young-ref-holding neighbor depended on — caught by the heap verifier's
-// missing-card check.)
-func (c *Collector) recleanCards() {
-	h := c.h
-	keep := make(map[uint64]struct{})
-	mark := func(a heap.Addr) {
-		size := c.meta.ObjectSize(a)
-		if !h.RangeDirty(a, size) {
-			return
-		}
-		young := false
-		c.meta.RefSlots(a, func(off uint32) {
-			ref := heap.Addr(h.Load(a, off, refKind))
-			if ref != heap.Null && h.InYoung(ref) {
-				young = true
-			}
-		})
-		if young {
-			for card := uint64(a) / heap.CardSize; card <= (uint64(a)+uint64(size)-1)/heap.CardSize; card++ {
-				keep[card] = struct{}{}
-			}
+// tenuredRanges lists the spaces whose cards the scavenger reads: the old
+// generation up to its current top, then every live parsed pinned chunk.
+func (c *Collector) tenuredRanges() []heap.Region {
+	rs := []heap.Region{{Start: c.h.Old.Start, End: c.h.Old.Top}}
+	for _, p := range c.pinned {
+		if !p.freed && p.Parsed {
+			rs = append(rs, heap.Region{Start: p.Start, End: p.Start.Add(p.Size)})
 		}
 	}
-	c.eachOldObject(mark)
-	c.eachPinnedObject(mark)
-	clean := func(a heap.Addr) {
-		size := c.meta.ObjectSize(a)
-		for card := uint64(a) / heap.CardSize; card <= (uint64(a)+uint64(size)-1)/heap.CardSize; card++ {
-			if _, ok := keep[card]; !ok {
-				h.CleanCards(heap.Addr(card*heap.CardSize), 1)
-			}
-		}
-	}
-	c.eachOldObject(clean)
-	c.eachPinnedObject(clean)
+	return rs
 }
 
-// eachOldObject walks the old generation linearly.
-func (c *Collector) eachOldObject(fn func(a heap.Addr)) {
-	a := c.h.Old.Start
-	for a < c.h.Old.Top {
-		size := c.meta.ObjectSize(a)
-		fn(a)
-		a = a.Add(size)
+// scanTenured calls fn for every tenured object that overlaps a dirty card —
+// the scavenge's old-to-young roots — counting the cards each covers and the
+// pinned objects among them. Objects promoted while it runs lie above the top
+// it started from; the closure scans those, once.
+func (c *Collector) scanTenured(fn func(a heap.Addr)) {
+	for i, r := range c.tenuredRanges() {
+		c.eachDirtyObject(r, i == 0, func(a heap.Addr, size uint32) {
+			c.stats.CardsScanned += cardSpan(a, size)
+			if i > 0 {
+				c.stats.PinnedScanned++
+			}
+			fn(a)
+		})
 	}
+}
+
+// cleanCards cleans every dirty tenured card that no longer covers a young
+// pointer. Objects share 512-byte cards, so the test is per card, over every
+// object overlapping it: an object still pointing young keeps all of its
+// dirty cards, and only a card no such object overlaps is cleaned.
+func (c *Collector) cleanCards() {
+	rs := c.tenuredRanges()
+	for i, r := range rs {
+		c.eachDirtyObject(r, i == 0, func(a heap.Addr, size uint32) {
+			if c.holdsYoung(a) {
+				c.h.KeepCards(a, size)
+			}
+		})
+	}
+	c.h.SettleCards(rs)
+}
+
+// eachDirtyObject calls fn, in address order and once each, for every object
+// of the tenured range r that overlaps a dirty card. It reads the card table,
+// not the range: on each dirty card the walk begins at the object covering
+// the card's first byte — from the object-start table when indexed (the old
+// generation), otherwise by stepping forward from the range's own first
+// object (a pinned chunk) — and it ends at the first object past the card.
+func (c *Collector) eachDirtyObject(r heap.Region, indexed bool, fn func(a heap.Addr, size uint32)) {
+	h := c.h
+	a := r.Start // every object below a has been visited or passed over
+	for {
+		card, ok := h.NextDirtyCard(a, r.End)
+		if !ok {
+			return
+		}
+		if indexed {
+			a = max(a, h.OldObjectStart(card))
+		}
+		end := min(card.Add(heap.CardSize), r.End)
+		for a < end {
+			size := c.meta.ObjectSize(a)
+			if a.Add(size) > card {
+				fn(a, size)
+			}
+			a = a.Add(size)
+		}
+	}
+}
+
+// holdsYoung reports whether the object at a has a reference slot pointing
+// into the young generation.
+func (c *Collector) holdsYoung(a heap.Addr) bool {
+	young := false
+	c.meta.RefSlots(a, func(off uint32) {
+		if ref := heap.Addr(c.h.Load(a, off, refKind)); ref != heap.Null && c.h.InYoung(ref) {
+			young = true
+		}
+	})
+	return young
 }

@@ -1,6 +1,11 @@
 package heap
 
-import "skyway/internal/klass"
+import (
+	"encoding/binary"
+	"fmt"
+
+	"skyway/internal/klass"
+)
 
 // Arena handle encoding. Segments staged into an off-heap arena region stay
 // relativized — their reference slots still hold the sender's baddr-relative
@@ -70,4 +75,64 @@ func StoreBytes(b []byte, off uint32, k klass.Kind, v uint64) {
 		panic("heap: arena field access out of bounds")
 	}
 	storeKind(b[off:], k, v)
+}
+
+// LoadInts is LoadBytes for a whole integer array: it fills dst with the
+// len(dst) elements of kind k packed at the head of the payload b,
+// sign-extended. The kind is looked at once, and each width has its own word
+// loop. It panics when b holds fewer elements than dst.
+func LoadInts(dst []int64, b []byte, k klass.Kind) {
+	switch k.Size() {
+	case 8:
+		b = b[:8*len(dst)]
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	case 4:
+		b = b[:4*len(dst)]
+		for i := range dst {
+			dst[i] = int64(int32(binary.LittleEndian.Uint32(b[4*i:])))
+		}
+	case 2:
+		b = b[:2*len(dst)]
+		for i := range dst {
+			dst[i] = int64(int16(binary.LittleEndian.Uint16(b[2*i:])))
+		}
+	case 1:
+		b = b[:len(dst)]
+		for i := range dst {
+			dst[i] = int64(int8(b[i]))
+		}
+	default:
+		panic(fmt.Sprintf("heap: element kind %v has undefined size", k))
+	}
+}
+
+// StoreInts is LoadInts' mirror: it stores src, each value truncated to kind
+// k, as the first len(src) elements of the payload b.
+func StoreInts(b []byte, src []int64, k klass.Kind) {
+	switch k.Size() {
+	case 8:
+		b = b[:8*len(src)]
+		for i, v := range src {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		}
+	case 4:
+		b = b[:4*len(src)]
+		for i, v := range src {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
+	case 2:
+		b = b[:2*len(src)]
+		for i, v := range src {
+			binary.LittleEndian.PutUint16(b[2*i:], uint16(v))
+		}
+	case 1:
+		b = b[:len(src)]
+		for i, v := range src {
+			b[i] = byte(v)
+		}
+	default:
+		panic(fmt.Sprintf("heap: element kind %v has undefined size", k))
+	}
 }

@@ -2,7 +2,8 @@
 // object layout of the paper's Figure 6 (mark word, klass word, Skyway's
 // baddr word, array length, padded payload), generational regions (eden, two
 // survivor spaces, old generation, and a pinned buffer space for Skyway input
-// buffers), and a card table.
+// buffers), and a card table, scanned dirty card to dirty card, with the old
+// generation's object-start table.
 //
 // Addresses are byte offsets into the slab; every object is 8-byte aligned
 // and address 0 is the null reference.
@@ -20,6 +21,7 @@
 package heap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -117,8 +119,16 @@ type Heap struct {
 	To       Region // survivor to-space
 	Old      Region
 	Buffers  Region // pinned Skyway input-buffer space
-	cards    []byte // dirty card map covering the whole slab
+	cards    []byte // card table covering the whole slab: cardClean, cardDirty or, inside a collection, cardKept
 	sizeEstB uint64
+
+	// oldStarts is the old generation's object-start table: entry i is the
+	// object covering the first old-generation byte of card oldCard0+i, where
+	// a walk of that card's objects begins. AllocOld maintains it (a full GC
+	// compacts by re-bumping the generation through AllocOld), so it is valid
+	// for every card below Old.Top.
+	oldStarts []Addr
+	oldCard0  uint64
 
 	// bufFree holds explicitly freed input-buffer space for reuse — §3.2:
 	// "Skyway does not reuse an old input buffer unless the developer
@@ -160,6 +170,11 @@ func New(cfg Config) *Heap {
 	h.Old = carve(old)
 	h.Buffers = carve(buf)
 	h.sizeEstB = total
+	h.oldCard0 = uint64(h.Old.Start) / CardSize
+	h.oldStarts = make([]Addr, uint64(h.Old.End)/CardSize-h.oldCard0+1)
+	// The first card may begin below the generation; its walk begins at the
+	// generation's first object, wherever AllocOld puts it.
+	h.oldStarts[0] = h.Old.Start
 	return h
 }
 
@@ -299,8 +314,23 @@ func (h *Heap) ZeroWords(a Addr, n uint32) { clear(h.mem[a : uint64(a)+uint64(n)
 // Null when eden is exhausted; the runtime then triggers a scavenge.
 func (h *Heap) AllocYoung(size uint32) Addr { return h.Eden.Alloc(uint64(size)) }
 
-// AllocOld bump-allocates in the old generation.
-func (h *Heap) AllocOld(size uint32) Addr { return h.Old.Alloc(uint64(size)) }
+// AllocOld bump-allocates in the old generation and enters the object in the
+// object-start table: every card whose first byte it covers now begins its
+// walk at it.
+func (h *Heap) AllocOld(size uint32) Addr {
+	a := h.Old.Alloc(uint64(size))
+	if a != Null {
+		for c := (uint64(a) + CardSize - 1) / CardSize; c*CardSize < uint64(a)+uint64(size); c++ {
+			h.oldStarts[c-h.oldCard0] = a
+		}
+	}
+	return a
+}
+
+// OldObjectStart returns the old-generation object covering the first
+// old-generation byte of the card holding a: where a walk of that card's
+// objects begins. The card must lie below Old.Top.
+func (h *Heap) OldObjectStart(a Addr) Addr { return h.oldStarts[uint64(a)/CardSize-h.oldCard0] }
 
 // AllocBuffer allocates in the pinned buffer space used for Skyway input
 // buffers. Buffer space is never compacted; chunks return to a free list
@@ -383,16 +413,86 @@ func (h *Heap) InBuffers(a Addr) bool { return h.Buffers.Contains(a) }
 
 // --- card table ------------------------------------------------------------
 
+// Card values. A dirty card is a 1 byte, so the scans find the next one with
+// bytes.IndexByte. cardKept exists only inside a collection's card cleaning:
+// a dirty card found still covering a young pointer, which SettleCards turns
+// back into cardDirty.
+const (
+	cardClean byte = iota
+	cardDirty
+	cardKept
+)
+
 // DirtyCard marks the card containing a. The runtime's reference write
 // barrier calls this for stores into tenured space so the scavenger can find
-// old-to-young pointers, and the Skyway receiver calls it for every card of
-// a freshly absolutized input buffer (§4.3 "Interaction with GC").
-func (h *Heap) DirtyCard(a Addr) { h.cards[uint64(a)/CardSize] = 1 }
+// old-to-young pointers, the Skyway receiver calls it for every card of a
+// freshly absolutized input buffer (§4.3 "Interaction with GC"), and the
+// collector calls it for a tenured object it leaves pointing young.
+func (h *Heap) DirtyCard(a Addr) { h.cards[uint64(a)/CardSize] = cardDirty }
 
 // DirtyRange marks every card overlapping [a, a+n).
 func (h *Heap) DirtyRange(a Addr, n uint32) {
 	for c := uint64(a) / CardSize; c <= (uint64(a)+uint64(n)-1)/CardSize; c++ {
-		h.cards[c] = 1
+		h.cards[c] = cardDirty
+	}
+}
+
+// NextDirtyCard returns the address of the first dirty card overlapping
+// [from, to) — the first byte the card covers, which may lie below from —
+// or false when there is none. It reads the card table only, so a scan that
+// steps from dirty card to dirty card costs the table's bytes plus the
+// objects on dirty cards, however large the space behind it.
+func (h *Heap) NextDirtyCard(from, to Addr) (Addr, bool) {
+	if from >= to {
+		return Null, false
+	}
+	lo := uint64(from) / CardSize
+	i := bytes.IndexByte(h.cards[lo:(uint64(to)-1)/CardSize+1], cardDirty)
+	if i < 0 {
+		return Null, false
+	}
+	return Addr((lo + uint64(i)) * CardSize), true
+}
+
+// KeepCards marks every dirty card overlapping [a, a+n) as kept: a card
+// cleaning found an object there still pointing young. A kept card still
+// reads as dirty to CardDirty and RangeDirty, but no longer to
+// NextDirtyCard, so the cleaning does not visit it twice.
+func (h *Heap) KeepCards(a Addr, n uint32) {
+	for c := uint64(a) / CardSize; c <= (uint64(a)+uint64(n)-1)/CardSize; c++ {
+		if h.cards[c] == cardDirty {
+			h.cards[c] = cardKept
+		}
+	}
+}
+
+// SettleCards ends a card cleaning over the ranges rs: every dirty card that
+// was not kept becomes clean, and every kept card dirty again. All of rs is
+// swept for the first step before any of it for the second, because a card
+// can straddle two ranges.
+func (h *Heap) SettleCards(rs []Region) {
+	for _, r := range rs {
+		h.replaceCards(r, cardDirty, cardClean)
+	}
+	for _, r := range rs {
+		h.replaceCards(r, cardKept, cardDirty)
+	}
+}
+
+// replaceCards sets every card overlapping [r.Start, r.End) that holds from
+// to to.
+func (h *Heap) replaceCards(r Region, from, to byte) {
+	if r.Start >= r.End {
+		return
+	}
+	cs := h.cards[uint64(r.Start)/CardSize : (uint64(r.End)-1)/CardSize+1]
+	for {
+		i := bytes.IndexByte(cs, from)
+		if i < 0 {
+			return
+		}
+		cs[i] = to
+		cs = cs[i+1:]
 	}
 }
 
@@ -414,7 +514,5 @@ func (h *Heap) CleanCards(a Addr, n uint64) {
 	if n == 0 {
 		return
 	}
-	for c := uint64(a) / CardSize; c <= (uint64(a)+n-1)/CardSize; c++ {
-		h.cards[c] = 0
-	}
+	clear(h.cards[uint64(a)/CardSize : (uint64(a)+n-1)/CardSize+1])
 }

@@ -208,6 +208,95 @@ func TestCardTable(t *testing.T) {
 	}
 }
 
+// TestDirtyCardScan: NextDirtyCard steps from dirty card to dirty card,
+// returning each card's first byte; a kept card reads dirty but is not
+// found again; SettleCards cleans the unkept dirt of every range before it
+// restores a kept card two ranges share.
+func TestDirtyCardScan(t *testing.T) {
+	h := testHeap()
+	lo := h.AllocOld(8 * CardSize)
+	hi := lo.Add(8 * CardSize)
+	if _, ok := h.NextDirtyCard(lo, hi); ok {
+		t.Fatal("dirty card found on a fresh heap")
+	}
+	h.DirtyCard(lo + 3*CardSize + 5)
+	h.DirtyCard(lo + 6*CardSize)
+	cardOf := func(a Addr) uint64 { return uint64(a)/CardSize - uint64(lo)/CardSize }
+	var found []uint64
+	for a := lo; ; {
+		card, ok := h.NextDirtyCard(a, hi)
+		if !ok {
+			break
+		}
+		if uint64(card)%CardSize != 0 {
+			t.Fatalf("NextDirtyCard(%#x) = %#x, not a card's first byte", uint64(a), uint64(card))
+		}
+		found = append(found, cardOf(card))
+		a = card + CardSize
+	}
+	if !slices.Equal(found, []uint64{3, 6}) {
+		t.Errorf("dirty cards found at %v, want [3 6]", found)
+	}
+
+	// Two ranges sharing card 3: the first keeps it, the second's dirt on
+	// card 6 is not kept.
+	first := Region{Start: lo, End: lo + 3*CardSize + 64}
+	second := Region{Start: first.End, End: hi}
+	h.KeepCards(lo+3*CardSize, 8)
+	if !h.CardDirty(lo+3*CardSize) || !h.RangeDirty(lo, 8*CardSize) {
+		t.Error("a kept card reads clean")
+	}
+	if card, _ := h.NextDirtyCard(lo, hi); cardOf(card) != 6 {
+		t.Errorf("NextDirtyCard found %#x, want the unkept card 6", uint64(card))
+	}
+	h.SettleCards([]Region{first, second})
+	if !h.CardDirty(lo+3*CardSize) || h.CardDirty(lo+6*CardSize) {
+		t.Errorf("after SettleCards: kept card dirty %v, unkept card dirty %v, want true, false",
+			h.CardDirty(lo+3*CardSize), h.CardDirty(lo+6*CardSize))
+	}
+	if card, ok := h.NextDirtyCard(lo, hi); !ok || cardOf(card) != 3 {
+		t.Error("settled card not found dirty again")
+	}
+}
+
+// TestOldObjectStarts: every card names the object covering its first
+// old-generation byte, across small objects, a multi-card one, and a
+// compaction-style reset that bumps the generation again.
+func TestOldObjectStarts(t *testing.T) {
+	h := testHeap()
+	check := func(stage string) {
+		t.Helper()
+		for a := h.Old.Start; a < h.Old.Top; {
+			size := Addr(24)
+			if (a-h.Old.Start)%3 == 0 {
+				size = 3 * CardSize
+			}
+			for c := uint64(a) / CardSize; c*CardSize < uint64(a+size); c++ {
+				if first := max(Addr(c*CardSize), h.Old.Start); first >= a {
+					if got := h.OldObjectStart(first); got != a {
+						t.Fatalf("%s: card at %#x names %#x, want %#x", stage, c*CardSize, uint64(got), uint64(a))
+					}
+				}
+			}
+			a += size
+		}
+	}
+	alloc := func(n int) {
+		for i := 0; i < n; i++ {
+			size := uint32(24)
+			if (h.Old.Top-h.Old.Start)%3 == 0 {
+				size = 3 * CardSize
+			}
+			h.AllocOld(size)
+		}
+	}
+	alloc(400)
+	check("after allocation")
+	h.Old.Reset()
+	alloc(150)
+	check("after re-bumping")
+}
+
 func TestAtomicCas(t *testing.T) {
 	h := testHeap()
 	a := h.AllocYoung(32)

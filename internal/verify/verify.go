@@ -13,6 +13,9 @@
 //   - card-table soundness: every tenured object (old generation or parsed
 //     input buffer) holding a young pointer is covered by a dirty card, so
 //     the next scavenge cannot miss the edge;
+//   - the object-start table: each old-generation card names the object
+//     the linear walk finds covering its first byte, where the scavenger's
+//     walk of that card begins;
 //   - buffer relativization (CheckChunk): pre-absolutization images carry
 //     only in-range relative offsets.
 //
@@ -73,6 +76,11 @@ const (
 	// BadBufferRel: a pre-absolutization buffer image carries a reference
 	// that is not a well-formed relative offset into the flushed stream.
 	BadBufferRel Kind = "bad-buffer-rel"
+	// BadObjectStart: the old generation's object-start table does not name
+	// the object a linear walk finds covering a card's first byte, so the
+	// scavenger's dirty-card scan would start that card's walk mid-object
+	// or skip objects.
+	BadObjectStart Kind = "bad-object-start"
 )
 
 // Violation is one invariant breach found by the verifier.
@@ -166,6 +174,9 @@ func Verify(h *heap.Heap, meta Meta) []Violation {
 	})
 
 	for _, o := range objs {
+		if h.InOld(o.addr) {
+			vs = checkObjectStarts(h, o, vs)
+		}
 		meta.RefSlots(o.addr, func(off uint32) {
 			ref := heap.Addr(h.Load(o.addr, off, klass.Ref))
 			if ref == heap.Null {
@@ -191,6 +202,23 @@ func Verify(h *heap.Heap, meta Meta) []Violation {
 					"tenured object holds young pointer %#x but no covering card is dirty", uint64(ref))})
 			}
 		})
+	}
+	return vs
+}
+
+// checkObjectStarts audits the object-start table entries of the old
+// generation object o: every card whose first old-generation byte o covers
+// must name o.
+func checkObjectStarts(h *heap.Heap, o walkedObject, vs []Violation) []Violation {
+	for c := uint64(o.addr) / heap.CardSize; c <= (uint64(o.addr)+uint64(o.size)-1)/heap.CardSize; c++ {
+		first := max(heap.Addr(c*heap.CardSize), h.Old.Start)
+		if first < o.addr {
+			continue // an earlier object covers the card's first byte
+		}
+		if got := h.OldObjectStart(first); got != o.addr {
+			vs = append(vs, Violation{Kind: BadObjectStart, Addr: o.addr, Detail: fmt.Sprintf(
+				"object-start table names %#x for the card at %#x", uint64(got), uint64(first))})
+		}
 	}
 	return vs
 }

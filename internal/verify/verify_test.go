@@ -110,6 +110,24 @@ func TestVerifyFlagsClearedDirtyCard(t *testing.T) {
 	}
 }
 
+func TestVerifyFlagsStaleObjectStart(t *testing.T) {
+	rt := newRT(t)
+	p := rt.Pin(rt.MustNew(rt.MustLoad("Node")))
+	defer p.Release()
+	rt.GC.FullGC() // tenure the node: the generation's first object
+	mustClean(t, rt)
+
+	// A 512-byte array bump-allocated behind AllocOld's back covers the first
+	// byte of exactly one card, whose table entry still names the node.
+	const size = 512
+	a := rt.Heap.Old.Alloc(size)
+	rt.Heap.ZeroWords(a, size)
+	rt.Heap.SetKlassWord(a, uint64(rt.MustLoad("long[]").LID))
+	rt.Heap.SetArrayLen(a, int(size-rt.Heap.Layout().ArrayHeaderSize())/8)
+
+	exactlyOne(t, verify.Verify(rt.Heap, rt), verify.BadObjectStart, a)
+}
+
 func TestVerifyFlagsMalformedBaddrWord(t *testing.T) {
 	rt := newRT(t)
 	a := rt.MustNew(rt.MustLoad("Node"))

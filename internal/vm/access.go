@@ -262,15 +262,12 @@ func (rt *Runtime) elems(a heap.Addr, want kindSet) (klass.Kind, []byte) {
 // is already retired panics as every accessor does.
 func (rt *Runtime) ArrayLongs(a heap.Addr, dst []int64) []int64 {
 	kind, b := rt.elems(a, integerKinds)
-	es := kind.Size()
-	n := len(b) / int(es)
+	n := len(b) / int(kind.Size())
 	if cap(dst) < n {
 		dst = make([]int64, n)
 	}
 	dst = dst[:n]
-	for i := range dst {
-		dst[i] = signExtend(heap.LoadBytes(b, uint32(i)*es, kind), kind)
-	}
+	heap.LoadInts(dst, b, kind)
 	return dst
 }
 
@@ -279,11 +276,8 @@ func (rt *Runtime) ArrayLongs(a heap.Addr, dst []int64) []int64 {
 // elements, which must be all of them. A handle promotes, once.
 func (rt *Runtime) ArrayPutLongs(a heap.Addr, src []int64) {
 	kind, b := rt.elems(rt.mutable(a), integerKinds)
-	es := kind.Size()
-	if len(src) != len(b)/int(es) {
-		panic(fmt.Sprintf("vm: ArrayPutLongs of %d elements into an array of %d", len(src), len(b)/int(es)))
+	if n := len(b) / int(kind.Size()); len(src) != n {
+		panic(fmt.Sprintf("vm: ArrayPutLongs of %d elements into an array of %d", len(src), n))
 	}
-	for i, v := range src {
-		heap.StoreBytes(b, uint32(i)*es, kind, uint64(v))
-	}
+	heap.StoreInts(b, src, kind)
 }

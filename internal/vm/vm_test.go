@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -481,10 +482,12 @@ func TestFieldIsolationQuick(t *testing.T) {
 
 // TestArrayBulkAccess: ArrayPutLongs / ArrayLongs move a whole integer array
 // for one klass lookup, truncating and sign-extending exactly as the
-// per-element accessors do, for every integer element width.
+// per-element accessors do, for every integer element width, at every
+// width's edges, and without allocating.
 func TestArrayBulkAccess(t *testing.T) {
 	rt := testRuntime(t)
-	src := []int64{-1, 0, 127, -128, 1 << 15, -(1 << 31), 1<<62 + 5}
+	src := []int64{-1, 0, 1, 127, -128, 128, 255, 1<<15 - 1, -(1 << 15), 1 << 15, 1<<16 + 3,
+		1<<31 - 1, -(1 << 31), 1 << 31, 1<<32 + 7, 1<<62 + 5, math.MinInt64, math.MaxInt64}
 	var dst []int64
 	for _, name := range []string{"byte[]", "short[]", "int[]", "long[]"} {
 		bulk := rt.MustNewArray(rt.MustLoad(name), len(src))
@@ -501,6 +504,12 @@ func TestArrayBulkAccess(t *testing.T) {
 			if want := rt.ArrayGetLong(each, i); dst[i] != want || rt.ArrayGetLong(bulk, i) != want {
 				t.Errorf("%s[%d]: bulk %d / bulk-written %d, per-element %d", name, i, dst[i], rt.ArrayGetLong(bulk, i), want)
 			}
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			rt.ArrayPutLongs(bulk, src)
+			dst = rt.ArrayLongs(bulk, dst)
+		}); n != 0 {
+			t.Errorf("%s: a bulk write and read allocate %v times", name, n)
 		}
 	}
 	if got := rt.ArrayLongs(rt.MustNewArray(rt.MustLoad("long[]"), 0), dst); len(got) != 0 {
