@@ -35,7 +35,7 @@ skywayvet:
 # Just the dataflow analyzers — the slow interprocedural pair — for the
 # dedicated CI job and for quick local iteration on decode-path changes.
 vet-taint:
-	$(GO) run ./cmd/skywayvet -analyzers wiretaint,atomicmix ./...
+	$(GO) run ./cmd/skywayvet -run wiretaint,atomicmix ./...
 
 # Full suite as SARIF 2.1.0, for code-scanning upload.
 sarif:

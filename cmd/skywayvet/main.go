@@ -9,17 +9,15 @@
 //	go run ./cmd/skywayvet -list
 //	go run ./cmd/skywayvet -json ./...
 //	go run ./cmd/skywayvet -sarif ./... > skywayvet.sarif
-//	go run ./cmd/skywayvet -analyzers wiretaint,atomicmix ./...
 //	go run ./cmd/skywayvet -run staleaddr,writebarrier ./internal/vm/...
 //
-// -analyzers and -run are synonyms (the former reads better in CI job
-// definitions); selecting a subset changes which checks run but never the
+// Selecting a subset with -run changes which checks run but never the
 // exit-code contract or the -json/-sarif schema. It needs only the Go
 // toolchain: packages are loaded via `go list -export` and type-checked
 // from source against the toolchain's export data.
 //
 // Exit codes: 0 clean, 1 findings reported, 2 usage error (unknown
-// analyzer, conflicting flags), 3 the packages failed to load or
+// analyzer, -json with -sarif), 3 the packages failed to load or
 // type-check.
 package main
 
@@ -59,7 +57,6 @@ type jsonFinding struct {
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	analyzerList := flag.String("analyzers", "", "synonym for -run")
 	asJSON := flag.Bool("json", false, "emit findings as JSON on stdout")
 	asSARIF := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
 	flag.Parse()
@@ -74,13 +71,6 @@ func main() {
 	if *asJSON && *asSARIF {
 		fmt.Fprintln(os.Stderr, "skywayvet: -json and -sarif are mutually exclusive")
 		os.Exit(exitUsage)
-	}
-	if *run != "" && *analyzerList != "" && *run != *analyzerList {
-		fmt.Fprintln(os.Stderr, "skywayvet: -run and -analyzers are synonyms; pass only one")
-		os.Exit(exitUsage)
-	}
-	if *run == "" {
-		*run = *analyzerList
 	}
 
 	selected := all

@@ -149,12 +149,6 @@ func (m *Module) Taint(config TaintConfig) *TaintEngine {
 	return t
 }
 
-// Summary returns fn's parameter→return summary, if fn's body was loaded.
-func (t *TaintEngine) Summary(fn *types.Func) (TaintSummary, bool) {
-	s, ok := t.sums[fn]
-	return s, ok
-}
-
 // summarize runs the intraprocedural flow for fn with parameters seeded to
 // their param bits and joins the origins of every return site.
 func (t *TaintEngine) summarize(fn *types.Func, fb funcBody) TaintSummary {

@@ -119,7 +119,7 @@ func TestTaintSummaries(t *testing.T) {
 		{"wireRead", 0},            // the source body itself returns a constant
 	}
 	for _, c := range cases {
-		sum, ok := eng.Summary(lookupFunc(t, pkg, c.fn))
+		sum, ok := eng.sums[lookupFunc(t, pkg, c.fn)]
 		if !ok {
 			t.Errorf("%s: no summary", c.fn)
 			continue

@@ -43,7 +43,7 @@ func (c *TupleCodec) Name() string { return "flink-builtin" }
 
 // NewEncoder implements serial.Codec.
 func (c *TupleCodec) NewEncoder(rt *vm.Runtime, w io.Writer) serial.Encoder {
-	return &tupleEncoder{c: c, rt: rt, w: w, bw: bufio.NewWriterSize(w, 32<<10)}
+	return &tupleEncoder{c: c, rt: rt, bw: bufio.NewWriterSize(w, 32<<10)}
 }
 
 // NewDecoder implements serial.Codec.
@@ -63,23 +63,11 @@ const maxStringUnits = 1 << 24
 type tupleEncoder struct {
 	c  *TupleCodec
 	rt *vm.Runtime
-	w  io.Writer
 	bw *bufio.Writer
-	n  int64
 	k  *klass.Klass
 }
 
-func (e *tupleEncoder) Bytes() int64 { return e.n + int64(e.bw.Buffered()) }
-
-func (e *tupleEncoder) Flush() error {
-	err := e.bw.Flush()
-	return err
-}
-
-func (e *tupleEncoder) put(b []byte) {
-	e.bw.Write(b)
-	e.n += int64(len(b))
-}
+func (e *tupleEncoder) Flush() error { return e.bw.Flush() }
 
 // Write implements serial.Encoder: one schema-ordered record, no type tag.
 func (e *tupleEncoder) Write(row heap.Addr) error {
@@ -103,7 +91,7 @@ func (e *tupleEncoder) Write(row heap.Addr) error {
 			s := e.rt.GetRef(row, f)
 			if s == heap.Null {
 				binary.BigEndian.PutUint32(scratch[:4], nullString)
-				e.put(scratch[:4])
+				e.bw.Write(scratch[:4])
 				continue
 			}
 			// Write the backing char[] directly: length + UTF-16
@@ -111,10 +99,10 @@ func (e *tupleEncoder) Write(row heap.Addr) error {
 			val := e.rt.GetRef(s, e.rt.KlassOf(s).FieldByName("value"))
 			n := e.rt.ArrayLen(val)
 			binary.BigEndian.PutUint32(scratch[:4], uint32(n))
-			e.put(scratch[:4])
+			e.bw.Write(scratch[:4])
 			for j := 0; j < n; j++ {
 				binary.BigEndian.PutUint16(scratch[:2], e.rt.ArrayGetChar(val, j))
-				e.put(scratch[:2])
+				e.bw.Write(scratch[:2])
 			}
 			continue
 		}
@@ -130,7 +118,7 @@ func (e *tupleEncoder) Write(row heap.Addr) error {
 		default:
 			binary.BigEndian.PutUint64(scratch[:], raw)
 		}
-		e.put(scratch[:sz])
+		e.bw.Write(scratch[:sz])
 	}
 	return nil
 }
@@ -141,14 +129,11 @@ func (e *tupleEncoder) WriteBatch(rows []heap.Addr) error {
 }
 
 type tupleDecoder struct {
-	c       *TupleCodec
-	rt      *vm.Runtime
-	r       *bufio.Reader
-	k       *klass.Klass
-	objects uint64
+	c  *TupleCodec
+	rt *vm.Runtime
+	r  *bufio.Reader
+	k  *klass.Klass
 }
-
-func (d *tupleDecoder) Objects() uint64 { return d.objects }
 
 // Read implements serial.Decoder: parse one record, materializing only the
 // needed fields.
@@ -169,7 +154,6 @@ func (d *tupleDecoder) Read() (heap.Addr, error) {
 	}
 	rh := d.rt.Pin(row)
 	defer rh.Release()
-	d.objects++
 
 	var scratch [8]byte
 	for i := range d.k.Fields {

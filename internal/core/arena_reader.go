@@ -3,8 +3,6 @@ package core
 import (
 	"skyway/internal/arena"
 	"skyway/internal/fault"
-	"skyway/internal/heap"
-	"skyway/internal/vm"
 )
 
 // Arena decode mode (the SKYWAY_ARENA path): received segments are staged
@@ -18,15 +16,6 @@ import (
 // accessor layer resolves on demand, promoting an object into the managed
 // heap only when a workload mutates it. The collector never pins, scans or
 // compacts a byte of it; Free releases the whole region at once.
-
-// Promote is the copy-on-write promotion funnel: it absolutizes the single
-// object at a (an arena handle returned by an arena-mode Reader) into the
-// managed heap and returns its managed address. Managed addresses pass
-// through unchanged. The object's reference slots stay lazy — they come
-// back tagged, not translated.
-func Promote(rt *vm.Runtime, a heap.Addr) (heap.Addr, error) {
-	return rt.Promote(a)
-}
 
 // ReaderOption configures NewReader.
 type ReaderOption func(*Reader)

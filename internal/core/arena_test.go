@@ -314,7 +314,7 @@ func TestArenaPromoteFailpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fault.Reset)
-	if _, err := Promote(rcv, root); err == nil {
+	if _, err := rcv.Promote(root); err == nil {
 		t.Fatal("promotion under arena.promote.fail reported success")
 	} else {
 		var fe *fault.Error
@@ -328,7 +328,7 @@ func TestArenaPromoteFailpoint(t *testing.T) {
 	}
 	// The point has burned its one firing; the retry succeeds and the
 	// promoted copy serves subsequent reads.
-	p, err := Promote(rcv, root)
+	p, err := rcv.Promote(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestArrayLongsDoesNotAllocate(t *testing.T) {
 		}
 		if mode.promote {
 			for _, a := range roots {
-				if _, err := Promote(rcv, a); err != nil {
+				if _, err := rcv.Promote(a); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -613,7 +613,7 @@ func BenchmarkArrayRead(b *testing.B) {
 			b.Fatal(err)
 		}
 		if side.promote {
-			if _, err := Promote(rcv, a); err != nil {
+			if _, err := rcv.Promote(a); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -133,7 +133,7 @@ func TestBroadcastTornFetch(t *testing.T) {
 				t.Errorf("re-fetch accounting: ReadIO %v (fault-free %v), bytes %d (fault-free %d)",
 					retried.ReadIO, clean.ReadIO, retried.ShuffleBytes, clean.ShuffleBytes)
 			}
-			if ex := c.ExcludedPeers(); len(ex) != 0 {
+			if ex := excludedPeers(c); len(ex) != 0 {
 				t.Errorf("transient fault excluded peers %v", ex)
 			}
 

@@ -301,9 +301,9 @@ func TestBroadcastOverTCPDropsBlocks(t *testing.T) {
 	if bd.WriteIO <= 0 || bd.ReadIO <= 0 {
 		t.Errorf("measured TCP I/O charges WriteIO=%v ReadIO=%v, want both positive", bd.WriteIO, bd.ReadIO)
 	}
-	for _, srv := range srvs {
+	for i, srv := range srvs {
 		if n := srv.Stored(); n != 0 {
-			t.Errorf("block server %d still holds %d blocks after the broadcast", srv.ID(), n)
+			t.Errorf("block server %d still holds %d blocks after the broadcast", i, n)
 		}
 	}
 }

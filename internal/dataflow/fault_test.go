@@ -43,7 +43,20 @@ func faultWordCount(t *testing.T, spec string) (int64, []int, error) {
 	if after := rootCounts(c); !slices.Equal(after, before) {
 		t.Errorf("roots per executor after the run %v, before %v (err: %v)", after, before, err)
 	}
-	return total, c.ExcludedPeers(), err
+	return total, excludedPeers(c), err
+}
+
+// excludedPeers lists the executors the degradation ladder excluded, in
+// ascending ID order. Empty on every healthy run.
+func excludedPeers(c *Cluster) []int {
+	c.excludedMu.Lock()
+	defer c.excludedMu.Unlock()
+	out := make([]int, 0, len(c.excluded))
+	for id := range c.excluded {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // rootCounts returns each executor's live root count (handles plus

@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"fmt"
-	"sort"
 
 	"skyway/internal/obs"
 )
@@ -43,8 +42,8 @@ func (e *StageAbortError) Error() string {
 func (e *StageAbortError) Unwrap() error { return e.Err }
 
 // excludePeer records a map executor whose blocks persistently fail to
-// decode, so diagnostics (and a scheduler with replicas to re-run on) can
-// tell a bad peer from a bad stream.
+// decode, counting each peer once on /metrics, so an operator can tell a bad
+// peer from a bad stream.
 func (c *Cluster) excludePeer(src int) {
 	c.excludedMu.Lock()
 	first := !c.excluded[src]
@@ -58,17 +57,4 @@ func (c *Cluster) excludePeer(src int) {
 	if first {
 		ctrPeersExcluded.Inc()
 	}
-}
-
-// ExcludedPeers lists executors excluded by the degradation ladder, in
-// ascending ID order. Empty on every healthy run.
-func (c *Cluster) ExcludedPeers() []int {
-	c.excludedMu.Lock()
-	defer c.excludedMu.Unlock()
-	out := make([]int, 0, len(c.excluded))
-	for id := range c.excluded {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
 }

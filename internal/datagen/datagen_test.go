@@ -107,25 +107,6 @@ func TestGraphByName(t *testing.T) {
 	}
 }
 
-func TestGraphPartition(t *testing.T) {
-	g := GraphSpec{Name: "t", Vertices: 100, AvgDegree: 2, Seed: 9}.Generate()
-	parts := g.Partition(3)
-	total := 0
-	seen := make(map[int32]bool)
-	for _, p := range parts {
-		for _, v := range p {
-			if seen[v] {
-				t.Fatal("vertex in two partitions")
-			}
-			seen[v] = true
-			total++
-		}
-	}
-	if total != 100 {
-		t.Errorf("partitioned %d of 100 vertices", total)
-	}
-}
-
 func TestMediaGenGraphShape(t *testing.T) {
 	cp := klass.NewPath()
 	MediaClasses(cp)

@@ -108,13 +108,3 @@ func (g *Graph) MaxDegree() int {
 	}
 	return max
 }
-
-// Partition splits vertex IDs round-robin across p partitions, returning
-// the vertex lists — how the Spark harness distributes graph state.
-func (g *Graph) Partition(p int) [][]int32 {
-	parts := make([][]int32, p)
-	for v := 0; v < g.N; v++ {
-		parts[v%p] = append(parts[v%p], int32(v))
-	}
-	return parts
-}

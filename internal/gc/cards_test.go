@@ -95,16 +95,20 @@ type youngSlot struct {
 // them panics) and freed, whose reference slots point at random old, pinned
 // or young objects. With scramble the cards are then re-dealt at random,
 // young pointers or not; without, they are the write barrier's, plus random
-// extra dirt. It returns the slots that point young.
+// extra dirt. It returns the slots that point young. With verifyOn the heap
+// verifier runs around every collection of the runtime, whatever
+// SKYWAY_VERIFY says.
 func randomLayout(t testing.TB, seed uint64, scramble, verifyOn bool) (*vm.Runtime, []youngSlot) {
 	t.Helper()
-	rt, err := vm.NewRuntime(gcPath(), vm.Options{Name: "cards", Verify: verifyOn, Heap: heap.Config{
+	was := verify.SetEnabled(verifyOn || verify.Enabled())
+	rt, err := vm.NewRuntime(gcPath(), vm.Options{Name: "cards", Heap: heap.Config{
 		EdenSize:     96 << 10,
 		SurvivorSize: 64 << 10,
 		OldSize:      768 << 10,
 		BufferSize:   128 << 10,
 		Layout:       klass.Layout{Baddr: true},
 	}})
+	verify.SetEnabled(was)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,9 +275,9 @@ func TestCardScanMatchesLinearWalk(t *testing.T) {
 		rt.GC.CleanCards()
 		linearClean(oracle)
 		for a := heap.Addr(0); uint64(a) < rt.Heap.TotalBytes(); a = a.Add(heap.CardSize) {
-			if rt.Heap.CardDirty(a) != oracle.Heap.CardDirty(a) {
+			if rt.Heap.RangeDirty(a, 1) != oracle.Heap.RangeDirty(a, 1) {
 				t.Fatalf("seed %d: card at %#x dirty %v after the card-driven cleaning, %v after the linear one",
-					seed, uint64(a), rt.Heap.CardDirty(a), oracle.Heap.CardDirty(a))
+					seed, uint64(a), rt.Heap.RangeDirty(a, 1), oracle.Heap.RangeDirty(a, 1))
 			}
 		}
 

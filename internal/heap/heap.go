@@ -456,8 +456,8 @@ func (h *Heap) NextDirtyCard(from, to Addr) (Addr, bool) {
 
 // KeepCards marks every dirty card overlapping [a, a+n) as kept: a card
 // cleaning found an object there still pointing young. A kept card still
-// reads as dirty to CardDirty and RangeDirty, but no longer to
-// NextDirtyCard, so the cleaning does not visit it twice.
+// reads as dirty to RangeDirty, but no longer to NextDirtyCard, so the
+// cleaning does not visit it twice.
 func (h *Heap) KeepCards(a Addr, n uint32) {
 	for c := uint64(a) / CardSize; c <= (uint64(a)+uint64(n)-1)/CardSize; c++ {
 		if h.cards[c] == cardDirty {
@@ -495,9 +495,6 @@ func (h *Heap) replaceCards(r Region, from, to byte) {
 		cs = cs[i+1:]
 	}
 }
-
-// CardDirty reports whether the card containing a is dirty.
-func (h *Heap) CardDirty(a Addr) bool { return h.cards[uint64(a)/CardSize] != 0 }
 
 // RangeDirty reports whether any card overlapping [a, a+n) is dirty.
 func (h *Heap) RangeDirty(a Addr, n uint32) bool {

@@ -186,11 +186,11 @@ func TestAllocExhaustion(t *testing.T) {
 func TestCardTable(t *testing.T) {
 	h := testHeap()
 	a := h.AllocOld(4096)
-	if h.CardDirty(a) {
+	if h.RangeDirty(a, 1) {
 		t.Error("card dirty before any store")
 	}
 	h.DirtyCard(a + 600) // second card of the object
-	if h.CardDirty(a) {
+	if h.RangeDirty(a, 1) {
 		t.Error("wrong card dirtied")
 	}
 	if !h.RangeDirty(a, 4096) {
@@ -202,7 +202,7 @@ func TestCardTable(t *testing.T) {
 	}
 	h.DirtyRange(a, 4096)
 	for off := uint32(0); off < 4096; off += CardSize {
-		if !h.CardDirty(a + Addr(off)) {
+		if !h.RangeDirty(a+Addr(off), 1) {
 			t.Errorf("card at +%d not dirty after DirtyRange", off)
 		}
 	}
@@ -243,16 +243,16 @@ func TestDirtyCardScan(t *testing.T) {
 	first := Region{Start: lo, End: lo + 3*CardSize + 64}
 	second := Region{Start: first.End, End: hi}
 	h.KeepCards(lo+3*CardSize, 8)
-	if !h.CardDirty(lo+3*CardSize) || !h.RangeDirty(lo, 8*CardSize) {
+	if !h.RangeDirty(lo+3*CardSize, 1) || !h.RangeDirty(lo, 8*CardSize) {
 		t.Error("a kept card reads clean")
 	}
 	if card, _ := h.NextDirtyCard(lo, hi); cardOf(card) != 6 {
 		t.Errorf("NextDirtyCard found %#x, want the unkept card 6", uint64(card))
 	}
 	h.SettleCards([]Region{first, second})
-	if !h.CardDirty(lo+3*CardSize) || h.CardDirty(lo+6*CardSize) {
+	if !h.RangeDirty(lo+3*CardSize, 1) || h.RangeDirty(lo+6*CardSize, 1) {
 		t.Errorf("after SettleCards: kept card dirty %v, unkept card dirty %v, want true, false",
-			h.CardDirty(lo+3*CardSize), h.CardDirty(lo+6*CardSize))
+			h.RangeDirty(lo+3*CardSize, 1), h.RangeDirty(lo+6*CardSize, 1))
 	}
 	if card, ok := h.NextDirtyCard(lo, hi); !ok || cardOf(card) != 3 {
 		t.Error("settled card not found dirty again")

@@ -114,17 +114,9 @@ func (p *Path) Names() []string {
 	return out
 }
 
-// ArrayName returns the implicit class name of an array type, e.g.
-// ArrayName(Int32, "") == "int[]" and ArrayName(Ref, "Date") == "Date[]".
-func ArrayName(elem Kind, elemClass string) string {
-	if elem == Ref {
-		return elemClass + "[]"
-	}
-	return elem.String() + "[]"
-}
-
-// ParseArrayName splits an array class name into its element type.
-// ok is false if name is not an array class name.
+// ParseArrayName splits an array class name into its element type, e.g.
+// "int[]" into Int32 and "Date[]" into Ref of class "Date". ok is false if
+// name is not an array class name.
 func ParseArrayName(name string) (elem Kind, elemClass string, ok bool) {
 	if !strings.HasSuffix(name, "[]") {
 		return Invalid, "", false

@@ -62,23 +62,19 @@ func TestPathDefineAndLookup(t *testing.T) {
 
 func TestArrayNames(t *testing.T) {
 	cases := []struct {
+		name  string
 		elem  Kind
 		class string
-		want  string
 	}{
-		{Int32, "", "int[]"},
-		{Int64, "", "long[]"},
-		{Char, "", "char[]"},
-		{Ref, "com.example.Date", "com.example.Date[]"},
+		{"int[]", Int32, ""},
+		{"long[]", Int64, ""},
+		{"char[]", Char, ""},
+		{"com.example.Date[]", Ref, "com.example.Date"},
 	}
 	for _, c := range cases {
-		name := ArrayName(c.elem, c.class)
-		if name != c.want {
-			t.Errorf("ArrayName(%v,%q) = %q, want %q", c.elem, c.class, name, c.want)
-		}
-		elem, class, ok := ParseArrayName(name)
+		elem, class, ok := ParseArrayName(c.name)
 		if !ok || elem != c.elem || class != c.class {
-			t.Errorf("ParseArrayName(%q) = (%v,%q,%v)", name, elem, class, ok)
+			t.Errorf("ParseArrayName(%q) = (%v,%q,%v)", c.name, elem, class, ok)
 		}
 	}
 	if _, _, ok := ParseArrayName("NotAnArray"); ok {

@@ -98,13 +98,6 @@ func (m CostModel) WriteTime(n int64) time.Duration {
 	return d
 }
 
-// ReadTime returns the disk time to read n bytes of local shuffle data.
-func (m CostModel) ReadTime(n int64) time.Duration {
-	d := m.readTime(n)
-	m.emit("disk.read", n, d)
-	return d
-}
-
 // FetchTime returns the read-side cost of a shuffle fetch: local bytes come
 // off disk, remote bytes additionally cross the network (the paper folds
 // network cost into read I/O, §2.2).

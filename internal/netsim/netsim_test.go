@@ -16,8 +16,8 @@ func TestPaper1GbERates(t *testing.T) {
 	if m.WriteTime(700_000_000) != time.Second {
 		t.Errorf("WriteTime(700MB) = %v", m.WriteTime(700_000_000))
 	}
-	if m.ReadTime(1_200_000_000) != time.Second {
-		t.Errorf("ReadTime(1.2GB) = %v", m.ReadTime(1_200_000_000))
+	if m.readTime(1_200_000_000) != time.Second {
+		t.Errorf("readTime(1.2GB) = %v", m.readTime(1_200_000_000))
 	}
 }
 
@@ -39,7 +39,7 @@ func TestCalibrationMatchesFig3Shares(t *testing.T) {
 
 func TestZeroBytesCostNothing(t *testing.T) {
 	m := Paper1GbE()
-	if m.NetTime(0) != 0 || m.WriteTime(0) != 0 || m.ReadTime(0) != 0 {
+	if m.NetTime(0) != 0 || m.WriteTime(0) != 0 || m.readTime(0) != 0 {
 		t.Error("zero-byte transfer has nonzero cost")
 	}
 	if m.FetchTime(0, 0) != 0 {
@@ -90,7 +90,7 @@ func TestMonotoneQuick(t *testing.T) {
 		}
 		return m.NetTime(x) <= m.NetTime(y) &&
 			m.WriteTime(x) <= m.WriteTime(y) &&
-			m.ReadTime(x) <= m.ReadTime(y) &&
+			m.readTime(x) <= m.readTime(y) &&
 			m.NetTime(x) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {

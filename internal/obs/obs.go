@@ -6,9 +6,9 @@
 // runtime's timeline.
 //
 // Tracing is off unless the SKYWAY_TRACE environment variable names an output
-// file (or Enable is called). When off, the span API compiles down to a nil
-// check and return: Tracer.Span returns a nil *Span whose methods no-op, so
-// instrumented hot paths pay one atomic load. Counters are always live —
+// file. When off, the span API compiles down to a nil check and return:
+// Tracer.Span returns a nil *Span whose methods no-op, so instrumented hot
+// paths pay one atomic load. Counters are always live —
 // a counter bump is a single atomic add — and are exported in Prometheus
 // text format by WriteMetrics (served by cmd/skywayd's /metrics endpoint).
 // Spans are exported as Chrome-trace-format JSON by WriteTrace; open the
@@ -23,8 +23,8 @@ import (
 )
 
 // SpanRingSize is the per-tracer span capacity. The ring overwrites its
-// oldest spans when full (DroppedSpans counts the overwritten ones), so a
-// long run keeps its tail — the part a trace viewer is usually opened for.
+// oldest spans when full, so a long run keeps its tail — the part a trace
+// viewer is usually opened for.
 const SpanRingSize = 1 << 14
 
 // enabled gates span recording. 0 = off, 1 = on.
@@ -41,13 +41,6 @@ func init() {
 
 // Enabled reports whether span recording is on.
 func Enabled() bool { return enabled.Load() }
-
-// Enable turns span recording on (tests and programmatic use; production
-// runs enable via SKYWAY_TRACE).
-func Enable() { enabled.Store(true) }
-
-// Disable turns span recording off. Already-recorded spans are kept.
-func Disable() { enabled.Store(false) }
 
 // TracePath returns the SKYWAY_TRACE output file, or "".
 func TracePath() string { return os.Getenv("SKYWAY_TRACE") }
@@ -79,7 +72,6 @@ type Tracer struct {
 	ring    [SpanRingSize]span
 	next    int  // ring write cursor
 	wrapped bool // ring has overwritten at least one span
-	dropped uint64
 }
 
 var (
@@ -115,18 +107,6 @@ func allTracers() []*Tracer {
 	return out
 }
 
-// ResetForTesting clears all recorded spans (the tracer registry survives,
-// so tracer pointers held by runtimes stay valid).
-func ResetForTesting() {
-	for _, t := range allTracers() {
-		t.mu.Lock()
-		t.next = 0
-		t.wrapped = false
-		t.dropped = 0
-		t.mu.Unlock()
-	}
-}
-
 // Span opens a span now; call End (optionally after Arg annotations) to
 // record it. Returns nil — every method of which no-ops — when tracing is
 // disabled or t is nil, so callers never guard call sites themselves.
@@ -145,9 +125,6 @@ func (t *Tracer) Emit(cat, name string, start time.Time, dur time.Duration, args
 		return
 	}
 	t.mu.Lock()
-	if t.wrapped {
-		t.dropped++
-	}
 	t.ring[t.next] = span{cat: cat, name: name, start: start, dur: dur, args: args}
 	t.next++
 	if t.next == SpanRingSize {
@@ -155,23 +132,6 @@ func (t *Tracer) Emit(cat, name string, start time.Time, dur time.Duration, args
 		t.wrapped = true
 	}
 	t.mu.Unlock()
-}
-
-// DroppedSpans returns how many spans the ring has overwritten.
-func (t *Tracer) DroppedSpans() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// SpanCount returns how many spans the ring currently holds.
-func (t *Tracer) SpanCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.wrapped {
-		return SpanRingSize
-	}
-	return t.next
 }
 
 // eachSpan visits the ring oldest-first under the tracer lock.

@@ -10,27 +10,43 @@ import (
 	"time"
 )
 
+// withTracing turns span recording on for one test, with every ring empty
+// before and after it.
 func withTracing(t *testing.T) {
 	t.Helper()
-	was := Enabled()
-	Enable()
-	ResetForTesting()
+	was := enabled.Load()
+	enabled.Store(true)
+	resetRings()
 	t.Cleanup(func() {
-		ResetForTesting()
-		if !was {
-			Disable()
-		}
+		resetRings()
+		enabled.Store(was)
 	})
 }
 
+// resetRings clears all recorded spans. The tracer registry survives, so
+// tracer pointers held by runtimes stay valid.
+func resetRings() {
+	for _, t := range allTracers() {
+		t.mu.Lock()
+		t.next, t.wrapped = 0, false
+		t.mu.Unlock()
+	}
+}
+
+// spanCount is how many spans t's ring holds.
+func spanCount(t *Tracer) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.wrapped {
+		return SpanRingSize
+	}
+	return t.next
+}
+
 func TestSpanDisabledIsNil(t *testing.T) {
-	was := Enabled()
-	Disable()
-	defer func() {
-		if was {
-			Enable()
-		}
-	}()
+	was := enabled.Load()
+	enabled.Store(false)
+	defer enabled.Store(was)
 	tr := NewTracer("t-disabled")
 	sp := tr.Span("cat", "name")
 	if sp != nil {
@@ -41,8 +57,8 @@ func TestSpanDisabledIsNil(t *testing.T) {
 	var nilT *Tracer
 	nilT.Span("cat", "name").End()
 	nilT.Emit("cat", "name", time.Now(), time.Second)
-	if tr.SpanCount() != 0 {
-		t.Fatalf("disabled tracer recorded %d spans", tr.SpanCount())
+	if n := spanCount(tr); n != 0 {
+		t.Fatalf("disabled tracer recorded %d spans", n)
 	}
 }
 
@@ -52,8 +68,8 @@ func TestSpanRecordingAndDump(t *testing.T) {
 	sp := tr.Span("gc", "scavenge")
 	sp.Arg("promoted_bytes", 123).End()
 	tr.Emit("io", "fetch", time.Now(), 5*time.Millisecond, I64("bytes", 77))
-	if n := tr.SpanCount(); n != 2 {
-		t.Fatalf("SpanCount = %d, want 2", n)
+	if n := spanCount(tr); n != 2 {
+		t.Fatalf("spanCount = %d, want 2", n)
 	}
 
 	var buf bytes.Buffer
@@ -108,11 +124,8 @@ func TestRingWrapsKeepingTail(t *testing.T) {
 	for i := 0; i < SpanRingSize+10; i++ {
 		tr.Emit("c", "s", start, time.Duration(i))
 	}
-	if tr.SpanCount() != SpanRingSize {
-		t.Fatalf("SpanCount = %d, want %d", tr.SpanCount(), SpanRingSize)
-	}
-	if tr.DroppedSpans() != 10 {
-		t.Fatalf("DroppedSpans = %d, want 10", tr.DroppedSpans())
+	if n := spanCount(tr); n != SpanRingSize {
+		t.Fatalf("spanCount = %d, want %d", n, SpanRingSize)
 	}
 	// Oldest surviving span is #10 (0-9 were overwritten).
 	var first time.Duration
@@ -142,8 +155,8 @@ func TestConcurrentEmit(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tr.SpanCount() != 800 {
-		t.Fatalf("SpanCount = %d, want 800", tr.SpanCount())
+	if n := spanCount(tr); n != 800 {
+		t.Fatalf("spanCount = %d, want 800", n)
 	}
 }
 

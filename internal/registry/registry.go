@@ -10,7 +10,6 @@ package registry
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"skyway/internal/obs"
@@ -270,16 +269,4 @@ func (v *View) RemoteLookups() (lookups, reverses int) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.misses, v.reverse
-}
-
-// Known returns the cached type strings, sorted, for diagnostics.
-func (v *View) Known() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]string, 0, len(v.ids))
-	for n := range v.ids {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

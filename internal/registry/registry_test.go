@@ -74,8 +74,8 @@ func TestViewCacheAvoidsRemoteLookups(t *testing.T) {
 	if l, _ := v.RemoteLookups(); l != 1 {
 		t.Errorf("second lookup of C went remote")
 	}
-	if len(v.Known()) != 3 {
-		t.Errorf("Known = %v", v.Known())
+	if len(v.ids) != 3 {
+		t.Errorf("view caches %d type strings, want 3", len(v.ids))
 	}
 }
 

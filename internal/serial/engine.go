@@ -80,12 +80,10 @@ type engineCodec struct{ s Strategy }
 func (c *engineCodec) Name() string { return c.s.LibName }
 
 func (c *engineCodec) NewEncoder(rt *vm.Runtime, w io.Writer) Encoder {
-	cw := &countingWriter{w: w}
 	return &engineEncoder{
 		s:       c.s,
 		rt:      rt,
-		cw:      cw,
-		w:       bufio.NewWriterSize(cw, 8<<10),
+		w:       bufio.NewWriterSize(w, 8<<10),
 		handles: make(map[heap.Addr]uint64),
 		descs:   make(map[int32]uint64),
 	}
@@ -120,7 +118,6 @@ const (
 type engineEncoder struct {
 	s  Strategy
 	rt *vm.Runtime
-	cw *countingWriter
 	w  *bufio.Writer
 
 	handles    map[heap.Addr]uint64
@@ -131,7 +128,6 @@ type engineEncoder struct {
 	scratch [binary.MaxVarintLen64]byte
 }
 
-func (e *engineEncoder) Bytes() int64  { return e.cw.n + int64(e.w.Buffered()) }
 func (e *engineEncoder) Flush() error  { return e.w.Flush() }
 func (e *engineEncoder) u8(v byte)     { e.w.WriteByte(v) }
 func (e *engineEncoder) uvar(v uint64) { e.w.Write(e.scratch[:binary.PutUvarint(e.scratch[:], v)]) }
@@ -369,11 +365,7 @@ type engineDecoder struct {
 	descs    map[uint64]*klass.Klass
 	nextDesc uint64
 	rehash   []int // slots of completed hash maps awaiting rehash
-
-	objects uint64
 }
-
-func (d *engineDecoder) Objects() uint64 { return d.objects }
 
 // Read reconstructs one root graph. All intermediate objects are held in
 // the root table so allocation-triggered collections cannot invalidate them;
@@ -493,7 +485,6 @@ func (d *engineDecoder) readObject() (int, error) {
 			return nullSlot, err
 		}
 		o := d.tab.Append(arr)
-		d.objects++
 		if k.Elem == klass.Ref {
 			for i := 0; i < n; i++ {
 				c, err := d.readRef()
@@ -517,7 +508,6 @@ func (d *engineDecoder) readObject() (int, error) {
 		return nullSlot, err
 	}
 	o := d.tab.Append(obj)
-	d.objects++
 	if err := d.readFields(o, k); err != nil {
 		return nullSlot, err
 	}

@@ -31,8 +31,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden wire vectors")
 type fullImageCodec struct{ *SkywayCodec }
 
 func (fullImageCodec) NewEncoder(rt *vm.Runtime, w io.Writer) Encoder {
-	cw := &countingWriter{w: w}
-	return &skywayEncoder{w: core.New(rt).NewWriter(cw), cw: cw}
+	return &skywayEncoder{w: core.New(rt).NewWriter(w)}
 }
 
 // skywayWires are the two Skyway golden vectors, by file name.

@@ -59,16 +59,12 @@ type Encoder interface {
 	WriteBatch(roots []heap.Addr) error
 	// Flush drains buffered output.
 	Flush() error
-	// Bytes reports total payload bytes produced so far.
-	Bytes() int64
 }
 
 // Decoder deserializes object graphs produced by the matching Encoder.
 type Decoder interface {
 	// Read reconstructs the next root; io.EOF at end of stream.
 	Read() (heap.Addr, error)
-	// Objects reports how many objects have been created so far.
-	Objects() uint64
 }
 
 // ConcurrentCodec is an optional Codec capability: a codec whose encoders
@@ -151,16 +147,4 @@ func WriteWindowed(rt *vm.Runtime, roots []heap.Addr, write func(heap.Addr) erro
 		}
 	}
 	return nil
-}
-
-// countingWriter tracks bytes written.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

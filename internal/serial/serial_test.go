@@ -110,8 +110,8 @@ func TestAllCodecsRoundTripMedia(t *testing.T) {
 			if err := enc.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if enc.Bytes() == 0 || enc.Bytes() != int64(buf.Len()) {
-				t.Errorf("Bytes() = %d, buffer has %d", enc.Bytes(), buf.Len())
+			if buf.Len() == 0 {
+				t.Error("Flush left the buffer empty")
 			}
 
 			dec := c.NewDecoder(rcv, &buf)
@@ -133,9 +133,6 @@ func TestAllCodecsRoundTripMedia(t *testing.T) {
 			uri := rcv.GetRef(got, mk.FieldByName("uri"))
 			if rcv.GoString(uri) != "http://example/video.mkv" {
 				t.Error("string corrupted")
-			}
-			if dec.Objects() == 0 {
-				t.Error("Objects() not counted")
 			}
 			if _, err := dec.Read(); err != io.EOF {
 				t.Errorf("want EOF, got %v", err)
@@ -275,7 +272,7 @@ func TestJavaDescriptorBytesDominateSmallObjects(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc.Flush()
-		return enc.Bytes()
+		return int64(buf.Len())
 	}
 	javaBytes := measure(JavaCodec())
 	kryoBytes := measure(KryoCodec(reg))

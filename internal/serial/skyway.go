@@ -54,8 +54,7 @@ func (c *SkywayCodec) Name() string {
 
 // NewEncoder implements Codec.
 func (c *SkywayCodec) NewEncoder(rt *vm.Runtime, w io.Writer) Encoder {
-	cw := &countingWriter{w: w}
-	return &skywayEncoder{w: core.New(rt).NewWriter(cw, core.WithCompactHeaders()), cw: cw}
+	return &skywayEncoder{w: core.New(rt).NewWriter(w, core.WithCompactHeaders())}
 }
 
 // NewDecoder implements Codec.
@@ -67,10 +66,7 @@ func (c *SkywayCodec) NewDecoder(rt *vm.Runtime, r io.Reader) Decoder {
 	return &skywayDecoder{r: core.NewReader(rt, r, opts...)}
 }
 
-type skywayEncoder struct {
-	w  *core.Writer
-	cw *countingWriter
-}
+type skywayEncoder struct{ w *core.Writer }
 
 func (e *skywayEncoder) Write(root heap.Addr) error { return e.w.WriteObject(root) }
 
@@ -82,13 +78,9 @@ func (e *skywayEncoder) Flush() error {
 	return e.w.Close()
 }
 
-func (e *skywayEncoder) Bytes() int64 { return e.cw.n }
-
 type skywayDecoder struct{ r *core.Reader }
 
 func (d *skywayDecoder) Read() (heap.Addr, error) { return d.r.ReadObject() }
-
-func (d *skywayDecoder) Objects() uint64 { return d.r.Objects }
 
 // Free releases the decoder's input buffers (explicit-free API, §3.2).
 func (d *skywayDecoder) Free() { d.r.Free() }

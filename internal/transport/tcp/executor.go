@@ -40,7 +40,7 @@ func StartExecutor(id int, registryAddr, listenAddr string) (*Executor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("executor %d: listen %s: %w", id, listenAddr, err)
 	}
-	e := &Executor{srv: Serve(id, ln)}
+	e := &Executor{srv: Serve(ln)}
 	if registryAddr != "" {
 		cli, err := registry.Dial(registryAddr)
 		if err != nil {

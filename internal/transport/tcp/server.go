@@ -28,7 +28,6 @@ type blockID struct {
 // leaves over one.
 type Server struct {
 	*framed.Server
-	id int
 
 	// blocks holds the executor's blocks. The framed conversations never
 	// run under its lock, so a slow transfer on one connection cannot stall
@@ -36,16 +35,13 @@ type Server struct {
 	blocks *transport.BlockStore[blockID]
 }
 
-// Serve starts an executor block server for executor id on ln. It returns
-// immediately; call Close to stop.
-func Serve(id int, ln net.Listener) *Server {
-	s := &Server{id: id, blocks: transport.NewBlockStore[blockID]()}
+// Serve starts an executor block server on ln. It returns immediately; call
+// Close to stop.
+func Serve(ln net.Listener) *Server {
+	s := &Server{blocks: transport.NewBlockStore[blockID]()}
 	s.Server = framed.Serve(&framed.SKWT, framed.DefaultPolicy, ln, s.handle)
 	return s
 }
-
-// ID returns the executor ID this server stores blocks for.
-func (s *Server) ID() int { return s.id }
 
 // Stored reports how many blocks the server currently holds: published and
 // not yet dropped.

@@ -195,7 +195,7 @@ func TestBadRequestComesBackAsERR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := Serve(0, ln)
+	srv := Serve(ln)
 	defer srv.Close()
 	cli := framed.NewClient(&framed.SKWT, framed.Policy{Timeout: time.Second})
 	defer cli.Close()

@@ -14,7 +14,7 @@ import (
 // servers. The two constructors are parameters so that package tcp's own
 // tests can start a cluster too: this package cannot import the package they
 // are part of.
-func Start[S, T io.Closer](tb testing.TB, n int, serve func(id int, ln net.Listener) S, dial func(peers map[int]string) T) ([]S, T) {
+func Start[S, T io.Closer](tb testing.TB, n int, serve func(ln net.Listener) S, dial func(peers map[int]string) T) ([]S, T) {
 	tb.Helper()
 	srvs := make([]S, n)
 	peers := make(map[int]string, n)
@@ -23,7 +23,7 @@ func Start[S, T io.Closer](tb testing.TB, n int, serve func(id int, ln net.Liste
 		if err != nil {
 			tb.Fatal(err)
 		}
-		srv := serve(i, ln)
+		srv := serve(ln)
 		tb.Cleanup(func() { srv.Close() })
 		srvs[i], peers[i] = srv, ln.Addr().String()
 	}

@@ -19,10 +19,10 @@
 //   - buffer relativization (CheckChunk): pre-absolutization images carry
 //     only in-range relative offsets.
 //
-// Verification is opt-in via the SKYWAY_VERIFY environment variable (or
-// vm.Options.Verify); when enabled, the vm runtime wires Verify into the
-// collector's before/after hooks and the core writer/reader enable cheap
-// per-object debug assertions.
+// Verification is opt-in via the SKYWAY_VERIFY environment variable (tests
+// flip it with SetEnabled); when enabled, every vm runtime created wires
+// Verify into its collector's before/after hooks, and every core writer and
+// reader opened enables cheap per-object debug assertions.
 package verify
 
 import (

@@ -204,7 +204,10 @@ func TestGCVerifyHookPanicsOnCorruption(t *testing.T) {
 		{Name: "v", Kind: klass.Int64},
 		{Name: "next", Kind: klass.Ref, Class: "Node"},
 	}})
-	rt, err := vm.NewRuntime(cp, vm.Options{Name: "hooked", Verify: true})
+	// The switch is read once, by NewRuntime, to arm the collector's hooks.
+	was := verify.SetEnabled(true)
+	rt, err := vm.NewRuntime(cp, vm.Options{Name: "hooked"})
+	verify.SetEnabled(was)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +219,7 @@ func TestGCVerifyHookPanicsOnCorruption(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("FullGC on a corrupted heap did not panic under Options.Verify")
+			t.Fatal("FullGC on a corrupted heap did not panic with the verifier armed")
 		}
 		if msg := fmt.Sprint(r); !strings.Contains(msg, string(verify.BadKlass)) {
 			t.Errorf("panic %q does not name the %s violation", msg, verify.BadKlass)

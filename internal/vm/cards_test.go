@@ -56,7 +56,7 @@ func TestScavengeMarksPromotedOwnerCard(t *testing.T) {
 		t.Fatalf("set-up did not hold: owner at %#x (old %v), referent at %#x (survivor %v)",
 			uint64(owner.Addr()), rt.Heap.InOld(owner.Addr()), uint64(got), rt.Heap.From.Contains(got))
 	}
-	if !rt.Heap.CardDirty(owner.Addr()) {
+	if !rt.Heap.RangeDirty(owner.Addr(), 1) {
 		t.Error("promoted owner pointing into to-space is on a clean card")
 	}
 	mustVerify(t, rt, "after the promoting scavenge")

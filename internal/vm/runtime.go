@@ -93,10 +93,6 @@ type Options struct {
 	// Registry connects the runtime to the driver registry; nil leaves the
 	// runtime detached.
 	Registry registry.Client
-	// Verify enables the heap invariant verifier around every collection
-	// for this runtime, regardless of the SKYWAY_VERIFY environment
-	// variable (which enables it process-wide).
-	Verify bool
 }
 
 // NewRuntime boots a runtime over the given classpath.
@@ -116,7 +112,7 @@ func NewRuntime(cp *klass.Path, opts Options) (*Runtime, error) {
 	rt.Trace = obs.NewTracer(opts.Name)
 	rt.GC = gc.New(rt.Heap, rt)
 	rt.GC.Trace = rt.Trace
-	if opts.Verify || verify.Enabled() {
+	if verify.Enabled() {
 		rt.wireVerifier()
 	}
 	EnsureBuiltins(cp)

@@ -25,8 +25,9 @@ func (rt *Runtime) EachPinned(fn func(start heap.Addr, size uint32, parsed bool)
 }
 
 // wireVerifier installs the heap verifier as the collector's before/after
-// hook — HotSpot's VerifyBeforeGC/VerifyAfterGC, opted into per-runtime via
-// Options.Verify or process-wide via SKYWAY_VERIFY.
+// hook — HotSpot's VerifyBeforeGC/VerifyAfterGC. NewRuntime calls it when
+// verification is on for the process: SKYWAY_VERIFY, or a test's
+// verify.SetEnabled around the call.
 func (rt *Runtime) wireVerifier() {
 	rt.GC.VerifyHook = func(stage string) {
 		verify.Must(fmt.Sprintf("%s %s", rt.Name, stage), verify.Verify(rt.Heap, rt))
