@@ -1,7 +1,7 @@
 package dataflow
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"skyway/internal/datagen"
@@ -32,7 +32,7 @@ func RunTriangleCounting(c *Cluster, g *datagen.Graph) (metrics.Breakdown, int64
 	}
 	for v := range und {
 		nb := und[v]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+		slices.Sort(nb)
 		uniq := nb[:0]
 		var prev int32 = -1
 		for _, u := range nb {
@@ -64,7 +64,7 @@ func RunTriangleCounting(c *Cluster, g *datagen.Graph) (metrics.Breakdown, int64
 		}
 		// Keep lists ID-sorted so the reducer's merge-intersection
 		// works.
-		sort.Slice(higher[v], func(i, j int) bool { return higher[v][i] < higher[v][j] })
+		slices.Sort(higher[v])
 	}
 
 	var total int64 // summed atomically: Consume runs on concurrent tasks

@@ -23,6 +23,7 @@ package heap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -113,6 +114,7 @@ type Heap struct {
 	words  []uint64 // the allocation; indexed only by the atomic word operations
 	mem    []byte   // the slab: the little-endian byte image of words
 	layout klass.Layout
+	lenOff uint32 // layout.OffArrayLen(), read without a call by the inlined element path
 
 	Eden     Region
 	From     Region // survivor from-space
@@ -156,6 +158,7 @@ func New(cfg Config) *Heap {
 		words:  words,
 		mem:    unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), total),
 		layout: cfg.Layout,
+		lenOff: cfg.Layout.OffArrayLen(),
 		cards:  make([]byte, (total+CardSize-1)/CardSize),
 	}
 	cursor := Addr(klass.WordSize)
@@ -200,10 +203,33 @@ func (h *Heap) check(a Addr) uint64 {
 }
 
 // badWord is check's panic value: formatting the message here, not in check,
-// keeps check small enough to inline into every word accessor.
+// keeps check small enough to inline into every word accessor. badKind does
+// the same for loadKind and storeKind, which every typed field and element
+// access inlines.
 type badWord Addr
 
 func (a badWord) Error() string { return fmt.Sprintf("heap: bad word address %#x", uint64(a)) }
+
+type badKind klass.Kind
+
+func (k badKind) Error() string {
+	return fmt.Sprintf("heap: field kind %v has undefined size", klass.Kind(k))
+}
+
+// ErrNullDereference is the panic value of a field, header or element access
+// through Null: the managed runtime's NullPointerException. Address 0 is one
+// reserved word, not an object, and the first object in eden follows it, so
+// without the test a read at Null+off returns that object's bytes and a write
+// changes them.
+var ErrNullDereference = errors.New("heap: null dereference")
+
+// notNull returns a, panicking with ErrNullDereference when it is Null.
+func notNull(a Addr) Addr {
+	if a == Null {
+		panic(ErrNullDereference)
+	}
+	return a
+}
 
 // LoadWord reads the 8-byte word at a (a must be word-aligned).
 func (h *Heap) LoadWord(a Addr) uint64 { return binary.LittleEndian.Uint64(h.mem[h.check(a)<<3:]) }
@@ -254,7 +280,7 @@ func loadKind(b []byte, k klass.Kind) uint64 {
 	case 1:
 		return uint64(b[0])
 	}
-	panic(fmt.Sprintf("heap: field kind %v has undefined size", k))
+	panic(badKind(k))
 }
 
 // storeKind writes v as the field of kind k at the head of b. A kind without
@@ -271,19 +297,20 @@ func storeKind(b []byte, k klass.Kind, v uint64) {
 	case 1:
 		b[0] = byte(v)
 	default:
-		panic(fmt.Sprintf("heap: field kind %v has undefined size", k))
+		panic(badKind(k))
 	}
 }
 
-// Load reads a field of the given kind at byte offset a+off. The returned
-// value holds the raw bits zero-extended to 64 bits.
+// Load reads a field of the given kind at byte offset off of the object at
+// a. The returned value holds the raw bits zero-extended to 64 bits.
 func (h *Heap) Load(a Addr, off uint32, k klass.Kind) uint64 {
-	return loadKind(h.mem[uint64(a)+uint64(off):], k)
+	return loadKind(h.mem[uint64(notNull(a))+uint64(off):], k)
 }
 
-// Store writes a field of the given kind at byte offset a+off.
+// Store writes a field of the given kind at byte offset off of the object at
+// a.
 func (h *Heap) Store(a Addr, off uint32, k klass.Kind, v uint64) {
-	storeKind(h.mem[uint64(a)+uint64(off):], k, v)
+	storeKind(h.mem[uint64(notNull(a))+uint64(off):], k, v)
 }
 
 // CopyOut copies the n bytes of the slab at a into dst. n and a must be

@@ -1,6 +1,10 @@
 package heap
 
-import "skyway/internal/klass"
+import (
+	"encoding/binary"
+
+	"skyway/internal/klass"
+)
 
 // Mark word layout (Figure 6's "mark" field):
 //
@@ -34,7 +38,7 @@ func (h *Heap) SetMark(a Addr, m uint64) { h.StoreWord(a+klass.OffMark, m) }
 
 // KlassWord returns the klass word of the object at a. In a live object it
 // holds the klass LID; inside a Skyway buffer it holds the global type ID.
-func (h *Heap) KlassWord(a Addr) uint64 { return h.LoadWord(a + klass.OffKlass) }
+func (h *Heap) KlassWord(a Addr) uint64 { return h.LoadWord(notNull(a) + klass.OffKlass) }
 
 // SetKlassWord stores the klass word of the object at a.
 func (h *Heap) SetKlassWord(a Addr, v uint64) { h.StoreWord(a+klass.OffKlass, v) }
@@ -60,7 +64,15 @@ func (h *Heap) CasBaddr(a Addr, old, new uint64) bool {
 
 // ArrayLen returns the element count of the array object at a.
 func (h *Heap) ArrayLen(a Addr) int {
-	return int(h.LoadWord(a + Addr(h.layout.OffArrayLen())))
+	return int(h.LoadWord(notNull(a) + Addr(h.lenOff)))
+}
+
+// ArrayHeader returns the klass word and the element count of the array at
+// a, both read under one bounds check of the slab: the header read of an
+// element access.
+func (h *Heap) ArrayHeader(a Addr) (klassWord uint64, n int) {
+	b := h.mem[uint64(notNull(a))+klass.OffKlass : uint64(a)+uint64(h.lenOff)+klass.WordSize]
+	return binary.LittleEndian.Uint64(b), int(binary.LittleEndian.Uint64(b[h.lenOff-klass.OffKlass:]))
 }
 
 // SetArrayLen stores the element count of the array object at a.

@@ -8,14 +8,20 @@ import (
 	"skyway/internal/klass"
 )
 
-// Typed field and array accessors. Every read goes through the rt.load
-// funnel (arena.go), which resolves tagged arena addresses against their
-// off-heap region; every write goes through rt.mutable first, promoting an
-// arena-resident object into the managed heap on its first mutation
-// (copy-on-write). Reference stores go through a card-table write barrier:
-// a pointer written into tenured space (old generation or a Skyway input
-// buffer) dirties the owner's card so the next scavenge can find
-// old-to-young edges (§4.3).
+// Typed field and array accessors. Each access is one call: an exported
+// accessor is a wrapper the compiler inlines at its call site, around one
+// funnel — load or loadElem for a read, storePrim, storeElem, SetRef or
+// ArraySetRef for a write. A funnel's managed branch is heap primitives,
+// inlined, that follow no klass pointer: a field costs one load or store, an
+// element one header read (klass word and length), one bounds check and one
+// load. Its arena branch is one out-of-line call — loadArena, loadElemArena
+// or the promotion in mutable — that resolves a tagged arena address against
+// its off-heap region, or promotes an arena-resident object into the managed
+// heap on its first mutation (copy-on-write). An access through heap.Null
+// panics with heap.ErrNullDereference. Reference stores go through a
+// card-table write barrier: a pointer written into tenured space (old
+// generation or a Skyway input buffer) dirties the owner's card so the next
+// scavenge can find old-to-young edges (§4.3).
 
 // GetRef loads the reference field f of the object at a.
 func (rt *Runtime) GetRef(a heap.Addr, f *klass.Field) heap.Addr {
@@ -109,47 +115,62 @@ func (rt *Runtime) SetRaw(a heap.Addr, f *klass.Field, v uint64) {
 
 // --- arrays -------------------------------------------------------------------
 
-// elemOff bounds-checks index i of the managed array at a and returns the
-// element's offset and kind. Handles never reach it: reads resolve them in
-// loadElem, writes promote them in mutable first.
-func (rt *Runtime) elemOff(a heap.Addr, i int) (uint32, klass.Kind) {
-	k := rt.KlassAt(int32(rt.Heap.KlassWord(a)))
-	if i < 0 || i >= rt.Heap.ArrayLen(a) {
-		panic("vm: array index out of bounds")
+// elemKind reads the header of the managed array at a — klass word and
+// length, under one slab bounds check — checks i against the length and
+// returns the element kind from the LID-indexed table. Handles never reach
+// it: reads resolve them in loadElemArena, writes promote them in mutable
+// first.
+func (rt *Runtime) elemKind(a heap.Addr, i int) klass.Kind {
+	lid, n := rt.Heap.ArrayHeader(a)
+	if uint(i) >= uint(n) {
+		panic(indexError{i, n})
 	}
-	return rt.Heap.ElemOffset(k.Elem, i), k.Elem
+	return rt.elemKinds[lid]
 }
 
-// loadElem is the element read funnel: the raw bits of element i and the
-// array's element kind, for one resolve of a handle.
-func (rt *Runtime) loadElem(a heap.Addr, i int) (uint64, klass.Kind) {
-	if heap.IsArenaAddr(a) {
-		reg, k, img, p := rt.resolve(a)
-		if p == heap.Null {
-			n := heap.LoadBytes(img, rt.Heap.Layout().OffArrayLen(), klass.Int64)
-			if i < 0 || uint64(i) >= n {
-				panic("vm: array index out of bounds")
-			}
-			return loadImage(reg, img, rt.Heap.ElemOffset(k.Elem, i), k.Elem), k.Elem
-		}
-		a = p
-	}
-	off, kind := rt.elemOff(a, i)
-	return rt.Heap.Load(a, off, kind), kind
+// indexError is the panic value of an element access outside its array —
+// Java's ArrayIndexOutOfBoundsException — formatted only when printed, which
+// keeps elemKind inlinable.
+type indexError struct{ i, n int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("vm: array index %d out of bounds for length %d", e.i, e.n)
 }
+
+// loadElem is the element read funnel: the raw bits of element i, and the
+// shift that sign-extends them for the array's element kind (signShift), so
+// that ArrayGetLong stays inlinable.
+func (rt *Runtime) loadElem(a heap.Addr, i int) (raw uint64, shift uint8) {
+	if heap.IsArenaAddr(a) {
+		return rt.loadElemArena(a, i)
+	}
+	kind := rt.elemKind(a, i)
+	return rt.Heap.Load(a, rt.Heap.ElemOffset(kind, i), kind), signShift[kind]
+}
+
+// loadElemArena is loadElem's arena branch: one resolve, then an element of
+// the promoted copy, a managed array, or of the image.
+func (rt *Runtime) loadElemArena(a heap.Addr, i int) (raw uint64, shift uint8) {
+	reg, k, img, p := rt.resolve(a)
+	if p != heap.Null {
+		return rt.loadElem(p, i)
+	}
+	n := heap.LoadBytes(img, rt.Heap.Layout().OffArrayLen(), klass.Int64)
+	if i < 0 || uint64(i) >= n {
+		panic(indexError{i, int(n)})
+	}
+	return loadImage(reg, img, rt.Heap.ElemOffset(k.Elem, i), k.Elem), signShift[k.Elem]
+}
+
+// signShift is, by kind, how far signExtend shifts raw bits up and back
+// down: the signed integers narrower than a word fill their upper bits with
+// the sign, every other kind keeps its raw bits. A table, not a switch, so
+// that the accessors that sign-extend stay inlinable.
+var signShift = [256]uint8{klass.Int8: 56, klass.Int16: 48, klass.Int32: 32}
 
 // signExtend widens the raw bits of an integer of the given kind.
 func signExtend(raw uint64, kind klass.Kind) int64 {
-	switch kind {
-	case klass.Int8:
-		return int64(int8(raw))
-	case klass.Int16:
-		return int64(int16(raw))
-	case klass.Int32:
-		return int64(int32(raw))
-	default:
-		return int64(raw)
-	}
+	return int64(raw<<signShift[kind]) >> signShift[kind]
 }
 
 // ArrayGetRef loads element i of a reference array.
@@ -161,7 +182,7 @@ func (rt *Runtime) ArrayGetRef(a heap.Addr, i int) heap.Addr {
 // ArraySetRef stores element i of a reference array.
 func (rt *Runtime) ArraySetRef(a heap.Addr, i int, v heap.Addr) {
 	a = rt.mutable(a)
-	off, _ := rt.elemOff(a, i)
+	off := rt.Heap.ElemOffset(rt.elemKind(a, i), i)
 	rt.Heap.Store(a, off, klass.Ref, uint64(v))
 	rt.refBarrier(a)
 }
@@ -170,13 +191,14 @@ func (rt *Runtime) ArraySetRef(a heap.Addr, i int, v heap.Addr) {
 // promoting a handle first.
 func (rt *Runtime) storeElem(a heap.Addr, i int, v uint64) {
 	a = rt.mutable(a)
-	off, kind := rt.elemOff(a, i)
-	rt.storePrim(a, off, kind, v)
+	kind := rt.elemKind(a, i)
+	rt.storePrim(a, rt.Heap.ElemOffset(kind, i), kind, v)
 }
 
 // ArrayGetLong loads element i of an integer array, sign-extended.
 func (rt *Runtime) ArrayGetLong(a heap.Addr, i int) int64 {
-	return signExtend(rt.loadElem(a, i))
+	raw, shift := rt.loadElem(a, i)
+	return int64(raw<<shift) >> shift
 }
 
 // ArraySetLong stores element i of an integer array (truncating).

@@ -63,13 +63,18 @@ func (rt *Runtime) resolve(a heap.Addr) (reg *arena.Region, k *klass.Klass, img 
 	return reg, k, img[:size:size], heap.Null
 }
 
-// load is the kind-typed read funnel shared by every accessor: managed
-// addresses hit the word slab, arena addresses resolve to their image (or
-// their promoted copy), and arena reference slots come back re-tagged.
+// load is the field read funnel shared by every getter: a managed address
+// reads the word slab inline, a tagged one goes to loadArena.
 func (rt *Runtime) load(a heap.Addr, off uint32, kind klass.Kind) uint64 {
-	if !heap.IsArenaAddr(a) {
-		return rt.Heap.Load(a, off, kind)
+	if heap.IsArenaAddr(a) {
+		return rt.loadArena(a, off, kind)
 	}
+	return rt.Heap.Load(a, off, kind)
+}
+
+// loadArena is load's arena branch: the field of the promoted copy, or of
+// the image with a reference slot re-tagged.
+func (rt *Runtime) loadArena(a heap.Addr, off uint32, kind klass.Kind) uint64 {
 	reg, _, img, p := rt.resolve(a)
 	if p != heap.Null {
 		return rt.Heap.Load(p, off, kind)
@@ -88,15 +93,23 @@ func loadImage(reg *arena.Region, img []byte, off uint32, kind klass.Kind) uint6
 	return v
 }
 
-// mutable returns a managed-heap address for a, promoting an arena-resident
-// object on its first mutation. Promotion failure is fatal here for the same
-// reason MustNew treats OOM as fatal: the typed setters have no error path,
-// and a workload that needs to survive promotion failure uses Promote
-// directly.
+// mutable returns a managed-heap address for a: a itself, inline, or for a
+// handle the copy mustPromote gives its object on its first mutation.
 func (rt *Runtime) mutable(a heap.Addr) heap.Addr {
-	if !heap.IsArenaAddr(a) {
-		return a
+	if heap.IsArenaAddr(a) {
+		return rt.mustPromote(a)
 	}
+	return a
+}
+
+// mustPromote is mutable's arena branch. Promotion failure is fatal here for
+// the same reason MustNew treats OOM as fatal: the typed setters have no
+// error path, and a workload that needs to survive promotion failure uses
+// Promote directly. It is kept out of line: inlined, it would put mutable,
+// and every setter with it, over the inlining budget.
+//
+//go:noinline
+func (rt *Runtime) mustPromote(a heap.Addr) heap.Addr {
 	p, err := rt.Promote(a)
 	if err != nil {
 		panic(err)

@@ -46,7 +46,11 @@ type Runtime struct {
 
 	cp      *klass.Path
 	klasses []*klass.Klass // indexed by LID
-	byName  map[string]*klass.Klass
+	// elemKinds holds every loaded klass's element kind by LID (Invalid for
+	// a non-array), so an element access learns its array's width from the
+	// klass word without following the klass pointer.
+	elemKinds []klass.Kind
+	byName    map[string]*klass.Klass
 	// byTID is the one type ID → klass table, dense (the registry assigns IDs
 	// from 0) and nil where no class is loaded. Every walker of wire-form
 	// images — the Skyway reader, the compact inflater, the arena accessors,
@@ -178,6 +182,7 @@ func (rt *Runtime) LoadClass(name string) (*klass.Klass, error) {
 		}
 	}
 	rt.klasses = append(rt.klasses, k)
+	rt.elemKinds = append(rt.elemKinds, k.Elem)
 	rt.byName[name] = k
 	rt.ClassesLoaded++
 	return k, nil
@@ -194,11 +199,20 @@ func (rt *Runtime) MustLoad(name string) *klass.Klass {
 
 // KlassAt returns the klass with local ID lid.
 func (rt *Runtime) KlassAt(lid int32) *klass.Klass {
-	if lid < 0 || int(lid) >= len(rt.klasses) {
-		panic(fmt.Sprintf("vm: %s: bad klass LID %d", rt.Name, lid))
+	if uint32(lid) >= uint32(len(rt.klasses)) {
+		panic(badLID{rt.Name, lid})
 	}
 	return rt.klasses[lid]
 }
+
+// badLID is KlassAt's panic value, formatted only when printed, which keeps
+// KlassAt inlinable.
+type badLID struct {
+	rt  string
+	lid int32
+}
+
+func (e badLID) Error() string { return fmt.Sprintf("vm: %s: bad klass LID %d", e.rt, e.lid) }
 
 // KlassByName returns the loaded klass for name, or nil.
 func (rt *Runtime) KlassByName(name string) *klass.Klass { return rt.byName[name] }
