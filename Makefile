@@ -71,10 +71,13 @@ chaos:
 # driver (registry daemon included) and spawns executor block-server
 # processes via its re-exec trampoline; every shuffle block crosses real
 # sockets twice. Includes the transport conformance suite (a Flink query
-# among its inputs), the TCP chaos matrix, and the framed-connection and
+# among its inputs), the TCP chaos matrix, the block servers' buffer
+# recycling (a block damaged while parked, a dropped block a GET still
+# sends from, replace-while-fetch), the block path's allocation gate (which
+# skips itself under -race), and the framed-connection and
 # registry-protocol tests both conversations run on.
 cluster-test:
-	$(GO) test -race -run 'TestClusterWordCountOverTCPProcesses|TestTCPChaosMatrix|TestBroadcastOverTCP|TestConformance|TestTornStream|TestSlowPeer|TestDialFailpoint|TestPooled|TestBadRequest' \
+	$(GO) test -race -run 'TestClusterWordCountOverTCPProcesses|TestTCPChaosMatrix|TestBroadcastOverTCP|TestConformance|TestTornStream|TestTornStoredBlock|TestDroppedBlockWaits|TestReplaceAndFetch|TestWarmBlockExchange|TestSlowPeer|TestDialFailpoint|TestPooled|TestBadRequest' \
 		./internal/dataflow/ ./internal/batch/ ./internal/transport/ ./internal/transport/tcp/
 	$(GO) test -race ./internal/framed/ ./internal/registry/
 

@@ -91,14 +91,16 @@ func (r *Region) Bytes() uint64 {
 // Retired reports whether the region has been reclaimed.
 func (r *Region) Retired() bool { return r.retired.Load() }
 
-// Stage maps a fresh n-byte buffer for an incoming segment. The buffer is
-// not yet readable through handles: the decoder fills and validates it,
-// then either Commits it into the region's address table or Discards it.
+// Stage maps an n-byte buffer for an incoming segment — a pooled mapping
+// when one fits, a fresh one otherwise; its contents are undefined. The
+// buffer is not yet readable through handles: the decoder fills and
+// validates it, then either Commits it into the region's address table or
+// Discards it.
 func (r *Region) Stage(n uint32) ([]byte, error) {
 	if err := fault.Inject(fault.ArenaMapFail); err != nil {
 		return nil, err
 	}
-	b, err := mmapAnon(int(n))
+	b, err := mapSegment(int(n))
 	if err != nil {
 		return nil, fmt.Errorf("arena: map %d bytes: %w", n, err)
 	}
@@ -124,8 +126,8 @@ func (r *Region) Commit(startRel uint64, b []byte) {
 	ctrStaged.Add(int64(len(b)))
 }
 
-// Discard unmaps a staged buffer that failed validation.
-func (r *Region) Discard(b []byte) { munmap(b) }
+// Discard returns a staged buffer that failed validation to the pool.
+func (r *Region) Discard(b []byte) { mappings.Put(b) }
 
 // Tail returns the bytes from biased relative address rel to the end of the
 // segment holding it, as a view into the region's mapping — the
@@ -162,7 +164,7 @@ func (r *Region) Tail(rel uint64) ([]byte, error) {
 		return nil, fmt.Errorf("arena: relative address %#x beyond segment [%#x,%#x) of region %d",
 			rel, s.startRel, s.startRel+uint64(len(s.b)), r.id)
 	}
-	return s.b[off:], nil
+	return s.b[off:len(s.b):len(s.b)], nil
 }
 
 // promotion is one promoted object: its managed (pinned, non-moving)
@@ -228,8 +230,8 @@ func (r *Region) BindEpoch(epoch uint64) {
 
 // Release reclaims the region: its owner's Free, the stage-epoch backstop
 // and the fault injector's premature-free hook all end here, and only the
-// first call does anything. Subsequent handle reads panic loudly instead of
-// reading freed memory.
+// first call does anything. Its mappings go back to the pool, inaccessible.
+// Subsequent handle reads panic loudly instead of reading freed memory.
 func (r *Region) Release() {
 	if r.retired.Swap(true) {
 		return
@@ -246,7 +248,7 @@ func (r *Region) Release() {
 	r.bytes = 0
 	r.mu.Unlock()
 	for _, s := range segs {
-		munmap(s.b)
+		mappings.Put(s.b)
 	}
 	// Promoted copies die with the region: by the time a stage retires it,
 	// the consuming workload has copied out whatever it keeps.

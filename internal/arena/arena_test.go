@@ -1,6 +1,8 @@
 package arena
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -182,3 +184,39 @@ func TestSpaceBytesAcrossRegions(t *testing.T) {
 	}
 	b.Release()
 }
+
+// TestReleasedMappingFaultsWhilePooled: a released segment's mapping waits
+// in the process-wide pool inaccessible, so reading through a view kept past
+// Release faults (a panic under debug.SetPanicOnFault) instead of returning
+// bytes the next staged segment will own.
+func TestReleasedMappingFaultsWhilePooled(t *testing.T) {
+	r := NewSpace().NewRegion()
+	stage(t, r, 8, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	view, err := r.Tail(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Release()
+	// The pool hands the mapping back for a segment of the same size.
+	again, err := mapSegment(len(view))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again[0] != &view[0] {
+		t.Fatal("the released segment's mapping did not wait in the pool")
+	}
+	mappings.Put(again)
+	if runtime.GOOS != "linux" && runtime.GOOS != "darwin" {
+		t.Skip("pooled mappings are protected only where package syscall has mprotect")
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reading a pooled mapping through a stale view did not fault")
+		}
+	}()
+	staleByte = view[0]
+}
+
+// staleByte is where the stale read lands, so it is not optimized away.
+var staleByte byte

@@ -1,4 +1,4 @@
-//go:build unix
+//go:build linux || darwin
 
 package arena
 
@@ -22,4 +22,14 @@ func munmap(b []byte) {
 	// Unmapping can only fail on a corrupted mapping; the region is being
 	// retired either way, so there is nothing useful to do with the error.
 	_ = syscall.Munmap(b)
+}
+
+// protect makes a mapping readable and writable, or inaccessible while it
+// waits in the pool, so a stale view into it faults.
+func protect(b []byte, access bool) error {
+	prot := syscall.PROT_NONE
+	if access {
+		prot = syscall.PROT_READ | syscall.PROT_WRITE
+	}
+	return syscall.Mprotect(b, prot)
 }

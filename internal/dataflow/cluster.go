@@ -9,6 +9,7 @@
 package dataflow
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strconv"
@@ -126,11 +127,12 @@ type Executor struct {
 	// an iterative job grow nothing. Stages are barriers and an executor runs
 	// one task at a time, so the map task, the reduce task and a broadcast
 	// receive take turns with it; each leaves recs empty.
-	recs     *gc.Roots     // the running task's records, one root slot each
-	out      [][]outRecord // map side: (key, slot) per partition
-	sortTmp  []outRecord   // sortByKey's second buffer
-	batch    [][]heap.Addr // map side: a sorted block's records, per sender stream
-	recBytes int           // wire bytes per record of the last map task
+	recs     *gc.Roots      // the running task's records, one root slot each
+	out      [][]outRecord  // map side: (key, slot) per partition
+	sortTmp  []outRecord    // sortByKey's second buffer
+	batch    [][]heap.Addr  // map side: a sorted block's records, per sender stream
+	blocks   []bytes.Buffer // map side: each partition's encoded block
+	recBytes int            // wire bytes per record of the last map task
 }
 
 // blockBytes sizes the buffer a block of n records is encoded into: the

@@ -109,6 +109,7 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 	defer tab.Release()
 	if len(ex.out) != p {
 		ex.out = make([][]outRecord, p)
+		ex.blocks = make([]bytes.Buffer, p)
 	}
 	out := ex.out
 	for dst := range out {
@@ -136,7 +137,9 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 	// set is statically partitioned across the concurrent streams. The
 	// encoders only read the heap (produce is done, and this executor
 	// allocates nothing until the reduce stage), so the streams race only
-	// on the §4.2 baddr claims, which is the point.
+	// on the §4.2 baddr claims, which is the point. A block is encoded into
+	// its partition's buffer on the executor, which Put only reads, so
+	// rounds 2+ encode into memory the last round grew.
 	senders := c.senderSlots(p)
 	if len(ex.batch) < senders {
 		ex.batch = make([][]heap.Addr, senders)
@@ -159,9 +162,10 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 			if len(out[dst]) == 0 {
 				continue
 			}
-			var buf bytes.Buffer
+			buf := &ex.blocks[dst]
+			buf.Reset()
 			buf.Grow(ex.blockBytes(len(out[dst])))
-			enc := c.Codec.NewEncoder(ex.RT, &buf)
+			enc := c.Codec.NewEncoder(ex.RT, buf)
 			// The block goes to its encoder as one batch, in sorted order.
 			batch := ex.batch[slot][:0]
 			for _, r := range out[dst] {

@@ -38,6 +38,7 @@
 package framed
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -85,26 +86,22 @@ type RemoteError struct{ Detail string }
 
 func (e *RemoteError) Error() string { return "framed: peer error: " + e.Detail }
 
-// payloadPool recycles received frame payloads — without it every ReadFrame
-// costs one fresh allocation of the declared length, one chunk-sized make
-// per DATA frame under a shuffle. Senders never stream frames beyond
-// ChunkBytes+4 (the read-side cap is slack for corruption detection), so
-// that is the pooled capacity; the rare larger frame is allocated and left
-// to the GC.
+// payloadPool recycles the payloads ReadFrame hands out — without it every
+// control frame costs one fresh allocation of its declared length. Senders
+// never stream frames beyond ChunkBytes+4 (the read-side cap is slack for
+// corruption detection), so that is the pooled size; the rare larger frame
+// is allocated and left to the GC. The pool holds array pointers, so a
+// Release stores a pointer it already has instead of allocating a slice
+// header.
 var payloadPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, ChunkBytes+4)
-		return &b
-	},
+	New: func() any { return new([ChunkBytes + 4]byte) },
 }
 
-func getPayload(n uint32) []byte {
-	b := *payloadPool.Get().(*[]byte)
-	if uint64(cap(b)) < uint64(n) {
-		payloadPool.Put(&b)
+func getPayload(n int) []byte {
+	if n > ChunkBytes+4 {
 		return make([]byte, n)
 	}
-	return b[:n]
+	return payloadPool.Get().(*[ChunkBytes + 4]byte)[:n]
 }
 
 // Release hands a ReadFrame payload back to the pool. Safe on nil. A caller
@@ -112,63 +109,126 @@ func getPayload(n uint32) []byte {
 // read; anything worth keeping (an ERR detail, chunk bytes) is copied out
 // before release.
 func Release(b []byte) {
-	if cap(b) == 0 || cap(b) > ChunkBytes+4 {
+	if cap(b) != ChunkBytes+4 {
 		return
 	}
-	b = b[:0]
-	payloadPool.Put(&b)
+	payloadPool.Put((*[ChunkBytes + 4]byte)(b[:ChunkBytes+4]))
 }
 
 // WriteFrame emits one frame. The caller flushes. A payload over MaxPayload
 // is rejected before any bytes move: the uint32 length header would
 // truncate silently and desync the stream, turning a local sizing bug into
-// a peer-side "torn stream" misdiagnosis.
+// a peer-side "torn stream" misdiagnosis. On a *bufio.Writer the header is
+// built in the writer's own free space, so a frame costs no allocation.
 func WriteFrame(w io.Writer, op byte, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("framed: frame payload %d bytes over cap %d", len(payload), MaxPayload)
 	}
-	var h [headerBytes]byte
-	h[0] = op
-	binary.BigEndian.PutUint32(h[1:5], uint32(len(payload)))
-	binary.BigEndian.PutUint32(h[5:9], crc32.Checksum(payload, CRCTable))
-	if _, err := w.Write(h[:]); err != nil {
+	var h []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		h = bw.AvailableBuffer()
+	}
+	h = append(h, op)
+	h = binary.BigEndian.AppendUint32(h, uint32(len(payload)))
+	h = binary.BigEndian.AppendUint32(h, crc32.Checksum(payload, CRCTable))
+	if _, err := w.Write(h); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// ReadFrame reads and validates one frame. The declared length is bounds-
-// checked at full width before any allocation; a CRC mismatch surfaces as a
-// *TornError so callers can tell a torn stream from a dead peer. The
-// payload is pooled: Release it when done.
-func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
-	var h [headerBytes]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, nil, err
+// ReadFrameInto reads and validates one frame, receiving its payload
+// straight into memory the caller supplies — the layer's one frame parser.
+// Once the header is read and its declared length n checked against
+// MaxPayload at full width, dst is told the op and n and returns where the
+// payload lands: its first len(head) bytes in head, the rest in body, the
+// two together exactly n bytes. A DATA frame's receiver passes the chunk
+// index word as head and the chunk's place in its block as body, so the
+// bytes cross from the socket once. An error from dst is returned as it
+// stands, before any payload byte is consumed.
+//
+// The CRC-32C covers exactly the bytes landed; a mismatch is a *TornError,
+// so callers can tell a torn stream from a dead peer, and the verified CRC
+// is returned for a receiver that keeps it with the bytes. On failure the
+// destination's contents are undefined.
+func ReadFrameInto(r io.Reader, dst func(op byte, n int) (head, body []byte, err error)) (op byte, crc uint32, err error) {
+	h, err := readHeader(r)
+	if err != nil {
+		return 0, 0, err
 	}
 	op = h[0]
 	ln := binary.BigEndian.Uint32(h[1:5])
 	if ln > MaxPayload {
-		return 0, nil, &TornError{fmt.Sprintf("frame declares %d payload bytes (cap %d)", ln, MaxPayload)}
+		return 0, 0, &TornError{fmt.Sprintf("frame declares %d payload bytes (cap %d)", ln, MaxPayload)}
 	}
 	want := binary.BigEndian.Uint32(h[5:9])
-	payload = getPayload(ln)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		Release(payload)
-		return 0, nil, noEOF(err)
+	head, body, err := dst(op, int(ln))
+	if err != nil {
+		return 0, 0, err
+	}
+	if len(head)+len(body) != int(ln) {
+		return 0, 0, fmt.Errorf("framed: %d-byte frame given %d+%d bytes to land in", ln, len(head), len(body))
+	}
+	if _, err := io.ReadFull(r, head); err != nil {
+		return 0, 0, noEOF(err)
+	}
+	if _, err := io.ReadFull(r, body); err != nil {
+		return 0, 0, noEOF(err)
 	}
 	// Failpoint: the stream is torn in flight — flip one deterministic
 	// byte of the received payload before the integrity check, which must
 	// reject it. Applied only to DATA frames so control frames keep the
 	// conversation parseable (a torn control frame severs the connection,
 	// which the dial/retry path already covers).
-	if op == OpData && len(payload) > 4 && fault.Eval(fault.TransportStreamTorn) {
-		payload[4+(len(payload)-4)/2] ^= 0xFF
+	if op == OpData && ln > 4 && fault.Eval(fault.TransportStreamTorn) {
+		if at := 4 + int(ln-4)/2; at < len(head) {
+			head[at] ^= 0xFF
+		} else {
+			body[at-len(head)] ^= 0xFF
+		}
 	}
-	if got := crc32.Checksum(payload, CRCTable); got != want {
+	got := crc32.Update(crc32.Checksum(head, CRCTable), CRCTable, body)
+	if got != want {
+		return 0, 0, &TornError{fmt.Sprintf("frame CRC %#x, want %#x (stream torn in flight)", got, want)}
+	}
+	return op, got, nil
+}
+
+// readHeader reads a frame header. From a *bufio.Reader — every connection's
+// — it is peeked in place, so reading a frame allocates nothing; any other
+// reader fills an escaping buffer.
+func readHeader(r io.Reader) (h [headerBytes]byte, err error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		p, err := br.Peek(headerBytes)
+		if err != nil {
+			if len(p) > 0 {
+				err = noEOF(err)
+			}
+			return h, err
+		}
+		copy(h[:], p)
+		br.Discard(headerBytes)
+		return h, nil
+	}
+	buf := make([]byte, headerBytes)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return h, err
+	}
+	copy(h[:], buf)
+	return h, nil
+}
+
+// ReadFrame is ReadFrameInto for control frames: the payload lands in a
+// pooled buffer, which the caller Releases when done.
+func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
+	op, _, err = ReadFrameInto(r, func(_ byte, n int) ([]byte, []byte, error) {
+		payload = getPayload(n)
+		return nil, payload, nil
+	})
+	if err != nil {
 		Release(payload)
-		return 0, nil, &TornError{fmt.Sprintf("frame CRC %#x, want %#x (stream torn in flight)", got, want)}
+		return 0, nil, err
 	}
 	return op, payload, nil
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"time"
 
 	"skyway/internal/transport"
@@ -37,9 +38,10 @@ type localShuffle struct {
 	blocks *transport.BlockStore[blockKey]
 }
 
-// Put implements transport.Shuffle.
+// Put implements transport.Shuffle. The store keeps a copy: the caller's
+// slice is its own again when Put returns.
 func (s *localShuffle) Put(src, dst int, block []byte) (time.Duration, error) {
-	s.blocks.Put(blockKey{src, dst}, block)
+	s.blocks.Put(blockKey{src, dst}, bytes.Clone(block))
 	return 0, nil
 }
 

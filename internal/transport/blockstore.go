@@ -2,10 +2,11 @@ package transport
 
 import "sync"
 
-// BlockStore is the shared block-parking helper behind both Transport
-// implementations: netsim keys blocks by (src, dst) within a round's store,
-// the TCP block servers by their wire block ID. A block sits in the store
-// from its Put until the consuming task's Drop.
+// BlockStore is the block-parking helper behind the in-process transport:
+// netsim keys blocks by (src, dst) within a round's store. A block sits in
+// the store from its Put until the consuming task's Drop. (The TCP block
+// servers keep their own table, which also recycles buffers and pins a
+// block for the GETs sending from it.)
 type BlockStore[K comparable] struct {
 	mu     sync.Mutex
 	blocks map[K][]byte

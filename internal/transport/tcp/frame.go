@@ -83,8 +83,11 @@ func parseBlockID(p []byte) blockID {
 // n-byte block — the tail of PUT, and all of 'H'.
 func appendExtent(b []byte, n int) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(n))
-	return binary.BigEndian.AppendUint32(b, uint32((n+chunkBytes-1)/chunkBytes))
+	return binary.BigEndian.AppendUint32(b, uint32(chunksOf(n)))
 }
+
+// chunksOf is how many DATA frames carry an n-byte block.
+func chunksOf(n int) int { return (n + chunkBytes - 1) / chunkBytes }
 
 func parseExtent(p []byte) (total uint64, chunks uint32) {
 	return binary.BigEndian.Uint64(p[0:8]), binary.BigEndian.Uint32(p[8:12])
@@ -92,13 +95,17 @@ func parseExtent(p []byte) (total uint64, chunks uint32) {
 
 // sendBlock streams block as CRC-framed DATA chunks under the credit
 // window: at most defaultWindow chunks are outstanding before the sender
-// blocks on the peer's cumulative ACKs.
+// blocks on the peer's cumulative ACKs. crcs, when not nil, holds each
+// chunk's frame CRC as verified when the block arrived (a block server's
+// stored block); the frames then carry those instead of a CRC computed
+// from the bytes now in memory, so damage done to the bytes while they were
+// parked reaches the receiver's integrity check.
 //
 // Each DATA frame is handed to the kernel as one vectored write (frame
 // header + chunk slice straight out of block), so a chunk crosses the
 // transport without ever being copied into an intermediate frame buffer.
-func sendBlock(c *framed.Conn, block []byte) error {
-	chunks := (len(block) + chunkBytes - 1) / chunkBytes
+func sendBlock(c *framed.Conn, block []byte, crcs []uint32) error {
+	chunks := chunksOf(len(block))
 	outstanding := 0
 	acked := uint32(0)
 	awaitAck := func() error {
@@ -122,27 +129,30 @@ func sendBlock(c *framed.Conn, block []byte) error {
 	// chunk index word (4 bytes); with the CRC folded over index and chunk
 	// incrementally, the wire bytes are exactly those of
 	// framed.WriteFrame(w, OpData, append(idx, chunk...)) minus the append
-	// copy.
+	// copy. A write consumes the vector it is given, so every frame's is cut
+	// afresh from the same two slots.
 	var h [13]byte
 	h[0] = framed.OpData
-	vec := make(net.Buffers, 0, 2)
+	var slots [2][]byte
+	var vec net.Buffers
 	for i := 0; i < chunks; i++ {
-		lo, hi := i*chunkBytes, (i+1)*chunkBytes
-		if hi > len(block) {
-			hi = len(block)
-		}
-		body := block[lo:hi]
+		body := block[i*chunkBytes : min((i+1)*chunkBytes, len(block))]
 		binary.BigEndian.PutUint32(h[1:5], uint32(4+len(body)))
 		binary.BigEndian.PutUint32(h[9:13], uint32(i))
-		crc := crc32.Update(0, framed.CRCTable, h[9:13])
-		crc = crc32.Update(crc, framed.CRCTable, body)
+		var crc uint32
+		if crcs != nil {
+			crc = crcs[i]
+		} else {
+			crc = crc32.Update(crc32.Checksum(h[9:13], framed.CRCTable), framed.CRCTable, body)
+		}
 		binary.BigEndian.PutUint32(h[5:9], crc)
 		// Drain the buffered writer first so bytes stay ordered, then
 		// header + chunk leave in one writev.
 		if err := c.W.Flush(); err != nil {
 			return err
 		}
-		vec = append(vec[:0], h[:], body)
+		slots[0], slots[1] = h[:], body
+		vec = slots[:]
 		if _, err := vec.WriteTo(c.Raw); err != nil {
 			return err
 		}
@@ -161,51 +171,58 @@ func sendBlock(c *framed.Conn, block []byte) error {
 	return c.W.Flush()
 }
 
-// recvBlock receives a block announced as total bytes in chunks DATA
-// frames, acknowledging each chunk (the sender's credit). Both counts were
-// read off the wire, so they are bounds-checked at full width before any
-// buffer is sized from them. The assembled block escapes to the caller (it
-// lands in a server's block table or a fetcher's hands), so it is a real
-// allocation; only the per-chunk frame payloads recycle.
-func recvBlock(c *framed.Conn, total uint64, chunks uint32) ([]byte, error) {
+// checkExtent bounds-checks a block announcement read off the wire at full
+// width, before any buffer is sized from it.
+func checkExtent(total uint64, chunks uint32) error {
 	if total > maxBlockBytes {
-		return nil, tornf("transport block declares %d bytes (cap %d)", total, maxBlockBytes)
+		return tornf("transport block declares %d bytes (cap %d)", total, maxBlockBytes)
 	}
 	if uint64(chunks) != (total+chunkBytes-1)/chunkBytes {
-		return nil, tornf("transport block declares %d chunks for %d bytes", chunks, total)
+		return tornf("transport block declares %d chunks for %d bytes", chunks, total)
 	}
-	block := make([]byte, 0, total)
-	var ack [4]byte
-	for i := uint32(0); i < chunks; i++ {
-		op, payload, err := framed.ReadFrame(c.R)
+	return nil
+}
+
+// recvBlock receives a block announced at len(block) bytes (checkExtent
+// passed) straight into block, DATA frame by DATA frame, acknowledging each
+// chunk (the sender's credit). Each frame's body is read from the socket
+// into its place in block and checked there; nothing is staged. Every chunk
+// but the last must be exactly chunkBytes long, so a block is always cut
+// where sendBlock cuts it, and the CRCs recorded in crcs (when not nil; len
+// = chunk count) stay valid for serving the block again.
+func recvBlock(c *framed.Conn, block []byte, crcs []uint32) error {
+	// The index word and the ACK escape into the connection's reader and
+	// writer: allocated once per block, not per frame.
+	idx := new([4]byte)
+	ack := new([4]byte)
+	for i, off := 0, 0; off < len(block); i, off = i+1, off+chunkBytes {
+		body := block[off:min(off+chunkBytes, len(block))]
+		_, crc, err := framed.ReadFrameInto(c.R, func(op byte, n int) ([]byte, []byte, error) {
+			if op != framed.OpData || n < 4 {
+				return nil, nil, fmt.Errorf("transport: want DATA, got frame %q", op)
+			}
+			if n-4 != len(body) {
+				return nil, nil, tornf("transport DATA chunk %d carries %d bytes, want %d", i, n-4, len(body))
+			}
+			return idx[:], body, nil
+		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if op != framed.OpData || len(payload) < 4 {
-			framed.Release(payload)
-			return nil, fmt.Errorf("transport: want DATA, got frame %q", op)
+		if got := binary.BigEndian.Uint32(idx[:]); got != uint32(i) {
+			return fmt.Errorf("transport: DATA chunk %d out of order, want %d", got, i)
 		}
-		if idx := binary.BigEndian.Uint32(payload[:4]); idx != i {
-			framed.Release(payload)
-			return nil, fmt.Errorf("transport: DATA chunk %d out of order, want %d", idx, i)
+		if crcs != nil {
+			crcs[i] = crc
 		}
-		if uint64(len(block))+uint64(len(payload)-4) > total {
-			framed.Release(payload)
-			return nil, tornf("transport block longer than declared")
-		}
-		block = append(block, payload[4:]...)
-		framed.Release(payload)
 		// Failpoint: a slow peer — the receiver stalls before granting the
 		// sender's next credit, so the window turns the stall into real
 		// sender-side backpressure.
 		fault.Sleep(fault.TransportPeerSlow)
-		binary.BigEndian.PutUint32(ack[:], i)
+		binary.BigEndian.PutUint32(ack[:], uint32(i))
 		if err := c.Send(framed.OpAck, ack[:]); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if uint64(len(block)) != total {
-		return nil, tornf("transport block %d bytes, declared %d", len(block), total)
-	}
-	return block, nil
+	return nil
 }

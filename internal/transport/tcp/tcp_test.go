@@ -5,12 +5,14 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"skyway/internal/core"
 	"skyway/internal/fault"
 	"skyway/internal/framed"
+	"skyway/internal/race"
 	"skyway/internal/transport/tcp/tcptest"
 )
 
@@ -96,6 +98,188 @@ func TestTornStreamTransientAbsorbedByRetry(t *testing.T) {
 	}
 	if fault.Fired(fault.TransportStreamTorn) == 0 {
 		t.Fatal("torn failpoint never fired; the test exercised nothing")
+	}
+}
+
+// TestTornStoredBlockSurfacesDecodeError: a byte of a block damaged while
+// it is parked on its block server reaches the fetcher's integrity check —
+// the server serves the CRCs it verified when the block arrived, not ones
+// recomputed over what it holds now — so the fetch fails with a
+// *core.DecodeError of kind "checksum" rather than handing a codec with no
+// checksum of its own silently wrong bytes. Once the byte is restored, the
+// block fetches intact.
+func TestTornStoredBlockSurfacesDecodeError(t *testing.T) {
+	srvs, tr := tcptest.Start(t, 2, Serve, New)
+	sh, err := tr.NewShuffle(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := patternBlock(600 << 10)
+	if _, err := sh.Put(0, 1, want); err != nil {
+		t.Fatal(err)
+	}
+	// A byte in the middle chunk of three.
+	const off = chunkBytes + 12345
+	if !srvs[0].flipStored(3, 0, 1, off) {
+		t.Fatal("block (0→1) is not parked on executor 0's server")
+	}
+	got, _, err := sh.Fetch(0, 1)
+	if err == nil {
+		t.Fatalf("fetch of a block damaged in storage returned %d bytes and no error", len(got))
+	}
+	de, ok := core.AsDecodeError(err)
+	if !ok || de.Kind != core.DecodeChecksum {
+		t.Fatalf("fetch of a block damaged in storage: %T (%v), want a checksum *core.DecodeError", err, err)
+	}
+
+	srvs[0].flipStored(3, 0, 1, off)
+	got, _, err = sh.Fetch(0, 1)
+	if err != nil {
+		t.Fatalf("fetch after the byte was restored: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("restored block fetched with different bytes")
+	}
+}
+
+// TestWarmBlockExchangeAllocs is the allocation gate on the block path: a
+// warm Put / Fetch / Drop of a 16-frame block allocates exactly as often as
+// one of a 4-frame block. Nothing is allocated per received frame or per
+// staged byte, on either end — every DATA frame lands in a recycled block
+// buffer, and ACKs and frame headers cost nothing.
+func TestWarmBlockExchangeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation benchmark skipped in -short mode")
+	}
+	if race.Enabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	sh, err := startCluster(t, 2).NewShuffle(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(size int) float64 {
+		block := patternBlock(size)
+		exchange := func() {
+			if _, err := sh.Put(0, 1, block); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := sh.Fetch(0, 1)
+			if err != nil || len(got) != size {
+				t.Fatalf("fetch: %d bytes, err %v", len(got), err)
+			}
+			sh.Drop(0, 1)
+		}
+		exchange() // warm the free lists and the connection
+		return testing.AllocsPerRun(20, exchange)
+	}
+	small, large := allocs(4*chunkBytes), allocs(16*chunkBytes)
+	if small != large {
+		t.Fatalf("a warm exchange allocates %.0f times for a 4-frame block and %.0f times for a 16-frame one", small, large)
+	}
+	t.Logf("%.0f allocations per warm Put / Fetch / Drop, 4 or 16 frames", small)
+}
+
+// TestDroppedBlockWaitsForItsGET: a block server recycles a dropped or
+// replaced block's buffer only once every GET sending from it is done. With
+// a GET's pin held, the block is dropped and a same-sized block is put —
+// the PUT that would receive into the recycled buffer — and the pinned
+// bytes must not change; after the unpin, the buffer is recycled.
+func TestDroppedBlockWaitsForItsGET(t *testing.T) {
+	srvs, tr := tcptest.Start(t, 1, Serve, New)
+	sh, err := tr.NewShuffle(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := patternBlock(2*chunkBytes + 7)
+	if _, err := sh.Put(0, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	srv := srvs[0]
+	b := srv.pin(blockID{seq: 4})
+	sh.Drop(0, 0)
+	if _, err := sh.Put(0, 0, make([]byte, len(want))); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.buf, want) {
+		t.Fatal("a dropped block's buffer was recycled while a GET was sending from it")
+	}
+	// Unpinned, the buffer is the only one listed, so the next PUT
+	// receives into it.
+	srv.unpin(b)
+	if _, err := sh.Put(0, 0, make([]byte, len(want))); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(b.buf, want) {
+		t.Fatal("the buffer was not recycled once its last GET finished")
+	}
+}
+
+// TestReplaceAndFetchConcurrently: one transport keeps replacing and
+// dropping a block while another keeps fetching it — the server's table,
+// pins and free list under concurrent use, for the race detector. Every
+// fetch returns nothing or one whole version, never a mix of two, and no
+// exchange needs a retry.
+func TestReplaceAndFetchConcurrently(t *testing.T) {
+	srvs, writer := tcptest.Start(t, 1, Serve, New)
+	reader := New(map[int]string{0: srvs[0].Addr().String()})
+	defer reader.Close()
+	w, err := writer.NewShuffle(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := reader.NewShuffle(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var versions [4][]byte
+	for v := range versions {
+		versions[v] = make([]byte, 3*chunkBytes+100)
+		for i := range versions[v] {
+			versions[v][i] = byte(v) ^ byte(i*7)
+		}
+	}
+	retries := framed.SKWT.Retries.Value()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := 0; ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := w.Put(0, 0, versions[v%len(versions)]); err != nil {
+				t.Errorf("Put: %v", err)
+				return
+			}
+			if v%3 == 2 {
+				w.Drop(0, 0)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for n := 0; n < 200; n++ {
+		got, _, err := r.Fetch(0, 0)
+		if err != nil {
+			t.Fatalf("fetch %d: %v", n, err)
+		}
+		if got == nil {
+			continue
+		}
+		for i, b := range got {
+			if b != got[0]^byte(i*7) {
+				t.Fatalf("fetch %d: byte %d is %#x, not version %d's", n, i, b, got[0])
+			}
+		}
+	}
+	if d := framed.SKWT.Retries.Value() - retries; d != 0 {
+		t.Fatalf("%d exchanges retried: a GET sent from a buffer recycled under it", d)
 	}
 }
 

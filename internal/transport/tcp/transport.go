@@ -3,10 +3,12 @@ package tcp
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"skyway/internal/core"
 	"skyway/internal/framed"
+	"skyway/internal/freelist"
 	"skyway/internal/transport"
 )
 
@@ -22,6 +24,10 @@ import (
 type Transport struct {
 	peers map[int]string // executor ID → block-server address
 	cli   *framed.Client
+	// pool recycles fetched blocks across rounds: a round hands a block's
+	// buffer back when the key is dropped or fetched again, or the round
+	// closes.
+	pool freelist.List
 }
 
 // New builds a TCP transport over the given executor ID → address map
@@ -66,16 +72,18 @@ func awaitOK(c *framed.Conn) error {
 
 // NewShuffle implements transport.Transport.
 func (t *Transport) NewShuffle(seq int) (transport.Shuffle, error) {
-	return &tcpShuffle{t: t, seq: uint32(seq)}, nil
+	return &tcpShuffle{t: t, seq: uint32(seq), fetched: make(map[blockID][]byte)}, nil
 }
 
 // Measured implements transport.Transport: every charge is the socket time
 // the exchanges actually clocked, every attempt included.
 func (t *Transport) Measured() bool { return true }
 
-// Close implements transport.Transport.
+// Close implements transport.Transport: the idle connections and the free
+// list go.
 func (t *Transport) Close() error {
 	t.cli.Close()
+	t.pool.Drain()
 	return nil
 }
 
@@ -83,6 +91,25 @@ func (t *Transport) Close() error {
 type tcpShuffle struct {
 	t   *Transport
 	seq uint32
+
+	// fetched holds the buffer each key's last Fetch returned, until the
+	// key is dropped or fetched again or the round closes.
+	mu      sync.Mutex
+	fetched map[blockID][]byte
+}
+
+// hold records buf as id's fetched bytes (nil: none) and returns the buffer
+// it replaces to the pool.
+func (s *tcpShuffle) hold(id blockID, buf []byte) {
+	s.mu.Lock()
+	old := s.fetched[id]
+	if buf != nil {
+		s.fetched[id] = buf
+	} else {
+		delete(s.fetched, id)
+	}
+	s.mu.Unlock()
+	s.t.pool.Put(old)
 }
 
 func (s *tcpShuffle) id(src, dst int) blockID {
@@ -91,7 +118,7 @@ func (s *tcpShuffle) id(src, dst int) blockID {
 
 // Put implements transport.Shuffle: the block lands on executor src's
 // server — request header out, the block streamed under the credit window,
-// OK back.
+// OK back. block is only read, and only until Put returns.
 func (s *tcpShuffle) Put(src, dst int, block []byte) (time.Duration, error) {
 	start := time.Now()
 	hdr := appendExtent(appendBlockID(nil, s.id(src, dst)), len(block))
@@ -99,7 +126,7 @@ func (s *tcpShuffle) Put(src, dst int, block []byte) (time.Duration, error) {
 		if err := framed.WriteFrame(c.W, opPut, hdr); err != nil {
 			return err
 		}
-		if err := sendBlock(c, block); err != nil {
+		if err := sendBlock(c, block, nil); err != nil {
 			return err
 		}
 		return awaitOK(c)
@@ -108,12 +135,15 @@ func (s *tcpShuffle) Put(src, dst int, block []byte) (time.Duration, error) {
 }
 
 // Fetch implements transport.Shuffle: request frame out, 'H' + DATA frames
-// or NIL (the server never had the block) back. The bytes come back over a
-// socket, so they are already the caller's private copy — safe to tear for
-// fault injection without a defensive copy.
+// or NIL (the server never had the block) back. The block is received
+// straight into a buffer from the transport's free list, which stays the
+// caller's until the key is dropped or fetched again or the round closes —
+// a private copy, safe to tear for fault injection.
 func (s *tcpShuffle) Fetch(src, dst int) ([]byte, time.Duration, error) {
 	start := time.Now()
-	req := appendBlockID(nil, s.id(src, dst))
+	id := s.id(src, dst)
+	s.hold(id, nil)
+	req := appendBlockID(nil, id)
 	var block []byte
 	err := s.t.exchange(src, func(c *framed.Conn) error {
 		block = nil
@@ -130,27 +160,50 @@ func (s *tcpShuffle) Fetch(src, dst int) ([]byte, time.Duration, error) {
 			return nil
 		case rop == opHdr && len(payload) == 12:
 			total, chunks := parseExtent(payload)
-			block, err = recvBlock(c, total, chunks)
-			return err
+			if err := checkExtent(total, chunks); err != nil {
+				return err
+			}
+			buf, _ := s.t.pool.Get(int(total)) // a Go allocation: cannot fail
+			if err := recvBlock(c, buf, nil); err != nil {
+				s.t.pool.Put(buf)
+				return err
+			}
+			block = buf
+			return nil
 		default:
 			return fmt.Errorf("transport: want HDR or NIL, got frame %q (%d bytes)", rop, len(payload))
 		}
 	})
+	if block != nil {
+		s.hold(id, block)
+	}
 	return block, time.Since(start), err
 }
 
 // Drop implements transport.Shuffle; best-effort (an unreachable server just
-// keeps the block until its process exits).
+// keeps the block until its process exits). The key's fetched bytes go back
+// to the free list.
 func (s *tcpShuffle) Drop(src, dst int) {
+	id := s.id(src, dst)
+	s.hold(id, nil)
 	s.t.exchange(src, func(c *framed.Conn) error {
-		if err := framed.WriteFrame(c.W, opDrop, appendBlockID(nil, s.id(src, dst))); err != nil {
+		if err := framed.WriteFrame(c.W, opDrop, appendBlockID(nil, id)); err != nil {
 			return err
 		}
 		return awaitOK(c)
 	})
 }
 
-// Close implements transport.Shuffle. Blocks the reducers dropped are gone;
-// anything left (an aborted stage) stays on the servers, keyed by a seq no
-// future round reuses.
-func (s *tcpShuffle) Close() error { return nil }
+// Close implements transport.Shuffle: every block still fetched goes back
+// to the free list. Blocks the reducers dropped are gone from the servers;
+// anything left (an aborted stage) stays there, keyed by a seq no future
+// round reuses.
+func (s *tcpShuffle) Close() error {
+	s.mu.Lock()
+	for _, buf := range s.fetched {
+		s.t.pool.Put(buf)
+	}
+	clear(s.fetched)
+	s.mu.Unlock()
+	return nil
+}

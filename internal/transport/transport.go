@@ -35,7 +35,8 @@ type Transport interface {
 	// they are zero and the charge is modelled from the byte counts.
 	Measured() bool
 
-	// Close releases the transport's connections and round state.
+	// Close releases the transport's connections, round state and the
+	// buffers it keeps for reuse.
 	Close() error
 }
 
@@ -43,22 +44,34 @@ type Transport interface {
 // partition) pair — a broadcast round's by (executor, executor); a block
 // stays available until Drop so a fetch whose copy was damaged in flight can
 // be retried from the intact stored bytes.
+//
+// Buffer lifetimes: Put only reads the caller's block, and only until it
+// returns; the block is the caller's again afterwards, to refill. The bytes
+// Fetch returns stay valid until the same key is dropped or fetched again,
+// or the round is closed; the transport then reuses their memory.
 type Shuffle interface {
 	// Put publishes mapper src's serialized block for partition dst and
 	// returns the measured I/O time (zero under a modelled transport).
-	// Empty blocks need not be published.
+	// Empty blocks need not be published. The transport never keeps
+	// block: it copies or sends the bytes before returning.
 	Put(src, dst int, block []byte) (time.Duration, error)
 
 	// Fetch returns a copy-on-damage view of block (src, dst) and the
 	// measured fetch time. A nil block means the mapper published nothing
 	// for that partition. The caller must treat the returned bytes as
-	// read-only (tearing them for fault injection requires a copy).
+	// read-only (tearing them for fault injection requires a copy) and
+	// must be done with them when it drops or re-fetches the key or
+	// closes the round: the memory is then recycled.
 	Fetch(src, dst int) ([]byte, time.Duration, error)
 
-	// Drop releases a block the reducer has fully decoded.
+	// Drop releases a block the reducer has fully decoded, on the
+	// transport's side and the fetcher's: the bytes Fetch returned for
+	// the key are invalid from here on.
 	Drop(src, dst int)
 
-	// Close releases the round's residual state. Blocks never dropped (an
-	// aborted stage) may survive Close; the next round uses a fresh seq.
+	// Close releases the round's residual state, the buffers of blocks
+	// fetched and never dropped among it: their bytes are invalid from
+	// here on. Blocks never dropped (an aborted stage) may survive Close
+	// on the stores' side; the next round uses a fresh seq.
 	Close() error
 }
