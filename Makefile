@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check loc cross skywayvet vet-taint sarif lint-fixtures race race-parallel verify chaos cluster-test arena-test fuzz-smoke check bench-json bench-cmp bench-gate benchmark benchmark-quick
+.PHONY: build test vet fmt-check loc cross skywayvet sarif lint-fixtures race race-parallel verify chaos cluster-test arena-test fuzz-smoke check bench-json bench-cmp bench-gate benchmark benchmark-quick
 
 build:
 	$(GO) build ./...
@@ -31,11 +31,6 @@ cross:
 
 skywayvet:
 	$(GO) run ./cmd/skywayvet ./...
-
-# Just the dataflow analyzers — the slow interprocedural pair — for the
-# dedicated CI job and for quick local iteration on decode-path changes.
-vet-taint:
-	$(GO) run ./cmd/skywayvet -run wiretaint,atomicmix ./...
 
 # Full suite as SARIF 2.1.0, for code-scanning upload.
 sarif:
@@ -85,15 +80,15 @@ cluster-test:
 # promotion-heavy variants), handle bounds/lifecycle unit tests, the
 # steady-state allocation and full-GC-scan-independence gates, the arena
 # chaos matrix, one pass of BenchmarkArrayRead (per-element and bulk reads on
-# eager, arena and promoted arrays), and a full SKYWAY_ARENA=1 sweep of the
-# core, dataflow and batch packages under the race detector with the heap
-# verifier armed — every engine block then inflates its compact segments in
+# eager, arena and promoted arrays), and the core, serial, dataflow and batch
+# packages under the race detector with the heap verifier armed — their
+# skyway-arena rows then inflate every engine block's compact segments in
 # place inside arena mappings.
 arena-test:
 	SKYWAY_VERIFY=1 $(GO) test -race ./internal/arena/
 	SKYWAY_VERIFY=1 $(GO) test -race -run 'Arena|ArrayLongs' ./internal/heap/ ./internal/core/ ./internal/fault/
 	SKYWAY_VERIFY=1 $(GO) test -race -run '^$$' -bench ArrayRead -benchtime=1x -benchmem ./internal/core/
-	SKYWAY_ARENA=1 SKYWAY_VERIFY=1 $(GO) test -race ./internal/core/ ./internal/serial/ ./internal/dataflow/ ./internal/batch/
+	SKYWAY_VERIFY=1 $(GO) test -race ./internal/core/ ./internal/serial/ ./internal/dataflow/ ./internal/batch/
 
 # Native fuzzing, smoke duration per target (override FUZZTIME for a soak).
 FUZZTIME ?= 30s

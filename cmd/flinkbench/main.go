@@ -23,14 +23,8 @@ func main() {
 		table4    = flag.Bool("table4", false, "Table 4: normalized summary (implies -fig8b)")
 		sf        = flag.Float64("sf", 1.0, "TPC-H scale factor (1.0 ≈ 60k lineitems)")
 		benchJSON = flag.String("bench-json", "", "write the benchmark trajectory (fig8b entries) to this JSON file")
-		faultSpec = flag.String("fault", "", "failpoint plan, e.g. 'core.chunk.bitflip:1in100' (grammar in internal/fault; also read from SKYWAY_FAULT)")
 	)
 	flag.Parse()
-	if *faultSpec != "" {
-		if err := fault.Configure(*faultSpec); err != nil {
-			log.Fatalf("-fault: %v", err)
-		}
-	}
 	if fault.Active() {
 		defer fault.Report(os.Stdout)
 	}

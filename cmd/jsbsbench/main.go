@@ -23,13 +23,7 @@ func main() {
 	debug.SetGCPercent(600)
 	n := flag.Int("n", 20000, "media-content graphs per run")
 	infiniband := flag.Bool("infiniband", false, "use the InfiniBand model instead of 1 GbE")
-	faultSpec := flag.String("fault", "", "failpoint plan, e.g. 'registry.exchange.dup:on' (grammar in internal/fault; also read from SKYWAY_FAULT)")
 	flag.Parse()
-	if *faultSpec != "" {
-		if err := fault.Configure(*faultSpec); err != nil {
-			log.Fatalf("-fault: %v", err)
-		}
-	}
 	if fault.Active() {
 		defer fault.Report(os.Stdout)
 	}

@@ -31,14 +31,8 @@ func main() {
 		heapMB    = flag.Int("heap", 0, "executor heap size in MB (0 = per-experiment default: 96 for the memory-pressured -fig3 motivation run, 1024 elsewhere)")
 		parallel  = flag.Int("parallel", 0, "concurrent executor tasks per stage (0/1 = sequential, -1 = one per worker)")
 		benchJSON = flag.String("bench-json", "", "write the benchmark trajectory (fig3 + fig8a entries) to this JSON file")
-		faultSpec = flag.String("fault", "", "failpoint plan, e.g. 'dataflow.fetch.torn:1in100' (grammar in internal/fault; also read from SKYWAY_FAULT)")
 	)
 	flag.Parse()
-	if *faultSpec != "" {
-		if err := fault.Configure(*faultSpec); err != nil {
-			log.Fatalf("-fault: %v", err)
-		}
-	}
 	if fault.Active() {
 		defer fault.Report(os.Stdout)
 	}

@@ -15,27 +15,27 @@ import (
 const fixtureRoot = "skyway/internal/analyzers/testdata/src/"
 
 func TestAddrArithFixture(t *testing.T) {
-	framework.RunFixture(t, analyzers.AddrArith, fixtureRoot+"addrarith")
+	runFixture(t, analyzers.AddrArith, fixtureRoot+"addrarith")
 }
 
 func TestRawSlabFixture(t *testing.T) {
-	framework.RunFixture(t, analyzers.RawSlab, fixtureRoot+"rawslab")
+	runFixture(t, analyzers.RawSlab, fixtureRoot+"rawslab")
 }
 
 func TestStaleAddrFixture(t *testing.T) {
-	framework.RunFixture(t, analyzers.StaleAddr, fixtureRoot+"staleaddr")
+	runFixture(t, analyzers.StaleAddr, fixtureRoot+"staleaddr")
 }
 
 func TestWriteBarrierFixture(t *testing.T) {
-	framework.RunFixture(t, analyzers.WriteBarrier, fixtureRoot+"writebarrier")
+	runFixture(t, analyzers.WriteBarrier, fixtureRoot+"writebarrier")
 }
 
 func TestWireTaintFixture(t *testing.T) {
-	framework.RunFixture(t, analyzers.WireTaint, fixtureRoot+"wiretaint")
+	runFixture(t, analyzers.WireTaint, fixtureRoot+"wiretaint")
 }
 
 func TestAtomicMixFixture(t *testing.T) {
-	framework.RunFixture(t, analyzers.AtomicMix, fixtureRoot+"atomicmix")
+	runFixture(t, analyzers.AtomicMix, fixtureRoot+"atomicmix")
 }
 
 // loadRepo loads the production tree — non-test files, no testdata — once

@@ -1,4 +1,4 @@
-package framework
+package analyzers_test
 
 import (
 	"fmt"
@@ -7,9 +7,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"skyway/internal/analyzers/framework"
 )
 
-// RunFixture loads the fixture package at importPath (conventionally under
+// runFixture loads the fixture package at importPath (conventionally under
 // testdata/src/), runs one analyzer over it, and checks the diagnostics
 // against the fixture's `// want` comments — the analysistest contract:
 //
@@ -19,9 +21,9 @@ import (
 // diagnostic must be claimed by a want comment, and the quoted text is a
 // regular expression matched against the diagnostic message. Both
 // backquoted and double-quoted patterns are accepted.
-func RunFixture(t *testing.T, a *Analyzer, importPath string) {
+func runFixture(t *testing.T, a *framework.Analyzer, importPath string) {
 	t.Helper()
-	pkgs, err := Load(".", importPath)
+	pkgs, err := framework.Load(".", importPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", importPath, err)
 	}
@@ -30,7 +32,7 @@ func RunFixture(t *testing.T, a *Analyzer, importPath string) {
 	}
 	pkg := pkgs[0]
 
-	findings, err := RunAll(pkgs, []*Analyzer{a})
+	findings, err := framework.RunAll(pkgs, []*framework.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, importPath, err)
 	}

@@ -33,11 +33,6 @@ var (
 	ctrPromoted  = obs.NewCounter("skyway_arena_promotions_total", "Arena object graph roots promoted into the managed heap on mutation.")
 )
 
-// Enabled reports whether the arena decode path is selected by environment
-// (the SKYWAY_ARENA knob). Codecs consult it as a default; tests flip the
-// explicit per-codec flag instead.
-func Enabled(env string) bool { return env != "" && env != "0" }
-
 // segment is one committed wire segment: size bytes of relativized object
 // images whose biased relative addresses span [startRel, startRel+size).
 type segment struct {

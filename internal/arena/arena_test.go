@@ -20,14 +20,6 @@ func stage(t *testing.T, r *Region, startRel uint64, data []byte) {
 	r.Commit(startRel, b)
 }
 
-func TestEnabled(t *testing.T) {
-	for env, want := range map[string]bool{"": false, "0": false, "1": true, "on": true} {
-		if got := Enabled(env); got != want {
-			t.Errorf("Enabled(%q) = %v, want %v", env, got, want)
-		}
-	}
-}
-
 func TestRegionResolveBounds(t *testing.T) {
 	s := NewSpace()
 	r := s.NewRegion()

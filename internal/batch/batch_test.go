@@ -12,6 +12,7 @@ import (
 	"skyway/internal/klass"
 	"skyway/internal/race"
 	"skyway/internal/registry"
+	"skyway/internal/serial"
 	tcptransport "skyway/internal/transport/tcp"
 	"skyway/internal/transport/tcp/tcptest"
 	"skyway/internal/verify"
@@ -162,10 +163,13 @@ func loadTestDB(t *testing.T, c *Cluster) *DB {
 	return db
 }
 
+// skywayNames are the Skyway serializers, one per receive path.
+var skywayNames = []string{"skyway", "skyway-arena"}
+
 // TestAllQueriesAgreeAcrossSerializers: every query answers the same under
-// the built-in serializers and Skyway, and — per serializer — the same with
-// identical exchange bytes whether the task managers run one at a time or all
-// at once.
+// the built-in serializers and both Skyway receive paths, and — per
+// serializer — the same with identical exchange bytes whether the task
+// managers run one at a time or all at once.
 func TestAllQueriesAgreeAcrossSerializers(t *testing.T) {
 	type result struct {
 		digest float64
@@ -184,7 +188,7 @@ func TestAllQueriesAgreeAcrossSerializers(t *testing.T) {
 			if bd.ShuffleBytes == 0 {
 				t.Errorf("%s/%s: no exchange volume", serializer, q)
 			}
-			// Under SKYWAY_ARENA=1 every received block was staged
+			// Under skyway-arena every received block was staged
 			// off-heap; the exchange's epoch must have retired it.
 			if n := liveArenaRegions(c); n != 0 {
 				t.Errorf("%s/%s: %d arena regions live after the query", serializer, q, n)
@@ -194,7 +198,7 @@ func TestAllQueriesAgreeAcrossSerializers(t *testing.T) {
 		return out
 	}
 	var want map[Query]result
-	for _, ser := range Serializers() {
+	for _, ser := range append([]string{"flink-builtin"}, skywayNames...) {
 		seq := runAll(ser, 1)
 		par := runAll(ser, -1)
 		if want == nil {
@@ -216,8 +220,8 @@ func TestAllQueriesAgreeAcrossSerializers(t *testing.T) {
 // netsim.LocalTransport run — a transport moves bytes, it must not change
 // them.
 func TestConformanceQueryOverTCP(t *testing.T) {
-	run := func(cfg dataflow.Config) (float64, int64) {
-		c := newTestCluster(t, cfg, "skyway")
+	run := func(serializer string, cfg dataflow.Config) (float64, int64) {
+		c := newTestCluster(t, cfg, serializer)
 		db := loadTestDB(t, c)
 		defer db.Free()
 		bd, digest, err := Run(c, QC, db)
@@ -228,10 +232,28 @@ func TestConformanceQueryOverTCP(t *testing.T) {
 	}
 	_, tr := tcptest.Start(t, 3, tcptransport.Serve, tcptransport.New)
 
-	simDigest, simBytes := run(dataflow.Config{})
-	tcpDigest, tcpBytes := run(dataflow.Config{Transport: tr})
-	if tcpDigest != simDigest || tcpBytes != simBytes || simBytes == 0 {
-		t.Fatalf("QC over tcp = (%v, %d B), over netsim = (%v, %d B)", tcpDigest, tcpBytes, simDigest, simBytes)
+	simDigest, simBytes := run("skyway", dataflow.Config{})
+	for _, ser := range skywayNames {
+		tcpDigest, tcpBytes := run(ser, dataflow.Config{Transport: tr})
+		if tcpDigest != simDigest || tcpBytes != simBytes || simBytes == 0 {
+			t.Fatalf("QC under %s over tcp = (%v, %d B), over netsim = (%v, %d B)", ser, tcpDigest, tcpBytes, simDigest, simBytes)
+		}
+	}
+}
+
+// TestNewClusterResolvesSkywayNames: a Flink cluster takes the Skyway
+// serializer names serial.ByName resolves — "skyway-arena" boots the arena
+// receive path, whose answers TestAllQueriesAgreeAcrossSerializers checks —
+// and refuses every other codec.
+func TestNewClusterResolvesSkywayNames(t *testing.T) {
+	c := newTestCluster(t, dataflow.Config{}, "skyway-arena")
+	if sky, ok := c.Codec.(*serial.SkywayCodec); !ok || !sky.Arena {
+		t.Fatalf("skyway-arena cluster exchanges with %T %+v, want the arena Skyway codec", c.Codec, c.Codec)
+	}
+	for _, name := range []string{"java", "kryo", "skyway-lazy"} {
+		if _, err := NewCluster(dataflow.Config{Workers: 1}, name); err == nil {
+			t.Errorf("NewCluster accepted serializer %q", name)
+		}
 	}
 }
 
@@ -252,7 +274,7 @@ func TestBuiltinSmallerButSlowerThanSkywayOnDeser(t *testing.T) {
 	// asserted strictly on a single run; wall-clock deserialization is
 	// noisy on shared hardware, so the timing claim takes the median
 	// sky/builtin ratio over interleaved trials with headroom, and is
-	// skipped under -short.
+	// skipped under -short. Both Skyway receive paths are held to it.
 	run := func(serializer string) (deserPerRec float64, bytes int64) {
 		c := newTestCluster(t, dataflow.Config{}, serializer)
 		db := loadTestDB(t, c)
@@ -271,9 +293,13 @@ func TestBuiltinSmallerButSlowerThanSkywayOnDeser(t *testing.T) {
 		return totalDeser / float64(totalRecs), totalBytes
 	}
 	builtinDeser, builtinBytes := run("flink-builtin")
-	skyDeser, skyBytes := run("skyway")
-	if skyBytes <= builtinBytes {
-		t.Errorf("skyway bytes (%d) not larger than builtin (%d)", skyBytes, builtinBytes)
+	skyDeser := make(map[string]float64)
+	for _, sky := range skywayNames {
+		d, n := run(sky)
+		if n <= builtinBytes {
+			t.Errorf("%s bytes (%d) not larger than builtin (%d)", sky, n, builtinBytes)
+		}
+		skyDeser[sky] = d
 	}
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
@@ -285,19 +311,21 @@ func TestBuiltinSmallerButSlowerThanSkywayOnDeser(t *testing.T) {
 		t.Skip("timing comparison skipped under the race detector")
 	}
 	const trials = 5
-	ratios := []float64{skyDeser / builtinDeser}
-	for len(ratios) < trials {
-		b, _ := run("flink-builtin")
-		s, _ := run("skyway")
-		ratios = append(ratios, s/b)
-	}
-	sort.Float64s(ratios)
-	median := ratios[len(ratios)/2]
-	// Headroom over the paper's ~0.75× effect: a median at or above 1.10×
-	// means Skyway deserialization genuinely regressed, not that the
-	// scheduler hiccuped on one trial.
-	if median >= 1.10 {
-		t.Errorf("median skyway/builtin per-record deser ratio %.3f over %d trials not below 1.10 (ratios %v)",
-			median, trials, ratios)
+	for sky, d := range skyDeser {
+		ratios := []float64{d / builtinDeser}
+		for len(ratios) < trials {
+			b, _ := run("flink-builtin")
+			s, _ := run(sky)
+			ratios = append(ratios, s/b)
+		}
+		sort.Float64s(ratios)
+		median := ratios[len(ratios)/2]
+		// Headroom over the paper's ~0.75× effect: a median at or above
+		// 1.10× means Skyway deserialization genuinely regressed, not that
+		// the scheduler hiccuped on one trial.
+		if median >= 1.10 {
+			t.Errorf("median %s/builtin per-record deser ratio %.3f over %d trials not below 1.10 (ratios %v)",
+				sky, median, trials, ratios)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"skyway/internal/dataflow"
 	"skyway/internal/datagen"
 	"skyway/internal/fault"
-	"skyway/internal/serial"
 	"skyway/internal/verify"
 )
 
@@ -49,14 +48,9 @@ func TestChaosQueries(t *testing.T) {
 	defer fault.Seed(0)
 	gen := datagen.GenTPCH(0.2, 11)
 
-	// arena forces Skyway's lazy off-heap receive path on or off (its
-	// default is the SKYWAY_ARENA knob).
-	run := func(t *testing.T, q Query, serializer string, arena bool, spec string) (float64, error) {
+	run := func(t *testing.T, q Query, serializer string, spec string) (float64, error) {
 		t.Helper()
 		c := newTestCluster(t, dataflow.Config{}, serializer)
-		if sky, ok := c.Codec.(*serial.SkywayCodec); ok {
-			sky.Arena = arena
-		}
 		db, err := Load(c, gen)
 		if err != nil {
 			t.Fatal(err)
@@ -83,29 +77,24 @@ func TestChaosQueries(t *testing.T) {
 		return errors.As(err, &abort) || errors.As(err, &de) || errors.As(err, &fe)
 	}
 
-	type variant struct {
-		name, serializer string
-		arena            bool
-	}
-	skyway := []variant{{"skyway", "skyway", false}, {"skyway-arena", "skyway", true}}
 	points := []struct {
-		name     string
-		variants []variant
+		name        string
+		serializers []string
 	}{
-		{fault.DataflowFetchTorn, skyway},
-		{fault.CoreChunkBitflip, skyway},
-		{fault.DataflowTaskDie, append([]variant{{"flink-builtin", "flink-builtin", false}}, skyway...)},
+		{fault.DataflowFetchTorn, skywayNames},
+		{fault.CoreChunkBitflip, skywayNames},
+		{fault.DataflowTaskDie, append([]string{"flink-builtin"}, skywayNames...)},
 	}
 	for _, q := range []Query{QA, QC} {
-		want, err := run(t, q, "flink-builtin", false, "")
+		want, err := run(t, q, "flink-builtin", "")
 		if err != nil {
 			t.Fatalf("fault-free %s: %v", q, err)
 		}
 		for _, p := range points {
-			for _, v := range p.variants {
+			for _, ser := range p.serializers {
 				for _, trigger := range []string{":on*times=1", ":1in3"} {
-					t.Run(string(q)+"/"+v.name+"/"+p.name+trigger, func(t *testing.T) {
-						got, err := run(t, q, v.serializer, v.arena, p.name+trigger)
+					t.Run(string(q)+"/"+ser+"/"+p.name+trigger, func(t *testing.T) {
+						got, err := run(t, q, ser, p.name+trigger)
 						switch {
 						case err == nil && got != want:
 							t.Fatalf("silent corruption: digest %v, fault-free %v", got, want)

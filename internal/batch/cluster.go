@@ -49,7 +49,9 @@ func DefaultHeap() heap.Config {
 
 // NewCluster boots the task managers as a dataflow cluster over a fresh TPC-H
 // classpath, one exchange partition per task manager, exchanging rows with
-// the named serializer. A zero cfg.Heap uses DefaultHeap.
+// the named serializer: "flink-builtin", or any name serial.ByName resolves
+// to a Skyway codec ("skyway", "skyway-arena"). A zero cfg.Heap uses
+// DefaultHeap.
 func NewCluster(cfg dataflow.Config, serializer string) (*Cluster, error) {
 	cp := klass.NewPath()
 	TPCHClasses(cp)
@@ -58,12 +60,12 @@ func NewCluster(cfg dataflow.Config, serializer string) (*Cluster, error) {
 	}
 	cfg.PartitionsPerWorker = 1
 	var codec serial.Codec // nil: a tuple codec per exchange
-	switch serializer {
-	case "flink-builtin":
-	case "skyway":
-		codec = serial.NewSkywayCodec()
-	default:
-		return nil, fmt.Errorf("batch: unknown serializer %q", serializer)
+	if serializer != "flink-builtin" {
+		c, err := serial.ByName(serializer, nil)
+		if _, skyway := c.(*serial.SkywayCodec); err != nil || !skyway {
+			return nil, fmt.Errorf("batch: unknown serializer %q", serializer)
+		}
+		codec = c
 	}
 	df, err := dataflow.NewCluster(cp, cfg, codec)
 	if err != nil {

@@ -5,9 +5,9 @@ import (
 	"skyway/internal/fault"
 )
 
-// Arena decode mode (the SKYWAY_ARENA path): received segments are staged
-// into an mmap-backed region outside the managed heap and are NEVER
-// absolutized. The linear scan still runs — every structural property a
+// Arena decode mode (WithArena, which the skyway-arena codec sets): received
+// segments are staged into an mmap-backed region outside the managed heap and
+// are NEVER absolutized. The linear scan still runs — every structural property a
 // malformed stream could abuse (type IDs, declared lengths, reference
 // shape) is validated with exactly the checks, error kinds and messages of
 // the eager path — but it commits nothing: klass words keep their global

@@ -67,7 +67,7 @@ func checkParserCopies(t *testing.T, c *Cluster, copies []heap.Addr) {
 }
 
 func TestBroadcastClosure(t *testing.T) {
-	for _, mode := range []string{"java", "skyway"} {
+	for _, mode := range []string{"java", "skyway", "skyway-arena"} {
 		t.Run(mode, func(t *testing.T) {
 			c := newClosureCluster(t, mode, Config{Workers: 3, Heap: smallHeap()})
 			copies, bd, err := broadcastParser(c)
@@ -104,7 +104,7 @@ func TestBroadcastTornFetch(t *testing.T) {
 		// count fetches in executor order.
 		return newClosureCluster(t, serializer, Config{Workers: workers, Heap: smallHeap(), ParallelTasks: 1})
 	}
-	for _, serializer := range []string{"skyway", "skyway-arena"} {
+	for _, serializer := range skywayNames {
 		t.Run(serializer, func(t *testing.T) {
 			c := boot(t, serializer, "")
 			copies, clean, err := broadcastParser(c)

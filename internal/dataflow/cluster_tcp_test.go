@@ -98,18 +98,22 @@ func tcpWordCountInput(workers int) [][]string {
 	return parts
 }
 
-// runTCPWordCount builds a Skyway-codec cluster over tr — with every
-// runtime's registry view served over real TCP when regAddr is set — and
-// runs WordCount on it.
-func runTCPWordCount(t *testing.T, workers int, tr *tcptransport.Transport, regAddr string) (metrics.Breakdown, int64, error) {
+// runTCPWordCount builds a cluster over tr running the named Skyway codec —
+// with every runtime's registry view served over real TCP when regAddr is
+// set — and runs WordCount on it.
+func runTCPWordCount(t *testing.T, name string, workers int, tr *tcptransport.Transport, regAddr string) (metrics.Breakdown, int64, error) {
 	t.Helper()
+	codec, err := serial.ByName(name, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cp := klass.NewPath()
 	WorkloadClasses(cp)
 	cfg := Config{Workers: workers, Heap: smallHeap(), Transport: tr}
 	if regAddr != "" {
 		cfg.RegistryClient = func() (registry.Client, error) { return registry.Dial(regAddr) }
 	}
-	c, err := NewCluster(cp, cfg, serial.NewSkywayCodec())
+	c, err := NewCluster(cp, cfg, codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +125,10 @@ func runTCPWordCount(t *testing.T, workers int, tr *tcptransport.Transport, regA
 // (registry daemon included); two executor block-server OS processes are
 // spawned, announce themselves over the SKYR protocol, and every shuffle
 // block crosses loopback sockets twice (map PUT to the owning executor
-// process, reduce GET back). The decoded result must be bit-identical to
-// the same job on the in-process netsim transport, and the byte accounting
-// must agree — the transport moves bytes, it must not change them.
+// process, reduce GET back). The decoded result, eager or arena, must be
+// bit-identical to the same job on the in-process netsim transport, and the
+// byte accounting must agree — the transport moves bytes, it must not change
+// them.
 func TestClusterWordCountOverTCPProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process cluster test spawns executor processes")
@@ -146,12 +151,7 @@ func TestClusterWordCountOverTCPProcesses(t *testing.T) {
 	}
 	defer tr.Close()
 
-	tcpBD, tcpTotal, err := runTCPWordCount(t, workers, tr, regAddr)
-	if err != nil {
-		t.Fatalf("WordCount over TCP executor processes: %v", err)
-	}
-
-	// Reference run: same input, same codec, in-process netsim transport.
+	// Reference run: same input, eager codec, in-process netsim transport.
 	cp := klass.NewPath()
 	WorkloadClasses(cp)
 	simC, err := NewCluster(cp, Config{Workers: workers, Heap: smallHeap()}, serial.NewSkywayCodec())
@@ -163,18 +163,27 @@ func TestClusterWordCountOverTCPProcesses(t *testing.T) {
 		t.Fatalf("netsim reference run: %v", err)
 	}
 
-	if tcpTotal != simTotal || tcpTotal == 0 {
-		t.Fatalf("digest over TCP = %d, netsim = %d (must be bit-identical and nonzero)", tcpTotal, simTotal)
-	}
-	if tcpBD.ShuffleBytes != simBD.ShuffleBytes || tcpBD.ShuffleBytes == 0 {
-		t.Fatalf("shuffle bytes over TCP = %d, netsim = %d", tcpBD.ShuffleBytes, simBD.ShuffleBytes)
-	}
-	if tcpBD.Records != simBD.Records {
-		t.Fatalf("records over TCP = %d, netsim = %d", tcpBD.Records, simBD.Records)
-	}
-	// TCP I/O charges are measured socket time: real sockets take real time.
-	if tcpBD.ReadIO <= 0 || tcpBD.WriteIO <= 0 {
-		t.Fatalf("measured TCP I/O charges ReadIO=%v WriteIO=%v, want both positive", tcpBD.ReadIO, tcpBD.WriteIO)
+	// Both receive paths over the executor processes, one cluster after
+	// the other on the same block servers.
+	for _, name := range skywayNames {
+		tcpBD, tcpTotal, err := runTCPWordCount(t, name, workers, tr, regAddr)
+		if err != nil {
+			t.Fatalf("%s WordCount over TCP executor processes: %v", name, err)
+		}
+		if tcpTotal != simTotal || tcpTotal == 0 {
+			t.Fatalf("%s digest over TCP = %d, netsim = %d (must be bit-identical and nonzero)", name, tcpTotal, simTotal)
+		}
+		if tcpBD.ShuffleBytes != simBD.ShuffleBytes || tcpBD.ShuffleBytes == 0 {
+			t.Fatalf("%s shuffle bytes over TCP = %d, netsim = %d", name, tcpBD.ShuffleBytes, simBD.ShuffleBytes)
+		}
+		if tcpBD.Records != simBD.Records {
+			t.Fatalf("%s records over TCP = %d, netsim = %d", name, tcpBD.Records, simBD.Records)
+		}
+		// TCP I/O charges are measured socket time: real sockets take real
+		// time.
+		if tcpBD.ReadIO <= 0 || tcpBD.WriteIO <= 0 {
+			t.Fatalf("%s measured TCP I/O charges ReadIO=%v WriteIO=%v, want both positive", name, tcpBD.ReadIO, tcpBD.WriteIO)
+		}
 	}
 }
 
@@ -192,22 +201,6 @@ func TestTCPChaosMatrix(t *testing.T) {
 	fault.Seed(0xC0FFEE)
 	defer fault.Seed(0)
 
-	run := func(t *testing.T, spec string) (int64, error) {
-		t.Helper()
-		if err := fault.Configure(spec); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(fault.Reset)
-		_, tr := tcptest.Start(t, workers, tcptransport.Serve, tcptransport.New)
-		_, total, err := runTCPWordCount(t, workers, tr, "")
-		return total, err
-	}
-
-	want, err := run(t, "")
-	if err != nil {
-		t.Fatalf("fault-free TCP run: %v", err)
-	}
-
 	structured := func(err error) bool {
 		if _, ok := core.AsDecodeError(err); ok {
 			return true
@@ -219,27 +212,48 @@ func TestTCPChaosMatrix(t *testing.T) {
 		var fe *fault.Error
 		return errors.As(err, &fe)
 	}
-
 	points := []string{fault.TransportDial, fault.TransportStreamTorn, fault.TransportPeerSlow}
 	modes := []struct{ name, trigger string }{
 		{"transient", ":on*times=1"},
 		{"persistent", ":1in3"},
 	}
+	run := func(t *testing.T, name, spec string) (int64, error) {
+		t.Helper()
+		if err := fault.Configure(spec); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fault.Reset)
+		_, tr := tcptest.Start(t, workers, tcptransport.Serve, tcptransport.New)
+		_, total, err := runTCPWordCount(t, name, workers, tr, "")
+		return total, err
+	}
+
+	// The fault-free digest, the same under either receive path.
+	want, err := run(t, "skyway", "")
+	if err != nil {
+		t.Fatalf("fault-free TCP run: %v", err)
+	}
+	if got, err := run(t, "skyway-arena", ""); err != nil || got != want {
+		t.Fatalf("fault-free skyway-arena TCP run = %d, %v; skyway = %d", got, err, want)
+	}
 	for _, point := range points {
 		for _, mode := range modes {
-			point, mode := point, mode
 			t.Run(point+"/"+mode.name, func(t *testing.T) {
-				got, err := run(t, point+mode.trigger)
-				if err != nil {
-					if !structured(err) {
-						t.Fatalf("unstructured failure under %s%s: %T: %v", point, mode.trigger, err, err)
-					}
-					t.Logf("%s%s: structured abort: %v", point, mode.trigger, err)
-					return
-				}
-				if got != want {
-					t.Fatalf("silent corruption: digest under %s%s = %d, fault-free = %d",
-						point, mode.trigger, got, want)
+				for _, name := range skywayNames {
+					t.Run(name, func(t *testing.T) {
+						got, err := run(t, name, point+mode.trigger)
+						if err != nil {
+							if !structured(err) {
+								t.Fatalf("unstructured failure under %s%s: %T: %v", point, mode.trigger, err, err)
+							}
+							t.Logf("%s%s: structured abort: %v", point, mode.trigger, err)
+							return
+						}
+						if got != want {
+							t.Fatalf("silent corruption: digest under %s%s = %d, fault-free = %d",
+								point, mode.trigger, got, want)
+						}
+					})
 				}
 			})
 		}
@@ -253,35 +267,39 @@ func TestTCPChaosMatrix(t *testing.T) {
 // are now priced into FetchCost, so the run that re-fetched must charge
 // strictly more read I/O than the clean run.
 func TestRetriedFetchChargedInReadIO(t *testing.T) {
-	run := func(t *testing.T, spec string) metrics.Breakdown {
-		t.Helper()
-		if err := fault.Configure(spec); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(fault.Reset)
-		c := newSkywayCluster(t)
-		lines := datagen.TextSpec{Lines: 600, WordsPerLine: 8, Vocabulary: 200, Seed: 11}.Generate()
-		bd, _, err := RunWordCount(c, [][]string{lines[:200], lines[200:400], lines[400:]})
-		if err != nil {
-			t.Fatalf("run under %q: %v", spec, err)
-		}
-		return bd
-	}
+	for _, name := range skywayNames {
+		t.Run(name, func(t *testing.T) {
+			run := func(t *testing.T, spec string) metrics.Breakdown {
+				t.Helper()
+				if err := fault.Configure(spec); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(fault.Reset)
+				c := newSkywayCluster(t, name)
+				lines := datagen.TextSpec{Lines: 600, WordsPerLine: 8, Vocabulary: 200, Seed: 11}.Generate()
+				bd, _, err := RunWordCount(c, [][]string{lines[:200], lines[200:400], lines[400:]})
+				if err != nil {
+					t.Fatalf("run under %q: %v", spec, err)
+				}
+				return bd
+			}
 
-	clean := run(t, "")
-	retried := run(t, fault.DataflowFetchTorn+":on*times=1")
-	if fault.Fired(fault.DataflowFetchTorn) != 1 {
-		t.Fatalf("torn failpoint fired %d times, want 1", fault.Fired(fault.DataflowFetchTorn))
-	}
-	if retried.ReadIO <= clean.ReadIO {
-		t.Fatalf("ReadIO with one re-fetch = %v, fault-free = %v; the retried fetch's I/O is not being charged",
-			retried.ReadIO, clean.ReadIO)
-	}
-	// The retry must not leak into any other component: the job decoded the
-	// same records and shuffled the same bytes.
-	if retried.ShuffleBytes != clean.ShuffleBytes || retried.Records != clean.Records {
-		t.Fatalf("retry changed byte accounting: shuffle %d vs %d, records %d vs %d",
-			retried.ShuffleBytes, clean.ShuffleBytes, retried.Records, clean.Records)
+			clean := run(t, "")
+			retried := run(t, fault.DataflowFetchTorn+":on*times=1")
+			if fault.Fired(fault.DataflowFetchTorn) != 1 {
+				t.Fatalf("torn failpoint fired %d times, want 1", fault.Fired(fault.DataflowFetchTorn))
+			}
+			if retried.ReadIO <= clean.ReadIO {
+				t.Fatalf("ReadIO with one re-fetch = %v, fault-free = %v; the retried fetch's I/O is not being charged",
+					retried.ReadIO, clean.ReadIO)
+			}
+			// The retry must not leak into any other component: the job
+			// decoded the same records and shuffled the same bytes.
+			if retried.ShuffleBytes != clean.ShuffleBytes || retried.Records != clean.Records {
+				t.Fatalf("retry changed byte accounting: shuffle %d vs %d, records %d vs %d",
+					retried.ShuffleBytes, clean.ShuffleBytes, retried.Records, clean.Records)
+			}
+		})
 	}
 }
 
@@ -290,20 +308,24 @@ func TestRetriedFetchChargedInReadIO(t *testing.T) {
 // executor drops its block once decoded — no server is left holding the
 // payload.
 func TestBroadcastOverTCPDropsBlocks(t *testing.T) {
-	const workers = 3
-	srvs, tr := tcptest.Start(t, workers, tcptransport.Serve, tcptransport.New)
-	c := newClosureCluster(t, "skyway", Config{Workers: workers, Heap: smallHeap(), Transport: tr})
-	copies, bd, err := broadcastParser(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkParserCopies(t, c, copies)
-	if bd.WriteIO <= 0 || bd.ReadIO <= 0 {
-		t.Errorf("measured TCP I/O charges WriteIO=%v ReadIO=%v, want both positive", bd.WriteIO, bd.ReadIO)
-	}
-	for i, srv := range srvs {
-		if n := srv.Stored(); n != 0 {
-			t.Errorf("block server %d still holds %d blocks after the broadcast", i, n)
-		}
+	for _, name := range skywayNames {
+		t.Run(name, func(t *testing.T) {
+			const workers = 3
+			srvs, tr := tcptest.Start(t, workers, tcptransport.Serve, tcptransport.New)
+			c := newClosureCluster(t, name, Config{Workers: workers, Heap: smallHeap(), Transport: tr})
+			copies, bd, err := broadcastParser(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkParserCopies(t, c, copies)
+			if bd.WriteIO <= 0 || bd.ReadIO <= 0 {
+				t.Errorf("measured TCP I/O charges WriteIO=%v ReadIO=%v, want both positive", bd.WriteIO, bd.ReadIO)
+			}
+			for i, srv := range srvs {
+				if n := srv.Stored(); n != 0 {
+					t.Errorf("block server %d still holds %d blocks after the broadcast", i, n)
+				}
+			}
+		})
 	}
 }

@@ -33,9 +33,10 @@ func newTestCluster(t *testing.T, codec serial.Codec, cp *klass.Path) *Cluster {
 func testCodecs(t *testing.T, cp *klass.Path) map[string]func(*Cluster) serial.Codec {
 	t.Helper()
 	return map[string]func(*Cluster) serial.Codec{
-		"java":   func(*Cluster) serial.Codec { return serial.JavaCodec() },
-		"kryo":   func(*Cluster) serial.Codec { return serial.KryoCodec(WorkloadRegistration()) },
-		"skyway": func(*Cluster) serial.Codec { return serial.NewSkywayCodec() },
+		"java":         func(*Cluster) serial.Codec { return serial.JavaCodec() },
+		"kryo":         func(*Cluster) serial.Codec { return serial.KryoCodec(WorkloadRegistration()) },
+		"skyway":       func(*Cluster) serial.Codec { return serial.NewSkywayCodec() },
+		"skyway-arena": func(*Cluster) serial.Codec { return &serial.SkywayCodec{Arena: true} },
 	}
 }
 

@@ -30,12 +30,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	parts := [][]string{lines[:200], lines[200:400], lines[400:600], lines[600:]}
 	g := datagen.GraphSpec{Name: "par", Vertices: 1200, AvgDegree: 6, Seed: 17}.Generate()
 
-	codecs := map[string]func(c *Cluster) serial.Codec{
-		"java":   func(*Cluster) serial.Codec { return serial.JavaCodec() },
-		"kryo":   func(*Cluster) serial.Codec { return serial.KryoCodec(WorkloadRegistration()) },
-		"skyway": func(*Cluster) serial.Codec { return serial.NewSkywayCodec() },
-	}
-	for name, mk := range codecs {
+	for name, mk := range testCodecs(t, nil) {
 		t.Run(name, func(t *testing.T) {
 			run := func(parallel int) (int64, float64) {
 				c := newParallelCluster(t, Config{Workers: 4, ParallelTasks: parallel})
@@ -87,88 +82,92 @@ func TestParallelMatchesSequential(t *testing.T) {
 // baddr word — the others must take the §4.2 hash-table fallback, observable
 // via OverflowHits.
 func TestParallelConcurrentSendersShareHeap(t *testing.T) {
-	c := newParallelCluster(t, Config{
-		Workers:             4,
-		PartitionsPerWorker: 4, // 16 partitions: several blocks per sender slot
-		ParallelTasks:       4,
-	})
-	c.concurrentSenders = 4
-	codec := serial.NewSkywayCodec()
-	c.Codec = codec
+	for _, codec := range []*serial.SkywayCodec{serial.NewSkywayCodec(), {Arena: true}} {
+		t.Run(codec.Name(), func(t *testing.T) {
+			c := newParallelCluster(t, Config{
+				Workers:             4,
+				PartitionsPerWorker: 4, // 16 partitions: several blocks per sender slot
+				ParallelTasks:       4,
+			})
+			c.concurrentSenders = 4
+			c.Codec = codec
 
-	const cells = 64
-	var wantSum int64
-	for i := 0; i < cells; i++ {
-		wantSum += int64(i)
-	}
-
-	p := c.NumPartitions()
-	var got [4]int64
-	spec := ShuffleSpec{
-		Produce: func(ex *Executor, emit Emit) error {
-			mk := ex.RT.MustLoad(AdjMsgClass)
-			arrK := ex.RT.MustLoad("long[]")
-			arr, err := ex.RT.NewArray(arrK, cells)
-			if err != nil {
-				return err
-			}
-			ah := ex.RT.Pin(arr)
-			defer ah.Release()
+			const cells = 64
+			var wantSum int64
 			for i := 0; i < cells; i++ {
-				ex.RT.ArraySetLong(ah.Addr(), i, int64(i))
+				wantSum += int64(i)
 			}
-			// One record per partition, every record referencing the one
-			// shared array: blocks encoded by different sender goroutines
-			// collide on its baddr claim.
-			for dst := 0; dst < p; dst++ {
-				msg, err := ex.RT.New(mk)
-				if err != nil {
-					return err
-				}
-				ex.RT.SetLong(msg, mk.FieldByName("src"), int64(ex.ID))
-				ex.RT.SetLong(msg, mk.FieldByName("dst"), int64(dst))
-				ex.RT.SetRef(msg, mk.FieldByName("neighbors"), ah.Addr())
-				emit(dst, uint64(dst), msg)
+
+			p := c.NumPartitions()
+			var got [4]int64
+			spec := ShuffleSpec{
+				Produce: func(ex *Executor, emit Emit) error {
+					mk := ex.RT.MustLoad(AdjMsgClass)
+					arrK := ex.RT.MustLoad("long[]")
+					arr, err := ex.RT.NewArray(arrK, cells)
+					if err != nil {
+						return err
+					}
+					ah := ex.RT.Pin(arr)
+					defer ah.Release()
+					for i := 0; i < cells; i++ {
+						ex.RT.ArraySetLong(ah.Addr(), i, int64(i))
+					}
+					// One record per partition, every record referencing the one
+					// shared array: blocks encoded by different sender goroutines
+					// collide on its baddr claim.
+					for dst := 0; dst < p; dst++ {
+						msg, err := ex.RT.New(mk)
+						if err != nil {
+							return err
+						}
+						ex.RT.SetLong(msg, mk.FieldByName("src"), int64(ex.ID))
+						ex.RT.SetLong(msg, mk.FieldByName("dst"), int64(dst))
+						ex.RT.SetRef(msg, mk.FieldByName("neighbors"), ah.Addr())
+						emit(dst, uint64(dst), msg)
+					}
+					return nil
+				},
+				Consume: func(ex *Executor, recs []heap.Addr) error {
+					mk := ex.RT.MustLoad(AdjMsgClass)
+					nF := mk.FieldByName("neighbors")
+					var sum int64
+					for _, r := range recs {
+						arr := ex.RT.GetRef(r, nF)
+						n := ex.RT.ArrayLen(arr)
+						for i := 0; i < n; i++ {
+							sum += ex.RT.ArrayGetLong(arr, i)
+						}
+					}
+					got[ex.ID] = sum
+					return nil
+				},
 			}
-			return nil
-		},
-		Consume: func(ex *Executor, recs []heap.Addr) error {
-			mk := ex.RT.MustLoad(AdjMsgClass)
-			nF := mk.FieldByName("neighbors")
-			var sum int64
-			for _, r := range recs {
-				arr := ex.RT.GetRef(r, nF)
-				n := ex.RT.ArrayLen(arr)
-				for i := 0; i < n; i++ {
-					sum += ex.RT.ArrayGetLong(arr, i)
-				}
+			bd, err := c.RunShuffle(spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got[ex.ID] = sum
-			return nil
-		},
-	}
-	bd, err := c.RunShuffle(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each executor sent p records, each dragging a full copy of the shared
-	// array; each executor receives PartitionsPerWorker × Workers records.
-	var total int64
-	for _, s := range got {
-		total += s
-	}
-	if want := wantSum * int64(p) * int64(c.Workers()); total != want {
-		t.Errorf("received payload sum %d, want %d", total, want)
-	}
-	if bd.Records != int64(p*c.Workers()) {
-		t.Errorf("records = %d, want %d", bd.Records, p*c.Workers())
-	}
-	var overflow uint64
-	for _, ex := range c.Execs {
-		overflow += codec.ServiceFor(ex.RT).Snapshot().OverflowHits
-	}
-	if overflow == 0 {
-		t.Error("no overflow-table hits: concurrent sender streams never collided on a shared object")
+			// Each executor sent p records, each dragging a full copy of the
+			// shared array; each executor receives PartitionsPerWorker ×
+			// Workers records.
+			var total int64
+			for _, s := range got {
+				total += s
+			}
+			if want := wantSum * int64(p) * int64(c.Workers()); total != want {
+				t.Errorf("received payload sum %d, want %d", total, want)
+			}
+			if bd.Records != int64(p*c.Workers()) {
+				t.Errorf("records = %d, want %d", bd.Records, p*c.Workers())
+			}
+			var overflow uint64
+			for _, ex := range c.Execs {
+				overflow += codec.ServiceFor(ex.RT).Snapshot().OverflowHits
+			}
+			if overflow == 0 {
+				t.Error("no overflow-table hits: concurrent sender streams never collided on a shared object")
+			}
+		})
 	}
 }
 

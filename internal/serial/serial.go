@@ -31,19 +31,21 @@ type Codec interface {
 
 // ByName builds the codec a serializer name selects — the one name → codec
 // table the engines, experiments and examples share. reg is the Kryo
-// registration table (only "kryo" reads it). "skyway" follows the
-// SKYWAY_ARENA default for its receive path; "skyway-arena" forces it on. The
-// two write the same wire.
+// registration table: only "kryo" reads it, and refuses a nil one (a caller
+// that has no table cannot name Kryo). "skyway" decodes eagerly into
+// the managed heap, "skyway-arena" onto the off-heap arena; the two write the
+// same wire.
 func ByName(name string, reg *Registration) (Codec, error) {
 	switch name {
 	case "java":
 		return JavaCodec(), nil
 	case "kryo":
+		if reg == nil {
+			return nil, fmt.Errorf("serial: kryo needs a registration table")
+		}
 		return KryoCodec(reg), nil
 	case "skyway", "skyway-arena":
-		c := NewSkywayCodec()
-		c.Arena = c.Arena || name == "skyway-arena"
-		return c, nil
+		return &SkywayCodec{Arena: name == "skyway-arena"}, nil
 	}
 	return nil, fmt.Errorf("serial: unknown serializer %q", name)
 }

@@ -360,31 +360,75 @@ func TestPrimitiveWidthsQuick(t *testing.T) {
 func TestSkywayCodecAdapter(t *testing.T) {
 	snd, rcv := testPair(t)
 	c := NewSkywayCodec(snd, rcv)
-	m := buildMedia(t, snd, "adapter", 640, 480)
+	mk := rcv.MustLoad("Media")
+	for _, sc := range []*SkywayCodec{c, {Arena: true}} {
+		m := buildMedia(t, snd, "adapter", 640, 480)
+		var buf bytes.Buffer
+		enc := sc.NewEncoder(snd, &buf)
+		if err := enc.Write(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		dec := sc.NewDecoder(rcv, &buf)
+		got, err := dec.Read()
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name(), err)
+		}
+		if rcv.GetInt(got, mk.FieldByName("width")) != 640 {
+			t.Errorf("%s: adapter round trip corrupted data", sc.Name())
+		}
+		if _, err := dec.Read(); err != io.EOF {
+			t.Errorf("%s: want EOF, got %v", sc.Name(), err)
+		}
+	}
+	snd.ShuffleStart()
+	if c.ServiceFor(snd).Phase() != 2 {
+		t.Error("the codec's service does not see the runtime's phase")
+	}
+}
 
+// TestSkywayNameIgnoresEnvironment: the serializer name alone picks the
+// receive path. SKYWAY_ARENA once switched "skyway" onto the arena; set now,
+// it leaves the codec eager and every decoded root a managed address.
+func TestSkywayNameIgnoresEnvironment(t *testing.T) {
+	t.Setenv("SKYWAY_ARENA", "1")
+	c, err := ByName("skyway", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Name() != "skyway" {
+		t.Fatalf("ByName(\"skyway\") is named %q", c.Name())
+	}
+	snd, rcv := testPair(t)
+	a := snd.Pin(buildMedia(t, snd, "eager-a", 320, 200))
+	defer a.Release()
+	b := snd.Pin(buildMedia(t, snd, "eager-b", 640, 480))
+	defer b.Release()
 	var buf bytes.Buffer
 	enc := c.NewEncoder(snd, &buf)
-	if err := enc.Write(m); err != nil {
+	if err := enc.WriteBatch([]heap.Addr{a.Addr(), b.Addr()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	dec := c.NewDecoder(rcv, &buf)
-	got, err := dec.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := rcv.MustLoad("Media")
-	if rcv.GetInt(got, mk.FieldByName("width")) != 640 {
-		t.Error("adapter round trip corrupted data")
-	}
-	if _, err := dec.Read(); err != io.EOF {
-		t.Errorf("want EOF, got %v", err)
-	}
-	snd.ShuffleStart()
-	if c.ServiceFor(snd).Phase() != 2 {
-		t.Error("the codec's service does not see the runtime's phase")
+	for i := 0; ; i++ {
+		got, err := dec.Read()
+		if err == io.EOF {
+			if i != 2 {
+				t.Fatalf("decoded %d roots, want 2", i)
+			}
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if heap.IsArenaAddr(got) {
+			t.Errorf("root %d decoded to arena address %#x; want a managed one", i, uint64(got))
+		}
 	}
 }
 
@@ -448,9 +492,10 @@ func TestTransientFieldSemantics(t *testing.T) {
 	defer oh.Release()
 
 	codecs := map[string]Codec{
-		"java":   JavaCodec(),
-		"kryo":   KryoCodec(NewRegistration("Conn")),
-		"skyway": NewSkywayCodec(snd, rcv),
+		"java":         JavaCodec(),
+		"kryo":         KryoCodec(NewRegistration("Conn")),
+		"skyway":       NewSkywayCodec(snd, rcv),
+		"skyway-arena": &SkywayCodec{Arena: true},
 	}
 	for name, c := range codecs {
 		var buf bytes.Buffer
@@ -468,9 +513,9 @@ func TestTransientFieldSemantics(t *testing.T) {
 			t.Errorf("%s: persistent field lost", name)
 		}
 		fd := rcv.GetLong(got, rck.FieldByName("fd"))
-		if name == "skyway" {
+		if _, skyway := c.(*SkywayCodec); skyway {
 			if fd != 42 {
-				t.Errorf("skyway did not ship the transient field (whole-object copy): fd=%d", fd)
+				t.Errorf("%s did not ship the transient field (whole-object copy): fd=%d", name, fd)
 			}
 		} else if fd != 0 {
 			t.Errorf("%s serialized a transient field: fd=%d", name, fd)

@@ -2,7 +2,6 @@ package serial
 
 import (
 	"io"
-	"os"
 
 	"skyway/internal/arena"
 	"skyway/internal/core"
@@ -23,17 +22,16 @@ type SkywayCodec struct {
 	// Arena switches decoders to the off-heap arena path: received
 	// segments stay relativized outside the managed heap and absolutize
 	// lazily on first mutation. The wire format is unchanged — Arena is a
-	// pure receiver-side policy. Defaults to the SKYWAY_ARENA environment
-	// knob.
+	// pure receiver-side policy, chosen by the caller (the "skyway-arena"
+	// serializer name sets it).
 	Arena bool
 }
 
-// NewSkywayCodec builds the adapter. The codec holds no per-runtime state —
-// phase, stream IDs and statistics are the runtime's — so the runtimes it
-// will serve need not be listed; the parameter remains for callers that do.
-func NewSkywayCodec(...*vm.Runtime) *SkywayCodec {
-	return &SkywayCodec{Arena: arena.Enabled(os.Getenv("SKYWAY_ARENA"))}
-}
+// NewSkywayCodec builds the adapter on the eager receive path. The codec
+// holds no per-runtime state — phase, stream IDs and statistics are the
+// runtime's — so the runtimes it will serve need not be listed; the parameter
+// remains for callers that do.
+func NewSkywayCodec(...*vm.Runtime) *SkywayCodec { return &SkywayCodec{} }
 
 // ServiceFor returns a Skyway service for rt.
 func (c *SkywayCodec) ServiceFor(rt *vm.Runtime) *core.Skyway { return core.New(rt) }
