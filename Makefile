@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check loc cross skywayvet sarif lint-fixtures race race-parallel verify chaos cluster-test arena-test fuzz-smoke check bench-json bench-cmp bench-gate benchmark benchmark-quick
+.PHONY: build test vet fmt-check loc cross skywayvet sarif race race-parallel verify chaos cluster-test arena-test fuzz-smoke check bench-json bench-cmp bench-gate benchmark benchmark-quick
 
 build:
 	$(GO) build ./...
@@ -36,11 +36,6 @@ skywayvet:
 sarif:
 	$(GO) run ./cmd/skywayvet -sarif ./... > skywayvet.sarif || true
 
-# Run each analyzer against its testdata fixture package standalone: the
-# fixture `// want` expectations are the analyzers' behavioural contract.
-lint-fixtures:
-	$(GO) test -run 'Test.*Fixture' ./internal/analyzers/
-
 race:
 	$(GO) test -race ./...
 
@@ -66,13 +61,14 @@ chaos:
 # driver (registry daemon included) and spawns executor block-server
 # processes via its re-exec trampoline; every shuffle block crosses real
 # sockets twice. Includes the transport conformance suite (a Flink query
-# among its inputs), the TCP chaos matrix, the block servers' buffer
+# among its inputs), the TCP chaos matrix (no block left on any server after
+# a successful job), the block servers' buffer
 # recycling (a block damaged while parked, a dropped block a GET still
 # sends from, replace-while-fetch), the block path's allocation gate (which
 # skips itself under -race), and the framed-connection and
 # registry-protocol tests both conversations run on.
 cluster-test:
-	$(GO) test -race -run 'TestClusterWordCountOverTCPProcesses|TestTCPChaosMatrix|TestBroadcastOverTCP|TestConformance|TestTornStream|TestTornStoredBlock|TestDroppedBlockWaits|TestReplaceAndFetch|TestWarmBlockExchange|TestSlowPeer|TestDialFailpoint|TestPooled|TestBadRequest' \
+	$(GO) test -race -run 'TestClusterWordCountOverTCPProcesses|TestTCPChaosMatrix|TestConformance|TestTornStream|TestTornStoredBlock|TestDroppedBlockWaits|TestReplaceAndFetch|TestWarmBlockExchange|TestSlowPeer|TestDialFailpoint|TestPooled|TestBadRequest' \
 		./internal/dataflow/ ./internal/batch/ ./internal/transport/ ./internal/transport/tcp/
 	$(GO) test -race ./internal/framed/ ./internal/registry/
 

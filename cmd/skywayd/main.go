@@ -103,7 +103,7 @@ func main() {
 
 // runExecutor is skywayd's -executor mode: a block server process that joins
 // the cluster by announcing its bound address in the registry and serves
-// shuffle/broadcast blocks until interrupted.
+// shuffle blocks until interrupted.
 func runExecutor(id int, registryAddr, listenAddr string) {
 	ex, err := transporttcp.StartExecutor(id, registryAddr, listenAddr)
 	if err != nil {

@@ -8,12 +8,8 @@
 //
 // Lifecycle: a region is created per decoder stream, accumulates the
 // stream's segments, and is reclaimed as a unit. The decoder owns it and
-// releases it in Free, with a stage-epoch backstop: internal/dataflow binds
-// shuffle-stage regions to the shuffle sequence number and retires them
-// when the stage retires, so a leaked decoder cannot pin a region forever.
-// Regions never bound to a stage (broadcast streams, whose decoded records
-// stay live for the whole job) are exempt from the backstop and live until
-// their decoder is freed.
+// releases it in Free, the one reclamation rule (§3.2): the framework frees
+// a received block when the task that fetched it is done with it.
 package arena
 
 import (
@@ -47,8 +43,8 @@ type segment struct {
 // The read path (Tail, PromotedAddr) sits under every field access of an
 // arena-resident object, so it must not take locks: the segment table and
 // the promotion map are published copy-on-write through atomic pointers,
-// and mu only serializes the writers (Commit, SetPromoted, BindEpoch,
-// retire) that build the next copy.
+// and mu only serializes the writers (Commit, SetPromoted, retire) that
+// build the next copy.
 type Region struct {
 	id    uint32
 	space *Space
@@ -65,10 +61,6 @@ type Region struct {
 
 	mu    sync.Mutex
 	bytes uint64 // guarded by mu
-	// epoch is the shuffle sequence number this region was bound to, or 0
-	// for unbound (broadcast) regions exempt from the stage backstop.
-	// Guarded by mu.
-	epoch uint64
 
 	retired atomic.Bool
 }
@@ -214,17 +206,8 @@ func (r *Region) Promotions() int {
 	return 0
 }
 
-// BindEpoch ties the region to a shuffle stage sequence number, making it
-// eligible for the stage-retirement backstop. Broadcast regions are never
-// bound.
-func (r *Region) BindEpoch(epoch uint64) {
-	r.mu.Lock()
-	r.epoch = epoch
-	r.mu.Unlock()
-}
-
-// Release reclaims the region: its owner's Free, the stage-epoch backstop
-// and the fault injector's premature-free hook all end here, and only the
+// Release reclaims the region: its owner's Free and the fault injector's
+// premature-free hook both end here, and only the
 // first call does anything. Its mappings go back to the pool, inaccessible.
 // Subsequent handle reads panic loudly instead of reading freed memory.
 func (r *Region) Release() {
@@ -245,7 +228,7 @@ func (r *Region) Release() {
 	for _, s := range segs {
 		mappings.Put(s.b)
 	}
-	// Promoted copies die with the region: by the time a stage retires it,
+	// Promoted copies die with the region: by the time its owner frees it,
 	// the consuming workload has copied out whatever it keeps.
 	for _, p := range promoted {
 		if p.free != nil {
@@ -311,7 +294,7 @@ func (s *Space) Region(id uint32) *Region {
 }
 
 // MustRegion is Region for callers holding a tagged address: a missing
-// region means the handle outlived its stage, and reading through it must
+// region means the handle outlived its decoder, and reading through it must
 // fail loudly.
 func (s *Space) MustRegion(id uint32) *Region {
 	if r := s.Region(id); r != nil {
@@ -332,25 +315,6 @@ func (s *Space) Bytes() uint64 {
 // Regions returns the number of live regions.
 func (s *Space) Regions() int {
 	return len(*s.regions.Load())
-}
-
-// RetireThrough retires every region bound to a stage epoch <= epoch.
-// Unbound regions (broadcast) are untouched. This is the reclamation edge
-// the paper ties to explicit buffer management (§3.2): when a shuffle stage
-// retires, the whole region goes at once, no per-object work.
-func (s *Space) RetireThrough(epoch uint64) {
-	var doomed []*Region
-	for _, r := range *s.regions.Load() {
-		r.mu.Lock()
-		bound := r.epoch != 0 && r.epoch <= epoch
-		r.mu.Unlock()
-		if bound {
-			doomed = append(doomed, r)
-		}
-	}
-	for _, r := range doomed {
-		r.Release()
-	}
 }
 
 func (s *Space) drop(id uint32) {

@@ -91,29 +91,6 @@ func TestRegionRefcountAndRetire(t *testing.T) {
 	r.Tail(8)
 }
 
-func TestRetireThroughSkipsUnboundRegions(t *testing.T) {
-	s := NewSpace()
-	bound := s.NewRegion()
-	late := s.NewRegion()
-	broadcast := s.NewRegion()
-	bound.BindEpoch(3)
-	late.BindEpoch(7)
-	// broadcast stays at epoch 0: exempt from the stage backstop.
-
-	s.RetireThrough(5)
-	if !bound.Retired() {
-		t.Error("region bound to epoch 3 survived RetireThrough(5)")
-	}
-	if late.Retired() {
-		t.Error("region bound to epoch 7 retired by RetireThrough(5)")
-	}
-	if broadcast.Retired() {
-		t.Error("unbound broadcast region retired by the stage backstop")
-	}
-	late.Release()
-	broadcast.Release()
-}
-
 func TestSetPromotedFirstWins(t *testing.T) {
 	s := NewSpace()
 	r := s.NewRegion()

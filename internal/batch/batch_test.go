@@ -189,7 +189,7 @@ func TestAllQueriesAgreeAcrossSerializers(t *testing.T) {
 				t.Errorf("%s/%s: no exchange volume", serializer, q)
 			}
 			// Under skyway-arena every received block was staged
-			// off-heap; the exchange's epoch must have retired it.
+			// off-heap; the reduce task that fetched it must have freed it.
 			if n := liveArenaRegions(c); n != 0 {
 				t.Errorf("%s/%s: %d arena regions live after the query", serializer, q, n)
 			}

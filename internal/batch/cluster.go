@@ -5,9 +5,10 @@
 // per exchanged tuple type with lazy deserialization that materializes only
 // the fields downstream operators touch (tuplecodec.go). The deployment
 // itself — runtimes, registry, scheduler, transport, degradation ladder,
-// arena epochs, accounting — is a dataflow.Cluster: a hash exchange is one
-// dataflow shuffle, and Skyway plugs into it exactly as it does for Spark,
-// through the cluster codec and the shuffleStart mark.
+// accounting — is a dataflow.Cluster: a hash exchange is one dataflow
+// shuffle, whose reduce tasks free every block they fetched, and Skyway
+// plugs into it exactly as it does for Spark, through the cluster codec and
+// the shuffleStart mark.
 package batch
 
 import (

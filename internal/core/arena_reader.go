@@ -28,14 +28,13 @@ func WithArena() ReaderOption {
 }
 
 // ArenaRegion returns the reader's arena region (nil before the first
-// segment, or on a non-arena reader). The dataflow layer uses it to bind
-// shuffle-stage regions to their stage epoch for wholesale reclamation.
+// segment, or on a non-arena reader). Free releases it.
 func (rd *Reader) ArenaRegion() *arena.Region { return rd.region }
 
 // arenaRegion returns the reader's region, creating it on first use, and
 // refuses to touch a region that was retired out from under the stream
-// (the arena.region.premature-free failpoint, or a stage-epoch backstop
-// firing early): that must surface as a structured resource error, never
+// (the arena.region.premature-free failpoint, or any Release before the
+// owner's Free): that must surface as a structured resource error, never
 // as a read of unmapped memory.
 func (rd *Reader) arenaRegion() (*arena.Region, error) {
 	if rd.region == nil {

@@ -257,8 +257,8 @@ func TestArenaFreeRetiresRegion(t *testing.T) {
 }
 
 // TestArenaUseAfterRetirePanics is the lifecycle regression test: reading
-// through a tagged handle whose region was force-retired (the stage-epoch
-// backstop firing while someone still holds a record) must panic loudly
+// through a tagged handle whose region was force-retired (a Release before
+// the owner is done with the record) must panic loudly
 // naming the retired region — never touch unmapped memory, never return
 // stale bytes. The bulk array read resolves once and then copies out of the
 // mapping, so it is held to the same rule as a field read.

@@ -68,7 +68,7 @@ type Config struct {
 	// of the partition count.
 	PartitionsPerWorker int
 	// ParallelTasks caps how many executor tasks run concurrently per
-	// stage (map side, reduce side, Compute, Broadcast receive). 0 or 1
+	// stage (map side, reduce side, Compute). 0 or 1
 	// preserves the historical sequential execution; values above the
 	// worker count are clamped to it; negative means one goroutine per
 	// executor. When zero, the SKYWAY_PARALLEL environment variable (an
@@ -90,8 +90,8 @@ type Cluster struct {
 	// Codec is the active data serializer (spark.serializer).
 	Codec serial.Codec
 
-	// Transport is the byte-moving layer every block — shuffle or
-	// broadcast — travels through (netsim.LocalTransport by default).
+	// Transport is the byte-moving layer every shuffle block travels
+	// through (netsim.LocalTransport by default).
 	Transport transport.Transport
 
 	// PeakHeap tracks the maximum per-executor heap usage, sampled at
@@ -99,17 +99,13 @@ type Cluster struct {
 	// Guarded by peakMu; read it only after a run returns.
 	PeakHeap uint64
 
-	// shuffleSeq numbers transport rounds, shuffles and broadcasts alike,
-	// so a transport with persistent storage never confuses two rounds'
-	// blocks.
+	// shuffleSeq numbers shuffle rounds, so a transport with persistent
+	// storage never confuses two rounds' blocks.
 	shuffleSeq int
 
 	partitionsPerWorker int
 	parallelTasks       int
-	// concurrentSenders overrides senderSlots' rule when nonzero; only
-	// tests set it.
-	concurrentSenders int
-	peakMu            sync.Mutex
+	peakMu              sync.Mutex
 
 	// excluded tracks map-side peers the reduce degradation ladder gave up
 	// on (see faults.go); guarded by excludedMu.
@@ -125,8 +121,8 @@ type Executor struct {
 	// The shuffle's record buffer. It belongs to the executor, not the task,
 	// so every slice below keeps its capacity across rounds and rounds 2+ of
 	// an iterative job grow nothing. Stages are barriers and an executor runs
-	// one task at a time, so the map task, the reduce task and a broadcast
-	// receive take turns with it; each leaves recs empty.
+	// one task at a time, so the map task and the reduce task take turns
+	// with it; each leaves recs empty.
 	recs     *gc.Roots      // the running task's records, one root slot each
 	out      [][]outRecord  // map side: (key, slot) per partition
 	sortTmp  []outRecord    // sortByKey's second buffer
@@ -256,26 +252,11 @@ func (c *Cluster) taskSlots() int {
 // concurrency-safe (serial.ConcurrentCodec), else 1; bounded by the block
 // count.
 func (c *Cluster) senderSlots(blocks int) int {
-	n := c.concurrentSenders
-	if n == 0 {
-		if c.Parallel() {
-			n = 2
-		} else {
-			n = 1
-		}
+	n := 1
+	if cc, ok := c.Codec.(serial.ConcurrentCodec); ok && cc.ConcurrentEncoders() && c.Parallel() {
+		n = 2
 	}
-	if n > 1 {
-		if cc, ok := c.Codec.(serial.ConcurrentCodec); !ok || !cc.ConcurrentEncoders() {
-			n = 1
-		}
-	}
-	if n > blocks {
-		n = blocks
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, min(n, blocks))
 }
 
 // NumPartitions returns the shuffle partition count.

@@ -192,7 +192,8 @@ func TestClusterWordCountOverTCPProcesses(t *testing.T) {
 // transport failpoint, transient and persistent. The chaos invariant is the
 // same closed set the netsim matrix enforces: a digest bit-identical to the
 // fault-free run, or a structured error — never a panic, never a wrong
-// answer.
+// answer. A job that succeeds leaves no block on any server: every reducer
+// dropped each block it decoded.
 func TestTCPChaosMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix is not a -short test")
@@ -223,8 +224,15 @@ func TestTCPChaosMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(fault.Reset)
-		_, tr := tcptest.Start(t, workers, tcptransport.Serve, tcptransport.New)
+		srvs, tr := tcptest.Start(t, workers, tcptransport.Serve, tcptransport.New)
 		_, total, err := runTCPWordCount(t, name, workers, tr, "")
+		if err == nil {
+			for i, srv := range srvs {
+				if n := srv.Stored(); n != 0 {
+					t.Errorf("block server %d still holds %d blocks after a successful job", i, n)
+				}
+			}
+		}
 		return total, err
 	}
 
@@ -298,33 +306,6 @@ func TestRetriedFetchChargedInReadIO(t *testing.T) {
 			if retried.ShuffleBytes != clean.ShuffleBytes || retried.Records != clean.Records {
 				t.Fatalf("retry changed byte accounting: shuffle %d vs %d, records %d vs %d",
 					retried.ShuffleBytes, clean.ShuffleBytes, retried.Records, clean.Records)
-			}
-		})
-	}
-}
-
-// TestBroadcastOverTCPDropsBlocks: over real block servers a broadcast is W
-// PUTs and W GETs of ordinary blocks, charged measured socket time, and every
-// executor drops its block once decoded — no server is left holding the
-// payload.
-func TestBroadcastOverTCPDropsBlocks(t *testing.T) {
-	for _, name := range skywayNames {
-		t.Run(name, func(t *testing.T) {
-			const workers = 3
-			srvs, tr := tcptest.Start(t, workers, tcptransport.Serve, tcptransport.New)
-			c := newClosureCluster(t, name, Config{Workers: workers, Heap: smallHeap(), Transport: tr})
-			copies, bd, err := broadcastParser(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkParserCopies(t, c, copies)
-			if bd.WriteIO <= 0 || bd.ReadIO <= 0 {
-				t.Errorf("measured TCP I/O charges WriteIO=%v ReadIO=%v, want both positive", bd.WriteIO, bd.ReadIO)
-			}
-			for i, srv := range srvs {
-				if n := srv.Stored(); n != 0 {
-					t.Errorf("block server %d still holds %d blocks after the broadcast", i, n)
-				}
 			}
 		})
 	}

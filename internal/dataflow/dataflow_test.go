@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"sort"
 	"testing"
 
 	"skyway/internal/datagen"
@@ -216,21 +217,24 @@ func TestShuffleByteAccounting(t *testing.T) {
 
 func TestSkywayShufflesMoreBytesButLessSD(t *testing.T) {
 	// The paper's headline tradeoff: Skyway moves more bytes than Kryo
-	// (1.77× in §5.2) yet spends less CPU time in S/D.
+	// (1.77× in §5.2) yet spends less CPU time in S/D. Byte counts are
+	// deterministic and asserted on one run; per-record S/D time is noisy
+	// on shared hardware, so the timing claim takes the median Skyway / Kryo
+	// ratio over interleaved trials.
 	g := testGraph()
-	run := func(mk func(c *Cluster) serial.Codec) (sd float64, bytes int64) {
+	run := func(codec serial.Codec) (sd float64, bytes int64) {
 		cp := klass.NewPath()
 		WorkloadClasses(cp)
-		c := newTestCluster(t, nil, cp)
-		c.Codec = mk(c)
+		c := newTestCluster(t, codec, cp)
 		bd, _, err := RunPageRank(c, g, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return float64(bd.Ser+bd.Deser) / float64(bd.Records), bd.ShuffleBytes
 	}
-	kryoSD, kryoBytes := run(func(*Cluster) serial.Codec { return serial.KryoCodec(WorkloadRegistration()) })
-	skySD, skyBytes := run(func(*Cluster) serial.Codec { return serial.NewSkywayCodec() })
+	kryo := func() serial.Codec { return serial.KryoCodec(WorkloadRegistration()) }
+	kryoSD, kryoBytes := run(kryo())
+	skySD, skyBytes := run(serial.NewSkywayCodec())
 	if skyBytes <= kryoBytes {
 		t.Errorf("skyway bytes (%d) not larger than kryo (%d)", skyBytes, kryoBytes)
 	}
@@ -243,8 +247,17 @@ func TestSkywayShufflesMoreBytesButLessSD(t *testing.T) {
 	if race.Enabled {
 		t.Skip("timing comparison skipped under the race detector")
 	}
-	if skySD >= kryoSD {
-		t.Errorf("skyway per-record S/D (%f) not below kryo (%f)", skySD, kryoSD)
+	const trials = 5
+	ratios := []float64{skySD / kryoSD}
+	for len(ratios) < trials {
+		k, _ := run(kryo())
+		s, _ := run(serial.NewSkywayCodec())
+		ratios = append(ratios, s/k)
+	}
+	sort.Float64s(ratios)
+	if median := ratios[len(ratios)/2]; median >= 1 {
+		t.Errorf("median skyway / kryo per-record S/D ratio %.3f over %d trials not below 1 (ratios %v)",
+			median, trials, ratios)
 	}
 }
 

@@ -35,9 +35,10 @@ func newSkywayCluster(t *testing.T, name string) *Cluster {
 
 // faultWordCount runs WordCount under the named Skyway codec and the fault
 // plan spec. Whatever the outcome — a clean run, a retried block, an aborted
-// stage — every executor must end with the root count it started with: that
-// is what shows the truncate-to-mark rollback and the abort paths emptying
-// their tables.
+// stage — every executor must end with the root count it started with, no
+// input-buffer bytes and no arena region: that is what shows the
+// truncate-to-mark rollback and the abort paths emptying their tables, and
+// Free reclaiming every block a task fetched on every exit.
 func faultWordCount(t *testing.T, name, spec string) (int64, []int, error) {
 	t.Helper()
 	if err := fault.Configure(spec); err != nil {
@@ -51,6 +52,14 @@ func faultWordCount(t *testing.T, name, spec string) (int64, []int, error) {
 	_, total, err := RunWordCount(c, parts)
 	if after := rootCounts(c); !slices.Equal(after, before) {
 		t.Errorf("roots per executor after the run %v, before %v (err: %v)", after, before, err)
+	}
+	for _, ex := range c.Execs {
+		if used := ex.RT.Heap.BufferUsed(); used != 0 {
+			t.Errorf("executor %d left with %d input-buffer bytes (err: %v)", ex.ID, used, err)
+		}
+		if r := ex.RT.Arena.Regions(); r != 0 {
+			t.Errorf("executor %d left with %d arena regions (err: %v)", ex.ID, r, err)
+		}
 	}
 	return total, excludedPeers(c), err
 }

@@ -27,16 +27,15 @@ const maxFetchAttempts = 3
 // correct results without the block. The wrapped cause is the last decode
 // error (usually a *core.DecodeError; errors.As reaches it).
 type StageAbortError struct {
-	Stage    string // "reduce" or "broadcast"
-	Src      int    // the excluded map executor
-	Dst      int    // the partition whose block failed
-	Attempts int    // fetch attempts consumed
-	Err      error  // last decode failure
+	Src      int   // the excluded map executor
+	Dst      int   // the partition whose block failed
+	Attempts int   // fetch attempts consumed
+	Err      error // last decode failure
 }
 
 func (e *StageAbortError) Error() string {
-	return fmt.Sprintf("dataflow: %s stage aborted: block (mapper %d, partition %d) failed %d fetch attempts, peer %d excluded: %v",
-		e.Stage, e.Src, e.Dst, e.Attempts, e.Src, e.Err)
+	return fmt.Sprintf("dataflow: reduce stage aborted: block (mapper %d, partition %d) failed %d fetch attempts, peer %d excluded: %v",
+		e.Src, e.Dst, e.Attempts, e.Src, e.Err)
 }
 
 func (e *StageAbortError) Unwrap() error { return e.Err }

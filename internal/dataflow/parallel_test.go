@@ -77,10 +77,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // Concurrent senders inside one map task: records bound for different
-// partitions share a payload object, so with two encoder streams drawing
-// from one heap at once, only one stream can claim the shared object's
-// baddr word — the others must take the §4.2 hash-table fallback, observable
-// via OverflowHits.
+// partitions share a payload object, and every block is its own encoder
+// stream, so only the first stream to reach the shared object claims its
+// baddr word — every later one, on the other sender goroutine or on the same
+// one, must take the §4.2 hash-table fallback, observable via OverflowHits.
 func TestParallelConcurrentSendersShareHeap(t *testing.T) {
 	for _, codec := range []*serial.SkywayCodec{serial.NewSkywayCodec(), {Arena: true}} {
 		t.Run(codec.Name(), func(t *testing.T) {
@@ -89,7 +89,6 @@ func TestParallelConcurrentSendersShareHeap(t *testing.T) {
 				PartitionsPerWorker: 4, // 16 partitions: several blocks per sender slot
 				ParallelTasks:       4,
 			})
-			c.concurrentSenders = 4
 			c.Codec = codec
 
 			const cells = 64

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"skyway/internal/arena"
 	"skyway/internal/fault"
 	"skyway/internal/heap"
 	"skyway/internal/metrics"
@@ -84,15 +83,6 @@ func (c *Cluster) RunShuffle(spec ShuffleSpec) (metrics.Breakdown, error) {
 		return c.reduceTask(ex, spec, sh, p)
 	})
 	bd.Add(rbd)
-	// The stage has retired: any arena region this round's decoders staged
-	// is dead, reachable records having been consumed or promoted. Decoders
-	// that were Freed already released their regions; this is the epoch
-	// backstop that sweeps the rest (an aborted stage's stragglers). Regions
-	// never bound to a shuffle epoch — broadcast decodes — are exempt and
-	// live until their decoder is freed.
-	for _, ex := range c.Execs {
-		ex.RT.Arena.RetireThrough(uint64(c.shuffleSeq))
-	}
 	return bd, err
 }
 
@@ -290,19 +280,19 @@ type fetchTally struct {
 	deser                   time.Duration // decode time across every attempt
 }
 
-// fetchBlock brings block (src, dst) of round sh into ex's heap — the one
-// receive path, for a reduce task's shuffle blocks and a broadcast's
-// self-addressed ones alike: its records are appended to ex's root table
-// (none when nothing was published under that key) and the owner of their
-// input buffers, if the codec has one, is returned. The block is dropped once
-// decoded.
+// fetchBlock brings block (src, dst) of round sh into ex's heap: its records
+// are appended to ex's root table (none when nothing was published under
+// that key) and the owner of their input buffers, if the codec has one, is
+// returned. The block is dropped once decoded; the reduce task that fetched
+// it frees the returned owner on every exit, the only thing that reclaims
+// the block's pinned chunks or arena region.
 //
 // It runs the degradation ladder: a block whose fetch or decode fails (a
 // torn transfer, a checksum mismatch, any *core.DecodeError) is re-fetched
 // from the intact stored bytes up to maxFetchAttempts times; if every
 // attempt fails, the publishing peer is excluded and the stage aborts with a
 // StageAbortError. A failed attempt leaves no root or input buffer behind.
-func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, stage string, src, dst int, t *fetchTally) (freer, error) {
+func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, src, dst int, t *fetchTally) (freer, error) {
 	var lastErr error
 	for attempt := 1; attempt <= maxFetchAttempts; attempt++ {
 		if attempt > 1 {
@@ -363,8 +353,7 @@ func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, stage string, s
 	c.excludePeer(src)
 	ctrStageAborts.Inc()
 	return nil, &StageAbortError{
-		Stage: stage, Src: src, Dst: dst,
-		Attempts: maxFetchAttempts, Err: lastErr,
+		Src: src, Dst: dst, Attempts: maxFetchAttempts, Err: lastErr,
 	}
 }
 
@@ -403,23 +392,13 @@ func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffl
 			continue
 		}
 		for src := 0; src < c.Workers(); src++ {
-			f, err := c.fetchBlock(ex, sh, "reduce", src, dst, &t)
+			f, err := c.fetchBlock(ex, sh, src, dst, &t)
 			if err != nil {
 				release()
 				chargeRead()
 				return res, err
 			}
 			freers = append(freers, f)
-			// A decoder on the arena path staged the block in an off-heap
-			// region; binding it to this round's epoch lets RunShuffle's
-			// stage-retirement backstop reclaim it even if the decoder is
-			// never Freed. (Bound here, not in fetchBlock: a broadcast's
-			// region outlives its round.)
-			if ar, ok := f.(interface{ ArenaRegion() *arena.Region }); ok {
-				if reg := ar.ArenaRegion(); reg != nil {
-					reg.BindEpoch(uint64(c.shuffleSeq))
-				}
-			}
 		}
 	}
 	chargeRead()

@@ -1,11 +1,11 @@
 // Package framed is the one framed-connection layer under both of Skyway's
 // network conversations: workers asking the driver's type-registry daemon
-// for IDs ("SKYR", internal/registry) and executors moving shuffle and
-// broadcast blocks between heaps ("SKWT", internal/transport/tcp). It owns
-// everything the two share — the versioned hello, the frame grammar with
-// its integrity check, the common ops, the ERR-frame→typed-error mapping, a
-// client (idle-connection cache, per-exchange deadline, retry with backoff
-// over a fresh dial) and a server (accept loop, close race, hello check) —
+// for IDs ("SKYR", internal/registry) and executors moving shuffle blocks
+// between heaps ("SKWT", internal/transport/tcp). It owns everything the two
+// share — the versioned hello, the frame grammar with its integrity check,
+// the common ops, the ERR-frame→typed-error mapping, a client
+// (idle-connection cache, per-exchange deadline, retry with backoff over a
+// fresh dial) and a server (accept loop, close race, hello check) —
 // so a lifecycle bug is fixed once and one parser is fuzzed.
 //
 // Wire grammar: a connection opens with a fixed hello and then carries

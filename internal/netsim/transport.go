@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"sync"
 	"time"
 
 	"skyway/internal/transport"
@@ -19,7 +20,7 @@ func NewLocalTransport() *LocalTransport { return &LocalTransport{} }
 
 // NewShuffle implements transport.Transport.
 func (t *LocalTransport) NewShuffle(seq int) (transport.Shuffle, error) {
-	return &localShuffle{blocks: transport.NewBlockStore[blockKey]()}, nil
+	return &localShuffle{blocks: make(map[blockKey][]byte)}, nil
 }
 
 // Measured implements transport.Transport: all I/O here is modelled.
@@ -33,15 +34,20 @@ type blockKey struct{ src, dst int }
 // localShuffle is one round's block store: serialized (mapper, partition)
 // blocks land here on the map side and are taken — exactly once — by the
 // partition's owning reducer. Parallel map and reduce tasks touch the store
-// from concurrent goroutines; the shared BlockStore guards access.
+// from concurrent goroutines; mu guards it.
 type localShuffle struct {
-	blocks *transport.BlockStore[blockKey]
+	mu     sync.Mutex
+	blocks map[blockKey][]byte
 }
 
-// Put implements transport.Shuffle. The store keeps a copy: the caller's
-// slice is its own again when Put returns.
+// Put implements transport.Shuffle, replacing any block already published
+// under the key. The store keeps a copy: the caller's slice is its own again
+// when Put returns.
 func (s *localShuffle) Put(src, dst int, block []byte) (time.Duration, error) {
-	s.blocks.Put(blockKey{src, dst}, bytes.Clone(block))
+	b := bytes.Clone(block)
+	s.mu.Lock()
+	s.blocks[blockKey{src, dst}] = b
+	s.mu.Unlock()
 	return 0, nil
 }
 
@@ -49,12 +55,17 @@ func (s *localShuffle) Put(src, dst int, block []byte) (time.Duration, error) {
 // bytes until Drop, so a fetch whose copy was damaged in flight can be
 // retried from the intact source.
 func (s *localShuffle) Fetch(src, dst int) ([]byte, time.Duration, error) {
-	block, _ := s.blocks.Get(blockKey{src, dst})
-	return block, 0, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.blocks[blockKey{src, dst}], 0, nil
 }
 
-// Drop implements transport.Shuffle.
-func (s *localShuffle) Drop(src, dst int) { s.blocks.Drop(blockKey{src, dst}) }
+// Drop implements transport.Shuffle. Dropping an absent key is a no-op.
+func (s *localShuffle) Drop(src, dst int) {
+	s.mu.Lock()
+	delete(s.blocks, blockKey{src, dst})
+	s.mu.Unlock()
+}
 
 // Close implements transport.Shuffle: the round's store goes with it.
 func (s *localShuffle) Close() error { return nil }

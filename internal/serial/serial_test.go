@@ -432,7 +432,7 @@ func TestSkywayNameIgnoresEnvironment(t *testing.T) {
 	}
 }
 
-// Two Skyway codecs over one sender runtime (a job and a broadcast do this)
+// Two Skyway codecs over one sender runtime (two jobs on one driver do this)
 // write the same record in the same phase: the runtime, not
 // the codec, hands out stream IDs, so neither stream mistakes the other's
 // baddr claims for its own and both carry the whole graph.

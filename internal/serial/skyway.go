@@ -3,7 +3,6 @@ package serial
 import (
 	"io"
 
-	"skyway/internal/arena"
 	"skyway/internal/core"
 	"skyway/internal/heap"
 	"skyway/internal/vm"
@@ -82,8 +81,3 @@ func (d *skywayDecoder) Read() (heap.Addr, error) { return d.r.ReadObject() }
 
 // Free releases the decoder's input buffers (explicit-free API, §3.2).
 func (d *skywayDecoder) Free() { d.r.Free() }
-
-// ArenaRegion exposes the decoder's arena region (nil on the eager path)
-// so the dataflow layer can bind shuffle-stage regions to their stage
-// epoch for wholesale reclamation.
-func (d *skywayDecoder) ArenaRegion() *arena.Region { return d.r.ArenaRegion() }

@@ -3,8 +3,7 @@
 // and drop over one block store per round. The dataflow engine produces and
 // consumes opaque blocks (already framed and checksummed by the active
 // codec's wire format); a Transport decides where those blocks live and what
-// moving them costs. A driver → worker broadcast is W self-addressed blocks
-// of a round, not a second exchange.
+// moving them costs. A shuffle round is the only exchange.
 //
 // Two implementations ship: netsim.LocalTransport keeps blocks in process
 // and measures nothing — the fast CI path, bit-identical to the historical
@@ -41,9 +40,8 @@ type Transport interface {
 }
 
 // Shuffle is one round's block exchange. Blocks are keyed by the (mapper,
-// partition) pair — a broadcast round's by (executor, executor); a block
-// stays available until Drop so a fetch whose copy was damaged in flight can
-// be retried from the intact stored bytes.
+// partition) pair; a block stays available until Drop so a fetch whose copy
+// was damaged in flight can be retried from the intact stored bytes.
 //
 // Buffer lifetimes: Put only reads the caller's block, and only until it
 // returns; the block is the caller's again afterwards, to refill. The bytes
