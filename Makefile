@@ -40,9 +40,11 @@ race:
 	$(GO) test -race ./...
 
 # Race tests with every dataflow cluster forced onto the concurrent
-# task path (per-executor goroutines, concurrent Skyway senders).
+# task path (a task slot per executor, concurrent Skyway senders): the
+# packages whose tests build a dataflow.Cluster, the only reader of
+# SKYWAY_PARALLEL.
 race-parallel:
-	SKYWAY_PARALLEL=4 $(GO) test -race ./...
+	SKYWAY_PARALLEL=4 $(GO) test -race ./internal/dataflow/ ./internal/batch/ ./internal/experiments/ ./internal/fault/
 
 # Full test suite with the heap/buffer invariant verifier enabled.
 verify:

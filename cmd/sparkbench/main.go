@@ -29,7 +29,6 @@ func main() {
 		scale     = flag.Float64("scale", 0.15, "graph scale (1.0 = 1/100 of the paper's sizes)")
 		apps      = flag.String("apps", "WC,PR,CC,TC", "comma-separated app subset for -fig8a")
 		heapMB    = flag.Int("heap", 0, "executor heap size in MB (0 = per-experiment default: 96 for the memory-pressured -fig3 motivation run, 1024 elsewhere)")
-		parallel  = flag.Int("parallel", 0, "concurrent executor tasks per stage (0/1 = sequential, -1 = one per worker)")
 		benchJSON = flag.String("bench-json", "", "write the benchmark trajectory (fig3 + fig8a entries) to this JSON file")
 	)
 	flag.Parse()
@@ -49,7 +48,6 @@ func main() {
 	cfg := experiments.DefaultSparkConfig()
 	cfg.GraphScale = *scale
 	cfg.HeapMB = *heapMB
-	cfg.Parallel = *parallel
 	if cfg.HeapMB == 0 {
 		cfg.HeapMB = 1024
 	}

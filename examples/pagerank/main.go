@@ -19,7 +19,6 @@ func main() {
 	scale := flag.Float64("scale", 0.2, "graph scale (1.0 = 1/100 of the paper's LiveJournal)")
 	iters := flag.Int("iters", 3, "PageRank iterations")
 	workers := flag.Int("workers", 3, "executor count")
-	parallel := flag.Int("parallel", 0, "concurrent executor tasks (0/1 = sequential, -1 = one per worker)")
 	flag.Parse()
 
 	spec, err := datagen.GraphByName("LiveJournal", *scale)
@@ -36,7 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c, err := dataflow.NewCluster(cp, dataflow.Config{Workers: *workers, ParallelTasks: *parallel}, codec)
+		c, err := dataflow.NewCluster(cp, dataflow.Config{Workers: *workers}, codec)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -206,9 +206,8 @@ func (r *Region) Promotions() int {
 	return 0
 }
 
-// Release reclaims the region: its owner's Free and the fault injector's
-// premature-free hook both end here, and only the
-// first call does anything. Its mappings go back to the pool, inaccessible.
+// Release reclaims the region (its owner's Free ends here); only the first
+// call does anything. Its mappings go back to the pool, inaccessible.
 // Subsequent handle reads panic loudly instead of reading freed memory.
 func (r *Region) Release() {
 	if r.retired.Swap(true) {

@@ -177,6 +177,9 @@ func TestAllQueriesAgreeAcrossSerializers(t *testing.T) {
 	}
 	runAll := func(serializer string, parallel int) map[Query]result {
 		c := newTestCluster(t, dataflow.Config{ParallelTasks: parallel}, serializer)
+		if c.Parallel() != (parallel > 1) {
+			t.Fatalf("%s: ParallelTasks %d gave Parallel() = %v", serializer, parallel, c.Parallel())
+		}
 		db := loadTestDB(t, c)
 		defer db.Free()
 		out := make(map[Query]result)
@@ -200,7 +203,7 @@ func TestAllQueriesAgreeAcrossSerializers(t *testing.T) {
 	var want map[Query]result
 	for _, ser := range append([]string{"flink-builtin"}, skywayNames...) {
 		seq := runAll(ser, 1)
-		par := runAll(ser, -1)
+		par := runAll(ser, 3) // a slot per task manager
 		if want == nil {
 			want = seq
 		}

@@ -293,11 +293,6 @@ func (rd *Reader) nextTop() (rel uint64, err error) {
 // root resolves a top mark: it walks whatever arrived since the last one and
 // returns the root's address.
 func (rd *Reader) root(rel uint64) (heap.Addr, error) {
-	if rd.arena {
-		if err := rd.checkRegion(); err != nil {
-			return heap.Null, err
-		}
-	}
 	if rd.parsed < len(rd.chunks) {
 		if err := rd.walk(); err != nil {
 			return heap.Null, err
@@ -394,11 +389,11 @@ func (rd *Reader) segmentHeader(tag byte) (phys, decoded, wireCRC uint32, err er
 func (rd *Reader) stage(n uint32) (chunk, error) {
 	c := chunk{startRel: rd.received()}
 	if rd.arena {
-		reg, err := rd.arenaRegion()
-		if err != nil {
-			return c, err
+		if rd.region == nil {
+			rd.region = rd.rt.Arena.NewRegion()
 		}
-		if c.img, err = reg.Stage(n); err != nil {
+		var err error
+		if c.img, err = rd.region.Stage(n); err != nil {
 			return c, rd.decodeWrap(DecodeResource, uint64(n), err)
 		}
 		return c, nil

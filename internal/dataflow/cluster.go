@@ -67,13 +67,12 @@ type Config struct {
 	// multiple per worker, key → worker ownership is stable regardless
 	// of the partition count.
 	PartitionsPerWorker int
-	// ParallelTasks caps how many executor tasks run concurrently per
-	// stage (map side, reduce side, Compute). 0 or 1
-	// preserves the historical sequential execution; values above the
-	// worker count are clamped to it; negative means one goroutine per
-	// executor. When zero, the SKYWAY_PARALLEL environment variable (an
-	// integer) supplies the value, so whole test runs can be switched to
-	// the concurrent path (the CI parallel job does exactly that).
+	// ParallelTasks is how many task slots run a stage's executor tasks
+	// (map side, reduce side, Compute): n > 1 runs min(n, Workers) slots
+	// at once, any other value one slot, on the caller's goroutine, in
+	// executor order. When zero, the SKYWAY_PARALLEL environment variable
+	// (an integer) supplies the value, so whole test runs can be switched
+	// to the concurrent path (the CI parallel job does exactly that).
 	// Results are identical either way; only scheduling and the
 	// wall-clock accounting differ (metrics.Breakdown.Wall).
 	ParallelTasks int
@@ -104,13 +103,8 @@ type Cluster struct {
 	shuffleSeq int
 
 	partitionsPerWorker int
-	parallelTasks       int
+	taskSlots           int // ≥ 1; see Config.ParallelTasks
 	peakMu              sync.Mutex
-
-	// excluded tracks map-side peers the reduce degradation ladder gave up
-	// on (see faults.go); guarded by excludedMu.
-	excludedMu sync.Mutex
-	excluded   map[int]bool
 }
 
 // Executor is one worker JVM.
@@ -190,16 +184,13 @@ func NewCluster(cp *klass.Path, cfg Config, codec serial.Codec) (*Cluster, error
 			cfg.ParallelTasks = n
 		}
 	}
-	if cfg.ParallelTasks < 0 || cfg.ParallelTasks > cfg.Workers {
-		cfg.ParallelTasks = cfg.Workers
-	}
 	if cfg.Transport == nil {
 		cfg.Transport = netsim.NewLocalTransport()
 	}
 	c := &Cluster{
 		CP: cp, Reg: reg, Driver: driver, Model: cfg.Model, Codec: codec,
 		Transport: cfg.Transport, partitionsPerWorker: cfg.PartitionsPerWorker,
-		parallelTasks: cfg.ParallelTasks,
+		taskSlots: max(1, min(cfg.ParallelTasks, cfg.Workers)),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		rc, err := cfg.RegistryClient()
@@ -226,7 +217,7 @@ func (c *Cluster) Workers() int { return len(c.Execs) }
 // meet: a measured transport is charged the wall-clock time its sockets
 // clocked; a modelled one what the cost model derives from the task's byte
 // counts. modelled runs only in the second case — a cost query emits a
-// fabric span and evaluates the netsim.fetch.slow failpoint.
+// fabric span.
 func (c *Cluster) ioCharge(measured time.Duration, modelled func(netsim.CostModel) time.Duration) time.Duration {
 	if c.Transport.Measured() {
 		return measured
@@ -235,28 +226,19 @@ func (c *Cluster) ioCharge(measured time.Duration, modelled func(netsim.CostMode
 }
 
 // Parallel reports whether executor tasks run concurrently.
-func (c *Cluster) Parallel() bool { return c.parallelTasks > 1 }
+func (c *Cluster) Parallel() bool { return c.taskSlots > 1 }
 
-// taskSlots returns how many executor tasks may run at once.
-func (c *Cluster) taskSlots() int {
-	if c.parallelTasks > 1 {
-		return c.parallelTasks
-	}
-	return 1
-}
-
-// senderSlots returns how many encoder goroutines serialize one executor's
+// senderSlots returns how many encoder streams serialize one executor's
 // blocks — the §4.2 multi-threaded sender path, where several streams copy
 // out of one heap at once and contend on the CAS-claimed baddr words: 2 when
-// the cluster is parallel and the codec declares its encoders
-// concurrency-safe (serial.ConcurrentCodec), else 1; bounded by the block
-// count.
+// the cluster is parallel and the codec is Skyway's (the only one whose
+// encoders may share a heap, see serial.SkywayCodec), else 1; bounded by the
+// block count.
 func (c *Cluster) senderSlots(blocks int) int {
-	n := 1
-	if cc, ok := c.Codec.(serial.ConcurrentCodec); ok && cc.ConcurrentEncoders() && c.Parallel() {
-		n = 2
+	if _, ok := c.Codec.(*serial.SkywayCodec); ok && c.Parallel() {
+		return min(2, blocks)
 	}
-	return max(1, min(n, blocks))
+	return 1
 }
 
 // NumPartitions returns the shuffle partition count.
@@ -345,11 +327,28 @@ func mergeBreakdowns(parallel bool, parts []taskResult) metrics.Breakdown {
 	return out
 }
 
-// runPerExecutor runs task once per executor — concurrently, up to
-// taskSlots goroutines, when the cluster is parallel — and merges the
-// per-executor results. Each executor's runtime is confined to the single
-// goroutine running its task for the duration of the stage; stage
-// boundaries are barriers.
+// fanOut runs fn(0) on the calling goroutine and fn(1..slots-1) on
+// goroutines of their own, and returns when all of them have. It is the one
+// place a stage or a task forks: with one slot nothing is started.
+func fanOut(slots int, fn func(slot int)) {
+	var wg sync.WaitGroup
+	for s := 1; s < slots; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(s)
+		}()
+	}
+	fn(0)
+	wg.Wait()
+}
+
+// runPerExecutor runs task once per executor and merges the per-executor
+// results. Slot k of the cluster's task slots runs executors k, k+slots, …
+// in ID order and stops at its first error, so one slot is the sequential
+// harness and a slot per executor runs every task. Each executor's runtime
+// is confined to the goroutine running its task for the duration of the
+// stage; stage boundaries are barriers.
 func (c *Cluster) runPerExecutor(stage string, task func(ex *Executor) (taskResult, error)) (metrics.Breakdown, error) {
 	ctrStages.Inc()
 	ctrTasks.Add(int64(len(c.Execs)))
@@ -388,27 +387,13 @@ func (c *Cluster) runPerExecutor(stage string, task func(ex *Executor) (taskResu
 	}
 	results := make([]taskResult, len(c.Execs))
 	errs := make([]error, len(c.Execs))
-	if slots := c.taskSlots(); slots > 1 {
-		sem := make(chan struct{}, slots)
-		var wg sync.WaitGroup
-		for _, ex := range c.Execs {
-			wg.Add(1)
-			go func(ex *Executor) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				results[ex.ID], errs[ex.ID] = task(ex)
-			}(ex)
-		}
-		wg.Wait()
-	} else {
-		for _, ex := range c.Execs {
-			results[ex.ID], errs[ex.ID] = task(ex)
-			if errs[ex.ID] != nil {
-				break
+	fanOut(c.taskSlots, func(slot int) {
+		for id := slot; id < len(c.Execs); id += c.taskSlots {
+			if results[id], errs[id] = task(c.Execs[id]); errs[id] != nil {
+				return
 			}
 		}
-	}
+	})
 	bd := mergeBreakdowns(c.Parallel(), results)
 	for id, err := range errs {
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,7 +40,7 @@ func newSkywayCluster(t *testing.T, name string) *Cluster {
 // input-buffer bytes and no arena region: that is what shows the
 // truncate-to-mark rollback and the abort paths emptying their tables, and
 // Free reclaiming every block a task fetched on every exit.
-func faultWordCount(t *testing.T, name, spec string) (int64, []int, error) {
+func faultWordCount(t *testing.T, name, spec string) (int64, error) {
 	t.Helper()
 	if err := fault.Configure(spec); err != nil {
 		t.Fatal(err)
@@ -61,20 +62,7 @@ func faultWordCount(t *testing.T, name, spec string) (int64, []int, error) {
 			t.Errorf("executor %d left with %d arena regions (err: %v)", ex.ID, r, err)
 		}
 	}
-	return total, excludedPeers(c), err
-}
-
-// excludedPeers lists the executors the degradation ladder excluded, in
-// ascending ID order. Empty on every healthy run.
-func excludedPeers(c *Cluster) []int {
-	c.excludedMu.Lock()
-	defer c.excludedMu.Unlock()
-	out := make([]int, 0, len(c.excluded))
-	for id := range c.excluded {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
+	return total, err
 }
 
 // rootCounts returns each executor's live root count (handles plus
@@ -89,16 +77,15 @@ func rootCounts(c *Cluster) []int {
 
 // TestTransientTornFetchRetriesToIdenticalResult: one shuffle block arrives
 // torn; the bounded re-fetch decodes the intact stored block and the job
-// completes with a result bit-identical to the fault-free run. No peer is
-// excluded.
+// completes with a result bit-identical to the fault-free run.
 func TestTransientTornFetchRetriesToIdenticalResult(t *testing.T) {
 	for _, name := range skywayNames {
 		t.Run(name, func(t *testing.T) {
-			want, _, err := faultWordCount(t, name, "")
+			want, err := faultWordCount(t, name, "")
 			if err != nil {
 				t.Fatalf("fault-free run: %v", err)
 			}
-			got, excluded, err := faultWordCount(t, name, fault.DataflowFetchTorn+":on*times=1")
+			got, err := faultWordCount(t, name, fault.DataflowFetchTorn+":on*times=1")
 			if err != nil {
 				t.Fatalf("run under transient torn fetch: %v", err)
 			}
@@ -108,21 +95,18 @@ func TestTransientTornFetchRetriesToIdenticalResult(t *testing.T) {
 			if got != want {
 				t.Fatalf("result under retry = %d, fault-free = %d", got, want)
 			}
-			if len(excluded) != 0 {
-				t.Fatalf("transient fault excluded peers %v", excluded)
-			}
 		})
 	}
 }
 
 // TestPersistentTornFetchAbortsStage: every fetch of a block arrives torn;
-// the ladder exhausts its re-fetch budget, excludes the peer, and aborts the
-// stage with a StageAbortError wrapping the checksum DecodeError — no panic,
-// no wrong answer.
+// the ladder exhausts its re-fetch budget and aborts the stage with a
+// StageAbortError naming the block's mapper and wrapping the checksum
+// DecodeError — no panic, no wrong answer.
 func TestPersistentTornFetchAbortsStage(t *testing.T) {
 	for _, name := range skywayNames {
 		t.Run(name, func(t *testing.T) {
-			_, excluded, err := faultWordCount(t, name, fault.DataflowFetchTorn+":on")
+			_, err := faultWordCount(t, name, fault.DataflowFetchTorn+":on")
 			if err == nil {
 				t.Fatal("persistent torn fetch completed without error")
 			}
@@ -140,14 +124,13 @@ func TestPersistentTornFetchAbortsStage(t *testing.T) {
 			if de.Kind != core.DecodeChecksum {
 				t.Errorf("decode kind = %s, want %s (torn bytes must fail the CRC)", de.Kind, core.DecodeChecksum)
 			}
-			found := false
-			for _, id := range excluded {
-				if id == abort.Src {
-					found = true
-				}
+			// Every fetch is torn, so executor 0's first block, the one
+			// mapper 0 published for partition 0, is the one that aborts.
+			if abort.Src != 0 || abort.Dst != 0 {
+				t.Errorf("abort names block (%d, %d), want (0, 0)", abort.Src, abort.Dst)
 			}
-			if !found {
-				t.Errorf("excluded peers %v do not include aborting src %d", excluded, abort.Src)
+			if !strings.Contains(err.Error(), "block (mapper 0, partition 0)") {
+				t.Errorf("abort error %q does not name its block", err)
 			}
 		})
 	}
@@ -158,7 +141,7 @@ func TestPersistentTornFetchAbortsStage(t *testing.T) {
 func TestTaskDieAbortsStageCleanly(t *testing.T) {
 	for _, name := range skywayNames {
 		t.Run(name, func(t *testing.T) {
-			_, _, err := faultWordCount(t, name, fault.DataflowTaskDie+":on*times=1")
+			_, err := faultWordCount(t, name, fault.DataflowTaskDie+":on*times=1")
 			if err == nil {
 				t.Fatal("task death completed without error")
 			}
@@ -175,11 +158,11 @@ func TestTaskDieAbortsStageCleanly(t *testing.T) {
 func TestFetchSlowKeepsResultsIdenticalAcrossRuns(t *testing.T) {
 	for _, name := range skywayNames {
 		t.Run(name, func(t *testing.T) {
-			want, _, err := faultWordCount(t, name, "")
+			want, err := faultWordCount(t, name, "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := faultWordCount(t, name, fault.DataflowFetchSlow+":on*arg=2ms")
+			got, err := faultWordCount(t, name, fault.DataflowFetchSlow+":on*arg=2ms")
 			if err != nil {
 				t.Fatalf("run under slow fetch: %v", err)
 			}

@@ -1,6 +1,10 @@
 package dataflow
 
 import (
+	"errors"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"skyway/internal/datagen"
@@ -184,9 +188,41 @@ func TestParallelEnvVar(t *testing.T) {
 	if c := newParallelCluster(t, Config{Workers: 4}); c.Parallel() {
 		t.Error("parallel without opt-in")
 	}
-	// Negative means one goroutine per executor.
-	if c := newParallelCluster(t, Config{Workers: 4, ParallelTasks: -1}); !c.Parallel() {
-		t.Error("ParallelTasks=-1 did not clamp to worker count")
+}
+
+// One stage runner serves both schedules: one slot runs the executors in ID
+// order and stops at the first failure; a slot per executor runs every task.
+// Either way the error names the failed worker.
+func TestStageRunnerSlots(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		parallel int
+		want     []int
+	}{
+		{1, []int{0, 1}},
+		{4, []int{0, 1, 2, 3}},
+	} {
+		c := newParallelCluster(t, Config{Workers: 4, ParallelTasks: tc.parallel})
+		var mu sync.Mutex
+		var ran []int
+		_, err := c.Compute(func(ex *Executor) error {
+			mu.Lock()
+			ran = append(ran, ex.ID)
+			mu.Unlock()
+			if ex.ID == 1 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "on worker 1:") {
+			t.Errorf("ParallelTasks %d: error %v, want boom on worker 1", tc.parallel, err)
+		}
+		if tc.parallel > 1 {
+			slices.Sort(ran)
+		}
+		if !slices.Equal(ran, tc.want) {
+			t.Errorf("ParallelTasks %d: executors ran %v, want %v", tc.parallel, ran, tc.want)
+		}
 	}
 }
 

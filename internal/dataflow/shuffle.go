@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"skyway/internal/fault"
@@ -87,8 +86,8 @@ func (c *Cluster) RunShuffle(spec ShuffleSpec) (metrics.Breakdown, error) {
 }
 
 // mapTask runs one executor's map side: produce + sort + serialize + spill.
-// Serialization fans out over senderSlots concurrent encoder streams when
-// the codec supports it — the §4.2 multi-threaded sender path, with several
+// Serialization fans out over senderSlots encoder streams, concurrent on a
+// parallel Skyway cluster — the §4.2 multi-threaded sender path, with several
 // streams claiming baddr words out of this executor's heap at once.
 func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, p int) (taskResult, error) {
 	var res taskResult
@@ -176,19 +175,7 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 			serBytes[slot] += int64(len(buf.Bytes()))
 		}
 	}
-	if senders > 1 {
-		var wg sync.WaitGroup
-		for s := 0; s < senders; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				encode(s)
-			}(s)
-		}
-		wg.Wait()
-	} else {
-		encode(0)
-	}
+	fanOut(senders, encode)
 	var serMax time.Duration
 	for s := 0; s < senders; s++ {
 		if serErr[s] != nil {
@@ -290,8 +277,8 @@ type fetchTally struct {
 // It runs the degradation ladder: a block whose fetch or decode fails (a
 // torn transfer, a checksum mismatch, any *core.DecodeError) is re-fetched
 // from the intact stored bytes up to maxFetchAttempts times; if every
-// attempt fails, the publishing peer is excluded and the stage aborts with a
-// StageAbortError. A failed attempt leaves no root or input buffer behind.
+// attempt fails, the stage aborts with a StageAbortError naming the
+// publishing peer. A failed attempt leaves no root or input buffer behind.
 func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, src, dst int, t *fetchTally) (freer, error) {
 	var lastErr error
 	for attempt := 1; attempt <= maxFetchAttempts; attempt++ {
@@ -305,7 +292,7 @@ func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, src, dst int, t
 		if err != nil {
 			// A failed fetch (a torn stream the transport's own framing
 			// rejected, a dead peer) rides the same ladder as a failed
-			// decode: re-fetch, then exclude.
+			// decode: re-fetch, then abort.
 			lastErr = fmt.Errorf("fetch block (%d→%d): %w", src, dst, err)
 			continue
 		}
@@ -349,8 +336,7 @@ func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, src, dst int, t
 		}
 		return f, nil
 	}
-	// The ladder's last rungs: exclude the peer, abort the stage.
-	c.excludePeer(src)
+	// The ladder's last rung: abort the stage.
 	ctrStageAborts.Inc()
 	return nil, &StageAbortError{
 		Src: src, Dst: dst, Attempts: maxFetchAttempts, Err: lastErr,

@@ -206,7 +206,9 @@ func SparkApps() []SparkApp { return []SparkApp{WC, PR, CC, TC} }
 // so its gc_pauses row in BENCH_spark.json tracks the arena's GC payoff.
 func SparkSerializers() []string { return []string{"java", "kryo", "skyway", "skyway-arena"} }
 
-// SparkConfig parameterizes the Spark matrix.
+// SparkConfig parameterizes the Spark matrix. Its clusters leave
+// dataflow.Config.ParallelTasks zero, so they run one executor task at a
+// time unless SKYWAY_PARALLEL sets the slot count.
 type SparkConfig struct {
 	Workers    int
 	GraphScale float64 // 1.0 = 1/100 of the paper's graph sizes
@@ -221,10 +223,6 @@ type SparkConfig struct {
 	// shuffle-heavy TriangleCounting runs need room proportional to the
 	// graph scale, like the paper's 20-30 GB executor heaps.
 	HeapMB int
-	// Parallel is dataflow.Config.ParallelTasks: how many executor tasks
-	// run concurrently per stage. 0/1 keeps the sequential harness (0 still
-	// honors SKYWAY_PARALLEL); -1 means one goroutine per executor.
-	Parallel int
 }
 
 // DefaultSparkConfig returns laptop-sized parameters.
@@ -251,7 +249,7 @@ func newSparkCluster(cfg SparkConfig, codecName string) (*dataflow.Cluster, erro
 		return nil, err
 	}
 	return dataflow.NewCluster(cp, dataflow.Config{
-		Workers: cfg.Workers, Heap: hc, Model: cfg.Model, ParallelTasks: cfg.Parallel,
+		Workers: cfg.Workers, Heap: hc, Model: cfg.Model,
 	}, codec)
 }
 

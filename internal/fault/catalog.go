@@ -47,10 +47,6 @@ const (
 	// error, exercising the clean stage-abort path.
 	DataflowTaskDie = "dataflow.task.die"
 
-	// NetsimFetchSlow adds the arg duration (default 1ms) of modelled time
-	// to a fabric fetch — congestion on the modelled wire.
-	NetsimFetchSlow = "netsim.fetch.slow"
-
 	// TransportDial fails a TCP transport dial to a peer block server with
 	// an injected error, exercising the pool's retry/backoff path.
 	TransportDial = "transport.dial"
@@ -75,10 +71,6 @@ const (
 	// object graph into the managed heap, exercising the mutation-path
 	// error surface.
 	ArenaPromoteFail = "arena.promote.fail"
-	// ArenaRegionPrematureFree retires an arena region while its decoder
-	// still holds a reference, exercising the use-after-retire guard: the
-	// decode must fail with a structured error, never read freed memory.
-	ArenaRegionPrematureFree = "arena.region.premature-free"
 )
 
 // Catalog lists every registered failpoint name; the chaos matrix iterates
@@ -98,13 +90,11 @@ func Catalog() []string {
 		DataflowFetchTorn,
 		DataflowFetchSlow,
 		DataflowTaskDie,
-		NetsimFetchSlow,
 		TransportDial,
 		TransportStreamTorn,
 		TransportPeerSlow,
 		GCAllocFail,
 		ArenaMapFail,
 		ArenaPromoteFail,
-		ArenaRegionPrematureFree,
 	}
 }

@@ -13,11 +13,6 @@ import (
 // WordCount pipeline, with received segments staged lazily in off-heap
 // regions and read through bounds-checked handles.
 func chaosRunArena(t *testing.T, spec string) (float64, error) {
-	return chaosRunArenaApp(t, experiments.WC, spec)
-}
-
-// chaosRunArenaApp is chaosRunArena for any Spark workload.
-func chaosRunArenaApp(t *testing.T, app experiments.SparkApp, spec string) (float64, error) {
 	t.Helper()
 	if err := fault.Configure(spec); err != nil {
 		t.Fatal(err)
@@ -27,7 +22,7 @@ func chaosRunArenaApp(t *testing.T, app experiments.SparkApp, spec string) (floa
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, runErr := experiments.SparkRunInfo(app, g.Generate(), "skyway-arena", chaosConfig())
+	info, runErr := experiments.SparkRunInfo(experiments.WC, g.Generate(), "skyway-arena", chaosConfig())
 	return info.Digest, runErr
 }
 
@@ -64,7 +59,6 @@ func TestChaosMatrixArena(t *testing.T) {
 	points := []string{
 		fault.ArenaMapFail,
 		fault.ArenaPromoteFail,
-		fault.ArenaRegionPrematureFree,
 		fault.CoreChunkBitflip,
 		fault.CoreChunkTruncate,
 		fault.CoreChunkBadTID,
@@ -98,62 +92,21 @@ func TestChaosMatrixArena(t *testing.T) {
 	}
 }
 
-// TestChaosArenaBulkRead holds the bulk array read to the premature-free row
-// of the matrix: TriangleCounting's reducer copies every shipped adjacency
-// array out of its region in one ArrayLongs, so a region reclaimed under the
-// live stream must still end in the fault-free count or a structured abort —
-// the copy must never run over a mapping that is gone.
-func TestChaosArenaBulkRead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos matrix is not a -short test")
-	}
-	wasOn := verify.SetEnabled(true)
-	defer verify.SetEnabled(wasOn)
-	fault.Seed(0xC0FFEE)
-	defer fault.Seed(0)
-
-	want, err := chaosRunArenaApp(t, experiments.TC, "")
-	if err != nil {
-		t.Fatalf("fault-free arena run: %v", err)
-	}
-	for _, trigger := range []string{":on*times=1", ":1in3"} {
-		t.Run(fault.ArenaRegionPrematureFree+trigger, func(t *testing.T) {
-			got, err := chaosRunArenaApp(t, experiments.TC, fault.ArenaRegionPrematureFree+trigger)
-			if fault.Fired(fault.ArenaRegionPrematureFree) == 0 {
-				t.Fatal("the failpoint never fired")
-			}
-			if err != nil {
-				if !structuredChaosError(err) {
-					t.Fatalf("unstructured failure: %T: %v", err, err)
-				}
-				t.Logf("structured abort: %v", err)
-				return
-			}
-			if got != want {
-				t.Fatalf("silent corruption: %v triangles, fault-free %v", got, want)
-			}
-		})
-	}
-}
-
-// TestArenaFailpointsFire proves the new failpoints sit on live paths: a
+// TestArenaFailpointsFire proves arena.map.fail sits on a live path: a
 // shuffle-heavy arena run under an always-on trigger must actually evaluate
-// arena.map.fail and arena.region.premature-free (promote only fires when a
-// workload mutates received records, which WordCount does not — its firing
-// is covered by core's TestArenaPromoteFailpoint).
+// it (promote only fires when a workload mutates received records, which
+// WordCount does not — its firing is covered by core's
+// TestArenaPromoteFailpoint).
 func TestArenaFailpointsFire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix is not a -short test")
 	}
 	fault.Seed(0xC0FFEE)
 	defer fault.Seed(0)
-	for _, point := range []string{fault.ArenaMapFail, fault.ArenaRegionPrematureFree} {
-		point := point
-		t.Run(point, func(t *testing.T) {
-			_, err := chaosRunArena(t, point+":on*times=1")
-			if fault.Fired(point) == 0 {
-				t.Fatalf("%s never fired under the arena codec (run err: %v); the failpoint is dead", point, err)
-			}
-		})
-	}
+	t.Run(fault.ArenaMapFail, func(t *testing.T) {
+		_, err := chaosRunArena(t, fault.ArenaMapFail+":on*times=1")
+		if fault.Fired(fault.ArenaMapFail) == 0 {
+			t.Fatalf("%s never fired under the arena codec (run err: %v); the failpoint is dead", fault.ArenaMapFail, err)
+		}
+	})
 }

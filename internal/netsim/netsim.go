@@ -10,7 +10,6 @@ package netsim
 import (
 	"time"
 
-	"skyway/internal/fault"
 	"skyway/internal/obs"
 )
 
@@ -103,11 +102,6 @@ func (m CostModel) WriteTime(n int64) time.Duration {
 // network cost into read I/O, §2.2).
 func (m CostModel) FetchTime(localBytes, remoteBytes int64) time.Duration {
 	d := m.readTime(localBytes) + m.readTime(remoteBytes) + m.netTime(remoteBytes)
-	// Failpoint: congestion on the modelled wire — charge extra fabric time
-	// (arg duration, default 1ms) without touching any real clock.
-	if fault.Eval(fault.NetsimFetchSlow) {
-		d += fault.DurationArg(fault.NetsimFetchSlow, time.Millisecond)
-	}
 	m.emit("shuffle.fetch", localBytes+remoteBytes, d)
 	return d
 }

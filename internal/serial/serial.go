@@ -69,18 +69,6 @@ type Decoder interface {
 	Read() (heap.Addr, error)
 }
 
-// ConcurrentCodec is an optional Codec capability: a codec whose encoders
-// may run on concurrent goroutines over a single runtime's heap (Skyway's
-// §4.2 multi-threaded senders). Baseline codecs do not implement it — their
-// encode paths touch per-runtime mutable state (identity-hash computation,
-// reflective accessor caches), so the harness keeps their block encoding
-// sequential per executor.
-type ConcurrentCodec interface {
-	// ConcurrentEncoders reports whether encoders for one runtime are safe
-	// to drive from multiple goroutines at once.
-	ConcurrentEncoders() bool
-}
-
 // Registration is a Kryo-style manual class registration table: the order
 // of Register calls defines integer IDs that must match on every node
 // (§2.1). Codecs with TypeRegisteredID require one.

@@ -17,6 +17,11 @@ import (
 // in bytes than Skyway saves in S/D. The library's own writers
 // (core.Skyway.NewWriter, skyway.DialWriter) default to the paper's
 // full-image wire.
+//
+// Encoders for one runtime may run on concurrent goroutines: per-object
+// visited state lives in the CAS-claimed baddr header words and per-writer
+// hash-table fallbacks (§4.2), not in shared mutable tables. No baseline
+// codec allows that.
 type SkywayCodec struct {
 	// Arena switches decoders to the off-heap arena path: received
 	// segments stay relativized outside the managed heap and absolutize
@@ -34,12 +39,6 @@ func NewSkywayCodec(...*vm.Runtime) *SkywayCodec { return &SkywayCodec{} }
 
 // ServiceFor returns a Skyway service for rt.
 func (c *SkywayCodec) ServiceFor(rt *vm.Runtime) *core.Skyway { return core.New(rt) }
-
-// ConcurrentEncoders implements ConcurrentCodec: Skyway encoders on one
-// heap may run on concurrent goroutines — per-object visited state lives in
-// the CAS-claimed baddr header words and per-writer hash-table fallbacks
-// (§4.2), not in shared mutable tables.
-func (c *SkywayCodec) ConcurrentEncoders() bool { return true }
 
 // Name implements Codec.
 func (c *SkywayCodec) Name() string {
