@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check loc cross skywayvet sarif race race-parallel verify chaos cluster-test arena-test fuzz-smoke check bench-json bench-cmp bench-gate benchmark benchmark-quick
+.PHONY: build test vet fmt-check loc cross skywayvet sarif race verify chaos cluster-test arena-test fuzz-smoke check bench-json bench-cmp bench-gate benchmark benchmark-quick
 
 build:
 	$(GO) build ./...
@@ -39,16 +39,12 @@ sarif:
 race:
 	$(GO) test -race ./...
 
-# Race tests with every dataflow cluster forced onto the concurrent
-# task path (a task slot per executor, concurrent Skyway senders): the
-# packages whose tests build a dataflow.Cluster, the only reader of
-# SKYWAY_PARALLEL.
-race-parallel:
-	SKYWAY_PARALLEL=4 $(GO) test -race ./internal/dataflow/ ./internal/batch/ ./internal/experiments/ ./internal/fault/
-
-# Full test suite with the heap/buffer invariant verifier enabled.
+# Full test suite with the heap/buffer invariant verifier enabled. The
+# verifier reads SKYWAY_VERIFY at package init, which go test's result cache
+# does not see, so every verifier-armed target here passes -count=1: without
+# it, a run after `make test` or `make race` replays their cached results.
 verify:
-	SKYWAY_VERIFY=1 $(GO) test ./...
+	SKYWAY_VERIFY=1 $(GO) test -count=1 ./...
 
 # Chaos suite under the race detector: the failpoint matrix
 # (internal/fault), the shuffle degradation-ladder tests (Spark jobs in
@@ -56,7 +52,7 @@ verify:
 # replay/drop/delay tests plus the framed layer's deadline/redial tests, with
 # the heap invariant verifier armed.
 chaos:
-	SKYWAY_VERIFY=1 $(GO) test -race -run 'Chaos|Fault|Torn|TaskDie|FetchSlow|Exchange|Dial' \
+	SKYWAY_VERIFY=1 $(GO) test -count=1 -race -run 'Chaos|Fault|Torn|TaskDie|FetchSlow|Exchange|Dial' \
 		./internal/fault/ ./internal/dataflow/ ./internal/batch/ ./internal/registry/ ./internal/framed/ ./internal/core/
 
 # Real multi-process cluster over loopback TCP: the test binary is the
@@ -83,10 +79,10 @@ cluster-test:
 # skyway-arena rows then inflate every engine block's compact segments in
 # place inside arena mappings.
 arena-test:
-	SKYWAY_VERIFY=1 $(GO) test -race ./internal/arena/
-	SKYWAY_VERIFY=1 $(GO) test -race -run 'Arena|ArrayLongs' ./internal/heap/ ./internal/core/ ./internal/fault/
-	SKYWAY_VERIFY=1 $(GO) test -race -run '^$$' -bench ArrayRead -benchtime=1x -benchmem ./internal/core/
-	SKYWAY_VERIFY=1 $(GO) test -race ./internal/core/ ./internal/serial/ ./internal/dataflow/ ./internal/batch/
+	SKYWAY_VERIFY=1 $(GO) test -count=1 -race ./internal/arena/
+	SKYWAY_VERIFY=1 $(GO) test -count=1 -race -run 'Arena|ArrayLongs' ./internal/heap/ ./internal/core/ ./internal/fault/
+	SKYWAY_VERIFY=1 $(GO) test -count=1 -race -run '^$$' -bench ArrayRead -benchtime=1x -benchmem ./internal/core/
+	SKYWAY_VERIFY=1 $(GO) test -count=1 -race ./internal/core/ ./internal/serial/ ./internal/dataflow/ ./internal/batch/
 
 # Native fuzzing, smoke duration per target (override FUZZTIME for a soak).
 FUZZTIME ?= 30s

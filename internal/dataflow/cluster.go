@@ -11,8 +11,6 @@ package dataflow
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"time"
 
@@ -68,13 +66,12 @@ type Config struct {
 	// of the partition count.
 	PartitionsPerWorker int
 	// ParallelTasks is how many task slots run a stage's executor tasks
-	// (map side, reduce side, Compute): n > 1 runs min(n, Workers) slots
-	// at once, any other value one slot, on the caller's goroutine, in
-	// executor order. When zero, the SKYWAY_PARALLEL environment variable
-	// (an integer) supplies the value, so whole test runs can be switched
-	// to the concurrent path (the CI parallel job does exactly that).
-	// Results are identical either way; only scheduling and the
-	// wall-clock accounting differ (metrics.Breakdown.Wall).
+	// (map side, reduce side, Compute): n ≥ 1 runs min(n, Workers) slots,
+	// and any value below 1 — the default — one slot per executor, the way
+	// Spark runs every executor's tasks at once. With one slot the tasks
+	// run on the caller's goroutine, in executor order. Results are
+	// identical either way; only scheduling and the wall-clock accounting
+	// differ (metrics.Breakdown.Wall).
 	ParallelTasks int
 }
 
@@ -179,10 +176,8 @@ func NewCluster(cp *klass.Path, cfg Config, codec serial.Codec) (*Cluster, error
 	if cfg.PartitionsPerWorker <= 0 {
 		cfg.PartitionsPerWorker = 2
 	}
-	if cfg.ParallelTasks == 0 {
-		if n, err := strconv.Atoi(os.Getenv("SKYWAY_PARALLEL")); err == nil {
-			cfg.ParallelTasks = n
-		}
+	if cfg.ParallelTasks < 1 {
+		cfg.ParallelTasks = cfg.Workers
 	}
 	if cfg.Transport == nil {
 		cfg.Transport = netsim.NewLocalTransport()
@@ -190,7 +185,7 @@ func NewCluster(cp *klass.Path, cfg Config, codec serial.Codec) (*Cluster, error
 	c := &Cluster{
 		CP: cp, Reg: reg, Driver: driver, Model: cfg.Model, Codec: codec,
 		Transport: cfg.Transport, partitionsPerWorker: cfg.PartitionsPerWorker,
-		taskSlots: max(1, min(cfg.ParallelTasks, cfg.Workers)),
+		taskSlots: min(cfg.ParallelTasks, cfg.Workers),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		rc, err := cfg.RegistryClient()

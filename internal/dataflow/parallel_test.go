@@ -174,31 +174,16 @@ func TestParallelConcurrentSendersShareHeap(t *testing.T) {
 	}
 }
 
-// SKYWAY_PARALLEL switches otherwise-default clusters onto the concurrent
-// path (the CI parallel job sets it); an explicit ParallelTasks wins.
-func TestParallelEnvVar(t *testing.T) {
-	t.Setenv("SKYWAY_PARALLEL", "4")
-	if c := newParallelCluster(t, Config{Workers: 4}); !c.Parallel() {
-		t.Error("SKYWAY_PARALLEL=4 did not enable parallel tasks")
-	}
-	if c := newParallelCluster(t, Config{Workers: 4, ParallelTasks: 1}); c.Parallel() {
-		t.Error("explicit ParallelTasks=1 overridden by env")
-	}
-	t.Setenv("SKYWAY_PARALLEL", "")
-	if c := newParallelCluster(t, Config{Workers: 4}); c.Parallel() {
-		t.Error("parallel without opt-in")
-	}
-}
-
 // One stage runner serves both schedules: one slot runs the executors in ID
-// order and stops at the first failure; a slot per executor runs every task.
-// Either way the error names the failed worker.
+// order and stops at the first failure; a slot per executor — the default —
+// runs every task. Either way the error names the failed worker.
 func TestStageRunnerSlots(t *testing.T) {
 	boom := errors.New("boom")
 	for _, tc := range []struct {
 		parallel int
 		want     []int
 	}{
+		{0, []int{0, 1, 2, 3}},
 		{1, []int{0, 1}},
 		{4, []int{0, 1, 2, 3}},
 	} {
@@ -217,7 +202,7 @@ func TestStageRunnerSlots(t *testing.T) {
 		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "on worker 1:") {
 			t.Errorf("ParallelTasks %d: error %v, want boom on worker 1", tc.parallel, err)
 		}
-		if tc.parallel > 1 {
+		if tc.parallel != 1 {
 			slices.Sort(ran)
 		}
 		if !slices.Equal(ran, tc.want) {

@@ -206,9 +206,10 @@ func SparkApps() []SparkApp { return []SparkApp{WC, PR, CC, TC} }
 // so its gc_pauses row in BENCH_spark.json tracks the arena's GC payoff.
 func SparkSerializers() []string { return []string{"java", "kryo", "skyway", "skyway-arena"} }
 
-// SparkConfig parameterizes the Spark matrix. Its clusters leave
-// dataflow.Config.ParallelTasks zero, so they run one executor task at a
-// time unless SKYWAY_PARALLEL sets the slot count.
+// SparkConfig parameterizes the Spark matrix. Its clusters, like the Flink
+// matrix's, pin dataflow.Config.ParallelTasks to 1: one executor task at a
+// time, so a cell's Total stays the component sum (the paper's per-node
+// breakdown) and its time columns stay comparable across runs.
 type SparkConfig struct {
 	Workers    int
 	GraphScale float64 // 1.0 = 1/100 of the paper's graph sizes
@@ -249,7 +250,7 @@ func newSparkCluster(cfg SparkConfig, codecName string) (*dataflow.Cluster, erro
 		return nil, err
 	}
 	return dataflow.NewCluster(cp, dataflow.Config{
-		Workers: cfg.Workers, Heap: hc, Model: cfg.Model,
+		Workers: cfg.Workers, Heap: hc, Model: cfg.Model, ParallelTasks: 1,
 	}, codec)
 }
 
@@ -554,7 +555,7 @@ func DefaultFlinkConfig() FlinkConfig {
 func FlinkRunInfo(q batch.Query, gen *datagen.TPCH, serializer string, cfg FlinkConfig) (RunInfo, error) {
 	// Start every cell from a clean Go heap, as SparkRunInfo does.
 	runtime.GC()
-	c, err := batch.NewCluster(dataflow.Config{Workers: cfg.Workers, Model: cfg.Model}, serializer)
+	c, err := batch.NewCluster(dataflow.Config{Workers: cfg.Workers, Model: cfg.Model, ParallelTasks: 1}, serializer)
 	if err != nil {
 		return RunInfo{}, err
 	}

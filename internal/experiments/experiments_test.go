@@ -69,6 +69,9 @@ func TestSparkRunDigestsAgree(t *testing.T) {
 			if info.PeakHeap == 0 {
 				t.Errorf("%s/%s peak heap not sampled", app, ser)
 			}
+			if info.Breakdown.Wall != 0 {
+				t.Errorf("%s/%s reported wall time: the figure's cluster is not pinned to one task slot", app, ser)
+			}
 			if i == 0 {
 				want = info.Digest
 			} else if info.Digest != want {
@@ -160,6 +163,9 @@ func TestFlinkMatrixAndTable4(t *testing.T) {
 	}
 	digests := make(map[batch.Query]float64)
 	for _, c := range cells {
+		if c.Breakdown.Wall != 0 {
+			t.Errorf("%s/%s reported wall time: the figure's cluster is not pinned to one task slot", c.Query, c.Serializer)
+		}
 		if prev, ok := digests[c.Query]; ok && prev != c.Digest {
 			t.Errorf("%s digests differ across serializers", c.Query)
 		}

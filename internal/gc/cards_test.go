@@ -354,7 +354,9 @@ func BenchmarkScavenge(b *testing.B) {
 
 // TestScavengeCostIndependentOfOldSize: BenchmarkScavenge's two cases as a
 // gate — the fastest of several scavenges over 64 MiB of clean old generation
-// costs within 1.5x of the same over 1 MiB.
+// costs within 1.5x of the same over 1 MiB. One scavenge takes a few hundred
+// microseconds, so a single ratio is at the mercy of the host; the gate takes
+// the median of interleaved trials on the same two rigs.
 func TestScavengeCostIndependentOfOldSize(t *testing.T) {
 	if testing.Short() || race.Enabled || verify.Enabled() {
 		t.Skip("timing comparison skipped under -short, the race detector and SKYWAY_VERIFY")
@@ -370,9 +372,17 @@ func TestScavengeCostIndependentOfOldSize(t *testing.T) {
 		}
 		return best
 	}
-	small := fastest(scavengeRig(t, 1<<20))
-	large := fastest(scavengeRig(t, 64<<20))
-	if float64(large) > 1.5*float64(small) {
-		t.Errorf("scavenge over 64 MiB of old generation took %v, over 1 MiB %v: more than 1.5x", large, small)
+	smallRig, largeRig := scavengeRig(t, 1<<20), scavengeRig(t, 64<<20)
+	const trials = 5
+	var ratios []float64
+	for len(ratios) < trials {
+		small := fastest(smallRig)
+		large := fastest(largeRig)
+		ratios = append(ratios, float64(large)/float64(small))
+	}
+	slices.Sort(ratios)
+	if median := ratios[len(ratios)/2]; median > 1.5 {
+		t.Errorf("scavenge over 64 MiB of old generation took a median %.2fx the time over 1 MiB over %d trials, more than 1.5x (ratios %.2f)",
+			median, trials, ratios)
 	}
 }
