@@ -47,7 +47,9 @@ verify:
 	SKYWAY_VERIFY=1 $(GO) test -count=1 ./...
 
 # Chaos suite under the race detector: the failpoint matrix
-# (internal/fault), the shuffle degradation-ladder tests (Spark jobs in
+# (internal/fault; its WordCount cluster runs every executor at once, so
+# each failpoint fires while executors and their sender streams run
+# concurrently, and only the seed-replay test pins one slot), the shuffle degradation-ladder tests (Spark jobs in
 # internal/dataflow, Flink queries in internal/batch), and the registry
 # replay/drop/delay tests plus the framed layer's deadline/redial tests, with
 # the heap invariant verifier armed.

@@ -357,6 +357,48 @@ func TestStreamOpenCloseAllocs(t *testing.T) {
 	}
 }
 
+// TestWriterOpenCloseAllocs is the writer-side twin: once warm, opening a
+// stream, writing it and closing it costs the same however many objects a
+// root reaches and however many roots the stream carries. The gray and
+// top-mark queues return to a pool on Close; grown from nil in every
+// writer, they reallocated once per doubling, for every stream.
+func TestWriterOpenCloseAllocs(t *testing.T) {
+	skipIfInstrumented(t)
+	snd, _, sky := testCluster(t)
+	ck := snd.MustLoad("Cell")
+	chain := func(n int) []heap.Addr {
+		c := keep(t, snd, snd.MustNew(ck))
+		for i := 1; i < n; i++ {
+			next := snd.MustNew(ck)
+			snd.SetRef(next, ck.FieldByName("next"), c)
+			c = keep(t, snd, next)
+		}
+		return []heap.Addr{c}
+	}
+	stream := func(roots []heap.Addr) func() {
+		return func() {
+			sky.ShuffleStart()
+			w := sky.NewWriter(io.Discard)
+			if err := w.WriteObjects(roots); err != nil {
+				panic(err)
+			}
+			if err := w.Close(); err != nil {
+				panic(err)
+			}
+		}
+	}
+	small, large, many := chain(4), chain(32), recordCorpus(t, snd, 4000)
+	stream(large)() // warm the pools
+	stream(many)()
+	s := testing.AllocsPerRun(100, stream(small))
+	l := testing.AllocsPerRun(100, stream(large))
+	m := testing.AllocsPerRun(100, stream(many))
+	if s != l || s != m {
+		t.Errorf("a stream of one root over 4 objects makes %.1f allocations, over 32 objects %.1f, of 4000 roots %.1f; want the same",
+			s, l, m)
+	}
+}
+
 // Free ends a stream: its pooled read buffer goes back at once, so a later
 // ReadObject — at end of stream or with top marks still peeked out of that
 // buffer — must fail without touching it, and a second Free must not hand the

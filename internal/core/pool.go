@@ -6,9 +6,12 @@ import "sync"
 // []byte of segment size: the writer's output buffer. Under a shuffle that is
 // the dominant allocation — exactly the "serialization-shaped" GC pressure
 // the transfer design is meant to avoid — so output buffers draw from one
-// process-wide pool and return on Close. The decode path needs no segment
-// buffer at all: wire bytes are read straight into the tail of the staged
-// chunk, and a compact segment inflates there in place.
+// process-wide pool and return on Close. A writer's gray and top-mark queues
+// do the same: grown from nil, they cost a stream of one media graph several
+// reallocations, and a long stream one per doubling of its marks per
+// segment. The decode path needs no segment buffer at all: wire bytes are
+// read straight into the tail of the staged chunk, and a compact segment
+// inflates there in place.
 
 // maxPooledBuf caps what returns to the pool: a one-off oversized-object
 // buffer (a single record bigger than any normal segment) should be freed,
@@ -42,3 +45,17 @@ func putBuf(b []byte) {
 	b = b[:0]
 	bufPool.Put(&b)
 }
+
+// writerQueues are the two queues a writer grows as it goes, its gray queue
+// and its top marks, kept empty in queuePool between writers. Like
+// maxPooledBuf for buffers and top marks, maxPooledGray caps the gray queues
+// that return: one traversal with a very wide frontier must not pin its
+// queue.
+type writerQueues struct {
+	gray []grayRec
+	tops []byte
+}
+
+var queuePool = sync.Pool{New: func() any { return new(writerQueues) }}
+
+const maxPooledGray = 64 << 10

@@ -99,8 +99,11 @@ type Writer struct {
 	// layout has no baddr word at all (the paper's hash-table fallback).
 	overflow map[heap.Addr]uint64
 
+	// gray is the traversal's queue of claimed objects. It and tops are
+	// drawn from queuePool through queues and return there on Close.
 	gray     []grayRec
 	grayHead int
+	queues   *writerQueues
 
 	headerWritten bool
 	closed        bool
@@ -181,6 +184,8 @@ func (s *Skyway) NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 		wr.growBuf = true
 	}
 	wr.buf = getBuf(wr.limit)
+	wr.queues = queuePool.Get().(*writerQueues)
+	wr.gray, wr.tops = wr.queues.gray, wr.queues.tops
 	return wr
 }
 
@@ -643,6 +648,11 @@ func (w *Writer) Close() error {
 	}
 	putBuf(w.buf)
 	w.buf = nil
+	if cap(w.gray) <= maxPooledGray && cap(w.tops) <= maxPooledBuf {
+		w.queues.gray, w.queues.tops = w.gray[:0], w.tops[:0]
+		queuePool.Put(w.queues)
+	}
+	w.gray, w.tops = nil, nil
 	if w.err != nil {
 		return w.err
 	}

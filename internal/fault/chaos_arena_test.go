@@ -3,35 +3,17 @@ package fault_test
 import (
 	"testing"
 
-	"skyway/internal/datagen"
-	"skyway/internal/experiments"
 	"skyway/internal/fault"
 	"skyway/internal/verify"
 )
 
-// chaosRunArena is chaosRun over the skyway-arena codec: the same 4-executor
-// WordCount pipeline, with received segments staged lazily in off-heap
-// regions and read through bounds-checked handles.
-func chaosRunArena(t *testing.T, spec string) (float64, error) {
-	t.Helper()
-	if err := fault.Configure(spec); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fault.Reset)
-	g, err := datagen.GraphByName("LiveJournal", chaosConfig().GraphScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, runErr := experiments.SparkRunInfo(experiments.WC, g.Generate(), "skyway-arena", chaosConfig())
-	return info.Digest, runErr
-}
-
-// TestChaosMatrixArena runs the chaos invariant over the lazy decode path:
-// the fault-free arena digest must be bit-identical to the eager digest
-// (lazy absolutization is a pure receive-side policy), and under every
-// arena-relevant failpoint the job either reproduces that digest or fails
-// with a structured error — never a panic, never silent corruption, never a
-// read outside a region.
+// TestChaosMatrixArena runs the chaos invariant over the lazy decode path,
+// the skyway-arena codec: received segments are staged lazily in off-heap
+// regions and read through bounds-checked handles. The fault-free arena
+// digest must be bit-identical to the eager digest (lazy absolutization is
+// a pure receive-side policy), and under every arena-relevant failpoint the
+// job either reproduces that digest or fails with a structured error —
+// never a panic, never silent corruption, never a read outside a region.
 func TestChaosMatrixArena(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix is not a -short test")
@@ -41,12 +23,12 @@ func TestChaosMatrixArena(t *testing.T) {
 	fault.Seed(0xC0FFEE)
 	defer fault.Seed(0)
 
-	eager, err := chaosRun(t, "")
+	eager, err := chaosRun(t, "skyway", "", 0)
 	if err != nil {
 		t.Fatalf("fault-free eager run: %v", err)
 	}
 	fault.Reset()
-	want, err := chaosRunArena(t, "")
+	want, err := chaosRun(t, "skyway-arena", "", 0)
 	if err != nil {
 		t.Fatalf("fault-free arena run: %v", err)
 	}
@@ -75,7 +57,7 @@ func TestChaosMatrixArena(t *testing.T) {
 		for _, mode := range modes {
 			point, mode := point, mode
 			t.Run(point+"/"+mode.name, func(t *testing.T) {
-				got, err := chaosRunArena(t, point+mode.trigger)
+				got, err := chaosRun(t, "skyway-arena", point+mode.trigger, 0)
 				if err != nil {
 					if !structuredChaosError(err) {
 						t.Fatalf("unstructured failure under %s%s: %T: %v", point, mode.trigger, err, err)
@@ -104,7 +86,7 @@ func TestArenaFailpointsFire(t *testing.T) {
 	fault.Seed(0xC0FFEE)
 	defer fault.Seed(0)
 	t.Run(fault.ArenaMapFail, func(t *testing.T) {
-		_, err := chaosRunArena(t, fault.ArenaMapFail+":on*times=1")
+		_, err := chaosRun(t, "skyway-arena", fault.ArenaMapFail+":on*times=1", 0)
 		if fault.Fired(fault.ArenaMapFail) == 0 {
 			t.Fatalf("%s never fired under the arena codec (run err: %v); the failpoint is dead", fault.ArenaMapFail, err)
 		}

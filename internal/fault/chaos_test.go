@@ -7,16 +7,18 @@ import (
 	"skyway/internal/core"
 	"skyway/internal/dataflow"
 	"skyway/internal/datagen"
-	"skyway/internal/experiments"
 	"skyway/internal/fault"
+	"skyway/internal/klass"
+	"skyway/internal/serial"
 	"skyway/internal/verify"
 	"skyway/internal/vm"
 )
 
 // The chaos matrix: a real 4-executor Spark pipeline (WordCount over the
-// Skyway codec — the full send/receive/absolutize path) is run once per
-// catalog failpoint, in a transient and a persistent mode, with the heap
-// invariant verifier armed. The invariant under every injection:
+// Skyway codec — the full send/receive/absolutize path), its executors
+// running at once, is run once per catalog failpoint, in a transient and a
+// persistent mode, with the heap invariant verifier armed. The invariant
+// under every injection:
 //
 //   - the job either completes with a digest bit-identical to the
 //     fault-free run (the fault was absorbed by a retry or was pure delay),
@@ -27,25 +29,43 @@ import (
 // Wrong answers and corrupted heaps are the two outcomes Skyway's hardened
 // decode path exists to rule out; this is the test that says so.
 
-func chaosConfig() experiments.SparkConfig {
-	cfg := experiments.DefaultSparkConfig()
-	cfg.Workers = 4
-	cfg.GraphScale = 0.02
-	return cfg
-}
+// chaosWorkers is the matrix cluster's executor count.
+const chaosWorkers = 4
 
-func chaosRun(t *testing.T, spec string) (float64, error) {
+// chaosRun runs WordCount on a fresh 4-executor cluster over codecName with
+// the failpoints of spec armed, and returns the word total. Heap, codec
+// registration, network model, input lines and digest are those of the WC
+// cell of experiments.SparkRunInfo at graph scale 0.02. Unlike the figures'
+// cluster it runs slots task slots: 0, the default, runs every executor at
+// once, so a failpoint fires while executors and their sender streams run
+// concurrently; 1 runs one executor at a time in a fixed order.
+func chaosRun(t *testing.T, codecName, spec string, slots int) (int64, error) {
 	t.Helper()
 	if err := fault.Configure(spec); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fault.Reset)
-	g, err := datagen.GraphByName("LiveJournal", chaosConfig().GraphScale)
+	g, err := datagen.GraphByName("LiveJournal", 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, runErr := experiments.SparkRunInfo(experiments.WC, g.Generate(), "skyway", chaosConfig())
-	return info.Digest, runErr
+	lines := datagen.TextSpec{Lines: g.Vertices * 2, WordsPerLine: 12, Vocabulary: 20000, Seed: g.Seed}.Generate()
+	parts := make([][]string, chaosWorkers)
+	for i, l := range lines {
+		parts[i%chaosWorkers] = append(parts[i%chaosWorkers], l)
+	}
+	codec, err := serial.ByName(codecName, dataflow.WorkloadRegistration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := klass.NewPath()
+	dataflow.WorkloadClasses(cp)
+	c, err := dataflow.NewCluster(cp, dataflow.Config{Workers: chaosWorkers, ParallelTasks: slots}, codec)
+	if err != nil {
+		return 0, err
+	}
+	_, total, err := dataflow.RunWordCount(c, parts)
+	return total, err
 }
 
 // structuredChaosError reports whether err belongs to the closed set of
@@ -74,7 +94,7 @@ func TestChaosMatrix(t *testing.T) {
 	fault.Seed(0xC0FFEE)
 	defer fault.Seed(0)
 
-	want, err := chaosRun(t, "")
+	want, err := chaosRun(t, "skyway", "", 0)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
 	}
@@ -89,7 +109,7 @@ func TestChaosMatrix(t *testing.T) {
 		for _, mode := range modes {
 			point, mode := point, mode
 			t.Run(point+"/"+mode.name, func(t *testing.T) {
-				got, err := chaosRun(t, point+mode.trigger)
+				got, err := chaosRun(t, "skyway", point+mode.trigger, 0)
 				if err != nil {
 					if !structuredChaosError(err) {
 						t.Fatalf("unstructured failure under %s%s: %T: %v", point, mode.trigger, err, err)
@@ -107,7 +127,10 @@ func TestChaosMatrix(t *testing.T) {
 }
 
 // TestChaosSeedDeterminism: the same seed and spec must fire the same
-// failpoints the same number of times — chaos runs are replayable.
+// failpoints the same number of times — chaos runs are replayable. A
+// failpoint's draws are taken in evaluation order, which concurrent
+// executors interleave differently on every run, so this cluster runs one
+// slot.
 func TestChaosSeedDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos determinism is not a -short test")
@@ -115,7 +138,7 @@ func TestChaosSeedDeterminism(t *testing.T) {
 	counts := func() int64 {
 		fault.Seed(0xDECAF)
 		defer fault.Seed(0)
-		_, _ = chaosRun(t, fault.DataflowFetchTorn+":1in4")
+		_, _ = chaosRun(t, "skyway", fault.DataflowFetchTorn+":1in4", 1)
 		return fault.Fired(fault.DataflowFetchTorn)
 	}
 	a := counts()

@@ -24,9 +24,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden wire vectors")
 // unknown tag; any other change bumps it. An accidental change fails here
 // byte for byte.
 
-// fullImageCodec is the library's default wire — the paper's full object
-// images, what core.Skyway.NewWriter and skyway.DialWriter write and
-// skyway.bin pins — behind the Codec interface the golden tests drive.
+// fullImageCodec is core.Skyway.NewWriter's default wire — the paper's full
+// object images, which skyway.bin pins — behind the Codec interface the
+// golden tests drive.
 // SkywayCodec itself writes the compact wire, pinned by skyway-compact.bin.
 type fullImageCodec struct{ *SkywayCodec }
 

@@ -14,9 +14,9 @@ import (
 //
 // Its encoders write the compact wire (core.WithCompactHeaders): an engine's
 // records are a few words each, and a header on every one of them costs more
-// in bytes than Skyway saves in S/D. The library's own writers
-// (core.Skyway.NewWriter, skyway.DialWriter) default to the paper's
-// full-image wire.
+// in bytes than Skyway saves in S/D. So do the root package's file and
+// socket streams; only a direct core.Skyway.NewWriter defaults to the
+// paper's full-image wire.
 //
 // Encoders for one runtime may run on concurrent goroutines: per-object
 // visited state lives in the CAS-claimed baddr header words and per-writer

@@ -125,7 +125,8 @@ var (
 	WithBufferSize = core.WithBufferSize
 	// WithCompactHeaders leaves the header words the receiver can rebuild
 	// off the wire and shares one run header among consecutive objects of a
-	// class (the paper's §5.2 future work).
+	// class (the paper's §5.2 future work). Service.NewWriter writes full
+	// images without it; NewFileWriter and DialWriter always apply it.
 	WithCompactHeaders = core.WithCompactHeaders
 )
 

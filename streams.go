@@ -13,6 +13,17 @@ import (
 // SkywayFileOutputStream / SkywayFileInputStream and
 // SkywaySocketOutputStream / SkywaySocketInputStream classes (§3.3): one can
 // program with Skyway the same way as with the standard object streams.
+//
+// The output streams write the compact wire: same-class runs of objects
+// without the header words the receiver rebuilds, about half the bytes of
+// full images (the header compression the paper leaves as §5.2's future
+// work). The input streams read either wire, so files written as full images
+// by a Service.NewWriter still read.
+
+// streamOpts puts WithCompactHeaders ahead of a stream's own options.
+func streamOpts(opts []core.WriterOption) []core.WriterOption {
+	return append([]core.WriterOption{core.WithCompactHeaders()}, opts...)
+}
 
 // FileWriter is a Skyway object output stream backed by a file.
 type FileWriter struct {
@@ -22,14 +33,14 @@ type FileWriter struct {
 }
 
 // NewFileWriter opens (creating/truncating) path as a Skyway object output
-// stream on svc's runtime.
+// stream on svc's runtime, on the compact wire.
 func NewFileWriter(svc *Service, path string, opts ...core.WriterOption) (*FileWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("skyway: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 64<<10)
-	return &FileWriter{Writer: svc.NewWriter(bw, opts...), f: f, bw: bw}, nil
+	return &FileWriter{Writer: svc.NewWriter(bw, streamOpts(opts)...), f: f, bw: bw}, nil
 }
 
 // Close finishes the stream and closes the file.
@@ -71,15 +82,15 @@ type SocketWriter struct {
 }
 
 // DialWriter connects to addr and opens a Skyway object output stream over
-// the connection. The Writer gets the connection itself, not a buffered
-// wrapper: it already hands over a whole segment and its top marks at a
-// time, which reach a net.Conn as one writev.
+// the connection, on the compact wire. The Writer gets the connection
+// itself, not a buffered wrapper: it already hands over a whole segment and
+// its top marks at a time, which reach a net.Conn as one writev.
 func DialWriter(svc *Service, addr string, opts ...core.WriterOption) (*SocketWriter, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("skyway: %w", err)
 	}
-	return &SocketWriter{Writer: svc.NewWriter(conn, opts...), conn: conn}, nil
+	return &SocketWriter{Writer: svc.NewWriter(conn, streamOpts(opts)...), conn: conn}, nil
 }
 
 // Close finishes the stream and closes the connection.
