@@ -47,13 +47,13 @@ const (
 	compactRecordMax = binary.MaxVarintLen32 + 1 + 4 + binary.MaxVarintLen64
 )
 
-// appendRecord clones obj — an instance of k, size bytes as an image, claimed
-// at the next relative address — onto the compact wire at the end of the
-// output buffer, which has room for it: it joins or opens a run, and the
-// payload goes from the heap straight to its place in the buffer, where the
-// caller relativizes its reference slots (image offset off is at
-// w.buf[payloadAt+off-k.HeaderBytes]).
-func (w *Writer) appendRecord(obj heap.Addr, k *klass.Klass, size uint32) (payloadAt int) {
+// appendRunHeader appends what precedes the payload of obj — an instance of
+// k, size bytes as an image, claimed at the next relative address — on the
+// compact wire: a run header if obj opens a run (or the bumped count in the
+// open run's flags byte if it joins it), its hashcode and its array length.
+// The payload, the image from k.HeaderBytes on, is to follow (image offset
+// off then stands at w.buf[len(w.buf)+off-k.HeaderBytes]).
+func (w *Writer) appendRunHeader(obj heap.Addr, k *klass.Klass, size uint32) {
 	h := w.rt.Heap
 	hash, hashed := heap.MarkHash(h.Mark(obj))
 	var kind byte
@@ -77,13 +77,8 @@ func (w *Writer) appendRecord(obj heap.Addr, k *klass.Klass, size uint32) (paylo
 	if k.IsArray {
 		buf = binary.AppendUvarint(buf, uint64(h.ArrayLen(obj)))
 	}
-	payloadAt = len(buf)
-	payload := size - k.HeaderBytes
-	buf = buf[:payloadAt+int(payload)]
-	h.CopyOut(obj.Add(k.HeaderBytes), payload, buf[payloadAt:])
 	w.buf = buf
 	w.decodedInBuf += size
-	return payloadAt
 }
 
 // inflate expands, forward and in place, the compact segment whose phys

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -153,6 +155,94 @@ func TestConcurrentWritersShareChainAcrossRoots(t *testing.T) {
 			if n != chainLen || sum != chainSum {
 				t.Fatalf("stream %d root %d: chain %d cells sum %v, want %d cells sum %v",
 					i, j, n, sum, chainLen, chainSum)
+			}
+		}
+		r.Free()
+	}
+}
+
+// Concurrent writers sharing a 1 MiB long[] that every root reaches through
+// a long[][], behind a private array of its own: one stream claims the big
+// array's baddr word, the others resolve it through their overflow tables,
+// and each stream sends it once, from the heap, in a segment of its own in
+// the middle of a traversal. Every stream decodes to roots that share their
+// copy of it. Run under -race and SKYWAY_VERIFY this is the memory-model
+// check for reading an object's image straight from the heap while other
+// streams claim its header.
+func TestConcurrentWritersShareBigArray(t *testing.T) {
+	snd, rcv, sky := testCluster(t)
+	big, bigVals := bigArray(t, snd, rand.New(rand.NewSource(4)))
+	hk, lk := snd.MustLoad("long[][]"), snd.MustLoad("long[]")
+
+	const writers, rootsPer = 4, 3
+	roots := make([][]heap.Addr, writers)
+	for i := range roots {
+		for j := 0; j < rootsPer; j++ {
+			own := snd.MustNewArray(lk, 1)
+			snd.ArraySetLong(own, 0, int64(i*rootsPer+j))
+			oh := snd.Pin(own)
+			defer oh.Release()
+			holder := snd.MustNewArray(hk, 2)
+			snd.ArraySetRef(holder, 0, big.Addr())
+			snd.ArraySetRef(holder, 1, oh.Addr())
+			h := snd.Pin(holder)
+			defer h.Release()
+			roots[i] = append(roots[i], h.Addr())
+		}
+	}
+
+	before := sky.Snapshot().OverflowHits
+	bufs := make([]bytes.Buffer, writers)
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			w := sky.NewWriter(&bufs[i])
+			if errs[i] = w.WriteObjects(roots[i]); errs[i] == nil {
+				errs[i] = w.Close()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", i, err)
+		}
+	}
+	if hits := sky.Snapshot().OverflowHits - before; hits < writers-1 {
+		t.Errorf("%d overflow-table hits, want at least %d: every stream but one resolves the shared array there", hits, writers-1)
+	}
+
+	image := uint32(snd.Heap.Layout().ArrayHeaderSize()) + bigElems*8
+	for i := range bufs {
+		wire := bufs[i].Bytes()
+		alone := 0
+		for _, off := range wireFrames(t, wire) {
+			if binary.BigEndian.Uint32(wire[off+1:]) == image {
+				alone++
+			}
+		}
+		if alone != 1 {
+			t.Errorf("stream %d has %d segment(s) holding just the shared array, want 1", i, alone)
+		}
+		r := NewReader(rcv, &bufs[i])
+		var first heap.Addr
+		for j := 0; j < rootsPer; j++ {
+			got, err := r.ReadObject()
+			if err != nil {
+				t.Fatalf("stream %d root %d: %v", i, j, err)
+			}
+			arr := rcv.ArrayGetRef(got, 0)
+			if j == 0 {
+				first = arr
+				checkLongs(t, rcv, arr, bigVals)
+			} else if arr != first {
+				t.Errorf("stream %d root %d has its own copy of the shared array", i, j)
+			}
+			if v := rcv.ArrayGetLong(rcv.ArrayGetRef(got, 1), 0); v != int64(i*rootsPer+j) {
+				t.Errorf("stream %d root %d: private array holds %d, want %d", i, j, v, i*rootsPer+j)
 			}
 		}
 		r.Free()

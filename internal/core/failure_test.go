@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/rand"
 	"testing"
 
 	"skyway/internal/fault"
@@ -12,9 +13,11 @@ import (
 	"skyway/internal/vm"
 )
 
-// failingWriter fails its failAt-th Write (1-based), once, and counts them all.
+// failingWriter fails its failAt-th Write (1-based), once, counts them all,
+// and keeps the bytes of the others.
 type failingWriter struct {
 	writes, failAt int
+	bytes.Buffer
 }
 
 var errTransport = errors.New("transient transport failure")
@@ -23,49 +26,109 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	if w.writes++; w.writes == w.failAt {
 		return 0, errTransport
 	}
-	return len(p), nil
+	return w.Buffer.Write(p)
 }
 
 // A segment flush that fails leaves the writer with relative addresses
 // claimed for bytes that never reached the wire. The next WriteObject used to
 // panic on the buffer position; the stream has to stay failed instead, on
-// every entry point, and Close must not put an end frame behind the hole.
+// every entry point, and Close must not put an end frame behind the hole, so
+// its receiver sees a torn stream. The flush may be a buffered segment's or
+// the segment of an object sent from the heap.
 func TestWriterStaysFailedAfterFlushError(t *testing.T) {
-	snd, _, sky := testCluster(t)
-	roots := allocCorpus(t, snd, 6, 20)
-	dst := &failingWriter{failAt: 2} // 1: the stream header; 2: the first segment's frame header
-	w := sky.NewWriter(dst, WithBufferSize(256))
-	failed := -1
-	for i, a := range roots {
-		err := w.WriteObject(a)
-		if err == nil {
-			if failed >= 0 {
-				t.Fatalf("root %d was accepted after root %d failed", i, failed)
+	snd, rcv, sky := testCluster(t)
+	t.Cleanup(fault.Reset)
+	rng := rand.New(rand.NewSource(7))
+	var bigs []heap.Addr
+	for i := 0; i < 4; i++ {
+		h, _ := bigArray(t, snd, rng)
+		bigs = append(bigs, h.Addr())
+	}
+	isFault := func(err error) bool {
+		var fe *fault.Error
+		return errors.As(err, &fe) && fe.Point == fault.CoreWriteFail
+	}
+	cases := []struct {
+		name    string
+		roots   []heap.Addr
+		opts    []WriterOption
+		failAt  int    // the failingWriter's failing write
+		fault   string // the failpoint plan armed for the stream
+		isErr   func(error) bool
+		decoded int // roots the torn stream still gives its receiver
+	}{
+		{
+			name:  "transport",
+			roots: allocCorpus(t, snd, 6, 20),
+			opts:  []WriterOption{WithBufferSize(256)},
+			// 1: the stream header; 2: the first segment's frame header.
+			failAt: 2,
+			isErr:  func(err error) bool { return errors.Is(err, errTransport) },
+		},
+		{
+			name:  fault.CoreWriteFail + "/from-heap",
+			roots: bigs,
+			// Flushes: the first array's segment; the second array's
+			// queued top mark, then its segment — the one that fails.
+			fault:   fault.CoreWriteFail + ":on*after=2*times=1",
+			isErr:   isFault,
+			decoded: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sky.ShuffleStart()
+			if tc.fault != "" {
+				if err := fault.Configure(tc.fault); err != nil {
+					t.Fatal(err)
+				}
+				defer fault.Reset()
 			}
-			continue
-		}
-		if !errors.Is(err, errTransport) {
-			t.Fatalf("root %d: %v, want the transport's error", i, err)
-		}
-		if failed < 0 {
-			failed = i
-		}
-	}
-	if failed < 0 || failed == len(roots)-1 {
-		t.Fatalf("first failure at root %d of %d; the test needs roots after it", failed, len(roots))
-	}
-	if err := w.Flush(); !errors.Is(err, errTransport) {
-		t.Errorf("Flush after the failure = %v, want the transport's error", err)
-	}
-	writes := dst.writes
-	if err := w.Close(); !errors.Is(err, errTransport) {
-		t.Errorf("Close after the failure = %v, want the transport's error", err)
-	}
-	if dst.writes != writes {
-		t.Errorf("the failed stream wrote %d more frame(s) at Close", dst.writes-writes)
-	}
-	if w.buf != nil {
-		t.Error("Close of a failed stream kept its buffers")
+			dst := &failingWriter{failAt: tc.failAt}
+			w := sky.NewWriter(dst, tc.opts...)
+			failed := -1
+			for i, a := range tc.roots {
+				err := w.WriteObject(a)
+				if err == nil {
+					if failed >= 0 {
+						t.Fatalf("root %d was accepted after root %d failed", i, failed)
+					}
+					continue
+				}
+				if !tc.isErr(err) {
+					t.Fatalf("root %d: %v, want the flush's error", i, err)
+				}
+				if failed < 0 {
+					failed = i
+				}
+			}
+			if failed < 0 || failed == len(tc.roots)-1 {
+				t.Fatalf("first failure at root %d of %d; the test needs roots after it", failed, len(tc.roots))
+			}
+			if err := w.Flush(); !tc.isErr(err) {
+				t.Errorf("Flush after the failure = %v, want the flush's error", err)
+			}
+			writes := dst.writes
+			if err := w.Close(); !tc.isErr(err) {
+				t.Errorf("Close after the failure = %v, want the flush's error", err)
+			}
+			if dst.writes != writes {
+				t.Errorf("the failed stream wrote %d more frame(s) at Close", dst.writes-writes)
+			}
+			if w.buf != nil {
+				t.Error("Close of a failed stream kept its buffers")
+			}
+
+			rd := NewReader(rcv, bytes.NewReader(dst.Bytes()))
+			defer rd.Free()
+			got, err := rd.ReadAll()
+			if _, ok := AsDecodeError(err); !ok {
+				t.Fatalf("reading the torn stream = %v after %d root(s), want a *DecodeError", err, len(got))
+			}
+			if len(got) != tc.decoded {
+				t.Errorf("the torn stream gave %d root(s), want %d", len(got), tc.decoded)
+			}
+		})
 	}
 }
 

@@ -14,8 +14,10 @@ import "sync"
 // inflates there in place.
 
 // maxPooledBuf caps what returns to the pool: a one-off oversized-object
-// buffer (a single record bigger than any normal segment) should be freed,
-// not pinned in the pool forever.
+// buffer should be freed, not pinned in the pool forever. Only a reference
+// array bigger than DefaultBufferSize, or a WithBufferSize above it, still
+// takes a buffer that large: a ref-free object that big is sent from the
+// heap (Writer.sendFromHeap) and never enters one.
 const maxPooledBuf = 4 << 20
 
 var bufPool = sync.Pool{

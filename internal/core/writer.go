@@ -190,7 +190,7 @@ func (s *Skyway) NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 }
 
 // WriteObject transfers the object graph reachable from root: WriteObjects
-// of the one root.
+// of the one root, under its contract.
 func (w *Writer) WriteObject(root heap.Addr) error {
 	roots := [1]heap.Addr{root}
 	return w.WriteObjects(roots[:])
@@ -204,6 +204,14 @@ const RootWindow = 64
 // goes out as a backward reference (top mark) only; a Null root writes a null
 // top mark. The bytes are those of one call per root. The first error is
 // final: every later call returns it.
+//
+// The call reads the sender's heap until it returns — also while a flush
+// blocks on the destination, and a ref-free object bigger than
+// DefaultBufferSize goes to the destination as a view of the heap instead of
+// a copy — so the sender runtime must not be collected or mutated while it
+// is in progress, and the destination must not retain a slice it was handed
+// once its Write returns. What the call sent is fixed when it returns: a
+// later mutation does not reach the wire.
 //
 // The phase guard is held for the whole batch: ShuffleStart cannot advance
 // sID (or clear baddr words on wrap) while this writer is claiming them, so
@@ -346,59 +354,48 @@ func (w *Writer) reserve(obj heap.Addr, rec *grayRec) error {
 
 // cloneInBuffer copies a reserved object into the output buffer at its
 // relative address (CLONEINBUFFER + header update + reference
-// relativization, Algorithm 2 lines 10-27). Everything that depends only on
-// the klass — sizes, byte composition, ref-slot tables — was fixed when the
-// klass was resolved.
+// relativization, Algorithm 2 lines 10-27), or, when it has no reference
+// slots and is bigger than a whole default buffer, sends it from the heap
+// (sendFromHeap). Everything that depends only on the klass — sizes, byte
+// composition, ref-slot tables — was fixed when the klass was resolved.
 func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k *klass.Klass, size uint32, nrefs int) error {
 	h := w.rt.Heap
-	layout := h.Layout()
 	if k.TID < 0 {
 		return fmt.Errorf("skyway: class %s has no global type ID (runtime %s is not attached to a registry)", k.Name, w.rt.Name)
 	}
 
-	// need over-estimates the physical bytes this object adds to the buffer.
-	need := int(size)
-	if w.compact {
-		need += compactRecordMax
-	}
-	if len(w.buf)+need > w.limit {
-		if err := w.makeRoom(need); err != nil {
+	// imgAt is where the image's offset 0 stands in the buffer — before the
+	// buffer's first byte, perhaps, on the compact wire.
+	var imgAt int
+	if nrefs == 0 && size > DefaultBufferSize {
+		if err := w.sendFromHeap(obj, rel, k, size); err != nil {
 			return err
 		}
-	}
-	w.ensureCap(len(w.buf) + need)
-
-	// One copy of everything behind the header, then patch the reference
-	// slots in place — no per-field access for primitive data. The header is
-	// written (or, on the compact wire, left out), not copied: all of its
-	// words are replaced anyway, and copying the baddr word would be a plain
-	// read racing the claims of concurrent senders that share the object.
-	// imgAt is where the image's offset 0 stands in the buffer — before the
-	// buffer's first byte, perhaps, on the compact wire, which carries the
-	// image from k.HeaderBytes on only.
-	var imgAt int
-	if w.compact {
-		if rel-w.flushed != uint64(w.decodedInBuf) {
-			panic("skyway: buffer position diverged from relative address")
-		}
-		imgAt = w.appendRecord(obj, k, size) - int(k.HeaderBytes)
 	} else {
-		if rel-w.flushed != uint64(len(w.buf)) {
-			panic("skyway: buffer position diverged from relative address")
+		// need over-estimates the physical bytes this object adds to the
+		// buffer.
+		need := int(size)
+		if w.compact {
+			need += compactRecordMax
 		}
-		imgAt = len(w.buf)
-		w.buf = w.buf[:imgAt+int(size)]
-		img := w.buf[imgAt:]
-		hdr := layout.HeaderSize()
-		h.CopyOut(obj.Add(hdr), size-hdr, img[hdr:])
+		if len(w.buf)+need > w.limit {
+			if err := w.makeRoom(need); err != nil {
+				return err
+			}
+		}
+		w.ensureCap(len(w.buf) + need)
+		w.checkPosition(rel)
 
-		// Header update: reset GC/lock/age bits preserving the hashcode,
-		// install the global type ID, clear the clone's baddr.
-		binary.LittleEndian.PutUint64(img[klass.OffMark:], heap.ResetTransientMarkBits(h.Mark(obj)))
-		binary.LittleEndian.PutUint64(img[klass.OffKlass:], uint64(uint32(k.TID)))
-		if layout.Baddr {
-			binary.LittleEndian.PutUint64(img[layout.OffBaddr():], 0)
-		}
+		// One copy of everything behind the header, then patch the reference
+		// slots in place — no per-field access for primitive data. The header
+		// is written (or, on the compact wire, left out), not copied: all of
+		// its words are replaced anyway, and copying the baddr word would be a
+		// plain read racing the claims of concurrent senders that share the
+		// object.
+		from := w.appendHeader(obj, k, size)
+		imgAt = len(w.buf) - int(from)
+		w.buf = w.buf[:imgAt+int(size)]
+		h.CopyOut(obj.Add(from), size-from, w.buf[imgAt+int(from):])
 	}
 
 	// Relativize references. payload is the unpadded field data, for the
@@ -423,6 +420,63 @@ func (w *Writer) cloneInBuffer(obj heap.Addr, rel uint64, k *klass.Klass, size u
 	return nil
 }
 
+// sendFromHeap sends a ref-free object bigger than a whole output buffer as
+// a segment of its own, straight from the heap: only its header goes through
+// the buffer, and the rest of its image reaches the destination as a view of
+// the slab, so the one copy left is the destination's. Whatever is queued
+// goes out first, as makeRoom would flush it, so the stream carries the bytes
+// the copy path would give it with the object alone in its segment. The view
+// never outlives the call: the segment reaches the destination before
+// sendFromHeap returns.
+func (w *Writer) sendFromHeap(obj heap.Addr, rel uint64, k *klass.Klass, size uint32) error {
+	if len(w.buf) > 0 || len(w.tops) > 0 {
+		if err := w.flushSegment(nil); err != nil {
+			return err
+		}
+	}
+	w.checkPosition(rel)
+	from := w.appendHeader(obj, k, size)
+	return w.flushSegment(w.rt.Heap.ByteView(obj.Add(from), size-from))
+}
+
+// checkPosition panics unless rel, the relative address claimed for the next
+// object, is where the buffer ends.
+func (w *Writer) checkPosition(rel uint64) {
+	at := uint64(len(w.buf))
+	if w.compact {
+		at = uint64(w.decodedInBuf)
+	}
+	if rel-w.flushed != at {
+		panic("skyway: buffer position diverged from relative address")
+	}
+}
+
+// appendHeader appends to the output buffer what stands in front of the
+// image bytes the heap supplies, and returns the image offset where those
+// bytes begin. On the compact wire that is the record's run header
+// (appendRunHeader), the image following from k.HeaderBytes on. On the
+// standard wire it is the header words: the mark word with its GC, lock and
+// age bits reset (the hashcode kept), the global type ID as the klass word,
+// and a zero baddr word.
+func (w *Writer) appendHeader(obj heap.Addr, k *klass.Klass, size uint32) (from uint32) {
+	if w.compact {
+		w.appendRunHeader(obj, k, size)
+		return k.HeaderBytes
+	}
+	h := w.rt.Heap
+	layout := h.Layout()
+	from = layout.HeaderSize()
+	at := len(w.buf)
+	w.buf = w.buf[:at+int(from)]
+	img := w.buf[at:]
+	binary.LittleEndian.PutUint64(img[klass.OffMark:], heap.ResetTransientMarkBits(h.Mark(obj)))
+	binary.LittleEndian.PutUint64(img[klass.OffKlass:], uint64(uint32(k.TID)))
+	if layout.Baddr {
+		binary.LittleEndian.PutUint64(img[layout.OffBaddr():], 0)
+	}
+	return from
+}
+
 // makeRoom makes the output buffer take need more bytes: it grows the
 // logical capacity while that is still allowed, and otherwise flushes the
 // buffer as a segment.
@@ -439,7 +493,7 @@ func (w *Writer) makeRoom(need int) error {
 		w.limit = next
 	}
 	if len(w.buf)+need > w.limit {
-		if err := w.flushSegment(); err != nil {
+		if err := w.flushSegment(nil); err != nil {
 			return err
 		}
 		if need > w.limit {
@@ -526,8 +580,10 @@ func (w *Writer) foldStats() {
 // wire), all in one vectored write: a single writev syscall when the
 // destination is a net.Conn (net.Buffers fast path), a plain sequence of
 // writes — byte-identical on the wire — for buffered and in-memory
-// destinations. The stream header goes out in front of the first flush.
-func (w *Writer) flushSegment() error {
+// destinations. The stream header goes out in front of the first flush. A
+// non-empty tail is the rest of the segment's body, behind the buffer: the
+// heap bytes of the object sendFromHeap sends.
+func (w *Writer) flushSegment(tail []byte) error {
 	// Failpoint: the transport fails mid-flush (a severed connection, a
 	// full pipe). Surfaces to the caller exactly like a Write error.
 	if err := fault.Inject(fault.CoreWriteFail); err != nil {
@@ -540,22 +596,26 @@ func (w *Writer) flushSegment() error {
 	}
 	flushed := w.flushed
 	if len(w.buf) > 0 {
-		crc := crc32.Checksum(w.buf, crcTable)
+		crc := crc32.Update(crc32.Checksum(w.buf, crcTable), crcTable, tail)
+		n := uint32(len(w.buf) + len(tail))
 		hn := 9
 		if w.compact {
 			w.hdr[0] = frameRuns
-			binary.BigEndian.PutUint32(w.hdr[1:], uint32(len(w.buf)))
+			binary.BigEndian.PutUint32(w.hdr[1:], n)
 			binary.BigEndian.PutUint32(w.hdr[5:], w.decodedInBuf)
 			binary.BigEndian.PutUint32(w.hdr[9:], crc)
 			hn = 13
 			flushed += uint64(w.decodedInBuf)
 		} else {
 			w.hdr[0] = frameSegment
-			binary.BigEndian.PutUint32(w.hdr[1:], uint32(len(w.buf)))
+			binary.BigEndian.PutUint32(w.hdr[1:], n)
 			binary.BigEndian.PutUint32(w.hdr[5:], crc)
-			flushed += uint64(len(w.buf))
+			flushed += uint64(n)
 		}
 		w.vec = append(w.vec, w.hdr[:hn], w.buf)
+		if len(tail) > 0 {
+			w.vec = append(w.vec, tail)
+		}
 	}
 	if len(w.tops) > 0 {
 		binary.BigEndian.PutUint32(w.tops[1:], uint32(len(w.tops)-marksHeaderLen))
@@ -627,7 +687,7 @@ func (w *Writer) queueTop(rel uint64) {
 func (w *Writer) Flush() error {
 	w.foldStats()
 	if w.err == nil {
-		w.err = w.flushSegment()
+		w.err = w.flushSegment(nil)
 	}
 	return w.err
 }
@@ -644,7 +704,7 @@ func (w *Writer) Close() error {
 	w.closed = true
 	w.foldStats()
 	if w.err == nil {
-		w.err = w.flushSegment()
+		w.err = w.flushSegment(nil)
 	}
 	putBuf(w.buf)
 	w.buf = nil
