@@ -26,8 +26,10 @@ loc:
 # Compile everything, and vet the slab layers, for a big-endian port: the
 # slab's byte order is a rule of the code (internal/heap package comment),
 # and this keeps a host assumption from coming back as a build constraint.
+# crc32c is vetted too: there it is hash/crc32 alone, without the amd64
+# kernel.
 cross:
-	GOOS=linux GOARCH=s390x $(GO) build ./... && GOOS=linux GOARCH=s390x $(GO) vet ./internal/heap/ ./internal/core/ ./internal/serial/
+	GOOS=linux GOARCH=s390x $(GO) build ./... && GOOS=linux GOARCH=s390x $(GO) vet ./internal/heap/ ./internal/core/ ./internal/serial/ ./internal/crc32c/
 
 skywayvet:
 	$(GO) run ./cmd/skywayvet ./...
@@ -97,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBaddrRoundTrip -fuzztime $(FUZZTIME) ./internal/heap/
 	$(GO) test -run '^$$' -fuzz FuzzFrameRead -fuzztime $(FUZZTIME) ./internal/framed/
 	$(GO) test -run '^$$' -fuzz FuzzRegistryPayload -fuzztime $(FUZZTIME) ./internal/registry/
+	$(GO) test -run '^$$' -fuzz FuzzUpdate -fuzztime $(FUZZTIME) ./internal/crc32c/
 
 # The paper matrix (Fig. 3 / 8(a) / 8(b)) at the canonical smoke scale, in
 # the schema of the checked-in BENCH_spark.json / BENCH_flink.json. Override

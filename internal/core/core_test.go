@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"hash/crc32"
 	"io"
 	"math"
 	"sync"
@@ -13,6 +14,11 @@ import (
 	"skyway/internal/registry"
 	"skyway/internal/vm"
 )
+
+// crcTable is the Castagnoli table of hash/crc32, for tests that build
+// segments by hand: an oracle independent of the crc32c kernel the writer
+// and reader use.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // testCluster builds two runtimes (sender, receiver) sharing a classpath
 // and an in-process registry — the minimal two-node cluster.

@@ -5,13 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"sync"
 	"time"
 
 	"skyway/internal/arena"
+	"skyway/internal/crc32c"
 	"skyway/internal/fault"
 	"skyway/internal/gc"
 	"skyway/internal/heap"
@@ -458,7 +458,7 @@ func (rd *Reader) fill(dst []byte, wireCRC uint32) error {
 	if fault.Eval(fault.CoreChunkTruncate) && len(dst) >= 2 {
 		clear(dst[len(dst)/2:])
 	}
-	if got := crc32.Checksum(dst, crcTable); got != wireCRC {
+	if got := crc32c.Checksum(dst); got != wireCRC {
 		return rd.decodeErrf(DecodeChecksum, 0, "segment CRC %#x does not match wire CRC %#x over %d bytes", got, wireCRC, len(dst))
 	}
 	return nil

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"skyway/internal/heap"
@@ -77,10 +76,6 @@ const relBias = heap.RelBias
 // declared length beyond it is corruption, not a big object, and is rejected
 // before the receiver tries to stage it.
 const maxSegmentBytes = 1 << 30
-
-// crcTable is the Castagnoli polynomial table (hardware-accelerated on
-// amd64/arm64), shared by senders and receivers.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // streamHeaderLen is the size of the stream header.
 const streamHeaderLen = 8

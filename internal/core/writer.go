@@ -3,12 +3,12 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"net"
 	"time"
 
+	"skyway/internal/crc32c"
 	"skyway/internal/fault"
 	"skyway/internal/heap"
 	"skyway/internal/klass"
@@ -596,7 +596,7 @@ func (w *Writer) flushSegment(tail []byte) error {
 	}
 	flushed := w.flushed
 	if len(w.buf) > 0 {
-		crc := crc32.Update(crc32.Checksum(w.buf, crcTable), crcTable, tail)
+		crc := crc32c.Update(crc32c.Checksum(w.buf), tail)
 		n := uint32(len(w.buf) + len(tail))
 		hn := 9
 		if w.compact {

@@ -31,7 +31,7 @@
 //	          error keeps its structure across the process boundary; kind 0
 //	          comes back as a *RemoteError
 //
-// framed imports only fault and obs. It cannot import core (whose
+// framed imports only fault, obs and crc32c. It cannot import core (whose
 // DecodeError the block transport surfaces), because registry → framed →
 // core → vm → registry would be a cycle; transport/tcp converts *TornError
 // to *core.DecodeError at its one exchange boundary instead.
@@ -42,10 +42,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 
+	"skyway/internal/crc32c"
 	"skyway/internal/fault"
 )
 
@@ -68,10 +68,6 @@ const (
 
 	headerBytes = 9
 )
-
-// CRCTable is the Castagnoli table, as in Skyway wire v2. Exported for
-// senders that fold the CRC over a frame's pieces incrementally.
-var CRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // TornError is the structured error a damaged frame surfaces as: a length
 // past the cap, a CRC mismatch, a block that contradicts its announcement.
@@ -130,7 +126,7 @@ func WriteFrame(w io.Writer, op byte, payload []byte) error {
 	}
 	h = append(h, op)
 	h = binary.BigEndian.AppendUint32(h, uint32(len(payload)))
-	h = binary.BigEndian.AppendUint32(h, crc32.Checksum(payload, CRCTable))
+	h = binary.BigEndian.AppendUint32(h, crc32c.Checksum(payload))
 	if _, err := w.Write(h); err != nil {
 		return err
 	}
@@ -188,7 +184,7 @@ func ReadFrameInto(r io.Reader, dst func(op byte, n int) (head, body []byte, err
 			body[at-len(head)] ^= 0xFF
 		}
 	}
-	got := crc32.Update(crc32.Checksum(head, CRCTable), CRCTable, body)
+	got := crc32c.Update(crc32c.Checksum(head), body)
 	if got != want {
 		return 0, 0, &TornError{fmt.Sprintf("frame CRC %#x, want %#x (stream torn in flight)", got, want)}
 	}

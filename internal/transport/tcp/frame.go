@@ -34,9 +34,9 @@ package tcp
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"net"
 
+	"skyway/internal/crc32c"
 	"skyway/internal/fault"
 	"skyway/internal/framed"
 )
@@ -143,7 +143,7 @@ func sendBlock(c *framed.Conn, block []byte, crcs []uint32) error {
 		if crcs != nil {
 			crc = crcs[i]
 		} else {
-			crc = crc32.Update(crc32.Checksum(h[9:13], framed.CRCTable), framed.CRCTable, body)
+			crc = crc32c.Update(crc32c.Checksum(h[9:13]), body)
 		}
 		binary.BigEndian.PutUint32(h[5:9], crc)
 		// Drain the buffered writer first so bytes stay ordered, then
