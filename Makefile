@@ -1,8 +1,11 @@
-# Development entry points. `make check` is the pre-PR gate.
+# Development entry points. `make check` is the pre-PR gate: it runs every
+# test twice, plain (`test`, the only run of the allocation gates and timing
+# comparisons, which skip themselves under -race or the verifier) and armed
+# (`verify`).
 
 GO ?= go
 
-.PHONY: build test vet fmt-check loc cross skywayvet sarif race verify chaos cluster-test arena-test fuzz-smoke check bench-json bench-cmp bench-gate benchmark benchmark-quick
+.PHONY: build test vet fmt-check loc cross skywayvet verify fuzz-smoke check bench-json bench-cmp bench-gate
 
 build:
 	$(GO) build ./...
@@ -34,59 +37,14 @@ cross:
 skywayvet:
 	$(GO) run ./cmd/skywayvet ./...
 
-# Full suite as SARIF 2.1.0, for code-scanning upload.
-sarif:
-	$(GO) run ./cmd/skywayvet -sarif ./... > skywayvet.sarif || true
-
-race:
-	$(GO) test -race ./...
-
-# Full test suite with the heap/buffer invariant verifier enabled. The
-# verifier reads SKYWAY_VERIFY at package init, which go test's result cache
-# does not see, so every verifier-armed target here passes -count=1: without
-# it, a run after `make test` or `make race` replays their cached results.
+# The one armed test pass: every test under the race detector with the
+# heap/buffer invariant verifier enabled; the chaos matrices, the arena suite
+# and the multi-process cluster are ordinary tests in it. The verifier reads
+# SKYWAY_VERIFY at package init, which go test's result cache does not see,
+# so this passes -count=1: without it, a run after `make test` replays that
+# run's cached, verifier-free results.
 verify:
-	SKYWAY_VERIFY=1 $(GO) test -count=1 ./...
-
-# Chaos suite under the race detector: the failpoint matrix
-# (internal/fault; its WordCount cluster runs every executor at once, so
-# each failpoint fires while executors and their sender streams run
-# concurrently, and only the seed-replay test pins one slot), the shuffle degradation-ladder tests (Spark jobs in
-# internal/dataflow, Flink queries in internal/batch), and the registry
-# replay/drop/delay tests plus the framed layer's deadline/redial tests, with
-# the heap invariant verifier armed.
-chaos:
-	SKYWAY_VERIFY=1 $(GO) test -count=1 -race -run 'Chaos|Fault|Torn|TaskDie|FetchSlow|Exchange|Dial' \
-		./internal/fault/ ./internal/dataflow/ ./internal/batch/ ./internal/registry/ ./internal/framed/ ./internal/core/
-
-# Real multi-process cluster over loopback TCP: the test binary is the
-# driver (registry daemon included) and spawns executor block-server
-# processes via its re-exec trampoline; every shuffle block crosses real
-# sockets twice. Includes the transport conformance suite (a Flink query
-# among its inputs), the TCP chaos matrix (no block left on any server after
-# a successful job), the block servers' buffer
-# recycling (a block damaged while parked, a dropped block a GET still
-# sends from, replace-while-fetch), the block path's allocation gate (which
-# skips itself under -race), and the framed-connection and
-# registry-protocol tests both conversations run on.
-cluster-test:
-	$(GO) test -race -run 'TestClusterWordCountOverTCPProcesses|TestTCPChaosMatrix|TestConformance|TestTornStream|TestTornStoredBlock|TestDroppedBlockWaits|TestReplaceAndFetch|TestWarmBlockExchange|TestSlowPeer|TestDialFailpoint|TestPooled|TestBadRequest' \
-		./internal/dataflow/ ./internal/batch/ ./internal/transport/ ./internal/transport/tcp/
-	$(GO) test -race ./internal/framed/ ./internal/registry/
-
-# The arena suite: lazy-decode equivalence (eager vs. arena bit-identity,
-# promotion-heavy variants), handle bounds/lifecycle unit tests, the
-# steady-state allocation and full-GC-scan-independence gates, the arena
-# chaos matrix, one pass of BenchmarkArrayRead (per-element and bulk reads on
-# eager, arena and promoted arrays), and the core, serial, dataflow and batch
-# packages under the race detector with the heap verifier armed — their
-# skyway-arena rows then inflate every engine block's compact segments in
-# place inside arena mappings.
-arena-test:
-	SKYWAY_VERIFY=1 $(GO) test -count=1 -race ./internal/arena/
-	SKYWAY_VERIFY=1 $(GO) test -count=1 -race -run 'Arena|ArrayLongs' ./internal/heap/ ./internal/core/ ./internal/fault/
-	SKYWAY_VERIFY=1 $(GO) test -count=1 -race -run '^$$' -bench ArrayRead -benchtime=1x -benchmem ./internal/core/
-	SKYWAY_VERIFY=1 $(GO) test -count=1 -race ./internal/core/ ./internal/serial/ ./internal/dataflow/ ./internal/batch/
+	SKYWAY_VERIFY=1 $(GO) test -race -count=1 ./...
 
 # Native fuzzing, smoke duration per target (override FUZZTIME for a soak).
 FUZZTIME ?= 30s
@@ -140,13 +98,4 @@ bench-gate:
 	"$$tmp/benchmark-head" -runs $(BENCH_RUNS) -out "$$tmp/out-head" -o "$$out/benchmark-head.json"; \
 	"$$tmp/benchmark-head" -compare "$$out/benchmark-base.json" "$$out/benchmark-head.json"
 
-# The repository benchmark (benchmark/README.md, BENCHMARK.json): five
-# workloads over real loopback sockets, untraced then traced, about 3.5
-# minutes. benchmark-quick is its smoke test: every workload at tiny sizes.
-benchmark:
-	$(GO) run ./benchmark
-
-benchmark-quick:
-	$(GO) test ./benchmark
-
-check: build vet fmt-check cross skywayvet race
+check: build vet fmt-check cross skywayvet test verify

@@ -7,7 +7,6 @@
 //
 //	go run ./cmd/skywayvet ./...
 //	go run ./cmd/skywayvet -list
-//	go run ./cmd/skywayvet -sarif ./... > skywayvet.sarif
 //
 // It needs only the Go toolchain: packages are loaded via `go list -export`
 // and type-checked from source against the toolchain's export data.
@@ -34,7 +33,6 @@ const (
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	asSARIF := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
 	flag.Parse()
 
 	all := analyzers.All()
@@ -60,38 +58,26 @@ func main() {
 		os.Exit(exitLoadError)
 	}
 
-	if *asSARIF {
-		if err := writeSARIF(os.Stdout, all, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "skywayvet: %v\n", err)
-			os.Exit(exitLoadError)
-		}
-	} else {
-		counts := make(map[string]int, len(all))
-		for _, f := range findings {
-			fmt.Println(f)
-			counts[f.Analyzer]++
-		}
-		// Per-analyzer summary, in the analyzers' registration order; the
-		// framework's own suppression-audit findings come last.
-		parts := make([]string, 0, len(all)+1)
-		for _, a := range all {
-			if n := counts[a.Name]; n > 0 {
-				parts = append(parts, fmt.Sprintf("%s %d", a.Name, n))
-			}
-		}
-		if n := counts[framework.SuppressionAnalyzerName]; n > 0 {
-			parts = append(parts, fmt.Sprintf("%s %d", framework.SuppressionAnalyzerName, n))
-		}
-		switch {
-		case len(findings) == 0:
-			fmt.Printf("skywayvet: %d packages, %d analyzers, no findings\n", len(pkgs), len(all))
-		default:
-			fmt.Printf("skywayvet: %d findings (%s)\n", len(findings), strings.Join(parts, ", "))
+	if len(findings) == 0 {
+		fmt.Printf("skywayvet: %d packages, %d analyzers, no findings\n", len(pkgs), len(all))
+		os.Exit(exitClean)
+	}
+	counts := make(map[string]int, len(all))
+	for _, f := range findings {
+		fmt.Println(f)
+		counts[f.Analyzer]++
+	}
+	// Per-analyzer summary, in the analyzers' registration order; the
+	// framework's own suppression-audit findings come last.
+	parts := make([]string, 0, len(all)+1)
+	for _, a := range all {
+		if n := counts[a.Name]; n > 0 {
+			parts = append(parts, fmt.Sprintf("%s %d", a.Name, n))
 		}
 	}
-
-	if len(findings) > 0 {
-		os.Exit(exitFindings)
+	if n := counts[framework.SuppressionAnalyzerName]; n > 0 {
+		parts = append(parts, fmt.Sprintf("%s %d", framework.SuppressionAnalyzerName, n))
 	}
-	os.Exit(exitClean)
+	fmt.Printf("skywayvet: %d findings (%s)\n", len(findings), strings.Join(parts, ", "))
+	os.Exit(exitFindings)
 }

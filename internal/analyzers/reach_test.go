@@ -31,9 +31,9 @@ var unreachedSurvivors = map[string]string{
 
 	"(*skyway/internal/transport/tcp.Server).Stored": "the leak check of dataflow's TestTCPChaosMatrix (no block left after a successful job) and of tcp_test.go's bad-request test",
 
-	"skyway/internal/transport/tcp.DiscoverTransport": "the driver half of skywayd -executor, which make cluster-test runs",
+	"skyway/internal/transport/tcp.DiscoverTransport": "the driver half of skywayd -executor, which TestClusterWordCountOverTCPProcesses runs",
 	"(*skyway/internal/registry.TCPClient).Peers":     "PEERS, polled by DiscoverTransport",
-	"(skyway/internal/registry.InProc).Peers":         "PEERS on the in-process registry, polled by DiscoverTransport in make cluster-test",
+	"(skyway/internal/registry.InProc).Peers":         "PEERS on the in-process registry, polled by DiscoverTransport in TestClusterWordCountOverTCPProcesses",
 	"(skyway/internal/registry.InProc).Announce":      "ANNOUNCE on the in-process registry, the other half of registry.PeerClient",
 }
 

@@ -153,26 +153,6 @@ func TestTaskDieAbortsStageCleanly(t *testing.T) {
 	}
 }
 
-// TestFetchSlowKeepsResultsIdentical: a slow peer charges modelled read
-// time; results must not change.
-func TestFetchSlowKeepsResultsIdenticalAcrossRuns(t *testing.T) {
-	for _, name := range skywayNames {
-		t.Run(name, func(t *testing.T) {
-			want, err := faultWordCount(t, name, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := faultWordCount(t, name, fault.DataflowFetchSlow+":on*arg=2ms")
-			if err != nil {
-				t.Fatalf("run under slow fetch: %v", err)
-			}
-			if got != want {
-				t.Fatalf("slow-peer run changed result: %d != %d", got, want)
-			}
-		})
-	}
-}
-
 // tornTransport is a measured transport whose every fetch fails after
 // spending d on the wire.
 type tornTransport struct {

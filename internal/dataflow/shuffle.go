@@ -263,7 +263,6 @@ type fetchTally struct {
 	local, remote           int64         // unique bytes consumed
 	triedLocal, triedRemote int64         // bytes fetched, every attempt
 	fetchTime               time.Duration // measured I/O across every attempt
-	slowPenalty             time.Duration // dataflow.fetch.slow charges
 	deser                   time.Duration // decode time across every attempt
 }
 
@@ -311,10 +310,6 @@ func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, src, dst int, t
 		if fault.Eval(fault.DataflowFetchTorn) {
 			block = append([]byte(nil), block...)
 			block[len(block)/2] ^= 0xFF
-		}
-		// Failpoint: a slow peer — charge extra modelled read time.
-		if fault.Eval(fault.DataflowFetchSlow) {
-			t.slowPenalty += fault.DurationArg(fault.DataflowFetchSlow, time.Millisecond)
 		}
 		f, d, err := c.decodeBlock(ex, block)
 		t.deser += d
@@ -369,7 +364,7 @@ func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffl
 			ctrRemoteReadB.Add(t.remote)
 			ctrRemoteFetches.Inc()
 		}
-		res.bd.ReadIO = t.slowPenalty + c.ioCharge(t.fetchTime, func(m netsim.CostModel) time.Duration {
+		res.bd.ReadIO = c.ioCharge(t.fetchTime, func(m netsim.CostModel) time.Duration {
 			return m.FetchTime(t.triedLocal, t.triedRemote)
 		})
 	}

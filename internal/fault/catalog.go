@@ -40,9 +40,6 @@ const (
 	// DataflowFetchTorn corrupts the fetched copy of a shuffle block (the
 	// stored block stays intact, so a re-fetch can succeed).
 	DataflowFetchTorn = "dataflow.fetch.torn"
-	// DataflowFetchSlow charges extra modelled read time (arg duration,
-	// default 1ms) on a shuffle fetch — a slow peer.
-	DataflowFetchSlow = "dataflow.fetch.slow"
 	// DataflowTaskDie kills an executor task mid-stage with an injected
 	// error, exercising the clean stage-abort path.
 	DataflowTaskDie = "dataflow.task.die"
@@ -88,7 +85,6 @@ func Catalog() []string {
 		CoreChunkBadPtr,
 		CoreAllocBuffer,
 		DataflowFetchTorn,
-		DataflowFetchSlow,
 		DataflowTaskDie,
 		TransportDial,
 		TransportStreamTorn,

@@ -19,7 +19,7 @@
 //
 // Example:
 //
-//	SKYWAY_FAULT='core.chunk.bitflip:1in8*times=3;dataflow.fetch.slow:on*arg=2ms'
+//	SKYWAY_FAULT='core.chunk.bitflip:1in8*times=3;transport.peer.slow:on*arg=2ms'
 //
 // The "1inN" trigger is driven by a per-point splitmix64 stream seeded from
 // SKYWAY_FAULT_SEED (or Seed) and the point name, so a (spec, seed) pair
