@@ -134,47 +134,6 @@ func TestTriangleCountingAcrossCodecs(t *testing.T) {
 	})
 }
 
-func TestTriangleCountMatchesBruteForce(t *testing.T) {
-	g := datagen.GraphSpec{Name: "tiny", Vertices: 60, AvgDegree: 5, Seed: 3}.Generate()
-	cp := klass.NewPath()
-	WorkloadClasses(cp)
-	c := newTestCluster(t, serial.JavaCodec(), cp)
-	_, got, err := RunTriangleCounting(c, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Brute force over the symmetrized simple graph.
-	adj := make([]map[int32]bool, g.N)
-	for i := range adj {
-		adj[i] = make(map[int32]bool)
-	}
-	for u := range g.Adj {
-		for _, v := range g.Adj[u] {
-			if int32(u) != v {
-				adj[u][v] = true
-				adj[v][int32(u)] = true
-			}
-		}
-	}
-	var want int64
-	for u := 0; u < g.N; u++ {
-		for v := range adj[u] {
-			if v <= int32(u) {
-				continue
-			}
-			for w := range adj[v] {
-				if w > v && adj[u][w] {
-					want++
-				}
-			}
-		}
-	}
-	if got != want {
-		t.Errorf("triangles = %d, want %d", got, want)
-	}
-}
-
 func TestPageRankMassConvergesToN(t *testing.T) {
 	// With damping 0.85 and contributions only along edges, total mass
 	// stays bounded by N (equals N on graphs without dangling vertices).

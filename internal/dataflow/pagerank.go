@@ -78,7 +78,8 @@ func RunPageRank(c *Cluster, g *datagen.Graph, iters int) (metrics.Breakdown, fl
 			Consume: func(ex *Executor, recs []heap.Addr) error {
 				mk := ex.RT.MustLoad(RankMsgClass)
 				dstF, valueF := mk.FieldByName("dst"), mk.FieldByName("value")
-				agg := make(map[int32]float64)
+				// Keys are among the vertices this executor owns (OwnerOf).
+				agg := make(map[int32]float64, len(states[ex.ID].vertices))
 				for _, r := range recs {
 					agg[int32(ex.RT.GetLong(r, dstF))] += ex.RT.GetDouble(r, valueF)
 				}
@@ -159,7 +160,7 @@ func RunConnectedComponents(c *Cluster, g *datagen.Graph, maxIters int) (metrics
 			Consume: func(ex *Executor, recs []heap.Addr) error {
 				mk := ex.RT.MustLoad(LabelMsgClass)
 				dstF, labelF := mk.FieldByName("dst"), mk.FieldByName("label")
-				agg := make(map[int32]int64)
+				agg := make(map[int32]int64, len(states[ex.ID].vertices))
 				for _, r := range recs {
 					dst := int32(ex.RT.GetLong(r, dstF))
 					l := ex.RT.GetLong(r, labelF)

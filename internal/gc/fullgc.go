@@ -55,12 +55,14 @@ func (c *Collector) FullGC() {
 		}
 	}
 	c.eachPinnedObject(mark)
+	// One slot closure per pass, reading the object being scanned from
+	// owner: a closure per object would be a Go allocation each.
+	var owner heap.Addr
+	markSlot := func(off uint32) { mark(heap.Addr(h.Load(owner, off, refKind))) }
 	for len(stack) > 0 {
-		a := stack[len(stack)-1]
+		owner = stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		c.meta.RefSlots(a, func(off uint32) {
-			mark(heap.Addr(h.Load(a, off, refKind)))
-		})
+		c.meta.RefSlots(owner, markSlot)
 	}
 
 	// --- compute forwarding addresses -----------------------------------
@@ -106,13 +108,15 @@ func (c *Collector) FullGC() {
 	}
 
 	// --- update references ----------------------------------------------
-	redirect := func(owner heap.Addr) {
-		c.meta.RefSlots(owner, func(off uint32) {
-			ref := heap.Addr(h.Load(owner, off, refKind))
-			if to, moved := fwd[ref]; moved {
-				h.Store(owner, off, refKind, uint64(to))
-			}
-		})
+	redirectSlot := func(off uint32) {
+		ref := heap.Addr(h.Load(owner, off, refKind))
+		if to, moved := fwd[ref]; moved {
+			h.Store(owner, off, refKind, uint64(to))
+		}
+	}
+	redirect := func(a heap.Addr) {
+		owner = a
+		c.meta.RefSlots(a, redirectSlot)
 	}
 	eachRegionObject(h, &h.Old, c.meta, func(a heap.Addr) {
 		if h.Marked(a) {
@@ -189,8 +193,9 @@ func (c *Collector) FullGC() {
 			h.CleanCards(p.Start, uint64(p.Size))
 		}
 	}
+	holdsYoung := c.youngTest()
 	remember := func(a heap.Addr) {
-		if !evacuate && c.holdsYoung(a) {
+		if !evacuate && holdsYoung(a) {
 			h.DirtyCard(a)
 		}
 	}

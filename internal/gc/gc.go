@@ -378,16 +378,23 @@ func (c *Collector) Scavenge() bool {
 			}
 		}
 	}
+	// One slot closure for the collection, reading the object being
+	// scanned from owner: a closure per object would be a Go allocation
+	// each, since RefSlots is an interface call.
+	var owner heap.Addr
+	fixOwnerSlot := func(off uint32) { fixSlot(owner, off) }
+
 	// Roots: tenured objects on dirty cards — the remembered set.
 	c.scanTenured(func(a heap.Addr) {
-		c.meta.RefSlots(a, func(off uint32) { fixSlot(a, off) })
+		owner = a
+		c.meta.RefSlots(a, fixOwnerSlot)
 	})
 
 	// Transitive closure.
 	for len(scanQueue) > 0 {
-		a := scanQueue[len(scanQueue)-1]
+		owner = scanQueue[len(scanQueue)-1]
 		scanQueue = scanQueue[:len(scanQueue)-1]
-		c.meta.RefSlots(a, func(off uint32) { fixSlot(a, off) })
+		c.meta.RefSlots(owner, fixOwnerSlot)
 	}
 
 	// Reset young spaces: eden and from-space are now garbage; survivors
@@ -450,10 +457,11 @@ func (c *Collector) scanTenured(fn func(a heap.Addr)) {
 // object overlapping it: an object still pointing young keeps all of its
 // dirty cards, and only a card no such object overlaps is cleaned.
 func (c *Collector) cleanCards() {
+	holdsYoung := c.youngTest()
 	rs := c.tenuredRanges()
 	for i, r := range rs {
 		c.eachDirtyObject(r, i == 0, func(a heap.Addr, size uint32) {
-			if c.holdsYoung(a) {
+			if holdsYoung(a) {
 				c.h.KeepCards(a, size)
 			}
 		})
@@ -489,14 +497,20 @@ func (c *Collector) eachDirtyObject(r heap.Region, indexed bool, fn func(a heap.
 	}
 }
 
-// holdsYoung reports whether the object at a has a reference slot pointing
-// into the young generation.
-func (c *Collector) holdsYoung(a heap.Addr) bool {
+// youngTest returns a test of whether the object at a has a reference slot
+// pointing into the young generation. Every object it tests shares one slot
+// closure, so a collection makes one, not one per object.
+func (c *Collector) youngTest() func(a heap.Addr) bool {
+	var owner heap.Addr
 	young := false
-	c.meta.RefSlots(a, func(off uint32) {
-		if ref := heap.Addr(c.h.Load(a, off, refKind)); ref != heap.Null && c.h.InYoung(ref) {
+	slot := func(off uint32) {
+		if ref := heap.Addr(c.h.Load(owner, off, refKind)); ref != heap.Null && c.h.InYoung(ref) {
 			young = true
 		}
-	})
-	return young
+	}
+	return func(a heap.Addr) bool {
+		owner, young = a, false
+		c.meta.RefSlots(a, slot)
+		return young
+	}
 }

@@ -8,6 +8,8 @@ import (
 	"skyway/internal/gc"
 	"skyway/internal/heap"
 	"skyway/internal/klass"
+	"skyway/internal/race"
+	"skyway/internal/verify"
 	"skyway/internal/vm"
 )
 
@@ -609,5 +611,42 @@ func TestRecleanKeepsSharedCardWithYoungPointer(t *testing.T) {
 	}
 	if rt.GetInt(got, vf) != 777 {
 		t.Fatalf("young object corrupted after reclean: v=%d", rt.GetInt(got, vf))
+	}
+}
+
+// A scavenge makes a fixed number of Go allocations, not one per object it
+// scans: a slot closure passed through Meta.RefSlots escapes, so one made
+// per scanned object would cost an allocation each. The live set is a
+// linked list, which keeps the scan queue one deep at any length.
+func TestScavengeAllocsIndependentOfLiveObjects(t *testing.T) {
+	if race.Enabled || verify.Enabled() {
+		t.Skip("allocation gate skipped under the race detector and SKYWAY_VERIFY")
+	}
+	const n = 100
+	allocs := func(objects int) float64 {
+		rt := newRT(t)
+		rt.GC.TenureAge = 100 // above any age: every scavenge copies and scans the list
+		k := rt.MustLoad("N")
+		nextF := k.FieldByName("next")
+		h := rt.Pin(heap.Null)
+		defer h.Release()
+		for i := 0; i < objects; i++ {
+			o := rt.MustNew(k)
+			rt.SetRef(o, nextF, h.Addr())
+			h.Set(o)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if !rt.GC.Scavenge() {
+				t.Fatal("scavenge refused")
+			}
+		})
+		if !rt.Heap.InYoung(h.Addr()) || rt.Heap.From.Used() < uint64(objects)*uint64(rt.ObjectSize(h.Addr())) {
+			t.Fatalf("%d-object list left the survivor space: the scavenges did not scan it", objects)
+		}
+		return got
+	}
+	one, two := allocs(n), allocs(2*n)
+	if two > one {
+		t.Errorf("scavenge of %d live objects made %.1f Go allocations, of %d made %.1f: allocations grow with the objects scanned", 2*n, two, n, one)
 	}
 }
