@@ -192,7 +192,7 @@ func runQB(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 	// Dimension maps (nation → region) are replicated; build once per
 	// executor.
 	nationRegion := make([]map[int32]int32, c.Workers())
-	setup, err := c.Compute(func(ex *Executor) error {
+	err := bd.AddStage(c.Compute(func(ex *Executor) error {
 		nk := ex.RT.MustLoad(NationClass)
 		m := make(map[int32]int32)
 		db.Nation.Each(ex, func(row heap.Addr) {
@@ -200,11 +200,10 @@ func runQB(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 		})
 		nationRegion[ex.ID] = m
 		return nil
-	})
+	}))
 	if err != nil {
 		return bd, 0, err
 	}
-	bd.Add(setup)
 
 	// Exchange 1: partsupp rows by partkey.
 	type costRow struct {
@@ -212,7 +211,7 @@ func runQB(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 		cost       float64
 	}
 	costsByPart := partials[int32, []costRow](c)
-	x1, err := c.Exchange(PartSuppClass, nil,
+	err = bd.AddStage(c.Exchange(PartSuppClass, nil,
 		func(ex *Executor, emit Emit) error {
 			db.PartSupp.Each(ex, func(row heap.Addr) {
 				pk := ex.RT.MustLoad(PartSuppClass)
@@ -232,17 +231,16 @@ func runQB(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 				costsByPart[ex.ID][cr.part] = append(costsByPart[ex.ID][cr.part], cr)
 			}
 			return nil
-		})
+		}))
 	if err != nil {
 		return bd, 0, err
 	}
-	bd.Add(x1)
 
 	// Exchange 2: supplier rows by suppkey hash, so each worker can map
 	// suppkey → region for the cost rows it owns. Suppliers are small;
 	// replicate by emitting to every worker (broadcast join).
 	suppRegion := partials[int32, int32](c)
-	x2, err := c.Exchange(SupplierClass, []string{"suppkey", "nationkey"},
+	err = bd.AddStage(c.Exchange(SupplierClass, []string{"suppkey", "nationkey"},
 		func(ex *Executor, emit Emit) error {
 			db.Supplier.Each(ex, func(row heap.Addr) {
 				// Broadcasting the same row to every worker keeps it live
@@ -264,11 +262,10 @@ func runQB(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 				suppRegion[ex.ID][supp] = nationRegion[ex.ID][nation]
 			}
 			return nil
-		})
+		}))
 	if err != nil {
 		return bd, 0, err
 	}
-	bd.Add(x2)
 
 	// Local min-cost per (part, region).
 	type prKey struct {
@@ -276,7 +273,7 @@ func runQB(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 		region int32
 	}
 	mins := partials[prKey, float64](c)
-	fin, err := c.Compute(func(ex *Executor) error {
+	err = bd.AddStage(c.Compute(func(ex *Executor) error {
 		local := mins[ex.ID]
 		for part, rows := range costsByPart[ex.ID] {
 			for _, cr := range rows {
@@ -291,11 +288,10 @@ func runQB(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 			}
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		return bd, 0, err
 	}
-	bd.Add(fin)
 
 	// Cost rows are hash-partitioned by part, so the per-executor maps are
 	// disjoint.
@@ -317,7 +313,7 @@ func runQC(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 
 	// Exchange 1: filtered customers by custkey (build side).
 	buildingCust := partials[int32, bool](c)
-	x1, err := c.Exchange(CustomerClass, []string{"custkey", "mktsegment"},
+	err := bd.AddStage(c.Exchange(CustomerClass, []string{"custkey", "mktsegment"},
 		func(ex *Executor, emit Emit) error {
 			ck := ex.RT.MustLoad(CustomerClass)
 			db.Customer.Each(ex, func(row heap.Addr) {
@@ -334,15 +330,14 @@ func runQC(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 				buildingCust[ex.ID][int32(fInt(ex, row, ck, "custkey"))] = true
 			}
 			return nil
-		})
+		}))
 	if err != nil {
 		return bd, 0, err
 	}
-	bd.Add(x1)
 
 	// Exchange 2: pending orders by custkey (probe), re-keyed by orderkey.
 	pendingOrders := partials[int32, int64](c) // orderkey → orderdate<<8|prio
-	x2, err := c.Exchange(OrdersClass, []string{"orderkey", "custkey", "orderdate", "shippriority"},
+	err = bd.AddStage(c.Exchange(OrdersClass, []string{"orderkey", "custkey", "orderdate", "shippriority"},
 		func(ex *Executor, emit Emit) error {
 			ok := ex.RT.MustLoad(OrdersClass)
 			db.Orders.Each(ex, func(row heap.Addr) {
@@ -363,11 +358,10 @@ func runQC(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 				pendingOrders[ex.ID][okey] = fInt(ex, row, ok, "orderdate")<<8 | fInt(ex, row, ok, "shippriority")
 			}
 			return nil
-		})
+		}))
 	if err != nil {
 		return bd, 0, err
 	}
-	bd.Add(x2)
 
 	// Qualifying orders must be visible on the workers that receive the
 	// lineitem probe (partitioned by orderkey): the driver merges the
@@ -379,11 +373,11 @@ func runQC(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 			qualified[k] = v
 		}
 	}
-	bd.Compute += time.Since(start)
+	bd.Add(metrics.Breakdown{Compute: time.Since(start)})
 
 	// Exchange 3: late-shipped lineitems by orderkey; aggregate revenue.
 	revenue := partials[int32, float64](c)
-	x3, err := c.Exchange(LineItemClass, []string{"orderkey", "extendedprice", "discount", "shipdate"},
+	err = bd.AddStage(c.Exchange(LineItemClass, []string{"orderkey", "extendedprice", "discount", "shipdate"},
 		func(ex *Executor, emit Emit) error {
 			lk := ex.RT.MustLoad(LineItemClass)
 			db.LineItem.Each(ex, func(row heap.Addr) {
@@ -405,11 +399,10 @@ func runQC(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 				revenue[ex.ID][okey] += price * (1 - disc)
 			}
 			return nil
-		})
+		}))
 	if err != nil {
 		return bd, 0, err
 	}
-	bd.Add(x3)
 
 	// Top-10 revenue digest (orders are hash-partitioned by orderkey: the
 	// per-executor maps are disjoint).
@@ -439,7 +432,7 @@ func runQD(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 
 	// Exchange 1: late lineitems by orderkey (commit missed).
 	lateOrders := partials[int32, bool](c)
-	x1, err := c.Exchange(LineItemClass, []string{"orderkey", "commitdate", "receiptdate"},
+	err := bd.AddStage(c.Exchange(LineItemClass, []string{"orderkey", "commitdate", "receiptdate"},
 		func(ex *Executor, emit Emit) error {
 			lk := ex.RT.MustLoad(LineItemClass)
 			db.LineItem.Each(ex, func(row heap.Addr) {
@@ -455,16 +448,15 @@ func runQD(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 				lateOrders[ex.ID][int32(fInt(ex, row, lk, "orderkey"))] = true
 			}
 			return nil
-		})
+		}))
 	if err != nil {
 		return bd, 0, err
 	}
-	bd.Add(x1)
 
 	// Exchange 2: orders in the year window by orderkey; count late per
 	// quarter.
 	counts := make([][4]int64, c.Workers())
-	x2, err := c.Exchange(OrdersClass, []string{"orderkey", "orderdate"},
+	err = bd.AddStage(c.Exchange(OrdersClass, []string{"orderkey", "orderdate"},
 		func(ex *Executor, emit Emit) error {
 			ok := ex.RT.MustLoad(OrdersClass)
 			db.Orders.Each(ex, func(row heap.Addr) {
@@ -489,11 +481,10 @@ func runQD(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 				counts[ex.ID][q]++
 			}
 			return nil
-		})
+		}))
 	if err != nil {
 		return bd, 0, err
 	}
-	bd.Add(x2)
 
 	var digest float64
 	for q := 0; q < 4; q++ {
@@ -513,7 +504,7 @@ func runQE(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 
 	// Exchange 1: orders by orderkey (build: orderkey → custkey).
 	orderCust := partials[int32, int32](c)
-	x1, err := c.Exchange(OrdersClass, []string{"orderkey", "custkey"},
+	err := bd.AddStage(c.Exchange(OrdersClass, []string{"orderkey", "custkey"},
 		func(ex *Executor, emit Emit) error {
 			ok := ex.RT.MustLoad(OrdersClass)
 			db.Orders.Each(ex, func(row heap.Addr) {
@@ -527,16 +518,15 @@ func runQE(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 				orderCust[ex.ID][int32(fInt(ex, row, ok, "orderkey"))] = int32(fInt(ex, row, ok, "custkey"))
 			}
 			return nil
-		})
+		}))
 	if err != nil {
 		return bd, 0, err
 	}
-	bd.Add(x1)
 
 	// Exchange 2: returned lineitems by orderkey; revenue lost per
 	// customer.
 	lostAt := partials[int32, float64](c)
-	x2, err := c.Exchange(LineItemClass, []string{"orderkey", "extendedprice", "discount", "returnflag"},
+	err = bd.AddStage(c.Exchange(LineItemClass, []string{"orderkey", "extendedprice", "discount", "returnflag"},
 		func(ex *Executor, emit Emit) error {
 			lk := ex.RT.MustLoad(LineItemClass)
 			db.LineItem.Each(ex, func(row heap.Addr) {
@@ -559,11 +549,10 @@ func runQE(c *Cluster, db *DB) (metrics.Breakdown, float64, error) {
 				lostAt[ex.ID][cust] += price * (1 - disc)
 			}
 			return nil
-		})
+		}))
 	if err != nil {
 		return bd, 0, err
 	}
-	bd.Add(x2)
 
 	// A customer's orders land on several workers: sum the partials in
 	// executor-ID order.

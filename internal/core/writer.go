@@ -80,15 +80,12 @@ type Writer struct {
 	prevTop    uint64
 	flushedTop uint64
 
-	// Local stat accumulators, folded into the runtime's shared stats on
-	// Flush/Close (hot-loop synchronisation is expensive). foldedObjects and
-	// foldedBytes are how much of Objects and Bytes has been folded.
+	// The stream's byte composition so far, reported on its transfer span
+	// at Close. It and Objects and Bytes are folded into the runtime's
+	// shared stats on Flush/Close (hot-loop synchronisation is expensive);
+	// folded is what the last fold published.
 	headerB, padB, ptrB, overflowHits uint64
-	foldedObjects, foldedBytes        uint64
-
-	// Per-writer cumulative composition totals (never reset), reported on
-	// the stream's transfer span at Close.
-	totHeaderB, totPadB, totPtrB, totOverflow uint64
+	folded                            Stats
 
 	// openedAt anchors the stream's transfer span; zero when tracing was
 	// disabled at open time.
@@ -548,30 +545,22 @@ func (w *Writer) relativize(slot []byte, obj heap.Addr, off uint32) error {
 	return nil
 }
 
-// foldStats publishes the writer's local accumulators into the runtime's
-// shared stats.
+// foldStats publishes what the writer has sent since the last fold into the
+// runtime's shared stats.
 func (w *Writer) foldStats() {
-	objects, bytes := w.Objects-w.foldedObjects, w.Bytes-w.foldedBytes
-	if objects == 0 && w.overflowHits == 0 {
+	now, f := Stats{ObjectsSent: w.Objects, BytesSent: w.Bytes, HeaderBytes: w.headerB,
+		PaddingBytes: w.padB, PointerBytes: w.ptrB, OverflowHits: w.overflowHits}, w.folded
+	d := Stats{ObjectsSent: now.ObjectsSent - f.ObjectsSent, BytesSent: now.BytesSent - f.BytesSent,
+		HeaderBytes: now.HeaderBytes - f.HeaderBytes, PaddingBytes: now.PaddingBytes - f.PaddingBytes,
+		PointerBytes: now.PointerBytes - f.PointerBytes, OverflowHits: now.OverflowHits - f.OverflowHits}
+	if d.ObjectsSent == 0 && d.OverflowHits == 0 {
 		return
 	}
-	w.rt.AddTransferStats(Stats{
-		ObjectsSent:  objects,
-		BytesSent:    bytes,
-		HeaderBytes:  w.headerB,
-		PointerBytes: w.ptrB,
-		PaddingBytes: w.padB,
-		OverflowHits: w.overflowHits,
-	})
-	ctrObjectsSent.Add(int64(objects))
-	ctrBytesSent.Add(int64(bytes))
-	ctrOverflowHits.Add(int64(w.overflowHits))
-	w.totHeaderB += w.headerB
-	w.totPtrB += w.ptrB
-	w.totPadB += w.padB
-	w.totOverflow += w.overflowHits
-	w.foldedObjects, w.foldedBytes = w.Objects, w.Bytes
-	w.headerB, w.ptrB, w.padB, w.overflowHits = 0, 0, 0, 0
+	w.rt.AddTransferStats(d)
+	ctrObjectsSent.Add(int64(d.ObjectsSent))
+	ctrBytesSent.Add(int64(d.BytesSent))
+	ctrOverflowHits.Add(int64(d.OverflowHits))
+	w.folded = now
 }
 
 // flushSegment streams the current buffer out as one segment/chunk — with
@@ -723,10 +712,10 @@ func (w *Writer) Close() error {
 		w.rt.Trace.Emit("transfer", "skyway.send", w.openedAt, time.Since(w.openedAt),
 			obs.I64("objects", int64(w.Objects)),
 			obs.I64("bytes", int64(w.Bytes)),
-			obs.I64("header_bytes", int64(w.totHeaderB)),
-			obs.I64("pointer_bytes", int64(w.totPtrB)),
-			obs.I64("padding_bytes", int64(w.totPadB)),
-			obs.I64("overflow_hits", int64(w.totOverflow)),
+			obs.I64("header_bytes", int64(w.headerB)),
+			obs.I64("pointer_bytes", int64(w.ptrB)),
+			obs.I64("padding_bytes", int64(w.padB)),
+			obs.I64("overflow_hits", int64(w.overflowHits)),
 			obs.I64("stream_id", int64(w.streamID)))
 	}
 	return err

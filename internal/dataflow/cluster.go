@@ -71,7 +71,7 @@ type Config struct {
 	// Spark runs every executor's tasks at once. With one slot the tasks
 	// run on the caller's goroutine, in executor order. Results are
 	// identical either way; only scheduling and the wall-clock accounting
-	// differ (metrics.Breakdown.Wall).
+	// differ (the Breakdown's Wall).
 	ParallelTasks int
 }
 
@@ -294,11 +294,65 @@ func (c *Cluster) shuffleStart() {
 
 // taskResult is one executor task's contribution to a stage: its breakdown
 // components (which sum across executors into the per-node totals of §2.2)
-// and its own elapsed wall time (measured CPU plus modelled I/O; with
-// concurrent senders inside the task, the slowest sender, not their sum).
+// and its own elapsed wall time, both written by the task's taskClock.
 type taskResult struct {
 	bd   metrics.Breakdown
 	wall time.Duration
+}
+
+// taskClock is an executor task's one timer, and the timing rule in one
+// place. A task starts it on its own goroutine. A timed region runs from
+// start (or startClock) to stop, which charges the region's elapsed time to
+// one Breakdown component less the executor collector's pauses inside it,
+// which go to Breakdown.GC; io charges an I/O time (measured by the
+// transport or modelled) to its component. Both add to the task's wall, so
+// the wall is the task's regions and I/O end to end. The collector is read
+// only here, on the task goroutine: its statistics are runtime-confined.
+type taskClock struct {
+	res   *taskResult
+	coll  *gc.Collector
+	mark  time.Time     // the open region's start
+	pause time.Duration // the collector's pause total at mark
+}
+
+// startClock returns r's clock with its first region started.
+func (r *taskResult) startClock(ex *Executor) *taskClock {
+	k := &taskClock{res: r, coll: ex.RT.GC}
+	k.start()
+	return k
+}
+
+func (k *taskClock) start() { k.mark, k.pause = time.Now(), k.coll.TotalPause() }
+
+// elapsed returns the open region's time so far. A concurrent encode slot
+// reads it as it finishes, from its own goroutine: start ran before the
+// slots did.
+func (k *taskClock) elapsed() time.Duration { return time.Since(k.mark) }
+
+// stop ends the open region and charges it to *into, less the collector
+// pauses inside it, which go to GC; it returns the region's elapsed time,
+// which the wall gains. A region whose work ran on concurrent slots passes
+// the elapsed time each slot read as it finished, and *into is charged
+// their sum, the per-node CPU. The slots allocate nothing managed, so every
+// pause inside such a region was on the task goroutine.
+func (k *taskClock) stop(into *time.Duration, slots ...time.Duration) time.Duration {
+	d, pause := k.elapsed(), k.coll.TotalPause()-k.pause
+	spent := d
+	if len(slots) > 0 {
+		spent = 0
+		for _, s := range slots {
+			spent += s
+		}
+	}
+	*into += spent - pause
+	k.res.bd.GC += pause
+	k.res.wall += d
+	return d
+}
+
+func (k *taskClock) io(into *time.Duration, d time.Duration) {
+	*into += d
+	k.res.wall += d
 }
 
 // mergeBreakdowns folds per-executor task results into one stage breakdown.
@@ -307,14 +361,11 @@ type taskResult struct {
 // long as its slowest executor, so the parallel merge records the per-
 // executor max in Breakdown.Wall. Sequential runs leave Wall zero and
 // Total() falls back to the sum, preserving the historical numbers.
-func mergeBreakdowns(parallel bool, parts []taskResult) metrics.Breakdown {
-	var out metrics.Breakdown
+func mergeBreakdowns(parallel bool, parts []taskResult) (out metrics.Breakdown) {
 	var maxWall time.Duration
 	for _, p := range parts {
 		out.Add(p.bd)
-		if p.wall > maxWall {
-			maxWall = p.wall
-		}
+		maxWall = max(maxWall, p.wall)
 	}
 	if parallel {
 		out.Wall = maxWall
@@ -369,14 +420,10 @@ func (c *Cluster) runPerExecutor(stage string, task func(ex *Executor) (taskResu
 		task = func(ex *Executor) (taskResult, error) {
 			sp := ex.RT.Trace.Span("task", stage)
 			res, err := inner(ex)
-			sp.Arg("compute_ns", int64(res.bd.Compute)).
-				Arg("ser_ns", int64(res.bd.Ser)).
-				Arg("deser_ns", int64(res.bd.Deser)).
-				Arg("write_io_ns", int64(res.bd.WriteIO)).
-				Arg("read_io_ns", int64(res.bd.ReadIO)).
-				Arg("shuffle_bytes", res.bd.ShuffleBytes).
-				Arg("records", res.bd.Records).
-				End()
+			for _, comp := range res.bd.Components() {
+				sp.Arg(comp.Name+"_ns", int64(*comp.D))
+			}
+			sp.Arg("shuffle_bytes", res.bd.ShuffleBytes).Arg("records", res.bd.Records).End()
 			return res, err
 		}
 	}

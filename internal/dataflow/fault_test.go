@@ -251,7 +251,7 @@ func TestDecodeBlockRollsBackToMark(t *testing.T) {
 				}
 			}
 
-			if _, _, err := c.decodeBlock(ex, block[:len(block)-5]); err == nil {
+			if _, err := c.decodeBlock(ex, block[:len(block)-5]); err == nil {
 				t.Fatal("truncated block decoded without error")
 			}
 			check("after the failed attempt", 2)
@@ -259,7 +259,7 @@ func TestDecodeBlockRollsBackToMark(t *testing.T) {
 				t.Errorf("failed attempt left %d input-buffer bytes", used)
 			}
 
-			f, _, err := c.decodeBlock(ex, block)
+			f, err := c.decodeBlock(ex, block)
 			if err != nil {
 				t.Fatalf("intact block: %v", err)
 			}

@@ -87,24 +87,21 @@ func RunPageRank(c *Cluster, g *datagen.Graph, iters int) (metrics.Breakdown, fl
 				return nil
 			},
 		}
-		sbd, err := c.RunShuffle(spec)
-		if err != nil {
+		if err := bd.AddStage(c.RunShuffle(spec)); err != nil {
 			return bd, 0, err
 		}
-		bd.Add(sbd)
 
-		ubd, err := c.Compute(func(ex *Executor) error {
+		err := bd.AddStage(c.Compute(func(ex *Executor) error {
 			s := states[ex.ID]
 			agg := sums[ex.ID]
 			for _, v := range s.vertices {
 				s.ranks[v] = 0.15 + 0.85*agg[v]
 			}
 			return nil
-		})
+		}))
 		if err != nil {
 			return bd, 0, err
 		}
-		bd.Add(ubd)
 	}
 
 	// Sum in vertex order: map iteration order would perturb the float
@@ -172,13 +169,11 @@ func RunConnectedComponents(c *Cluster, g *datagen.Graph, maxIters int) (metrics
 				return nil
 			},
 		}
-		sbd, err := c.RunShuffle(spec)
-		if err != nil {
+		if err := bd.AddStage(c.RunShuffle(spec)); err != nil {
 			return bd, 0, err
 		}
-		bd.Add(sbd)
 
-		ubd, err := c.Compute(func(ex *Executor) error {
+		err := bd.AddStage(c.Compute(func(ex *Executor) error {
 			s := states[ex.ID]
 			var changed int64
 			for v, l := range mins[ex.ID] {
@@ -189,11 +184,10 @@ func RunConnectedComponents(c *Cluster, g *datagen.Graph, maxIters int) (metrics
 			}
 			atomic.AddInt64(&changedTotal, changed)
 			return nil
-		})
+		}))
 		if err != nil {
 			return bd, 0, err
 		}
-		bd.Add(ubd)
 		if changedTotal == 0 {
 			break
 		}

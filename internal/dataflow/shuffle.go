@@ -53,6 +53,8 @@ type outRecord struct {
 //	         measured when the transport does real I/O)
 //	readIO:  fetching blocks, split local/remote (modelled or measured)
 //	deser:   decoding fetched blocks on the reducer (measured)
+//	gc:      the executors' collection pauses inside the measured regions,
+//	         which the regions' own components do not contain
 //
 // Blocks move through the cluster's Transport: the in-process simulator
 // stores them in memory (or spill files) and prices I/O with the cost
@@ -60,8 +62,9 @@ type outRecord struct {
 // charges measured socket time. The map side and the reduce side are stages
 // separated by a barrier; with a parallel cluster, each stage's executor
 // tasks run on concurrent goroutines and the stage's wall-clock
-// contribution is its slowest task (metrics.Breakdown.Wall), while the
-// components above still sum across executors.
+// contribution is its slowest task (the Breakdown's Wall), while the
+// components above still sum across executors. The task's taskClock
+// charges every measured region.
 func (c *Cluster) RunShuffle(spec ShuffleSpec) (metrics.Breakdown, error) {
 	p := c.NumPartitions()
 	c.shuffleStart()
@@ -91,6 +94,7 @@ func (c *Cluster) RunShuffle(spec ShuffleSpec) (metrics.Breakdown, error) {
 // streams claiming baddr words out of this executor's heap at once.
 func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, p int) (taskResult, error) {
 	var res taskResult
+	k := res.startClock(ex)
 	// The task's records live in the executor's root table until the task
 	// returns — on the task goroutine, after the sender streams have joined:
 	// the collector's root set is runtime-confined.
@@ -105,7 +109,6 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 		out[dst] = out[dst][:0]
 	}
 
-	start := time.Now()
 	err := spec.Produce(ex, func(dst int, key uint64, rec heap.Addr) {
 		if dst < 0 || dst >= p {
 			panic(fmt.Sprintf("dataflow: emit to partition %d of %d", dst, p))
@@ -119,10 +122,10 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 	for dst := range out {
 		ex.sortTmp = sortByKey(out[dst], ex.sortTmp)
 	}
-	res.bd.Compute = time.Since(start)
+	k.stop(&res.bd.Compute)
 
 	// Serialize blocks. Each (mapper, partition) block is its own encoder
-	// stream; sender slot k encodes blocks k, k+senders, ... so the block
+	// stream; sender slot i encodes blocks i, i+senders, ... so the block
 	// set is statically partitioned across the concurrent streams. The
 	// encoders only read the heap (produce is done, and this executor
 	// allocates nothing until the reduce stage), so the streams race only
@@ -133,19 +136,16 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 	if len(ex.batch) < senders {
 		ex.batch = make([][]heap.Addr, senders)
 	}
-	blocks := make([][]byte, p)
 	serTime := make([]time.Duration, senders)
 	serErr := make([]error, senders)
-	serRecs := make([]int64, senders)
-	serBytes := make([]int64, senders)
 	encode := func(slot int) {
 		// Codec-agnostic transfer span: baseline serializers never enter
 		// internal/core, so the encode stream itself is the traced unit.
 		sp := ex.RT.Trace.Span("transfer", "shuffle.encode")
-		start := time.Now()
+		var recs, nbytes int64
 		defer func() {
-			serTime[slot] = time.Since(start)
-			sp.Arg("bytes", serBytes[slot]).Arg("records", serRecs[slot]).Arg("slot", int64(slot)).End()
+			serTime[slot] = k.elapsed()
+			sp.Arg("bytes", nbytes).Arg("records", recs).Arg("slot", int64(slot)).End()
 		}()
 		for dst := slot; dst < p; dst += senders {
 			if len(out[dst]) == 0 {
@@ -170,21 +170,16 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 				serErr[slot] = err
 				return
 			}
-			blocks[dst] = buf.Bytes()
-			serRecs[slot] += int64(len(out[dst]))
-			serBytes[slot] += int64(len(buf.Bytes()))
+			recs += int64(len(out[dst]))
+			nbytes += int64(buf.Len())
 		}
 	}
+	k.start()
 	fanOut(senders, encode)
-	var serMax time.Duration
-	for s := 0; s < senders; s++ {
-		if serErr[s] != nil {
-			return res, serErr[s]
-		}
-		res.bd.Ser += serTime[s]
-		res.bd.Records += serRecs[s]
-		if serTime[s] > serMax {
-			serMax = serTime[s]
+	k.stop(&res.bd.Ser, serTime...)
+	for _, err := range serErr {
+		if err != nil {
+			return res, err
 		}
 	}
 
@@ -194,25 +189,24 @@ func (c *Cluster) mapTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, 
 	var written int64
 	var putTime time.Duration
 	for dst := 0; dst < p; dst++ {
-		if len(blocks[dst]) == 0 {
+		if len(out[dst]) == 0 {
 			continue
 		}
-		written += int64(len(blocks[dst]))
-		d, err := sh.Put(ex.ID, dst, blocks[dst])
+		block := ex.blocks[dst].Bytes()
+		written += int64(len(block))
+		res.bd.Records += int64(len(out[dst]))
+		d, err := sh.Put(ex.ID, dst, block)
 		if err != nil {
 			return res, fmt.Errorf("publish block (%d→%d): %w", ex.ID, dst, err)
 		}
 		putTime += d
 	}
-	res.bd.WriteIO = c.ioCharge(putTime, func(m netsim.CostModel) time.Duration { return m.WriteTime(written) })
+	k.io(&res.bd.WriteIO, c.ioCharge(putTime, func(m netsim.CostModel) time.Duration { return m.WriteTime(written) }))
 	ctrSpillBytes.Add(written)
 	res.bd.ShuffleBytes = written
 	if res.bd.Records > 0 {
 		ex.recBytes = int((written + res.bd.Records - 1) / res.bd.Records)
 	}
-	// The task's elapsed time: concurrent sender streams overlap, so the
-	// slowest stream bounds the serialization wall time.
-	res.wall = res.bd.Compute + serMax + res.bd.WriteIO
 	c.sampleHeap(ex)
 	return res, nil
 }
@@ -227,8 +221,7 @@ type freer interface{ Free() }
 // attempt started and frees the input buffers the attempt created — the heap
 // is exactly as it was before the attempt — and returns the decode error, so
 // the caller's bounded re-fetch starts from a clean slate.
-func (c *Cluster) decodeBlock(ex *Executor, block []byte) (f freer, d time.Duration, err error) {
-	start := time.Now()
+func (c *Cluster) decodeBlock(ex *Executor, block []byte) (f freer, err error) {
 	mark := ex.recs.Len()
 	dec := c.Codec.NewDecoder(ex.RT, bytes.NewReader(block))
 	f, _ = dec.(freer)
@@ -236,11 +229,11 @@ func (c *Cluster) decodeBlock(ex *Executor, block []byte) (f freer, d time.Durat
 		rec, rerr := dec.Read()
 		if rerr != nil {
 			if isEOF(rerr) {
-				return f, time.Since(start), nil
+				return f, nil
 			}
 			ex.recs.Truncate(mark)
 			freeAll(f)
-			return nil, time.Since(start), rerr
+			return nil, rerr
 		}
 		ex.recs.Append(rec)
 	}
@@ -255,15 +248,14 @@ func freeAll(fs ...freer) {
 	}
 }
 
-// fetchTally is one task's fetch accounting. The tried bytes and the times
-// cover every attempt — a re-fetch does real I/O too, and an aborted stage
-// must not understate the read I/O it consumed before giving up; the
+// fetchTally is one task's fetch accounting. The tried bytes and the fetch
+// time cover every attempt — a re-fetch does real I/O too, and an aborted
+// stage must not understate the read I/O it consumed before giving up; the
 // consumed bytes count each decoded block once (Figure 3(b) accounting).
 type fetchTally struct {
 	local, remote           int64         // unique bytes consumed
 	triedLocal, triedRemote int64         // bytes fetched, every attempt
 	fetchTime               time.Duration // measured I/O across every attempt
-	deser                   time.Duration // decode time across every attempt
 }
 
 // fetchBlock brings block (src, dst) of round sh into ex's heap: its records
@@ -277,8 +269,9 @@ type fetchTally struct {
 // torn transfer, a checksum mismatch, any *core.DecodeError) is re-fetched
 // from the intact stored bytes up to maxFetchAttempts times; if every
 // attempt fails, the stage aborts with a StageAbortError naming the
-// publishing peer. A failed attempt leaves no root or input buffer behind.
-func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, src, dst int, t *fetchTally) (freer, error) {
+// publishing peer. A failed attempt leaves no root or input buffer behind;
+// every attempt's decode, failed or not, is charged to the task's Deser.
+func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, src, dst int, t *fetchTally, k *taskClock) (freer, error) {
 	var lastErr error
 	for attempt := 1; attempt <= maxFetchAttempts; attempt++ {
 		if attempt > 1 {
@@ -311,14 +304,15 @@ func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, src, dst int, t
 			block = append([]byte(nil), block...)
 			block[len(block)/2] ^= 0xFF
 		}
-		f, d, err := c.decodeBlock(ex, block)
-		t.deser += d
+		k.start()
+		f, err := c.decodeBlock(ex, block)
+		d = k.stop(&k.res.bd.Deser)
 		if err != nil {
 			lastErr = fmt.Errorf("deserialize block (%d→%d): %w", src, dst, err)
 			continue
 		}
 		if obs.Enabled() {
-			ex.RT.Trace.Emit("transfer", "shuffle.decode", time.Now().Add(-d), d,
+			ex.RT.Trace.Emit("transfer", "shuffle.decode", k.mark, d,
 				obs.I64("bytes", n),
 				obs.I64("src", int64(src)), obs.I64("dst", int64(dst)),
 				obs.I64("attempt", int64(attempt)))
@@ -346,61 +340,52 @@ func (c *Cluster) fetchBlock(ex *Executor, sh transport.Shuffle, src, dst int, t
 // read I/O its fetches really did.
 func (c *Cluster) reduceTask(ex *Executor, spec ShuffleSpec, sh transport.Shuffle, p int) (taskResult, error) {
 	var res taskResult
+	k := res.startClock(ex)
 	var t fetchTally
 	var freers []freer
-	release := func() {
+	defer func() {
 		ex.recs.Release()
 		freeAll(freers...)
-	}
-	// chargeRead prices the task's fetches; it runs on every exit path.
-	chargeRead := func() {
-		res.bd.Deser = t.deser
-		res.bd.LocalBytes = t.local
-		res.bd.RemoteBytes = t.remote
-		ctrLocalReadB.Add(t.local)
-		if t.remote > 0 {
-			// One remote fetch per task: the per-transfer latency unit
-			// of CostModel.NetTime.
-			ctrRemoteReadB.Add(t.remote)
-			ctrRemoteFetches.Inc()
-		}
-		res.bd.ReadIO = c.ioCharge(t.fetchTime, func(m netsim.CostModel) time.Duration {
-			return m.FetchTime(t.triedLocal, t.triedRemote)
-		})
-	}
-	for dst := 0; dst < p; dst++ {
+	}()
+	var err error
+	for dst := 0; dst < p && err == nil; dst++ {
 		if c.OwnerOf(dst) != ex.ID {
 			continue
 		}
-		for src := 0; src < c.Workers(); src++ {
-			f, err := c.fetchBlock(ex, sh, src, dst, &t)
-			if err != nil {
-				release()
-				chargeRead()
-				return res, err
-			}
+		for src := 0; src < c.Workers() && err == nil; src++ {
+			var f freer
+			f, err = c.fetchBlock(ex, sh, src, dst, &t, k)
 			freers = append(freers, f)
 		}
 	}
-	chargeRead()
+	res.bd.LocalBytes = t.local
+	res.bd.RemoteBytes = t.remote
+	ctrLocalReadB.Add(t.local)
+	if t.remote > 0 {
+		// One remote fetch per task: the per-transfer latency unit of
+		// CostModel.NetTime.
+		ctrRemoteReadB.Add(t.remote)
+		ctrRemoteFetches.Inc()
+	}
+	k.io(&res.bd.ReadIO, c.ioCharge(t.fetchTime, func(m netsim.CostModel) time.Duration {
+		return m.FetchTime(t.triedLocal, t.triedRemote)
+	}))
+	if err != nil {
+		return res, err
+	}
 
-	start := time.Now()
+	k.start()
 	if spec.Consume != nil {
 		if err := spec.Consume(ex, ex.recs.Slots()); err != nil {
-			release()
 			return res, fmt.Errorf("consume: %w", err)
 		}
 	}
-	res.bd.Compute = time.Since(start)
+	k.stop(&res.bd.Compute)
 	// Sample the high-water mark while the received records and their
 	// input buffers are still live — the receive side is where the §5.2
-	// memory overhead peaks.
+	// memory overhead peaks. The deferred release then drops them: Spark
+	// keeps buffers only while the RDD is cached, and these records are not.
 	c.sampleHeap(ex)
-	// The reduce side has consumed the records; release them and the Skyway
-	// input buffers (Spark keeps buffers only while the RDD is cached, and
-	// these records are not).
-	release()
-	res.wall = res.bd.Deser + res.bd.ReadIO + res.bd.Compute
 	return res, nil
 }
 
@@ -413,13 +398,10 @@ func isEOF(err error) bool { return errors.Is(err, io.EOF) }
 func (c *Cluster) Compute(fn func(ex *Executor) error) (metrics.Breakdown, error) {
 	return c.runPerExecutor("compute", func(ex *Executor) (taskResult, error) {
 		var res taskResult
-		start := time.Now()
-		if err := fn(ex); err != nil {
-			return res, err
-		}
-		res.bd.Compute = time.Since(start)
-		res.wall = res.bd.Compute
+		k := res.startClock(ex)
+		err := fn(ex)
+		k.stop(&res.bd.Compute)
 		c.sampleHeap(ex)
-		return res, nil
+		return res, err
 	})
 }

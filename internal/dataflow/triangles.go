@@ -102,10 +102,7 @@ func RunTriangleCounting(c *Cluster, g *datagen.Graph) (metrics.Breakdown, int64
 		},
 	}
 	bd, err := c.RunShuffle(spec)
-	bd.Compute += prep
-	if bd.Wall > 0 {
-		bd.Wall += prep
-	}
+	bd.Add(metrics.Breakdown{Compute: prep})
 	return bd, total, err
 }
 

@@ -289,21 +289,25 @@ func (c Cell) Name() string {
 	return string(c.App) + "/" + c.Graph
 }
 
-// PrintBreakdown writes one row per cell — Total, the five components and
+// PrintBreakdown writes one row per cell — Total, the six components and
 // the local / remote byte split — and a warning under any cell whose digest
 // differs from the first cell of the same name: a serializer must not change
 // the answer.
 func PrintBreakdown(w io.Writer, cells []Cell) {
-	fmt.Fprintf(w, "  %-18s %-14s %10s %10s %10s %10s %10s %10s %12s %12s\n",
-		"cell", "serializer", "total", "compute", "ser", "writeIO", "deser", "readIO", "localB", "remoteB")
+	var head metrics.Breakdown
+	fmt.Fprintf(w, "  %-18s %-14s %10s", "cell", "serializer", "total")
+	for _, comp := range head.Components() {
+		fmt.Fprintf(w, " %10s", comp.Name)
+	}
+	fmt.Fprintf(w, " %12s %12s\n", "localB", "remoteB")
 	first := make(map[string]Cell)
 	for _, c := range cells {
 		name, b := c.Name(), c.Breakdown
-		fmt.Fprintf(w, "  %-18s %-14s %10v %10v %10v %10v %10v %10v %12d %12d\n",
-			name, c.Serializer,
-			b.Total().Round(time.Millisecond), b.Compute.Round(time.Millisecond), b.Ser.Round(time.Millisecond),
-			b.WriteIO.Round(time.Millisecond), b.Deser.Round(time.Millisecond), b.ReadIO.Round(time.Millisecond),
-			b.LocalBytes, b.RemoteBytes)
+		fmt.Fprintf(w, "  %-18s %-14s %10v", name, c.Serializer, b.Total().Round(time.Millisecond))
+		for _, comp := range b.Components() {
+			fmt.Fprintf(w, " %10v", comp.D.Round(time.Millisecond))
+		}
+		fmt.Fprintf(w, " %12d %12d\n", b.LocalBytes, b.RemoteBytes)
 		if f, ok := first[name]; !ok {
 			first[name] = c
 		} else if f.Digest != c.Digest {

@@ -17,6 +17,18 @@ func tinySparkConfig() SparkConfig {
 	return cfg
 }
 
+// checkGCCharge holds a cell's Breakdown.GC to its cluster's collectors:
+// a cell that never paused charges no GC, and no cell charges more than its
+// cluster paused in all (the driver's pauses are in the total, not in any
+// executor task).
+func checkGCCharge(t *testing.T, cell string, info RunInfo) {
+	t.Helper()
+	gc, paused := info.Breakdown.GC, info.GC.TotalPause()
+	if (info.GC.Pauses == 0 && gc != 0) || gc < 0 || gc > paused {
+		t.Errorf("%s: Breakdown.GC %v against %d pauses totalling %v", cell, gc, info.GC.Pauses, paused)
+	}
+}
+
 func TestRunJSBSSmall(t *testing.T) {
 	results, err := RunJSBS(60, netsim.Paper1GbE())
 	if err != nil {
@@ -72,6 +84,7 @@ func TestSparkRunDigestsAgree(t *testing.T) {
 			if info.Breakdown.Wall != 0 {
 				t.Errorf("%s/%s reported wall time: the figure's cluster is not pinned to one task slot", app, ser)
 			}
+			checkGCCharge(t, string(app)+"/"+ser, info)
 			if i == 0 {
 				want = info.Digest
 			} else if info.Digest != want {
@@ -90,6 +103,7 @@ func TestFig3SDShare(t *testing.T) {
 		t.Fatalf("%d serializers", len(res))
 	}
 	for _, r := range res {
+		checkGCCharge(t, "fig3/"+r.Serializer, r.RunInfo)
 		// §2.2: S/D takes a substantial share under both serializers.
 		if r.Breakdown.SDShare() < 0.10 {
 			t.Errorf("%s S/D share %.1f%% implausibly low", r.Serializer, r.Breakdown.SDShare()*100)
@@ -106,6 +120,9 @@ func TestTable2Shape(t *testing.T) {
 	}
 	if len(cells) != 2*len(SparkSerializers()) {
 		t.Fatalf("%d cells", len(cells))
+	}
+	for _, c := range cells {
+		checkGCCharge(t, c.Name()+"/"+c.Serializer, c.RunInfo)
 	}
 	sums := Table2(cells)
 	if sums["kryo"].Len() != 2 || sums["skyway"].Len() != 2 {
@@ -166,6 +183,7 @@ func TestFlinkMatrixAndTable4(t *testing.T) {
 		if c.Breakdown.Wall != 0 {
 			t.Errorf("%s/%s reported wall time: the figure's cluster is not pinned to one task slot", c.Query, c.Serializer)
 		}
+		checkGCCharge(t, string(c.Query)+"/"+c.Serializer, c.RunInfo)
 		if prev, ok := digests[c.Query]; ok && prev != c.Digest {
 			t.Errorf("%s digests differ across serializers", c.Query)
 		}

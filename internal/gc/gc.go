@@ -211,6 +211,11 @@ func (c *Collector) Stats() Stats {
 	return s
 }
 
+// TotalPause returns the summed stop-the-world time so far: Stats's
+// TotalPause without the root-table walk Stats makes for HandleCount, cheap
+// enough to read around every timed region of a task.
+func (c *Collector) TotalPause() time.Duration { return c.stats.TotalPause() }
+
 // NewHandle registers a new root pointing at a.
 func (c *Collector) NewHandle(a heap.Addr) *Handle {
 	h := &Handle{addr: a, coll: c}

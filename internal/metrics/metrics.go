@@ -14,9 +14,10 @@ import (
 
 // Breakdown is one run's cost decomposition. CPU-side components (Compute,
 // Ser, Deser) are measured; I/O components are modelled from byte counts by
-// a netsim.CostModel, matching the paper's bandwidth-bound I/O.
+// a netsim.CostModel, matching the paper's bandwidth-bound I/O; GC is the
+// collector's measured pause time.
 //
-// The five component durations are per-node aggregates: they sum across
+// The six component durations are per-node aggregates: they sum across
 // executors, like the paper's per-node breakdown (§2.2). Wall, when set,
 // is the run's end-to-end elapsed time; with tasks executing concurrently
 // it is driven by the slowest executor of each stage and is therefore less
@@ -28,6 +29,11 @@ type Breakdown struct {
 	WriteIO time.Duration
 	Deser   time.Duration
 	ReadIO  time.Duration
+	// GC is the executors' stop-the-world collection pause time inside
+	// the timed regions, taken off the component whose timer was running
+	// when the collection struck (Produce's allocations used to put their
+	// scavenges into Compute, a decode's into Deser).
+	GC time.Duration
 
 	// Wall is the end-to-end elapsed time of a run whose tasks executed
 	// concurrently: per stage, the slowest executor's component sum;
@@ -45,11 +51,30 @@ type Breakdown struct {
 	Records int64
 }
 
+// Component is one named time component of a Breakdown.
+type Component struct {
+	Name string
+	D    *time.Duration
+}
+
+// Components returns b's time components in report order. It is the one
+// list of them: Sum, Add, String and every per-component report (task
+// spans, the figures' tables) read it, so a component is added here once.
+func (b *Breakdown) Components() [6]Component {
+	return [...]Component{
+		{"compute", &b.Compute}, {"ser", &b.Ser}, {"writeIO", &b.WriteIO},
+		{"deser", &b.Deser}, {"readIO", &b.ReadIO}, {"gc", &b.GC},
+	}
+}
+
 // Sum returns the added-up component time — the aggregate CPU and modelled
 // I/O across all executors. For a sequential run this equals the elapsed
 // time; for a parallel run it exceeds it.
-func (b Breakdown) Sum() time.Duration {
-	return b.Compute + b.Ser + b.WriteIO + b.Deser + b.ReadIO
+func (b Breakdown) Sum() (t time.Duration) {
+	for _, c := range b.Components() {
+		t += *c.D
+	}
+	return t
 }
 
 // Total returns the end-to-end time: the measured wall-clock when the run
@@ -66,20 +91,28 @@ func (b Breakdown) Total() time.Duration {
 // sides' Totals — a sequential stage (Wall zero, elapsed time = component
 // sum) folded into a parallel run contributes its component sum, not zero.
 // (Plain `b.Wall += other.Wall` silently dropped the sequential side's
-// entire elapsed time from Total.)
+// entire elapsed time from Total.) Driver-side work adds itself as a
+// Breakdown of its one component, so it reaches Total either way.
 func (b *Breakdown) Add(other Breakdown) {
 	if b.Wall > 0 || other.Wall > 0 {
 		b.Wall = b.Total() + other.Total()
 	}
-	b.Compute += other.Compute
-	b.Ser += other.Ser
-	b.WriteIO += other.WriteIO
-	b.Deser += other.Deser
-	b.ReadIO += other.ReadIO
+	o := other.Components()
+	for i, c := range b.Components() {
+		*c.D += *o[i].D
+	}
 	b.ShuffleBytes += other.ShuffleBytes
 	b.LocalBytes += other.LocalBytes
 	b.RemoteBytes += other.RemoteBytes
 	b.Records += other.Records
+}
+
+// AddStage adds one stage's breakdown to b and passes the stage's error on,
+// so a job folds each stage in as it returns — an aborted stage's partial
+// accounting (the read I/O its re-fetches did) included.
+func (b *Breakdown) AddStage(stage Breakdown, err error) error {
+	b.Add(stage)
+	return err
 }
 
 // SDShare returns the fraction of time spent in S/D functions — the
@@ -97,14 +130,14 @@ func (b Breakdown) SDShare() float64 {
 
 // String renders a one-line summary.
 func (b Breakdown) String() string {
-	wall := ""
+	s := fmt.Sprintf("total=%v", b.Total().Round(time.Millisecond))
 	if b.Wall > 0 {
-		wall = fmt.Sprintf(" (wall=%v)", b.Wall.Round(time.Millisecond))
+		s += fmt.Sprintf(" (wall=%v)", b.Wall.Round(time.Millisecond))
 	}
-	return fmt.Sprintf("total=%v%s compute=%v ser=%v writeIO=%v deser=%v readIO=%v bytes=%d (local=%d remote=%d)",
-		b.Total().Round(time.Millisecond), wall, b.Compute.Round(time.Millisecond), b.Ser.Round(time.Millisecond),
-		b.WriteIO.Round(time.Millisecond), b.Deser.Round(time.Millisecond), b.ReadIO.Round(time.Millisecond),
-		b.ShuffleBytes, b.LocalBytes, b.RemoteBytes)
+	for _, c := range b.Components() {
+		s += fmt.Sprintf(" %s=%v", c.Name, c.D.Round(time.Millisecond))
+	}
+	return s + fmt.Sprintf(" bytes=%d (local=%d remote=%d)", b.ShuffleBytes, b.LocalBytes, b.RemoteBytes)
 }
 
 // Ratio is one normalized comparison entry (a cell of Table 2 / Table 4).

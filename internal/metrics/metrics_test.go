@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -33,6 +34,28 @@ func TestTotalAndAdd(t *testing.T) {
 	acc.Add(b)
 	if acc.Total() != 400*time.Millisecond || acc.ShuffleBytes != 2000 || acc.Records != 20 {
 		t.Errorf("Add accumulated wrong: %+v", acc)
+	}
+}
+
+// GC is a component like the others: Sum counts it, Add carries it, String
+// names it. AddStage folds an aborted stage in too and passes its error on.
+func TestGCIsAComponent(t *testing.T) {
+	b := sample()
+	b.GC = 5 * time.Millisecond
+	if b.Sum() != 205*time.Millisecond {
+		t.Errorf("Sum = %v, want GC counted", b.Sum())
+	}
+	if !strings.Contains(b.String(), " gc=5ms ") {
+		t.Errorf("String() missing gc: %s", b.String())
+	}
+	var acc Breakdown
+	acc.Add(b)
+	abort := errors.New("stage aborted")
+	if err := acc.AddStage(b, abort); err != abort {
+		t.Errorf("AddStage returned %v, want the stage's error", err)
+	}
+	if acc.GC != 10*time.Millisecond || acc.Sum() != 410*time.Millisecond {
+		t.Errorf("Add/AddStage: gc %v sum %v", acc.GC, acc.Sum())
 	}
 }
 
