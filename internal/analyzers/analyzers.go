@@ -13,12 +13,16 @@
 //   - wiretaint: integers decoded off the wire must pass a full-width
 //     bounds check before sizing an allocation, indexing, or offsetting a
 //     heap address — truncated-width comparisons do not count;
-//   - atomicmix: memory accessed through sync/atomic anywhere in the
-//     module must never be loaded or stored plainly elsewhere.
+//   - atomicmix: atomically accessed memory outside internal/heap is a
+//     sync/atomic typed atomic, reached only through its methods — no
+//     package-level sync/atomic function, no atomic.Value, no whole-value
+//     assignment; go vet's copylocks reports the copies.
 //
-// That baddr header words, which concurrent senders claim by CAS, are only
-// ever accessed atomically needs no analyzer: heap.Heap has no plain baddr
-// accessor to call.
+// Two invariants need no analysis of their own. That baddr header words,
+// which concurrent senders claim by CAS, are only ever accessed atomically:
+// heap.Heap has no plain baddr accessor to call. That a store whose kind is
+// known only at run time writes no reference: heap.Heap.StorePrim panics on
+// klass.Ref, so writebarrier watches Heap.Store alone.
 package analyzers
 
 import (

@@ -8,84 +8,67 @@ import (
 	"skyway/internal/analyzers/framework"
 )
 
-// AtomicMix flags memory that is accessed both atomically and plainly. The
-// module-wide sweep (framework.AtomicClaims) collects every package-level
-// variable and struct field that some code touches through sync/atomic —
-// an address-taking call like atomic.AddInt64(&s.n, 1) or a method on a
-// typed atomic like atomic.Pointer — and this pass then reports every
-// remaining plain mention of the same variable anywhere in the module.
-// One racy plain store invalidates all the atomic discipline around it:
-// the race detector only catches the interleavings a test happens to run,
-// while the claim set catches the pattern statically (the boxField race
-// fixed in PR 3 was exactly this shape).
+// AtomicMix keeps atomic memory behind sync/atomic's value types, where the
+// compiler holds the invariant that a word touched atomically is never
+// touched plainly: a typed atomic's word is reachable only through its
+// methods. Outside internal/heap (whose baddr words are slice elements
+// claimed by CAS through its own API) it flags the three ways around that:
+//
+//   - a package-level sync/atomic function, which takes the address of a
+//     plain word that any other line can still load or store plainly;
+//   - atomic.Value, which `go vet`'s copylocks does not see copied;
+//   - a whole-value assignment to a typed atomic (s.n = atomic.Int64{}),
+//     a plain store copylocks lets through because the right side is a
+//     literal.
+//
+// Every other plain access — reading a typed atomic out (return s.n) or
+// copying one across (s.p = t.p) — is a lock copy `go vet` reports.
 var AtomicMix = &framework.Analyzer{
 	Name: "atomicmix",
-	Doc: "flag variables and struct fields accessed both through sync/atomic and " +
-		"via plain loads/stores; mixed access is a data race — once one access " +
-		"site is atomic, every access must be",
-	NeedsModule: true,
-	Run:         runAtomicMix,
+	Doc: "keep atomically accessed memory in sync/atomic's typed atomics: flag " +
+		"package-level sync/atomic functions, atomic.Value and whole-value " +
+		"assignments to a typed atomic outside internal/heap",
+	Run: runAtomicMix,
 }
+
+const atomicPkg = "sync/atomic"
 
 func runAtomicMix(p *framework.Pass) error {
 	if exemptPkg(p) {
 		return nil
 	}
-	claims := p.Module.AtomicClaims()
-	if len(claims) == 0 {
-		return nil
-	}
 	for _, f := range p.Files {
-		compositeKeys := compositeKeyPositions(f)
 		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
+			switch n := n.(type) {
+			case *ast.Ident:
+				switch obj := p.TypesInfo.Uses[n].(type) {
+				case *types.Func:
+					if obj.Pkg() != nil && obj.Pkg().Path() == atomicPkg && obj.Type().(*types.Signature).Recv() == nil {
+						p.Reportf(n.Pos(), "atomic.%s works on the address of a plain word that other code can still load or store plainly; hold the value in a typed atomic (atomic.Int64, atomic.Pointer, ...)", obj.Name())
+					}
+				case *types.TypeName:
+					if obj.Pkg() != nil && obj.Pkg().Path() == atomicPkg && obj.Name() == "Value" {
+						p.Reportf(n.Pos(), "atomic.Value is copied without a go vet report; use atomic.Pointer[T]")
+					}
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.DEFINE {
+					return true
+				}
+				for _, lhs := range n.Lhs {
+					if t := p.TypesInfo.TypeOf(lhs); t != nil && isTypedAtomic(t) {
+						p.Reportf(lhs.Pos(), "whole-value assignment to typed atomic %s is a plain store racing its atomic accesses; use its Store method", types.ExprString(lhs))
+					}
+				}
 			}
-			v, ok := p.TypesInfo.Uses[id].(*types.Var)
-			if !ok {
-				return true
-			}
-			claim, claimed := claims[v]
-			if !claimed || p.Module.AtomicSanctioned(id.Pos()) {
-				return true
-			}
-			// A keyed composite literal initializes memory no other
-			// goroutine can see yet; construction is not an access.
-			if compositeKeys[id.Pos()] {
-				return true
-			}
-			kind := "struct field"
-			if !v.IsField() {
-				kind = "package variable"
-			}
-			p.Reportf(id.Pos(),
-				"%s %s is accessed atomically via %s (%s) but plainly here; mixing atomic and plain access is a data race — use the atomic API at every access site",
-				kind, v.Name(), claim.Via, claim.Pos)
 			return true
 		})
 	}
 	return nil
 }
 
-// compositeKeyPositions collects the positions of field-name keys in keyed
-// composite literals, which name a field without loading or storing it
-// through shared memory.
-func compositeKeyPositions(f *ast.File) map[token.Pos]bool {
-	keys := make(map[token.Pos]bool)
-	ast.Inspect(f, func(n ast.Node) bool {
-		cl, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		for _, elt := range cl.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				if id, ok := kv.Key.(*ast.Ident); ok {
-					keys[id.Pos()] = true
-				}
-			}
-		}
-		return true
-	})
-	return keys
+// isTypedAtomic reports whether t is one of sync/atomic's value types.
+func isTypedAtomic(t types.Type) bool {
+	named, ok := types.Unalias(t).(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == atomicPkg
 }

@@ -116,20 +116,13 @@ type Module struct {
 	// literal instead of being treated as an unknown function value.
 	litOf map[*types.Var]*ast.FuncLit
 	// bodies records every function declaration with loaded syntax so
-	// module-wide dataflow passes (the taint summarizer, the atomic-claim
-	// sweep) can revisit the typed ASTs.
+	// module-wide dataflow passes (the taint summarizer) can revisit the
+	// typed ASTs.
 	bodies map[*types.Func]funcBody
-	// pkgs retains the loaded packages for module-wide sweeps that need
-	// file-level syntax (package-scope declarations, comments).
-	pkgs []*Package
 
 	// taint caches the module's taint engine; built lazily by Taint()
 	// since only analyzers that need summaries pay for the fixpoint.
 	taint *TaintEngine
-	// atomicClaims / atomicSanctioned cache the module-wide atomic-claim
-	// sweep (claims.go).
-	atomicClaims     map[*types.Var]AtomicClaim
-	atomicSanctioned map[token.Pos]bool
 }
 
 // funcBody ties a function declaration to the package it was loaded from.
@@ -148,7 +141,6 @@ func BuildModule(pkgs []*Package) *Module {
 		gcMethodNames: make(map[string]bool),
 		litOf:         make(map[*types.Var]*ast.FuncLit),
 		bodies:        make(map[*types.Func]funcBody),
-		pkgs:          pkgs,
 	}
 	for _, seed := range []string{"Scavenge", "FullGC", "allocYoung",
 		"New", "MustNew", "NewArray", "MustNewArray", "NewString", "MustNewString"} {

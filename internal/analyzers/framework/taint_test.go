@@ -188,64 +188,3 @@ func TestTaintFlowAtSinks(t *testing.T) {
 		t.Error("sinkWrapped: a truncated-width comparison must not count as a sanitizer")
 	}
 }
-
-// TestAtomicClaims checks the module-wide claim sweep: address-taking
-// atomic calls and typed-atomic method calls claim package vars and fields,
-// and the claiming mentions are sanctioned.
-func TestAtomicClaims(t *testing.T) {
-	pkg := loadSrc(t, `package p
-
-import "sync/atomic"
-
-var g uint64
-
-type s struct {
-	n   int64
-	ptr atomic.Pointer[int]
-}
-
-func f(x *s) int64 {
-	atomic.AddUint64(&g, 1)
-	x.ptr.Load()
-	return atomic.LoadInt64(&x.n)
-}
-
-func plain(x *s) { x.n = 4 }
-`)
-	m := BuildModule([]*Package{pkg})
-	claims := m.AtomicClaims()
-	byName := make(map[string]AtomicClaim)
-	for v, c := range claims {
-		byName[v.Name()] = c
-	}
-	if c, ok := byName["g"]; !ok || c.Via != "atomic.AddUint64" {
-		t.Errorf("package var g not claimed correctly: %+v (ok=%v)", c, ok)
-	}
-	if c, ok := byName["n"]; !ok || c.Via != "atomic.LoadInt64" {
-		t.Errorf("field n not claimed correctly: %+v (ok=%v)", c, ok)
-	}
-	if c, ok := byName["ptr"]; !ok || !c.Typed {
-		t.Errorf("typed atomic field ptr not claimed: %+v (ok=%v)", c, ok)
-	}
-	// The plain store in plain() must not be sanctioned; the atomic
-	// mentions in f() must be.
-	sanctioned, unsanctioned := 0, 0
-	ast.Inspect(pkg.Syntax[0], func(nd ast.Node) bool {
-		id, ok := nd.(*ast.Ident)
-		if !ok || id.Name != "n" {
-			return true
-		}
-		if _, isVar := pkg.TypesInfo.Uses[id].(*types.Var); !isVar {
-			return true
-		}
-		if m.AtomicSanctioned(id.Pos()) {
-			sanctioned++
-		} else {
-			unsanctioned++
-		}
-		return true
-	})
-	if sanctioned != 1 || unsanctioned != 1 {
-		t.Errorf("field n mentions: %d sanctioned, %d plain; want 1 and 1", sanctioned, unsanctioned)
-	}
-}

@@ -16,7 +16,7 @@ import (
 var fastPaths = map[string][]string{
 	"skyway/internal/heap": {
 		"IsArenaAddr", "notNull", "(*Heap).check", "loadKind", "storeKind",
-		"(*Heap).Load", "(*Heap).Store", "(*Heap).KlassWord", "(*Heap).ArrayLen",
+		"(*Heap).Load", "(*Heap).Store", "(*Heap).StorePrim", "(*Heap).KlassWord", "(*Heap).ArrayLen",
 		"(*Heap).ArrayHeader", "(*Heap).ElemOffset",
 	},
 	"skyway/internal/vm": {

@@ -1,68 +1,42 @@
 // Package atomicmix is the analysis fixture for the atomicmix analyzer:
-// once any access site touches a variable or field through sync/atomic,
-// every plain load or store of the same memory is a data race.
+// atomically accessed memory lives in sync/atomic's typed atomics, reached
+// only through their methods.
 package atomicmix
 
 import "sync/atomic"
 
-// hits is claimed by the atomic increment in recordHit; the plain increment
-// in resetHits races with it.
+// hits is a plain word made atomic by address: nothing stops another line
+// from writing hits++ beside the atomic increment.
 var hits uint64
 
 func recordHit() {
-	atomic.AddUint64(&hits, 1)
-}
-
-func resetHits() {
-	hits++ // want `package variable hits is accessed atomically via atomic\.AddUint64 .* but plainly here`
+	atomic.AddUint64(&hits, 1) // want `atomic\.AddUint64 works on the address of a plain word`
 }
 
 type counter struct {
-	n   int64
-	ptr atomic.Pointer[counter]
+	n    atomic.Int64
+	ptr  atomic.Pointer[counter]
+	last atomic.Value // want `atomic\.Value is copied without a go vet report`
 }
 
-func (c *counter) read() int64 {
-	return atomic.LoadInt64(&c.n)
-}
-
-// A plain store to a CAS-claimed field is the boxField shape: the racing
-// write can be lost or observed torn by the atomic readers.
+// A whole-value store to a typed atomic is a plain store, and copylocks
+// lets it through because the right side is a literal.
 func (c *counter) clear() {
-	c.n = 0 // want `struct field n is accessed atomically via atomic\.LoadInt64 .* but plainly here`
+	c.n = atomic.Int64{} // want `whole-value assignment to typed atomic c\.n`
 }
 
-// Plain reads race just as much as stores — the load can tear.
-func (c *counter) peek() int64 {
-	return c.n // want `struct field n is accessed atomically via atomic\.LoadInt64 .* but plainly here`
+// Method calls are the atomic accesses the types exist for.
+func (c *counter) bump() int64 {
+	c.ptr.Store(c)
+	return c.n.Add(1)
 }
 
-func (c *counter) swap(next *counter) *counter {
-	return c.ptr.Swap(next)
-}
-
-// Copying a typed atomic out of its word is a plain access of claimed
-// memory (and defeats the type's whole purpose).
-func (c *counter) leak() atomic.Pointer[counter] {
-	return c.ptr // want `struct field ptr is accessed atomically via \(atomic\.Pointer\)\.Swap .* but plainly here`
-}
-
-// Construction is not an access: the keyed literal initializes memory no
-// other goroutine can reach yet.
+// Declaring and constructing are not accesses: the memory is not yet
+// reachable from another goroutine.
 func fresh() *counter {
-	return &counter{n: 7}
-}
-
-// plainOnly is never touched atomically, so plain access is fine.
-var plainOnly int64
-
-func bumpPlain() {
-	plainOnly++
-}
-
-// atomicOnly is only ever touched atomically — also fine.
-var atomicOnly uint32
-
-func bumpAtomic() {
-	atomic.AddUint32(&atomicOnly, 1)
+	var total atomic.Int64
+	local := atomic.Uint32{}
+	local.Add(1)
+	total.Store(int64(local.Load()))
+	return &counter{ptr: atomic.Pointer[counter]{}}
 }

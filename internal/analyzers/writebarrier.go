@@ -17,7 +17,8 @@ import (
 // flagged when its kind operand is the klass.Ref constant, or when the kind
 // is not a compile-time constant (a dynamic field/element kind that could
 // be Ref at run time), unless the enclosing function declaration also calls
-// DirtyCard/DirtyRange or a refBarrier helper.
+// DirtyCard/DirtyRange or a refBarrier helper. Heap.StorePrim is not
+// watched: it panics on klass.Ref.
 var WriteBarrier = &framework.Analyzer{
 	Name: "writebarrier",
 	Doc: "flag Heap.Store calls that can write a reference slot without the " +
@@ -57,7 +58,7 @@ func runWriteBarrier(p *framework.Pass) error {
 				switch {
 				case tv.Value == nil:
 					p.Reportf(call.Pos(),
-						"Heap.Store with a non-constant kind may write a reference slot without the card-table write barrier; use Runtime.SetRaw/SetRef or pair the store with DirtyCard/DirtyRange")
+						"Heap.Store with a non-constant kind may write a reference slot without the card-table write barrier; use Heap.StorePrim for a slot that must be primitive, Runtime.SetRaw/SetRef, or pair the store with DirtyCard/DirtyRange")
 				case refVal != nil && constant.Compare(tv.Value, token.EQL, refVal):
 					p.Reportf(call.Pos(),
 						"reference store through Heap.Store bypasses the card-table write barrier; use Runtime.SetRef or pair the store with DirtyCard/DirtyRange")

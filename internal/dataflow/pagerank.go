@@ -132,8 +132,8 @@ func RunConnectedComponents(c *Cluster, g *datagen.Graph, maxIters int) (metrics
 	var bd metrics.Breakdown
 
 	for it := 0; it < maxIters; it++ {
-		// Summed atomically: the Compute closure runs on concurrent tasks.
-		var changedTotal int64
+		// The Compute closure runs on concurrent tasks.
+		var changedTotal atomic.Int64
 		mins := make([]map[int32]int64, c.Workers())
 		spec := ShuffleSpec{
 			Produce: func(ex *Executor, emit Emit) error {
@@ -182,13 +182,13 @@ func RunConnectedComponents(c *Cluster, g *datagen.Graph, maxIters int) (metrics
 					changed++
 				}
 			}
-			atomic.AddInt64(&changedTotal, changed)
+			changedTotal.Add(changed)
 			return nil
 		}))
 		if err != nil {
 			return bd, 0, err
 		}
-		if changedTotal == 0 {
+		if changedTotal.Load() == 0 {
 			break
 		}
 	}

@@ -28,7 +28,7 @@ func RunTriangleCounting(c *Cluster, g *datagen.Graph) (metrics.Breakdown, int64
 	prep := time.Since(start)
 	higher := func(v int32) []int32 { return nb[off[v]:off[v+1]] }
 
-	var total int64 // summed atomically: Consume runs on concurrent tasks
+	var total atomic.Int64 // Consume runs on concurrent tasks
 	spec := ShuffleSpec{
 		Produce: func(ex *Executor, emit Emit) error {
 			mk := ex.RT.MustLoad(AdjMsgClass)
@@ -97,13 +97,13 @@ func RunTriangleCounting(c *Cluster, g *datagen.Graph) (metrics.Breakdown, int64
 					found += set[uint64(w)>>6] >> (uint64(w) & 63) & 1
 				}
 			}
-			atomic.AddInt64(&total, int64(found))
+			total.Add(int64(found))
 			return nil
 		},
 	}
 	bd, err := c.RunShuffle(spec)
 	bd.Add(metrics.Breakdown{Compute: prep})
-	return bd, total, err
+	return bd, total.Load(), err
 }
 
 // orient returns the oriented simple graph of g as a CSR: N⁺(v) is

@@ -16,7 +16,7 @@ import (
 // result validation).
 func RunWordCount(c *Cluster, lines [][]string) (metrics.Breakdown, int64, error) {
 	WorkloadClasses(c.CP)
-	var total int64 // summed atomically: Consume runs on concurrent tasks
+	var total atomic.Int64 // Consume runs on concurrent tasks
 
 	spec := ShuffleSpec{
 		Produce: func(ex *Executor, emit Emit) error {
@@ -63,12 +63,12 @@ func RunWordCount(c *Cluster, lines [][]string) (metrics.Breakdown, int64, error
 			for _, n := range agg {
 				sum += n
 			}
-			atomic.AddInt64(&total, sum)
+			total.Add(sum)
 			return nil
 		},
 	}
 	bd, err := c.RunShuffle(spec)
-	return bd, total, err
+	return bd, total.Load(), err
 }
 
 // stringHash is Java's String.hashCode over ASCII bytes (the workload's

@@ -128,7 +128,7 @@ func RunJSBS(n int, model netsim.CostModel) ([]JSBSResult, error) {
 		// ObjectOutputStream per operation), so stream-scoped state —
 		// the Java serializer's class descriptors above all — is paid
 		// per record, as in the original benchmark. Each library runs
-		// three repetitions; the best one is reported (JSBS likewise
+		// reps repetitions; the best one is reported (JSBS likewise
 		// repeats until timings stabilize).
 		const reps = 5
 		best := JSBSResult{Ser: 1 << 62, Deser: 1 << 62}

@@ -7,7 +7,10 @@
 // Configuration comes from the SKYWAY_FAULT environment variable (or
 // Configure), in the same spirit as the SKYWAY_VERIFY and SKYWAY_TRACE knobs:
 //
-//	SKYWAY_FAULT = point ":" spec { ";" point ":" spec }
+//	SKYWAY_FAULT = clause { ";" clause }
+//	clause       = point ":" spec | "seed=" N         (at most one seed, applied
+//	                                                  to every point wherever
+//	                                                  it appears)
 //	spec         = trigger { "*" modifier }
 //	trigger      = "on" | "off" | "1in" N            (fire always / never /
 //	                                                  pseudo-randomly with
@@ -17,15 +20,17 @@
 //	             | "arg=" value                      (site-specific argument,
 //	                                                  e.g. a delay duration)
 //
-// Example:
+// A point must be one of Catalog's names: a misspelled point would otherwise
+// be armed and never fire. Example:
 //
-//	SKYWAY_FAULT='core.chunk.bitflip:1in8*times=3;transport.peer.slow:on*arg=2ms'
+//	SKYWAY_FAULT='seed=42;core.chunk.bitflip:1in8*times=3;transport.peer.slow:on*arg=2ms'
 //
 // The "1inN" trigger is driven by a per-point splitmix64 stream seeded from
-// SKYWAY_FAULT_SEED (or Seed) and the point name, so a (spec, seed) pair
-// replays the same injection schedule on every run regardless of how other
-// points interleave. Evaluation order within a point is its call order, which
-// the single-goroutine-per-task execution model keeps deterministic.
+// the plan's seed clause (or Seed; 0 by default) and the point name, so a
+// plan replays the same injection schedule on every run regardless of how
+// other points interleave. Evaluation order within a point is its call
+// order, which the single-goroutine-per-task execution model keeps
+// deterministic.
 //
 // Zero cost when disabled: every public evaluation helper first checks one
 // atomic bool, so production binaries with SKYWAY_FAULT unset pay a single
@@ -37,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -92,11 +98,6 @@ var (
 )
 
 func init() {
-	if v := os.Getenv("SKYWAY_FAULT_SEED"); v != "" {
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			seed.Store(n)
-		}
-	}
 	if spec := os.Getenv("SKYWAY_FAULT"); spec != "" {
 		if err := Configure(spec); err != nil {
 			// A malformed plan must not be half-applied silently: fail loud
@@ -112,7 +113,8 @@ func init() {
 func Active() bool { return active.Load() }
 
 // Seed reseeds the per-point random streams and resets all counters; tests
-// use it to replay a schedule. The default seed is SKYWAY_FAULT_SEED or 0.
+// use it to replay a schedule. A plan's seed clause sets it too; the default
+// is 0.
 func Seed(s uint64) {
 	seed.Store(s)
 	if p := current.Load(); p != nil {
@@ -134,22 +136,34 @@ func Configure(spec string) error {
 		return nil
 	}
 	p := &plan{points: make(map[string]*point)}
-	s := seed.Load()
+	s, seeded := seed.Load(), false
 	for _, entry := range strings.FieldsFunc(spec, func(r rune) bool { return r == ';' || r == ',' }) {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
 			continue
 		}
+		if v, ok := strings.CutPrefix(entry, "seed="); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil || seeded {
+				return fmt.Errorf("fault: %q: want one seed=N with N a uint64", entry)
+			}
+			s, seeded = n, true
+			continue
+		}
 		name, rest, ok := strings.Cut(entry, ":")
 		if !ok {
-			return fmt.Errorf("fault: %q: want point:spec", entry)
+			return fmt.Errorf("fault: %q: want point:spec or seed=N", entry)
 		}
 		pt, err := parsePoint(strings.TrimSpace(name), strings.TrimSpace(rest))
 		if err != nil {
 			return err
 		}
-		pt.rng = mix(s ^ hashName(pt.name))
 		p.points[pt.name] = pt
+	}
+	// Seeded only now, so a seed clause counts wherever it stands.
+	seed.Store(s)
+	for _, pt := range p.points {
+		pt.rng = mix(s ^ hashName(pt.name))
 	}
 	current.Store(p)
 	active.Store(len(p.points) > 0)
@@ -163,8 +177,8 @@ func Reset() {
 }
 
 func parsePoint(name, spec string) (*point, error) {
-	if name == "" {
-		return nil, fmt.Errorf("fault: empty point name in %q", spec)
+	if !slices.Contains(Catalog(), name) {
+		return nil, fmt.Errorf("fault: unknown point %q (see fault.Catalog)", name)
 	}
 	pt := &point{name: name, times: -1}
 	parts := strings.Split(spec, "*")

@@ -2,8 +2,16 @@ package fault
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+)
+
+// p and q are the two points most tests arm: any catalog names will do.
+const (
+	p = CoreWriteFail
+	q = DataflowTaskDie
 )
 
 // configure installs a plan for the test and restores quiet at cleanup.
@@ -29,34 +37,34 @@ func TestInactiveByDefault(t *testing.T) {
 }
 
 func TestOnFiresEveryTime(t *testing.T) {
-	configure(t, "p:on")
+	configure(t, p+":on")
 	for i := 0; i < 5; i++ {
-		if !Eval("p") {
+		if !Eval(p) {
 			t.Fatalf("eval %d did not fire", i)
 		}
 	}
-	if Fired("p") != 5 {
-		t.Fatalf("fired = %d, want 5", Fired("p"))
+	if Fired(p) != 5 {
+		t.Fatalf("fired = %d, want 5", Fired(p))
 	}
-	if Eval("q") {
+	if Eval(q) {
 		t.Fatal("unconfigured point fired")
 	}
 }
 
 func TestOffNeverFires(t *testing.T) {
-	configure(t, "p:off")
+	configure(t, p+":off")
 	for i := 0; i < 5; i++ {
-		if Eval("p") {
+		if Eval(p) {
 			t.Fatal("off point fired")
 		}
 	}
 }
 
 func TestTimesBoundsFirings(t *testing.T) {
-	configure(t, "p:on*times=2")
+	configure(t, p+":on*times=2")
 	fired := 0
 	for i := 0; i < 10; i++ {
-		if Eval("p") {
+		if Eval(p) {
 			fired++
 		}
 	}
@@ -66,10 +74,10 @@ func TestTimesBoundsFirings(t *testing.T) {
 }
 
 func TestAfterSkipsPrefix(t *testing.T) {
-	configure(t, "p:on*after=3")
+	configure(t, p+":on*after=3")
 	var pattern []bool
 	for i := 0; i < 6; i++ {
-		pattern = append(pattern, Eval("p"))
+		pattern = append(pattern, Eval(p))
 	}
 	want := []bool{false, false, false, true, true, true}
 	for i := range want {
@@ -81,11 +89,11 @@ func TestAfterSkipsPrefix(t *testing.T) {
 
 func TestOneInIsDeterministicPerSeed(t *testing.T) {
 	run := func(seed uint64) []bool {
-		configure(t, "p:1in4")
+		configure(t, p+":1in4")
 		Seed(seed)
 		var out []bool
 		for i := 0; i < 64; i++ {
-			out = append(out, Eval("p"))
+			out = append(out, Eval(p))
 		}
 		return out
 	}
@@ -118,12 +126,12 @@ func TestOneInIsDeterministicPerSeed(t *testing.T) {
 }
 
 func TestPointsDrawIndependentStreams(t *testing.T) {
-	configure(t, "p:1in2;q:1in2")
+	configure(t, p+":1in2;"+q+":1in2")
 	Seed(1)
 	var pp, qq []bool
 	for i := 0; i < 64; i++ {
-		pp = append(pp, Eval("p"))
-		qq = append(qq, Eval("q"))
+		pp = append(pp, Eval(p))
+		qq = append(qq, Eval(q))
 	}
 	same := true
 	for i := range pp {
@@ -138,50 +146,80 @@ func TestPointsDrawIndependentStreams(t *testing.T) {
 }
 
 func TestInjectReturnsStructuredError(t *testing.T) {
-	configure(t, "p:on*times=1")
-	err := Inject("p")
+	configure(t, p+":on*times=1")
+	err := Inject(p)
 	var fe *Error
-	if !errors.As(err, &fe) || fe.Point != "p" {
+	if !errors.As(err, &fe) || fe.Point != p {
 		t.Fatalf("inject = %v, want *fault.Error{p}", err)
 	}
-	if err := Inject("p"); err != nil {
+	if err := Inject(p); err != nil {
 		t.Fatalf("second inject = %v, want nil (times=1)", err)
 	}
 }
 
 func TestArgAndDuration(t *testing.T) {
-	configure(t, "p:on*arg=3ms;q:on")
-	if s, ok := Arg("p"); !ok || s != "3ms" {
+	configure(t, p+":on*arg=3ms;"+q+":on")
+	if s, ok := Arg(p); !ok || s != "3ms" {
 		t.Fatalf("arg = %q, %v", s, ok)
 	}
-	if d := DurationArg("p", time.Second); d != 3*time.Millisecond {
+	if d := DurationArg(p, time.Second); d != 3*time.Millisecond {
 		t.Fatalf("duration = %v", d)
 	}
-	if d := DurationArg("q", time.Second); d != time.Second {
+	if d := DurationArg(q, time.Second); d != time.Second {
 		t.Fatalf("default duration = %v", d)
 	}
 }
 
+// TestParseErrors: each row fails for its own reason, named by the error.
 func TestParseErrors(t *testing.T) {
-	for _, bad := range []string{
-		"noseparator",
-		"p:maybe",
-		"p:1in0",
-		"p:on*after=x",
-		"p:on*times=-1",
-		"p:on*bogus=1",
-		":on",
+	for _, tc := range []struct{ spec, why string }{
+		{"noseparator", "want point:spec"},
+		{p + ":maybe", "unknown trigger"},
+		{p + ":1in0", "bad trigger"},
+		{p + ":on*after=x", "bad after"},
+		{p + ":on*times=-1", "bad times"},
+		{p + ":on*bogus=1", "unknown modifier"},
+		{":on", "unknown point"},
+		{"core.chunk.bitflp:on", "unknown point"},
+		{"seed=x;" + p + ":on", "want one seed=N"},
+		{"seed=1;" + p + ":on;seed=2", "want one seed=N"},
 	} {
-		if err := Configure(bad); err == nil {
+		err := Configure(tc.spec)
+		if err == nil {
 			Reset()
-			t.Errorf("Configure(%q) accepted", bad)
+			t.Errorf("Configure(%q) accepted", tc.spec)
+		} else if !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("Configure(%q) = %v, want it to say %q", tc.spec, err, tc.why)
 		}
 	}
 	Reset()
 }
 
+// TestSeedClause: a plan's seed=N replays the schedule Seed(N) gives,
+// wherever the clause stands in the plan.
+func TestSeedClause(t *testing.T) {
+	t.Cleanup(func() { Seed(0) })
+	run := func(spec string) []bool {
+		configure(t, spec)
+		var out []bool
+		for i := 0; i < 64; i++ {
+			out = append(out, Eval(p))
+		}
+		return out
+	}
+	Seed(0)
+	first := run("seed=7;" + p + ":1in4")
+	Seed(0)
+	last := run(p + ":1in4;seed=7")
+	Seed(7)
+	byCall := run(p + ":1in4")
+	if !slices.Equal(first, last) || !slices.Equal(first, byCall) {
+		t.Fatalf("seed=7 first, seed=7 last and Seed(7) gave different schedules:\n%v\n%v\n%v", first, last, byCall)
+	}
+}
+
 func TestConfigureEmptyClears(t *testing.T) {
-	configure(t, "p:on")
+	configure(t, p+":on")
 	if !Active() {
 		t.Fatal("not active")
 	}
@@ -194,13 +232,13 @@ func TestConfigureEmptyClears(t *testing.T) {
 }
 
 func TestSnapshotCounts(t *testing.T) {
-	configure(t, "p:on*times=2;q:off")
+	configure(t, p+":on*times=2;"+q+":off")
 	for i := 0; i < 4; i++ {
-		Eval("p")
-		Eval("q")
+		Eval(p)
+		Eval(q)
 	}
 	snap := Snapshot()
-	if snap["p"] != 2 || snap["q"] != 0 {
+	if snap[p] != 2 || snap[q] != 0 {
 		t.Fatalf("snapshot = %v", snap)
 	}
 }

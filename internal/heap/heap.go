@@ -313,6 +313,17 @@ func (h *Heap) Store(a Addr, off uint32, k klass.Kind, v uint64) {
 	storeKind(h.mem[uint64(notNull(a))+uint64(off):], k, v)
 }
 
+// StorePrim is Store for a field whose kind is known only at run time but
+// must be primitive. It panics on klass.Ref, so a call of it never needs the
+// card-table barrier a reference store does: the writebarrier analyzer
+// watches Store alone.
+func (h *Heap) StorePrim(a Addr, off uint32, k klass.Kind, v uint64) {
+	if k == klass.Ref {
+		panic("heap: StorePrim on a reference slot; reference stores need the write barrier")
+	}
+	h.Store(a, off, k, v)
+}
+
 // CopyOut copies the n bytes of the slab at a into dst. n and a must be
 // word-aligned: object images always are. This is the "transfer the entirety
 // of each object" memcpy at the core of Skyway's sender.

@@ -520,3 +520,31 @@ func TestFreeBufferOutsideSpacePanics(t *testing.T) {
 	}()
 	h.FreeBufferRange(h.Old.Start, 64)
 }
+
+// StorePrim stores every primitive kind as Store does, and refuses a
+// reference slot before writing: a reference store needs the card-table
+// barrier that only the runtime's reference setters apply.
+func TestStorePrim(t *testing.T) {
+	h := testHeap()
+	a := h.AllocYoung(32)
+	for k := klass.Bool; k < klass.Ref; k++ {
+		h.ZeroWords(a, 32)
+		h.StorePrim(a, 16, k, 0x0102030405060708)
+		want := uint64(0x0102030405060708) & (1<<(8*k.Size()) - 1) // a shift by 64 is 0, so 8 bytes keep all
+		if got := h.Load(a, 16, k); got != want {
+			t.Errorf("kind %d: Load after StorePrim = %#x, want %#x", k, got, want)
+		}
+	}
+	h.StoreWord(a+16, 0xABCD)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("StorePrim on klass.Ref did not panic")
+			}
+		}()
+		h.StorePrim(a, 16, klass.Ref, 0x1234)
+	}()
+	if got := h.LoadWord(a + 16); got != 0xABCD {
+		t.Errorf("refused StorePrim changed the slot to %#x", got)
+	}
+}

@@ -541,8 +541,7 @@ func (d *engineDecoder) readPrimArray(o int, k *klass.Klass, n int) error {
 		if err != nil {
 			return err
 		}
-		//skyway:allow writebarrier — primitive arrays only: reference arrays take the readRef path, so k.Elem is never Ref here
-		d.rt.Heap.Store(d.tab.At(o), base+uint32(i)*es, k.Elem, v)
+		d.rt.Heap.StorePrim(d.tab.At(o), base+uint32(i)*es, k.Elem, v)
 	}
 	return nil
 }

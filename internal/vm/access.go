@@ -43,14 +43,10 @@ func (rt *Runtime) refBarrier(owner heap.Addr) {
 
 // storePrim stores a value whose kind is only known at run time but must be
 // primitive; the typed setters route their dynamic-kind stores through this
-// single checked funnel, which is also where arena objects promote.
+// single funnel, which is also where arena objects promote. Heap.StorePrim
+// panics on a reference slot: those take SetRef/ArraySetRef.
 func (rt *Runtime) storePrim(a heap.Addr, off uint32, kind klass.Kind, v uint64) {
-	if kind == klass.Ref {
-		panic("vm: storePrim on a reference slot; use SetRef/ArraySetRef")
-	}
-	a = rt.mutable(a)
-	//skyway:allow writebarrier — kind is checked non-Ref above, so no reference is written
-	rt.Heap.Store(a, off, kind, v)
+	rt.Heap.StorePrim(rt.mutable(a), off, kind, v)
 }
 
 // GetLong loads a 64-bit integer field.

@@ -533,3 +533,36 @@ func TestArrayBulkAccess(t *testing.T) {
 	mustPanic("ArrayLongs on a double[]", func() { rt.ArrayLongs(rt.MustNewArray(rt.MustLoad("double[]"), 3), nil) })
 	mustPanic("ArrayLongs on a non-array", func() { rt.ArrayLongs(rt.MustNew(rt.MustLoad("Point")), nil) })
 }
+
+// A typed primitive setter aimed at a reference field or element panics and
+// leaves the reference as it was: a pointer written there would bypass the
+// card-table barrier that SetRef and ArraySetRef apply.
+func TestPrimitiveSetterOnReferencePanics(t *testing.T) {
+	rt := testRuntime(t)
+	nk := rt.MustLoad("Node")
+	next := nk.FieldByName("next")
+	n := rt.MustNew(nk)
+	rt.SetRef(n, next, n)
+	arr := rt.MustNewArray(rt.MustLoad("Node[]"), 1)
+	rt.ArraySetRef(arr, 0, n)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"SetLong", func() { rt.SetLong(n, next, 7) }},
+		{"SetInt", func() { rt.SetInt(n, next, 7) }},
+		{"ArraySetLong", func() { rt.ArraySetLong(arr, 0, 7) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a reference slot did not panic", tc.name)
+				}
+			}()
+			tc.fn()
+		}()
+	}
+	if rt.GetRef(n, next) != n || rt.ArrayGetRef(arr, 0) != n {
+		t.Error("a refused primitive store changed a reference")
+	}
+}
